@@ -3,7 +3,8 @@
  * Gradient-engine study: serial (per-evaluation full replay) vs
  * batched (prefix-shared / pair-differenced, thread-pool fan-out)
  * parameter-shift gradients on LiH, in all three evaluation modes,
- * plus analytic vs sampled gradient quality at a sweep of shot
+ * the ideal-mode adjoint against batched parameter shift, plus
+ * analytic vs sampled gradient quality at a sweep of shot
  * budgets. Headline numbers land in BENCH_gradient.json under
  * QCC_JSON. The batched-vs-serial ratio on the gate-level noisy mode
  * is algorithmic (pair-difference suffix sweeps), so it holds even
@@ -94,18 +95,17 @@ main()
     // what a driver evaluating one energy at a time would do.
     // Batched: prefix-shared (statevector) or pair-differenced
     // (density-matrix) sweeps fanned over the pool.
+    auto timeMs = [&](auto fn) {
+        fn(); // warm caches and the thread pool
+        const auto t0 = clock_type::now();
+        for (int r = 0; r < reps; ++r)
+            fn();
+        return millisSince(t0) / reps;
+    };
     auto timeRow = [&](const char *mode, auto serialFn,
                        auto batchedFn) {
-        serialFn(); // warm caches and the thread pool
-        auto t0 = clock_type::now();
-        for (int r = 0; r < reps; ++r)
-            serialFn();
-        const double serialMs = millisSince(t0) / reps;
-        batchedFn();
-        t0 = clock_type::now();
-        for (int r = 0; r < reps; ++r)
-            batchedFn();
-        const double batchedMs = millisSince(t0) / reps;
+        const double serialMs = timeMs(serialFn);
+        const double batchedMs = timeMs(batchedFn);
         const double speedup = serialMs / batchedMs;
         std::printf("%-10s %12.3f %12.3f %8.2fx\n", mode, serialMs,
                     batchedMs, speedup);
@@ -131,6 +131,28 @@ main()
         "ideal",
         [&] { serial.gradient(params, svMake, svEnergy); },
         [&] { batched.gradientStatevector(params, svEstimate); });
+
+    // The route ideal-mode drivers take: reverse mode against the
+    // batched parameter shift it replaced, and their largest
+    // component disagreement.
+    {
+        const double shiftMs = timeMs([&] {
+            batched.gradientStatevector(params, svEstimate);
+        });
+        const double adjointMs =
+            timeMs([&] { batched.gradientAdjoint(params); });
+        const double maxDelta =
+            maxAbsDiff(batched.gradientAdjoint(params),
+                       batched.gradientStatevector(params, svEstimate));
+        std::printf("%-10s %12.3f %12.3f %8.2fx  (shift ms, adjoint "
+                    "ms; max |dg| %.1e)\n",
+                    "ideal_adjoint", shiftMs, adjointMs,
+                    shiftMs / adjointMs, maxDelta);
+        json.row("ideal_adjoint", {{"shift_ms", shiftMs},
+                                   {"adjoint_ms", adjointMs},
+                                   {"speedup", shiftMs / adjointMs},
+                                   {"max_abs_dg", maxDelta}});
+    }
 
     auto dmMake = [&] { return makeDm({ansatz.nQubits, noise}); };
     auto dmEnergy = [&](SimBackend &b, size_t) {

@@ -138,6 +138,19 @@ thread_local bool insideJob = false;
  * Persistent pool of parallelThreads() - 1 workers plus the calling
  * thread. One job runs at a time; workers claim chunk indices from a
  * shared atomic counter, so uneven chunks load-balance naturally.
+ *
+ * A worker joins a job only by winning one of its lanes under `mtx`,
+ * in the critical section that also reads the job's generation, and
+ * run() returns only after every lane winner has left work() and the
+ * unclaimed lanes are withdrawn. So no worker is ever still in one
+ * job's claim loop when the next job resets the chunk counter, the
+ * chunk total and the job pointer.
+ *
+ * The pool is immortal (heap-allocated and never destroyed, like the
+ * trace and metrics registries): an exit-time teardown would have to
+ * wake and join the workers, and in a forked child (gtest death
+ * tests) the workers do not exist while the condition variable still
+ * holds the parent's waiters, so the teardown could block forever.
  */
 class ThreadPool
 {
@@ -147,10 +160,10 @@ class ThreadPool
     {
         // Under a process-wide lane cap (QCC_JOB_WIDTH) the extra
         // workers could never win a lane — don't create them.
-        static ThreadPool pool(
+        static ThreadPool *pool = new ThreadPool(
             envLaneCap() ? std::min(parallelThreads(), envLaneCap())
                          : parallelThreads());
-        return pool;
+        return *pool;
     }
 
     void
@@ -172,20 +185,20 @@ class ThreadPool
             job = &fn;
             nextChunk.store(0, std::memory_order_relaxed);
             totalChunks = n_chunks;
-            pendingChunks.store(n_chunks, std::memory_order_relaxed);
             // The caller is always one lane; workers claim the rest.
-            laneBudget.store(max_lanes > 0 ? max_lanes - 1 : 0,
-                             std::memory_order_relaxed);
+            laneBudget = max_lanes > 0 ? max_lanes - 1 : 0;
+            submitNs = t0;
             ++generation;
         }
-        submitNs.store(t0, std::memory_order_relaxed);
         cv.notify_all();
         work();
-        // Wait for chunks claimed by workers but not yet finished.
+        // Every chunk is claimed once the caller's loop ends; wait
+        // for the lane winners still running theirs, and withdraw
+        // the lanes nobody won so a late waker cannot join a job
+        // that is over.
         std::unique_lock<std::mutex> lk(mtx);
-        doneCv.wait(lk, [&] {
-            return pendingChunks.load(std::memory_order_acquire) == 0;
-        });
+        doneCv.wait(lk, [&] { return activeLanes == 0; });
+        laneBudget = 0;
         job = nullptr;
         jobs.add();
         jobUs.record((nowNs() - t0) / 1000);
@@ -198,18 +211,6 @@ class ThreadPool
             workers.emplace_back([this] { workerLoop(); });
     }
 
-    ~ThreadPool()
-    {
-        {
-            std::lock_guard<std::mutex> lk(mtx);
-            stopping = true;
-            ++generation;
-        }
-        cv.notify_all();
-        for (auto &w : workers)
-            w.join();
-    }
-
     void
     work()
     {
@@ -218,30 +219,7 @@ class ThreadPool
             if (ci >= totalChunks)
                 return;
             (*job)(ci);
-            if (pendingChunks.fetch_sub(1, std::memory_order_acq_rel) ==
-                1) {
-                std::lock_guard<std::mutex> lk(mtx);
-                doneCv.notify_all();
-            }
         }
-    }
-
-    /**
-     * Claim one of the job's worker lanes; false sends this worker
-     * back to sleep, leaving the job to the caller and the lanes
-     * that did win. Capped jobs (ParallelWidthCap, QCC_JOB_WIDTH)
-     * budget fewer lanes than there are workers.
-     */
-    bool
-    acquireLane()
-    {
-        unsigned v = laneBudget.load(std::memory_order_relaxed);
-        while (v > 0)
-            if (laneBudget.compare_exchange_weak(
-                    v, v - 1, std::memory_order_acquire,
-                    std::memory_order_relaxed))
-                return true;
-        return false;
     }
 
     void
@@ -252,41 +230,47 @@ class ThreadPool
         insideJob = true; // nested sweeps inside a chunk stay serial
         uint64_t seen = 0;
         for (;;) {
+            uint64_t submitted = 0;
             {
                 std::unique_lock<std::mutex> lk(mtx);
-                cv.wait(lk, [&] {
-                    return stopping || generation != seen;
-                });
-                if (stopping)
-                    return;
+                cv.wait(lk, [&] { return generation != seen; });
                 seen = generation;
+                // Capped jobs (ParallelWidthCap, QCC_JOB_WIDTH)
+                // budget fewer lanes than there are workers; a
+                // worker that wins none goes back to sleep, leaving
+                // the job to the caller and the lanes that did win.
+                if (laneBudget == 0)
+                    continue;
+                --laneBudget;
+                ++activeLanes;
+                submitted = submitNs;
             }
-            if (acquireLane()) {
-                // Submission-to-lane latency: wakeup plus any time
-                // lost to contention on the pool. One record per
-                // lane win, before the chunk work starts.
-                const uint64_t submitted =
-                    submitNs.load(std::memory_order_relaxed);
-                const uint64_t now = nowNs();
-                queueWaitUs.record(
-                    now > submitted ? (now - submitted) / 1000 : 0);
-                work();
-            }
+            // Submission-to-lane latency: wakeup plus any time lost
+            // to contention on the pool. One record per lane win,
+            // before the chunk work starts.
+            const uint64_t now = nowNs();
+            queueWaitUs.record(
+                now > submitted ? (now - submitted) / 1000 : 0);
+            work();
+            std::lock_guard<std::mutex> lk(mtx);
+            if (--activeLanes == 0)
+                doneCv.notify_all();
         }
     }
 
-    std::vector<std::thread> workers;
+    std::vector<std::thread> workers; ///< run until exit, unjoined
     std::mutex jobMutex; ///< serializes run() callers
-    std::mutex mtx;
+    std::mutex mtx;      ///< guards the job state below
     std::condition_variable cv, doneCv;
+    // job and totalChunks are written under mtx only while no lane
+    // winner is active, so work() reads them without the lock.
     const std::function<void(size_t)> *job = nullptr;
     std::atomic<size_t> nextChunk{0};
-    std::atomic<size_t> pendingChunks{0};
-    std::atomic<unsigned> laneBudget{0};
-    std::atomic<uint64_t> submitNs{0};
     size_t totalChunks = 0;
+    unsigned laneBudget = 0;  ///< worker lanes still open to claim
+    unsigned activeLanes = 0; ///< lane winners inside work()
+    uint64_t submitNs = 0;
     uint64_t generation = 0;
-    bool stopping = false;
 };
 
 } // namespace

@@ -191,6 +191,48 @@ expectation(const cplx *amp, size_t dim, uint64_t x, uint64_t z)
     return -2.0 * iPow(e + 1).real() * t;
 }
 
+cplx
+pauliInner(const cplx *bra, const cplx *ket, size_t dim, uint64_t x,
+           uint64_t z)
+{
+    // s * conj(u) v accumulated into (re, im), written out so the
+    // loops stay plain multiply-adds.
+    auto addConjMul = [](double s, cplx u, cplx v, double &re,
+                         double &im) {
+        re += s * (u.real() * v.real() + u.imag() * v.imag());
+        im += s * (u.real() * v.imag() - u.imag() * v.real());
+    };
+    if (x == 0) {
+        return parallelReduce(
+            0, dim, cplx(0.0), [=](size_t lo, size_t hi) {
+                double re = 0.0, im = 0.0;
+                for (size_t b = lo; b < hi; ++b)
+                    addConjMul(paritySign(z, b), bra[b], ket[b], re,
+                               im);
+                return cplx(re, im);
+            });
+    }
+    // With P|c> = eps (-1)^{|z&c|} |c^x> and the partner-sign
+    // relation s_{b^x} = sigma s_b, the (b, b^x) pair contributes
+    //   eps s_b (sigma conj(bra[b]) ket[b^x] + conj(bra[b^x]) ket[b])
+    // so eps and sigma factor out of the sweep's two partial sums.
+    const double sigma = paritySign(z, x);
+    const uint64_t pivot = x & (~x + 1);
+    const cplx t = parallelReduce(
+        0, dim / 2, cplx(0.0), [=](size_t lo, size_t hi) {
+            double pr = 0.0, pi = 0.0, qr = 0.0, qi = 0.0;
+            for (size_t k = lo; k < hi; ++k) {
+                const size_t b = expandBit(k, pivot);
+                const size_t b2 = b ^ x;
+                const double sb = paritySign(z, b);
+                addConjMul(sb, bra[b], ket[b2], pr, pi);
+                addConjMul(sb, bra[b2], ket[b], qr, qi);
+            }
+            return cplx(sigma * pr + qr, sigma * pi + qi);
+        });
+    return iPow(std::popcount(x & z)) * t;
+}
+
 double
 diagonalGroupExpectation(const cplx *amp, size_t dim, const double *w,
                          const uint64_t *zmask, size_t n_terms)

@@ -80,6 +80,14 @@ void accumulatePauli(const cplx *amp, size_t dim, uint64_t x, uint64_t z,
 double expectation(const cplx *amp, size_t dim, uint64_t x, uint64_t z);
 
 /**
+ * <bra| P |ket> for two distinct states: read-only, pair-compacted
+ * like expectation() (one popcount per amplitude pair, no scratch
+ * copy of P|ket>), and reduced in fixed chunk order.
+ */
+cplx pauliInner(const cplx *bra, const cplx *ket, size_t dim,
+                uint64_t x, uint64_t z);
+
+/**
  * One grouped sweep for a qubit-wise-commuting family already rotated
  * to its diagonal basis: returns sum_t w[t] * sum_b |amp[b]|^2 *
  * (-1)^{|zmask[t] & b|}. The per-amplitude probability is computed

@@ -208,8 +208,7 @@ VqeDriver::runGradientDescent()
     res.energy = stochastic ? bestE : e;
     res.params = stochastic ? bestX : x;
     res.iterations = iter;
-    res.evals =
-        evals + int(gradCount * shiftEngine.numShiftedEvaluations());
+    res.evals = evals + int(gradCount * evaluationsPerGradient());
     if (stochastic)
         res.converged = true; // ran its budget; noise floor decides
     return res;

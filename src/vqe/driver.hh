@@ -15,8 +15,9 @@
  *                   end-to-end hardware model, composed from the
  *                   same two parts rather than a new code path;
  *
- * and the optimizers (L-BFGS with analytic parameter-shift
- * gradients, plain gradient descent, SPSA, Nelder-Mead) are
+ * and the optimizers (L-BFGS with exact gradients — adjoint on the
+ * ideal path, parameter shift elsewhere — plain gradient descent,
+ * SPSA, Nelder-Mead) are
  * registry-backed strategy objects (vqe/optimizers.hh). Every run
  * records a machine-readable trace — per-point energy, estimator
  * variance, cumulative shots, gradient norm — that writeTrace()
@@ -163,7 +164,10 @@ class VqeDriver
      */
     double energy(const std::vector<double> &params);
 
-    /** Parameter-shift gradient at `params` (2R evaluations). */
+    /**
+     * Exact gradient at `params` over the strategy's route
+     * (evaluationsPerGradient() energy evaluations).
+     */
     std::vector<double> gradient(const std::vector<double> &params);
 
     /** Minimize from a zero start with the configured optimizer. */
@@ -180,10 +184,13 @@ class VqeDriver
     /** Gradient calls so far (optimizer evals accounting). */
     uint64_t gradientCount() const { return gradCount; }
 
-    /** Shifted energy evaluations per gradient (2R). */
-    size_t shiftEvaluationsPerGradient() const
+    /**
+     * Energy evaluations one gradient() runs, as the strategy
+     * reports them (2R for parameter shift, 0 for the adjoint).
+     */
+    size_t evaluationsPerGradient() const
     {
-        return shiftEngine.numShiftedEvaluations();
+        return strategy->gradientEvaluations(shiftEngine);
     }
 
     /**

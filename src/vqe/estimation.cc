@@ -60,14 +60,19 @@ AnalyticEstimation::gradient(const ParameterShiftEngine &shift,
 {
     if (shots_out)
         *shots_out = 0;
+    // Pure state: reverse mode, no shifted state is ever read out.
     if (model.pureState)
-        return shift.gradientStatevector(
-            params, [this](const Statevector &psi, size_t) {
-                return engine.energy(psi);
-            });
+        return shift.gradientAdjoint(params);
     // Mixed state: the pair-differenced noisy sweep (one suffix
     // application per rotation through the cached compiled circuit).
     return shift.gradientNoisy(params, model.noise);
+}
+
+size_t
+AnalyticEstimation::gradientEvaluations(
+    const ParameterShiftEngine &shift) const
+{
+    return model.pureState ? 0 : shift.numShiftedEvaluations();
 }
 
 // ------------------------------------------------------- sampled
@@ -125,7 +130,7 @@ SampledEstimation::gradient(const ParameterShiftEngine &shift,
     // state. Per-task streams derive from (call_stream, task), so
     // batched and serial execution replay bit-for-bit.
     if (shots_out)
-        *shots_out = shift.numShiftedEvaluations() * perEstimate;
+        *shots_out = gradientEvaluations(shift) * perEstimate;
     if (model.pureState)
         return shift.gradientStatevector(
             params, [&](const Statevector &psi, size_t task) {
@@ -139,6 +144,13 @@ SampledEstimation::gradient(const ParameterShiftEngine &shift,
             Rng rng(deriveStream(call_stream, task));
             return sampler.measure(backend, rng).energy;
         });
+}
+
+size_t
+SampledEstimation::gradientEvaluations(
+    const ParameterShiftEngine &shift) const
+{
+    return shift.numShiftedEvaluations();
 }
 
 // ------------------------------------------------------ registry

@@ -16,8 +16,10 @@
  * pairing the density-matrix model with the sampled readout — no new
  * code path. Strategies own their engines (ExpectationEngine or
  * SamplingEngine), construct fresh backends, and pick the optimal
- * parameter-shift gradient route for their state model; the driver
- * only derives rng streams and keeps the trace.
+ * gradient route for their state model and readout (the adjoint for
+ * the analytic pure state, parameter shift wherever a readout needs
+ * each shifted state or the state is mixed); the driver only derives
+ * rng streams and keeps the trace.
  *
  * Modes are looked up by name in estimationRegistry() ("ideal",
  * "noisy", "sampled", "noisy_sampled"); unknown names throw a
@@ -53,9 +55,10 @@ struct EnergyEstimate
 
 /**
  * The state-model half of a strategy: an identifier, whether the
- * state is pure (enabling the prefix-shared statevector gradient
- * fast path), the noise channels (density-matrix models), and a
- * factory for fresh backends.
+ * state is pure (enabling the statevector gradient routes: the
+ * adjoint under analytic readout, prefix-shared parameter shift
+ * under shot readout), the noise channels (density-matrix models),
+ * and a factory for fresh backends.
  */
 struct StateModel
 {
@@ -119,17 +122,23 @@ class EstimationStrategy
     }
 
     /**
-     * Full parameter-shift gradient through `engine`, routed over
-     * this strategy's optimal path (prefix-shared statevector
-     * replays, pair-differenced noisy sweeps, or generic per-task
-     * backends). `call_stream` seeds per-task readout streams;
-     * `shots_out`, when non-null, receives the shots the gradient
-     * spent.
+     * Full gradient through `engine`, routed over this strategy's
+     * optimal path (adjoint, prefix-shared statevector replays,
+     * pair-differenced noisy sweeps, or generic per-task backends).
+     * `call_stream` seeds per-task readout streams; `shots_out`,
+     * when non-null, receives the shots the gradient spent.
      */
     virtual std::vector<double>
     gradient(const ParameterShiftEngine &engine,
              const std::vector<double> &params, uint64_t call_stream,
              uint64_t *shots_out) const = 0;
+
+    /**
+     * Energy evaluations one gradient() call runs through `engine`:
+     * 2R on the parameter-shift routes, 0 on the adjoint route.
+     */
+    virtual size_t
+    gradientEvaluations(const ParameterShiftEngine &engine) const = 0;
 };
 
 /** Analytic (grouped exact expectation) readout over a state model. */
@@ -149,6 +158,8 @@ class AnalyticEstimation : public EstimationStrategy
     gradient(const ParameterShiftEngine &engine,
              const std::vector<double> &params, uint64_t call_stream,
              uint64_t *shots_out) const override;
+    size_t
+    gradientEvaluations(const ParameterShiftEngine &engine) const override;
 
   private:
     ExpectationEngine engine;
@@ -175,6 +186,8 @@ class SampledEstimation : public EstimationStrategy
     gradient(const ParameterShiftEngine &engine,
              const std::vector<double> &params, uint64_t call_stream,
              uint64_t *shots_out) const override;
+    size_t
+    gradientEvaluations(const ParameterShiftEngine &engine) const override;
 
     const SamplingEngine &samplingEngine() const { return sampler; }
 

@@ -1,5 +1,6 @@
 #include "vqe/gradient.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.hh"
@@ -7,15 +8,17 @@
 #include "obs/trace.hh"
 #include "compiler/pipeline.hh"
 #include "sim/density_matrix.hh"
+#include "sim/kernels.hh"
 
 namespace qcc {
 
 namespace {
 
 /**
- * Shared scratch-statevector pool for the batched per-task replays:
- * with grain-1 fan-out every task is its own chunk, so without the
- * pool each shifted evaluation paid one O(2^n) allocation.
+ * Shared scratch-statevector pool for the batched per-task replays
+ * and the adjoint's two states: with grain-1 fan-out every task is
+ * its own chunk, so without the pool each shifted evaluation paid
+ * one O(2^n) allocation.
  */
 BufferPool<cplx> &
 statePool()
@@ -74,18 +77,72 @@ ParameterShiftEngine::baseAngles(
 }
 
 std::vector<double>
-ParameterShiftEngine::assemble(
-    const std::vector<double> &pairDiffs) const
+ParameterShiftEngine::assemble(const std::vector<double> &perRotation,
+                               double scale) const
 {
     // Chain rule in fixed rotation order: batched and serial runs
     // assemble identical sums.
-    const double invSin = 1.0 / std::sin(2.0 * opts.shift);
     std::vector<double> grad(source->nParams, 0.0);
     for (size_t i = 0; i < shiftable.size(); ++i) {
         const PauliRotation &r = source->rotations[shiftable[i]];
-        grad[r.param] += r.coeff * pairDiffs[i] * invSin;
+        grad[r.param] += r.coeff * perRotation[i] * scale;
     }
     return grad;
+}
+
+double
+ParameterShiftEngine::shiftScale() const
+{
+    return 1.0 / std::sin(2.0 * opts.shift);
+}
+
+std::vector<double>
+ParameterShiftEngine::gradientAdjoint(
+    const std::vector<double> &params) const
+{
+    TraceSpan span("gradient.adjoint");
+    span.arg("rotations", shiftable.size());
+    const std::vector<double> base = baseAngles(params);
+    const unsigned n = source->nQubits;
+    const size_t dim = size_t{1} << n;
+    const auto &rots = source->rotations;
+
+    // Forward replay. Identity rotations are global phases: dropping
+    // them rephases psi and lambda alike, which <lambda|P|psi> never
+    // sees.
+    Statevector psi(n, source->hfMask, statePool().acquire(dim));
+    for (size_t j : shiftable)
+        psi.applyPauliRotation(base[j], rots[j].string);
+
+    // lambda = H|psi> (not a state: unnormalized), real coefficients
+    // as ExpectationEngine reads them.
+    std::vector<cplx> lambda = statePool().acquire(dim);
+    std::fill(lambda.begin(), lambda.end(), cplx(0.0));
+    for (const PauliTerm &t : ham.terms())
+        psi.accumulatePauli(t.coeff.real(), t.string, lambda);
+
+    // Backward walk. With psi_j the state just after rotation j and
+    // lambda_j = U_{j+1}^dag ... U_{R-1}^dag H|psi>,
+    //   dE/dphi_j = 2 Re <lambda_j| iP_j |psi_j>
+    //             = -2 Im <lambda_j| P_j |psi_j>,
+    // and un-applying U_j = exp(i phi_j P_j) from both steps to j - 1.
+    std::vector<double> dphi(shiftable.size());
+    for (size_t i = shiftable.size(); i-- > 0;) {
+        const size_t j = shiftable[i];
+        const uint64_t x = rots[j].string.xMask();
+        const uint64_t z = rots[j].string.zMask();
+        dphi[i] = -2.0 * kern::pauliInner(lambda.data(),
+                                          psi.amplitudes().data(), dim,
+                                          x, z)
+                             .imag();
+        if (i == 0)
+            break;
+        psi.applyPauliRotation(-base[j], rots[j].string);
+        kern::applyPauliRotation(lambda.data(), dim, x, z, -base[j]);
+    }
+    statePool().release(std::move(psi.amplitudes()));
+    statePool().release(std::move(lambda));
+    return assemble(dphi, 1.0);
 }
 
 std::vector<double>
@@ -151,7 +208,7 @@ ParameterShiftEngine::gradientStatevector(
     std::vector<double> diffs(shiftable.size());
     for (size_t i = 0; i < shiftable.size(); ++i)
         diffs[i] = shifted[2 * i] - shifted[2 * i + 1];
-    return assemble(diffs);
+    return assemble(diffs, shiftScale());
 }
 
 std::vector<double>
@@ -253,7 +310,7 @@ ParameterShiftEngine::gradientNoisy(
             rho.applyGateNoisy(gates[g], noise);
         }
     }
-    return assemble(diffs);
+    return assemble(diffs, shiftScale());
 }
 
 std::vector<double>
@@ -285,7 +342,7 @@ ParameterShiftEngine::gradient(const std::vector<double> &params,
     std::vector<double> diffs(shiftable.size());
     for (size_t i = 0; i < shiftable.size(); ++i)
         diffs[i] = shifted[2 * i] - shifted[2 * i + 1];
-    return assemble(diffs);
+    return assemble(diffs, shiftScale());
 }
 
 std::vector<double>

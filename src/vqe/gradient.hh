@@ -1,15 +1,25 @@
 /**
  * @file
- * Batched parameter-shift gradients for the VQE outer loop. Every
- * ansatz rotation exp(i phi P) with P^2 = I makes the energy a
- * sinusoid in phi, so the exact derivative is a two-point rule:
- * dE/dphi = [E(phi + s) - E(phi - s)] / sin(2s). Parameters shared by
- * several rotations (UCCSD singles span 2 strings, doubles 8)
- * accumulate by the chain rule over per-rotation shifts — 2R shifted
- * energies for R non-identity rotations.
+ * Exact VQE gradients for the ansatz rotations exp(i phi P), P^2 = I.
+ * Parameters shared by several rotations (UCCSD singles span 2
+ * strings, doubles 8) accumulate by the chain rule over per-rotation
+ * derivatives dE/dphi. Two families of routes compute them:
  *
- * Batching the 2R evaluations into one engine call is what makes
- * them cheap; the engine exploits it three ways:
+ *  - adjoint (reverse mode, Jones & Gacon arXiv:2009.02823): the
+ *    ideal pure-state route. One forward replay, lambda = H|psi>,
+ *    then a backward walk that reads dE/dphi_j = -2 Im <lambda|P_j|
+ *    psi_j> and un-applies each rotation from both states — 3R - 2
+ *    rotation sweeps, R read-only inner products and one sweep per
+ *    Hamiltonian term, on two state vectors, with no energy
+ *    evaluation at all;
+ *  - parameter shift: the energy is a sinusoid in phi, so
+ *    dE/dphi = [E(phi + s) - E(phi - s)] / sin(2s), 2R shifted
+ *    energies for R non-identity rotations. This serves the readouts
+ *    that need each shifted state (shot sampling) and the noisy
+ *    density-matrix model.
+ *
+ * Batching the 2R shifted evaluations into one engine call is what
+ * makes parameter shift cheap; the engine exploits it three ways:
  *
  *  - prefix sharing: the shifted replay for rotation j agrees with
  *    the base replay up to rotation j, so a forward sweep snapshots
@@ -80,12 +90,22 @@ struct GradientOptions
     size_t maxPrefixBytes = size_t{1} << 30;
 };
 
-/** Precompiled parameter-shift plan for one (H, ansatz) pair. */
+/** Precompiled gradient plan for one (H, ansatz) pair. */
 class ParameterShiftEngine
 {
   public:
     ParameterShiftEngine(const PauliSum &h, const Ansatz &ansatz,
                          GradientOptions opts = {});
+
+    /**
+     * Exact dE/dtheta at `params` on the ideal pure state by reverse
+     * mode, with <H> over the real parts of the Hamiltonian's
+     * coefficients (the analytic readout's convention). Runs on the
+     * caller; every sweep is a fixed-chunk kernel, so the result is
+     * bit-identical at any lane cap.
+     */
+    std::vector<double>
+    gradientAdjoint(const std::vector<double> &params) const;
 
     /**
      * dE/dtheta at `params` through prefix-shared statevector
@@ -118,7 +138,7 @@ class ParameterShiftEngine
              const BackendFactory &make,
              const StateEnergyFn &energy) const;
 
-    /** Shifted energy evaluations per gradient (2R). */
+    /** Shifted energies per parameter-shift gradient (2R). */
     size_t numShiftedEvaluations() const
     {
         return 2 * shiftable.size();
@@ -133,9 +153,16 @@ class ParameterShiftEngine
     std::vector<double>
     baseAngles(const std::vector<double> &params) const;
 
-    /** Chain-rule assembly from per-rotation (E+ - E-) values. */
+    /**
+     * Chain-rule assembly: per-rotation values (one per shiftable
+     * rotation) times `scale` land on their parameters.
+     */
     std::vector<double>
-    assemble(const std::vector<double> &pairDiffs) const;
+    assemble(const std::vector<double> &perRotation,
+             double scale) const;
+
+    /** 1 / sin(2s): turns (E+ - E-) pairs into derivatives. */
+    double shiftScale() const;
 
     GradientOptions opts;
     PauliSum ham;

@@ -39,8 +39,7 @@ LbfgsVqeOptimizer::minimize(VqeDriver &driver) const
     res.params = opt.x;
     res.iterations = opt.iterations;
     res.evals = opt.funEvals +
-        int(driver.gradientCount() *
-            driver.shiftEvaluationsPerGradient());
+        int(driver.gradientCount() * driver.evaluationsPerGradient());
     res.converged = opt.converged;
     return res;
 }

@@ -32,7 +32,7 @@ class VqeOptimizer
     virtual VqeResult minimize(VqeDriver &driver) const = 0;
 };
 
-/** Quasi-Newton L-BFGS on analytic parameter-shift gradients. */
+/** Quasi-Newton L-BFGS on the strategy's exact gradients. */
 class LbfgsVqeOptimizer : public VqeOptimizer
 {
   public:
@@ -41,7 +41,7 @@ class LbfgsVqeOptimizer : public VqeOptimizer
 };
 
 /**
- * Steepest descent on shift gradients: Armijo backtracking on
+ * Steepest descent on exact gradients: Armijo backtracking on
  * deterministic objectives, a decaying open-loop gain schedule on
  * stochastic ones.
  */

@@ -32,7 +32,8 @@ struct VqeResult
     double energy = 0.0;
     std::vector<double> params;
     int iterations = 0;  ///< outer-loop iterations (paper metric)
-    int evals = 0;       ///< energy evaluations
+    int evals = 0;       ///< energy evaluations that ran (objective
+                         ///< calls plus shifted gradient energies)
     bool converged = false;
 };
 

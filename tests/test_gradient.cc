@@ -1,19 +1,23 @@
 /**
  * @file
- * Parameter-shift gradient tests: agreement with central finite
- * differences on every evaluation path (ideal statevector, noisy
- * pair-difference, generic backend replay), bit-for-bit equality of
- * batched and serial execution and of the prefix-shared fast paths
- * against full replays, CircuitCache reuse on the gate-level path,
- * and convergence of the gradient-driven optimizers.
+ * Gradient tests: agreement with central finite differences on every
+ * evaluation path (adjoint, ideal statevector, noisy pair-difference,
+ * generic backend replay), adjoint against parameter shift on the
+ * benchmark molecules, bit-for-bit equality of batched and serial
+ * execution, of capped and uncapped lanes, and of the prefix-shared
+ * fast paths against full replays, CircuitCache reuse on the
+ * gate-level path, the evals accounting, and convergence of the
+ * gradient-driven optimizers.
  */
 
 #include <cmath>
 #include <gtest/gtest.h>
 
+#include "ansatz/compression.hh"
 #include "ansatz/uccsd.hh"
 #include "chem/molecules.hh"
 #include "common/logging.hh"
+#include "common/parallel.hh"
 #include "common/rng.hh"
 #include "compiler/cache.hh"
 #include "ferm/hamiltonian.hh"
@@ -32,6 +36,20 @@ struct Fixture
     MolecularProblem prob;
     Ansatz ansatz;
 };
+
+/** A benchmark molecule at its equilibrium bond (compression < 1
+ *  keeps that fraction of the UCCSD parameters). */
+Fixture
+moleculeFixture(const char *name, double compression = 1.0)
+{
+    setVerbose(false);
+    const BenchmarkMolecule &m = benchmarkMolecule(name);
+    MolecularProblem prob = buildMolecularProblem(m, m.equilibriumBond);
+    Ansatz a = buildUccsd(prob.nSpatial, prob.nElectrons);
+    if (compression < 1.0)
+        a = compressAnsatz(a, prob.hamiltonian, compression).ansatz;
+    return Fixture{std::move(prob), std::move(a)};
+}
 
 const Fixture &
 h2()
@@ -76,6 +94,28 @@ maxAbsDiff(const std::vector<double> &a, const std::vector<double> &b)
     for (size_t i = 0; i < a.size(); ++i)
         m = std::max(m, std::fabs(a[i] - b[i]));
     return m;
+}
+
+/** Random n-qubit Hamiltonian and nRot-rotation ansatz. */
+std::pair<PauliSum, Ansatz>
+randomProblem(unsigned n, unsigned nRot, uint64_t seed)
+{
+    Rng rng(seed);
+    Ansatz a;
+    a.nQubits = n;
+    a.nParams = nRot;
+    a.hfMask = rng.index(uint64_t{1} << n);
+    for (unsigned j = 0; j < nRot; ++j)
+        a.rotations.push_back(
+            {j, 0.6,
+             PauliString(n, rng.index(uint64_t{1} << n),
+                         rng.index(uint64_t{1} << n))});
+    PauliSum h(n);
+    for (int t = 0; t < 8; ++t)
+        h.add(rng.uniform(-1.0, 1.0),
+              PauliString(n, rng.index(uint64_t{1} << n),
+                          rng.index(uint64_t{1} << n)));
+    return {std::move(h), std::move(a)};
 }
 
 } // namespace
@@ -183,27 +223,6 @@ TEST(Gradient, BatchedEqualsSerialAtParallelKernelSizes)
     // paths (16-qubit statevector, 8-qubit density matrix: both
     // 65536-element arrays, past 2x the parallel grain), pinning the
     // bit-for-bit guarantee where chunk scheduling is real.
-    auto randomProblem = [](unsigned n, unsigned nRot,
-                            uint64_t seed) {
-        Rng rng(seed);
-        Ansatz a;
-        a.nQubits = n;
-        a.nParams = nRot;
-        a.hfMask = rng.index(uint64_t{1} << n);
-        for (unsigned j = 0; j < nRot; ++j)
-            a.rotations.push_back(
-                {j, 0.6,
-                 PauliString(n, rng.index(uint64_t{1} << n),
-                             rng.index(uint64_t{1} << n))});
-        PauliSum h(n);
-        for (int t = 0; t < 8; ++t)
-            h.add(rng.uniform(-1.0, 1.0),
-                  PauliString(n, rng.index(uint64_t{1} << n),
-                              rng.index(uint64_t{1} << n)));
-        return std::pair<PauliSum, Ansatz>(std::move(h),
-                                           std::move(a));
-    };
-
     {
         auto [h, a] = randomProblem(16, 4, 3);
         ExpectationEngine ee(h);
@@ -229,6 +248,138 @@ TEST(Gradient, BatchedEqualsSerialAtParallelKernelSizes)
         std::vector<double> p(a.nParams, 0.15);
         EXPECT_EQ(batched.gradientNoisy(p, noise),
                   serial.gradientNoisy(p, noise));
+    }
+}
+
+TEST(Gradient, AdjointMatchesParameterShift)
+{
+    // Full UCCSD on three molecules, and BeH2 compressed to 10%:
+    // importance-ordered rotations whose parameters each drive
+    // several strings, so the chain rule is exercised too.
+    const struct
+    {
+        const char *name;
+        double compression;
+    } cases[] = {{"LiH", 1.0}, {"NaH", 1.0}, {"HF", 1.0},
+                 {"BeH2", 0.1}};
+    for (const auto &c : cases) {
+        const Fixture fix = moleculeFixture(c.name, c.compression);
+        ExpectationEngine ee(fix.prob.hamiltonian);
+        ParameterShiftEngine engine(fix.prob.hamiltonian, fix.ansatz);
+        const auto params = testParams(fix.ansatz.nParams);
+        const auto shift = engine.gradientStatevector(
+            params, [&](const Statevector &psi, size_t) {
+                return ee.energy(psi);
+            });
+        EXPECT_LT(maxAbsDiff(engine.gradientAdjoint(params), shift),
+                  1e-10)
+            << c.name;
+    }
+}
+
+TEST(Gradient, AdjointMatchesFiniteDifferencesWithIdentityRotation)
+{
+    // Identity rotations are global phases the adjoint skips: one
+    // shares parameter 0 (which must not change its derivative), one
+    // drives a parameter of its own (whose derivative is zero).
+    const Fixture &fix = h2();
+    Ansatz a = fix.ansatz;
+    const PauliString identity(a.nQubits);
+    a.rotations.insert(a.rotations.begin() + 1, {0, 0.5, identity});
+    a.rotations.push_back({a.nParams, 1.0, identity});
+    ++a.nParams;
+
+    ExpectationEngine ee(fix.prob.hamiltonian);
+    ParameterShiftEngine engine(fix.prob.hamiltonian, a);
+    const auto params = testParams(a.nParams);
+    const auto g = engine.gradientAdjoint(params);
+
+    auto make = [&] {
+        return std::make_unique<StatevectorBackend>(a.nQubits);
+    };
+    auto energy = [&](SimBackend &b, size_t) { return ee.energy(b); };
+    EXPECT_LT(maxAbsDiff(g, finiteDifferenceGradient(a, params, make,
+                                                     energy)),
+              1e-7);
+    EXPECT_EQ(g.back(), 0.0);
+}
+
+TEST(Gradient, AdjointBitIdenticalUnderWidthCap)
+{
+    // On a multi-core pool the full-state sweeps (H|psi>) split into
+    // chunks from 16 qubits and the pair sweeps (rotations, inner
+    // products) from 17; a cap of one lane runs the same chunks
+    // inline.
+    for (unsigned n : {16u, 17u}) {
+        auto [h, a] = randomProblem(n, 6, 7);
+        // Random off-diagonal terms alone leave the energy flat at
+        // this width; diagonal terms anticommuting with about half
+        // the rotations give it a slope.
+        Rng rng(n);
+        for (int t = 0; t < 8; ++t)
+            h.add(rng.uniform(-1.0, 1.0),
+                  PauliString(n, 0, rng.index(uint64_t{1} << n)));
+        ParameterShiftEngine engine(h, a);
+        const std::vector<double> p(a.nParams, 0.15);
+        const auto wide = engine.gradientAdjoint(p);
+        EXPECT_GT(maxAbsDiff(wide, std::vector<double>(p.size(), 0.0)),
+                  1e-2)
+            << n;
+        std::vector<double> capped;
+        {
+            ParallelWidthCap cap(1);
+            capped = engine.gradientAdjoint(p);
+        }
+        EXPECT_EQ(wide, capped) << n;
+
+        ExpectationEngine ee(h);
+        const auto shift = engine.gradientStatevector(
+            p, [&](const Statevector &psi, size_t) {
+                return ee.energy(psi);
+            });
+        EXPECT_LT(maxAbsDiff(wide, shift), 1e-10) << n;
+    }
+}
+
+TEST(Gradient, EvalsCountOnlyEvaluationsThatRan)
+{
+    const Fixture &fix = h2();
+    const PauliSum &h = fix.prob.hamiltonian;
+
+    // Ideal L-BFGS: the adjoint runs no energy evaluation, so evals
+    // is exactly the objective calls, one trace point each.
+    {
+        VqeDriverOptions o;
+        VqeDriver driver(
+            h, fix.ansatz, o,
+            makeEstimationStrategy("ideal",
+                                   EstimationConfig{&h, {}, {}, {}}));
+        const VqeResult res = driver.run();
+        EXPECT_EQ(driver.evaluationsPerGradient(), 0u);
+        EXPECT_GT(driver.gradientCount(), 0u);
+        EXPECT_EQ(res.evals, int(driver.trace().points.size()));
+    }
+
+    // Sampled gradient descent: every gradient still reads out its
+    // 2R shifted states, on top of one energy per iteration and the
+    // starting point.
+    {
+        VqeDriverOptions o;
+        o.method = VqeDriverOptions::Method::GradientDescent;
+        o.maxIter = 4;
+        o.sampling.shots = 512;
+        VqeDriver driver(h, fix.ansatz, o,
+                         makeEstimationStrategy(
+                             "sampled", EstimationConfig{
+                                            &h, {}, o.sampling, {}}));
+        const VqeResult res = driver.run();
+        const size_t twoR =
+            ParameterShiftEngine(h, fix.ansatz).numShiftedEvaluations();
+        EXPECT_EQ(driver.evaluationsPerGradient(), twoR);
+        EXPECT_GT(driver.gradientCount(), 0u);
+        EXPECT_EQ(res.evals,
+                  1 + res.iterations +
+                      int(driver.gradientCount() * twoR));
     }
 }
 
@@ -339,7 +490,7 @@ TEST(Gradient, DescentWithAnalyticGradientsReachesFci)
         VqeResult res = driver.run();
         EXPECT_NEAR(res.energy, exact, 1e-5) << int(method);
         EXPECT_TRUE(res.converged) << int(method);
-        // The driver counted its shifted evaluations.
+        // The driver counted its energy evaluations.
         EXPECT_GT(res.evals, 0);
     }
 }
@@ -362,4 +513,5 @@ TEST(Gradient, WidthAndCountMismatchesFatal)
                 return ee.energy(psi);
             }),
         "parameter count");
+    EXPECT_DEATH(engine.gradientAdjoint(tooFew), "parameter count");
 }

@@ -2,7 +2,8 @@
  * @file
  * Equivalence tests for the specialized simulator kernels: randomized
  * circuits and Pauli rotations checked against the generic dense
- * reference path, plus grouped-vs-termwise Hamiltonian expectation
+ * reference path, the <bra|P|ket> kernel against a dense Pauli
+ * product, plus grouped-vs-termwise Hamiltonian expectation
  * agreement and the expectation width-check regression.
  */
 
@@ -158,6 +159,105 @@ TEST(Kernels, ExpectationMatchesGeneric)
             double ref = kern::expectationGeneric(
                 amp.data(), amp.size(), p.xMask(), p.zMask());
             EXPECT_NEAR(fast, ref, 1e-12) << p.str();
+        }
+    }
+}
+
+namespace {
+
+/**
+ * <bra| P |ket> with P built qubit by qubit from its I/X/Y/Z factors
+ * (Y|0> = i|1>, Y|1> = -i|0>), independent of the mask convention
+ * the kernels fold into constants.
+ */
+cplx
+densePauliInner(const std::vector<cplx> &bra,
+                const std::vector<cplx> &ket, const PauliString &p)
+{
+    std::vector<cplx> pk(ket.size(), 0.0);
+    for (size_t b = 0; b < ket.size(); ++b) {
+        cplx phase = 1.0;
+        size_t out = b;
+        for (unsigned q = 0; q < p.numQubits(); ++q) {
+            const bool one = (b >> q) & 1;
+            switch (p.op(q)) {
+              case PauliOp::I:
+                  break;
+              case PauliOp::X:
+                  out ^= size_t{1} << q;
+                  break;
+              case PauliOp::Y:
+                  out ^= size_t{1} << q;
+                  phase *= one ? cplx(0, -1) : cplx(0, 1);
+                  break;
+              case PauliOp::Z:
+                  if (one)
+                      phase = -phase;
+                  break;
+            }
+        }
+        pk[out] += phase * ket[b];
+    }
+    cplx s = 0.0;
+    for (size_t b = 0; b < ket.size(); ++b)
+        s += std::conj(bra[b]) * pk[b];
+    return s;
+}
+
+} // namespace
+
+TEST(Kernels, PauliInnerMatchesDenseReference)
+{
+    // Every pivot class the pair loop distinguishes: lowest X bit at
+    // position 0 (pivot 1), higher pivots, and diagonal strings, at
+    // n = 1 and odd widths.
+    Rng rng(23);
+    for (unsigned n : {1u, 3u, 5u, 7u}) {
+        const uint64_t all = (uint64_t{1} << n) - 1;
+        auto bra = randomAmplitudes(n, 300 + n);
+        auto ket = randomAmplitudes(n, 400 + n);
+        int pivotOne = 0, pivotHigh = 0, diagonal = 0;
+        for (int rep = 0; rep < 60; ++rep) {
+            uint64_t x = rng.index(uint64_t{1} << n) & all;
+            const uint64_t z = rng.index(uint64_t{1} << n) & all;
+            if (rep % 3 == 0)
+                x = 0;
+            else if (rep % 3 == 1 && x)
+                x |= 1;
+            else if (n > 1)
+                x &= ~uint64_t{1};
+            const PauliString p(n, x, z);
+            pivotOne += (x & 1) != 0;
+            pivotHigh += x != 0 && (x & 1) == 0;
+            diagonal += x == 0;
+            const cplx fast = kern::pauliInner(bra.data(), ket.data(),
+                                               bra.size(), x, z);
+            const cplx ref = densePauliInner(bra, ket, p);
+            EXPECT_NEAR(std::abs(fast - ref), 0.0, 1e-12)
+                << "n=" << n << " " << p.str();
+        }
+        EXPECT_GT(pivotOne, 0) << n;
+        EXPECT_GT(diagonal, 0) << n;
+        if (n > 1) {
+            EXPECT_GT(pivotHigh, 0) << n;
+        }
+    }
+}
+
+TEST(Kernels, PauliInnerOnOneStateIsTheExpectation)
+{
+    Rng rng(29);
+    for (unsigned n : {1u, 4u, 9u}) {
+        auto amp = randomAmplitudes(n, 500 + n);
+        for (int rep = 0; rep < 20; ++rep) {
+            const PauliString p = randomString(n, rng);
+            const cplx inner = kern::pauliInner(
+                amp.data(), amp.data(), amp.size(), p.xMask(),
+                p.zMask());
+            const double e = kern::expectation(amp.data(), amp.size(),
+                                               p.xMask(), p.zMask());
+            EXPECT_NEAR(inner.real(), e, 1e-12) << p.str();
+            EXPECT_NEAR(inner.imag(), 0.0, 1e-12) << p.str();
         }
     }
 }
