@@ -135,7 +135,8 @@ BinaryReader::doubles()
     const size_t n = count(sizeof(double));
     need(n * sizeof(double));
     std::vector<double> v(n);
-    std::memcpy(v.data(), data.data() + pos, n * sizeof(double));
+    if (n) // an empty vector's data() may be null
+        std::memcpy(v.data(), data.data() + pos, n * sizeof(double));
     pos += n * sizeof(double);
     return v;
 }
@@ -146,7 +147,8 @@ BinaryReader::u64s()
     const size_t n = count(sizeof(uint64_t));
     need(n * sizeof(uint64_t));
     std::vector<uint64_t> v(n);
-    std::memcpy(v.data(), data.data() + pos, n * sizeof(uint64_t));
+    if (n) // an empty vector's data() may be null
+        std::memcpy(v.data(), data.data() + pos, n * sizeof(uint64_t));
     pos += n * sizeof(uint64_t);
     return v;
 }

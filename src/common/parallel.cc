@@ -206,9 +206,16 @@ class ThreadPool
 
   private:
     explicit ThreadPool(unsigned n_threads)
+        : queueWaitUs(metricHistogram("parallel.queue_wait_us"))
     {
         for (unsigned i = 0; i + 1 < n_threads; ++i)
             workers.emplace_back([this] { workerLoop(); });
+        // Return only once every worker is parked in cv.wait: a
+        // caller that forks right after its first pool job (gtest
+        // death tests) must not catch a worker mid-start-up, inside
+        // the allocator or a registry lock.
+        std::unique_lock<std::mutex> lk(mtx);
+        doneCv.wait(lk, [&] { return parkedWorkers == workers.size(); });
     }
 
     void
@@ -225,26 +232,27 @@ class ThreadPool
     void
     workerLoop()
     {
-        static MetricHistogram &queueWaitUs =
-            metricHistogram("parallel.queue_wait_us");
         insideJob = true; // nested sweeps inside a chunk stay serial
         uint64_t seen = 0;
+        // mtx is held from the check-in until cv.wait releases it,
+        // so the constructor, woken under mtx, sees this worker
+        // parked.
+        std::unique_lock<std::mutex> lk(mtx);
+        ++parkedWorkers;
+        doneCv.notify_all();
         for (;;) {
-            uint64_t submitted = 0;
-            {
-                std::unique_lock<std::mutex> lk(mtx);
-                cv.wait(lk, [&] { return generation != seen; });
-                seen = generation;
-                // Capped jobs (ParallelWidthCap, QCC_JOB_WIDTH)
-                // budget fewer lanes than there are workers; a
-                // worker that wins none goes back to sleep, leaving
-                // the job to the caller and the lanes that did win.
-                if (laneBudget == 0)
-                    continue;
-                --laneBudget;
-                ++activeLanes;
-                submitted = submitNs;
-            }
+            cv.wait(lk, [&] { return generation != seen; });
+            seen = generation;
+            // Capped jobs (ParallelWidthCap, QCC_JOB_WIDTH) budget
+            // fewer lanes than there are workers; a worker that wins
+            // none goes back to sleep, leaving the job to the caller
+            // and the lanes that did win.
+            if (laneBudget == 0)
+                continue;
+            --laneBudget;
+            ++activeLanes;
+            const uint64_t submitted = submitNs;
+            lk.unlock();
             // Submission-to-lane latency: wakeup plus any time lost
             // to contention on the pool. One record per lane win,
             // before the chunk work starts.
@@ -252,16 +260,18 @@ class ThreadPool
             queueWaitUs.record(
                 now > submitted ? (now - submitted) / 1000 : 0);
             work();
-            std::lock_guard<std::mutex> lk(mtx);
+            lk.lock();
             if (--activeLanes == 0)
                 doneCv.notify_all();
         }
     }
 
+    MetricHistogram &queueWaitUs;
     std::vector<std::thread> workers; ///< run until exit, unjoined
     std::mutex jobMutex; ///< serializes run() callers
     std::mutex mtx;      ///< guards the job state below
     std::condition_variable cv, doneCv;
+    size_t parkedWorkers = 0; ///< workers that reached cv.wait
     // job and totalChunks are written under mtx only while no lane
     // winner is active, so work() reads them without the lock.
     const std::function<void(size_t)> *job = nullptr;

@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 
+#include "common/logging.hh"
+#include "common/registry.hh"
 #include "compiler/cache.hh"
 #include "obs/trace.hh"
 #include "store/problem_store.hh"
@@ -13,20 +16,78 @@ namespace qcc {
 
 namespace {
 
-using clock_type = std::chrono::steady_clock;
-
-double
-millisSince(clock_type::time_point t0)
+/**
+ * The failure-classification table, one row per JobFault: the status
+ * an attempt lands with, and whether another attempt may help.
+ */
+struct FaultRule
 {
-    return std::chrono::duration<double, std::milli>(
-               clock_type::now() - t0)
-        .count();
-}
+    JobStatus status;
+    TimeoutKind timeoutKind;
+    bool retry;
+};
+
+constexpr FaultRule kFaultRules[] = {
+    {JobStatus::Done, TimeoutKind::None, false},     // None
+    {JobStatus::TimedOut, TimeoutKind::Soft, false}, // Overran
+    {JobStatus::Failed, TimeoutKind::None, false},   // BadInput
+    {JobStatus::Failed, TimeoutKind::None, true},    // Threw
+    {JobStatus::Failed, TimeoutKind::None, true},    // WorkerLost
+    {JobStatus::Failed, TimeoutKind::None, false},   // NoWorker
+    {JobStatus::TimedOut, TimeoutKind::Hard, false}, // Deadline
+};
+static_assert(std::size(kFaultRules) == size_t(JobFault::Deadline) + 1,
+              "one failure-classification row per JobFault");
+
+/**
+ * Experiment::run on the calling lane, under the job's lane cap. The
+ * budget is soft: C++ threads cannot be killed safely, so an attempt
+ * runs to completion and is then judged against it.
+ */
+class InProcessExecutor final : public JobExecutor
+{
+  public:
+    JobFault
+    attempt(SweepJobRecord &rec, unsigned lanes,
+            double timeout_ms) override
+    {
+        // Lane capping never changes chunk structure, so capped
+        // results stay bit-identical.
+        ParallelWidthCap laneCap(lanes);
+        const auto t0 = std::chrono::steady_clock::now();
+        try {
+            Experiment experiment(rec.spec);
+            rec.result = experiment.run();
+        } catch (const std::exception &e) {
+            rec.error = e.what();
+            return jobFaultOf(e);
+        }
+        const std::chrono::duration<double, std::milli> took =
+            std::chrono::steady_clock::now() - t0;
+        return timeout_ms > 0.0 && took.count() > timeout_ms
+                   ? JobFault::Overran
+                   : JobFault::None;
+    }
+
+    const char *jobSpan() const override { return "sweep.job"; }
+};
 
 } // namespace
 
-SweepEngine::SweepEngine(SweepSpec spec, SweepEngineOptions options)
-    : sweepSpec(std::move(spec)), opts(std::move(options))
+JobFault
+jobFaultOf(const std::exception &error)
+{
+    if (dynamic_cast<const SpecError *>(&error) ||
+        dynamic_cast<const RegistryError *>(&error) ||
+        dynamic_cast<const JsonError *>(&error))
+        return JobFault::BadInput;
+    return JobFault::Threw;
+}
+
+SweepEngine::SweepEngine(SweepSpec spec, SweepEngineOptions options,
+                         JobExecutor *job_executor)
+    : sweepSpec(std::move(spec)), opts(std::move(options)),
+      executor(job_executor)
 {
     if (opts.concurrency == 0)
         opts.concurrency = sweepSpec.concurrency;
@@ -39,7 +100,10 @@ SweepEngine::SweepEngine(SweepSpec spec, SweepEngineOptions options)
 unsigned
 SweepEngine::concurrency() const
 {
-    return opts.concurrency ? opts.concurrency : parallelThreads();
+    const unsigned width =
+        opts.concurrency ? opts.concurrency : parallelThreads();
+    return unsigned(
+        std::min<size_t>(width, std::max<size_t>(sweepSpec.jobCount(), 1)));
 }
 
 ResultStore
@@ -50,6 +114,7 @@ SweepEngine::run()
     ResultStore store(sweepSpec.name, sweepSpec.emitTimings);
     store.reset(jobs);
 
+    adoptedJobs = 0;
     if (!opts.resumeFrom.empty()) {
         std::ifstream in(opts.resumeFrom, std::ios::binary);
         if (!in)
@@ -57,32 +122,51 @@ SweepEngine::run()
                              "cannot read " + opts.resumeFrom);
         std::ostringstream buf;
         buf << in.rdbuf();
-        adoptedJobs = store.adoptCompleted(buf.str());
-        completedJobs = adoptedJobs;
+        try {
+            adoptedJobs = store.adoptCompleted(buf.str());
+        } catch (const JsonError &e) {
+            // A truncated aggregate (a run killed mid-write)
+            // resumes nothing; the sweep just runs in full.
+            warn("sweep: ignoring unparseable resume document " +
+                 opts.resumeFrom + ": " + e.what());
+        }
+        if (adoptedJobs)
+            inform("sweep: resumed " + std::to_string(adoptedJobs) +
+                   " of " + std::to_string(jobs.size()) +
+                   " jobs from " + opts.resumeFrom);
     }
+    completedJobs = adoptedJobs;
 
-    BoundedExecutor executor(concurrency());
-    executor.run(jobs.size(),
-                 [&](size_t i) { runJob(i, store); });
+    // The oversubscription fix: at width N, each job's data-parallel
+    // sweeps get parallelThreads()/N pool lanes instead of all of
+    // them.
+    const unsigned width = concurrency();
+    const unsigned lanes =
+        opts.capJobWidth ? std::max(1u, parallelThreads() / width) : 0;
+
+    InProcessExecutor inProcess;
+    JobExecutor &exec = executor ? *executor : inProcess;
+    BoundedExecutor(width).run(jobs.size(), [&](size_t i) {
+        runJob(i, store, exec, lanes);
+    });
     return store;
 }
 
 void
-SweepEngine::runJob(size_t index, ResultStore &store)
+SweepEngine::runJob(size_t index, ResultStore &store,
+                    JobExecutor &exec, unsigned lanes)
 {
     // A non-Pending slot was adopted from a resume document — the
     // whole point is to never re-run it.
     if (store.jobs()[index].status != JobStatus::Pending)
         return;
 
-    SweepJobRecord rec;
-    rec.index = index;
-    rec.spec = store.jobs()[index].spec;
-    rec.specHash = store.jobs()[index].specHash;
+    SweepJobRecord rec = store.jobs()[index];
 
-    TraceSpan span("sweep.job");
+    TraceSpan span(exec.jobSpan());
     span.arg("job", index);
     span.arg("molecule", rec.spec.molecule);
+    span.arg("lanes", lanes);
 
     if (cancelToken.cancelled()) {
         rec.status = JobStatus::Skipped;
@@ -93,63 +177,37 @@ SweepEngine::runJob(size_t index, ResultStore &store)
         if (opts.coldProblemCache)
             globalProblemStore().clearMemory();
 
-        // The oversubscription fix: at concurrency N, each job's
-        // data-parallel sweeps get parallelThreads()/N pool lanes
-        // instead of all of them. Lane capping never changes chunk
-        // structure, so capped results stay bit-identical.
-        const unsigned width = concurrency();
-        const unsigned cap =
-            (opts.capJobWidth && width > 1)
-                ? std::max(1u, parallelThreads() / width)
-                : 0;
-        ParallelWidthCap laneCap(cap);
-
-        const auto t0 = clock_type::now();
+        const auto t0 = std::chrono::steady_clock::now();
         const int maxAttempts = 1 + std::max(0, opts.retries);
         for (int attempt = 1; attempt <= maxAttempts; ++attempt) {
             rec.attempts = attempt;
-            try {
-                Experiment experiment(rec.spec);
-                rec.result = experiment.run();
-                rec.status = JobStatus::Done;
+            const JobFault fault =
+                exec.attempt(rec, lanes, opts.jobTimeoutMs);
+            const FaultRule &rule = kFaultRules[size_t(fault)];
+            rec.status = rule.status;
+            rec.timeoutKind = rule.timeoutKind;
+            if (rec.finished())
                 rec.error.clear();
+            if (!rule.retry)
                 break;
-            } catch (const SpecError &e) {
-                // A malformed spec cannot succeed on retry.
-                rec.status = JobStatus::Failed;
-                rec.error = e.what();
-                break;
-            } catch (const RegistryError &e) {
-                rec.status = JobStatus::Failed;
-                rec.error = e.what();
-                break;
-            } catch (const std::exception &e) {
-                rec.status = JobStatus::Failed;
-                rec.error = e.what();
-            }
         }
-        rec.wallMillis = millisSince(t0);
-        if (rec.status == JobStatus::Done &&
-            opts.jobTimeoutMs > 0.0 &&
-            rec.wallMillis > opts.jobTimeoutMs) {
-            // Soft budget: the run finished, but past its allotment
-            // — keep the result for inspection, drop it from the
-            // summaries. (The hard, kill-at-deadline variant lives
-            // in the sweepd process-per-job service.)
-            rec.status = JobStatus::TimedOut;
-            rec.timeoutKind = TimeoutKind::Soft;
-        }
+        rec.wallMillis = std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
     }
 
     span.arg("status", jobStatusName(rec.status));
     span.arg("attempts", rec.attempts);
 
-    // Record + progress under one lock so callbacks see a
-    // consistent, monotonically growing completed count and never
-    // interleave.
+    // Record, write-through and progress under one lock: callbacks
+    // see a monotonically growing completed count and never
+    // interleave, and a written-through aggregate always holds a
+    // consistent set of completed jobs (the resume source).
     std::lock_guard<std::mutex> lock(progressMutex);
     store.record(std::move(rec));
     ++completedJobs;
+    if (exec.writeThrough())
+        store.write();
     if (opts.progress) {
         SweepProgress p;
         p.completed = completedJobs;

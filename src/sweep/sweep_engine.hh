@@ -1,29 +1,24 @@
 /**
  * @file
- * SweepEngine — the concurrent batch-execution service over
- * qcc::Experiment. One engine takes a SweepSpec, expands it to an
- * ordered job list, and drives the jobs over a bounded-concurrency
- * executor (common/parallel): workers claim jobs from a shared
- * counter, run each through the ordinary Experiment facade, and
- * land records in the ResultStore's index-addressed slots, so
- * completion order never leaks into the aggregate. Jobs share the
- * process-wide CircuitCache, MolecularProblemStore, and gradient
- * BufferPool (all mutex-guarded), which is the engine's throughput
- * lever: repeated compilations of the same program across jobs —
- * same molecule, different shots/seeds/bonds — rebind angles on the
- * memoized structure instead of re-routing, and workers racing on
- * the same chemistry share a single integrals/HF build instead of
- * duplicating it (bench_sweep measures the cold-vs-shared gap).
- * When a persistent store is configured (QCC_STORE_DIR, see
- * src/store), all workers additionally share the warm on-disk tier,
- * so a re-run of a sweep skips compilation and chemistry entirely.
+ * SweepEngine — the one sweep runner. An engine expands a SweepSpec
+ * to an ordered job list and owns everything about running it:
+ * resume adoption, width/timeout/retry resolution, the per-job lane
+ * cap, the attempt loop with its failure-classification table, and
+ * record landing (record, write-through, progress) under one lock.
+ * Records land in the ResultStore's index-addressed slots, so
+ * completion order never leaks into the aggregate.
  *
- * Failure policy: spec/registry errors fail a job immediately (a
- * retry cannot fix a typo'd key), other exceptions retry up to the
- * configured budget, and every failure is recorded — one bad job
- * never sinks the sweep. The per-job timeout is soft: C++ threads
- * cannot be killed safely, so an over-budget job runs to completion
- * and is then recorded as TimedOut (excluded from the summaries).
+ * Where an attempt runs is the JobExecutor seam. The default runs it
+ * in-process on the engine's lanes, sharing the process-wide
+ * CircuitCache, MolecularProblemStore and gradient BufferPool (the
+ * throughput lever bench_sweep measures); its timeout is soft, since
+ * C++ threads cannot be killed safely. sweepd's forked executor runs
+ * each attempt in a worker process, with a hard deadline and crash
+ * isolation (docs/architecture.md compares the two).
+ *
+ * Failure policy: spec, registry and JSON errors fail a job after one
+ * attempt, other failures retry up to the configured budget, and
+ * every failure is recorded — one bad job never sinks the sweep.
  * Cancellation is cooperative: requestCancel() (from a progress
  * callback or another thread) lets in-flight jobs finish and marks
  * every unclaimed job Skipped.
@@ -32,6 +27,7 @@
 #ifndef QCC_SWEEP_SWEEP_ENGINE_HH
 #define QCC_SWEEP_SWEEP_ENGINE_HH
 
+#include <exception>
 #include <functional>
 
 #include "common/parallel.hh"
@@ -62,10 +58,13 @@ struct SweepEngineOptions
     /** Worker width; 0 defers to the spec, then QCC_THREADS. */
     unsigned concurrency = 0;
 
-    /** Soft per-job budget in ms; < 0 defers to the spec. */
+    /**
+     * Per-attempt budget in ms; < 0 defers to the spec, 0 disables.
+     * Soft in-process, a hard deadline on the forked executor.
+     */
     double jobTimeoutMs = -1.0;
 
-    /** Extra attempts after non-spec failures; < 0 defers. */
+    /** Extra attempts after retryable failures; < 0 defers. */
     int retries = -1;
 
     /**
@@ -87,11 +86,11 @@ struct SweepEngineOptions
 
     /**
      * Cap each job's data-parallel width to parallelThreads() /
-     * concurrency lanes (at least 1) while it runs, so N concurrent
-     * jobs split the machine instead of each sizing its sweeps to
-     * all of it (nested-parallelism oversubscription). Implemented
-     * as a ParallelWidthCap, so results are bit-identical either
-     * way; QCC_JOB_WIDTH overrides the derived cap per process.
+     * concurrency() lanes (at least 1), so N concurrent jobs split
+     * the machine instead of each sizing its sweeps to all of it
+     * (nested-parallelism oversubscription). In-process this is a
+     * ParallelWidthCap, in a worker QCC_JOB_WIDTH; either way
+     * results are bit-identical.
      */
     bool capJobWidth = true;
 
@@ -99,23 +98,73 @@ struct SweepEngineOptions
      * Path of a previously written SWEEP_*.json to resume from:
      * completed jobs whose recorded spec_hash still matches are
      * adopted (never re-run), everything else runs normally. ""
-     * disables; a missing/unreadable file throws SweepError.
+     * disables; a missing/unreadable file throws SweepError, and a
+     * document that does not parse (a run killed mid-write) is
+     * ignored with a warning.
      */
     std::string resumeFrom;
 
     SweepProgressFn progress;
 };
 
+/** How one attempt at a job ended (None: it produced a result). */
+enum class JobFault
+{
+    None,
+    Overran,    ///< produced a result, but past the soft budget
+    BadInput,   ///< SpecError, RegistryError or JsonError
+    Threw,      ///< any other exception from the experiment stack
+    WorkerLost, ///< the worker died, refused the job or sent garbage
+    NoWorker,   ///< the worker process could not be started
+    Deadline,   ///< killed at the hard per-job deadline
+};
+
+/** BadInput for errors that fail the same way every time, else Threw. */
+JobFault jobFaultOf(const std::exception &error);
+
+/**
+ * Where a sweep's job attempts run (see the file comment). Called
+ * from the engine's concurrent lanes.
+ */
+class JobExecutor
+{
+  public:
+    virtual ~JobExecutor() = default;
+
+    /**
+     * One attempt at `rec.spec` within `timeout_ms` (0 = no budget):
+     * fill `rec.result` and return None or Overran, or set
+     * `rec.error` and return the fault. `lanes` caps the job's pool
+     * lanes (0 = uncapped).
+     */
+    virtual JobFault attempt(SweepJobRecord &rec, unsigned lanes,
+                             double timeout_ms) = 0;
+
+    /** Name of the per-job trace span. */
+    virtual const char *jobSpan() const = 0;
+
+    /** Rewrite SWEEP_<name>.json after every landed record. */
+    virtual bool writeThrough() const { return false; }
+};
+
 /** A validated, runnable sweep. */
 class SweepEngine
 {
   public:
+    /**
+     * `executor` runs the job attempts (not owned; it must outlive
+     * run()); null runs them in-process on the engine's lanes.
+     */
     explicit SweepEngine(SweepSpec spec,
-                         SweepEngineOptions options = {});
+                         SweepEngineOptions options = {},
+                         JobExecutor *executor = nullptr);
 
     const SweepSpec &spec() const { return sweepSpec; }
 
-    /** Resolved worker width for this engine. */
+    /**
+     * Lanes run() uses: the option, then the spec's hint, then
+     * QCC_THREADS, at most one per job.
+     */
     unsigned concurrency() const;
 
     /**
@@ -134,10 +183,12 @@ class SweepEngine
     size_t adopted() const { return adoptedJobs; }
 
   private:
-    void runJob(size_t index, ResultStore &store);
+    void runJob(size_t index, ResultStore &store, JobExecutor &exec,
+                unsigned lanes);
 
     SweepSpec sweepSpec;
     SweepEngineOptions opts;
+    JobExecutor *executor;
     CancellationToken cancelToken;
     std::mutex progressMutex;
     size_t completedJobs = 0;

@@ -18,8 +18,8 @@
  * ExperimentResult::fromJsonDom, so a record that travelled through
  * a worker re-serializes byte-for-byte identically to one computed
  * in-process (the concurrency-1-vs-N identity the ResultStore
- * promises). `fast_fail` marks spec/registry errors — failures a
- * retry cannot fix. `store` carries the worker's compile-cache
+ * promises). `fast_fail` marks spec, registry and JSON errors
+ * (jobFaultOf's BadInput) — failures a retry cannot fix. `store` carries the worker's compile-cache
  * counters so cross-process disk-tier sharing is observable (tests
  * assert a warm-store worker reports zero compile misses).
  */

@@ -1,18 +1,15 @@
 #include "sweepd/service.hh"
 
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 
 #include <unistd.h>
 
 #include "common/logging.hh"
-#include "common/parallel.hh"
 #include "common/subprocess.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
+#include "store/store.hh"
 #include "sweepd/protocol.hh"
 #include "sweepd/worker.hh"
 
@@ -21,28 +18,133 @@ namespace sweepd {
 
 namespace {
 
-using clock_type = std::chrono::steady_clock;
-
-double
-millisSince(clock_type::time_point t0)
+/**
+ * The forked job executor: every attempt is one `<worker> --worker`
+ * process, one framed request and one framed reply, with a SIGKILL
+ * at the hard deadline. Done replies fold their telemetry riders
+ * into this process and their cache counters into totals().
+ */
+class ForkedExecutor final : public JobExecutor
 {
-    return std::chrono::duration<double, std::milli>(
-               clock_type::now() - t0)
-        .count();
-}
+  public:
+    ForkedExecutor(std::string worker_path, bool write_through)
+        : workerPath(std::move(worker_path)),
+          writesThrough(write_through)
+    {
+    }
 
-/** Whole-file read; false when unreadable. */
-bool
-slurp(const std::string &path, std::string &out)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return false;
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    out = buf.str();
-    return true;
-}
+    JobFault
+    attempt(SweepJobRecord &rec, unsigned lanes,
+            double timeout_ms) override
+    {
+        std::vector<std::pair<std::string, std::string>> env;
+        if (lanes > 0)
+            env.emplace_back("QCC_JOB_WIDTH", std::to_string(lanes));
+        // Tracing and store state are explicit rather than
+        // inherited: a caller that set them programmatically
+        // (setTraceEnabled, setStoreDir, setStoreEnabled — the CLI's
+        // --store-dir/--no-store) gets the same configuration in its
+        // workers.
+        env.emplace_back("QCC_TRACE", traceEnabled() ? "1" : "0");
+        env.emplace_back("QCC_STORE_DIR", storeDir());
+        env.emplace_back("QCC_STORE", storeEnabled() ? "1" : "0");
+
+        ChildProcess child = spawnChildProcess(
+            {workerPath, std::string(kWorkerFlag)}, env);
+        if (child.pid < 0) {
+            rec.error = "cannot spawn worker: " + workerPath;
+            return JobFault::NoWorker;
+        }
+
+        const bool wrote = writeFrame(
+            child.stdinFd, encodeJobRequest(JobRequest{rec.spec}));
+        closeFd(child.stdinFd);
+        if (!wrote) {
+            killProcess(child.pid);
+            const ExitStatus es = reapProcess(child.pid);
+            closeFd(child.stdoutFd);
+            rec.error = "worker rejected the job request (" +
+                        es.describe() + ")";
+            return JobFault::WorkerLost;
+        }
+
+        std::string payload;
+        const FrameStatus fs =
+            readFrame(child.stdoutFd, payload, timeout_ms);
+        if (fs == FrameStatus::Timeout) {
+            // The hard deadline: kill the worker and reap the
+            // corpse.
+            killProcess(child.pid);
+            const ExitStatus es = reapProcess(child.pid);
+            closeFd(child.stdoutFd);
+            char buf[128];
+            std::snprintf(buf, sizeof(buf),
+                          "hard timeout after %.6g ms; worker "
+                          "killed (%s)",
+                          timeout_ms, es.describe().c_str());
+            rec.error = buf;
+            return JobFault::Deadline;
+        }
+        closeFd(child.stdoutFd);
+        const ExitStatus es = reapProcess(child.pid);
+
+        if (fs != FrameStatus::Ok) {
+            // Eof/Corrupt/IoError: the worker died before delivering
+            // a reply — the crash-isolation path.
+            rec.error = std::string("worker died before replying (") +
+                        frameStatusName(fs) + ", " + es.describe() +
+                        ")";
+            return JobFault::WorkerLost;
+        }
+        WorkerReply reply;
+        if (!decodeReply(payload, reply)) {
+            rec.error =
+                "unparseable worker reply (" + es.describe() + ")";
+            return JobFault::WorkerLost;
+        }
+        if (!reply.done) {
+            rec.error = reply.error;
+            return reply.fastFail ? JobFault::BadInput
+                                  : JobFault::Threw;
+        }
+
+        rec.result = std::move(reply.result);
+        // The worker's span buffer joins this process's timeline
+        // (the events carry the worker pid), its metrics merge into
+        // the registry, and its cache counters land in the
+        // ground-truth totals the registry must match.
+        if (reply.trace.isArray())
+            adoptTraceEventsDom(reply.trace);
+        if (reply.metrics.isObject())
+            mergeMetricsDom(reply.metrics);
+        std::lock_guard<std::mutex> lock(totalsMutex);
+        sums.compileHits += reply.store.compileHits;
+        sums.compileMisses += reply.store.compileMisses;
+        sums.circuitDiskHits += reply.store.circuitDiskHits;
+        sums.problemBuilds += reply.store.problemBuilds;
+        sums.problemDiskHits += reply.store.problemDiskHits;
+        sums.problemMemHits += reply.store.problemMemHits;
+        return JobFault::None;
+    }
+
+    const char *jobSpan() const override { return "sweepd.job"; }
+
+    bool writeThrough() const override { return writesThrough; }
+
+    /** Sum of the cache counters every done worker reported. */
+    WorkerStoreStats
+    totals() const
+    {
+        std::lock_guard<std::mutex> lock(totalsMutex);
+        return sums;
+    }
+
+  private:
+    std::string workerPath;
+    bool writesThrough;
+    mutable std::mutex totalsMutex;
+    WorkerStoreStats sums; ///< guarded by totalsMutex
+};
 
 } // namespace
 
@@ -53,254 +155,53 @@ SweepdService::SweepdService(SweepdOptions options)
     ignoreSigpipe();
 }
 
+SweepEngineOptions
+SweepdService::engineOptions() const
+{
+    SweepEngineOptions eo;
+    eo.concurrency = opts.concurrency;
+    eo.jobTimeoutMs = opts.jobTimeoutMs;
+    eo.retries = opts.retries;
+    eo.capJobWidth = opts.capJobWidth;
+    eo.progress = opts.progress;
+    return eo;
+}
+
 unsigned
 SweepdService::concurrency(const SweepSpec &spec) const
 {
-    if (opts.concurrency)
-        return opts.concurrency;
-    if (spec.concurrency)
-        return spec.concurrency;
-    return parallelThreads();
+    return SweepEngine(spec, engineOptions()).concurrency();
 }
 
 ResultStore
 SweepdService::submit(const SweepSpec &spec, SweepdRunStats *stats)
 {
-    // Expansion throws on malformed axes — before any worker forks.
-    const std::vector<ExperimentSpec> jobs = spec.expand();
-    ResultStore store(spec.name, spec.emitTimings);
-    store.reset(jobs);
+    SweepEngineOptions eo = engineOptions();
+    if (opts.resume) {
+        const std::string prior =
+            qccJsonPath("SWEEP_" + spec.name + ".json");
+        if (!prior.empty() && std::ifstream(prior).is_open())
+            eo.resumeFrom = prior;
+    }
+    ForkedExecutor forked(opts.workerPath, opts.writeThrough);
+    SweepEngine engine(spec, eo, &forked);
+
+    ResultStore store = [&] {
+        TraceSpan span("sweepd.submit");
+        span.arg("jobs", spec.jobCount());
+        span.arg("width", engine.concurrency());
+        return engine.run();
+    }();
 
     SweepdRunStats st;
-    st.jobs = jobs.size();
-    {
-        std::lock_guard<std::mutex> lock(progressMutex);
-        workerTotals = WorkerStoreStats{};
-    }
-
-    if (opts.resume) {
-        const std::string priorPath =
-            !opts.resumeDoc.empty()
-                ? opts.resumeDoc
-                : qccJsonPath("SWEEP_" + spec.name + ".json");
-        std::string prior;
-        if (!priorPath.empty() && slurp(priorPath, prior)) {
-            try {
-                st.resumed = store.adoptCompleted(prior);
-            } catch (const JsonError &e) {
-                // A truncated aggregate (service killed mid-write)
-                // resumes nothing; the sweep just runs in full.
-                warn("sweepd: ignoring unparseable resume document " +
-                     priorPath + ": " + e.what());
-            }
-            if (st.resumed)
-                inform("sweepd: resumed " +
-                       std::to_string(st.resumed) + " of " +
-                       std::to_string(jobs.size()) +
-                       " jobs from " + priorPath);
-        }
-    }
-    completedJobs = st.resumed;
-
-    const unsigned width =
-        std::max(1u, std::min<unsigned>(concurrency(spec),
-                                        unsigned(std::max<size_t>(
-                                            jobs.size(), 1))));
-    const double timeoutMs = opts.jobTimeoutMs >= 0.0
-                                 ? opts.jobTimeoutMs
-                                 : spec.jobTimeoutMs;
-    const int retries =
-        opts.retries >= 0 ? opts.retries : spec.retries;
-    const int maxAttempts = 1 + std::max(0, retries);
-    // Split the machine across concurrent workers: each gets
-    // threads/width pool lanes via QCC_JOB_WIDTH (chunking — and so
-    // results — never depends on it; see common/parallel).
-    const unsigned jobWidth =
-        opts.capJobWidth
-            ? std::max(1u, parallelThreads() / width)
-            : 0;
-
-    {
-        TraceSpan span("sweepd.submit");
-        span.arg("jobs", jobs.size());
-        span.arg("width", width);
-        BoundedExecutor executor(width);
-        executor.run(jobs.size(), [&](size_t i) {
-            runJob(i, store, timeoutMs, maxAttempts, jobWidth);
-        });
-    }
-
+    st.jobs = store.size();
+    st.resumed = engine.adopted();
     st.ran = st.jobs - st.resumed;
     st.writtenPath = store.write();
-    {
-        std::lock_guard<std::mutex> lock(progressMutex);
-        st.workers = workerTotals;
-    }
+    st.workers = forked.totals();
     if (stats)
         *stats = st;
     return store;
-}
-
-void
-SweepdService::runJob(size_t index, ResultStore &store,
-                      double timeout_ms, int max_attempts,
-                      unsigned job_width)
-{
-    // Adopted from the resume document — never re-run.
-    if (store.jobs()[index].status != JobStatus::Pending)
-        return;
-
-    SweepJobRecord rec;
-    rec.index = index;
-    rec.spec = store.jobs()[index].spec;
-    rec.specHash = store.jobs()[index].specHash;
-    store.markRunning(index);
-
-    TraceSpan span("sweepd.job");
-    span.arg("job", index);
-
-    std::vector<std::pair<std::string, std::string>> env;
-    if (job_width > 0)
-        env.emplace_back("QCC_JOB_WIDTH",
-                         std::to_string(job_width));
-    // Tracing state is explicit rather than inherited: a bench (or
-    // test) that flipped setTraceEnabled() programmatically still
-    // gets worker spans, and a traced parent can run an untraced
-    // sweep.
-    env.emplace_back("QCC_TRACE", traceEnabled() ? "1" : "0");
-
-    const std::string request =
-        encodeJobRequest(JobRequest{rec.spec});
-
-    const auto t0 = clock_type::now();
-    for (int attempt = 1; attempt <= max_attempts; ++attempt) {
-        rec.attempts = attempt;
-
-        ChildProcess child = spawnChildProcess(
-            {opts.workerPath, std::string(kWorkerFlag)}, env);
-        if (child.pid < 0) {
-            rec.status = JobStatus::Failed;
-            rec.error = "cannot spawn worker: " + opts.workerPath;
-            break; // fork/pipe failure is not per-job retryable
-        }
-
-        const bool wrote = writeFrame(child.stdinFd, request);
-        closeFd(child.stdinFd);
-        if (!wrote) {
-            killProcess(child.pid);
-            const ExitStatus es = reapProcess(child.pid);
-            closeFd(child.stdoutFd);
-            rec.status = JobStatus::Failed;
-            rec.error = "worker rejected the job request (" +
-                        es.describe() + ")";
-            continue; // the worker died at startup; retry
-        }
-
-        std::string payload;
-        const FrameStatus fs =
-            readFrame(child.stdoutFd, payload, timeout_ms);
-
-        if (fs == FrameStatus::Timeout) {
-            // The hard deadline: kill the worker and reap the
-            // corpse. No retry — a job over its budget once is
-            // over it again.
-            killProcess(child.pid);
-            const ExitStatus es = reapProcess(child.pid);
-            closeFd(child.stdoutFd);
-            char buf[128];
-            std::snprintf(buf, sizeof(buf),
-                          "hard timeout after %.6g ms; worker "
-                          "killed (%s)",
-                          timeout_ms, es.describe().c_str());
-            rec.status = JobStatus::TimedOut;
-            rec.timeoutKind = TimeoutKind::Hard;
-            rec.error = buf;
-            break;
-        }
-
-        closeFd(child.stdoutFd);
-        const ExitStatus es = reapProcess(child.pid);
-
-        if (fs == FrameStatus::Ok) {
-            WorkerReply reply;
-            if (!decodeReply(payload, reply)) {
-                rec.status = JobStatus::Failed;
-                rec.error = "unparseable worker reply (" +
-                            es.describe() + ")";
-                continue;
-            }
-            if (reply.done) {
-                rec.status = JobStatus::Done;
-                rec.timeoutKind = TimeoutKind::None;
-                rec.result = std::move(reply.result);
-                rec.error.clear();
-                // Fold the worker telemetry into the service: its
-                // span buffer joins this process's timeline (the
-                // events carry the worker pid), its metrics merge
-                // into the registry, and its cache counters land in
-                // the ground-truth totals the registry must match.
-                if (reply.trace.isArray())
-                    adoptTraceEventsDom(reply.trace);
-                if (reply.metrics.isObject())
-                    mergeMetricsDom(reply.metrics);
-                {
-                    std::lock_guard<std::mutex> lock(progressMutex);
-                    workerTotals.compileHits +=
-                        reply.store.compileHits;
-                    workerTotals.compileMisses +=
-                        reply.store.compileMisses;
-                    workerTotals.circuitDiskHits +=
-                        reply.store.circuitDiskHits;
-                    workerTotals.problemBuilds +=
-                        reply.store.problemBuilds;
-                    workerTotals.problemDiskHits +=
-                        reply.store.problemDiskHits;
-                    workerTotals.problemMemHits +=
-                        reply.store.problemMemHits;
-                }
-                break;
-            }
-            rec.status = JobStatus::Failed;
-            rec.error = reply.error;
-            if (reply.fastFail)
-                break; // a typo'd key cannot succeed on retry
-            continue;
-        }
-
-        // Eof/Corrupt/IoError: the worker died before delivering a
-        // reply — the crash-isolation path. Record (or retry) and
-        // keep the service alive.
-        rec.status = JobStatus::Failed;
-        rec.error = std::string("worker died before replying (") +
-                    frameStatusName(fs) + ", " + es.describe() +
-                    ")";
-    }
-    rec.wallMillis = millisSince(t0);
-    span.arg("status", jobStatusName(rec.status));
-    span.arg("attempts", rec.attempts);
-
-    landRecord(std::move(rec), store);
-}
-
-void
-SweepdService::landRecord(SweepJobRecord rec, ResultStore &store)
-{
-    const size_t index = rec.index;
-    // Record + write-through + progress under one lock: callbacks
-    // never interleave, and the on-disk aggregate always reflects a
-    // consistent prefix of completed work (the resume source).
-    std::lock_guard<std::mutex> lock(progressMutex);
-    store.record(std::move(rec));
-    ++completedJobs;
-    if (opts.writeThrough)
-        store.write();
-    if (opts.progress) {
-        SweepProgress p;
-        p.completed = completedJobs;
-        p.total = store.size();
-        p.last = &store.jobs()[index];
-        opts.progress(p);
-    }
 }
 
 std::string

@@ -1,35 +1,23 @@
 /**
  * @file
- * SweepdService — the process-per-job sweep runner behind the
- * qcc_sweepd binary. Same contract as the in-process SweepEngine
- * (expand a SweepSpec, land one record per job in a ResultStore,
- * byte-stable aggregates), different execution substrate: every job
- * runs in a forked worker process (worker.hh) over a framed pipe
- * protocol (protocol.hh), which upgrades two soft guarantees to
- * hard ones —
+ * SweepdService — the front end of the process-per-job sweep runner
+ * behind the qcc_sweepd binary. It maps SweepdOptions onto the one
+ * SweepEngine and hands it the forked job executor (service.cc): each
+ * attempt runs in a worker process (worker.hh) over a framed pipe
+ * protocol (protocol.hh), so the per-job timeout is a real deadline
+ * (SIGKILL + reap, timeout_kind "hard") and a crashing job costs one
+ * Failed record, never the service.
  *
- *  - the per-job timeout is a real deadline: a worker past its
- *    budget is SIGKILLed and reaped, and the job is recorded
- *    TimedOut with timeout_kind "hard" (the in-process engine can
- *    only record "soft" after the fact; docs/sweepd.md has the
- *    comparison table);
- *  - a crashing job (SIGSEGV, abort) costs exactly one Failed
- *    record — the service reaps the corpse and moves on.
+ * Workers receive the effective tracing and store configuration
+ * (QCC_TRACE, QCC_STORE_DIR, QCC_STORE — setStoreDir/setStoreEnabled
+ * overrides included), so the src/store disk tier is a shared
+ * cross-process cache, and QCC_JOB_WIDTH = parallelThreads() /
+ * concurrency so N concurrent workers split the machine.
  *
- * Workers inherit the parent environment, so QCC_STORE_DIR makes
- * the src/store disk tier a shared cross-process cache: the first
- * worker to compile a circuit or build a molecular problem writes
- * it through, every later worker (and every later service run)
- * reads it back. Each worker also gets QCC_JOB_WIDTH =
- * parallelThreads() / concurrency so N concurrent jobs split the
- * machine instead of oversubscribing it (see common/parallel).
- *
- * Resume: when a SWEEP_<name>.json from an earlier (killed) run
- * exists, submit() adopts every recorded done job whose spec_hash
- * still matches (ResultStore::adoptCompleted) and re-runs only the
- * rest; the aggregate is written through after every job, so the
- * resume document always reflects everything completed so far, and
- * the final document is byte-identical to an uninterrupted run.
+ * Resume: the aggregate is written through after every job, and
+ * submit() names an existing SWEEP_<name>.json as the engine's resume
+ * source, so a killed sweep resubmitted re-runs only the missing jobs
+ * and ends byte-identical to an uninterrupted run (docs/sweepd.md).
  */
 
 #ifndef QCC_SWEEPD_SERVICE_HH
@@ -72,11 +60,9 @@ struct SweepdOptions
 
     /**
      * Adopt completed jobs from an existing SWEEP_<name>.json
-     * before running (resume). The document is looked up under the
-     * QCC_JSON convention unless resumeDoc names a path explicitly.
+     * (looked up under the QCC_JSON convention) before running.
      */
     bool resume = true;
-    std::string resumeDoc;
 
     /**
      * Rewrite SWEEP_<name>.json after every job record, so a killed
@@ -122,15 +108,9 @@ class SweepdService
     unsigned concurrency(const SweepSpec &spec) const;
 
   private:
-    void runJob(size_t index, ResultStore &store,
-                double timeout_ms, int max_attempts,
-                unsigned job_width);
-    void landRecord(SweepJobRecord rec, ResultStore &store);
+    SweepEngineOptions engineOptions() const;
 
     SweepdOptions opts;
-    std::mutex progressMutex;
-    size_t completedJobs = 0;
-    WorkerStoreStats workerTotals; ///< under progressMutex
 };
 
 /**

@@ -7,12 +7,12 @@
 
 #include <unistd.h>
 
-#include "api/registries.hh"
 #include "common/subprocess.hh"
 #include "compiler/cache.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "store/store.hh"
+#include "sweep/sweep_engine.hh"
 #include "sweepd/protocol.hh"
 
 namespace qcc {
@@ -90,14 +90,9 @@ workerMain()
             traceDoc = traceEventsArrayJson();
         reply = encodeDoneReply(result, stats, traceDoc,
                                 metricsJson());
-    } catch (const SpecError &e) {
-        reply = encodeFailedReply(e.what(), /*fast_fail=*/true);
-    } catch (const RegistryError &e) {
-        reply = encodeFailedReply(e.what(), /*fast_fail=*/true);
-    } catch (const JsonError &e) {
-        reply = encodeFailedReply(e.what(), /*fast_fail=*/true);
     } catch (const std::exception &e) {
-        reply = encodeFailedReply(e.what(), /*fast_fail=*/false);
+        reply = encodeFailedReply(
+            e.what(), jobFaultOf(e) == JobFault::BadInput);
     }
 
     return writeFrame(replyFd, reply) ? 0 : 3;

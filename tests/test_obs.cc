@@ -83,6 +83,35 @@ operator delete[](void *p, size_t) noexcept
     std::free(p);
 }
 
+// The nothrow forms too (std::stable_sort's temporary buffer uses
+// them): left to the runtime, ASan's nothrow new would hand out
+// memory that the free() above releases as an alloc-dealloc
+// mismatch.
+void *
+operator new(size_t n, const std::nothrow_t &) noexcept
+{
+    gAllocs.fetch_add(1, std::memory_order_relaxed);
+    return std::malloc(n ? n : 1);
+}
+
+void *
+operator new[](size_t n, const std::nothrow_t &tag) noexcept
+{
+    return ::operator new(n, tag);
+}
+
+void
+operator delete(void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
+
 namespace {
 
 struct VerboseSilencer

@@ -17,7 +17,9 @@
 #include <unistd.h>
 
 #include "api/experiment.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
+#include "common/registry.hh"
 #include "compiler/cache.hh"
 #include "sweep/sweep_engine.hh"
 
@@ -231,6 +233,29 @@ TEST(SweepEngine, FailedJobIsRecordedAndTheSweepContinues)
     const std::string doc = store.json();
     EXPECT_NE(doc.find("\"failed\": 2"), std::string::npos);
     EXPECT_NE(doc.find("rainbow"), std::string::npos);
+}
+
+TEST(SweepEngine, BadInputGetsOneAttemptWhateverTheRetryBudget)
+{
+    // The one classification table both executors use (the sweepd
+    // worker reports BadInput as fast_fail): errors that fail the
+    // same way every time are never retried.
+    EXPECT_EQ(jobFaultOf(SpecError("molecule", "unknown")),
+              JobFault::BadInput);
+    EXPECT_EQ(jobFaultOf(RegistryError("grouping", "rainbow", {})),
+              JobFault::BadInput);
+    EXPECT_EQ(jobFaultOf(JsonError("truncated document", 3)),
+              JobFault::BadInput);
+    EXPECT_EQ(jobFaultOf(std::runtime_error("transient")),
+              JobFault::Threw);
+
+    SweepSpec spec = smallSweep();
+    spec.axes.clear();
+    spec.base.grouping = "rainbow"; // not a registered strategy
+    spec.retries = 2;
+    ResultStore store = SweepEngine(spec).run();
+    ASSERT_EQ(store.countWithStatus(JobStatus::Failed), 1u);
+    EXPECT_EQ(store.jobs()[0].attempts, 1);
 }
 
 TEST(SweepEngine, SoftTimeoutDemotesOverBudgetJobs)

@@ -22,12 +22,15 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
 
 #include <unistd.h>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/subprocess.hh"
+#include "obs/trace.hh"
 #include "store/store.hh"
 #include "sweepd/protocol.hh"
 #include "sweepd/service.hh"
@@ -74,13 +77,19 @@ class EnvGuard
 {
   public:
     EnvGuard(std::string name, const std::string &value)
-        : name_(std::move(name))
+        : EnvGuard(std::move(name))
+    {
+        ::setenv(name_.c_str(), value.c_str(), 1);
+    }
+
+    /** Unset `name` for the guard's lifetime. */
+    explicit EnvGuard(std::string name) : name_(std::move(name))
     {
         if (const char *old = std::getenv(name_.c_str())) {
             had_ = true;
             old_ = old;
         }
-        ::setenv(name_.c_str(), value.c_str(), 1);
+        ::unsetenv(name_.c_str());
     }
 
     ~EnvGuard()
@@ -95,6 +104,27 @@ class EnvGuard
     std::string name_;
     std::string old_;
     bool had_ = false;
+};
+
+/**
+ * Scoped persistent-store overrides: restores the effective root and
+ * switch on exit (as overrides — the store has no way back to "read
+ * the environment").
+ */
+class StoreConfigGuard
+{
+  public:
+    StoreConfigGuard() : dir_(storeDir()), enabled_(storeEnabled()) {}
+
+    ~StoreConfigGuard()
+    {
+        setStoreDir(dir_);
+        setStoreEnabled(enabled_);
+    }
+
+  private:
+    std::string dir_;
+    bool enabled_;
 };
 
 std::string
@@ -249,6 +279,90 @@ TEST(SweepdWorker, ReportsASpecErrorAsFastFail)
 }
 
 // ---------------------------------------------------------------
+// one contract across executors
+
+TEST(SweepdService, AggregateMatchesTheInProcessEngineByteForByte)
+{
+    TempDir json("identity");
+    EnvGuard jsonEnv("QCC_JSON", json.path());
+
+    SweepEngineOptions serial;
+    serial.concurrency = 1;
+    const std::string inProcess =
+        SweepEngine(smallSweep(), serial).run().json();
+
+    sweepd::SweepdOptions opts = serviceOptions();
+    opts.concurrency = 2;
+    const std::string pooled =
+        sweepd::SweepdService(opts).submit(smallSweep()).json();
+
+    EXPECT_EQ(pooled, inProcess);
+    EXPECT_EQ(slurp(json.path() + "/SWEEP_sweepd_unit.json"),
+              inProcess);
+}
+
+TEST(SweepdService, ABadInputFailsAfterOneAttempt)
+{
+    TempDir json("bad_input");
+    EnvGuard jsonEnv("QCC_JSON", json.path());
+
+    SweepSpec spec = smallSweep();
+    spec.axes.clear();
+    spec.base.grouping = "rainbow"; // not a registered strategy
+    sweepd::SweepdOptions opts = serviceOptions();
+    opts.retries = 2;
+
+    ResultStore store = sweepd::SweepdService(opts).submit(spec);
+    ASSERT_EQ(store.countWithStatus(JobStatus::Failed), 1u);
+    EXPECT_EQ(store.jobs()[0].attempts, 1);
+    EXPECT_NE(store.jobs()[0].error.find("rainbow"), std::string::npos);
+}
+
+TEST(SweepdService, BothExecutorsSplitThePoolOverTheJobsThatRun)
+{
+    // Concurrency 8 over two jobs runs two lanes, so each job gets
+    // half the pool, on either executor. The sweep.job / sweepd.job
+    // spans record the lanes each job was given.
+    TempDir json("lanes");
+    EnvGuard jsonEnv("QCC_JSON", json.path());
+    SweepSpec spec = smallSweep();
+    spec.axes[0].values.resize(2);
+
+    SweepEngineOptions eo;
+    eo.concurrency = 8;
+    sweepd::SweepdOptions so = serviceOptions();
+    so.concurrency = 8;
+    EXPECT_EQ(SweepEngine(spec, eo).concurrency(), 2u);
+    EXPECT_EQ(sweepd::SweepdService(so).concurrency(spec), 2u);
+
+    setTraceEnabled(true);
+    clearTrace();
+    SweepEngine(spec, eo).run();
+    sweepd::SweepdService(so).submit(spec);
+    const JsonValue doc = JsonValue::parse(traceEventsJson());
+    setTraceEnabled(false);
+    clearTrace();
+
+    const double expected = std::max(1u, parallelThreads() / 2);
+    std::map<std::string, int> jobs;
+    const JsonValue *events = doc.find("traceEvents");
+    ASSERT_NE(events, nullptr);
+    for (const JsonValue &e : events->items) {
+        const JsonValue *name = e.find("name");
+        const JsonValue *args = e.find("args");
+        if (!name || !args || (name->text != "sweep.job" &&
+                               name->text != "sweepd.job"))
+            continue;
+        const JsonValue *lanes = args->find("lanes");
+        ASSERT_NE(lanes, nullptr);
+        EXPECT_EQ(lanes->number, expected) << name->text;
+        ++jobs[name->text];
+    }
+    EXPECT_EQ(jobs["sweep.job"], 2);
+    EXPECT_EQ(jobs["sweepd.job"], 2);
+}
+
+// ---------------------------------------------------------------
 // crash isolation
 
 TEST(SweepdService, AWorkerCrashRecordsOneFailedJobAndTheSweepFinishes)
@@ -277,7 +391,8 @@ TEST(SweepdService, HardTimeoutKillsAndReapsTheWorker)
 {
     TempDir json("timeout");
     EnvGuard jsonEnv("QCC_JSON", json.path());
-    // Seed 12 sleeps ~30 s in the worker; the budget is 500 ms.
+    // Seed 12 sleeps ~30 s in the worker; the budget is 5 s, which
+    // a sanitized H2 job (about 2 s under TSan) stays well inside.
     EnvGuard sleeper("QCC_SWEEPD_TEST_SLEEP_SEED", "12");
 
     SweepSpec spec = SweepSpec::fromJson(R"({
@@ -292,7 +407,7 @@ TEST(SweepdService, HardTimeoutKillsAndReapsTheWorker)
     })");
 
     sweepd::SweepdOptions opts = serviceOptions();
-    opts.jobTimeoutMs = 500.0;
+    opts.jobTimeoutMs = 5000.0;
 
     sweepd::SweepdService service(opts);
     ResultStore store = service.submit(spec);
@@ -384,8 +499,64 @@ TEST(SweepdService, ResumeIgnoresRecordsWhoseSpecChanged)
     EXPECT_EQ(stats.ran, 4u);
 }
 
+TEST(SweepdService, AnUnparseableResumeDocumentRunsTheSweepInFull)
+{
+    // A service killed mid-write can leave a truncated aggregate.
+    TempDir dir("resume_torn");
+    EnvGuard jsonEnv("QCC_JSON", dir.path());
+    std::ofstream(dir.path() + "/SWEEP_sweepd_unit.json")
+        << "{\"jobs\": [{\"index\": 0, \"sta";
+
+    sweepd::SweepdRunStats stats;
+    ResultStore store =
+        sweepd::SweepdService(serviceOptions()).submit(smallSweep(),
+                                                        &stats);
+    EXPECT_EQ(stats.resumed, 0u);
+    EXPECT_EQ(stats.ran, 4u);
+    EXPECT_EQ(store.countWithStatus(JobStatus::Done), 4u);
+}
+
 // ---------------------------------------------------------------
 // cross-process store sharing
+
+TEST(SweepdService, WorkersUseTheProgrammaticStoreDir)
+{
+    TempDir json("store_dir_json");
+    EnvGuard jsonEnv("QCC_JSON", json.path());
+    TempDir storeRoot("store_dir");
+    EnvGuard noEnvStore("QCC_STORE_DIR");
+    StoreConfigGuard restore;
+    setStoreDir(storeRoot.path()); // what qcc_sweepd --store-dir does
+    setStoreEnabled(true);
+
+    sweepd::SweepdOptions opts = serviceOptions();
+    opts.resume = false; // the second submit must run every job
+    sweepd::SweepdService(opts).submit(smallSweep());
+
+    // Warm store: every worker reads the problem back from disk.
+    sweepd::SweepdRunStats stats;
+    sweepd::SweepdService(opts).submit(smallSweep(), &stats);
+    EXPECT_EQ(stats.ran, 4u);
+    EXPECT_EQ(stats.workers.problemBuilds, 0u);
+    EXPECT_EQ(stats.workers.problemDiskHits, 4u);
+}
+
+TEST(SweepdService, WorkersHonorTheProgrammaticStoreKillSwitch)
+{
+    TempDir json("store_off_json");
+    EnvGuard jsonEnv("QCC_JSON", json.path());
+    TempDir storeRoot("store_off");
+    EnvGuard envStore("QCC_STORE_DIR", storeRoot.path());
+    StoreConfigGuard restore;
+    setStoreDir(storeRoot.path());
+    setStoreEnabled(false); // what qcc_sweepd --no-store does
+
+    sweepd::SweepdRunStats stats;
+    sweepd::SweepdService(serviceOptions()).submit(smallSweep(), &stats);
+    EXPECT_EQ(stats.workers.problemBuilds, 4u);
+    EXPECT_EQ(stats.workers.problemDiskHits, 0u);
+    EXPECT_TRUE(std::filesystem::is_empty(storeRoot.path()));
+}
 
 TEST(SweepdWorker, SecondWorkerServesEverythingFromTheSharedStore)
 {
