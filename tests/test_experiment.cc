@@ -26,13 +26,16 @@ struct VerboseSilencer
     VerboseSilencer() { setVerbose(false); }
 } silencer;
 
+/** Every field set away from its default (JSON shape only; the
+ *  combination is not a runnable experiment). */
 ExperimentSpec
 customSpec()
 {
     ExperimentSpec s;
+    s.kind = "estimate";
     s.molecule = "LiH";
     s.bond = 1.45;
-    s.basisNg = 3;
+    s.basisNg = 6;
     s.compression = 0.5;
     s.grouping = "sorted-insertion";
     s.mode = "noisy_sampled";
@@ -45,9 +48,195 @@ customSpec()
     s.seed = 77;
     s.maxIter = 123;
     s.spsaIter = 321;
+    s.evolveTime = 0.1;
+    s.evolveSteps = 6;
+    s.evolveOrder = 2;
     s.reference = false;
     return s;
 }
+
+/** A hand-filled result with all three optional blocks present. */
+ExperimentResult
+pinnedResult()
+{
+    ExperimentResult r;
+    r.spec = customSpec();
+    r.nQubits = 12;
+    r.nParams = 46;
+    r.fullParams = 92;
+    r.hamiltonianTerms = 631;
+    r.measurementSettings = 136;
+    r.hartreeFock = -7.8618647698083;
+    r.fci = -7.882362286810;
+    r.haveFci = true;
+    r.vqe.energy = -7.8823612;
+    r.vqe.iterations = 17;
+    r.vqe.evals = 250;
+    r.vqe.converged = true;
+    r.shots = uint64_t{1} << 40;
+    r.compiled.present = true;
+    r.compiled.pipeline = "mtr";
+    r.compiled.device = "xtree17";
+    r.compiled.gates = 1234;
+    r.compiled.cnots = 456;
+    r.compiled.depth = 789;
+    r.compiled.swaps = 12;
+    r.compiled.overheadCnots = 36;
+    r.compiled.millis = 3.14159265;
+    r.compiled.cacheHit = true;
+    r.evolution.present = true;
+    r.evolution.time = 0.1;
+    r.evolution.steps = 6;
+    r.evolution.order = 2;
+    r.evolution.termsPerStep = 630;
+    r.evolution.identityTerms = 1;
+    r.evolution.initialEnergy = -7.8618647698083;
+    r.evolution.finalEnergy = -7.86186476980829;
+    r.evolution.fidelity = 0.99921;
+    r.evolution.haveFidelity = true;
+    r.evolution.stepGates = 9001;
+    r.evolution.stepCnots = 4002;
+    r.evolution.stepDepth = 5003;
+    r.estimate.present = true;
+    r.estimate.qubits = 12;
+    r.estimate.parameters = 46;
+    r.estimate.pauliStrings = 368;
+    r.estimate.hamiltonianTerms = 631;
+    r.estimate.measurementSettings = 136;
+    r.estimate.gates = 7001;
+    r.estimate.cnots = 3002;
+    r.estimate.depth = 4003;
+    r.estimate.swaps = 104;
+    r.estimate.overheadCnots = 312;
+    r.estimate.shotsPerEstimate = 65536;
+    r.estimate.shotBudget = uint64_t{65536} * 123;
+    r.buildMillis = 12.345678;
+    r.vqeMillis = 250.5;
+    r.compileMillis = 0.000123456789;
+    r.totalMillis = 1234567.8;
+    return r;
+}
+
+/** customSpec().json(), byte for byte. */
+const char *const kSpecDoc = R"json({
+  "kind": "estimate",
+  "molecule": "LiH",
+  "bond": 1.45,
+  "basis_ng": 6,
+  "compression": 0.5,
+  "grouping": "sorted-insertion",
+  "mode": "noisy_sampled",
+  "optimizer": "spsa",
+  "pipeline": "mtr",
+  "architecture": "xtree17",
+  "cnot_error": 0.00025000000000000001,
+  "single_qubit_error": 1.0000000000000001e-05,
+  "shots": 4096,
+  "seed": 77,
+  "max_iter": 123,
+  "spsa_iter": 321,
+  "evolve_time": 0.10000000000000001,
+  "evolve_steps": 6,
+  "evolve_order": 2,
+  "reference": false
+}
+)json";
+
+/** pinnedResult().json() after the embedded spec: timings and trace. */
+const char *const kResultTailTimingsTrace = R"json("n_qubits": 12,
+"n_params": 46,
+"full_params": 92,
+"hamiltonian_terms": 631,
+"measurement_settings": 136,
+"hartree_fock": -7.8618647698083004,
+"fci": -7.8823622868100003,
+"have_fci": true,
+"energy": -7.8823612000000001,
+"iterations": 17,
+"evals": 250,
+"converged": true,
+"shots": 1099511627776,
+"compiled": {"pipeline": "mtr", "device": "xtree17", "gates": 1234, "cnots": 456, "depth": 789, "swaps": 12, "overhead_cnots": 36, "millis": 3.14159, "cache_hit": true},
+"evolution": {"time": 0.10000000000000001, "steps": 6, "order": 2, "terms_per_step": 630, "identity_terms": 1, "initial_energy": -7.8618647698083004, "final_energy": -7.8618647698082897, "fidelity": 0.99921000000000004, "have_fidelity": true, "step_gates": 9001, "step_cnots": 4002, "step_depth": 5003},
+"estimate": {"qubits": 12, "parameters": 46, "pauli_strings": 368, "hamiltonian_terms": 631, "settings": 136, "gates": 7001, "cnots": 3002, "depth": 4003, "swaps": 104, "overhead_cnots": 312, "shots_per_estimate": 65536, "shot_budget": 8060928},
+"timing_ms": {"build": 12.3457, "vqe": 250.5, "compile": 0.000123457, "total": 1.23457e+06},
+"trace": {
+  "mode": "",
+  "optimizer": "",
+  "seed": 0,
+  "points": [
+  ]
+}
+}
+)json";
+
+/** pinnedResult().json() after the embedded spec: timings only. */
+const char *const kResultTailTimings = R"json("n_qubits": 12,
+"n_params": 46,
+"full_params": 92,
+"hamiltonian_terms": 631,
+"measurement_settings": 136,
+"hartree_fock": -7.8618647698083004,
+"fci": -7.8823622868100003,
+"have_fci": true,
+"energy": -7.8823612000000001,
+"iterations": 17,
+"evals": 250,
+"converged": true,
+"shots": 1099511627776,
+"compiled": {"pipeline": "mtr", "device": "xtree17", "gates": 1234, "cnots": 456, "depth": 789, "swaps": 12, "overhead_cnots": 36, "millis": 3.14159, "cache_hit": true},
+"evolution": {"time": 0.10000000000000001, "steps": 6, "order": 2, "terms_per_step": 630, "identity_terms": 1, "initial_energy": -7.8618647698083004, "final_energy": -7.8618647698082897, "fidelity": 0.99921000000000004, "have_fidelity": true, "step_gates": 9001, "step_cnots": 4002, "step_depth": 5003},
+"estimate": {"qubits": 12, "parameters": 46, "pauli_strings": 368, "hamiltonian_terms": 631, "settings": 136, "gates": 7001, "cnots": 3002, "depth": 4003, "swaps": 104, "overhead_cnots": 312, "shots_per_estimate": 65536, "shot_budget": 8060928},
+"timing_ms": {"build": 12.3457, "vqe": 250.5, "compile": 0.000123457, "total": 1.23457e+06}
+}
+)json";
+
+/** pinnedResult().json() after the embedded spec: trace only. */
+const char *const kResultTailTrace = R"json("n_qubits": 12,
+"n_params": 46,
+"full_params": 92,
+"hamiltonian_terms": 631,
+"measurement_settings": 136,
+"hartree_fock": -7.8618647698083004,
+"fci": -7.8823622868100003,
+"have_fci": true,
+"energy": -7.8823612000000001,
+"iterations": 17,
+"evals": 250,
+"converged": true,
+"shots": 1099511627776,
+"compiled": {"pipeline": "mtr", "device": "xtree17", "gates": 1234, "cnots": 456, "depth": 789, "swaps": 12, "overhead_cnots": 36},
+"evolution": {"time": 0.10000000000000001, "steps": 6, "order": 2, "terms_per_step": 630, "identity_terms": 1, "initial_energy": -7.8618647698083004, "final_energy": -7.8618647698082897, "fidelity": 0.99921000000000004, "have_fidelity": true, "step_gates": 9001, "step_cnots": 4002, "step_depth": 5003},
+"estimate": {"qubits": 12, "parameters": 46, "pauli_strings": 368, "hamiltonian_terms": 631, "settings": 136, "gates": 7001, "cnots": 3002, "depth": 4003, "swaps": 104, "overhead_cnots": 312, "shots_per_estimate": 65536, "shot_budget": 8060928},
+"trace": {
+  "mode": "",
+  "optimizer": "",
+  "seed": 0,
+  "points": [
+  ]
+}
+}
+)json";
+
+/** pinnedResult().json() after the embedded spec: neither. */
+const char *const kResultTailBare = R"json("n_qubits": 12,
+"n_params": 46,
+"full_params": 92,
+"hamiltonian_terms": 631,
+"measurement_settings": 136,
+"hartree_fock": -7.8618647698083004,
+"fci": -7.8823622868100003,
+"have_fci": true,
+"energy": -7.8823612000000001,
+"iterations": 17,
+"evals": 250,
+"converged": true,
+"shots": 1099511627776,
+"compiled": {"pipeline": "mtr", "device": "xtree17", "gates": 1234, "cnots": 456, "depth": 789, "swaps": 12, "overhead_cnots": 36},
+"evolution": {"time": 0.10000000000000001, "steps": 6, "order": 2, "terms_per_step": 630, "identity_terms": 1, "initial_energy": -7.8618647698083004, "final_energy": -7.8618647698082897, "fidelity": 0.99921000000000004, "have_fidelity": true, "step_gates": 9001, "step_cnots": 4002, "step_depth": 5003},
+"estimate": {"qubits": 12, "parameters": 46, "pauli_strings": 368, "hamiltonian_terms": 631, "settings": 136, "gates": 7001, "cnots": 3002, "depth": 4003, "swaps": 104, "overhead_cnots": 312, "shots_per_estimate": 65536, "shot_budget": 8060928}
+}
+)json";
 
 } // namespace
 
@@ -74,6 +263,10 @@ TEST(ExperimentSpec, JsonRoundTripIsIdentity)
         EXPECT_EQ(back.maxIter, s.maxIter);
         EXPECT_EQ(back.spsaIter, s.spsaIter);
         EXPECT_EQ(back.reference, s.reference);
+        EXPECT_EQ(back.kind, s.kind);
+        EXPECT_EQ(back.evolveTime, s.evolveTime);
+        EXPECT_EQ(back.evolveSteps, s.evolveSteps);
+        EXPECT_EQ(back.evolveOrder, s.evolveOrder);
     }
 }
 
@@ -145,6 +338,44 @@ TEST(ExperimentSpec, EvolveFieldsRoundTrip)
     EXPECT_EQ(back.evolveTime, 0.75);
     EXPECT_EQ(back.evolveSteps, 6);
     EXPECT_EQ(back.evolveOrder, 2);
+}
+
+TEST(ExperimentSpec, JsonBytesArePinned)
+{
+    // The spec document is the sweep resume key (sweepJobHash), the
+    // sweepd wire format and the replay recipe in every archived
+    // result: its bytes must not move.
+    EXPECT_EQ(customSpec().json(), kSpecDoc);
+    EXPECT_EQ(ExperimentSpec::fromJson(kSpecDoc).json(), kSpecDoc);
+}
+
+TEST(ExperimentResult, JsonBytesArePinnedUnderEveryOption)
+{
+    std::string spec = kSpecDoc;
+    spec.pop_back(); // embedded without its trailing newline
+    const struct
+    {
+        bool timings, trace;
+        const char *tail;
+    } cases[] = {
+        {true, true, kResultTailTimingsTrace},
+        {true, false, kResultTailTimings},
+        {false, true, kResultTailTrace},
+        {false, false, kResultTailBare},
+    };
+    for (const auto &c : cases) {
+        const ExperimentResult::JsonOptions opts{c.timings, c.trace};
+        const std::string doc = pinnedResult().json(opts);
+        EXPECT_EQ(doc, "{\n\"spec\": " + spec + ",\n" + c.tail)
+            << "timings=" << c.timings << " trace=" << c.trace;
+        // The resume path: the rehydrated record re-emits the same
+        // bytes (the pinned trace is empty, so nothing is lost).
+        ExperimentResult back;
+        ASSERT_TRUE(ExperimentResult::fromJsonDom(JsonValue::parse(doc),
+                                                  back));
+        EXPECT_EQ(back.json(opts), doc)
+            << "timings=" << c.timings << " trace=" << c.trace;
+    }
 }
 
 TEST(Experiment, UnknownModeListsRegisteredModes)

@@ -17,6 +17,7 @@
 #include <unistd.h>
 
 #include "api/experiment.hh"
+#include "common/binio.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/registry.hh"
@@ -521,5 +522,49 @@ TEST(SweepSpecFiles, ShippedTableSpecsParseAndExpand)
                 << f.path << " molecule=" << job.molecule;
         // Both tables end at CH4, the largest benchmark molecule.
         EXPECT_EQ(jobs.back().molecule, "CH4") << f.path;
+    }
+}
+
+TEST(SweepSpecFiles, ShippedSpecsKeepTheirJobHashes)
+{
+    // sweepJobHash is the resume key of every archived SWEEP_
+    // document: each shipped spec file must expand to the same jobs
+    // with the same spec bytes. One FNV-1a digest of the job hashes
+    // (newline-joined, in job order) per file.
+    struct Expected
+    {
+        const char *path;
+        size_t jobs;
+        const char *digest;
+    };
+    const Expected files[] = {
+        {"specs/ci_smoke.json", 4, "df91600c859b3fe1"},
+        {"specs/ci_smoke_store.json", 4, "df91600c859b3fe1"},
+        {"specs/evolve_h2.json", 10, "0cbd092b9f266364"},
+        {"specs/fig10_lih_noisy.json", 6, "88741dac4edbd8ae"},
+        {"specs/lih_curve.json", 9, "70fac6cc35768b7f"},
+        {"specs/table1_full.json", 27, "5bf4c4c7583834e5"},
+        {"specs/table1_slice.json", 9, "8d16359c8b11f0d3"},
+        {"specs/table2_full.json", 45, "79919ded0785d4d6"},
+    };
+    for (const auto &f : files) {
+        SweepSpec spec;
+        try {
+            spec = SweepSpec::fromFile(f.path);
+        } catch (const SweepError &) {
+            GTEST_SKIP() << f.path
+                         << " not present next to the test binary "
+                            "(run from the build tree)";
+        }
+        const std::vector<ExperimentSpec> jobs = spec.expand();
+        ASSERT_EQ(jobs.size(), f.jobs) << f.path;
+        std::string joined;
+        for (const ExperimentSpec &job : jobs)
+            joined += sweepJobHash(job) + "\n";
+        char digest[17];
+        std::snprintf(digest, sizeof(digest), "%016llx",
+                      (unsigned long long)fnv1a(joined.data(),
+                                                joined.size()));
+        EXPECT_STREQ(digest, f.digest) << f.path;
     }
 }
