@@ -67,16 +67,15 @@ main()
     // spec through the Experiment facade with the verified MtR
     // preset as a sanity coda (one cheap SPSA step: the compiled
     // structure is parameter-independent).
-    ExperimentResult res = Experiment::builder()
-                               .molecule("LiH")
-                               .compression(0.5)
-                               .optimizer("spsa")
-                               .spsaIter(1)
-                               .reference(false)
-                               .pipeline("mtr-verify")
-                               .architecture("xtree17")
-                               .build()
-                               .run();
+    ExperimentResult res =
+        Experiment(ExperimentSpec{.molecule = "LiH",
+                                  .compression = 0.5,
+                                  .optimizer = "spsa",
+                                  .pipeline = "mtr-verify",
+                                  .architecture = "xtree17",
+                                  .spsaIter = 1,
+                                  .reference = false})
+            .run();
     std::printf("\nLiH@50%% on XTree17Q via facade: %zu gates, "
                 "depth %zu, overhead %zu CNOTs, verified, "
                 "%.1f ms\n",

@@ -23,12 +23,12 @@ main()
     std::printf("%-8s %14s %14s %14s %10s\n", "bond(A)", "HF",
                 "VQE(50%)", "exact", "iters");
 
-    ExperimentBuilder point = Experiment::builder();
-    point.molecule("LiH").compression(0.5);
+    ExperimentSpec point{.molecule = "LiH", .compression = 0.5};
 
     double bestBond = 0, bestEnergy = 1e9;
     for (double bond = 1.0; bond <= 2.6 + 1e-9; bond += 0.2) {
-        ExperimentResult res = point.bond(bond).build().run();
+        point.bond = bond;
+        ExperimentResult res = Experiment(point).run();
         std::printf("%-8.2f %14.6f %14.6f %14.6f %10d\n", bond,
                     res.hartreeFock, res.energy(), res.fci,
                     res.vqe.iterations);

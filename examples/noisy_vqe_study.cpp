@@ -29,15 +29,16 @@ main()
     std::printf("== LiH noise trade-off: compression ratio vs CNOT "
                 "error ==\n\n");
 
-    ExperimentBuilder clean = Experiment::builder();
-    clean.molecule("LiH").bond(1.6);
+    ExperimentSpec clean{.molecule = "LiH", .bond = 1.6};
     const std::vector<double> ratios = {0.1, 0.3, 0.5, 0.7, 0.9};
     const std::vector<double> errorRates = {0.0, 1e-4, 1e-3, 5e-3};
 
     // One clean optimization per ratio through the facade.
     std::vector<ExperimentResult> results;
-    for (double ratio : ratios)
-        results.push_back(clean.compression(ratio).build().run());
+    for (double ratio : ratios) {
+        clean.compression = ratio;
+        results.push_back(Experiment(clean).run());
+    }
     const double exact = results.front().fci;
     std::printf("exact ground state: %.6f Ha\n\n", exact);
 

@@ -23,13 +23,12 @@ main()
     std::printf("== qcc quickstart: H2 at 0.74 Angstrom ==\n\n");
 
     // Full UCCSD ansatz, ideal evaluation, compiled onto XTree5Q.
-    ExperimentResult res = Experiment::builder()
-                               .molecule("H2")
-                               .bond(0.74)
-                               .pipeline("mtr")
-                               .architecture("xtree5")
-                               .build()
-                               .run();
+    ExperimentResult res =
+        Experiment(ExperimentSpec{.molecule = "H2",
+                                  .bond = 0.74,
+                                  .pipeline = "mtr",
+                                  .architecture = "xtree5"})
+            .run();
     std::printf("qubits: %u   Hamiltonian terms: %zu   "
                 "measurement settings: %zu\n",
                 res.nQubits, res.hamiltonianTerms,
@@ -45,14 +44,13 @@ main()
 
     // Compress the ansatz with the Hamiltonian-guided importance
     // estimate and re-run the same spec.
-    ExperimentResult cres = Experiment::builder()
-                                .molecule("H2")
-                                .bond(0.74)
-                                .compression(0.67)
-                                .pipeline("mtr")
-                                .architecture("xtree5")
-                                .build()
-                                .run();
+    ExperimentResult cres =
+        Experiment(ExperimentSpec{.molecule = "H2",
+                                  .bond = 0.74,
+                                  .compression = 0.67,
+                                  .pipeline = "mtr",
+                                  .architecture = "xtree5"})
+            .run();
     std::printf("\ncompressed to %u params: %+.6f Ha "
                 "(%d iterations)\n",
                 cres.nParams, cres.energy(), cres.vqe.iterations);

@@ -29,25 +29,25 @@ main()
     std::printf("(seed %llu; chemical accuracy is 1.6 mHa)\n\n",
                 (unsigned long long)globalSeed());
 
-    ExperimentResult analytic = Experiment::builder()
-                                    .molecule("H2")
-                                    .bond(0.74)
-                                    .build()
-                                    .run();
+    ExperimentResult analytic =
+        Experiment(ExperimentSpec{.molecule = "H2", .bond = 0.74}).run();
     std::printf("analytic VQE: %.6f Ha (FCI %.6f)\n\n",
                 analytic.energy(), analytic.fci);
 
-    ExperimentBuilder sampled = Experiment::builder();
-    sampled.molecule("H2").bond(0.74).reference(false);
-    sampled.mode("sampled").optimizer("spsa").spsaIter(200);
+    ExperimentSpec sampled{.molecule = "H2",
+                           .bond = 0.74,
+                           .mode = "sampled",
+                           .optimizer = "spsa",
+                           .spsaIter = 200,
+                           .reference = false};
 
     std::printf("%-10s %12s %12s %12s %10s\n", "shots/eval",
                 "energy", "err (mHa)", "total shots", "sigma");
     for (uint64_t shots :
          {uint64_t{1024}, uint64_t{8192}, uint64_t{65536},
           SamplingOptions::defaultShots() * 16}) {
-        ExperimentResult res =
-            sampled.shots(shots).build().run();
+        sampled.shots = shots;
+        ExperimentResult res = Experiment(sampled).run();
         const auto &last = res.trace.points.back();
         std::printf("%-10llu %12.6f %12.3f %12llu %10.2e\n",
                     (unsigned long long)shots, res.energy(),

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "ansatz/compression.hh"
+#include "api/json_fields.hh"
 #include "common/logging.hh"
 #include "obs/trace.hh"
 #include "sim/lanczos.hh"
@@ -169,12 +170,6 @@ Experiment::Experiment(ExperimentSpec s) : resolved(std::move(s))
                             "evolve_* fields apply to kinds "
                             "\"evolve\" and \"estimate\" only");
     }
-}
-
-ExperimentBuilder
-Experiment::builder()
-{
-    return ExperimentBuilder();
 }
 
 namespace {
@@ -487,6 +482,120 @@ Experiment::run() const
     return experimentKindRegistry().get(resolved.kind)(resolved);
 }
 
+namespace {
+
+// The result document's blocks, one row per member in emission
+// order. millis/cache_hit and timing_ms are the volatile rows.
+
+constexpr JsonField<CompiledStats> kCompiledFields[] = {
+    {"pipeline", &CompiledStats::pipeline},
+    {"device", &CompiledStats::device},
+    {"gates", &CompiledStats::gates},
+    {"cnots", &CompiledStats::cnots},
+    {"depth", &CompiledStats::depth},
+    {"swaps", &CompiledStats::swaps},
+    {"overhead_cnots", &CompiledStats::overheadCnots},
+    {"millis", &CompiledStats::millis, true},
+    {"cache_hit", &CompiledStats::cacheHit, true},
+};
+
+constexpr JsonField<TimeEvolutionResult> kEvolutionFields[] = {
+    {"time", &TimeEvolutionResult::time},
+    {"steps", &TimeEvolutionResult::steps},
+    {"order", &TimeEvolutionResult::order},
+    {"terms_per_step", &TimeEvolutionResult::termsPerStep},
+    {"identity_terms", &TimeEvolutionResult::identityTerms},
+    {"initial_energy", &TimeEvolutionResult::initialEnergy},
+    {"final_energy", &TimeEvolutionResult::finalEnergy},
+    {"fidelity", &TimeEvolutionResult::fidelity},
+    {"have_fidelity", &TimeEvolutionResult::haveFidelity},
+    {"step_gates", &TimeEvolutionResult::stepGates},
+    {"step_cnots", &TimeEvolutionResult::stepCnots},
+    {"step_depth", &TimeEvolutionResult::stepDepth},
+};
+
+constexpr JsonField<EstimateResult> kEstimateFields[] = {
+    {"qubits", &EstimateResult::qubits},
+    {"parameters", &EstimateResult::parameters},
+    {"pauli_strings", &EstimateResult::pauliStrings},
+    {"hamiltonian_terms", &EstimateResult::hamiltonianTerms},
+    {"settings", &EstimateResult::measurementSettings},
+    {"gates", &EstimateResult::gates},
+    {"cnots", &EstimateResult::cnots},
+    {"depth", &EstimateResult::depth},
+    {"swaps", &EstimateResult::swaps},
+    {"overhead_cnots", &EstimateResult::overheadCnots},
+    {"shots_per_estimate", &EstimateResult::shotsPerEstimate},
+    {"shot_budget", &EstimateResult::shotBudget},
+};
+
+constexpr JsonField<ExperimentResult> kTimingFields[] = {
+    {"build", &ExperimentResult::buildMillis, true},
+    {"vqe", &ExperimentResult::vqeMillis, true},
+    {"compile", &ExperimentResult::compileMillis, true},
+    {"total", &ExperimentResult::totalMillis, true},
+};
+
+/** `"name": {"key": value, ...},` plus a newline; timing rows only
+ *  when `timings`. */
+template <class T, size_t N>
+void
+appendBlock(std::string &out, const char *name, const T &obj,
+            const JsonField<T> (&table)[N], bool timings)
+{
+    out += '"';
+    out += name;
+    out += "\": {";
+    const char *sep = "";
+    for (const JsonField<T> &field : table) {
+        if (field.timing && !timings)
+            continue;
+        out += sep;
+        out += '"';
+        out += field.key;
+        out += "\": ";
+        appendJsonField(out, obj, field);
+        sep = ", ";
+    }
+    out += "},\n";
+}
+
+bool
+readDouble(const JsonValue &v, double &out)
+{
+    if (!v.isNumber())
+        return false;
+    out = v.number;
+    return true;
+}
+
+bool
+readBool(const JsonValue &v, bool &out)
+{
+    if (!v.isBool())
+        return false;
+    out = v.boolean;
+    return true;
+}
+
+/** Read one block object through its table; false on an unknown or
+ *  ill-typed member. */
+template <class T, size_t N>
+bool
+readBlock(const JsonValue &v, T &out, const JsonField<T> (&table)[N])
+{
+    if (!v.isObject())
+        return false;
+    for (const auto &[key, m] : v.members) {
+        const JsonField<T> *field = findJsonField(table, key);
+        if (!field || readJsonField(out, *field, m, true))
+            return false;
+    }
+    return true;
+}
+
+} // namespace
+
 std::string
 ExperimentResult::json(const JsonOptions &options) const
 {
@@ -514,72 +623,17 @@ ExperimentResult::json(const JsonOptions &options) const
                   vqe.converged ? "true" : "false",
                   (unsigned long long)shots);
     out += buf;
-    if (compiled.present) {
-        std::snprintf(
-            buf, sizeof(buf),
-            "\"compiled\": {\"pipeline\": \"%s\", "
-            "\"device\": \"%s\", \"gates\": %zu, \"cnots\": %zu, "
-            "\"depth\": %zu, \"swaps\": %zu, "
-            "\"overhead_cnots\": %zu",
-            compiled.pipeline.c_str(), compiled.device.c_str(),
-            compiled.gates, compiled.cnots, compiled.depth,
-            compiled.swaps, compiled.overheadCnots);
-        out += buf;
-        if (options.timings) {
-            std::snprintf(buf, sizeof(buf),
-                          ", \"millis\": %.6g, \"cache_hit\": %s",
-                          compiled.millis,
-                          compiled.cacheHit ? "true" : "false");
-            out += buf;
-        }
-        out += "},\n";
-    }
-    if (evolution.present) {
-        char ebuf[512];
-        std::snprintf(
-            ebuf, sizeof(ebuf),
-            "\"evolution\": {\"time\": %.17g, \"steps\": %d, "
-            "\"order\": %d, \"terms_per_step\": %zu, "
-            "\"identity_terms\": %zu, \"initial_energy\": %.17g, "
-            "\"final_energy\": %.17g, \"fidelity\": %.17g, "
-            "\"have_fidelity\": %s, \"step_gates\": %zu, "
-            "\"step_cnots\": %zu, \"step_depth\": %zu},\n",
-            evolution.time, evolution.steps, evolution.order,
-            evolution.termsPerStep, evolution.identityTerms,
-            evolution.initialEnergy, evolution.finalEnergy,
-            evolution.fidelity,
-            evolution.haveFidelity ? "true" : "false",
-            evolution.stepGates, evolution.stepCnots,
-            evolution.stepDepth);
-        out += ebuf;
-    }
-    if (estimate.present) {
-        char ebuf[512];
-        std::snprintf(
-            ebuf, sizeof(ebuf),
-            "\"estimate\": {\"qubits\": %u, \"parameters\": %u, "
-            "\"pauli_strings\": %zu, \"hamiltonian_terms\": %zu, "
-            "\"settings\": %zu, \"gates\": %zu, \"cnots\": %zu, "
-            "\"depth\": %zu, \"swaps\": %zu, "
-            "\"overhead_cnots\": %zu, "
-            "\"shots_per_estimate\": %llu, \"shot_budget\": %llu},\n",
-            estimate.qubits, estimate.parameters,
-            estimate.pauliStrings, estimate.hamiltonianTerms,
-            estimate.measurementSettings, estimate.gates,
-            estimate.cnots, estimate.depth, estimate.swaps,
-            estimate.overheadCnots,
-            (unsigned long long)estimate.shotsPerEstimate,
-            (unsigned long long)estimate.shotBudget);
-        out += ebuf;
-    }
-    if (options.timings) {
-        std::snprintf(
-            buf, sizeof(buf),
-            "\"timing_ms\": {\"build\": %.6g, \"vqe\": %.6g, "
-            "\"compile\": %.6g, \"total\": %.6g},\n",
-            buildMillis, vqeMillis, compileMillis, totalMillis);
-        out += buf;
-    }
+    if (compiled.present)
+        appendBlock(out, "compiled", compiled, kCompiledFields,
+                    options.timings);
+    if (evolution.present)
+        appendBlock(out, "evolution", evolution, kEvolutionFields,
+                    options.timings);
+    if (estimate.present)
+        appendBlock(out, "estimate", estimate, kEstimateFields,
+                    options.timings);
+    if (options.timings)
+        appendBlock(out, "timing_ms", *this, kTimingFields, true);
     if (options.trace) {
         std::string traceDoc = trace.json();
         while (!traceDoc.empty() && traceDoc.back() == '\n')
@@ -595,144 +649,6 @@ ExperimentResult::json(const JsonOptions &options) const
     return out;
 }
 
-namespace {
-
-bool
-readUnsigned(const JsonValue &v, uint64_t &out)
-{
-    return v.asUint64(out);
-}
-
-bool
-readDouble(const JsonValue &v, double &out)
-{
-    if (!v.isNumber())
-        return false;
-    out = v.number;
-    return true;
-}
-
-bool
-readBool(const JsonValue &v, bool &out)
-{
-    if (!v.isBool())
-        return false;
-    out = v.boolean;
-    return true;
-}
-
-bool
-readCompiled(const JsonValue &v, CompiledStats &out)
-{
-    if (!v.isObject())
-        return false;
-    out.present = true;
-    uint64_t u = 0;
-    for (const auto &[key, m] : v.members) {
-        if (key == "pipeline" && m.isString()) {
-            out.pipeline = m.text;
-        } else if (key == "device" && m.isString()) {
-            out.device = m.text;
-        } else if (key == "gates" && readUnsigned(m, u)) {
-            out.gates = size_t(u);
-        } else if (key == "cnots" && readUnsigned(m, u)) {
-            out.cnots = size_t(u);
-        } else if (key == "depth" && readUnsigned(m, u)) {
-            out.depth = size_t(u);
-        } else if (key == "swaps" && readUnsigned(m, u)) {
-            out.swaps = size_t(u);
-        } else if (key == "overhead_cnots" && readUnsigned(m, u)) {
-            out.overheadCnots = size_t(u);
-        } else if (key == "millis" && readDouble(m, out.millis)) {
-        } else if (key == "cache_hit" && readBool(m, out.cacheHit)) {
-        } else {
-            return false;
-        }
-    }
-    return true;
-}
-
-bool
-readEvolution(const JsonValue &v, TimeEvolutionResult &out)
-{
-    if (!v.isObject())
-        return false;
-    out.present = true;
-    uint64_t u = 0;
-    for (const auto &[key, m] : v.members) {
-        if (key == "time" && readDouble(m, out.time)) {
-        } else if (key == "steps" && readUnsigned(m, u)) {
-            out.steps = int(u);
-        } else if (key == "order" && readUnsigned(m, u)) {
-            out.order = int(u);
-        } else if (key == "terms_per_step" && readUnsigned(m, u)) {
-            out.termsPerStep = size_t(u);
-        } else if (key == "identity_terms" && readUnsigned(m, u)) {
-            out.identityTerms = size_t(u);
-        } else if (key == "initial_energy" &&
-                   readDouble(m, out.initialEnergy)) {
-        } else if (key == "final_energy" &&
-                   readDouble(m, out.finalEnergy)) {
-        } else if (key == "fidelity" &&
-                   readDouble(m, out.fidelity)) {
-        } else if (key == "have_fidelity" &&
-                   readBool(m, out.haveFidelity)) {
-        } else if (key == "step_gates" && readUnsigned(m, u)) {
-            out.stepGates = size_t(u);
-        } else if (key == "step_cnots" && readUnsigned(m, u)) {
-            out.stepCnots = size_t(u);
-        } else if (key == "step_depth" && readUnsigned(m, u)) {
-            out.stepDepth = size_t(u);
-        } else {
-            return false;
-        }
-    }
-    return true;
-}
-
-bool
-readEstimate(const JsonValue &v, EstimateResult &out)
-{
-    if (!v.isObject())
-        return false;
-    out.present = true;
-    uint64_t u = 0;
-    for (const auto &[key, m] : v.members) {
-        if (key == "qubits" && readUnsigned(m, u)) {
-            out.qubits = unsigned(u);
-        } else if (key == "parameters" && readUnsigned(m, u)) {
-            out.parameters = unsigned(u);
-        } else if (key == "pauli_strings" && readUnsigned(m, u)) {
-            out.pauliStrings = size_t(u);
-        } else if (key == "hamiltonian_terms" &&
-                   readUnsigned(m, u)) {
-            out.hamiltonianTerms = size_t(u);
-        } else if (key == "settings" && readUnsigned(m, u)) {
-            out.measurementSettings = size_t(u);
-        } else if (key == "gates" && readUnsigned(m, u)) {
-            out.gates = size_t(u);
-        } else if (key == "cnots" && readUnsigned(m, u)) {
-            out.cnots = size_t(u);
-        } else if (key == "depth" && readUnsigned(m, u)) {
-            out.depth = size_t(u);
-        } else if (key == "swaps" && readUnsigned(m, u)) {
-            out.swaps = size_t(u);
-        } else if (key == "overhead_cnots" && readUnsigned(m, u)) {
-            out.overheadCnots = size_t(u);
-        } else if (key == "shots_per_estimate" &&
-                   readUnsigned(m, u)) {
-            out.shotsPerEstimate = u;
-        } else if (key == "shot_budget" && readUnsigned(m, u)) {
-            out.shotBudget = u;
-        } else {
-            return false;
-        }
-    }
-    return true;
-}
-
-} // namespace
-
 bool
 ExperimentResult::fromJsonDom(const JsonValue &doc,
                               ExperimentResult &out)
@@ -747,20 +663,19 @@ ExperimentResult::fromJsonDom(const JsonValue &doc,
             if (key == "spec") {
                 if (!v.isObject())
                     return false;
-                for (const auto &[field, fv] : v.members)
-                    applySpecField(r.spec, field, fv);
+                applySpecObject(r.spec, v);
                 haveSpec = true;
-            } else if (key == "n_qubits" && readUnsigned(v, u)) {
+            } else if (key == "n_qubits" && v.asUint64(u)) {
                 r.nQubits = unsigned(u);
-            } else if (key == "n_params" && readUnsigned(v, u)) {
+            } else if (key == "n_params" && v.asUint64(u)) {
                 r.nParams = unsigned(u);
-            } else if (key == "full_params" && readUnsigned(v, u)) {
+            } else if (key == "full_params" && v.asUint64(u)) {
                 r.fullParams = unsigned(u);
             } else if (key == "hamiltonian_terms" &&
-                       readUnsigned(v, u)) {
+                       v.asUint64(u)) {
                 r.hamiltonianTerms = size_t(u);
             } else if (key == "measurement_settings" &&
-                       readUnsigned(v, u)) {
+                       v.asUint64(u)) {
                 r.measurementSettings = size_t(u);
             } else if (key == "hartree_fock" &&
                        readDouble(v, r.hartreeFock)) {
@@ -769,36 +684,29 @@ ExperimentResult::fromJsonDom(const JsonValue &doc,
             } else if (key == "energy" &&
                        readDouble(v, r.vqe.energy)) {
                 haveEnergy = true;
-            } else if (key == "iterations" && readUnsigned(v, u)) {
+            } else if (key == "iterations" && v.asUint64(u)) {
                 r.vqe.iterations = int(u);
-            } else if (key == "evals" && readUnsigned(v, u)) {
+            } else if (key == "evals" && v.asUint64(u)) {
                 r.vqe.evals = int(u);
             } else if (key == "converged" &&
                        readBool(v, r.vqe.converged)) {
-            } else if (key == "shots" && readUnsigned(v, u)) {
+            } else if (key == "shots" && v.asUint64(u)) {
                 r.shots = u;
             } else if (key == "compiled") {
-                if (!readCompiled(v, r.compiled))
+                if (!readBlock(v, r.compiled, kCompiledFields))
                     return false;
+                r.compiled.present = true;
             } else if (key == "evolution") {
-                if (!readEvolution(v, r.evolution))
+                if (!readBlock(v, r.evolution, kEvolutionFields))
                     return false;
+                r.evolution.present = true;
             } else if (key == "estimate") {
-                if (!readEstimate(v, r.estimate))
+                if (!readBlock(v, r.estimate, kEstimateFields))
                     return false;
+                r.estimate.present = true;
             } else if (key == "timing_ms") {
-                if (!v.isObject())
+                if (!readBlock(v, r, kTimingFields))
                     return false;
-                for (const auto &[tk, tv] : v.members) {
-                    double *slot =
-                        tk == "build"     ? &r.buildMillis
-                        : tk == "vqe"     ? &r.vqeMillis
-                        : tk == "compile" ? &r.compileMillis
-                        : tk == "total"   ? &r.totalMillis
-                                          : nullptr;
-                    if (!slot || !readDouble(tv, *slot))
-                        return false;
-                }
             } else if (key == "trace") {
                 // A full RESULT document carries the VQE trace; the
                 // rehydrated result does not (documented partial).
@@ -807,7 +715,7 @@ ExperimentResult::fromJsonDom(const JsonValue &doc,
             }
         }
     } catch (const std::exception &) {
-        return false; // applySpecField rejected a spec member
+        return false; // applySpecObject rejected a spec member
     }
     if (!haveSpec || !haveEnergy)
         return false;
@@ -821,157 +729,7 @@ ExperimentResult::write(const std::string &name) const
     const std::string path = qccJsonPath("RESULT_" + name + ".json");
     if (path.empty())
         return {};
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        warn("ExperimentResult::write: cannot write " + path);
-        return {};
-    }
-    const std::string doc = json();
-    std::fwrite(doc.data(), 1, doc.size(), f);
-    std::fclose(f);
-    return path;
-}
-
-// ------------------------------------------------------- builder
-
-ExperimentBuilder &
-ExperimentBuilder::kind(const std::string &key)
-{
-    draft.kind = key;
-    return *this;
-}
-
-ExperimentBuilder &
-ExperimentBuilder::molecule(const std::string &name)
-{
-    draft.molecule = name;
-    return *this;
-}
-
-ExperimentBuilder &
-ExperimentBuilder::bond(double angstrom)
-{
-    draft.bond = angstrom;
-    return *this;
-}
-
-ExperimentBuilder &
-ExperimentBuilder::basisNg(int n)
-{
-    draft.basisNg = n;
-    return *this;
-}
-
-ExperimentBuilder &
-ExperimentBuilder::compression(double ratio)
-{
-    draft.compression = ratio;
-    return *this;
-}
-
-ExperimentBuilder &
-ExperimentBuilder::grouping(const std::string &key)
-{
-    draft.grouping = key;
-    return *this;
-}
-
-ExperimentBuilder &
-ExperimentBuilder::mode(const std::string &key)
-{
-    draft.mode = key;
-    return *this;
-}
-
-ExperimentBuilder &
-ExperimentBuilder::optimizer(const std::string &key)
-{
-    draft.optimizer = key;
-    return *this;
-}
-
-ExperimentBuilder &
-ExperimentBuilder::pipeline(const std::string &preset)
-{
-    draft.pipeline = preset;
-    return *this;
-}
-
-ExperimentBuilder &
-ExperimentBuilder::architecture(const std::string &key)
-{
-    draft.architecture = key;
-    return *this;
-}
-
-ExperimentBuilder &
-ExperimentBuilder::noise(double cnot_error, double single_qubit_error)
-{
-    draft.cnotError = cnot_error;
-    draft.singleQubitError = single_qubit_error;
-    return *this;
-}
-
-ExperimentBuilder &
-ExperimentBuilder::shots(uint64_t n)
-{
-    draft.shots = n;
-    return *this;
-}
-
-ExperimentBuilder &
-ExperimentBuilder::seed(uint64_t s)
-{
-    draft.seed = s;
-    return *this;
-}
-
-ExperimentBuilder &
-ExperimentBuilder::maxIter(int n)
-{
-    draft.maxIter = n;
-    return *this;
-}
-
-ExperimentBuilder &
-ExperimentBuilder::spsaIter(int n)
-{
-    draft.spsaIter = n;
-    return *this;
-}
-
-ExperimentBuilder &
-ExperimentBuilder::evolveTime(double t)
-{
-    draft.evolveTime = t;
-    return *this;
-}
-
-ExperimentBuilder &
-ExperimentBuilder::evolveSteps(int r)
-{
-    draft.evolveSteps = r;
-    return *this;
-}
-
-ExperimentBuilder &
-ExperimentBuilder::evolveOrder(int order)
-{
-    draft.evolveOrder = order;
-    return *this;
-}
-
-ExperimentBuilder &
-ExperimentBuilder::reference(bool compute)
-{
-    draft.reference = compute;
-    return *this;
-}
-
-Experiment
-ExperimentBuilder::build() const
-{
-    return Experiment(draft);
+    return writeOutputFile(path, json(), "ExperimentResult::write");
 }
 
 } // namespace qcc

@@ -16,16 +16,22 @@
  * under the same QCC_JSON convention as the TRACE and BENCH outputs
  * (RESULT_<name>.json).
  *
- * ExperimentBuilder is the fluent front end:
+ * ExperimentSpec is an aggregate, so a designated initializer (fields
+ * in declaration order) is the whole front end:
  *
- *   ExperimentResult r = Experiment::builder()
- *       .molecule("H2").bond(0.74)
- *       .mode("noisy_sampled").optimizer("spsa").shots(65536)
- *       .build().run();
+ *   ExperimentResult r =
+ *       Experiment(ExperimentSpec{.molecule = "H2", .bond = 0.74,
+ *                                 .mode = "noisy_sampled",
+ *                                 .optimizer = "spsa",
+ *                                 .shots = 65536})
+ *           .run();
  *
  * Spec validation resolves every registry key up front; unknown keys
  * throw RegistryError listing the registered names, unknown
  * molecules/architectures throw SpecError naming the valid choices.
+ * The result document's compiled / evolution / estimate / timing_ms
+ * blocks are written and read through field tables (api/
+ * json_fields.hh), one row per member.
  */
 
 #ifndef QCC_API_EXPERIMENT_HH
@@ -178,8 +184,6 @@ using ExperimentKindRegistry = Registry<ExperimentKindFn>;
  */
 ExperimentKindRegistry &experimentKindRegistry();
 
-class ExperimentBuilder;
-
 /** A validated, runnable experiment. */
 class Experiment
 {
@@ -191,9 +195,6 @@ class Experiment
      */
     explicit Experiment(ExperimentSpec spec);
 
-    /** Fluent spec construction. */
-    static ExperimentBuilder builder();
-
     const ExperimentSpec &spec() const { return resolved; }
 
     /** Execute the full flow described by the spec. */
@@ -201,40 +202,6 @@ class Experiment
 
   private:
     ExperimentSpec resolved;
-};
-
-/** Fluent ExperimentSpec assembly; build() validates. */
-class ExperimentBuilder
-{
-  public:
-    ExperimentBuilder &kind(const std::string &key);
-    ExperimentBuilder &molecule(const std::string &name);
-    ExperimentBuilder &bond(double angstrom);
-    ExperimentBuilder &basisNg(int n);
-    ExperimentBuilder &compression(double ratio);
-    ExperimentBuilder &grouping(const std::string &key);
-    ExperimentBuilder &mode(const std::string &key);
-    ExperimentBuilder &optimizer(const std::string &key);
-    ExperimentBuilder &pipeline(const std::string &preset);
-    ExperimentBuilder &architecture(const std::string &key);
-    ExperimentBuilder &noise(double cnot_error,
-                             double single_qubit_error = 0.0);
-    ExperimentBuilder &shots(uint64_t n);
-    ExperimentBuilder &seed(uint64_t s);
-    ExperimentBuilder &maxIter(int n);
-    ExperimentBuilder &spsaIter(int n);
-    ExperimentBuilder &evolveTime(double t);
-    ExperimentBuilder &evolveSteps(int r);
-    ExperimentBuilder &evolveOrder(int order);
-    ExperimentBuilder &reference(bool compute);
-
-    const ExperimentSpec &spec() const { return draft; }
-
-    /** Validate and freeze into a runnable Experiment. */
-    Experiment build() const;
-
-  private:
-    ExperimentSpec draft;
 };
 
 } // namespace qcc

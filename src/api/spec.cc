@@ -1,92 +1,53 @@
 #include "api/spec.hh"
 
-#include <cstdio>
+#include <iterator>
+
+#include "api/json_fields.hh"
 
 namespace qcc {
 
 namespace {
 
+/** The spec document, one row per field in emission order. */
+constexpr JsonField<ExperimentSpec> kSpecFields[] = {
+    {"kind", &ExperimentSpec::kind},
+    {"molecule", &ExperimentSpec::molecule},
+    {"bond", &ExperimentSpec::bond},
+    {"basis_ng", &ExperimentSpec::basisNg},
+    {"compression", &ExperimentSpec::compression},
+    {"grouping", &ExperimentSpec::grouping},
+    {"mode", &ExperimentSpec::mode},
+    {"optimizer", &ExperimentSpec::optimizer},
+    {"pipeline", &ExperimentSpec::pipeline},
+    {"architecture", &ExperimentSpec::architecture},
+    {"cnot_error", &ExperimentSpec::cnotError},
+    {"single_qubit_error", &ExperimentSpec::singleQubitError},
+    {"shots", &ExperimentSpec::shots},
+    {"seed", &ExperimentSpec::seed},
+    {"max_iter", &ExperimentSpec::maxIter},
+    {"spsa_iter", &ExperimentSpec::spsaIter},
+    {"evolve_time", &ExperimentSpec::evolveTime},
+    {"evolve_steps", &ExperimentSpec::evolveSteps},
+    {"evolve_order", &ExperimentSpec::evolveOrder},
+    {"reference", &ExperimentSpec::reference},
+};
+
+const JsonField<ExperimentSpec> &
+specField(const std::string &key)
+{
+    if (const JsonField<ExperimentSpec> *field =
+            findJsonField(kSpecFields, key))
+        return *field;
+    throw SpecError(key, "unknown spec field");
+}
+
+/** Spec typing: ints take any in-range number. */
 void
-appendString(std::string &out, const char *key,
-             const std::string &value, bool last = false)
+readSpecField(ExperimentSpec &spec, const JsonField<ExperimentSpec> &field,
+              const JsonValue &v)
 {
-    out += "  \"";
-    out += key;
-    out += "\": \"";
-    out += jsonEscape(value);
-    out += last ? "\"\n" : "\",\n";
-}
-
-void
-appendDouble(std::string &out, const char *key, double value)
-{
-    char buf[96];
-    std::snprintf(buf, sizeof(buf), "  \"%s\": %.17g,\n", key,
-                  value);
-    out += buf;
-}
-
-void
-appendUint(std::string &out, const char *key, uint64_t value)
-{
-    char buf[96];
-    std::snprintf(buf, sizeof(buf), "  \"%s\": %llu,\n", key,
-                  (unsigned long long)value);
-    out += buf;
-}
-
-void
-appendInt(std::string &out, const char *key, int value)
-{
-    char buf[96];
-    std::snprintf(buf, sizeof(buf), "  \"%s\": %d,\n", key, value);
-    out += buf;
-}
-
-// ---- typed field extraction (shared diagnostics) ----------------
-
-std::string
-asString(const std::string &key, const JsonValue &v)
-{
-    if (!v.isString())
-        throw SpecError(key, "expected a string");
-    return v.text;
-}
-
-double
-asNumber(const std::string &key, const JsonValue &v)
-{
-    if (!v.isNumber())
-        throw SpecError(key, "expected a number");
-    return v.number;
-}
-
-uint64_t
-asUint(const std::string &key, const JsonValue &v)
-{
-    uint64_t out = 0;
-    if (!v.isNumber() || !v.asUint64(out))
-        throw SpecError(key, "expected an unsigned integer");
-    return out;
-}
-
-int
-asInt(const std::string &key, const JsonValue &v)
-{
-    // Double-to-int conversion outside int's range is UB; gate the
-    // cast so a wild document throws instead.
-    const double d = asNumber(key, v);
-    if (!(d >= -2147483648.0 && d <= 2147483647.0))
-        throw SpecError(key, "integer out of range");
-    return int(d);
-}
-
-bool
-asBool(const std::string &key, const JsonValue &v)
-{
-    if (!v.isBool())
-        throw SpecError(key, "expected true or false");
-    return v.boolean;
+    if (const char *error = readJsonField(spec, field, v, false))
+        throw SpecError(field.key, error);
 }
 
 } // namespace
@@ -95,27 +56,13 @@ std::string
 ExperimentSpec::json() const
 {
     std::string out = "{\n";
-    appendString(out, "kind", kind);
-    appendString(out, "molecule", molecule);
-    appendDouble(out, "bond", bond);
-    appendInt(out, "basis_ng", basisNg);
-    appendDouble(out, "compression", compression);
-    appendString(out, "grouping", grouping);
-    appendString(out, "mode", mode);
-    appendString(out, "optimizer", optimizer);
-    appendString(out, "pipeline", pipeline);
-    appendString(out, "architecture", architecture);
-    appendDouble(out, "cnot_error", cnotError);
-    appendDouble(out, "single_qubit_error", singleQubitError);
-    appendUint(out, "shots", shots);
-    appendUint(out, "seed", seed);
-    appendInt(out, "max_iter", maxIter);
-    appendInt(out, "spsa_iter", spsaIter);
-    appendDouble(out, "evolve_time", evolveTime);
-    appendInt(out, "evolve_steps", evolveSteps);
-    appendInt(out, "evolve_order", evolveOrder);
-    out += std::string("  \"reference\": ") +
-           (reference ? "true" : "false") + "\n";
+    for (const JsonField<ExperimentSpec> &field : kSpecFields) {
+        out += "  \"";
+        out += field.key;
+        out += "\": ";
+        appendJsonField(out, *this, field);
+        out += &field == std::end(kSpecFields) - 1 ? "\n" : ",\n";
+    }
     out += "}\n";
     return out;
 }
@@ -124,48 +71,23 @@ void
 applySpecField(ExperimentSpec &spec, const std::string &key,
                const JsonValue &v)
 {
-    if (key == "kind")
-        spec.kind = asString(key, v);
-    else if (key == "molecule")
-        spec.molecule = asString(key, v);
-    else if (key == "bond")
-        spec.bond = asNumber(key, v);
-    else if (key == "basis_ng")
-        spec.basisNg = asInt(key, v);
-    else if (key == "compression")
-        spec.compression = asNumber(key, v);
-    else if (key == "grouping")
-        spec.grouping = asString(key, v);
-    else if (key == "mode")
-        spec.mode = asString(key, v);
-    else if (key == "optimizer")
-        spec.optimizer = asString(key, v);
-    else if (key == "pipeline")
-        spec.pipeline = asString(key, v);
-    else if (key == "architecture")
-        spec.architecture = asString(key, v);
-    else if (key == "cnot_error")
-        spec.cnotError = asNumber(key, v);
-    else if (key == "single_qubit_error")
-        spec.singleQubitError = asNumber(key, v);
-    else if (key == "shots")
-        spec.shots = asUint(key, v);
-    else if (key == "seed")
-        spec.seed = asUint(key, v);
-    else if (key == "max_iter")
-        spec.maxIter = asInt(key, v);
-    else if (key == "spsa_iter")
-        spec.spsaIter = asInt(key, v);
-    else if (key == "evolve_time")
-        spec.evolveTime = asNumber(key, v);
-    else if (key == "evolve_steps")
-        spec.evolveSteps = asInt(key, v);
-    else if (key == "evolve_order")
-        spec.evolveOrder = asInt(key, v);
-    else if (key == "reference")
-        spec.reference = asBool(key, v);
-    else
-        throw SpecError(key, "unknown spec field");
+    readSpecField(spec, specField(key), v);
+}
+
+void
+applySpecObject(ExperimentSpec &spec, const JsonValue &object)
+{
+    // The ordered DOM preserves duplicate members; silently letting
+    // the last one win would mask an editing mistake in a
+    // hand-authored spec, so reject them with field provenance.
+    bool seen[std::size(kSpecFields)] = {};
+    for (const auto &[key, value] : object.members) {
+        const JsonField<ExperimentSpec> &field = specField(key);
+        if (seen[&field - kSpecFields])
+            throw SpecError(key, "duplicate spec field");
+        seen[&field - kSpecFields] = true;
+        readSpecField(spec, field, value);
+    }
 }
 
 ExperimentSpec
@@ -180,17 +102,7 @@ ExperimentSpec::fromJson(const std::string &doc)
     if (!root.isObject())
         throw SpecError("(document)", "spec must be a JSON object");
     ExperimentSpec spec;
-    // The ordered DOM preserves duplicate members; silently letting
-    // the last one win would mask an editing mistake in a
-    // hand-authored spec, so reject them with field provenance.
-    std::vector<std::string> seen;
-    for (const auto &[key, value] : root.members) {
-        for (const auto &prior : seen)
-            if (prior == key)
-                throw SpecError(key, "duplicate spec field");
-        seen.push_back(key);
-        applySpecField(spec, key, value);
-    }
+    applySpecObject(spec, root);
     return spec;
 }
 

@@ -1,17 +1,24 @@
 /**
  * @file
  * Declarative experiment description. An ExperimentSpec is the full
- * recipe for one end-to-end run of the co-optimized flow — molecule,
- * basis, active space (via the Table I catalog), measurement
- * grouping, ansatz compression, compiler pipeline + target
- * architecture, evaluation mode, optimizer, shot budget, and seed —
- * as a flat, JSON-round-trippable value: json() and fromJson()
- * are exact inverses (stable field order, %.17g numbers), so a spec
- * can be archived next to its RESULT_*.json and replayed
- * bit-for-bit. String fields are registry keys, resolved (and
- * diagnosed with the registered-name list) when qcc::Experiment
- * validates the spec; fromJson() itself only checks shape, throwing
- * SpecError with field provenance on malformed documents.
+ * recipe for one end-to-end run of the co-optimized flow — workload
+ * kind, molecule, basis, active space (via the Table I catalog),
+ * measurement grouping, ansatz compression, compiler pipeline +
+ * target architecture, evaluation mode, optimizer, shot budget,
+ * evolution parameters, and seed — as a flat aggregate. Build one
+ * with designated initializers in declaration order:
+ *
+ *   ExperimentSpec s{.molecule = "LiH", .compression = 0.5};
+ *
+ * The JSON form comes from one field table in spec.cc (json key,
+ * member pointer, emission order) that drives json(), fromJson(),
+ * applySpecField() and applySpecObject(): json() and fromJson() are
+ * exact inverses (stable field order, %.17g numbers), so a spec can
+ * be archived next to its RESULT_*.json and replayed bit-for-bit.
+ * String fields are registry keys, resolved (and diagnosed with the
+ * registered-name list) when qcc::Experiment validates the spec; the
+ * parsers only check shape, throwing SpecError with field provenance
+ * on malformed documents.
  */
 
 #ifndef QCC_API_SPEC_HH
@@ -43,7 +50,11 @@ class SpecError : public std::runtime_error
     std::string fieldName;
 };
 
-/** One experiment, declaratively. */
+/**
+ * One experiment, declaratively. Every member has a default member
+ * initializer, so a designated initializer may leave any of them
+ * out without a -Wmissing-field-initializers warning.
+ */
 struct ExperimentSpec
 {
     /**
@@ -77,11 +88,11 @@ struct ExperimentSpec
     std::string optimizer = "lbfgs";
 
     /** PipelinePresetRegistry key; empty skips the compile phase. */
-    std::string pipeline;
+    std::string pipeline{};
 
     /** Target device ("xtree<N>", "grid17", "grid<R>x<C>");
      *  required by routed pipeline presets. */
-    std::string architecture;
+    std::string architecture{};
 
     /** CNOT depolarizing probability (noisy modes; the paper's
      *  Section VI-D default). */
@@ -121,28 +132,39 @@ struct ExperimentSpec
     bool reference = true;
 
     /**
-     * Flat JSON document, stable field order. fromJson(json()) is
+     * Flat JSON document, field-table order. fromJson(json()) is
      * the identity.
      */
     std::string json() const;
 
-    /** Parse a spec document; throws SpecError on malformed input,
-     *  unknown fields, or duplicate top-level fields (each
-     *  diagnostic names the field). */
+    /** Parse a spec document (applySpecObject over the default
+     *  spec); throws SpecError on malformed input, unknown fields,
+     *  or duplicate fields (each diagnostic names the field). */
     static ExperimentSpec fromJson(const std::string &doc);
 };
 
 /**
  * Apply one parsed JSON value onto a spec field named by its JSON
  * key ("molecule", "bond", "max_iter", ...). This is the expansion
- * hook the sweep layer fans a SweepSpec's axes through — one setter
- * shared with fromJson(), so axis values obey exactly the spec
- * document's typing rules (exact uint64 seeds, int range checks).
- * Throws SpecError naming the field on an unknown key or a
- * wrong-typed value.
+ * hook the sweep layer fans a SweepSpec's axes through, so axis
+ * values obey exactly the spec document's typing rules (exact
+ * uint64 seeds, ints from any in-range number, truncated). Throws
+ * SpecError naming the field on an unknown key or a wrong-typed
+ * value.
  */
 void applySpecField(ExperimentSpec &spec, const std::string &key,
                     const JsonValue &value);
+
+/**
+ * Apply every member of a spec object onto `spec`, in document
+ * order: the one reader of spec objects, shared by fromJson(), a
+ * SweepSpec's base and jobs, sweepd job requests and the spec block
+ * of a result document. Members a document leaves out keep their
+ * current values. Throws SpecError naming the field on an unknown,
+ * wrong-typed or duplicated member. Callers check isObject() first
+ * and report a non-object in their own terms.
+ */
+void applySpecObject(ExperimentSpec &spec, const JsonValue &object);
 
 } // namespace qcc
 

@@ -370,20 +370,28 @@ JsonValue::dump() const
           return boolean ? "true" : "false";
       case Kind::Number:
           return text.empty() ? std::to_string(number) : text;
-      case Kind::String:
-          return "\"" + jsonEscape(text) + "\"";
+      case Kind::String: {
+          std::string out = "\"";
+          out += jsonEscape(text);
+          out += '"';
+          return out;
+      }
       case Kind::Array: {
           std::string out = "[";
-          for (size_t i = 0; i < items.size(); ++i)
-              out += (i ? ", " : "") + items[i].dump();
+          for (size_t i = 0; i < items.size(); ++i) {
+              out += i ? ", " : "";
+              out += items[i].dump();
+          }
           return out + "]";
       }
       case Kind::Object: {
           std::string out = "{";
-          for (size_t i = 0; i < members.size(); ++i)
-              out += (i ? ", " : "") + ("\"" +
-                     jsonEscape(members[i].first) + "\": ") +
-                     members[i].second.dump();
+          for (size_t i = 0; i < members.size(); ++i) {
+              out += i ? ", \"" : "\"";
+              out += jsonEscape(members[i].first);
+              out += "\": ";
+              out += members[i].second.dump();
+          }
           return out + "}";
       }
     }

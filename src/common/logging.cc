@@ -4,6 +4,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "common/binio.hh"
+
 namespace qcc {
 
 namespace {
@@ -144,6 +146,16 @@ qccJsonPath(const std::string &file_name)
     if (dir.empty() || dir == "0")
         return {};
     return (dir == "1" ? std::string() : dir + "/") + file_name;
+}
+
+std::string
+writeOutputFile(const std::string &path, const std::string &doc,
+                const std::string &writer)
+{
+    if (atomicWriteFile(path, doc))
+        return path;
+    warn(writer + ": cannot write " + path);
+    return {};
 }
 
 } // namespace qcc

@@ -69,6 +69,17 @@ bool isVerbose();
  */
 std::string qccJsonPath(const std::string &file_name);
 
+/**
+ * Write one output document to `path` through atomicWriteFile
+ * (common/binio): the bytes land in a temp file that is renamed into
+ * place, so a reader, or a kill at any moment, sees the previous
+ * complete file or the new one, never a torn one. Returns `path`, or
+ * "" after a warning naming `writer` when the write fails.
+ */
+std::string writeOutputFile(const std::string &path,
+                            const std::string &doc,
+                            const std::string &writer);
+
 } // namespace qcc
 
 #endif // QCC_COMMON_LOGGING_HH

@@ -243,15 +243,7 @@ writeMetricsJson(const std::string &name)
         qccJsonPath("METRICS_" + name + ".json");
     if (path.empty())
         return {};
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        warn("writeMetricsJson: cannot write " + path);
-        return {};
-    }
-    const std::string doc = metricsJson();
-    std::fwrite(doc.data(), 1, doc.size(), f);
-    std::fclose(f);
-    return path;
+    return writeOutputFile(path, metricsJson(), "writeMetricsJson");
 }
 
 void

@@ -215,7 +215,9 @@ TraceSpan::arg(const char *key, const char *v)
     if (!live)
         return;
     appendKey(key);
-    argsJson += "\"" + jsonEscape(v) + "\"";
+    argsJson += '"';
+    argsJson += jsonEscape(v);
+    argsJson += '"';
 }
 
 void
@@ -224,7 +226,9 @@ TraceSpan::arg(const char *key, const std::string &v)
     if (!live)
         return;
     appendKey(key);
-    argsJson += "\"" + jsonEscape(v) + "\"";
+    argsJson += '"';
+    argsJson += jsonEscape(v);
+    argsJson += '"';
 }
 
 void
@@ -354,15 +358,7 @@ writeTraceJson(const std::string &name)
         qccJsonPath("TRACE_EVENTS_" + name + ".json");
     if (path.empty())
         return {};
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        warn("writeTraceJson: cannot write " + path);
-        return {};
-    }
-    const std::string doc = traceEventsJson();
-    std::fwrite(doc.data(), 1, doc.size(), f);
-    std::fclose(f);
-    return path;
+    return writeOutputFile(path, traceEventsJson(), "writeTraceJson");
 }
 
 size_t

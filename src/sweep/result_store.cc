@@ -339,15 +339,7 @@ ResultStore::write() const
 std::string
 ResultStore::writeTo(const std::string &path) const
 {
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        warn("ResultStore::writeTo: cannot write " + path);
-        return {};
-    }
-    const std::string doc = json();
-    std::fwrite(doc.data(), 1, doc.size(), f);
-    std::fclose(f);
-    return path;
+    return writeOutputFile(path, json(), "ResultStore::writeTo");
 }
 
 } // namespace qcc

@@ -125,8 +125,9 @@ SweepEngine::run()
         try {
             adoptedJobs = store.adoptCompleted(buf.str());
         } catch (const JsonError &e) {
-            // A truncated aggregate (a run killed mid-write)
-            // resumes nothing; the sweep just runs in full.
+            // Aggregates are written atomically, so this one was
+            // damaged outside the engine (a hand edit, a cut-short
+            // copy): resume nothing and run the sweep in full.
             warn("sweep: ignoring unparseable resume document " +
                  opts.resumeFrom + ": " + e.what());
         }

@@ -99,8 +99,10 @@ struct SweepEngineOptions
      * completed jobs whose recorded spec_hash still matches are
      * adopted (never re-run), everything else runs normally. ""
      * disables; a missing/unreadable file throws SweepError, and a
-     * document that does not parse (a run killed mid-write) is
-     * ignored with a warning.
+     * document that does not parse is ignored with a warning. The
+     * aggregate is written atomically (temp file + rename), so a
+     * killed run leaves a whole document; an unparseable one was
+     * edited or copied by hand.
      */
     std::string resumeFrom;
 

@@ -189,8 +189,7 @@ SweepSpec::fromJson(const std::string &doc)
             if (!value.isObject())
                 throw SweepError("base",
                                  "expected a spec object");
-            for (const auto &[field, fv] : value.members)
-                applySpecField(spec.base, field, fv);
+            applySpecObject(spec.base, value);
         } else if (key == "axes") {
             if (!value.isObject())
                 throw SweepError("axes",
@@ -238,8 +237,7 @@ SweepSpec::fromJson(const std::string &doc)
                 throw SweepError("jobs[" + std::to_string(j) + "]",
                                  "expected a spec object");
             ExperimentSpec job = spec.base;
-            for (const auto &[field, fv] : jv.members)
-                applySpecField(job, field, fv);
+            applySpecObject(job, jv);
             spec.explicitJobs.push_back(std::move(job));
         }
     }

@@ -42,8 +42,7 @@ decodeJobRequest(const std::string &payload)
             if (!v.isObject())
                 throw SpecError("(request)",
                                 "spec must be an object");
-            for (const auto &[field, fv] : v.members)
-                applySpecField(request.spec, field, fv);
+            applySpecObject(request.spec, v);
             haveSpec = true;
         } else {
             throw SpecError("(request)",

@@ -241,15 +241,8 @@ VqeDriver::writeTrace(const std::string &name) const
     const std::string path = qccJsonPath("TRACE_" + name + ".json");
     if (path.empty())
         return {};
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        warn("VqeDriver::writeTrace: cannot write " + path);
-        return {};
-    }
-    const std::string doc = traceData.json();
-    std::fwrite(doc.data(), 1, doc.size(), f);
-    std::fclose(f);
-    return path;
+    return writeOutputFile(path, traceData.json(),
+                           "VqeDriver::writeTrace");
 }
 
 } // namespace qcc

@@ -21,14 +21,17 @@ using namespace qcc;
 
 namespace {
 
-ExperimentBuilder
+ExperimentSpec
 sampledH2()
 {
     setVerbose(false);
-    ExperimentBuilder b = Experiment::builder();
-    b.molecule("H2").bond(0.74).reference(false);
-    b.mode("sampled").optimizer("spsa").spsaIter(40).shots(2048);
-    return b;
+    return {.molecule = "H2",
+            .bond = 0.74,
+            .mode = "sampled",
+            .optimizer = "spsa",
+            .shots = 2048,
+            .spsaIter = 40,
+            .reference = false};
 }
 
 } // namespace
@@ -38,8 +41,8 @@ TEST(Determinism, SampledVqeTraceReplaysExactly)
     // Run the whole stochastic pipeline twice; the serialized traces
     // (every energy, variance, shot count, in order) must be equal
     // byte for byte.
-    ExperimentResult r1 = sampledH2().build().run();
-    ExperimentResult r2 = sampledH2().build().run();
+    ExperimentResult r1 = Experiment(sampledH2()).run();
+    ExperimentResult r2 = Experiment(sampledH2()).run();
 
     EXPECT_EQ(r1.energy(), r2.energy());
     EXPECT_EQ(r1.vqe.params, r2.vqe.params);
@@ -50,19 +53,21 @@ TEST(Determinism, SampledVqeTraceReplaysExactly)
 
 TEST(Determinism, DifferentSeedsProduceDifferentTraces)
 {
-    ExperimentResult r1 =
-        sampledH2().seed(globalSeed()).build().run();
-    ExperimentResult r2 =
-        sampledH2().seed(globalSeed() + 1).build().run();
+    ExperimentSpec s = sampledH2();
+    s.seed = globalSeed();
+    ExperimentResult r1 = Experiment(s).run();
+    s.seed = globalSeed() + 1;
+    ExperimentResult r2 = Experiment(s).run();
     EXPECT_NE(r1.trace.json(), r2.trace.json());
 }
 
 TEST(Determinism, GradientDescentModeTraceReplaysExactly)
 {
-    ExperimentBuilder b = sampledH2();
-    b.optimizer("gd").maxIter(8);
-    ExperimentResult r1 = b.build().run();
-    ExperimentResult r2 = b.build().run();
+    ExperimentSpec s = sampledH2();
+    s.optimizer = "gd";
+    s.maxIter = 8;
+    ExperimentResult r1 = Experiment(s).run();
+    ExperimentResult r2 = Experiment(s).run();
     EXPECT_EQ(r1.trace.json(), r2.trace.json());
 }
 
@@ -71,7 +76,7 @@ TEST(Determinism, SpecReplayReproducesRun)
     // The resolved spec a result carries is the replay recipe: a
     // second experiment built from its JSON round-trip must replay
     // the run bit-for-bit.
-    ExperimentResult r1 = sampledH2().build().run();
+    ExperimentResult r1 = Experiment(sampledH2()).run();
     ExperimentSpec replay =
         ExperimentSpec::fromJson(r1.spec.json());
     ExperimentResult r2 = Experiment(replay).run();
@@ -121,7 +126,7 @@ TEST(Determinism, DerivedStreamsAreStableAndDistinct)
 
 TEST(Determinism, TraceJsonCarriesRunMetadata)
 {
-    ExperimentResult r = sampledH2().build().run();
+    ExperimentResult r = Experiment(sampledH2()).run();
     const std::string doc = r.trace.json();
     EXPECT_NE(doc.find("\"mode\": \"sampled\""), std::string::npos);
     EXPECT_NE(doc.find("\"optimizer\": \"spsa\""),

@@ -197,15 +197,14 @@ TEST(Estimate, ShotBudgetArithmetic)
 
 TEST(Evolve, ExperimentFacadeEvolveKind)
 {
-    ExperimentResult r = Experiment::builder()
-                             .kind("evolve")
-                             .molecule("H2")
-                             .evolveTime(0.5)
-                             .evolveSteps(4)
-                             .evolveOrder(2)
-                             .reference(true)
-                             .build()
-                             .run();
+    ExperimentResult r =
+        Experiment(ExperimentSpec{.kind = "evolve",
+                                  .molecule = "H2",
+                                  .evolveTime = 0.5,
+                                  .evolveSteps = 4,
+                                  .evolveOrder = 2,
+                                  .reference = true})
+            .run();
     EXPECT_TRUE(r.evolution.present);
     EXPECT_FALSE(r.estimate.present);
     EXPECT_DOUBLE_EQ(r.evolution.time, 0.5);
@@ -231,13 +230,12 @@ TEST(Evolve, ExperimentFacadeEvolveKind)
 
 TEST(Estimate, ExperimentFacadeEstimateKind)
 {
-    ExperimentResult r = Experiment::builder()
-                             .kind("estimate")
-                             .molecule("H2")
-                             .maxIter(30)
-                             .shots(2048)
-                             .build()
-                             .run();
+    ExperimentResult r =
+        Experiment(ExperimentSpec{.kind = "estimate",
+                                  .molecule = "H2",
+                                  .shots = 2048,
+                                  .maxIter = 30})
+            .run();
     EXPECT_TRUE(r.estimate.present);
     EXPECT_FALSE(r.evolution.present);
     EXPECT_EQ(r.estimate.qubits, 4u);
@@ -263,14 +261,13 @@ TEST(Estimate, ExperimentFacadeEstimateKind)
 TEST(Estimate, TrotterProgramSelectedByEvolveSteps)
 {
     // evolve_steps >= 1 costs the Trotter program instead of UCCSD.
-    ExperimentResult r = Experiment::builder()
-                             .kind("estimate")
-                             .molecule("H2")
-                             .evolveTime(1.0)
-                             .evolveSteps(2)
-                             .evolveOrder(2)
-                             .build()
-                             .run();
+    ExperimentResult r =
+        Experiment(ExperimentSpec{.kind = "estimate",
+                                  .molecule = "H2",
+                                  .evolveTime = 1.0,
+                                  .evolveSteps = 2,
+                                  .evolveOrder = 2})
+            .run();
     EXPECT_TRUE(r.estimate.present);
     EXPECT_EQ(r.estimate.parameters, 1u); // one dt parameter
     EXPECT_EQ(r.fullParams, 1u);

@@ -1,9 +1,9 @@
 /**
  * @file
  * Tests for the qcc::Experiment facade layer: ExperimentSpec JSON
- * round-tripping, registry diagnostics (unknown keys must list the
- * registered names), the architecture parser, builder fluency, and
- * the contract that a facade run reproduces a hand-wired VqeDriver
+ * round-tripping and byte pins (spec and result documents), registry
+ * diagnostics (unknown keys must list the registered names), the
+ * architecture parser, and the contract that a facade run reproduces a hand-wired VqeDriver
  * (strategy injection) bit-for-bit at a fixed seed — plus the NoisySampled
  * composition smoke check.
  */
@@ -378,6 +378,33 @@ TEST(ExperimentResult, JsonBytesArePinnedUnderEveryOption)
     }
 }
 
+TEST(ExperimentResult, LongArchitectureKeyRoundTrips)
+{
+    // makeDevice accepts leading zeros, so this 307-byte key names
+    // xtree17. The result document must carry it whole: the compiled
+    // block once went through a fixed 256-byte buffer and came out
+    // cut short, which made the document unparseable.
+    const std::string arch = "xtree" + std::string(300, '0') + "17";
+    ExperimentResult res = Experiment(ExperimentSpec{
+                                          .molecule = "H2",
+                                          .bond = 0.74,
+                                          .pipeline = "mtr",
+                                          .architecture = arch,
+                                          .reference = false})
+                               .run();
+    ASSERT_TRUE(res.compiled.present);
+    EXPECT_EQ(res.compiled.device, arch);
+    for (bool timings : {true, false}) {
+        const ExperimentResult::JsonOptions opts{timings, false};
+        const std::string doc = res.json(opts);
+        ExperimentResult back;
+        ASSERT_TRUE(ExperimentResult::fromJsonDom(JsonValue::parse(doc),
+                                                  back));
+        EXPECT_EQ(back.compiled.device, arch);
+        EXPECT_EQ(back.json(opts), doc);
+    }
+}
+
 TEST(Experiment, UnknownModeListsRegisteredModes)
 {
     ExperimentSpec s;
@@ -496,24 +523,6 @@ TEST(Experiment, RegistriesExposeTheBuiltInComponents)
     EXPECT_EQ(sv->numQubits(), 3u);
 }
 
-TEST(Experiment, BuilderAssemblesTheSpec)
-{
-    ExperimentBuilder b = Experiment::builder();
-    b.molecule("LiH").bond(1.6).compression(0.5);
-    b.mode("sampled").optimizer("spsa").shots(1024).seed(9);
-    b.grouping("sorted-insertion").reference(false);
-    const ExperimentSpec &s = b.spec();
-    EXPECT_EQ(s.molecule, "LiH");
-    EXPECT_EQ(s.bond, 1.6);
-    EXPECT_EQ(s.compression, 0.5);
-    EXPECT_EQ(s.mode, "sampled");
-    EXPECT_EQ(s.optimizer, "spsa");
-    EXPECT_EQ(s.shots, uint64_t{1024});
-    EXPECT_EQ(s.seed, uint64_t{9});
-    EXPECT_EQ(s.grouping, "sorted-insertion");
-    EXPECT_FALSE(s.reference);
-}
-
 TEST(Experiment, FacadeMatchesLegacyDriverBitForBit)
 {
     // The acceptance contract: the spec-driven path must reproduce
@@ -528,9 +537,10 @@ TEST(Experiment, FacadeMatchesLegacyDriverBitForBit)
             EstimationConfig{&prob.hamiltonian, {}, {}, {}}));
     VqeResult legacyRes = legacy.run();
 
-    ExperimentBuilder b = Experiment::builder();
-    b.molecule("H2").bond(0.74).reference(false);
-    ExperimentResult facade = b.build().run();
+    ExperimentResult facade =
+        Experiment(ExperimentSpec{
+                       .molecule = "H2", .bond = 0.74, .reference = false})
+            .run();
 
     EXPECT_EQ(facade.energy(), legacyRes.energy);
     EXPECT_EQ(facade.vqe.params, legacyRes.params);
@@ -555,10 +565,15 @@ TEST(Experiment, SampledFacadeMatchesLegacySampledDriver)
                              {}}));
     VqeResult legacyRes = legacy.run();
 
-    ExperimentBuilder b = Experiment::builder();
-    b.molecule("H2").bond(0.74).reference(false);
-    b.mode("sampled").optimizer("spsa").spsaIter(30).shots(2048);
-    ExperimentResult facade = b.build().run();
+    ExperimentResult facade =
+        Experiment(ExperimentSpec{.molecule = "H2",
+                                  .bond = 0.74,
+                                  .mode = "sampled",
+                                  .optimizer = "spsa",
+                                  .shots = 2048,
+                                  .spsaIter = 30,
+                                  .reference = false})
+            .run();
 
     EXPECT_EQ(facade.energy(), legacyRes.energy);
     EXPECT_EQ(facade.shots, legacy.shotsSpent());
@@ -569,11 +584,17 @@ TEST(Experiment, NoisySampledIsAOneLineComposition)
 {
     // Smoke check of the composed mode: density-matrix state + shot
     // readout, selected purely by spec string.
-    ExperimentBuilder b = Experiment::builder();
-    b.molecule("H2").bond(0.74).reference(false);
-    b.mode("noisy_sampled").optimizer("spsa").spsaIter(10);
-    b.shots(512).noise(1e-3);
-    ExperimentResult res = b.build().run();
+    ExperimentResult res =
+        Experiment(ExperimentSpec{.molecule = "H2",
+                                  .bond = 0.74,
+                                  .mode = "noisy_sampled",
+                                  .optimizer = "spsa",
+                                  .cnotError = 1e-3,
+                                  .singleQubitError = 0.0,
+                                  .shots = 512,
+                                  .spsaIter = 10,
+                                  .reference = false})
+            .run();
 
     EXPECT_EQ(res.trace.mode, "noisy_sampled");
     EXPECT_GT(res.shots, uint64_t{0});
@@ -588,9 +609,10 @@ TEST(Experiment, NoisySampledIsAOneLineComposition)
 
 TEST(Experiment, ResultJsonCarriesSpecMetricsAndTrace)
 {
-    ExperimentBuilder b = Experiment::builder();
-    b.molecule("H2").bond(0.74).pipeline("chain");
-    ExperimentResult res = b.build().run();
+    ExperimentResult res =
+        Experiment(ExperimentSpec{
+                       .molecule = "H2", .bond = 0.74, .pipeline = "chain"})
+            .run();
     ASSERT_TRUE(res.haveFci);
     EXPECT_NEAR(res.energy(), res.fci, 1e-4);
     EXPECT_TRUE(res.compiled.present);
@@ -613,18 +635,18 @@ TEST(Experiment, ResultJsonCarriesSpecMetricsAndTrace)
 
 TEST(Experiment, SortedInsertionGroupingSelectableBySpec)
 {
-    ExperimentBuilder b = Experiment::builder();
-    b.molecule("H2").bond(0.74).reference(false);
-    b.grouping("sorted-insertion");
-    ExperimentResult res = b.build().run();
+    ExperimentResult res =
+        Experiment(ExperimentSpec{.molecule = "H2",
+                                  .bond = 0.74,
+                                  .grouping = "sorted-insertion",
+                                  .reference = false})
+            .run();
     EXPECT_GT(res.measurementSettings, size_t{0});
     EXPECT_LT(res.measurementSettings, res.hamiltonianTerms);
     // Same ideal physics regardless of grouping strategy.
-    ExperimentResult greedy = Experiment::builder()
-                                  .molecule("H2")
-                                  .bond(0.74)
-                                  .reference(false)
-                                  .build()
-                                  .run();
+    ExperimentResult greedy =
+        Experiment(ExperimentSpec{
+                       .molecule = "H2", .bond = 0.74, .reference = false})
+            .run();
     EXPECT_NEAR(res.energy(), greedy.energy(), 1e-9);
 }

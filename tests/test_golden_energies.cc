@@ -82,14 +82,12 @@ lih()
     return prob;
 }
 
-/** Facade run: molecule at a bond length, ideal mode unless set. */
-ExperimentBuilder
+/** Facade spec: molecule at a bond length, ideal mode unless set. */
+ExperimentSpec
 experimentOn(const char *molecule, double bond)
 {
     setVerbose(false);
-    ExperimentBuilder b = Experiment::builder();
-    b.molecule(molecule).bond(bond).reference(false);
-    return b;
+    return {.molecule = molecule, .bond = bond, .reference = false};
 }
 
 } // namespace
@@ -107,7 +105,7 @@ TEST(GoldenEnergies, H2Fci)
 
 TEST(GoldenEnergies, H2VqeConvergesToGolden)
 {
-    ExperimentResult res = experimentOn("H2", 0.74).build().run();
+    ExperimentResult res = Experiment(experimentOn("H2", 0.74)).run();
     EXPECT_TRUE(res.vqe.converged);
     EXPECT_NEAR(res.energy(), kH2Fci, kVqeTol);
     // Variational bound: the optimizer may stop above, never below.
@@ -134,7 +132,7 @@ TEST(GoldenEnergies, LiHFci)
 
 TEST(GoldenEnergies, LiHVqeConvergesToGolden)
 {
-    ExperimentResult res = experimentOn("LiH", 1.6).build().run();
+    ExperimentResult res = Experiment(experimentOn("LiH", 1.6)).run();
     EXPECT_TRUE(res.vqe.converged);
     EXPECT_NEAR(res.energy(), kLiHFci, kVqeTol);
     EXPECT_GE(res.energy(), kLiHFci - kPinTol);
@@ -145,11 +143,10 @@ TEST(GoldenEnergies, GradientDriverReachesGolden_H2)
     // The analytic-gradient optimizers must land on the same golden
     // energy as the legacy finite-difference path.
     for (const char *optimizer : {"lbfgs", "gd"}) {
-        ExperimentResult res = experimentOn("H2", 0.74)
-                                   .optimizer(optimizer)
-                                   .maxIter(300)
-                                   .build()
-                                   .run();
+        ExperimentSpec s = experimentOn("H2", 0.74);
+        s.optimizer = optimizer;
+        s.maxIter = 300;
+        ExperimentResult res = Experiment(s).run();
         EXPECT_NEAR(res.energy(), kH2Fci, kVqeTol)
             << "optimizer " << optimizer;
     }
@@ -178,14 +175,13 @@ TEST(GoldenEnergies, BeH2SampledVqeMatchesPinnedValue)
     // BufferPool. The pinned value is the captured seeded result;
     // the run must replay within chemical accuracy of it and can
     // only sit above the FCI floor (up to the shot-noise margin).
-    ExperimentResult res = experimentOn("BeH2", 1.33)
-                               .compression(0.5)
-                               .mode("sampled")
-                               .optimizer("spsa")
-                               .spsaIter(250)
-                               .shots(16384)
-                               .build()
-                               .run();
+    ExperimentSpec s = experimentOn("BeH2", 1.33);
+    s.compression = 0.5;
+    s.mode = "sampled";
+    s.optimizer = "spsa";
+    s.spsaIter = 250;
+    s.shots = 16384;
+    ExperimentResult res = Experiment(s).run();
     EXPECT_GT(res.shots, uint64_t{0});
     EXPECT_NEAR(res.energy(), kBeH2Sampled, kChemicalAccuracy);
     EXPECT_GE(res.energy(), kBeH2Fci - kChemicalAccuracy);
@@ -198,15 +194,14 @@ TEST(GoldenEnergies, SampledVqeWithinChemicalAccuracy_H2)
     // sampling, SPSA, generous but finite measurement budget) must
     // land within chemical accuracy of the analytic optimum.
     ExperimentResult analytic =
-        experimentOn("H2", 0.74).build().run();
+        Experiment(experimentOn("H2", 0.74)).run();
 
-    ExperimentResult res = experimentOn("H2", 0.74)
-                               .mode("sampled")
-                               .optimizer("spsa")
-                               .spsaIter(200)
-                               .shots(65536)
-                               .build()
-                               .run();
+    ExperimentSpec s = experimentOn("H2", 0.74);
+    s.mode = "sampled";
+    s.optimizer = "spsa";
+    s.spsaIter = 200;
+    s.shots = 65536;
+    ExperimentResult res = Experiment(s).run();
 
     EXPECT_NEAR(res.energy(), analytic.energy(), kChemicalAccuracy);
     EXPECT_GT(res.shots, uint64_t{0});
@@ -220,14 +215,14 @@ TEST(GoldenEnergies, NoisySampledVqeMatchesPinnedValue_H2)
     // The ROADMAP composition: density-matrix state + shot readout,
     // one spec line. At the default seed the converged energy must
     // land within chemical accuracy of the pinned noisy value.
-    ExperimentResult res = experimentOn("H2", 0.74)
-                               .mode("noisy_sampled")
-                               .optimizer("spsa")
-                               .spsaIter(200)
-                               .shots(65536)
-                               .noise(1e-4)
-                               .build()
-                               .run();
+    ExperimentSpec s = experimentOn("H2", 0.74);
+    s.mode = "noisy_sampled";
+    s.optimizer = "spsa";
+    s.spsaIter = 200;
+    s.shots = 65536;
+    s.cnotError = 1e-4;
+    s.singleQubitError = 0.0;
+    ExperimentResult res = Experiment(s).run();
 
     EXPECT_EQ(res.trace.mode, "noisy_sampled");
     EXPECT_GT(res.shots, uint64_t{0});

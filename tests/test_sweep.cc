@@ -12,8 +12,11 @@
 
 #include <gtest/gtest.h>
 
+#include <csignal>
 #include <filesystem>
+#include <random>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "api/experiment.hh"
@@ -187,6 +190,30 @@ TEST(SweepSpec, DiagnosticsNameTheOffendingElement)
                  SweepError);
 }
 
+TEST(SweepSpec, DuplicateSpecFieldsRejectedInBaseAndJobs)
+{
+    // The bare-spec rule holds for every spec object in a sweep: a
+    // duplicated member would give one document two meanings.
+    try {
+        SweepSpec::fromJson(R"({"name": "d",
+            "base": {"molecule": "H2", "molecule": "LiH"}})");
+        FAIL() << "duplicate base field accepted";
+    } catch (const SpecError &e) {
+        EXPECT_EQ(e.field(), "molecule");
+        EXPECT_NE(std::string(e.what()).find("duplicate"),
+                  std::string::npos);
+    }
+    try {
+        SweepSpec::fromJson(R"({"name": "d",
+            "jobs": [{"bond": 1.0, "bond": 2.0}]})");
+        FAIL() << "duplicate job field accepted";
+    } catch (const SpecError &e) {
+        EXPECT_EQ(e.field(), "bond");
+        EXPECT_NE(std::string(e.what()).find("duplicate"),
+                  std::string::npos);
+    }
+}
+
 TEST(SweepEngine, ByteIdenticalAggregateAtConcurrency1AndN)
 {
     // The determinism contract: with timings off, the SWEEP json is
@@ -331,6 +358,60 @@ TEST(SweepEngine, ResumeAdoptsCompletedJobsAndReproducesBytes)
     missing.resumeFrom = path;
     EXPECT_THROW(SweepEngine(smallSweep(), missing).run(),
                  SweepError);
+}
+
+TEST(ResultStore, WriteToLeavesAWholeFileWhenKilledMidWrite)
+{
+    // A child rewrites a 240-record aggregate (about 200 KB) in a
+    // loop and is SIGKILLed after a random 2-22 ms: wherever the kill
+    // lands, the file holds one complete document.
+    std::vector<ExperimentSpec> jobs(240);
+    for (size_t i = 0; i < jobs.size(); ++i) {
+        jobs[i].molecule = i % 2 ? "LiH" : "H2";
+        jobs[i].mode = "sampled";
+        jobs[i].optimizer = "spsa";
+        jobs[i].seed = 7 + i;
+    }
+    ResultStore store("killed", false);
+    store.reset(jobs);
+    for (size_t i = 0; i < jobs.size(); ++i) {
+        SweepJobRecord rec;
+        rec.index = i;
+        rec.spec = jobs[i];
+        rec.specHash = sweepJobHash(jobs[i]);
+        rec.status = JobStatus::Done;
+        rec.attempts = 1;
+        rec.result.spec = jobs[i];
+        rec.result.vqe.energy = -1.1 - 1e-3 * double(i);
+        store.record(std::move(rec));
+    }
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() /
+        ("qcc_killed_write_" + std::to_string(::getpid()));
+    std::filesystem::create_directories(dir);
+    const std::string path = (dir / "SWEEP_killed.json").string();
+    ASSERT_EQ(store.writeTo(path), path);
+
+    std::mt19937 rng(2021);
+    std::uniform_int_distribution<int> delayUs(2000, 22000);
+    for (int trial = 0; trial < 20; ++trial) {
+        const pid_t pid = ::fork();
+        ASSERT_GE(pid, 0);
+        if (pid == 0)
+            for (;;)
+                store.writeTo(path);
+        ::usleep(useconds_t(delayUs(rng)));
+        ::kill(pid, SIGKILL);
+        int status = 0;
+        ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+        std::string doc;
+        ASSERT_TRUE(readFileBytes(path, doc)) << "trial " << trial;
+        EXPECT_NO_THROW(JsonValue::parse(doc))
+            << "trial " << trial << ": " << doc.size() << " bytes";
+    }
+    // The document and the killed writers' *.tmp.* leftovers.
+    std::error_code ec;
+    std::filesystem::remove_all(dir, ec);
 }
 
 TEST(SweepEngine, CancellationSkipsUnclaimedJobs)
