@@ -1,7 +1,6 @@
 #include "api/experiment.hh"
 
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <utility>
 
@@ -484,8 +483,32 @@ Experiment::run() const
 
 namespace {
 
-// The result document's blocks, one row per member in emission
-// order. millis/cache_hit and timing_ms are the volatile rows.
+// The result document, one row per member in emission order. The
+// top-level scalars are the problem, the VQE outcome (a member
+// struct, so its own table) and the shot bill; then come the blocks,
+// whose volatile rows are millis/cache_hit and timing_ms.
+
+constexpr JsonField<ExperimentResult> kProblemFields[] = {
+    {"n_qubits", &ExperimentResult::nQubits},
+    {"n_params", &ExperimentResult::nParams},
+    {"full_params", &ExperimentResult::fullParams},
+    {"hamiltonian_terms", &ExperimentResult::hamiltonianTerms},
+    {"measurement_settings", &ExperimentResult::measurementSettings},
+    {"hartree_fock", &ExperimentResult::hartreeFock},
+    {"fci", &ExperimentResult::fci},
+    {"have_fci", &ExperimentResult::haveFci},
+};
+
+constexpr JsonField<VqeResult> kVqeFields[] = {
+    {"energy", &VqeResult::energy},
+    {"iterations", &VqeResult::iterations},
+    {"evals", &VqeResult::evals},
+    {"converged", &VqeResult::converged},
+};
+
+constexpr JsonField<ExperimentResult> kBillFields[] = {
+    {"shots", &ExperimentResult::shots},
+};
 
 constexpr JsonField<CompiledStats> kCompiledFields[] = {
     {"pipeline", &CompiledStats::pipeline},
@@ -536,6 +559,21 @@ constexpr JsonField<ExperimentResult> kTimingFields[] = {
     {"total", &ExperimentResult::totalMillis, true},
 };
 
+/** One `"key": value,` line per row. */
+template <class T, size_t N>
+void
+appendLines(std::string &out, const T &obj,
+            const JsonField<T> (&table)[N])
+{
+    for (const JsonField<T> &field : table) {
+        out += '"';
+        out += field.key;
+        out += "\": ";
+        appendJsonField(out, obj, field);
+        out += ",\n";
+    }
+}
+
 /** `"name": {"key": value, ...},` plus a newline; timing rows only
  *  when `timings`. */
 template <class T, size_t N>
@@ -558,24 +596,6 @@ appendBlock(std::string &out, const char *name, const T &obj,
         sep = ", ";
     }
     out += "},\n";
-}
-
-bool
-readDouble(const JsonValue &v, double &out)
-{
-    if (!v.isNumber())
-        return false;
-    out = v.number;
-    return true;
-}
-
-bool
-readBool(const JsonValue &v, bool &out)
-{
-    if (!v.isBool())
-        return false;
-    out = v.boolean;
-    return true;
 }
 
 /** Read one block object through its table; false on an unknown or
@@ -604,25 +624,9 @@ ExperimentResult::json(const JsonOptions &options) const
         specDoc.pop_back();
 
     std::string out = "{\n\"spec\": " + specDoc + ",\n";
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "\"n_qubits\": %u,\n\"n_params\": %u,\n"
-                  "\"full_params\": %u,\n"
-                  "\"hamiltonian_terms\": %zu,\n"
-                  "\"measurement_settings\": %zu,\n",
-                  nQubits, nParams, fullParams, hamiltonianTerms,
-                  measurementSettings);
-    out += buf;
-    std::snprintf(buf, sizeof(buf),
-                  "\"hartree_fock\": %.17g,\n\"fci\": %.17g,\n"
-                  "\"have_fci\": %s,\n\"energy\": %.17g,\n"
-                  "\"iterations\": %d,\n\"evals\": %d,\n"
-                  "\"converged\": %s,\n\"shots\": %llu,\n",
-                  hartreeFock, fci, haveFci ? "true" : "false",
-                  vqe.energy, vqe.iterations, vqe.evals,
-                  vqe.converged ? "true" : "false",
-                  (unsigned long long)shots);
-    out += buf;
+    appendLines(out, *this, kProblemFields);
+    appendLines(out, vqe, kVqeFields);
+    appendLines(out, *this, kBillFields);
     if (compiled.present)
         appendBlock(out, "compiled", compiled, kCompiledFields,
                     options.timings);
@@ -657,7 +661,6 @@ ExperimentResult::fromJsonDom(const JsonValue &doc,
         return false;
     ExperimentResult r;
     bool haveSpec = false, haveEnergy = false;
-    uint64_t u = 0;
     try {
         for (const auto &[key, v] : doc.members) {
             if (key == "spec") {
@@ -665,33 +668,18 @@ ExperimentResult::fromJsonDom(const JsonValue &doc,
                     return false;
                 applySpecObject(r.spec, v);
                 haveSpec = true;
-            } else if (key == "n_qubits" && v.asUint64(u)) {
-                r.nQubits = unsigned(u);
-            } else if (key == "n_params" && v.asUint64(u)) {
-                r.nParams = unsigned(u);
-            } else if (key == "full_params" && v.asUint64(u)) {
-                r.fullParams = unsigned(u);
-            } else if (key == "hamiltonian_terms" &&
-                       v.asUint64(u)) {
-                r.hamiltonianTerms = size_t(u);
-            } else if (key == "measurement_settings" &&
-                       v.asUint64(u)) {
-                r.measurementSettings = size_t(u);
-            } else if (key == "hartree_fock" &&
-                       readDouble(v, r.hartreeFock)) {
-            } else if (key == "fci" && readDouble(v, r.fci)) {
-            } else if (key == "have_fci" && readBool(v, r.haveFci)) {
-            } else if (key == "energy" &&
-                       readDouble(v, r.vqe.energy)) {
-                haveEnergy = true;
-            } else if (key == "iterations" && v.asUint64(u)) {
-                r.vqe.iterations = int(u);
-            } else if (key == "evals" && v.asUint64(u)) {
-                r.vqe.evals = int(u);
-            } else if (key == "converged" &&
-                       readBool(v, r.vqe.converged)) {
-            } else if (key == "shots" && v.asUint64(u)) {
-                r.shots = u;
+            } else if (const auto *problem =
+                           findJsonField(kProblemFields, key)) {
+                if (readJsonField(r, *problem, v, true))
+                    return false;
+            } else if (const auto *outcome =
+                           findJsonField(kVqeFields, key)) {
+                if (readJsonField(r.vqe, *outcome, v, true))
+                    return false;
+                haveEnergy = haveEnergy || key == "energy";
+            } else if (const auto *bill = findJsonField(kBillFields, key)) {
+                if (readJsonField(r, *bill, v, true))
+                    return false;
             } else if (key == "compiled") {
                 if (!readBlock(v, r.compiled, kCompiledFields))
                     return false;
