@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <variant>
 
@@ -42,7 +43,7 @@ using JsonMember =
 template <class T>
 struct JsonField
 {
-    const char *key;
+    std::string_view key; ///< length known up front: cheap lookups
     JsonMember<T> member;
     bool timing = false; ///< volatile: %.6g, dropped without timings
 };

@@ -47,7 +47,7 @@ readSpecField(ExperimentSpec &spec, const JsonField<ExperimentSpec> &field,
               const JsonValue &v)
 {
     if (const char *error = readJsonField(spec, field, v, false))
-        throw SpecError(field.key, error);
+        throw SpecError(std::string(field.key), error);
 }
 
 } // namespace
