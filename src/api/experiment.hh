@@ -29,9 +29,9 @@
  * Spec validation resolves every registry key up front; unknown keys
  * throw RegistryError listing the registered names, unknown
  * molecules/architectures throw SpecError naming the valid choices.
- * The result document's compiled / evolution / estimate / timing_ms
- * blocks are written and read through field tables (api/
- * json_fields.hh), one row per member.
+ * The result document (its scalars and the compiled / evolution /
+ * estimate / timing_ms blocks) is written and read through field
+ * tables (api/json_fields.hh), one row per member.
  */
 
 #ifndef QCC_API_EXPERIMENT_HH

@@ -1,8 +1,9 @@
 /**
  * @file
- * Field tables for the api layer's flat JSON documents: the
- * ExperimentSpec document and the result's compiled / evolution /
- * estimate / timing_ms blocks. A table is an array of
+ * Field tables for the api layer's JSON documents: the
+ * ExperimentSpec document, and the ExperimentResult document's
+ * scalars and its compiled / evolution / estimate / timing_ms
+ * blocks. A table is an array of
  * {json key, member pointer} rows in emission order, and both the
  * writer and the reader of a document walk the same table, so each
  * member is named exactly once. Rows flagged `timing` hold volatile

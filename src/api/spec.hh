@@ -27,7 +27,6 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "common/json.hh"
 

@@ -3,9 +3,10 @@
  * Tests for the qcc::Experiment facade layer: ExperimentSpec JSON
  * round-tripping and byte pins (spec and result documents), registry
  * diagnostics (unknown keys must list the registered names), the
- * architecture parser, and the contract that a facade run reproduces a hand-wired VqeDriver
- * (strategy injection) bit-for-bit at a fixed seed — plus the NoisySampled
- * composition smoke check.
+ * architecture parser, and the contract that a facade run
+ * reproduces a hand-wired VqeDriver (strategy injection)
+ * bit-for-bit at a fixed seed — plus the NoisySampled composition
+ * smoke check.
  */
 
 #include <gtest/gtest.h>
@@ -381,9 +382,8 @@ TEST(ExperimentResult, JsonBytesArePinnedUnderEveryOption)
 TEST(ExperimentResult, LongArchitectureKeyRoundTrips)
 {
     // makeDevice accepts leading zeros, so this 307-byte key names
-    // xtree17. The result document must carry it whole: the compiled
-    // block once went through a fixed 256-byte buffer and came out
-    // cut short, which made the document unparseable.
+    // xtree17. The result document must carry it whole, whatever its
+    // length, and parse back to the same bytes.
     const std::string arch = "xtree" + std::string(300, '0') + "17";
     ExperimentResult res = Experiment(ExperimentSpec{
                                           .molecule = "H2",

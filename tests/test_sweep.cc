@@ -212,6 +212,15 @@ TEST(SweepSpec, DuplicateSpecFieldsRejectedInBaseAndJobs)
         EXPECT_NE(std::string(e.what()).find("duplicate"),
                   std::string::npos);
     }
+    // A resume record whose spec repeats a member rehydrates nothing.
+    ExperimentResult r;
+    EXPECT_TRUE(ExperimentResult::fromJsonDom(
+        JsonValue::parse(R"({"spec": {"seed": 1}, "energy": -1.0})"),
+        r));
+    EXPECT_FALSE(ExperimentResult::fromJsonDom(
+        JsonValue::parse(R"({"spec": {"seed": 1, "seed": 2},
+                             "energy": -1.0})"),
+        r));
 }
 
 TEST(SweepEngine, ByteIdenticalAggregateAtConcurrency1AndN)

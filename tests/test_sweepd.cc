@@ -222,6 +222,16 @@ TEST(SweepdFraming, RoundTripsPayloadsThroughAPipe)
     ::close(fds[0]);
 }
 
+TEST(SweepdProtocol, DuplicateSpecFieldsRejected)
+{
+    try {
+        sweepd::decodeJobRequest(R"({"spec": {"seed": 1, "seed": 2}})");
+        FAIL() << "duplicate request field accepted";
+    } catch (const SpecError &e) {
+        EXPECT_EQ(e.field(), "seed");
+    }
+}
+
 TEST(SweepdFraming, RejectsCorruptStreams)
 {
     int fds[2];
