@@ -566,9 +566,6 @@ appendLines(std::string &out, const T &obj,
             const JsonField<T> (&table)[N])
 {
     for (const JsonField<T> &field : table) {
-        out += '"';
-        out += field.key;
-        out += "\": ";
         appendJsonField(out, obj, field);
         out += ",\n";
     }
@@ -589,9 +586,6 @@ appendBlock(std::string &out, const char *name, const T &obj,
         if (field.timing && !timings)
             continue;
         out += sep;
-        out += '"';
-        out += field.key;
-        out += "\": ";
         appendJsonField(out, obj, field);
         sep = ", ";
     }

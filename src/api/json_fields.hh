@@ -49,11 +49,14 @@ struct JsonField
     bool timing = false; ///< volatile: %.6g, dropped without timings
 };
 
-/** Append `obj`'s member for `field` as a JSON value. */
+/** Append `"key": value` for `obj`'s member under `field`. */
 template <class T>
 void
 appendJsonField(std::string &out, const T &obj, const JsonField<T> &field)
 {
+    out += '"';
+    out += field.key;
+    out += "\": ";
     std::visit(
         [&](auto member) {
             const auto &v = obj.*member;

@@ -57,9 +57,7 @@ ExperimentSpec::json() const
 {
     std::string out = "{\n";
     for (const JsonField<ExperimentSpec> &field : kSpecFields) {
-        out += "  \"";
-        out += field.key;
-        out += "\": ";
+        out += "  ";
         appendJsonField(out, *this, field);
         out += &field == std::end(kSpecFields) - 1 ? "\n" : ",\n";
     }
