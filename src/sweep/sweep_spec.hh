@@ -21,9 +21,10 @@
  * `axes` maps spec field names to value lists (or numeric
  * from/to/step ranges) whose cartesian product — first axis
  * slowest, document order preserved — becomes the job list; `jobs`
- * appends explicit one-off specs after the product. Every axis
- * value flows through applySpecField (api/spec.hh), so axis typing
- * is exactly spec typing. Expansion is pure and deterministic: the
+ * appends explicit one-off specs after the product. `base` and each
+ * job are read by applySpecObject and every axis value flows through
+ * applySpecField (api/spec.hh), so typing and the duplicate-key rule
+ * are exactly the spec's. Expansion is pure and deterministic: the
  * same document always yields the same ordered job list, which is
  * what lets the ResultStore promise stable job indices regardless
  * of execution order.
