@@ -13,7 +13,9 @@
  *    path off — the pre-SIMD production path), simd (stride kernels
  *    + AVX2), fused (gate fusion + cache-blocked execution + AVX2).
  *    The variant rows are what lands in BENCH_sim.json (QCC_JSON=1);
- *    `fused_vs_kernel` at n >= 14 is the headline speedup. Pass
+ *    `fused_vs_kernel` at n >= 14 is the headline speedup. The
+ *    dm_circuit rows time the noisy Fig. 10 circuits (LiH, NaH) on
+ *    the density matrix, per-gate against the fused executor. Pass
  *    --benchmark_filter=nope to skip the google-benchmark section and
  *    emit only the variant report.
  */
@@ -22,19 +24,26 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <functional>
+#include <string>
 #include <vector>
 
+#include "ansatz/compression.hh"
+#include "ansatz/uccsd.hh"
 #include "bench_util.hh"
 #include "chem/molecules.hh"
 #include "common/logging.hh"
 #include "compiler/chain_synthesis.hh"
+#include "compiler/pipeline.hh"
 #include "ferm/hamiltonian.hh"
+#include "sim/density_matrix.hh"
 #include "sim/fusion.hh"
 #include "sim/kernels.hh"
 #include "sim/simd.hh"
 #include "sim/statevector.hh"
+#include "store/problem_store.hh"
 #include "vqe/expectation_engine.hh"
 
 using namespace qcc;
@@ -369,6 +378,57 @@ variantGroupRow(qccbench::JsonReport &rep, unsigned n)
              {"simd_vs_kernel", kernelMs / simdMs}});
 }
 
+/**
+ * The noisy VQE circuit of the paper's Fig. 10 study: a molecule's
+ * UCCSD ansatz compressed to 0.3, chain-synthesized with its HF
+ * preparation, on the density matrix under the paper's 1e-4 CNOT
+ * depolarizing model. Times the per-gate reference against the
+ * fused executor and counts the sweeps each makes over the 4^n
+ * vector.
+ */
+void
+variantDensityMatrixRow(qccbench::JsonReport &rep,
+                        const std::string &molecule)
+{
+    const BenchmarkMolecule &m = benchmarkMolecule(molecule);
+    const MolecularProblem prob =
+        globalProblemStore().get(m, m.equilibriumBond, 3);
+    const Ansatz ansatz =
+        compressAnsatz(buildUccsd(prob.nSpatial, prob.nElectrons),
+                       prob.hamiltonian, 0.3)
+            .ansatz;
+    std::vector<double> params(ansatz.nParams);
+    for (size_t i = 0; i < params.size(); ++i)
+        params[i] = 0.05 * std::sin(double(i) + 1.0);
+    const Circuit c = cachedChainCircuit(ansatz, params, true);
+    const NoiseModel noise = NoiseModel::paperDefault();
+    const unsigned n = prob.nQubits;
+    DensityMatrix rho(n);
+
+    size_t perGateOps = 0, executorOps = 0;
+    auto run = [&](bool fuse, size_t &ops) {
+        rho.reset();
+        ops = rho.applyGates(c.gates(), noise, fuse);
+    };
+    const double perGateMs = timeMs([&] { run(false, perGateOps); });
+    const double executorMs =
+        timeMs([&] { run(true, executorOps); });
+
+    std::printf("  dm circuit %s n=%-2u (%zu gates; %zu -> %zu "
+                "sweeps): per-gate %.3f  executor %.3f ms  "
+                "[per_gate_vs_executor %.2fx]\n",
+                molecule.c_str(), n, c.size(), perGateOps, executorOps,
+                perGateMs, executorMs, perGateMs / executorMs);
+    rep.row("dm_circuit_n" + std::to_string(n),
+            {{"qubits", double(n)},
+             {"gates", double(c.size())},
+             {"per_gate_ops", double(perGateOps)},
+             {"executor_ops", double(executorOps)},
+             {"per_gate_ms", perGateMs},
+             {"executor_ms", executorMs},
+             {"per_gate_vs_executor", perGateMs / executorMs}});
+}
+
 void
 variantReport()
 {
@@ -392,6 +452,8 @@ variantReport()
     for (unsigned n : sizes)
         variantExpectationRow(rep, n);
     variantGroupRow(rep, sizes.back());
+    for (const char *molecule : {"LiH", "NaH"})
+        variantDensityMatrixRow(rep, molecule);
 
     kern::setSimdEnabled(simdWasActive);
     qccbench::rule();

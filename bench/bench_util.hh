@@ -57,21 +57,16 @@ banner(const std::string &title)
  * Machine-readable result sink. Rows of labeled metric maps are
  * collected during the run and flushed to BENCH_<name>.json on
  * destruction when QCC_JSON is set; otherwise every call is a no-op.
+ * The file is written atomically, so a bench killed mid-write leaves
+ * the previous BENCH_<name>.json whole.
  */
 class JsonReport
 {
   public:
     explicit JsonReport(std::string bench_name)
-        : name(std::move(bench_name))
+        : name(std::move(bench_name)),
+          path(qcc::qccJsonPath("BENCH_" + name + ".json"))
     {
-        const char *env = std::getenv("QCC_JSON");
-        if (!env)
-            return;
-        std::string dir(env);
-        if (dir.empty() || dir == "0")
-            return;
-        path = (dir == "1" ? std::string() : dir + "/") +
-               "BENCH_" + name + ".json";
     }
 
     JsonReport(const JsonReport &) = delete;
@@ -97,25 +92,30 @@ class JsonReport
         if (!enabled() || written)
             return;
         written = true; // one attempt, even if it fails
-        std::FILE *f = std::fopen(path.c_str(), "w");
-        if (!f) {
-            qcc::warn("JsonReport: cannot write " + path);
-            return;
-        }
-        std::fprintf(f, "{\n  \"bench\": \"%s\",\n", name.c_str());
-        std::fprintf(f, "  \"mode\": \"%s\",\n",
-                     fullMode() ? "full" : "quick");
-        std::fprintf(f, "  \"rows\": [");
+        // Appends only: GCC 12's -Wrestrict misfires on
+        // "literal" + std::string.
+        std::string doc = "{\n  \"bench\": \"";
+        doc += name;
+        doc += "\",\n  \"mode\": \"";
+        doc += fullMode() ? "full" : "quick";
+        doc += "\",\n  \"rows\": [";
         for (size_t r = 0; r < rows.size(); ++r) {
-            std::fprintf(f, "%s\n    {\"label\": \"%s\"",
-                         r ? "," : "", rows[r].first.c_str());
-            for (const auto &[k, v] : rows[r].second)
-                std::fprintf(f, ", \"%s\": %.12g", k.c_str(), v);
-            std::fprintf(f, "}");
+            doc += r ? ",\n    {\"label\": \"" : "\n    {\"label\": \"";
+            doc += rows[r].first;
+            doc += '"';
+            for (const auto &[k, v] : rows[r].second) {
+                char num[32];
+                std::snprintf(num, sizeof(num), "%.12g", v);
+                doc += ", \"";
+                doc += k;
+                doc += "\": ";
+                doc += num;
+            }
+            doc += '}';
         }
-        std::fprintf(f, "\n  ]\n}\n");
-        std::fclose(f);
-        std::printf("[json] wrote %s\n", path.c_str());
+        doc += "\n  ]\n}\n";
+        if (!qcc::writeOutputFile(path, doc, "JsonReport").empty())
+            std::printf("[json] wrote %s\n", path.c_str());
     }
 
   private:

@@ -8,6 +8,7 @@
 #include "api/json_fields.hh"
 #include "common/logging.hh"
 #include "obs/trace.hh"
+#include "sim/density_matrix.hh"
 #include "sim/lanczos.hh"
 #include "sim/sampling.hh"
 #include "store/problem_store.hh"
@@ -107,7 +108,7 @@ Experiment::Experiment(ExperimentSpec s) : resolved(std::move(s))
     // Resolve every key now so a bad spec fails at construction with
     // the valid choices, not mid-run.
     experimentKindRegistry().get(resolved.kind);
-    catalogEntry(resolved.molecule);
+    const BenchmarkMolecule &entry = catalogEntry(resolved.molecule);
     estimationRegistry().get(resolved.mode);
     optimizerRegistry().get(resolved.optimizer);
     groupingRegistry().get(resolved.grouping);
@@ -168,6 +169,17 @@ Experiment::Experiment(ExperimentSpec s) : resolved(std::move(s))
             throw SpecError("evolve_steps",
                             "evolve_* fields apply to kinds "
                             "\"evolve\" and \"estimate\" only");
+        // Refuse here, before a job sizes a 4^n vector it cannot
+        // hold (NH3 would zero-fill 4 GiB before the simulator's own
+        // check). The catalog width is the built problem's width.
+        if (densityMatrixMode(resolved.mode) &&
+            entry.expectQubits > DensityMatrix::kMaxQubits)
+            throw SpecError(
+                "mode", "mode \"" + resolved.mode +
+                            "\" simulates a density matrix of at most " +
+                            std::to_string(DensityMatrix::kMaxQubits) +
+                            " qubits; " + resolved.molecule + " needs " +
+                            std::to_string(entry.expectQubits));
     }
 }
 

@@ -1,6 +1,7 @@
 #include "sim/density_matrix.hh"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 
@@ -14,13 +15,13 @@ namespace qcc {
 
 using std::complex;
 
-DensityMatrix::DensityMatrix(unsigned n, uint64_t basis)
-    : nQubits(n), vec(size_t{1} << (2 * n), complex<double>(0, 0))
+DensityMatrix::DensityMatrix(unsigned n, uint64_t basis) : nQubits(n)
 {
-    if (n > 13)
+    if (n > kMaxQubits)
         fatal("DensityMatrix: state too large");
     if (basis >= (uint64_t{1} << n))
         panic("DensityMatrix: basis state out of range");
+    vec.assign(size_t{1} << (2 * n), complex<double>(0, 0));
     vec[basis | (basis << n)] = 1.0;
 }
 
@@ -126,60 +127,104 @@ DensityMatrix::applyCircuit(const Circuit &c, const NoiseModel &noise,
                             bool fuse)
 {
     validateCircuitOrThrow(c, nQubits);
-    // Channels interleave with gates, so only a noiseless replay can
-    // reorder/merge; rho -> U rho U+ doubles every gate onto the bra
-    // bits (conjugated matrices, shifted masks) through one builder.
-    if (!fuse || !noise.isNoiseless() || c.size() < 4) {
-        for (const auto &g : c.gates())
+    applyGates(c.gates(), noise, fuse);
+}
+
+size_t
+DensityMatrix::applyGates(std::span<const Gate> gates,
+                          const NoiseModel &noise, bool fuse)
+{
+    const double p2 = noise.cnotDepolarizing;
+    const double p1 = noise.singleQubitDepolarizing;
+    size_t sweeps = 0;
+    if (!fuse) {
+        for (const Gate &g : gates) {
             applyGateNoisy(g, noise);
-        return;
+            if (g.kind == GateKind::CNOT)
+                sweeps += p2 > 0.0 ? 3 : 2;
+            else if (g.kind == GateKind::SWAP)
+                sweeps += p2 > 0.0 ? 9 : 6;
+            else
+                sweeps += p1 > 0.0 ? 3 : 2;
+        }
+        return sweeps;
     }
-    FusionBuilder fb(2 * nQubits);
-    const complex<double> i(0, 1);
-    for (const Gate &g : c.gates()) {
+
+    const size_t dim = vec.size();
+    complex<double> *rho = vec.data();
+    // pending[q] holds the product of q's 1q gates not yet applied.
+    struct Pending
+    {
+        complex<double> u[4] = {};
+        bool live = false;
+    };
+    std::array<Pending, kMaxQubits> pending;
+    auto flush = [&](unsigned q) {
+        Pending &pq = pending[q];
+        if (!pq.live)
+            return;
+        pq.live = false;
+        sweeps += 2;
+        const complex<double> *u = pq.u;
+        if (u[1] == 0.0 && u[2] == 0.0) {
+            kern::applyDiag1q(rho, dim, q, u[0], u[3]);
+            kern::applyDiag1q(rho, dim, q + nQubits, std::conj(u[0]),
+                              std::conj(u[3]));
+            return;
+        }
+        const complex<double> uc[4] = {std::conj(u[0]),
+                                       std::conj(u[1]),
+                                       std::conj(u[2]),
+                                       std::conj(u[3])};
+        kern::apply1q(rho, dim, q, u);
+        kern::apply1q(rho, dim, q + nQubits, uc);
+    };
+    auto cx = [&](unsigned control, unsigned target) {
+        kern::cxDepolarize2(rho, dim, control, target, nQubits, p2);
+        ++sweeps;
+    };
+
+    for (const Gate &g : gates) {
         switch (g.kind) {
-          case GateKind::Z:
-            fb.addDiag(g.q0, 1.0, -1.0);
-            fb.addDiag(g.q0 + nQubits, 1.0, -1.0);
-            break;
-          case GateKind::S:
-            fb.addDiag(g.q0, 1.0, i);
-            fb.addDiag(g.q0 + nQubits, 1.0, -i);
-            break;
-          case GateKind::Sdg:
-            fb.addDiag(g.q0, 1.0, -i);
-            fb.addDiag(g.q0 + nQubits, 1.0, i);
-            break;
-          case GateKind::RZ: {
-              const complex<double> d0 = std::exp(-i * (g.angle / 2));
-              const complex<double> d1 = std::exp(i * (g.angle / 2));
-              fb.addDiag(g.q0, d0, d1);
-              fb.addDiag(g.q0 + nQubits, std::conj(d0),
-                         std::conj(d1));
-              break;
-          }
           case GateKind::CNOT:
-            fb.addCnot(g.q0, g.q1);
-            fb.addCnot(g.q0 + nQubits, g.q1 + nQubits);
+            flush(g.q0);
+            flush(g.q1);
+            cx(g.q0, g.q1);
             break;
           case GateKind::SWAP:
-            fb.addSwap(g.q0, g.q1);
-            fb.addSwap(g.q0 + nQubits, g.q1 + nQubits);
+            flush(g.q0);
+            flush(g.q1);
+            cx(g.q0, g.q1);
+            cx(g.q1, g.q0);
+            cx(g.q0, g.q1);
             break;
           default: {
-              complex<double> u[4], uc[4];
-              gateMatrix(g.kind, g.angle, u);
-              for (int t = 0; t < 4; ++t)
-                  uc[t] = std::conj(u[t]);
-              fb.add1q(g.q0, u);
-              fb.add1q(g.q0 + nQubits, uc);
+              if (p1 > 0.0) {
+                  applyGateNoisy(g, noise);
+                  sweeps += 3;
+                  break;
+              }
+              complex<double> m[4];
+              gateMatrix(g.kind, g.angle, m);
+              Pending &pq = pending[g.q0];
+              if (!pq.live) {
+                  std::copy(m, m + 4, pq.u);
+                  pq.live = true;
+                  break;
+              }
+              // The new gate acts after the pending product: u = m u.
+              const complex<double> *u = pq.u;
+              const complex<double> r[4] = {
+                  m[0] * u[0] + m[1] * u[2], m[0] * u[1] + m[1] * u[3],
+                  m[2] * u[0] + m[3] * u[2], m[2] * u[1] + m[3] * u[3]};
+              std::copy(r, r + 4, pq.u);
               break;
           }
         }
     }
-    FusedProgram p = fb.build();
-    p.sourceGates = c.size();
-    applyFusedProgram(vec.data(), p);
+    for (unsigned q = 0; q < nQubits; ++q)
+        flush(q);
+    return sweeps;
 }
 
 void

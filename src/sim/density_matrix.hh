@@ -11,6 +11,7 @@
 #define QCC_SIM_DENSITY_MATRIX_HH
 
 #include <complex>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -20,10 +21,16 @@
 
 namespace qcc {
 
-/** Mixed-state simulator for up to ~10 qubits. */
+/** Mixed-state simulator for up to kMaxQubits qubits. */
 class DensityMatrix
 {
   public:
+    /**
+     * Widest register: 4^13 entries take 1 GiB. The constructor
+     * refuses more before it allocates anything.
+     */
+    static constexpr unsigned kMaxQubits = 13;
+
     /** |basis><basis| on n qubits. */
     explicit DensityMatrix(unsigned n, uint64_t basis = 0);
 
@@ -53,11 +60,11 @@ class DensityMatrix
     void applyGate(const Gate &g);
 
     /**
-     * One gate plus its noise channel, exactly as applyCircuit
-     * inserts them: depolarize2 after a CNOT (three times for a
-     * routed SWAP), depolarize1 after 1q gates when configured.
-     * Exposed so batched gradient sweeps can replay circuit
-     * suffixes gate by gate.
+     * One gate plus its noise channel, sweep by sweep: the gate on
+     * the ket bits, then on the bra bits, then depolarize2 after a
+     * CNOT (three times for a routed SWAP) or depolarize1 after a 1q
+     * gate when configured. This is the per-gate reference that
+     * applyGates falls back to when fusion is off.
      */
     void applyGateNoisy(const Gate &g, const NoiseModel &noise);
 
@@ -71,16 +78,36 @@ class DensityMatrix
     /**
      * Apply a circuit, inserting noise channels per the model.
      * Operands are validated once up front (throws SimError with a
-     * gate-level diagnostic); on a noiseless model the ket and bra
-     * sides are gate-fused and executed cache-blocked like the
-     * statevector path (noise channels interleave with gates, so a
-     * noisy replay always runs gate by gate).
+     * gate-level diagnostic), then the gates run through applyGates
+     * with the global fusion toggle (QCC_FUSION, sim/fusion.hh).
      */
     void applyCircuit(const Circuit &c, const NoiseModel &noise = {});
 
     /** Same, with the fusion decision pinned by the caller. */
     void applyCircuit(const Circuit &c, const NoiseModel &noise,
                       bool fuse);
+
+    /**
+     * Run a range of already-validated gates with their noise
+     * channels. With `fuse` off every gate goes through
+     * applyGateNoisy. With it on, the range is walked once:
+     *
+     *  - each qubit's 1q gates multiply into one pending 2x2 matrix,
+     *    applied (U on the ket bit, conj(U) on the bra bit, one
+     *    diagonal multiply each when U is diagonal) when a two-qubit
+     *    gate touches the qubit or the range ends;
+     *  - each CNOT and its depolarize2 are one cxDepolarize2 sweep;
+     *  - a SWAP is three such sweeps, which is exact because the
+     *    uniform two-qubit channel commutes with every unitary on
+     *    its pair;
+     *  - with single-qubit noise on, each 1q gate is applied at once
+     *    and followed by depolarize1, so nothing merges across a
+     *    channel.
+     *
+     * Returns the number of sweeps over the vectorized state.
+     */
+    size_t applyGates(std::span<const Gate> gates,
+                      const NoiseModel &noise, bool fuse);
 
     /** Two-qubit depolarizing channel with probability p on (a, b). */
     void depolarize2(unsigned a, unsigned b, double p);

@@ -1,7 +1,8 @@
 /**
  * @file
- * Gate fusion and cache-blocked execution for circuit replay. The
- * builder rewrites a gate stream into a shorter list of fused ops:
+ * Gate fusion and cache-blocked execution for statevector circuit
+ * replay. The builder rewrites a gate stream into a shorter list of
+ * fused ops:
  *
  *  - runs of diagonal gates (Z, S, Sdg, RZ) coalesce into one Diag op
  *    holding per-qubit diag(d0, d1) factors, applied later as a
@@ -24,8 +25,14 @@
  * and throw SimError with a VerifyIssue-style diagnostic (gate index
  * + message) instead of asserting deep inside a kernel.
  *
- * QCC_FUSION=0 disables fusion globally (per-gate replay, as before);
- * setFusionEnabled() overrides at runtime for tests and benches.
+ * The density matrix does not go through the builder: its own
+ * executor (DensityMatrix::applyGates) merges 1q runs per qubit and
+ * fuses each CNOT with its depolarizing channel into one sweep, so
+ * noisy circuits fuse too.
+ *
+ * QCC_FUSION=0 disables fusion globally (per-gate replay on both
+ * simulators); setFusionEnabled() overrides at runtime for tests and
+ * benches.
  */
 
 #ifndef QCC_SIM_FUSION_HH
@@ -101,9 +108,9 @@ struct FusedProgram {
 
 /**
  * Incremental fusion over index-bit positions. Callers stream gates
- * in program order; build() returns the fused program. The builder
- * works on raw bit positions so the density matrix can feed ket and
- * bra halves through one builder (bra ops on bit + n).
+ * in program order; build() returns the fused program. fuseCircuit
+ * feeds it a statevector circuit; the builder itself only sees raw
+ * bit positions.
  */
 class FusionBuilder {
   public:

@@ -278,6 +278,23 @@ depolarize2(cplx *rho, size_t dim, unsigned a, unsigned b,
 }
 
 void
+cxDepolarize2(cplx *rho, size_t dim, unsigned control, unsigned target,
+              unsigned n_qubits, double p)
+{
+    const double keep = p > 0.0 ? 1.0 - 16.0 * p / 15.0 : 1.0;
+    const double mix = p > 0.0 ? (16.0 * p / 15.0) / 4.0 : 0.0;
+    const uint64_t ka = 1ull << std::min(control, target);
+    const uint64_t kb = 1ull << std::max(control, target);
+    const uint64_t ba = ka << n_qubits;
+    const uint64_t bb = kb << n_qubits;
+    const bool controlLow = control < target;
+    parallelFor(0, dim / 16, [=](size_t lo, size_t hi) {
+        ranges::cxDepolarize2(rho, lo, hi, ka, kb, ba, bb, controlLow,
+                              keep, mix);
+    });
+}
+
+void
 apply1qGeneric(cplx *amp, size_t dim, unsigned q, const cplx u[4])
 {
     const uint64_t bit = 1ull << q;

@@ -114,6 +114,16 @@ void depolarize1(cplx *rho, size_t dim, unsigned q, unsigned n_qubits,
 void depolarize2(cplx *rho, size_t dim, unsigned a, unsigned b,
                  unsigned n_qubits, double p);
 
+/**
+ * A noisy CNOT on a vectorized density matrix in one sweep: the
+ * CNOT on the ket bits (control, target), the same on the bra bits,
+ * then depolarize2 on the pair, rounding as those three sweeps do.
+ * For p <= 0 the channel arithmetic is skipped and the sweep only
+ * moves entries.
+ */
+void cxDepolarize2(cplx *rho, size_t dim, unsigned control,
+                   unsigned target, unsigned n_qubits, double p);
+
 /** @{ Reference full-scan implementations (the seed's algorithms). */
 void apply1qGeneric(cplx *amp, size_t dim, unsigned q, const cplx u[4]);
 void applyPauliRotationGeneric(cplx *amp, size_t dim, uint64_t x,

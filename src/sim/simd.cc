@@ -87,6 +87,19 @@ expectPairOne(const cplx *amp, size_t b, size_t b2, uint64_t z,
                  amp[b].imag() * amp[b2].real());
 }
 
+/**
+ * The CNOT on a two-bit pair state s (bit 0 the lower qubit): it
+ * flips the target bit when the control bit is set. The map is its
+ * own inverse, so the permuted block reads new[s] = old[perm[s]].
+ */
+inline const int *
+cxPerm(bool control_low)
+{
+    static const int lowControl[4] = {0, 3, 2, 1};
+    static const int highControl[4] = {0, 1, 3, 2};
+    return control_low ? lowControl : highControl;
+}
+
 inline double
 groupExpectOne(const cplx *amp, size_t b, uint64_t g, const double *w,
                const uint64_t *zmask, size_t n_terms)
@@ -265,6 +278,43 @@ depolarize2Scalar(cplx *amp, size_t k_lo, size_t k_hi, uint64_t ka,
                     amp[idx] += mix * tr;
             }
         }
+    }
+}
+
+void
+cxDepolarize2Scalar(cplx *amp, size_t k_lo, size_t k_hi, uint64_t ka,
+                    uint64_t kb, uint64_t ba, uint64_t bb,
+                    bool control_low, double keep, double mix)
+{
+    const int *perm = cxPerm(control_low);
+    const uint64_t sub[4] = {0, ka, kb, ka | kb};
+    const uint64_t bsub[4] = {0, ba, bb, ba | bb};
+    const bool noisy = keep != 1.0 || mix != 0.0;
+    for (size_t k = k_lo; k < k_hi; ++k) {
+        const size_t base = expandBit(
+            expandBit(expandBit(expandBit(k, ka), kb), ba), bb);
+        cplx v[4][4];
+        for (int s1 = 0; s1 < 4; ++s1)
+            for (int s2 = 0; s2 < 4; ++s2)
+                v[s1][s2] = amp[base | sub[perm[s1]] | bsub[perm[s2]]];
+        if (noisy) {
+            // The same operations in the same order as
+            // depolarize2Scalar on the permuted block, so the fused
+            // sweep rounds exactly like the three-sweep sequence.
+            cplx tr = 0.0;
+            for (int s = 0; s < 4; ++s)
+                tr += v[s][s];
+            for (int s1 = 0; s1 < 4; ++s1) {
+                for (int s2 = 0; s2 < 4; ++s2) {
+                    v[s1][s2] *= keep;
+                    if (s1 == s2)
+                        v[s1][s2] += mix * tr;
+                }
+            }
+        }
+        for (int s1 = 0; s1 < 4; ++s1)
+            for (int s2 = 0; s2 < 4; ++s2)
+                amp[base | sub[s1] | bsub[s2]] = v[s1][s2];
     }
 }
 
@@ -813,6 +863,132 @@ depolarize2Avx2(cplx *ampc, size_t k_lo, size_t k_hi, uint64_t ka,
     }
 }
 
+/**
+ * cxDepolarize2Avx2 for a pair on qubit 0 (ka == 1). The two ket
+ * states that differ in bit 0 are adjacent, so one register holds a
+ * (bit 0 clear, bit 0 set) lane pair: eight registers per block, and
+ * the CNOT is a lane blend across the two ket rows (control on qubit
+ * 0) or a lane swap within the upper row (target on qubit 0).
+ */
+QCC_AVX2 void
+cxDepolarize2Qubit0Avx2(cplx *ampc, size_t k_lo, size_t k_hi,
+                        uint64_t kb, uint64_t ba, uint64_t bb,
+                        bool control_low, double keep, double mix)
+{
+    double *amp = reinterpret_cast<double *>(ampc);
+    const int *perm = cxPerm(control_low);
+    const bool noisy = keep != 1.0 || mix != 0.0;
+    const __m256d keepv = _mm256_set1_pd(keep);
+    const __m128d mixv = _mm_set1_pd(mix);
+    const __m128d zero = _mm_setzero_pd();
+    const uint64_t bsub[4] = {0, ba, bb, ba | bb};
+    for (size_t k = k_lo; k < k_hi; ++k) {
+        const size_t base = expandBit(
+            expandBit(expandBit(expandBit(k, 1), kb), ba), bb);
+        // r[h][s2]: ket states (2h, 2h + 1) against bra state s2.
+        double *row[2] = {amp + 2 * base, amp + 2 * (base | kb)};
+        __m256d r[2][4], v[2][4];
+        for (int h = 0; h < 2; ++h)
+            for (int s2 = 0; s2 < 4; ++s2)
+                r[h][s2] = _mm256_loadu_pd(row[h] + 2 * bsub[s2]);
+        for (int s2 = 0; s2 < 4; ++s2) {
+            const int ps = perm[s2];
+            if (control_low) {
+                v[0][s2] = _mm256_blend_pd(r[0][ps], r[1][ps], 0xC);
+                v[1][s2] = _mm256_blend_pd(r[1][ps], r[0][ps], 0xC);
+            } else {
+                v[0][s2] = r[0][ps];
+                v[1][s2] =
+                    _mm256_permute2f128_pd(r[1][ps], r[1][ps], 0x01);
+            }
+        }
+        if (noisy) {
+            // Diagonal entry s is lane s & 1 of v[s >> 1][s]; sum
+            // them in depolarize2Scalar's order.
+            __m128d tr = _mm_setzero_pd();
+            for (int s = 0; s < 4; ++s)
+                tr = _mm_add_pd(
+                    tr, (s & 1) ? _mm256_extractf128_pd(v[s >> 1][s], 1)
+                                : _mm256_castpd256_pd128(v[s >> 1][s]));
+            const __m128d mtr = _mm_mul_pd(mixv, tr);
+            const __m256d addLow = _mm256_set_m128d(zero, mtr);
+            const __m256d addHigh = _mm256_set_m128d(mtr, zero);
+            for (int h = 0; h < 2; ++h) {
+                for (int s2 = 0; s2 < 4; ++s2) {
+                    v[h][s2] = _mm256_mul_pd(keepv, v[h][s2]);
+                    if (s2 >> 1 == h)
+                        v[h][s2] = _mm256_add_pd(
+                            v[h][s2], (s2 & 1) ? addHigh : addLow);
+                }
+            }
+        }
+        for (int h = 0; h < 2; ++h)
+            for (int s2 = 0; s2 < 4; ++s2)
+                _mm256_storeu_pd(row[h] + 2 * bsub[s2], v[h][s2]);
+    }
+}
+
+QCC_AVX2 void
+cxDepolarize2Avx2(cplx *ampc, size_t k_lo, size_t k_hi, uint64_t ka,
+                  uint64_t kb, uint64_t ba, uint64_t bb,
+                  bool control_low, double keep, double mix)
+{
+    if (ka == 1) {
+        cxDepolarize2Qubit0Avx2(ampc, k_lo, k_hi, kb, ba, bb,
+                                control_low, keep, mix);
+        return;
+    }
+    double *amp = reinterpret_cast<double *>(ampc);
+    const int *perm = cxPerm(control_low);
+    const bool noisy = keep != 1.0 || mix != 0.0;
+    const __m256d keepv = _mm256_set1_pd(keep);
+    const __m256d mixv = _mm256_set1_pd(mix);
+    const uint64_t sub[4] = {0, ka, kb, ka | kb};
+    const uint64_t bsub[4] = {0, ba, bb, ba | bb};
+    size_t k = k_lo;
+    while (k < k_hi) {
+        const size_t runEnd =
+            std::min<size_t>(k_hi, (k | (ka - 1)) + 1);
+        const size_t base = expandBit(
+            expandBit(expandBit(expandBit(k, ka), kb), ba), bb);
+        // 16 contiguous streams, read through the permutation.
+        double *p[4][4];
+        for (int s1 = 0; s1 < 4; ++s1)
+            for (int s2 = 0; s2 < 4; ++s2)
+                p[s1][s2] = amp + 2 * (base | sub[s1] | bsub[s2]);
+        const size_t len = runEnd - k;
+        size_t i = 0;
+        for (; i + 2 <= len; i += 2) {
+            __m256d v[4][4];
+            for (int s1 = 0; s1 < 4; ++s1)
+                for (int s2 = 0; s2 < 4; ++s2)
+                    v[s1][s2] = _mm256_loadu_pd(
+                        p[perm[s1]][perm[s2]] + 2 * i);
+            if (noisy) {
+                // depolarize2Avx2's operations on the permuted block.
+                __m256d tr = v[0][0];
+                for (int s = 1; s < 4; ++s)
+                    tr = _mm256_add_pd(tr, v[s][s]);
+                for (int s1 = 0; s1 < 4; ++s1) {
+                    for (int s2 = 0; s2 < 4; ++s2) {
+                        v[s1][s2] = _mm256_mul_pd(keepv, v[s1][s2]);
+                        if (s1 == s2)
+                            v[s1][s2] =
+                                _mm256_fmadd_pd(mixv, tr, v[s1][s2]);
+                    }
+                }
+            }
+            for (int s1 = 0; s1 < 4; ++s1)
+                for (int s2 = 0; s2 < 4; ++s2)
+                    _mm256_storeu_pd(p[s1][s2] + 2 * i, v[s1][s2]);
+        }
+        if (i < len)
+            cxDepolarize2Scalar(ampc, k + i, runEnd, ka, kb, ba, bb,
+                                control_low, keep, mix);
+        k = runEnd;
+    }
+}
+
 } // namespace
 
 #endif // QCC_SIMD_X86
@@ -950,6 +1126,22 @@ depolarize2(cplx *amp, size_t k_lo, size_t k_hi, uint64_t ka,
     }
 #endif
     depolarize2Scalar(amp, k_lo, k_hi, ka, kb, ba, bb, keep, mix);
+}
+
+void
+cxDepolarize2(cplx *amp, size_t k_lo, size_t k_hi, uint64_t ka,
+              uint64_t kb, uint64_t ba, uint64_t bb, bool control_low,
+              double keep, double mix)
+{
+#ifdef QCC_SIMD_X86
+    if (simdActive()) {
+        cxDepolarize2Avx2(amp, k_lo, k_hi, ka, kb, ba, bb,
+                          control_low, keep, mix);
+        return;
+    }
+#endif
+    cxDepolarize2Scalar(amp, k_lo, k_hi, ka, kb, ba, bb, control_low,
+                        keep, mix);
 }
 
 } // namespace ranges

@@ -165,6 +165,24 @@ void depolarize2Scalar(cplx *amp, size_t k_lo, size_t k_hi,
                        uint64_t ka, uint64_t kb, uint64_t ba,
                        uint64_t bb, double keep, double mix);
 
+/**
+ * A CNOT conjugated onto a vectorized density matrix, fused with
+ * the two-qubit depolarizing channel on its pair: one sweep for what
+ * applyCx on the ket bits, applyCx on the bra bits and depolarize2
+ * do in three. k compacts away the same four bits as depolarize2;
+ * `control_low` puts the control on the lower qubit (ka/ba), else on
+ * the higher (kb/bb). Each 4x4 sub-block is read through the CNOT's
+ * permutation and written back scaled by `keep`, with `mix * trace`
+ * added on the diagonal; keep == 1 with mix == 0 only permutes.
+ */
+void cxDepolarize2(cplx *amp, size_t k_lo, size_t k_hi, uint64_t ka,
+                   uint64_t kb, uint64_t ba, uint64_t bb,
+                   bool control_low, double keep, double mix);
+void cxDepolarize2Scalar(cplx *amp, size_t k_lo, size_t k_hi,
+                         uint64_t ka, uint64_t kb, uint64_t ba,
+                         uint64_t bb, bool control_low, double keep,
+                         double mix);
+
 /** @{ Permutation range kernels (scalar; these are pure moves). */
 void applyX(cplx *amp, size_t k_lo, size_t k_hi, uint64_t bit);
 void applyCx(cplx *amp, size_t k_lo, size_t k_hi, uint64_t cbit,

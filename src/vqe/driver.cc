@@ -1,15 +1,27 @@
 #include "vqe/driver.hh"
 
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <utility>
 
 #include "common/logging.hh"
+#include "obs/trace.hh"
 #include "vqe/optimizers.hh"
 
 namespace qcc {
 
 namespace {
+
+using clock_type = std::chrono::steady_clock;
+
+double
+millisSince(clock_type::time_point t0)
+{
+    return std::chrono::duration<double, std::milli>(clock_type::now() -
+                                                     t0)
+        .count();
+}
 
 double
 infNorm(const std::vector<double> &v)
@@ -73,11 +85,21 @@ VqeDriver::makeBackend() const
     return strategy->makeBackend();
 }
 
+void
+VqeDriver::prepareState(const std::vector<double> &params)
+{
+    const auto t0 = clock_type::now();
+    evalBackend->applyAnsatz(ansatz, params);
+    applyMs += millisSince(t0);
+}
+
 double
 VqeDriver::measureCurrent(SimBackend &backend, uint64_t stream,
                           double *variance_out)
 {
+    const auto t0 = clock_type::now();
     EnergyEstimate est = strategy->measure(backend, stream);
+    measureMs += millisSince(t0);
     shotsTotal += est.shots;
     if (variance_out)
         *variance_out = est.variance;
@@ -93,7 +115,7 @@ VqeDriver::recordPoint(int iter, double e, double var, double gnorm)
 double
 VqeDriver::energy(const std::vector<double> &params)
 {
-    evalBackend->applyAnsatz(ansatz, params);
+    prepareState(params);
     const uint64_t stream = deriveStream(
         deriveStream(opts.seed, kVqeStreamEnergy), evalCount);
     ++evalCount;
@@ -126,7 +148,7 @@ VqeDriver::runGradientDescent()
     const bool stochastic = strategy->stochastic();
 
     VqeResult res;
-    evalBackend->applyAnsatz(ansatz, x);
+    prepareState(x);
     double var = 0.0;
     double e = measureCurrent(
         *evalBackend,
@@ -160,7 +182,7 @@ VqeDriver::runGradientDescent()
             for (int ls = 0; ls < 30; ++ls) {
                 for (size_t j = 0; j < x.size(); ++j)
                     xNew[j] = x[j] - step * g[j];
-                evalBackend->applyAnsatz(ansatz, xNew);
+                prepareState(xNew);
                 eNew = measureCurrent(*evalBackend, 0, &var);
                 ++evals;
                 if (eNew <= e - 1e-4 * step * gg) {
@@ -180,7 +202,7 @@ VqeDriver::runGradientDescent()
                 opts.learningRate / std::pow(iter + 1.0, 0.602);
             for (size_t j = 0; j < x.size(); ++j)
                 xNew[j] = x[j] - step * g[j];
-            evalBackend->applyAnsatz(ansatz, xNew);
+            prepareState(xNew);
             eNew = measureCurrent(
                 *evalBackend,
                 deriveStream(deriveStream(opts.seed,
@@ -217,14 +239,22 @@ VqeDriver::runGradientDescent()
 VqeResult
 VqeDriver::run()
 {
-    VqeResult res = optimizer->minimize(*this);
+    VqeResult res;
+    {
+        TraceSpan span("vqe.optimize");
+        const double apply0 = applyMs, measure0 = measureMs;
+        res = optimizer->minimize(*this);
+        span.arg("evals", res.evals);
+        span.arg("apply_ms", applyMs - apply0);
+        span.arg("measure_ms", measureMs - measure0);
+    }
 
     if (strategy->stochastic() && opts.finalReadoutFactor > 1) {
         // Shot-frugal reporting: one generous readout at the best
         // parameters instead of tightening every iteration. The
         // strategy scales its own sampling policy, so injected
         // strategies and driver options cannot diverge here.
-        evalBackend->applyAnsatz(ansatz, res.params);
+        prepareState(res.params);
         EnergyEstimate fin = strategy->finalReadout(
             *evalBackend, deriveStream(opts.seed, kVqeStreamReadout),
             opts.finalReadoutFactor);

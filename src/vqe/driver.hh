@@ -170,7 +170,14 @@ class VqeDriver
      */
     std::vector<double> gradient(const std::vector<double> &params);
 
-    /** Minimize from a zero start with the configured optimizer. */
+    /**
+     * Minimize from a zero start with the configured optimizer. The
+     * optimization runs under one "vqe.optimize" trace span whose
+     * args split it: evals, apply_ms (state preparation, compile
+     * cache rebind included) and measure_ms (readout). There is no
+     * span per evaluation, so a traced sweep stays far below the
+     * per-thread event cap.
+     */
     VqeResult run();
 
     const VqeTrace &trace() const { return traceData; }
@@ -203,6 +210,8 @@ class VqeDriver
   private:
     friend class GradientDescentVqeOptimizer;
 
+    /** applyAnsatz on the evaluation backend, timed into applyMs. */
+    void prepareState(const std::vector<double> &params);
     double measureCurrent(SimBackend &backend, uint64_t stream,
                           double *variance_out);
     VqeResult runGradientDescent();
@@ -219,6 +228,9 @@ class VqeDriver
     uint64_t shotsTotal = 0;
     uint64_t evalCount = 0;
     uint64_t gradCount = 0;
+    /** Wall time in prepareState / measureCurrent (vqe.optimize). */
+    double applyMs = 0.0;
+    double measureMs = 0.0;
 };
 
 } // namespace qcc

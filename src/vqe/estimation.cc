@@ -200,4 +200,10 @@ makeEstimationStrategy(const std::string &mode,
     return estimationRegistry().get(mode)(config);
 }
 
+bool
+densityMatrixMode(const std::string &mode)
+{
+    return mode == "noisy" || mode == "noisy_sampled";
+}
+
 } // namespace qcc

@@ -222,6 +222,13 @@ std::unique_ptr<EstimationStrategy>
 makeEstimationStrategy(const std::string &mode,
                        const EstimationConfig &config);
 
+/**
+ * True for the built-in modes whose state is a density matrix
+ * ("noisy", "noisy_sampled"): they hold 4^n entries, so callers
+ * check the register width before building one.
+ */
+bool densityMatrixMode(const std::string &mode);
+
 } // namespace qcc
 
 #endif // QCC_VQE_ESTIMATION_HH

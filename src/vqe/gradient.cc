@@ -8,6 +8,7 @@
 #include "obs/trace.hh"
 #include "compiler/pipeline.hh"
 #include "sim/density_matrix.hh"
+#include "sim/fusion.hh"
 #include "sim/kernels.hh"
 
 namespace qcc {
@@ -241,7 +242,10 @@ ParameterShiftEngine::gradientNoisy(
                 return b.expectation(ham);
             });
 
-    const auto &gates = c.gates();
+    const std::span<const Gate> gates = c.gates();
+    // Every gate range below runs through the density matrix's one
+    // gate-range entry point, fused unless QCC_FUSION=0.
+    const bool fuse = fusionEnabled();
     // E+ - E- for rotation j in one sweep: gates and depolarizing
     // channels are linear superoperators L, so
     //   E+ - E- = Tr(H L(RZ(a-2s) rho_j - RZ(a+2s) rho_j))
@@ -267,8 +271,7 @@ ParameterShiftEngine::gradientNoisy(
         // (linearity), then the rest of the circuit runs noisy.
         if (noise.singleQubitDepolarizing > 0.0)
             delta.depolarize1(rz.q0, noise.singleQubitDepolarizing);
-        for (size_t g = gi + 1; g < gates.size(); ++g)
-            delta.applyGateNoisy(gates[g], noise);
+        delta.applyGates(gates.subspan(gi + 1), noise, fuse);
         return delta.expectation(ham);
     };
 
@@ -281,13 +284,11 @@ ParameterShiftEngine::gradientNoisy(
         std::vector<DensityMatrix> prefixes;
         prefixes.reserve(shiftable.size());
         DensityMatrix rho(n);
-        size_t si = 0;
-        for (size_t g = 0; g < gates.size(); ++g) {
-            if (si < rzIndex.size() && g == rzIndex[si]) {
-                prefixes.push_back(rho);
-                ++si;
-            }
-            rho.applyGateNoisy(gates[g], noise);
+        size_t from = 0;
+        for (size_t gi : rzIndex) {
+            rho.applyGates(gates.subspan(from, gi - from), noise, fuse);
+            prefixes.push_back(rho);
+            from = gi;
         }
         auto evalRange = [&](size_t lo, size_t hi) {
             for (size_t i = lo; i < hi; ++i)
@@ -300,14 +301,15 @@ ParameterShiftEngine::gradientNoisy(
     } else {
         // Streaming fallback: one forward state, each pair handled
         // as it is reached. O(1) extra memory, inherently serial.
+        // The forward ranges match the snapshot path's, so both give
+        // the same bits.
         DensityMatrix rho(n);
-        size_t si = 0;
-        for (size_t g = 0; g < gates.size(); ++g) {
-            if (si < rzIndex.size() && g == rzIndex[si]) {
-                diffs[si] = pairDiff(rho, si);
-                ++si;
-            }
-            rho.applyGateNoisy(gates[g], noise);
+        size_t from = 0;
+        for (size_t i = 0; i < rzIndex.size(); ++i) {
+            rho.applyGates(gates.subspan(from, rzIndex[i] - from),
+                           noise, fuse);
+            diffs[i] = pairDiff(rho, i);
+            from = rzIndex[i];
         }
     }
     return assemble(diffs, shiftScale());

@@ -2,14 +2,16 @@
  * @file
  * Unit tests for the density-matrix simulator and depolarizing noise
  * channels: agreement with the statevector simulator in the
- * noiseless limit, trace preservation, purity decay, and channel
- * fixed points.
+ * noiseless limit, trace preservation, purity decay, channel
+ * fixed points, and the SIMD and fused channel sweeps against their
+ * references.
  */
 
 #include <cmath>
 #include <gtest/gtest.h>
 
 #include "sim/density_matrix.hh"
+#include "sim/kernels.hh"
 #include "sim/simd.hh"
 #include "sim/statevector.hh"
 
@@ -215,6 +217,46 @@ TEST(DensityMatrix, DepolarizeSimdMatchesScalar)
                 ASSERT_NEAR(std::abs(va[i] - vb[i]), 0.0, 1e-12)
                     << "qa=" << qa << " qb=" << qb << " i=" << i;
             EXPECT_NEAR(b.trace(), 1.0, 1e-12);
+        }
+    }
+    kern::setSimdEnabled(simdWas);
+}
+
+TEST(DensityMatrix, FusedCnotChannelMatchesThreeSweeps)
+{
+    // The one-sweep noisy CNOT against the three sweeps it replaces:
+    // CX on the ket bits, CX on the bra bits, then depolarize2. Every
+    // ordered pair, so the control sits on either side of the target
+    // and qubit 0 (the AVX2 body's scalar fallback) is covered; p = 0
+    // checks the move-only path.
+    const bool simdWas = kern::simdActive();
+    for (bool simd : {false, true}) {
+        kern::setSimdEnabled(simd);
+        for (unsigned n = 2; n <= 5; ++n) {
+            const DensityMatrix seed = mixedState(n);
+            for (unsigned c = 0; c < n; ++c) {
+                for (unsigned t = 0; t < n; ++t) {
+                    if (c == t)
+                        continue;
+                    for (double p : {0.0, 0.05}) {
+                        auto ref = seed.vectorized();
+                        auto got = ref;
+                        kern::applyCx(ref.data(), ref.size(), c, t);
+                        kern::applyCx(ref.data(), ref.size(), c + n,
+                                      t + n);
+                        kern::depolarize2(ref.data(), ref.size(), c, t,
+                                          n, p);
+                        kern::cxDepolarize2(got.data(), got.size(), c,
+                                            t, n, p);
+                        for (size_t i = 0; i < ref.size(); ++i)
+                            ASSERT_NEAR(std::abs(got[i] - ref[i]), 0.0,
+                                        1e-15)
+                                << "simd=" << simd << " n=" << n
+                                << " c=" << c << " t=" << t
+                                << " p=" << p << " i=" << i;
+                    }
+                }
+            }
         }
     }
     kern::setSimdEnabled(simdWas);

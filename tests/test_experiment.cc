@@ -469,6 +469,38 @@ TEST(Experiment, UnknownMoleculeListsCatalog)
     }
 }
 
+TEST(Experiment, DensityMatrixModesRejectWideMolecules)
+{
+    // NH3 and BH3 take 14 qubits and CH4 16: a density matrix of
+    // 4^14 entries is 4 GiB. The spec must fail at construction with
+    // a field-level error (a sweep files it as bad input, no retry)
+    // before anything sizes the state.
+    for (const char *molecule : {"BH3", "NH3", "CH4"}) {
+        for (const char *mode : {"noisy", "noisy_sampled"}) {
+            ExperimentSpec s{.molecule = molecule, .mode = mode};
+            try {
+                Experiment bad(s);
+                FAIL() << mode << " accepted on " << molecule;
+            } catch (const SpecError &e) {
+                EXPECT_EQ(e.field(), "mode");
+                EXPECT_NE(std::string(e.what()).find(molecule),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+        // The statevector modes and the simulation-free kind keep
+        // these molecules.
+        EXPECT_NO_THROW(
+            Experiment(ExperimentSpec{.molecule = molecule,
+                                      .mode = "sampled"}));
+        EXPECT_NO_THROW(Experiment(ExperimentSpec{
+            .kind = "estimate", .molecule = molecule, .mode = "noisy"}));
+    }
+    // The widest catalog molecules a density matrix holds still pass.
+    EXPECT_NO_THROW(Experiment(
+        ExperimentSpec{.molecule = "BeH2", .mode = "noisy"}));
+}
+
 TEST(Experiment, RoutedPresetRequiresDevice)
 {
     ExperimentSpec s;

@@ -609,20 +609,40 @@ TEST(Fusion, OneQubitRunsMerge)
 
 TEST(Fusion, DensityMatrixFusedMatchesPerGate)
 {
+    // The fused executor against the per-gate reference under the
+    // three noise models the simulator runs: noiseless, CNOT noise
+    // only (1q runs merge), and CNOT plus 1q noise (nothing merges
+    // across a channel). n = 7 puts qubit-0 pairs on the scalar
+    // fallback and the bra bits high.
+    NoiseModel cnotOnly;
+    cnotOnly.cnotDepolarizing = 1e-3;
+    NoiseModel both = cnotOnly;
+    both.singleQubitDepolarizing = 1e-3;
+    const std::pair<const char *, NoiseModel> models[] = {
+        {"noiseless", NoiseModel{}}, {"cnot", cnotOnly},
+        {"cnot+1q", both}};
     Rng rng(53);
-    const NoiseModel noiseless;
-    for (int rep = 0; rep < 3; ++rep) {
-        Circuit c = randomCircuit(4, 40, rng);
-        DensityMatrix a(4), b(4);
-        // Evolve both away from the basis state first so the check
-        // sees a dense matrix.
-        Circuit warm = randomCircuit(4, 10, rng);
-        a.applyCircuit(warm, noiseless, false);
-        b.vectorized() = a.vectorized();
-        a.applyCircuit(c, noiseless, false);
-        b.applyCircuit(c, noiseless, true);
-        expectClose(b.vectorized(), a.vectorized(), "dm fused");
-        EXPECT_NEAR(b.trace(), 1.0, 1e-10);
+    for (const auto &[label, noise] : models) {
+        for (unsigned n : {1u, 2u, 4u, 7u}) {
+            for (bool simd : {false, true}) {
+                SimdGuard guard(simd);
+                const std::string what =
+                    std::string("dm fused ") + label +
+                    " n=" + std::to_string(n) +
+                    (simd ? " simd" : " scalar");
+                Circuit c = randomCircuit(n, 40, rng);
+                DensityMatrix a(n), b(n);
+                // Evolve both away from the basis state first so the
+                // check sees a dense matrix.
+                Circuit warm = randomCircuit(n, 10, rng);
+                a.applyCircuit(warm, noise, false);
+                b.vectorized() = a.vectorized();
+                a.applyCircuit(c, noise, false);
+                b.applyCircuit(c, noise, true);
+                expectClose(b.vectorized(), a.vectorized(), what);
+                EXPECT_NEAR(b.trace(), 1.0, 1e-10) << what;
+            }
+        }
     }
 }
 

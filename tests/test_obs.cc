@@ -6,7 +6,8 @@
  * Chrome trace); the disabled-mode cost contract (zero events, zero
  * heap allocations); byte-identical adoption round trips (the sweepd
  * worker-reply path); torn-snapshot freedom for the StoreStats
- * cross-counter invariants under concurrent writers; and sweep
+ * cross-counter invariants under concurrent writers; the VQE loop's
+ * one vqe.optimize span and its attribution args; and sweep
  * byte-identity with tracing on vs off.
  */
 
@@ -19,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "api/experiment.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/parallel.hh"
@@ -387,6 +389,64 @@ TEST(StoreStatsConsistency, SnapshotsNeverTearCrossCounterInvariants)
     for (std::thread &w : writers)
         w.join();
     resetStoreStats();
+}
+
+// ---- the VQE loop's one span --------------------------------------
+
+TEST(Trace, OptimizeSpanAttributesTheVqeLoop)
+{
+    // A noisy run: the apply side includes the compile-cache rebind
+    // and the density-matrix executor.
+    setTraceEnabled(true);
+    clearTrace();
+    const ExperimentResult res =
+        Experiment(ExperimentSpec{.molecule = "H2",
+                                  .mode = "noisy",
+                                  .optimizer = "spsa",
+                                  .spsaIter = 6,
+                                  .reference = false})
+            .run();
+    const std::string json = traceEventsArrayJson();
+    setTraceEnabled(false);
+    clearTrace();
+
+    // Walk the per-thread B/E stacks: one vqe.optimize, directly
+    // inside experiment.run, and no other vqe.* span (the loop is
+    // attributed by args, not by a span per evaluation).
+    std::map<double, std::vector<std::pair<std::string, double>>>
+        stacks;
+    int optimizeSpans = 0;
+    for (const JsonValue &e : JsonValue::parse(json).items) {
+        const std::string name = e.find("name")->text;
+        const double ts = e.find("ts")->number;
+        auto &stack = stacks[e.find("tid")->number];
+        if (e.find("ph")->text == "B") {
+            if (name == "vqe.optimize") {
+                ASSERT_FALSE(stack.empty());
+                EXPECT_EQ(stack.back().first, "experiment.run");
+            } else {
+                EXPECT_NE(name.rfind("vqe.", 0), 0u) << name;
+            }
+            stack.emplace_back(name, ts);
+            continue;
+        }
+        ASSERT_FALSE(stack.empty());
+        const double spanMs = (ts - stack.back().second) / 1000.0;
+        stack.pop_back();
+        if (name != "vqe.optimize")
+            continue;
+        ++optimizeSpans;
+        const JsonValue *args = e.find("args");
+        ASSERT_NE(args, nullptr);
+        EXPECT_EQ(args->find("evals")->number, double(res.vqe.evals));
+        const double applyMs = args->find("apply_ms")->number;
+        const double measureMs = args->find("measure_ms")->number;
+        EXPECT_GT(applyMs, 0.0);
+        EXPECT_GT(measureMs, 0.0);
+        EXPECT_LE(applyMs + measureMs, spanMs + 1e-3);
+    }
+    EXPECT_EQ(optimizeSpans, 1);
+    EXPECT_GT(res.vqe.evals, 6);
 }
 
 // ---- tracing does not perturb results -----------------------------
