@@ -257,15 +257,6 @@ main(int argc, char **argv)
                     ss.circuitDiskWrites, ss.circuitBadEntries,
                     ss.problemMemHits, ss.problemDiskHits,
                     ss.problemBuilds, ss.problemDiskWrites);
-        std::string statsPath =
-            qccJsonPath("STORE_" + store.name() + ".json");
-        if (statsPath.empty())
-            statsPath = "STORE_" + store.name() + ".json";
-        if (FILE *f = std::fopen(statsPath.c_str(), "w")) {
-            std::fputs(storeStatsJson().c_str(), f);
-            std::fclose(f);
-            std::printf("wrote %s\n", statsPath.c_str());
-        }
     }
 
     // Telemetry documents under the same QCC_JSON convention as the

@@ -107,10 +107,9 @@ runSpec(sweepd::SweepdService &service, const std::string &path)
         if (!written.empty())
             std::printf("wrote %s\n", written.c_str());
 
-        // Ground truth for the merged telemetry: the sum of what
-        // every done worker reported in its reply. The trace-smoke
-        // CI job parses this line and asserts the METRICS document
-        // agrees with it.
+        // The cache and store counters of every done worker's
+        // metrics rider, summed; METRICS_<name>.json carries the
+        // same counts under their metric names.
         const sweepd::WorkerStoreStats &w = stats.workers;
         std::printf("workers: compile_hits=%llu "
                     "compile_misses=%llu circuit_disk_hits=%llu "

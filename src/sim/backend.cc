@@ -2,13 +2,8 @@
 
 #include "common/logging.hh"
 #include "compiler/pipeline.hh"
-#include "sim/fusion.hh"
 
 namespace qcc {
-
-SimOptions::SimOptions() : gateFusion(fusionEnabled())
-{
-}
 
 void
 SimBackend::applyAnsatz(const Ansatz &ansatz,

@@ -83,24 +83,11 @@ class SimBackend
     virtual const Statevector *statevector() const { return nullptr; }
 };
 
-/**
- * Per-backend simulation options. gateFusion defaults to the global
- * QCC_FUSION toggle (sim/fusion.hh) at construction time; pin it per
- * backend for A/B comparisons.
- */
-struct SimOptions {
-    bool gateFusion;
-    SimOptions();
-};
-
 /** Ideal backend over the dense statevector simulator. */
 class StatevectorBackend : public SimBackend
 {
   public:
-    explicit StatevectorBackend(unsigned n, SimOptions o = {})
-        : sv(n), opts(o)
-    {
-    }
+    explicit StatevectorBackend(unsigned n) : sv(n) {}
 
     const char *name() const override { return "statevector"; }
     unsigned numQubits() const override { return sv.numQubits(); }
@@ -109,7 +96,7 @@ class StatevectorBackend : public SimBackend
     void
     applyCircuit(const Circuit &c) override
     {
-        sv.applyCircuit(c, opts.gateFusion);
+        sv.applyCircuit(c);
     }
 
     void
@@ -143,12 +130,8 @@ class StatevectorBackend : public SimBackend
     Statevector &state() { return sv; }
     const Statevector &state() const { return sv; }
 
-    void setGateFusion(bool on) { opts.gateFusion = on; }
-    const SimOptions &options() const { return opts; }
-
   private:
     Statevector sv;
-    SimOptions opts;
 };
 
 /**
@@ -160,9 +143,8 @@ class StatevectorBackend : public SimBackend
 class DensityMatrixBackend : public SimBackend
 {
   public:
-    explicit DensityMatrixBackend(unsigned n, NoiseModel noise = {},
-                                  SimOptions o = {})
-        : rho(n), noiseModel(noise), opts(o)
+    explicit DensityMatrixBackend(unsigned n, NoiseModel noise = {})
+        : rho(n), noiseModel(noise)
     {
     }
 
@@ -173,7 +155,7 @@ class DensityMatrixBackend : public SimBackend
     void
     applyCircuit(const Circuit &c) override
     {
-        rho.applyCircuit(c, noiseModel, opts.gateFusion);
+        rho.applyCircuit(c, noiseModel);
     }
 
     void
@@ -209,13 +191,9 @@ class DensityMatrixBackend : public SimBackend
     DensityMatrix &state() { return rho; }
     const DensityMatrix &state() const { return rho; }
 
-    void setGateFusion(bool on) { opts.gateFusion = on; }
-    const SimOptions &options() const { return opts; }
-
   private:
     DensityMatrix rho;
     NoiseModel noiseModel;
-    SimOptions opts;
 };
 
 } // namespace qcc

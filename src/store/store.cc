@@ -1,6 +1,5 @@
 #include "store/store.hh"
 
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <mutex>
@@ -109,29 +108,6 @@ resetStoreStats()
     c.problemBuilds.reset();
     c.problemDiskWrites.reset();
     c.problemBadEntries.reset();
-}
-
-std::string
-storeStatsJson()
-{
-    const StoreStats s = storeStats();
-    char buf[640];
-    std::snprintf(
-        buf, sizeof(buf),
-        "{\n"
-        "\"enabled\": %s,\n"
-        "\"dir\": \"%s\",\n"
-        "\"circuit\": {\"disk_hits\": %zu, \"disk_misses\": %zu, "
-        "\"disk_writes\": %zu, \"bad_entries\": %zu},\n"
-        "\"problem\": {\"mem_hits\": %zu, \"disk_hits\": %zu, "
-        "\"builds\": %zu, \"disk_writes\": %zu, "
-        "\"bad_entries\": %zu}\n"
-        "}\n",
-        storeEnabled() ? "true" : "false", storeDir().c_str(),
-        s.circuitDiskHits, s.circuitDiskMisses, s.circuitDiskWrites,
-        s.circuitBadEntries, s.problemMemHits, s.problemDiskHits,
-        s.problemBuilds, s.problemDiskWrites, s.problemBadEntries);
-    return buf;
 }
 
 void countCircuitDiskHit() { counters().circuitDiskHits.add(); }

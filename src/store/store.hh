@@ -59,9 +59,6 @@ StoreStats storeStats();
 /** Zero every counter (benches isolate per-phase deltas). */
 void resetStoreStats();
 
-/** One-object JSON document of storeStats() plus the active config. */
-std::string storeStatsJson();
-
 /** @{ Counter increments (internal to the store implementations). */
 void countCircuitDiskHit();
 void countCircuitDiskMiss();

@@ -1,7 +1,5 @@
 #include "sweepd/protocol.hh"
 
-#include <cstdio>
-
 #include "common/json.hh"
 
 namespace qcc {
@@ -56,27 +54,10 @@ decodeJobRequest(const std::string &payload)
 
 std::string
 encodeDoneReply(const ExperimentResult &result,
-                const WorkerStoreStats &store,
                 const std::string &trace_events,
                 const std::string &metrics)
 {
-    char buf[256];
-    std::string out = "{\"status\": \"done\",\n\"store\": ";
-    std::snprintf(buf, sizeof(buf),
-                  "{\"compile_hits\": %llu, "
-                  "\"compile_misses\": %llu, "
-                  "\"circuit_disk_hits\": %llu, "
-                  "\"problem_builds\": %llu, "
-                  "\"problem_disk_hits\": %llu, "
-                  "\"problem_mem_hits\": %llu},\n",
-                  (unsigned long long)store.compileHits,
-                  (unsigned long long)store.compileMisses,
-                  (unsigned long long)store.circuitDiskHits,
-                  (unsigned long long)store.problemBuilds,
-                  (unsigned long long)store.problemDiskHits,
-                  (unsigned long long)store.problemMemHits);
-    out += buf;
-    out += "\"result\": ";
+    std::string out = "{\"status\": \"done\",\n\"result\": ";
     ExperimentResult::JsonOptions jo;
     jo.timings = true; // the store drops them when configured to
     jo.trace = false;
@@ -130,29 +111,6 @@ decodeReply(const std::string &payload, WorkerReply &out)
         if (const JsonValue *metrics = doc.find("metrics"))
             if (metrics->isObject())
                 reply.metrics = *metrics;
-        if (const JsonValue *store = doc.find("store")) {
-            if (!store->isObject())
-                return false;
-            uint64_t u = 0;
-            for (const auto &[key, v] : store->members) {
-                if (!v.asUint64(u))
-                    return false;
-                if (key == "compile_hits")
-                    reply.store.compileHits = u;
-                else if (key == "compile_misses")
-                    reply.store.compileMisses = u;
-                else if (key == "circuit_disk_hits")
-                    reply.store.circuitDiskHits = u;
-                else if (key == "problem_builds")
-                    reply.store.problemBuilds = u;
-                else if (key == "problem_disk_hits")
-                    reply.store.problemDiskHits = u;
-                else if (key == "problem_mem_hits")
-                    reply.store.problemMemHits = u;
-                else
-                    return false;
-            }
-        }
     } else if (status->text == "failed") {
         const JsonValue *error = doc.find("error");
         if (!error || !error->isString())

@@ -7,8 +7,8 @@
  *
  *   parent -> worker (stdin):  {"spec": { ...ExperimentSpec... }}
  *   worker -> parent (stdout): {"status": "done",
- *                               "store": { ...cache counters... },
- *                               "result": { ...ExperimentResult... }}
+ *                               "result": { ...ExperimentResult... },
+ *                               "trace": [...], "metrics": {...}}
  *                         or:  {"status": "failed",
  *                               "fast_fail": true|false,
  *                               "error": "..."}
@@ -19,15 +19,15 @@
  * a worker re-serializes byte-for-byte identically to one computed
  * in-process (the concurrency-1-vs-N identity the ResultStore
  * promises). `fast_fail` marks spec, registry and JSON errors
- * (jobFaultOf's BadInput) — failures a retry cannot fix. `store` carries the worker's compile-cache
- * counters so cross-process disk-tier sharing is observable (tests
- * assert a warm-store worker reports zero compile misses).
+ * (jobFaultOf's BadInput) — failures a retry cannot fix. The
+ * `metrics` rider is the worker's registry snapshot; its cache and
+ * store counters are how cross-process disk-tier sharing is
+ * observed (a warm-store worker reports zero compile misses).
  */
 
 #ifndef QCC_SWEEPD_PROTOCOL_HH
 #define QCC_SWEEPD_PROTOCOL_HH
 
-#include <cstdint>
 #include <string>
 
 #include "api/experiment.hh"
@@ -43,30 +43,12 @@ struct JobRequest
     ExperimentSpec spec;
 };
 
-/**
- * Worker-side cache counters reported with a done reply. A worker
- * starts with cold in-process caches, so these directly measure the
- * persistent tier's cross-process value: a worker running against a
- * store another process already warmed reports zero compileMisses
- * and zero problemBuilds — everything came off disk.
- */
-struct WorkerStoreStats
-{
-    uint64_t compileHits = 0;     ///< circuit-cache hits (mem+disk)
-    uint64_t compileMisses = 0;   ///< fresh compiles
-    uint64_t circuitDiskHits = 0; ///< served by the persistent tier
-    uint64_t problemBuilds = 0;   ///< full integrals/HF builds
-    uint64_t problemDiskHits = 0; ///< problems read back from disk
-    uint64_t problemMemHits = 0;  ///< in-process memo hits
-};
-
 /** Decoded worker -> parent reply. */
 struct WorkerReply
 {
     bool done = false;     ///< status == "done"
     bool fastFail = false; ///< failed: spec/registry error, no retry
     std::string error;     ///< failed: diagnostic
-    WorkerStoreStats store;
     ExperimentResult result; ///< valid when done
     /**
      * Optional telemetry riders: `trace` is the worker's Chrome
@@ -96,7 +78,6 @@ JobRequest decodeJobRequest(const std::string &payload);
  * the member) and `metrics` a metricsJson() document ("" = omit).
  */
 std::string encodeDoneReply(const ExperimentResult &result,
-                            const WorkerStoreStats &store,
                             const std::string &trace_events = "",
                             const std::string &metrics = "");
 

@@ -18,11 +18,24 @@ namespace sweepd {
 
 namespace {
 
+using W = WorkerStoreStats;
+
+/** The metrics-rider counters WorkerStoreStats sums, by name. */
+constexpr std::pair<uint64_t W::*, const char *> kWorkerCounters[] = {
+    {&W::compileHits, "compile.cache.hits"},
+    {&W::compileMisses, "compile.cache.misses"},
+    {&W::circuitDiskHits, "store.circuit.disk_hits"},
+    {&W::problemBuilds, "store.problem.builds"},
+    {&W::problemDiskHits, "store.problem.disk_hits"},
+    {&W::problemMemHits, "store.problem.mem_hits"},
+};
+
 /**
  * The forked job executor: every attempt is one `<worker> --worker`
  * process, one framed request and one framed reply, with a SIGKILL
  * at the hard deadline. Done replies fold their telemetry riders
- * into this process and their cache counters into totals().
+ * into this process, and the named counters of their metrics rider
+ * into totals().
  */
 class ForkedExecutor final : public JobExecutor
 {
@@ -110,20 +123,21 @@ class ForkedExecutor final : public JobExecutor
 
         rec.result = std::move(reply.result);
         // The worker's span buffer joins this process's timeline
-        // (the events carry the worker pid), its metrics merge into
-        // the registry, and its cache counters land in the
-        // ground-truth totals the registry must match.
+        // (the events carry the worker pid), and its metrics merge
+        // into the registry and into the per-submit totals.
         if (reply.trace.isArray())
             adoptTraceEventsDom(reply.trace);
         if (reply.metrics.isObject())
             mergeMetricsDom(reply.metrics);
+        const JsonValue *counters = reply.metrics.find("counters");
         std::lock_guard<std::mutex> lock(totalsMutex);
-        sums.compileHits += reply.store.compileHits;
-        sums.compileMisses += reply.store.compileMisses;
-        sums.circuitDiskHits += reply.store.circuitDiskHits;
-        sums.problemBuilds += reply.store.problemBuilds;
-        sums.problemDiskHits += reply.store.problemDiskHits;
-        sums.problemMemHits += reply.store.problemMemHits;
+        for (const auto &[field, name] : kWorkerCounters) {
+            const JsonValue *v =
+                counters ? counters->find(name) : nullptr;
+            uint64_t n = 0;
+            if (v && v->asUint64(n))
+                sums.*field += n;
+        }
         return JobFault::None;
     }
 
@@ -131,7 +145,7 @@ class ForkedExecutor final : public JobExecutor
 
     bool writeThrough() const override { return writesThrough; }
 
-    /** Sum of the cache counters every done worker reported. */
+    /** The kWorkerCounters of every done reply, summed. */
     WorkerStoreStats
     totals() const
     {

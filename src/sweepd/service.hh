@@ -23,11 +23,11 @@
 #ifndef QCC_SWEEPD_SERVICE_HH
 #define QCC_SWEEPD_SERVICE_HH
 
+#include <cstdint>
 #include <string>
 
 #include "sweep/sweep_engine.hh"
 #include "sweep/sweep_spec.hh"
-#include "sweepd/protocol.hh"
 
 namespace qcc {
 namespace sweepd {
@@ -74,6 +74,23 @@ struct SweepdOptions
     SweepProgressFn progress;
 };
 
+/**
+ * Cache and store counters summed over the done workers of one
+ * submit. A worker starts with cold in-process caches, so these
+ * measure the persistent tier's cross-process value: workers running
+ * against a store another process already warmed report zero
+ * compileMisses and zero problemBuilds — everything came off disk.
+ */
+struct WorkerStoreStats
+{
+    uint64_t compileHits = 0;     ///< compile.cache.hits (mem+disk)
+    uint64_t compileMisses = 0;   ///< compile.cache.misses
+    uint64_t circuitDiskHits = 0; ///< store.circuit.disk_hits
+    uint64_t problemBuilds = 0;   ///< store.problem.builds
+    uint64_t problemDiskHits = 0; ///< store.problem.disk_hits
+    uint64_t problemMemHits = 0;  ///< store.problem.mem_hits
+};
+
 /** Outcome counters for one submit(). */
 struct SweepdRunStats
 {
@@ -82,9 +99,9 @@ struct SweepdRunStats
     size_t ran = 0;     ///< executed in a worker this run
     std::string writtenPath; ///< final aggregate path ("" if disabled)
     /**
-     * Sum of the cache counters every done worker reported in its
-     * reply — the ground truth the merged metrics registry (and the
-     * trace-smoke CI cross-check) must agree with.
+     * The named counters of every done reply's metrics rider, summed:
+     * the same snapshots the service merges into its registry, so
+     * they equal the registry's change over the submit.
      */
     WorkerStoreStats workers;
 };

@@ -8,10 +8,8 @@
 #include <unistd.h>
 
 #include "common/subprocess.hh"
-#include "compiler/cache.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
-#include "store/store.hh"
 #include "sweep/sweep_engine.hh"
 #include "sweepd/protocol.hh"
 
@@ -70,26 +68,15 @@ workerMain()
         Experiment experiment(request.spec);
         const ExperimentResult result = experiment.run();
 
-        WorkerStoreStats stats;
-        const CacheStats cs = globalCircuitCache().stats();
-        const StoreStats ss = storeStats();
-        stats.compileHits = cs.hits;
-        stats.compileMisses = cs.misses;
-        stats.circuitDiskHits = ss.circuitDiskHits;
-        stats.problemBuilds = ss.problemBuilds;
-        stats.problemDiskHits = ss.problemDiskHits;
-        stats.problemMemHits = ss.problemMemHits;
-
         // Telemetry riders: the worker's span buffer (only when
         // tracing is on — the events carry this process's pid, so
         // the service's merged timeline separates workers) and its
-        // metrics snapshot (always; counters are how the service
-        // cross-checks worker totals without tracing).
+        // metrics snapshot (always; its counters are the worker's
+        // cache and store totals the service sums per submit).
         std::string traceDoc;
         if (traceEnabled() && traceEventCount())
             traceDoc = traceEventsArrayJson();
-        reply = encodeDoneReply(result, stats, traceDoc,
-                                metricsJson());
+        reply = encodeDoneReply(result, traceDoc, metricsJson());
     } catch (const std::exception &e) {
         reply = encodeFailedReply(
             e.what(), jobFaultOf(e) == JobFault::BadInput);

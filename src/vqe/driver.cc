@@ -72,7 +72,7 @@ VqeDriver::VqeDriver(const PauliSum &h, const Ansatz &a,
         fatal("VqeDriver: null estimation strategy");
     optimizer = opts.optimizer;
     if (!optimizer)
-        optimizer = makeVqeOptimizer(opts.method);
+        optimizer = std::make_shared<LbfgsVqeOptimizer>();
     evalBackend = strategy->makeBackend();
     traceData.mode = strategy->name();
     traceData.optimizer = optimizer->name();

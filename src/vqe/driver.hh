@@ -67,18 +67,9 @@ constexpr uint64_t kVqeStreamReadout = 4;
 /** Driver configuration. */
 struct VqeDriverOptions
 {
-    enum class Method
-    {
-        Lbfgs,           ///< quasi-Newton, analytic shift gradients
-        GradientDescent, ///< steepest descent on shift gradients
-        Spsa,            ///< two evaluations/iter, noise-robust
-        NelderMead,      ///< derivative-free simplex
-    };
-    Method method = Method::Lbfgs;
-
     /**
-     * Optimizer strategy (api OptimizerRegistry or
-     * makeVqeOptimizer); when null, one is built from `method`.
+     * Optimizer strategy (vqe/optimizers.hh, or by name from the api
+     * OptimizerRegistry); null means L-BFGS.
      */
     std::shared_ptr<const VqeOptimizer> optimizer;
 
@@ -141,8 +132,8 @@ class VqeDriver
   public:
     /**
      * Strategy-injection constructor: the driver estimates energies
-     * through `strategy` and minimizes with opts.optimizer (or the
-     * opts.method fallback).
+     * through `strategy` and minimizes with opts.optimizer (L-BFGS
+     * when null).
      */
     VqeDriver(const PauliSum &h, const Ansatz &ansatz,
               VqeDriverOptions opts,

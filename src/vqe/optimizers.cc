@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/logging.hh"
 #include "common/optimize.hh"
 
 namespace qcc {
@@ -88,24 +87,6 @@ NelderMeadVqeOptimizer::minimize(VqeDriver &driver) const
     res.evals = opt.funEvals;
     res.converged = opt.converged;
     return res;
-}
-
-std::unique_ptr<VqeOptimizer>
-makeVqeOptimizer(VqeDriverOptions::Method method)
-{
-    using Method = VqeDriverOptions::Method;
-    switch (method) {
-      case Method::Lbfgs:
-          return std::make_unique<LbfgsVqeOptimizer>();
-      case Method::GradientDescent:
-          return std::make_unique<GradientDescentVqeOptimizer>();
-      case Method::Spsa:
-          return std::make_unique<SpsaVqeOptimizer>();
-      case Method::NelderMead:
-          return std::make_unique<NelderMeadVqeOptimizer>();
-    }
-    panic("makeVqeOptimizer: unknown method");
-    return nullptr;
 }
 
 } // namespace qcc

@@ -1,19 +1,16 @@
 /**
  * @file
  * Classical-optimizer strategies for the VQE driver. Each optimizer
- * the legacy VqeDriverOptions::Method enum switched over is now an
- * object: minimize() drives the driver's public energy()/gradient()
- * evaluation interface (every evaluation lands in the driver's trace
- * as before) and returns the VqeResult. The api-layer
+ * is an object: minimize() drives the driver's public
+ * energy()/gradient() evaluation interface (every evaluation lands
+ * in the driver's trace) and returns the VqeResult. The api-layer
  * OptimizerRegistry maps names ("lbfgs", "gd", "spsa",
- * "nelder-mead") onto these factories so an ExperimentSpec can pick
- * an optimizer by string; makeVqeOptimizer covers the legacy enum.
+ * "nelder-mead") onto these classes so an ExperimentSpec can pick
+ * an optimizer by string.
  */
 
 #ifndef QCC_VQE_OPTIMIZERS_HH
 #define QCC_VQE_OPTIMIZERS_HH
-
-#include <memory>
 
 #include "vqe/driver.hh"
 
@@ -67,10 +64,6 @@ class NelderMeadVqeOptimizer : public VqeOptimizer
     const char *name() const override { return "nelder-mead"; }
     VqeResult minimize(VqeDriver &driver) const override;
 };
-
-/** Strategy object for a legacy Method enum value. */
-std::unique_ptr<VqeOptimizer>
-makeVqeOptimizer(VqeDriverOptions::Method method);
 
 } // namespace qcc
 

@@ -19,6 +19,7 @@
 #include "vqe/driver.hh"
 #include "vqe/estimation.hh"
 #include "vqe/expectation_engine.hh"
+#include "vqe/optimizers.hh"
 #include "vqe/vqe.hh"
 
 using namespace qcc;
@@ -188,7 +189,7 @@ TEST(Backend, VqeRunsAgainstEitherBackend)
     NoiseModel nm;
     nm.cnotDepolarizing = 1e-3;
     VqeDriverOptions o;
-    o.method = VqeDriverOptions::Method::Spsa;
+    o.optimizer = std::make_shared<SpsaVqeOptimizer>();
     o.spsaIter = 120;
     VqeResult rNoisy = minimizeOn(densityMatrixModel(a.nQubits, nm),
                                   prob.hamiltonian, a, o);

@@ -17,6 +17,7 @@
 #include "ferm/hamiltonian.hh"
 #include "vqe/driver.hh"
 #include "vqe/estimation.hh"
+#include "vqe/optimizers.hh"
 
 using namespace qcc;
 
@@ -586,7 +587,7 @@ TEST(Experiment, SampledFacadeMatchesLegacySampledDriver)
         buildMolecularProblem(benchmarkMolecule("H2"), 0.74);
     Ansatz ansatz = buildUccsd(prob.nSpatial, prob.nElectrons);
     VqeDriverOptions o;
-    o.method = VqeDriverOptions::Method::Spsa;
+    o.optimizer = std::make_shared<SpsaVqeOptimizer>();
     o.spsaIter = 30;
     o.sampling.shots = 2048;
     VqeDriver legacy(

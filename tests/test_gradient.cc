@@ -25,6 +25,7 @@
 #include "vqe/driver.hh"
 #include "vqe/expectation_engine.hh"
 #include "vqe/gradient.hh"
+#include "vqe/optimizers.hh"
 #include "vqe/vqe.hh"
 
 using namespace qcc;
@@ -379,7 +380,7 @@ TEST(Gradient, EvalsCountOnlyEvaluationsThatRan)
     // starting point.
     {
         VqeDriverOptions o;
-        o.method = VqeDriverOptions::Method::GradientDescent;
+        o.optimizer = std::make_shared<GradientDescentVqeOptimizer>();
         o.maxIter = 4;
         o.sampling.shots = 512;
         VqeDriver driver(h, fix.ansatz, o,
@@ -491,10 +492,12 @@ TEST(Gradient, DescentWithAnalyticGradientsReachesFci)
 {
     const Fixture &fix = h2();
     const double exact = lanczosGroundEnergy(fix.prob.hamiltonian);
-    for (auto method : {VqeDriverOptions::Method::GradientDescent,
-                        VqeDriverOptions::Method::Lbfgs}) {
+    const std::shared_ptr<const VqeOptimizer> optimizers[] = {
+        std::make_shared<GradientDescentVqeOptimizer>(),
+        std::make_shared<LbfgsVqeOptimizer>()};
+    for (const auto &optimizer : optimizers) {
         VqeDriverOptions o;
-        o.method = method;
+        o.optimizer = optimizer;
         o.maxIter = 300;
         VqeDriver driver(
             fix.prob.hamiltonian, fix.ansatz, o,
@@ -502,8 +505,8 @@ TEST(Gradient, DescentWithAnalyticGradientsReachesFci)
                 "ideal",
                 EstimationConfig{&fix.prob.hamiltonian, {}, {}, {}}));
         VqeResult res = driver.run();
-        EXPECT_NEAR(res.energy, exact, 1e-5) << int(method);
-        EXPECT_TRUE(res.converged) << int(method);
+        EXPECT_NEAR(res.energy, exact, 1e-5) << optimizer->name();
+        EXPECT_TRUE(res.converged) << optimizer->name();
         // The driver counted its energy evaluations.
         EXPECT_GT(res.evals, 0);
     }

@@ -17,8 +17,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -35,8 +33,10 @@
 #include "sweepd/protocol.hh"
 #include "sweepd/service.hh"
 #include "sweepd/worker.hh"
+#include "sweepd_test_util.hh"
 
 using namespace qcc;
+using namespace qcc_test;
 
 namespace {
 
@@ -44,105 +44,6 @@ struct VerboseSilencer
 {
     VerboseSilencer() { setVerbose(false); }
 } silencer;
-
-/** Scoped scratch directory, deleted on exit. */
-class TempDir
-{
-  public:
-    explicit TempDir(const std::string &tag)
-    {
-        static std::atomic<int> seq{0};
-        path_ = (std::filesystem::temp_directory_path() /
-                 ("qcc_sweepd_" + tag + "_" +
-                  std::to_string(::getpid()) + "_" +
-                  std::to_string(seq++)))
-                    .string();
-        std::filesystem::create_directories(path_);
-    }
-
-    ~TempDir()
-    {
-        std::error_code ec;
-        std::filesystem::remove_all(path_, ec);
-    }
-
-    const std::string &path() const { return path_; }
-
-  private:
-    std::string path_;
-};
-
-/** Scoped environment variable (restores the prior value). */
-class EnvGuard
-{
-  public:
-    EnvGuard(std::string name, const std::string &value)
-        : EnvGuard(std::move(name))
-    {
-        ::setenv(name_.c_str(), value.c_str(), 1);
-    }
-
-    /** Unset `name` for the guard's lifetime. */
-    explicit EnvGuard(std::string name) : name_(std::move(name))
-    {
-        if (const char *old = std::getenv(name_.c_str())) {
-            had_ = true;
-            old_ = old;
-        }
-        ::unsetenv(name_.c_str());
-    }
-
-    ~EnvGuard()
-    {
-        if (had_)
-            ::setenv(name_.c_str(), old_.c_str(), 1);
-        else
-            ::unsetenv(name_.c_str());
-    }
-
-  private:
-    std::string name_;
-    std::string old_;
-    bool had_ = false;
-};
-
-/**
- * Scoped persistent-store overrides: restores the effective root and
- * switch on exit (as overrides — the store has no way back to "read
- * the environment").
- */
-class StoreConfigGuard
-{
-  public:
-    StoreConfigGuard() : dir_(storeDir()), enabled_(storeEnabled()) {}
-
-    ~StoreConfigGuard()
-    {
-        setStoreDir(dir_);
-        setStoreEnabled(enabled_);
-    }
-
-  private:
-    std::string dir_;
-    bool enabled_;
-};
-
-std::string
-slurp(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    EXPECT_TRUE(bool(in)) << "cannot read " << path;
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return buf.str();
-}
-
-/** This test binary, invokable as `<self> --worker`. */
-std::string
-selfPath()
-{
-    return sweepd::selfExecutablePath(nullptr);
-}
 
 /** Cheap stochastic H2 sweep over 4 seeds, deterministic bytes. */
 SweepSpec
@@ -592,18 +493,18 @@ TEST(SweepdWorker, SecondWorkerServesEverythingFromTheSharedStore)
     // compiles fresh.
     const sweepd::WorkerReply first = runWorkerJob(spec);
     ASSERT_TRUE(first.done) << first.error;
-    EXPECT_EQ(first.store.problemBuilds, 1u);
-    EXPECT_EQ(first.store.problemDiskHits, 0u);
-    EXPECT_GT(first.store.compileMisses, 0u);
+    EXPECT_EQ(counterIn(first.metrics, "store.problem.builds"), 1u);
+    EXPECT_EQ(counterIn(first.metrics, "store.problem.disk_hits"), 0u);
+    EXPECT_GT(counterIn(first.metrics, "compile.cache.misses"), 0u);
 
     // Warm store, brand-new process: chemistry comes off disk and
     // every compile is a hit — zero rebuilds anywhere.
     const sweepd::WorkerReply second = runWorkerJob(spec);
     ASSERT_TRUE(second.done) << second.error;
-    EXPECT_EQ(second.store.problemBuilds, 0u);
-    EXPECT_GT(second.store.problemDiskHits, 0u);
-    EXPECT_EQ(second.store.compileMisses, 0u);
-    EXPECT_GT(second.store.circuitDiskHits, 0u);
+    EXPECT_EQ(counterIn(second.metrics, "store.problem.builds"), 0u);
+    EXPECT_GT(counterIn(second.metrics, "store.problem.disk_hits"), 0u);
+    EXPECT_EQ(counterIn(second.metrics, "compile.cache.misses"), 0u);
+    EXPECT_GT(counterIn(second.metrics, "store.circuit.disk_hits"), 0u);
 
     // Same inputs, same bytes: process isolation and the shared
     // tier change wall time, never results.

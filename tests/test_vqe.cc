@@ -14,6 +14,7 @@
 #include "chem/molecules.hh"
 #include "ferm/hamiltonian.hh"
 #include "sim/lanczos.hh"
+#include "vqe/optimizers.hh"
 #include "vqe_test_util.hh"
 
 using namespace qcc;
@@ -87,7 +88,7 @@ TEST(Vqe, NelderMeadAgreesWithLbfgsOnH2)
     const auto &prob = h2Problem();
     Ansatz a = buildUccsd(prob.nSpatial, prob.nElectrons);
     VqeDriverOptions nm;
-    nm.method = VqeDriverOptions::Method::NelderMead;
+    nm.optimizer = std::make_shared<NelderMeadVqeOptimizer>();
     nm.maxIter = 2000;
     VqeResult r1 = minimizeMode("ideal", prob.hamiltonian, a, nm);
     VqeResult r2 = minimizeMode("ideal", prob.hamiltonian, a);
@@ -134,7 +135,7 @@ TEST(Vqe, NoisyVqeRecoversLandscape)
     const auto &prob = h2Problem();
     Ansatz a = buildUccsd(prob.nSpatial, prob.nElectrons);
     VqeDriverOptions o;
-    o.method = VqeDriverOptions::Method::Spsa;
+    o.optimizer = std::make_shared<SpsaVqeOptimizer>();
     o.spsaIter = 150;
     o.noise = NoiseModel::paperDefault();
     VqeResult res = minimizeMode("noisy", prob.hamiltonian, a, o);
