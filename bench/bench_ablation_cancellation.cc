@@ -24,7 +24,7 @@ using namespace qccbench;
 int
 main()
 {
-    setVerbose(false);
+    setLogLevel(LogLevel::Quiet);
     banner("Ablation: peephole gate cancellation on top of "
            "synthesis (50% compressed ansatz)");
 

@@ -22,7 +22,7 @@ using namespace qccbench;
 int
 main()
 {
-    setVerbose(false);
+    setLogLevel(LogLevel::Quiet);
     banner("Ablation: hierarchical vs identity vs random initial "
            "layout (MtR on XTree17Q)");
 

@@ -23,7 +23,7 @@ using namespace qccbench;
 int
 main()
 {
-    setVerbose(false);
+    setLogLevel(LogLevel::Quiet);
     banner("Ablation: importance-ordered vs original-order ansatz "
            "(MtR overhead on XTree17Q)");
 

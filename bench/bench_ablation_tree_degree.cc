@@ -23,7 +23,7 @@ using namespace qccbench;
 int
 main()
 {
-    setVerbose(false);
+    setLogLevel(LogLevel::Quiet);
     banner("Ablation: X-Tree child-degree sweep "
            "(overhead vs coupler count vs yield)");
 

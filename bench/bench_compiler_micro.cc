@@ -51,7 +51,7 @@ prepared(const std::string &name)
     static std::map<std::string, Prepared> cache;
     auto it = cache.find(name);
     if (it == cache.end()) {
-        setVerbose(false);
+        setLogLevel(LogLevel::Quiet);
         const auto &entry = benchmarkMolecule(name);
         MolecularProblem prob =
             buildMolecularProblem(entry, entry.equilibriumBond);
@@ -270,7 +270,7 @@ hamiltonianCompileStudy()
     std::printf("parallel fan-out over common/parallel; cached "
                 "iterations rebind RZ angles on memoized\n"
                 "structures instead of re-running layout+routing "
-                "(QCC_COMPILE_CACHE=0 disables).\n");
+                "(PipelineOptions::useCache = false disables).\n");
 }
 
 } // namespace

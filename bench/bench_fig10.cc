@@ -30,7 +30,7 @@ using namespace qccbench;
 int
 main()
 {
-    setVerbose(false);
+    setLogLevel(LogLevel::Quiet);
     banner("Figure 10: noisy VQE case studies (LiH, NaH), "
            "CNOT depolarizing error 1e-4");
     if (!fullMode())

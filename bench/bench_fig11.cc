@@ -23,7 +23,7 @@ using namespace qccbench;
 int
 main()
 {
-    setVerbose(false);
+    setLogLevel(LogLevel::Quiet);
     banner("Figure 11: yield rate, XTree17Q vs Grid17Q");
 
     const int samples = fullMode() ? 200000 : 20000;

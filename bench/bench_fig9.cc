@@ -58,7 +58,7 @@ struct SweepAccumulator
 int
 main()
 {
-    setVerbose(false);
+    setLogLevel(LogLevel::Quiet);
     banner("Figure 9: accuracy and iterations vs compression ratio");
     JsonReport json("fig9");
 

@@ -60,7 +60,7 @@ maxAbsDiff(const std::vector<double> &a, const std::vector<double> &b)
 int
 main()
 {
-    setVerbose(false);
+    setLogLevel(LogLevel::Quiet);
     qccbench::banner("Gradient engine: serial vs batched "
                      "parameter shift (LiH)");
     qccbench::JsonReport json("gradient");

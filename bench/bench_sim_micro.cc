@@ -9,15 +9,19 @@
  *
  *  - a variant report comparing the four execution tiers on a
  *    VQE-representative layered circuit and on the hot kernels:
- *    scalar (naive full-scan replay), kernel (stride kernels, vector
- *    path off — the pre-SIMD production path), simd (stride kernels
- *    + AVX2), fused (gate fusion + cache-blocked execution + AVX2).
+ *    scalar (naive full-scan replay), kernel (per-gate stride
+ *    kernels, vector path off — the pre-SIMD production path), simd
+ *    (per-gate stride kernels + AVX2), fused (gate fusion +
+ *    cache-blocked execution + AVX2, the production path).
  *    The variant rows are what lands in BENCH_sim.json (QCC_JSON=1);
  *    `fused_vs_kernel` at n >= 14 is the headline speedup. The
  *    dm_circuit rows time the noisy Fig. 10 circuits (LiH, NaH) on
  *    the density matrix, per-gate against the fused executor. Pass
  *    --benchmark_filter=nope to skip the google-benchmark section and
  *    emit only the variant report.
+ *
+ * The generic kernels and the per-gate replays are the test
+ * references of tests/sim_reference.hh.
  */
 
 #include <benchmark/benchmark.h>
@@ -43,10 +47,12 @@
 #include "sim/kernels.hh"
 #include "sim/simd.hh"
 #include "sim/statevector.hh"
+#include "sim_reference.hh"
 #include "store/problem_store.hh"
 #include "vqe/expectation_engine.hh"
 
 using namespace qcc;
+using namespace qcc_test;
 
 namespace {
 
@@ -79,9 +85,8 @@ benchGenericRotation(benchmark::State &state)
     PauliString p = denseString(n);
     Statevector sv(n);
     for (auto _ : state) {
-        kern::applyPauliRotationGeneric(sv.amplitudes().data(),
-                                        sv.dim(), p.xMask(),
-                                        p.zMask(), 0.1);
+        applyPauliRotationGeneric(sv.amplitudes().data(), sv.dim(),
+                                  p.xMask(), p.zMask(), 0.1);
         benchmark::DoNotOptimize(sv.amplitudes().data());
     }
     state.SetComplexityN(int64_t(1) << n);
@@ -121,9 +126,8 @@ benchGenericExpectation(benchmark::State &state)
     PauliString p = denseString(n);
     Statevector sv(n);
     for (auto _ : state) {
-        double e = kern::expectationGeneric(sv.amplitudes().data(),
-                                            sv.dim(), p.xMask(),
-                                            p.zMask());
+        double e = expectationGeneric(sv.amplitudes().data(),
+                                      sv.dim(), p.xMask(), p.zMask());
         benchmark::DoNotOptimize(e);
     }
     state.SetComplexityN(int64_t(1) << n);
@@ -132,7 +136,7 @@ benchGenericExpectation(benchmark::State &state)
 void
 benchLiHEnergyTermwise(benchmark::State &state)
 {
-    setVerbose(false);
+    setLogLevel(LogLevel::Quiet);
     static MolecularProblem prob =
         buildMolecularProblem(benchmarkMolecule("LiH"), 1.6);
     Statevector sv(prob.nQubits, 0b001001);
@@ -146,7 +150,7 @@ benchLiHEnergyTermwise(benchmark::State &state)
 void
 benchLiHEnergyGrouped(benchmark::State &state)
 {
-    setVerbose(false);
+    setLogLevel(LogLevel::Quiet);
     static MolecularProblem prob =
         buildMolecularProblem(benchmarkMolecule("LiH"), 1.6);
     static ExpectationEngine engine(prob.hamiltonian);
@@ -237,7 +241,7 @@ applyCircuitNaive(Statevector &sv, const Circuit &c)
         } else {
             cplx u[4];
             gateMatrix(g.kind, g.angle, u);
-            kern::apply1qGeneric(amp, dim, g.q0, u);
+            apply1qGeneric(amp, dim, g.q0, u);
         }
     }
 }
@@ -252,15 +256,12 @@ variantCircuitRow(qccbench::JsonReport &rep, unsigned n)
     kern::setSimdEnabled(false);
     const double scalarMs =
         timeMs([&] { applyCircuitNaive(sv, c); });
-    const double kernelMs =
-        timeMs([&] { sv.applyCircuit(c, false); });
+    const double kernelMs = timeMs([&] { applyPerGate(sv, c); });
     const double fusedScalarMs =
-        timeMs([&] { sv.applyCircuit(c, true); });
+        timeMs([&] { sv.applyCircuit(c); });
     kern::setSimdEnabled(true);
-    const double simdMs =
-        timeMs([&] { sv.applyCircuit(c, false); });
-    const double fusedMs =
-        timeMs([&] { sv.applyCircuit(c, true); });
+    const double simdMs = timeMs([&] { applyPerGate(sv, c); });
+    const double fusedMs = timeMs([&] { sv.applyCircuit(c); });
 
     std::printf("  circuit n=%-2u (%zu gates -> %zu fused ops): "
                 "scalar %.3f  kernel %.3f  simd %.3f  fused %.3f ms"
@@ -286,9 +287,8 @@ variantRotationRow(qccbench::JsonReport &rep, unsigned n)
     PauliString p = denseString(n);
     Statevector sv(n);
     const double scalarMs = timeMs([&] {
-        kern::applyPauliRotationGeneric(sv.amplitudes().data(),
-                                        sv.dim(), p.xMask(),
-                                        p.zMask(), 0.1);
+        applyPauliRotationGeneric(sv.amplitudes().data(), sv.dim(),
+                                  p.xMask(), p.zMask(), 0.1);
     });
     kern::setSimdEnabled(false);
     const double kernelMs =
@@ -313,9 +313,8 @@ variantExpectationRow(qccbench::JsonReport &rep, unsigned n)
     PauliString p = denseString(n);
     Statevector sv(n);
     const double scalarMs = timeMs([&] {
-        double e = kern::expectationGeneric(sv.amplitudes().data(),
-                                            sv.dim(), p.xMask(),
-                                            p.zMask());
+        double e = expectationGeneric(sv.amplitudes().data(),
+                                      sv.dim(), p.xMask(), p.zMask());
         benchmark::DoNotOptimize(e);
     });
     kern::setSimdEnabled(false);
@@ -406,13 +405,14 @@ variantDensityMatrixRow(qccbench::JsonReport &rep,
     DensityMatrix rho(n);
 
     size_t perGateOps = 0, executorOps = 0;
-    auto run = [&](bool fuse, size_t &ops) {
+    const double perGateMs = timeMs([&] {
         rho.reset();
-        ops = rho.applyGates(c.gates(), noise, fuse);
-    };
-    const double perGateMs = timeMs([&] { run(false, perGateOps); });
-    const double executorMs =
-        timeMs([&] { run(true, executorOps); });
+        perGateOps = applyPerGate(rho, c, noise);
+    });
+    const double executorMs = timeMs([&] {
+        rho.reset();
+        executorOps = rho.applyGates(c.gates(), noise);
+    });
 
     std::printf("  dm circuit %s n=%-2u (%zu gates; %zu -> %zu "
                 "sweeps): per-gate %.3f  executor %.3f ms  "

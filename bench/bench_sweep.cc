@@ -171,7 +171,7 @@ runProcessPool(const SweepSpec &spec, unsigned concurrency,
 int
 main()
 {
-    setVerbose(false);
+    setLogLevel(LogLevel::Quiet);
     banner("SweepEngine: cold vs shared caches vs persistent store");
 
     const int nSeeds = fullMode() ? 16 : 8;

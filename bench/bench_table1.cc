@@ -24,7 +24,7 @@ using namespace qccbench;
 int
 main()
 {
-    setVerbose(false);
+    setLogLevel(LogLevel::Quiet);
     banner("Table I: benchmark molecules and their original cost");
 
     std::printf("%-6s %9s %10s %10s %18s %10s\n", "Mol", "# Qubits",

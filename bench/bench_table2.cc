@@ -37,7 +37,7 @@ struct Row
 int
 main()
 {
-    setVerbose(false);
+    setLogLevel(LogLevel::Quiet);
     banner("Table II: mapping overhead of MtR vs SABRE "
            "(additional CNOTs; SWAP = 3 CNOTs)");
 

@@ -25,7 +25,7 @@ int
 main()
 {
     using namespace qcc;
-    setVerbose(false);
+    setLogLevel(LogLevel::Quiet);
 
     std::printf("== Compiling NH3 (14 qubits) onto XTree17Q ==\n\n");
     const auto &entry = benchmarkMolecule("NH3");

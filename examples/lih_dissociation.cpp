@@ -16,7 +16,7 @@ int
 main()
 {
     using namespace qcc;
-    setVerbose(false);
+    setLogLevel(LogLevel::Quiet);
 
     std::printf("== LiH dissociation curve, 50%% compressed UCCSD "
                 "==\n\n");

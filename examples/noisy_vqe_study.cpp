@@ -24,7 +24,7 @@ int
 main()
 {
     using namespace qcc;
-    setVerbose(false);
+    setLogLevel(LogLevel::Quiet);
 
     std::printf("== LiH noise trade-off: compression ratio vs CNOT "
                 "error ==\n\n");

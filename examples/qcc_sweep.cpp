@@ -63,7 +63,7 @@ usage(const char *argv0)
 int
 main(int argc, char **argv)
 {
-    setVerbose(false);
+    setLogLevel(LogLevel::Quiet);
     if (argc < 2)
         return usage(argv[0]);
 
@@ -74,7 +74,13 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--concurrency" && i + 1 < argc) {
-            concurrency = unsigned(std::atoi(argv[++i]));
+            if (!parseConcurrency(argv[++i], concurrency)) {
+                error("qcc_sweep: --concurrency expects an integer "
+                      "in [0, " +
+                      std::to_string(SweepSpec::kMaxConcurrency) +
+                      "]");
+                return 2;
+            }
         } else if (arg == "--cold-cache") {
             coldCache = true;
         } else if (arg == "--store-dir" && i + 1 < argc) {

@@ -149,7 +149,7 @@ main(int argc, char **argv)
         std::strcmp(argv[1], sweepd::kWorkerFlag) == 0)
         return sweepd::workerMain();
 
-    setVerbose(true);
+    setLogLevel(LogLevel::Info);
 
     sweepd::SweepdOptions opts;
     opts.workerPath = sweepd::selfExecutablePath(argv[0]);
@@ -159,7 +159,13 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--concurrency" && i + 1 < argc) {
-            opts.concurrency = unsigned(std::atoi(argv[++i]));
+            if (!parseConcurrency(argv[++i], opts.concurrency)) {
+                error("qcc_sweepd: --concurrency expects an integer "
+                      "in [0, " +
+                      std::to_string(SweepSpec::kMaxConcurrency) +
+                      "]");
+                return 2;
+            }
         } else if (arg == "--timeout-ms" && i + 1 < argc) {
             opts.jobTimeoutMs = std::atof(argv[++i]);
         } else if (arg == "--retries" && i + 1 < argc) {

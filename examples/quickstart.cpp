@@ -18,7 +18,7 @@ int
 main()
 {
     using namespace qcc;
-    setVerbose(false);
+    setLogLevel(LogLevel::Quiet);
 
     std::printf("== qcc quickstart: H2 at 0.74 Angstrom ==\n\n");
 

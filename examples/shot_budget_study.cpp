@@ -23,7 +23,7 @@ int
 main()
 {
     using namespace qcc;
-    setVerbose(false);
+    setLogLevel(LogLevel::Quiet);
 
     std::printf("== Shot-budget study: sampled VQE on H2 ==\n");
     std::printf("(seed %llu; chemical accuracy is 1.6 mHa)\n\n",

@@ -21,7 +21,7 @@ int
 main()
 {
     using namespace qcc;
-    setVerbose(false);
+    setLogLevel(LogLevel::Quiet);
 
     std::printf("== Yield exploration: X-Trees vs grids ==\n");
     std::printf("(fabrication precision 0.4 GHz, paper calibration)"

@@ -116,24 +116,12 @@ logLevel()
 void
 setLogLevel(LogLevel level)
 {
-    logLevelRef() = level;
-}
-
-void
-setVerbose(bool verbose)
-{
-    // An explicit QCC_LOG in the environment outranks the legacy
-    // programmatic toggle (benches call setVerbose(false); QCC_LOG
-    // lets the user turn that output back on without a rebuild).
+    // An explicit QCC_LOG in the environment outranks the program's
+    // default (benches pick Quiet; QCC_LOG lets the user turn that
+    // output back on without a rebuild).
     if (logLevelPinned())
         return;
-    logLevelRef() = verbose ? LogLevel::Info : LogLevel::Quiet;
-}
-
-bool
-isVerbose()
-{
-    return logLevelRef() >= LogLevel::Info;
+    logLevelRef() = level;
 }
 
 std::string

@@ -40,25 +40,19 @@ void debug(const std::string &msg);
 /**
  * Output levels, in increasing verbosity. warn()/error() always
  * print; inform() needs Info, debug() needs Debug. The initial
- * level comes from QCC_LOG (quiet|info|debug, default info);
- * setLogLevel()/setVerbose() override it at runtime, except that an
- * explicit QCC_LOG wins over setVerbose() so a user can force
- * bench/CI output verbosity from the environment in one place.
+ * level comes from QCC_LOG (quiet|info|debug, default info).
  */
 enum class LogLevel { Quiet = 0, Info = 1, Debug = 2 };
 
 LogLevel logLevel();
-void setLogLevel(LogLevel level);
 
 /**
- * Legacy verbosity switch: maps to Quiet/Info. Kept because benches
- * and services toggle it; a QCC_LOG set in the environment takes
- * precedence.
+ * Set a program's default level (benches and tests pick Quiet, the
+ * services Info). An explicit QCC_LOG wins: the call is then a
+ * no-op, so a user can force bench/CI output verbosity from the
+ * environment in one place.
  */
-void setVerbose(bool verbose);
-
-/** True when inform() output is enabled (level >= Info). */
-bool isVerbose();
+void setLogLevel(LogLevel level);
 
 /**
  * Resolve the output path for one machine-readable result file under

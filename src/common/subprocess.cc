@@ -142,10 +142,12 @@ spawnChildProcess(
         envp.push_back(const_cast<char *>(kv.c_str()));
     envp.push_back(nullptr);
 
+    // Close-on-exec, so a worker exec'd for one job never inherits
+    // the ends the parent holds for another job's worker.
     int inPipe[2] = {-1, -1}, outPipe[2] = {-1, -1};
-    if (::pipe(inPipe) != 0)
+    if (::pipe2(inPipe, O_CLOEXEC) != 0)
         return child;
-    if (::pipe(outPipe) != 0) {
+    if (::pipe2(outPipe, O_CLOEXEC) != 0) {
         ::close(inPipe[0]);
         ::close(inPipe[1]);
         return child;
@@ -158,11 +160,19 @@ spawnChildProcess(
         return child;
     }
     if (pid == 0) {
-        // Child: wire the pipes to stdio and exec.
-        ::dup2(inPipe[0], STDIN_FILENO);
-        ::dup2(outPipe[1], STDOUT_FILENO);
-        for (int fd : {inPipe[0], inPipe[1], outPipe[0], outPipe[1]})
-            ::close(fd);
+        // Child: wire the pipes to stdio and exec. The dup2 copies
+        // on fds 0 and 1 do not carry FD_CLOEXEC; the other pipe
+        // ends close at the exec. A parent started with fd 0 or 1
+        // closed gets that fd back from pipe2, where dup2 is a
+        // no-op that would keep the flag: clear it instead.
+        auto wire = [](int fd, int target) {
+            if (fd == target)
+                ::fcntl(fd, F_SETFD, 0);
+            else
+                ::dup2(fd, target);
+        };
+        wire(inPipe[0], STDIN_FILENO);
+        wire(outPipe[1], STDOUT_FILENO);
         ::execve(argvp[0], argvp.data(), envp.data());
         _exit(127);
     }

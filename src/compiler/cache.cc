@@ -1,7 +1,5 @@
 #include "compiler/cache.hh"
 
-#include <cstdlib>
-
 #include "common/rng.hh"
 #include "obs/metrics.hh"
 
@@ -185,16 +183,6 @@ globalCircuitCache()
     }();
     (void)attached;
     return cache;
-}
-
-bool
-circuitCacheEnabled()
-{
-    static const bool enabled = [] {
-        const char *env = std::getenv("QCC_COMPILE_CACHE");
-        return !(env && std::string(env) == "0");
-    }();
-    return enabled;
 }
 
 } // namespace qcc

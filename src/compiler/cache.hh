@@ -13,9 +13,8 @@
  * Flows whose gate order may depend on parameter values (SABRE) are
  * not cached: they cannot be angle-rebound, and exact-key entries
  * would only hit on exact parameter repeats while flooding the
- * shared table under parameter sweeps.
- *
- * Disabled globally with QCC_COMPILE_CACHE=0.
+ * shared table under parameter sweeps. PipelineOptions::useCache
+ * turns memoization off per pipeline.
  */
 
 #ifndef QCC_COMPILER_CACHE_HH
@@ -194,9 +193,6 @@ class CircuitCache
  * store root.
  */
 CircuitCache &globalCircuitCache();
-
-/** False when QCC_COMPILE_CACHE=0 disables memoization. */
-bool circuitCacheEnabled();
 
 /**
  * Factory for the persistent tier attached to globalCircuitCache().

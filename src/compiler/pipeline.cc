@@ -416,8 +416,7 @@ CompilerPipeline::compile(const Ansatz &ansatz,
     state.includeHfPrep = opts.includeHfPrep;
 
     PipelineReport report;
-    const bool cacheOn =
-        opts.useCache && circuitCacheEnabled() && rebindable();
+    const bool cacheOn = opts.useCache && rebindable();
     CacheKey key;
     std::vector<double> angles;
     bool hit = false;

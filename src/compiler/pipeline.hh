@@ -231,8 +231,7 @@ struct PipelineOptions
     int verifyTrials = 0;
     /**
      * Memoize compiles in the global CircuitCache (chain and MtR
-     * flows only — SABRE output cannot be angle-rebound). ANDed
-     * with QCC_COMPILE_CACHE.
+     * flows only — SABRE output cannot be angle-rebound).
      */
     bool useCache = true;
     SabreOptions sabre;

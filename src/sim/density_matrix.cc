@@ -119,37 +119,17 @@ DensityMatrix::applyGateNoisy(const Gate &g, const NoiseModel &noise)
 void
 DensityMatrix::applyCircuit(const Circuit &c, const NoiseModel &noise)
 {
-    applyCircuit(c, noise, fusionEnabled());
-}
-
-void
-DensityMatrix::applyCircuit(const Circuit &c, const NoiseModel &noise,
-                            bool fuse)
-{
     validateCircuitOrThrow(c, nQubits);
-    applyGates(c.gates(), noise, fuse);
+    applyGates(c.gates(), noise);
 }
 
 size_t
 DensityMatrix::applyGates(std::span<const Gate> gates,
-                          const NoiseModel &noise, bool fuse)
+                          const NoiseModel &noise)
 {
     const double p2 = noise.cnotDepolarizing;
     const double p1 = noise.singleQubitDepolarizing;
     size_t sweeps = 0;
-    if (!fuse) {
-        for (const Gate &g : gates) {
-            applyGateNoisy(g, noise);
-            if (g.kind == GateKind::CNOT)
-                sweeps += p2 > 0.0 ? 3 : 2;
-            else if (g.kind == GateKind::SWAP)
-                sweeps += p2 > 0.0 ? 9 : 6;
-            else
-                sweeps += p1 > 0.0 ? 3 : 2;
-        }
-        return sweeps;
-    }
-
     const size_t dim = vec.size();
     complex<double> *rho = vec.data();
     // pending[q] holds the product of q's 1q gates not yet applied.
@@ -242,20 +222,6 @@ DensityMatrix::depolarize1(unsigned q, double p)
 {
     // D(rho) = (1 - 4p/3) rho + (4p/3)(I/2 @ Tr_q rho).
     kern::depolarize1(vec.data(), vec.size(), q, nQubits, p);
-}
-
-void
-DensityMatrix::conjugatePauli1(unsigned q, PauliOp op)
-{
-    complex<double> u[4], uc[4];
-    GateKind k = op == PauliOp::X   ? GateKind::X
-                 : op == PauliOp::Y ? GateKind::Y
-                                    : GateKind::Z;
-    gateMatrix(k, 0.0, u);
-    for (int i = 0; i < 4; ++i)
-        uc[i] = std::conj(u[i]);
-    applyRaw1q(q, u);
-    applyRaw1q(q + nQubits, uc);
 }
 
 std::vector<double>

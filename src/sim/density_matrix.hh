@@ -63,8 +63,9 @@ class DensityMatrix
      * One gate plus its noise channel, sweep by sweep: the gate on
      * the ket bits, then on the bra bits, then depolarize2 after a
      * CNOT (three times for a routed SWAP) or depolarize1 after a 1q
-     * gate when configured. This is the per-gate reference that
-     * applyGates falls back to when fusion is off.
+     * gate when configured. applyGates takes this path for 1q gates
+     * under single-qubit noise; replayed gate by gate it is the
+     * reference the executor is tested against.
      */
     void applyGateNoisy(const Gate &g, const NoiseModel &noise);
 
@@ -78,19 +79,13 @@ class DensityMatrix
     /**
      * Apply a circuit, inserting noise channels per the model.
      * Operands are validated once up front (throws SimError with a
-     * gate-level diagnostic), then the gates run through applyGates
-     * with the global fusion toggle (QCC_FUSION, sim/fusion.hh).
+     * gate-level diagnostic), then the gates run through applyGates.
      */
     void applyCircuit(const Circuit &c, const NoiseModel &noise = {});
 
-    /** Same, with the fusion decision pinned by the caller. */
-    void applyCircuit(const Circuit &c, const NoiseModel &noise,
-                      bool fuse);
-
     /**
      * Run a range of already-validated gates with their noise
-     * channels. With `fuse` off every gate goes through
-     * applyGateNoisy. With it on, the range is walked once:
+     * channels, walking the range once:
      *
      *  - each qubit's 1q gates multiply into one pending 2x2 matrix,
      *    applied (U on the ket bit, conj(U) on the bra bit, one
@@ -107,7 +102,7 @@ class DensityMatrix
      * Returns the number of sweeps over the vectorized state.
      */
     size_t applyGates(std::span<const Gate> gates,
-                      const NoiseModel &noise, bool fuse);
+                      const NoiseModel &noise);
 
     /** Two-qubit depolarizing channel with probability p on (a, b). */
     void depolarize2(unsigned a, unsigned b, double p);
@@ -143,9 +138,6 @@ class DensityMatrix
 
     /** Apply CNOT on raw (control, target) index bits. */
     void applyRawCnot(unsigned control_bit, unsigned target_bit);
-
-    /** rho -> P rho P for a Pauli on qubit q (helper for channels). */
-    void conjugatePauli1(unsigned q, PauliOp op);
 
     unsigned nQubits;
     std::vector<std::complex<double>> vec;

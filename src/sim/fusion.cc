@@ -1,9 +1,7 @@
 #include "sim/fusion.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
-#include <cstdlib>
 #include <utility>
 
 #include "common/parallel.hh"
@@ -22,20 +20,6 @@ constexpr unsigned kBlockBits = 12;
 /** How far the builder scans backward for a merge partner. */
 constexpr size_t kLookback = 16;
 
-bool
-envFusionEnabled()
-{
-    const char *e = std::getenv("QCC_FUSION");
-    return !(e && e[0] == '0' && e[1] == '\0');
-}
-
-std::atomic<bool> &
-fusionFlag()
-{
-    static std::atomic<bool> flag(envFusionEnabled());
-    return flag;
-}
-
 std::string
 describeIssue(const SimIssue &issue)
 {
@@ -46,18 +30,6 @@ describeIssue(const SimIssue &issue)
 }
 
 } // namespace
-
-bool
-fusionEnabled()
-{
-    return fusionFlag().load(std::memory_order_relaxed);
-}
-
-void
-setFusionEnabled(bool enabled)
-{
-    fusionFlag().store(enabled, std::memory_order_relaxed);
-}
 
 SimError::SimError(SimIssue issue)
     : std::runtime_error(describeIssue(issue)), issue_(std::move(issue))

@@ -30,9 +30,9 @@
  * fuses each CNOT with its depolarizing channel into one sweep, so
  * noisy circuits fuse too.
  *
- * QCC_FUSION=0 disables fusion globally (per-gate replay on both
- * simulators); setFusionEnabled() overrides at runtime for tests and
- * benches.
+ * Fused execution is the only production path on both simulators.
+ * The per-gate replays it is checked and timed against live with
+ * the tests (tests/sim_reference.hh).
  */
 
 #ifndef QCC_SIM_FUSION_HH
@@ -150,10 +150,6 @@ FusedProgram fuseCircuit(const Circuit &c);
  * array in cache-sized blocks per segment of block-local ops.
  */
 void applyFusedProgram(cplx *amp, const FusedProgram &p);
-
-/** Global fusion toggle: QCC_FUSION env (default on) + override. */
-bool fusionEnabled();
-void setFusionEnabled(bool enabled);
 
 /**
  * Grouped expectation of a rotated qubit-wise-commuting family:

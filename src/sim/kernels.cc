@@ -21,16 +21,6 @@ iPow(int e)
     return table[e & 3];
 }
 
-/**
- * Seed reference phase: P|b> = i^{|x&z|} (-1)^{|z & b|} |b ^ x| for
- * the canonical Pauli (x, z).
- */
-inline cplx
-pauliPhase(uint64_t x, uint64_t z, uint64_t b)
-{
-    return iPow(std::popcount(x & z) + 2 * std::popcount(z & b));
-}
-
 /** +1 / -1 according to the parity of |m & b|. */
 inline double
 paritySign(uint64_t m, uint64_t b)
@@ -292,51 +282,6 @@ cxDepolarize2(cplx *rho, size_t dim, unsigned control, unsigned target,
         ranges::cxDepolarize2(rho, lo, hi, ka, kb, ba, bb, controlLow,
                               keep, mix);
     });
-}
-
-void
-apply1qGeneric(cplx *amp, size_t dim, unsigned q, const cplx u[4])
-{
-    const uint64_t bit = 1ull << q;
-    for (size_t b = 0; b < dim; ++b) {
-        if (b & bit)
-            continue;
-        cplx a0 = amp[b];
-        cplx a1 = amp[b | bit];
-        amp[b] = u[0] * a0 + u[1] * a1;
-        amp[b | bit] = u[2] * a0 + u[3] * a1;
-    }
-}
-
-void
-applyPauliRotationGeneric(cplx *amp, size_t dim, uint64_t x, uint64_t z,
-                          double theta)
-{
-    const cplx c = std::cos(theta);
-    const cplx is = cplx(0, std::sin(theta));
-
-    if (x == 0) {
-        for (size_t b = 0; b < dim; ++b)
-            amp[b] *= c + is * pauliPhase(x, z, b);
-        return;
-    }
-    for (size_t b = 0; b < dim; ++b) {
-        const size_t b2 = b ^ x;
-        if (b2 < b)
-            continue;
-        cplx a = amp[b], a2 = amp[b2];
-        amp[b] = c * a + is * pauliPhase(x, z, b2) * a2;
-        amp[b2] = c * a2 + is * pauliPhase(x, z, b) * a;
-    }
-}
-
-double
-expectationGeneric(const cplx *amp, size_t dim, uint64_t x, uint64_t z)
-{
-    cplx s = 0.0;
-    for (size_t b = 0; b < dim; ++b)
-        s += std::conj(amp[b]) * pauliPhase(x, z, b ^ x) * amp[b ^ x];
-    return s.real();
 }
 
 } // namespace kern

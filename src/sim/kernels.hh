@@ -17,9 +17,9 @@
  * through the runtime-dispatched scalar/AVX2 range primitives of
  * sim/simd.hh (QCC_SIMD selects the path; see that header).
  *
- * The *Generic functions preserve the original full-scan reference
- * implementations; tests check kernel/generic equivalence and
- * bench_sim_micro measures the speedup.
+ * The original full-scan implementations live on as test oracles in
+ * tests/sim_reference.hh; the kernel tests check equivalence against
+ * them and bench_sim_micro measures the speedup.
  */
 
 #ifndef QCC_SIM_KERNELS_HH
@@ -123,14 +123,6 @@ void depolarize2(cplx *rho, size_t dim, unsigned a, unsigned b,
  */
 void cxDepolarize2(cplx *rho, size_t dim, unsigned control,
                    unsigned target, unsigned n_qubits, double p);
-
-/** @{ Reference full-scan implementations (the seed's algorithms). */
-void apply1qGeneric(cplx *amp, size_t dim, unsigned q, const cplx u[4]);
-void applyPauliRotationGeneric(cplx *amp, size_t dim, uint64_t x,
-                               uint64_t z, double theta);
-double expectationGeneric(const cplx *amp, size_t dim, uint64_t x,
-                          uint64_t z);
-/** @} */
 
 } // namespace kern
 } // namespace qcc

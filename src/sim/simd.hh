@@ -8,8 +8,9 @@
  * compiled with per-function target attributes (no special build
  * flags needed). Which one runs is decided once at startup:
  *
- *   - QCC_SIMD=0 forces the scalar fallback (the CI matrix pins one
- *     leg to this so the dispatch seam cannot rot);
+ *   - QCC_SIMD=0 forces the scalar fallback, the only path on CPUs
+ *     without AVX2 (the CI matrix pins one leg to this so it cannot
+ *     rot on AVX2 runners);
  *   - QCC_SIMD=1 / unset uses the vector path when the CPU supports
  *     it (checked with __builtin_cpu_supports);
  *   - setSimdEnabled() overrides the environment at runtime, which
@@ -17,10 +18,11 @@
  *     paths inside one process.
  *
  * The range primitives are also the building blocks of the fused,
- * cache-blocked executor (sim/fusion.hh): they take explicit index
- * ranges and a global-offset parameter where bit-parity signs depend
- * on the absolute basis index, so the same code runs over a whole
- * 2^n array or over one L2-sized block of it.
+ * cache-blocked executor (sim/fusion.hh) that runs every statevector
+ * circuit: they take explicit index ranges and a global-offset
+ * parameter where bit-parity signs depend on the absolute basis
+ * index, so the same code runs over a whole 2^n array or over one
+ * L2-sized block of it.
  *
  * Index conventions match sim/kernels.hh: `b` ranges are raw basis
  * indices, `k` ranges are compacted pair indices expanded around a

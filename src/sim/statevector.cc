@@ -93,16 +93,10 @@ Statevector::applyGate(const Gate &g)
 void
 Statevector::applyCircuit(const Circuit &c)
 {
-    applyCircuit(c, fusionEnabled());
-}
-
-void
-Statevector::applyCircuit(const Circuit &c, bool fuse)
-{
     validateCircuitOrThrow(c, nQubits);
     // Fusion pays off once there is something to merge; trivial
     // circuits replay gate-by-gate.
-    if (!fuse || c.size() < 4) {
+    if (c.size() < 4) {
         for (const auto &g : c.gates())
             applyGate(g);
         return;

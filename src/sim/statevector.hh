@@ -63,15 +63,11 @@ class Statevector
     /**
      * Apply every gate of a circuit. Operands are validated against
      * the register width up front (throws SimError with a gate-level
-     * diagnostic, see sim/fusion.hh); when gate fusion is enabled
-     * (QCC_FUSION / setFusionEnabled) the circuit is rewritten into
-     * fused ops and executed cache-block by cache-block instead of
-     * one full state pass per gate.
+     * diagnostic, see sim/fusion.hh); the circuit is then rewritten
+     * into fused ops and executed cache-block by cache-block instead
+     * of one full state pass per gate.
      */
     void applyCircuit(const Circuit &c);
-
-    /** Same, with the fusion decision pinned by the caller. */
-    void applyCircuit(const Circuit &c, bool fuse);
 
     /**
      * Apply exp(i theta P) directly (one pass over the state). This is

@@ -1,7 +1,9 @@
 #include "sweep/sweep_spec.hh"
 
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -25,17 +27,37 @@ numberValue(double v)
 }
 
 /**
+ * product * n, or SweepError("axes") when that passes
+ * kMaxAxisPoints. The check divides before anything multiplies, so
+ * it cannot overflow.
+ */
+size_t
+grownProduct(size_t product, size_t n)
+{
+    if (n > 0 && product > SweepSpec::kMaxAxisPoints / n)
+        throw SweepError("axes",
+                         "the axes expand to more than " +
+                             std::to_string(SweepSpec::kMaxAxisPoints) +
+                             " jobs");
+    return product * n;
+}
+
+/**
  * Expand one axis entry: an array is taken verbatim; an object is a
  * numeric {"from", "to", "step"} range, endpoint-inclusive when the
  * span is a whole number of steps (so 1.0..2.6 step 0.2 lands on
- * 2.6) and never emitting a point past `to` otherwise.
+ * 2.6) and never emitting a point past `to` otherwise. `product`
+ * (the earlier axes' product) grows by this axis's size, checked
+ * before a range is materialized.
  */
 std::vector<JsonValue>
-axisValues(const std::string &field, const JsonValue &v)
+axisValues(const std::string &field, const JsonValue &v,
+           size_t &product)
 {
     if (v.isArray()) {
         if (v.items.empty())
             throw SweepError("axes." + field, "axis list is empty");
+        product = grownProduct(product, v.items.size());
         return v.items;
     }
     if (!v.isObject())
@@ -60,20 +82,34 @@ axisValues(const std::string &field, const JsonValue &v)
     // A double-to-size_t cast of a wild quotient is UB (and a huge
     // one is an OOM, not a sweep): gate the point count before the
     // cast, like api/spec gates its int casts.
-    constexpr double kMaxAxisPoints = 1e6;
     const double quotient = (hi - lo) / d;
-    if (!std::isfinite(quotient) || quotient >= kMaxAxisPoints)
+    if (!std::isfinite(quotient) ||
+        quotient >= double(SweepSpec::kMaxAxisPoints))
         throw SweepError("axes." + field,
                          "range expands to too many points");
-    std::vector<JsonValue> out;
     // Index-based stepping avoids accumulating rounding error; the
     // step-relative tolerance only absorbs FP noise at the
     // endpoint, so a range whose span is not a multiple of the
     // step never emits a point past `to`.
     const size_t n = size_t(quotient + 1e-6) + 1;
+    product = grownProduct(product, n);
+    std::vector<JsonValue> out;
     for (size_t i = 0; i < n; ++i)
         out.push_back(numberValue(lo + double(i) * d));
     return out;
+}
+
+/**
+ * Size of the axes' cartesian product; SweepError("axes") above
+ * kMaxAxisPoints.
+ */
+size_t
+axisProduct(const std::vector<SweepAxis> &axes)
+{
+    size_t product = 1;
+    for (const auto &axis : axes)
+        product = grownProduct(product, axis.values.size());
+    return product;
 }
 
 } // namespace
@@ -87,9 +123,7 @@ SweepSpec::expand() const
     // ones — fromJson() just surfaces the same errors earlier.
     std::vector<ExperimentSpec> jobs;
     if (!axes.empty()) {
-        size_t product = 1;
-        for (const auto &axis : axes)
-            product *= axis.values.size();
+        const size_t product = axisProduct(axes);
         jobs.reserve(product + explicitJobs.size());
 
         // Odometer over the axes: first axis slowest, like nested
@@ -121,10 +155,7 @@ SweepSpec::jobCount() const
 {
     if (axes.empty())
         return explicitJobs.empty() ? 1 : explicitJobs.size();
-    size_t product = 1;
-    for (const auto &axis : axes)
-        product *= axis.values.size();
-    return product + explicitJobs.size();
+    return axisProduct(axes) + explicitJobs.size();
 }
 
 std::string
@@ -195,9 +226,10 @@ SweepSpec::fromJson(const std::string &doc)
                 throw SweepError("axes",
                                  "expected an object of field -> "
                                  "values");
+            size_t product = 1;
             for (const auto &[field, av] : value.members)
                 spec.axes.push_back(
-                    {field, axisValues(field, av)});
+                    {field, axisValues(field, av, product)});
         } else if (key == "jobs") {
             if (!value.isArray())
                 throw SweepError("jobs",
@@ -205,9 +237,11 @@ SweepSpec::fromJson(const std::string &doc)
             rawJobs = &value;
         } else if (key == "concurrency") {
             uint64_t n = 0;
-            if (!value.asUint64(n))
+            if (!value.asUint64(n) || n > kMaxConcurrency)
                 throw SweepError("concurrency",
-                                 "expected an unsigned integer");
+                                 "expected an integer in [0, " +
+                                     std::to_string(kMaxConcurrency) +
+                                     "]");
             spec.concurrency = unsigned(n);
         } else if (key == "timeout_ms") {
             if (!value.isNumber() || value.number < 0.0)
@@ -262,6 +296,20 @@ SweepSpec::fromFile(const std::string &path)
     std::ostringstream buf;
     buf << in.rdbuf();
     return fromJson(buf.str());
+}
+
+bool
+parseConcurrency(const char *text, unsigned &out)
+{
+    if (!text || *text < '0' || *text > '9')
+        return false;
+    errno = 0;
+    char *end = nullptr;
+    const unsigned long long n = std::strtoull(text, &end, 10);
+    if (errno != 0 || *end != '\0' || n > SweepSpec::kMaxConcurrency)
+        return false;
+    out = unsigned(n);
+    return true;
 }
 
 std::string

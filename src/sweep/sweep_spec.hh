@@ -68,6 +68,15 @@ struct SweepAxis
 /** One batch of experiments, declaratively. */
 struct SweepSpec
 {
+    /**
+     * Widest worker pool a document or a CLI may ask for: a sweep
+     * starts up to this many threads, or forks this many workers.
+     */
+    static constexpr unsigned kMaxConcurrency = 1024;
+
+    /** Most jobs an axis, or the product of all axes, may expand to. */
+    static constexpr size_t kMaxAxisPoints = 1000000;
+
     /** Study name; the aggregate lands in SWEEP_<name>.json. */
     std::string name = "sweep";
 
@@ -102,6 +111,7 @@ struct SweepSpec
     /**
      * The ordered job list: cartesian product of the axes over
      * `base` (first axis slowest), then the explicit jobs. Throws
+     * SweepError on a product above kMaxAxisPoints and
      * SweepError/SpecError on unknown axis fields or ill-typed
      * values; registry keys are validated later, per job, by the
      * engine (one bad job must not sink the sweep).
@@ -120,6 +130,13 @@ struct SweepSpec
     /** Load and parse a spec file; throws SweepError on IO failure. */
     static SweepSpec fromFile(const std::string &path);
 };
+
+/**
+ * Parse a --concurrency argument: a decimal integer in
+ * [0, SweepSpec::kMaxConcurrency], 0 meaning the default width.
+ * False on anything else, a sign or trailing bytes included.
+ */
+bool parseConcurrency(const char *text, unsigned &out);
 
 /**
  * Content hash of one expanded job spec (32 hex chars): a double

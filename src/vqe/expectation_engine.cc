@@ -1,6 +1,5 @@
 #include "vqe/expectation_engine.hh"
 
-#include <algorithm>
 #include <array>
 #include <cmath>
 
@@ -75,46 +74,28 @@ ExpectationEngine::energy(const Statevector &psi) const
     const auto &amp = psi.amplitudes();
     const size_t dim = amp.size();
 
-    // Reused rotated-state buffer: thread-local so concurrent
-    // gradient tasks can evaluate through one shared engine, still
-    // no O(2^n) allocation per steady-state call on any thread.
-    static thread_local std::vector<cplx> scratch;
-
     double e = 0.0;
     for (const auto &plan : plans) {
-        if (!plan.rotations.empty() && fusionEnabled()) {
-            // Cache-blocked family sweep: rotate and accumulate one
-            // hot block at a time instead of copying the whole state
-            // (sim/fusion.hh).
-            std::vector<std::pair<unsigned, std::array<cplx, 4>>>
-                rots;
-            rots.reserve(plan.rotations.size());
-            for (const auto &[q, op] : plan.rotations) {
-                std::array<cplx, 4> u;
-                basisChangeMatrix(op, u.data());
-                rots.emplace_back(q, u);
-            }
-            e += rotatedGroupExpectation(
-                amp.data(), dim, rots, plan.weights.data(),
+        if (plan.rotations.empty()) {
+            e += kern::diagonalGroupExpectation(
+                amp.data(), dim, plan.weights.data(),
                 plan.zMasks.data(), plan.zMasks.size());
             continue;
         }
-        const cplx *state = amp.data();
-        if (!plan.rotations.empty()) {
-            // Rotate a scratch copy into the family's shared
-            // eigenbasis (buffer reused across calls and groups).
-            scratch.resize(dim);
-            std::copy(amp.begin(), amp.end(), scratch.begin());
-            for (const auto &[q, op] : plan.rotations) {
-                kern::cplx u[4];
-                basisChangeMatrix(op, u);
-                kern::apply1q(scratch.data(), dim, q, u);
-            }
-            state = scratch.data();
+        // Cache-blocked family sweep: rotate and accumulate one hot
+        // block at a time instead of copying the whole state
+        // (sim/fusion.hh).
+        std::vector<std::pair<unsigned, std::array<cplx, 4>>> rots;
+        rots.reserve(plan.rotations.size());
+        for (const auto &[q, op] : plan.rotations) {
+            std::array<cplx, 4> u;
+            basisChangeMatrix(op, u.data());
+            rots.emplace_back(q, u);
         }
-        e += kern::diagonalGroupExpectation(
-            state, dim, plan.weights.data(), plan.zMasks.data(),
-            plan.zMasks.size());
+        e += rotatedGroupExpectation(amp.data(), dim, rots,
+                                     plan.weights.data(),
+                                     plan.zMasks.data(),
+                                     plan.zMasks.size());
     }
     for (const auto &t : termwise)
         e += t.weight * kern::expectation(amp.data(), dim, t.x, t.z);

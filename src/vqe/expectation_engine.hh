@@ -9,19 +9,19 @@
  *    evaluated in a single probability sweep directly on the state —
  *    no copy, no basis change;
  *  - an off-diagonal family whose member count amortizes its basis
- *    rotations is evaluated by rotating a reused scratch copy into
- *    the family's shared eigenbasis and sweeping once for all
- *    members;
+ *    rotations is rotated into the family's shared eigenbasis one
+ *    cache block at a time and swept once for all members
+ *    (rotatedGroupExpectation, sim/fusion.hh);
  *  - small families fall back to the pair-compacted per-term
  *    expectation kernel, which is the cheapest option for dense
  *    statevector simulation when a family holds only a few terms.
  *
  * This mirrors the measurement-grouping economics the paper cites
  * (Section VIII-A — fewer settings per energy evaluation) while
- * never losing to the plain termwise sweep. Evaluation reuses a
- * thread-local rotated-state scratch buffer, so steady-state calls
- * perform no O(2^n) allocations and one engine can serve concurrent
- * gradient tasks (energy() is const and thread-safe).
+ * never losing to the plain termwise sweep. Evaluation rotates into
+ * thread-local scratch buffers, so steady-state calls perform no
+ * O(2^n) allocations and one engine can serve concurrent gradient
+ * tasks (energy() is const and thread-safe).
  */
 
 #ifndef QCC_VQE_EXPECTATION_ENGINE_HH

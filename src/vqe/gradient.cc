@@ -8,7 +8,6 @@
 #include "obs/trace.hh"
 #include "compiler/pipeline.hh"
 #include "sim/density_matrix.hh"
-#include "sim/fusion.hh"
 #include "sim/kernels.hh"
 
 namespace qcc {
@@ -242,10 +241,9 @@ ParameterShiftEngine::gradientNoisy(
                 return b.expectation(ham);
             });
 
-    const std::span<const Gate> gates = c.gates();
     // Every gate range below runs through the density matrix's one
-    // gate-range entry point, fused unless QCC_FUSION=0.
-    const bool fuse = fusionEnabled();
+    // gate-range entry point, DensityMatrix::applyGates.
+    const std::span<const Gate> gates = c.gates();
     // E+ - E- for rotation j in one sweep: gates and depolarizing
     // channels are linear superoperators L, so
     //   E+ - E- = Tr(H L(RZ(a-2s) rho_j - RZ(a+2s) rho_j))
@@ -271,7 +269,7 @@ ParameterShiftEngine::gradientNoisy(
         // (linearity), then the rest of the circuit runs noisy.
         if (noise.singleQubitDepolarizing > 0.0)
             delta.depolarize1(rz.q0, noise.singleQubitDepolarizing);
-        delta.applyGates(gates.subspan(gi + 1), noise, fuse);
+        delta.applyGates(gates.subspan(gi + 1), noise);
         return delta.expectation(ham);
     };
 
@@ -286,7 +284,7 @@ ParameterShiftEngine::gradientNoisy(
         DensityMatrix rho(n);
         size_t from = 0;
         for (size_t gi : rzIndex) {
-            rho.applyGates(gates.subspan(from, gi - from), noise, fuse);
+            rho.applyGates(gates.subspan(from, gi - from), noise);
             prefixes.push_back(rho);
             from = gi;
         }
@@ -307,7 +305,7 @@ ParameterShiftEngine::gradientNoisy(
         size_t from = 0;
         for (size_t i = 0; i < rzIndex.size(); ++i) {
             rho.applyGates(gates.subspan(from, rzIndex[i] - from),
-                           noise, fuse);
+                           noise);
             diffs[i] = pairDiff(rho, i);
             from = rzIndex[i];
         }

@@ -24,7 +24,7 @@ namespace {
 ExperimentSpec
 sampledH2()
 {
-    setVerbose(false);
+    setLogLevel(LogLevel::Quiet);
     return {.molecule = "H2",
             .bond = 0.74,
             .mode = "sampled",

@@ -25,7 +25,7 @@ namespace {
 
 struct VerboseSilencer
 {
-    VerboseSilencer() { setVerbose(false); }
+    VerboseSilencer() { setLogLevel(LogLevel::Quiet); }
 } silencer;
 
 /** Every field set away from its default (JSON shape only; the

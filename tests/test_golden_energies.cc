@@ -66,7 +66,7 @@ const MolecularProblem &
 h2()
 {
     static const MolecularProblem prob = [] {
-        setVerbose(false);
+        setLogLevel(LogLevel::Quiet);
         return buildMolecularProblem(benchmarkMolecule("H2"), 0.74);
     }();
     return prob;
@@ -76,7 +76,7 @@ const MolecularProblem &
 lih()
 {
     static const MolecularProblem prob = [] {
-        setVerbose(false);
+        setLogLevel(LogLevel::Quiet);
         return buildMolecularProblem(benchmarkMolecule("LiH"), 1.6);
     }();
     return prob;
@@ -86,7 +86,7 @@ lih()
 ExperimentSpec
 experimentOn(const char *molecule, double bond)
 {
-    setVerbose(false);
+    setLogLevel(LogLevel::Quiet);
     return {.molecule = molecule, .bond = bond, .reference = false};
 }
 
@@ -155,7 +155,7 @@ TEST(GoldenEnergies, GradientDriverReachesGolden_H2)
 TEST(GoldenEnergies, BeH2HartreeFockAndFci)
 {
     // The larger-molecule row: 12 qubits, 92 full UCCSD parameters.
-    setVerbose(false);
+    setLogLevel(LogLevel::Quiet);
     MolecularProblem prob =
         buildMolecularProblem(benchmarkMolecule("BeH2"), 1.33);
     EXPECT_EQ(prob.nQubits, 12u);

@@ -43,7 +43,7 @@ struct Fixture
 Fixture
 moleculeFixture(const char *name, double compression = 1.0)
 {
-    setVerbose(false);
+    setLogLevel(LogLevel::Quiet);
     const BenchmarkMolecule &m = benchmarkMolecule(name);
     MolecularProblem prob = buildMolecularProblem(m, m.equilibriumBond);
     Ansatz a = buildUccsd(prob.nSpatial, prob.nElectrons);
@@ -56,7 +56,7 @@ const Fixture &
 h2()
 {
     static const Fixture fix = [] {
-        setVerbose(false);
+        setLogLevel(LogLevel::Quiet);
         MolecularProblem prob =
             buildMolecularProblem(benchmarkMolecule("H2"), 0.74);
         Ansatz a = buildUccsd(prob.nSpatial, prob.nElectrons);
@@ -69,7 +69,7 @@ const Fixture &
 lih()
 {
     static const Fixture fix = [] {
-        setVerbose(false);
+        setLogLevel(LogLevel::Quiet);
         MolecularProblem prob =
             buildMolecularProblem(benchmarkMolecule("LiH"), 1.6);
         Ansatz a = buildUccsd(prob.nSpatial, prob.nElectrons);
@@ -457,8 +457,6 @@ TEST(Gradient, SampledGradientSeededAndBatchingInvariant)
 
 TEST(Gradient, UnrolledShiftsRebindTheSharedCacheEntry)
 {
-    if (!circuitCacheEnabled())
-        GTEST_SKIP() << "QCC_COMPILE_CACHE=0 in the environment";
     const Fixture &fix = h2();
     NoiseModel noise = NoiseModel::paperDefault();
     auto params = testParams(fix.ansatz.nParams);

@@ -3,8 +3,9 @@
  * Equivalence tests for the specialized simulator kernels: randomized
  * circuits and Pauli rotations checked against the generic dense
  * reference path, the <bra|P|ket> kernel against a dense Pauli
- * product, plus grouped-vs-termwise Hamiltonian expectation
- * agreement and the expectation width-check regression.
+ * product, the fused executors against per-gate replay (references
+ * in sim_reference.hh), plus grouped-vs-termwise Hamiltonian
+ * expectation agreement and the expectation width-check regression.
  */
 
 #include <array>
@@ -20,9 +21,11 @@
 #include "sim/kernels.hh"
 #include "sim/simd.hh"
 #include "sim/statevector.hh"
+#include "sim_reference.hh"
 #include "vqe/expectation_engine.hh"
 
 using namespace qcc;
+using namespace qcc_test;
 
 namespace {
 
@@ -122,7 +125,7 @@ TEST(Kernels, Apply1qMatchesGeneric)
             auto fast = randomAmplitudes(n, 100 + rep);
             auto ref = fast;
             kern::apply1q(fast.data(), fast.size(), q, u);
-            kern::apply1qGeneric(ref.data(), ref.size(), q, u);
+            apply1qGeneric(ref.data(), ref.size(), q, u);
             expectClose(fast, ref, "apply1q n=" + std::to_string(n));
         }
     }
@@ -139,9 +142,8 @@ TEST(Kernels, PauliRotationMatchesGeneric)
             auto ref = fast;
             kern::applyPauliRotation(fast.data(), fast.size(),
                                      p.xMask(), p.zMask(), theta);
-            kern::applyPauliRotationGeneric(ref.data(), ref.size(),
-                                            p.xMask(), p.zMask(),
-                                            theta);
+            applyPauliRotationGeneric(ref.data(), ref.size(),
+                                      p.xMask(), p.zMask(), theta);
             expectClose(fast, ref, "rotation " + p.str());
         }
     }
@@ -156,7 +158,7 @@ TEST(Kernels, ExpectationMatchesGeneric)
             PauliString p = randomString(n, rng);
             double fast = kern::expectation(amp.data(), amp.size(),
                                             p.xMask(), p.zMask());
-            double ref = kern::expectationGeneric(
+            double ref = expectationGeneric(
                 amp.data(), amp.size(), p.xMask(), p.zMask());
             EXPECT_NEAR(fast, ref, 1e-12) << p.str();
         }
@@ -312,7 +314,7 @@ TEST(Kernels, RandomCircuitMatchesDenseApply)
             } else {
                 cplx u[4];
                 gateMatrix(g.kind, g.angle, u);
-                kern::apply1qGeneric(ref.data(), ref.size(), g.q0, u);
+                apply1qGeneric(ref.data(), ref.size(), g.q0, u);
             }
         }
         expectClose(fast.amplitudes(), ref, "random circuit");
@@ -332,8 +334,8 @@ TEST(Kernels, ParallelSweepMatchesSerial)
 
     kern::applyPauliRotation(amp.data(), amp.size(), p.xMask(),
                              p.zMask(), 0.37);
-    kern::applyPauliRotationGeneric(ref.data(), ref.size(), p.xMask(),
-                                    p.zMask(), 0.37);
+    applyPauliRotationGeneric(ref.data(), ref.size(), p.xMask(),
+                              p.zMask(), 0.37);
     expectClose(amp, ref, "parallel rotation");
 
     double e = 0.0;
@@ -409,7 +411,7 @@ TEST(Simd, Apply1qMatchesScalarAndGeneric)
                 auto ref = randomAmplitudes(n, 7000 + 64 * n + rep);
                 auto vec = ref;
                 auto sca = ref;
-                kern::apply1qGeneric(ref.data(), ref.size(), q, u);
+                apply1qGeneric(ref.data(), ref.size(), q, u);
                 {
                     SimdGuard g(true);
                     kern::apply1q(vec.data(), vec.size(), q, u);
@@ -439,9 +441,8 @@ TEST(Simd, PauliRotationMatchesScalarAndGeneric)
             auto ref = randomAmplitudes(n, 8000 + 64 * n + rep);
             auto vec = ref;
             auto sca = ref;
-            kern::applyPauliRotationGeneric(ref.data(), ref.size(),
-                                            p.xMask(), p.zMask(),
-                                            theta);
+            applyPauliRotationGeneric(ref.data(), ref.size(),
+                                      p.xMask(), p.zMask(), theta);
             {
                 SimdGuard g(true);
                 kern::applyPauliRotation(vec.data(), vec.size(),
@@ -465,7 +466,7 @@ TEST(Simd, ExpectationMatchesScalarAndGeneric)
         auto amp = randomAmplitudes(n, 90 + n);
         for (int rep = 0; rep < 16; ++rep) {
             PauliString p = randomString(n, rng);
-            const double ref = kern::expectationGeneric(
+            const double ref = expectationGeneric(
                 amp.data(), amp.size(), p.xMask(), p.zMask());
             double vec, sca;
             {
@@ -548,12 +549,12 @@ TEST(Fusion, FusedCircuitMatchesPerGate)
             fusedS.amplitudes() = ref.amplitudes();
             {
                 SimdGuard g(false);
-                ref.applyCircuit(c, false);
-                fusedS.applyCircuit(c, true);
+                applyPerGate(ref, c);
+                fusedS.applyCircuit(c);
             }
             {
                 SimdGuard g(true);
-                fusedV.applyCircuit(c, true);
+                fusedV.applyCircuit(c);
             }
             expectClose(fusedS.amplitudes(), ref.amplitudes(),
                         "fused scalar n=" + std::to_string(n));
@@ -582,8 +583,8 @@ TEST(Fusion, DiagonalRunsCoalesce)
 
     Statevector a = randomState(5, 77), b(5);
     b.amplitudes() = a.amplitudes();
-    a.applyCircuit(c, false);
-    b.applyCircuit(c, true);
+    applyPerGate(a, c);
+    b.applyCircuit(c);
     expectClose(b.amplitudes(), a.amplitudes(), "diag coalesce");
 }
 
@@ -602,8 +603,8 @@ TEST(Fusion, OneQubitRunsMerge)
 
     Statevector a = randomState(4, 88), b(4);
     b.amplitudes() = a.amplitudes();
-    a.applyCircuit(c, false);
-    b.applyCircuit(c, true);
+    applyPerGate(a, c);
+    b.applyCircuit(c);
     expectClose(b.amplitudes(), a.amplitudes(), "1q merge");
 }
 
@@ -635,10 +636,10 @@ TEST(Fusion, DensityMatrixFusedMatchesPerGate)
                 // Evolve both away from the basis state first so the
                 // check sees a dense matrix.
                 Circuit warm = randomCircuit(n, 10, rng);
-                a.applyCircuit(warm, noise, false);
+                applyPerGate(a, warm, noise);
                 b.vectorized() = a.vectorized();
-                a.applyCircuit(c, noise, false);
-                b.applyCircuit(c, noise, true);
+                applyPerGate(a, c, noise);
+                b.applyCircuit(c, noise);
                 expectClose(b.vectorized(), a.vectorized(), what);
                 EXPECT_NEAR(b.trace(), 1.0, 1e-10) << what;
             }
@@ -692,7 +693,7 @@ TEST(Fusion, RotatedGroupExpectationMatchesCopyPath)
     }
 }
 
-TEST(Fusion, EngineEnergyAgreesWithFusionOff)
+TEST(Fusion, EngineEnergyMatchesCopyPath)
 {
     // The ExpectationEngine's fused rotated-family sweep against the
     // scratch-copy path on the same random Hamiltonian and state.
@@ -703,14 +704,25 @@ TEST(Fusion, EngineEnergyAgreesWithFusionOff)
     h.simplify();
     Statevector psi = randomState(6, 99);
     ExpectationEngine engine(h);
-    const bool was = fusionEnabled();
-    setFusionEnabled(true);
     const double fused = engine.energy(psi);
-    setFusionEnabled(false);
-    const double plain = engine.energy(psi);
-    setFusionEnabled(was);
-    EXPECT_NEAR(fused, plain, 1e-11);
+    EXPECT_NEAR(fused, copyPathEnergy(h, psi), 1e-11);
     EXPECT_NEAR(fused, psi.expectation(h), 1e-10);
+
+    // Random strings seldom share a family large enough to sweep, so
+    // add one that is: X on even and Y on odd qubits over random
+    // supports, all qubit-wise commuting.
+    PauliSum family(6);
+    for (int t = 0; t < 40; ++t) {
+        const uint64_t support = 1 + rng.index(63);
+        family.add(rng.gaussian(),
+                   PauliString(6, support, support & 0b101010));
+    }
+    family.simplify();
+    ExpectationEngine familyEngine(family);
+    ASSERT_EQ(familyEngine.numSweptFamilies(), 1u);
+    const double swept = familyEngine.energy(psi);
+    EXPECT_NEAR(swept, copyPathEnergy(family, psi), 1e-11);
+    EXPECT_NEAR(swept, psi.expectation(family), 1e-10);
 }
 
 // ---------------------------------------------------------------------

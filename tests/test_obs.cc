@@ -118,7 +118,7 @@ namespace {
 
 struct VerboseSilencer
 {
-    VerboseSilencer() { setVerbose(false); }
+    VerboseSilencer() { setLogLevel(LogLevel::Quiet); }
 } silencer;
 
 /** One parsed trace event, as much as the tests care about. */

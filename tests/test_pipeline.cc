@@ -72,7 +72,7 @@ const Problem &
 lih()
 {
     static const Problem p = [] {
-        setVerbose(false);
+        setLogLevel(LogLevel::Quiet);
         const auto &entry = benchmarkMolecule("LiH");
         MolecularProblem prob =
             buildMolecularProblem(entry, entry.equilibriumBond);
@@ -87,7 +87,7 @@ const Problem &
 h2o()
 {
     static const Problem p = [] {
-        setVerbose(false);
+        setLogLevel(LogLevel::Quiet);
         const auto &entry = benchmarkMolecule("H2O");
         MolecularProblem prob =
             buildMolecularProblem(entry, entry.equilibriumBond);
@@ -230,9 +230,6 @@ TEST(Pipeline, CompiledCircuitIsEquivalentToLogical)
 
 TEST(Pipeline, CacheHitReproducesUncachedCompileExactly)
 {
-    if (!circuitCacheEnabled())
-        GTEST_SKIP() << "QCC_COMPILE_CACHE=0 in the environment";
-
     XTree tree = makeXTree(17);
     CompilerPipeline cached(tree, PipelineOptions{});
     PipelineOptions u;
@@ -295,8 +292,6 @@ TEST(Pipeline, ParallelAndSerialCompilesAgree_LiH)
 
 TEST(Pipeline, CachedChainCircuitMatchesDirectSynthesis)
 {
-    if (!circuitCacheEnabled())
-        GTEST_SKIP() << "QCC_COMPILE_CACHE=0 in the environment";
     for (uint64_t seed : {41u, 43u}) {
         auto params = randomParams(lih().ansatz.nParams, seed);
         Circuit direct =

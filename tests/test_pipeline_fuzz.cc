@@ -20,11 +20,12 @@
 #include "compiler/pipeline.hh"
 #include "compiler/verify.hh"
 #include "evolve/trotter.hh"
-#include "sim/fusion.hh"
 #include "sim/simd.hh"
 #include "sim/statevector.hh"
+#include "sim_reference.hh"
 
 using namespace qcc;
+using qcc_test::applyPerGate;
 
 namespace {
 
@@ -87,7 +88,7 @@ checkFlow(const Ansatz &a, const std::vector<double> &params,
 
 TEST(PipelineFuzz, RandomProgramsCompileAndStayEquivalent)
 {
-    setVerbose(false);
+    setLogLevel(LogLevel::Quiet);
     XTree tree = makeXTree(7);
 
     PipelineOptions chainOpts;
@@ -124,7 +125,7 @@ TEST(PipelineFuzz, CompiledCircuitsExecuteIdenticallyFusedAndSimd)
     // SIMD, fused scalar, fused SIMD) must agree on real compiler
     // output — routed circuits full of CNOT/SWAP runs and basis
     // sandwiches, not just synthetic gate streams.
-    setVerbose(false);
+    setLogLevel(LogLevel::Quiet);
     XTree tree = makeXTree(7);
     PipelineOptions opts;
     opts.verifyTrials = 0;
@@ -156,11 +157,11 @@ TEST(PipelineFuzz, CompiledCircuitsExecuteIdenticallyFusedAndSimd)
         fusedV.amplitudes() = ref.amplitudes();
 
         kern::setSimdEnabled(false);
-        ref.applyCircuit(res.circuit, false);
-        fusedS.applyCircuit(res.circuit, true);
+        applyPerGate(ref, res.circuit);
+        fusedS.applyCircuit(res.circuit);
         kern::setSimdEnabled(true);
-        simd.applyCircuit(res.circuit, false);
-        fusedV.applyCircuit(res.circuit, true);
+        applyPerGate(simd, res.circuit);
+        fusedV.applyCircuit(res.circuit);
 
         for (size_t i = 0; i < ref.dim(); ++i) {
             ASSERT_NEAR(std::abs(simd.amplitudes()[i] -
@@ -186,7 +187,7 @@ TEST(PipelineFuzz, TrotterProgramsCompileAndExecuteIdentically)
     // UCCSD-style programs — long family-ordered rotation streams,
     // one shared dt parameter — so push them through the same three
     // flows and the four execution tiers.
-    setVerbose(false);
+    setLogLevel(LogLevel::Quiet);
     XTree tree = makeXTree(7);
 
     PipelineOptions chainOpts;
@@ -248,11 +249,11 @@ TEST(PipelineFuzz, TrotterProgramsCompileAndExecuteIdentically)
         fusedS.amplitudes() = ref.amplitudes();
         fusedV.amplitudes() = ref.amplitudes();
         kern::setSimdEnabled(false);
-        ref.applyCircuit(res.circuit, false);
-        fusedS.applyCircuit(res.circuit, true);
+        applyPerGate(ref, res.circuit);
+        fusedS.applyCircuit(res.circuit);
         kern::setSimdEnabled(true);
-        simd.applyCircuit(res.circuit, false);
-        fusedV.applyCircuit(res.circuit, true);
+        applyPerGate(simd, res.circuit);
+        fusedV.applyCircuit(res.circuit);
         for (size_t i = 0; i < ref.dim(); ++i) {
             ASSERT_NEAR(std::abs(simd.amplitudes()[i] -
                                  ref.amplitudes()[i]),
@@ -274,9 +275,7 @@ TEST(PipelineFuzz, TrotterProgramsCompileAndExecuteIdentically)
 
 TEST(PipelineFuzz, CachedRecompileOfRandomProgramsIsExact)
 {
-    if (!circuitCacheEnabled())
-        GTEST_SKIP() << "QCC_COMPILE_CACHE=0 in the environment";
-    setVerbose(false);
+    setLogLevel(LogLevel::Quiet);
     XTree tree = makeXTree(7);
     CompilerPipeline cached(tree, PipelineOptions{});
 

@@ -37,7 +37,7 @@ const H2Fixture &
 h2()
 {
     static const H2Fixture fix = [] {
-        setVerbose(false);
+        setLogLevel(LogLevel::Quiet);
         MolecularProblem prob =
             buildMolecularProblem(benchmarkMolecule("H2"), 0.74);
         Ansatz a = buildUccsd(prob.nSpatial, prob.nElectrons);

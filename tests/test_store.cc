@@ -253,7 +253,7 @@ TEST(CircuitStore, DisabledStoreNoops)
 
 TEST(CircuitStore, CacheWriteThroughAndPromotion)
 {
-    setVerbose(false);
+    setLogLevel(LogLevel::Quiet);
     StoreDirGuard guard;
     globalCircuitCache().clear();
 
@@ -301,7 +301,7 @@ TEST(CircuitStore, CacheWriteThroughAndPromotion)
 
 TEST(ProblemStore, RoundTripMatchesFreshBuild)
 {
-    setVerbose(false);
+    setLogLevel(LogLevel::Quiet);
     StoreDirGuard guard;
     const auto &entry = benchmarkMolecule("H2");
     const double bond = 0.8125; // off-catalog bond: unique key
@@ -354,7 +354,7 @@ TEST(ProblemStore, RoundTripMatchesFreshBuild)
 
 TEST(ProblemStore, CorruptEntryRebuilds)
 {
-    setVerbose(false);
+    setLogLevel(LogLevel::Quiet);
     StoreDirGuard guard;
     const auto &entry = benchmarkMolecule("H2");
     const double bond = 0.8750;
@@ -379,7 +379,7 @@ TEST(ProblemStore, CorruptEntryRebuilds)
 
 TEST(ProblemStore, SingleFlightUnderConcurrency)
 {
-    setVerbose(false);
+    setLogLevel(LogLevel::Quiet);
     setStoreDir(""); // memo-only: isolate the single-flight logic
     globalProblemStore().clearMemory();
     const auto &entry = benchmarkMolecule("H2");
@@ -447,7 +447,7 @@ TEST(CircuitStore, ConcurrentWritersAndReadersAgree)
 
 TEST(Store, SweepResultsByteIdenticalAcrossTiers)
 {
-    setVerbose(false);
+    setLogLevel(LogLevel::Quiet);
     SweepSpec spec;
     spec.name = "store_identity";
     spec.emitTimings = false; // documents become pure spec+seed

@@ -33,7 +33,7 @@ namespace {
 
 struct VerboseSilencer
 {
-    VerboseSilencer() { setVerbose(false); }
+    VerboseSilencer() { setLogLevel(LogLevel::Quiet); }
 } silencer;
 
 /** Cheap stochastic H2 sweep: grouping x seed, 4 jobs. */
@@ -188,6 +188,97 @@ TEST(SweepSpec, DiagnosticsNameTheOffendingElement)
     EXPECT_EQ(SweepSpec::fromJson("{}").expand().size(), 1u);
     EXPECT_THROW(SweepSpec::fromJson(R"({"axes": {"seed": []}})"),
                  SweepError);
+}
+
+namespace {
+
+/** The element a SweepError names, or "" when the document parses. */
+std::string
+rejectedElement(const std::string &doc)
+{
+    try {
+        SweepSpec::fromJson(doc);
+    } catch (const SweepError &e) {
+        return e.element();
+    }
+    return "";
+}
+
+} // namespace
+
+TEST(SweepSpec, ConcurrencyAboveTheCapIsRejected)
+{
+    // The engine starts min(concurrency, jobs) - 1 threads, sweepd
+    // forks that many workers: the document is where to refuse.
+    EXPECT_EQ(rejectedElement(R"({"concurrency": 100000})"),
+              "concurrency");
+    EXPECT_EQ(rejectedElement(R"({"concurrency": 1025})"),
+              "concurrency");
+    EXPECT_EQ(rejectedElement(R"({"concurrency": 4294967297})"),
+              "concurrency");
+    EXPECT_EQ(rejectedElement(R"({"concurrency": -1})"),
+              "concurrency");
+    EXPECT_EQ(SweepSpec::fromJson(R"({"concurrency": 1024})")
+                  .concurrency,
+              SweepSpec::kMaxConcurrency);
+    EXPECT_EQ(SweepSpec::fromJson(R"({"concurrency": 0})").concurrency,
+              0u);
+}
+
+TEST(SweepSpec, AxisProductAboveTheCapIsRejected)
+{
+    // Every axis passes the per-axis cap; the product does not.
+    EXPECT_EQ(rejectedElement(R"({"axes": {
+        "bond": {"from": 0, "to": 1000, "step": 1},
+        "seed": {"from": 0, "to": 999, "step": 1}}})"),
+              "axes");
+    EXPECT_EQ(rejectedElement(R"({"axes": {
+        "bond": {"from": 1, "to": 101, "step": 1},
+        "seed": {"from": 1, "to": 101, "step": 1},
+        "spsa_iter": {"from": 1, "to": 101, "step": 1}}})"),
+              "axes");
+    // Value lists count the same as ranges.
+    std::string list = "[1";
+    for (int i = 2; i <= 1001; ++i)
+        list += ", " + std::to_string(i);
+    list += "]";
+    EXPECT_EQ(rejectedElement(R"({"axes": {"seed": )" + list +
+                              R"(, "spsa_iter": )" + list + "}}"),
+              "axes");
+    // At the cap exactly the document parses (it is not expanded).
+    const SweepSpec atCap = SweepSpec::fromJson(R"({"axes": {
+        "bond": {"from": 1, "to": 1000, "step": 1},
+        "seed": {"from": 1, "to": 1000, "step": 1}}})");
+    EXPECT_EQ(atCap.jobCount(), SweepSpec::kMaxAxisPoints);
+
+    // A programmatic spec meets the same bound when it is counted
+    // (expand() shares the check and throws before it reserves).
+    SweepSpec built;
+    for (const char *field : {"bond", "seed", "spsa_iter"}) {
+        SweepAxis axis{field, {}};
+        for (int i = 1; i <= 101; ++i)
+            axis.values.push_back(JsonValue::parse(std::to_string(i)));
+        built.axes.push_back(std::move(axis));
+    }
+    try {
+        (void)built.jobCount();
+        FAIL() << "an oversized axis product was counted";
+    } catch (const SweepError &e) {
+        EXPECT_EQ(e.element(), "axes");
+    }
+}
+
+TEST(SweepSpec, ConcurrencyArgumentsParseInTheDocumentRange)
+{
+    unsigned n = 7;
+    EXPECT_TRUE(parseConcurrency("0", n));
+    EXPECT_EQ(n, 0u);
+    EXPECT_TRUE(parseConcurrency("1024", n));
+    EXPECT_EQ(n, 1024u);
+    for (const char *bad : {"-1", "1025", "4294967295", "", "4x", "+4",
+                            " 4", "0x10"})
+        EXPECT_FALSE(parseConcurrency(bad, n)) << '"' << bad << '"';
+    EXPECT_EQ(n, 1024u);
 }
 
 TEST(SweepSpec, DuplicateSpecFieldsRejectedInBaseAndJobs)
@@ -450,8 +541,6 @@ TEST(SweepEngine, CancellationSkipsUnclaimedJobs)
 
 TEST(SweepEngine, JobsShareTheGlobalCompileCache)
 {
-    if (!circuitCacheEnabled())
-        GTEST_SKIP() << "QCC_COMPILE_CACHE=0 in the environment";
     // Three seed-varied compiled jobs: the first misses, the rest
     // rebind the shared entry.
     SweepSpec spec = SweepSpec::fromJson(R"({

@@ -23,6 +23,8 @@
 #include <map>
 #include <string>
 
+#include <fcntl.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "common/json.hh"
@@ -42,7 +44,7 @@ namespace {
 
 struct VerboseSilencer
 {
-    VerboseSilencer() { setVerbose(false); }
+    VerboseSilencer() { setLogLevel(LogLevel::Quiet); }
 } silencer;
 
 /** Cheap stochastic H2 sweep over 4 seeds, deterministic bytes. */
@@ -121,6 +123,58 @@ TEST(SweepdFraming, RoundTripsPayloadsThroughAPipe)
     // Writer gone: the reader sees a clean EOF, not a hang.
     EXPECT_EQ(readFrame(fds[0], back, 1000.0), FrameStatus::Eof);
     ::close(fds[0]);
+}
+
+TEST(SweepdSpawn, WorkerPipesCloseOnExec)
+{
+    // The service's ends of one worker's pipes must not leak into
+    // the worker it execs for another lane.
+    ChildProcess child = spawnChildProcess(
+        {selfPath(), std::string(sweepd::kWorkerFlag)}, {});
+    ASSERT_GT(child.pid, 0);
+    const int inFlags = ::fcntl(child.stdinFd, F_GETFD);
+    const int outFlags = ::fcntl(child.stdoutFd, F_GETFD);
+    // No request: the worker sees EOF on its stdin and exits.
+    closeFd(child.stdinFd);
+    closeFd(child.stdoutFd);
+    const ExitStatus es = reapProcess(child.pid);
+    EXPECT_TRUE(es.exited) << es.describe();
+    ASSERT_NE(inFlags, -1);
+    ASSERT_NE(outFlags, -1);
+    EXPECT_TRUE(inFlags & FD_CLOEXEC);
+    EXPECT_TRUE(outFlags & FD_CLOEXEC);
+}
+
+TEST(SweepdSpawn, AParentWithoutStdinStillWiresTheWorker)
+{
+    // A service started with fd 0 closed gets fd 0 back from pipe2
+    // for its worker's stdin. The worker must still read its request
+    // there (it used to lose it and poll its own reply pipe). Runs in
+    // a forked child so this process keeps its stdin.
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        ignoreSigpipe();
+        ::close(STDIN_FILENO);
+        ChildProcess child = spawnChildProcess(
+            {selfPath(), std::string(sweepd::kWorkerFlag)}, {});
+        bool replied = false;
+        if (child.pid > 0) {
+            // Not a job: the worker answers with a failed reply.
+            writeFrame(child.stdinFd, "not a job request");
+            closeFd(child.stdinFd);
+            std::string payload;
+            replied = readFrame(child.stdoutFd, payload, 20000.0) ==
+                      FrameStatus::Ok;
+            killProcess(child.pid);
+            reapProcess(child.pid);
+        }
+        _exit(replied ? 0 : 1);
+    }
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+        << "the worker never replied";
 }
 
 TEST(SweepdProtocol, DuplicateSpecFieldsRejected)
