@@ -19,7 +19,7 @@
 #include <cstdio>
 
 #include "bench_util.hh"
-#include "compiler/cache.hh"
+#include "obs/metrics.hh"
 #include "sim/noise_model.hh"
 #include "sweep/sweep_engine.hh"
 #include "vqe/vqe.hh"
@@ -131,10 +131,10 @@ main()
     }
 
     rule('=');
-    const CacheStats cs = globalCircuitCache().stats();
-    std::printf("compile cache: %zu hits (%zu angle rebinds), %zu "
-                "misses, %zu resident entries\n",
-                cs.hits, cs.rebinds, cs.misses, cs.entries);
+    const uint64_t hits = metricCounter("compile.cache.hits").value();
+    const uint64_t misses = metricCounter("compile.cache.misses").value();
+    std::printf("compile cache: %llu hits, %llu misses\n",
+                (unsigned long long)hits, (unsigned long long)misses);
     std::printf("expected shape: noisy energies track the exact "
                 "landscape; the error floor reflects the\n"
                 "parameter-count vs gate-noise trade-off of "

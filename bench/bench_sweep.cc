@@ -29,6 +29,7 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <map>
 
 #include "bench_util.hh"
 #include "compiler/cache.hh"
@@ -91,8 +92,17 @@ runStudy(const SweepSpec &spec, unsigned concurrency, bool cold_cache,
     // setStoreDir state.
     globalCircuitCache().clear();
     globalProblemStore().clearMemory();
-    const CacheStats before = globalCircuitCache().stats();
-    const StoreStats sBefore = storeStats();
+    const char *const counted[] = {
+        "compile.cache.hits",        "compile.cache.misses",
+        "store.circuit.disk_hits",   "store.problem.disk_hits",
+        "store.circuit.disk_writes", "store.problem.disk_writes",
+        "store.problem.builds"};
+    std::map<std::string, uint64_t> before;
+    for (const char *name : counted)
+        before[name] = metricCounter(name).value();
+    auto delta = [&](const char *name) {
+        return size_t(metricCounter(name).value() - before[name]);
+    };
 
     SweepEngineOptions opts;
     opts.concurrency = concurrency;
@@ -108,16 +118,13 @@ runStudy(const SweepSpec &spec, unsigned concurrency, bool cold_cache,
                      clock_type::now() - t0)
                      .count();
     out.done = store.countWithStatus(JobStatus::Done);
-    const CacheStats after = globalCircuitCache().stats();
-    const StoreStats sAfter = storeStats();
-    out.cacheHits = after.hits - before.hits;
-    out.cacheMisses = after.misses - before.misses;
-    out.diskHits = (sAfter.circuitDiskHits - sBefore.circuitDiskHits) +
-                   (sAfter.problemDiskHits - sBefore.problemDiskHits);
-    out.diskWrites =
-        (sAfter.circuitDiskWrites - sBefore.circuitDiskWrites) +
-        (sAfter.problemDiskWrites - sBefore.problemDiskWrites);
-    out.problemBuilds = sAfter.problemBuilds - sBefore.problemBuilds;
+    out.cacheHits = delta("compile.cache.hits");
+    out.cacheMisses = delta("compile.cache.misses");
+    out.diskHits = delta("store.circuit.disk_hits") +
+                   delta("store.problem.disk_hits");
+    out.diskWrites = delta("store.circuit.disk_writes") +
+                     delta("store.problem.disk_writes");
+    out.problemBuilds = delta("store.problem.builds");
     if (store_out)
         *store_out = std::move(store);
     return out;

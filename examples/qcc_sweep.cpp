@@ -255,19 +255,23 @@ main(int argc, char **argv)
         std::printf("\nwrote %s\n", path.c_str());
 
     if (storeEnabled()) {
-        const StoreStats ss = storeStats();
-        std::printf("\npersistent store (%s): circuits %zu hit / "
-                    "%zu written / %zu bad; problems %zu memo + "
-                    "%zu disk hit / %zu built / %zu written\n",
-                    storeDir().c_str(), ss.circuitDiskHits,
-                    ss.circuitDiskWrites, ss.circuitBadEntries,
-                    ss.problemMemHits, ss.problemDiskHits,
-                    ss.problemBuilds, ss.problemDiskWrites);
+        auto n = [](const char *name) {
+            return (unsigned long long)metricCounter(name).value();
+        };
+        std::printf("\npersistent store (%s): circuits %llu hit / "
+                    "%llu written / %llu bad; problems %llu memo + "
+                    "%llu disk hit / %llu built / %llu written\n",
+                    storeDir().c_str(), n("store.circuit.disk_hits"),
+                    n("store.circuit.disk_writes"),
+                    n("store.circuit.bad_entries"),
+                    n("store.problem.mem_hits"),
+                    n("store.problem.disk_hits"),
+                    n("store.problem.builds"),
+                    n("store.problem.disk_writes"));
     }
 
     // Telemetry documents under the same QCC_JSON convention as the
-    // aggregate: a trace only when QCC_TRACE is on, metrics whenever
-    // the registry is enabled.
+    // aggregate: a trace only when QCC_TRACE is on, metrics always.
     const std::string tracePath = writeTraceJson(store.name());
     if (!tracePath.empty())
         std::printf("wrote %s\n", tracePath.c_str());

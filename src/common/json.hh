@@ -86,6 +86,17 @@ struct JsonValue
     static JsonValue parse(const std::string &doc);
 };
 
+/**
+ * True when a parsed JSON number converts to int64_t without
+ * overflow; false for NaN and the infinities. A foreign number must
+ * pass this before an integer cast, which is undefined out of range.
+ */
+inline bool
+fitsInt64(double v)
+{
+    return v >= -0x1p63 && v < 0x1p63;
+}
+
 /** JSON string escaping for the hand-rolled serializers. */
 std::string jsonEscape(const std::string &s);
 

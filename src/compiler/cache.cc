@@ -5,34 +5,6 @@
 
 namespace qcc {
 
-namespace {
-
-/**
- * Registry mirrors of the hot CacheStats counters, so
- * METRICS_*.json and cross-process sweepd aggregation see compile
- * cache behavior without teaching them about CacheStats. The
- * authoritative per-instance counts stay in CacheStats (bench rows
- * take deltas from it); these only ever increment.
- */
-struct CacheMetrics
-{
-    MetricCounter &hits = metricCounter("compile.cache.hits");
-    MetricCounter &misses = metricCounter("compile.cache.misses");
-    MetricCounter &diskHits =
-        metricCounter("compile.cache.disk_hits");
-    MetricCounter &diskStores =
-        metricCounter("compile.cache.disk_stores");
-};
-
-CacheMetrics &
-cacheMetrics()
-{
-    static CacheMetrics m;
-    return m;
-}
-
-} // namespace
-
 uint64_t
 CacheKey::hash() const
 {
@@ -59,17 +31,16 @@ CircuitCache::insertMemo(const CacheKey &key,
                          std::shared_ptr<const CachedCompile> sp)
 {
     std::lock_guard<std::mutex> lock(mtx);
-    if (counters.entries >= cap) {
+    if (entries >= cap) {
         table.clear();
-        counters.evictions += counters.entries;
-        counters.entries = 0;
+        entries = 0;
     }
     auto &bucket = table[key.hash()];
     for (const auto &[k, v] : bucket)
         if (k == key)
             return false;
     bucket.emplace_back(key, std::move(sp));
-    ++counters.entries;
+    ++entries;
     return true;
 }
 
@@ -78,6 +49,10 @@ CircuitCache::lookup(const CacheKey &key,
                      const std::vector<double> &angles,
                      CachedCompile &out)
 {
+    static MetricCounter &hits = metricCounter("compile.cache.hits");
+    static MetricCounter &misses = metricCounter("compile.cache.misses");
+    static MetricCounter &diskHits =
+        metricCounter("compile.cache.disk_hits");
     std::shared_ptr<const CachedCompile> found;
     std::shared_ptr<DiskTier> tier;
     {
@@ -91,10 +66,11 @@ CircuitCache::lookup(const CacheKey &key,
                 }
         if (found && found->rzIndex.size() != angles.size())
             found.reset();
-        tier = disk;
+        if (!found)
+            tier = disk;
     }
 
-    if (!found && tier) {
+    if (tier) {
         // Second-tier probe outside the lock: file IO must never
         // serialize the other workers' memory probes.
         CachedCompile entry;
@@ -105,24 +81,15 @@ CircuitCache::lookup(const CacheKey &key,
             // Promote into the memory table (no write-back to disk:
             // the entry just came from there).
             insertMemo(key, found);
-            cacheMetrics().diskHits.add();
-            std::lock_guard<std::mutex> lock(mtx);
-            ++counters.diskHits;
+            diskHits.add();
         }
     }
 
-    {
-        std::lock_guard<std::mutex> lock(mtx);
-        if (!found) {
-            ++counters.misses;
-            cacheMetrics().misses.add();
-            return false;
-        }
-        ++counters.hits;
-        cacheMetrics().hits.add();
-        if (!found->rzIndex.empty())
-            ++counters.rebinds;
+    if (!found) {
+        misses.add();
+        return false;
     }
+    hits.add();
 
     // Copy and rebind outside the lock: rewrite each memoized RZ
     // with the caller's angles.
@@ -144,28 +111,18 @@ CircuitCache::insert(const CacheKey &key, CachedCompile entry)
         std::lock_guard<std::mutex> lock(mtx);
         tier = disk;
     }
-    if (tier && tier->save(key, *sp)) {
-        // Write-through ran outside the lock; best effort.
-        cacheMetrics().diskStores.add();
-        std::lock_guard<std::mutex> lock(mtx);
-        ++counters.diskStores;
-    }
+    static MetricCounter &diskStores =
+        metricCounter("compile.cache.disk_stores");
+    if (tier && tier->save(key, *sp))
+        diskStores.add(); // write-through ran outside the lock
 }
 
 void
 CircuitCache::clear()
 {
     std::lock_guard<std::mutex> lock(mtx);
-    counters.evictions += counters.entries;
-    counters.entries = 0;
+    entries = 0;
     table.clear();
-}
-
-CacheStats
-CircuitCache::stats() const
-{
-    std::lock_guard<std::mutex> lock(mtx);
-    return counters;
 }
 
 CircuitCache &

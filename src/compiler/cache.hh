@@ -86,18 +86,6 @@ struct CachedCompile
     size_t swapCount = 0;
 };
 
-/** Hit/miss counters (monotonic over the cache lifetime). */
-struct CacheStats
-{
-    size_t hits = 0;     ///< memory + disk hits
-    size_t misses = 0;
-    size_t rebinds = 0;  ///< hits that rewrote at least one angle
-    size_t entries = 0;  ///< current resident entries
-    size_t evictions = 0;
-    size_t diskHits = 0;   ///< hits served by the persistent tier
-    size_t diskStores = 0; ///< fresh compiles written through to disk
-};
-
 /**
  * Thread-safe memo table with an optional persistent second tier.
  * Lookups copy the entry out under the lock; rebinding happens on
@@ -111,6 +99,10 @@ struct CacheStats
  * fresh insert is persisted. The tier sees only (key, entry) pairs;
  * all policy — directory, enablement, serialization, corruption
  * handling — lives behind the interface in src/store.
+ *
+ * Hits (memory and disk), misses, disk hits and write-throughs count
+ * in the metrics registry as `compile.cache.{hits,misses,disk_hits,
+ * disk_stores}`, summed over every instance in the process.
  */
 class CircuitCache
 {
@@ -157,10 +149,8 @@ class CircuitCache
     /** Memoize a compile (no-op if an equal key is already present). */
     void insert(const CacheKey &key, CachedCompile entry);
 
-    /** Drop every entry (stats other than `entries` persist). */
+    /** Drop every entry. */
     void clear();
-
-    CacheStats stats() const;
 
   private:
     // Entries are immutable once inserted and held by shared_ptr, so
@@ -172,14 +162,14 @@ class CircuitCache
     bool insertMemo(const CacheKey &key,
                     std::shared_ptr<const CachedCompile> sp);
 
-    mutable std::mutex mtx;
+    std::mutex mtx;
     size_t cap;
+    size_t entries = 0; ///< resident entries, for the capacity rule
     std::unordered_map<
         uint64_t,
         std::vector<std::pair<CacheKey,
                               std::shared_ptr<const CachedCompile>>>>
         table;
-    CacheStats counters;
     std::shared_ptr<DiskTier> disk;
 };
 

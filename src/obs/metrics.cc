@@ -1,8 +1,6 @@
 #include "obs/metrics.hh"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -124,16 +122,6 @@ metricHistogram(const std::string &name)
     return *slot;
 }
 
-bool
-metricsEnabled()
-{
-    static const bool enabled = [] {
-        const char *env = std::getenv("QCC_METRICS");
-        return !(env && std::strcmp(env, "0") == 0);
-    }();
-    return enabled;
-}
-
 std::string
 metricsJson()
 {
@@ -207,7 +195,7 @@ mergeMetricsDom(const JsonValue &doc)
 
     if (gauges && gauges->isObject())
         for (const auto &[name, v] : gauges->members)
-            if (v.isNumber())
+            if (v.isNumber() && fitsInt64(v.number))
                 metricGauge(name).max(int64_t(v.number));
 
     if (histograms && histograms->isObject())
@@ -237,8 +225,6 @@ mergeMetricsDom(const JsonValue &doc)
 std::string
 writeMetricsJson(const std::string &name)
 {
-    if (!metricsEnabled())
-        return {};
     const std::string path =
         qccJsonPath("METRICS_" + name + ".json");
     if (path.empty())

@@ -2,12 +2,14 @@
  * @file
  * Process-wide metrics registry: named counters, gauges, and
  * fixed-bucket latency histograms with lock-free hot paths. The
- * registry is the one home for operational counts that used to be
- * scattered across StoreStats, CacheStats mirrors, and ad-hoc bench
- * plumbing; everything here snapshots into METRICS_<name>.json under
- * the QCC_JSON convention and merges across processes (sweepd
- * workers ship their snapshot back in the reply frame and the
- * service folds it into its own registry).
+ * registry is the one home for operational counts: the compile
+ * cache, the persistent stores, the thread pool and the sweep
+ * engine count here and nowhere else, and readers (tests, benches,
+ * CLI summaries) take before/after values of the same counters.
+ * Everything snapshots into METRICS_<name>.json under the QCC_JSON
+ * convention and merges across processes (sweepd workers ship their
+ * snapshot back in the reply frame and the service folds it into
+ * its own registry).
  *
  * Hot-path contract: add()/record() are a single relaxed fetch_add
  * (plus one for the histogram sum), no locks, no allocation. The
@@ -20,8 +22,11 @@
  * Cross-counter consistency: callers that maintain invariants
  * between counters (e.g. "writes never exceed misses") publish the
  * dependent counter with addRelease() and read snapshots in reverse
- * dependency order through value()'s acquire load; see
- * store/store.cc for the worked example.
+ * dependency order through value()'s acquire load. The worked
+ * example is the stores' `disk_writes` increments
+ * (store/circuit_store.cc, store/problem_store.cc): a reader that
+ * loads `disk_writes` before the misses or builds never sees more
+ * writes than causes.
  */
 
 #ifndef QCC_OBS_METRICS_HH
@@ -157,9 +162,6 @@ MetricCounter &metricCounter(const std::string &name);
 MetricGauge &metricGauge(const std::string &name);
 MetricHistogram &metricHistogram(const std::string &name);
 
-/** QCC_METRICS env gate for file output (default on; "0" off). */
-bool metricsEnabled();
-
 /**
  * Snapshot every registered metric as one JSON document:
  * {"counters": {...}, "gauges": {...}, "histograms": {...}} with
@@ -171,15 +173,15 @@ std::string metricsJson();
  * Fold a metricsJson() document from another process into this
  * registry: counters and histogram buckets are summed, gauges take
  * the foreign value only via max (a merged gauge is a high-water
- * mark). Returns false when the document does not look like a
- * metrics snapshot.
+ * mark; a gauge outside the int64 range is skipped). Returns false
+ * when the document does not look like a metrics snapshot.
  */
 bool mergeMetricsDom(const JsonValue &doc);
 
 /**
  * Write metricsJson() to METRICS_<name>.json under the QCC_JSON
- * convention; returns the path, or "" when QCC_JSON or QCC_METRICS
- * disables output.
+ * convention; returns the path, or "" when QCC_JSON disables
+ * output.
  */
 std::string writeMetricsJson(const std::string &name);
 

@@ -366,6 +366,11 @@ adoptTraceEventsDom(const JsonValue &events)
 {
     if (!events.isArray())
         return 0;
+    // Foreign numbers must fit the integer fields they are cast to;
+    // an event with one that does not is dropped.
+    auto fits = [](const JsonValue *v) {
+        return !v || !v->isNumber() || fitsInt64(v->number);
+    };
     size_t adopted = 0;
     for (const JsonValue &item : events.items) {
         if (!item.isObject())
@@ -378,14 +383,16 @@ adoptTraceEventsDom(const JsonValue &events)
         if (!name || !name->isString() || !ph || !ph->isString() ||
             ph->text.empty() || !ts || !ts->isNumber())
             continue;
+        const double tsNs = ts->number * 1000.0;
+        if (!(tsNs < 0x1p64) || !fits(pid) || !fits(tid))
+            continue;
         TraceEvent e;
         e.name = name->text;
         e.phase = ph->text[0];
         e.tsText = ts->text.empty() ? std::to_string(ts->number)
                                     : ts->text;
-        e.tsNs = ts->number > 0
-                     ? uint64_t(ts->number * 1000.0)
-                     : 0; // sort key only; serialization uses tsText
+        // Sort key only; serialization uses tsText.
+        e.tsNs = tsNs > 0 ? uint64_t(tsNs) : 0;
         if (pid && pid->isNumber())
             e.pid = (long long)pid->number;
         if (tid && tid->isNumber())

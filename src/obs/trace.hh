@@ -128,8 +128,9 @@ std::string writeTraceJson(const std::string &name);
  * Adopt events recorded by another process (a parsed
  * traceEventsArrayJson() document, e.g. from a sweepd worker
  * reply). Foreign pid/tid/ts/args are preserved verbatim — adopted
- * events re-serialize byte-identically. Returns the number of
- * events adopted.
+ * events re-serialize byte-identically. An event whose ts, pid or
+ * tid does not fit its integer field is skipped. Returns the number
+ * of events adopted.
  */
 size_t adoptTraceEventsDom(const JsonValue &events);
 

@@ -112,33 +112,6 @@ applyPauliRotation(cplx *amp, size_t dim, uint64_t x, uint64_t z,
 }
 
 void
-applyPauli(cplx *amp, size_t dim, uint64_t x, uint64_t z)
-{
-    if (x == 0) {
-        parallelFor(0, dim, [=](size_t lo, size_t hi) {
-            for (size_t b = lo; b < hi; ++b)
-                if (std::popcount(z & b) & 1)
-                    amp[b] = -amp[b];
-        });
-        return;
-    }
-    const cplx eps = iPow(std::popcount(x & z));
-    const double sigma = paritySign(z, x);
-    const cplx epsSigma = eps * sigma;
-    const uint64_t pivot = x & (~x + 1);
-    parallelFor(0, dim / 2, [=](size_t lo, size_t hi) {
-        for (size_t k = lo; k < hi; ++k) {
-            const size_t b = expandBit(k, pivot);
-            const size_t b2 = b ^ x;
-            const double sb = paritySign(z, b);
-            const cplx a = amp[b], a2 = amp[b2];
-            amp[b] = (epsSigma * sb) * a2;
-            amp[b2] = (eps * sb) * a;
-        }
-    });
-}
-
-void
 accumulatePauli(const cplx *amp, size_t dim, uint64_t x, uint64_t z,
                 cplx w, cplx *out)
 {

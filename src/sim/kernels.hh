@@ -69,9 +69,6 @@ void applySwap(cplx *amp, size_t dim, unsigned a, unsigned b);
 void applyPauliRotation(cplx *amp, size_t dim, uint64_t x, uint64_t z,
                         double theta);
 
-/** Apply P in place (same mask convention). */
-void applyPauli(cplx *amp, size_t dim, uint64_t x, uint64_t z);
-
 /** out[b] += w * (P amp)[b] for all b. */
 void accumulatePauli(const cplx *amp, size_t dim, uint64_t x, uint64_t z,
                      cplx w, cplx *out);

@@ -114,14 +114,6 @@ Statevector::applyPauliRotation(double theta, const PauliString &p)
 }
 
 void
-Statevector::applyPauli(const PauliString &p)
-{
-    if (p.numQubits() != nQubits)
-        panic("applyPauli: width mismatch");
-    kern::applyPauli(amp.data(), amp.size(), p.xMask(), p.zMask());
-}
-
-void
 Statevector::accumulatePauli(cplx w, const PauliString &p,
                              std::vector<cplx> &out) const
 {
@@ -261,23 +253,6 @@ gateMatrix(GateKind k, double angle, cplx out[4])
       default:
         panic("gateMatrix: not a single-qubit kind");
     }
-}
-
-std::vector<std::vector<cplx>>
-circuitUnitary(const Circuit &c)
-{
-    const unsigned n = c.numQubits();
-    if (n > 12)
-        fatal("circuitUnitary: too many qubits for dense unitary");
-    const size_t dim = size_t{1} << n;
-    std::vector<std::vector<cplx>> u(dim, std::vector<cplx>(dim));
-    for (size_t col = 0; col < dim; ++col) {
-        Statevector sv(n, col);
-        sv.applyCircuit(c);
-        for (size_t row = 0; row < dim; ++row)
-            u[row][col] = sv.amplitudes()[row];
-    }
-    return u;
 }
 
 } // namespace qcc

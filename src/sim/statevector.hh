@@ -76,9 +76,6 @@ class Statevector
      */
     void applyPauliRotation(double theta, const PauliString &p);
 
-    /** Apply the (non-unitary unless |w|=1) operator P in place. */
-    void applyPauli(const PauliString &p);
-
     /** out += w * (P applied to this state); out must match dims. */
     void accumulatePauli(cplx w, const PauliString &p,
                          std::vector<cplx> &out) const;
@@ -121,13 +118,6 @@ class Statevector
 
 /** 2x2 matrix for a single-qubit gate kind (angle for RX/RY/RZ). */
 void gateMatrix(GateKind k, double angle, cplx out[4]);
-
-/**
- * Full 2^n x 2^n unitary of a circuit, built by applying the circuit
- * to every basis state. Column-major in the returned row-major matrix:
- * result[r][c] = <r|U|c>. Only sensible for small n (verification).
- */
-std::vector<std::vector<cplx>> circuitUnitary(const Circuit &c);
 
 } // namespace qcc
 

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "common/binio.hh"
+#include "obs/metrics.hh"
 #include "store/store.hh"
 
 namespace qcc {
@@ -213,18 +214,23 @@ DiskCircuitStore::load(const CacheKey &key, CachedCompile &out)
     const std::string path = pathFor(key);
     if (path.empty())
         return false;
+    static MetricCounter &misses =
+        metricCounter("store.circuit.disk_misses");
+    static MetricCounter &badEntries =
+        metricCounter("store.circuit.bad_entries");
+    static MetricCounter &hits = metricCounter("store.circuit.disk_hits");
     std::string bytes;
     if (!readFileBytes(path, bytes)) {
-        countCircuitDiskMiss();
+        misses.add();
         return false;
     }
     if (!deserializeCachedCompile(bytes, key, out)) {
         // Corrupt or stale entry: drop the file and recompile.
-        countCircuitBadEntry();
+        badEntries.add();
         std::remove(path.c_str());
         return false;
     }
-    countCircuitDiskHit();
+    hits.add();
     return true;
 }
 
@@ -239,7 +245,12 @@ DiskCircuitStore::save(const CacheKey &key, const CachedCompile &entry)
         return false;
     if (!atomicWriteFile(path, serializeCachedCompile(key, entry)))
         return false;
-    countCircuitDiskWrite();
+    // A write follows the miss or bad entry that caused it, so a
+    // release increment lets a reader that loads disk_writes first
+    // never see more writes than misses + bad entries.
+    static MetricCounter &writes =
+        metricCounter("store.circuit.disk_writes");
+    writes.addRelease();
     return true;
 }
 

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "common/binio.hh"
+#include "obs/metrics.hh"
 #include "store/store.hh"
 
 namespace qcc {
@@ -86,11 +87,14 @@ loadFromDisk(const std::string &path, const std::string &key,
     if (!readFileBytes(path, bytes))
         return false;
     if (!deserializeMolecularProblem(bytes, key, out)) {
-        countProblemBadEntry();
+        static MetricCounter &badEntries =
+            metricCounter("store.problem.bad_entries");
+        badEntries.add();
         std::remove(path.c_str());
         return false;
     }
-    countProblemDiskHit();
+    static MetricCounter &hits = metricCounter("store.problem.disk_hits");
+    hits.add();
     return true;
 }
 
@@ -101,8 +105,13 @@ saveToDisk(const std::string &path, const std::string &key,
     const size_t slash = path.rfind('/');
     if (!ensureDirectory(path.substr(0, slash)))
         return;
+    // A write follows the build that caused it, so a release
+    // increment lets a reader that loads disk_writes first never see
+    // more writes than builds.
+    static MetricCounter &writes =
+        metricCounter("store.problem.disk_writes");
     if (atomicWriteFile(path, serializeMolecularProblem(key, mp)))
-        countProblemDiskWrite();
+        writes.addRelease();
 }
 
 } // namespace
@@ -255,7 +264,9 @@ MolecularProblemStore::get(const BenchmarkMolecule &entry,
     }
 
     if (!owner) {
-        countProblemMemHit();
+        static MetricCounter &memHits =
+            metricCounter("store.problem.mem_hits");
+        memHits.add();
         return fut.get();
     }
 
@@ -269,7 +280,9 @@ MolecularProblemStore::get(const BenchmarkMolecule &entry,
             return mp;
         }
 
-        countProblemBuild();
+        static MetricCounter &builds =
+            metricCounter("store.problem.builds");
+        builds.add();
         mp = buildMolecularProblem(entry, bond_angstrom, n_gauss);
         if (disk)
             saveToDisk(path, key, mp);

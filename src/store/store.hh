@@ -1,8 +1,8 @@
 /**
  * @file
- * Persistent-store configuration and statistics — the shared
- * substrate of the on-disk cache tier (docs/caching.md documents the
- * full architecture). The two stores in this directory —
+ * Persistent-store configuration — the shared substrate of the
+ * on-disk cache tier (docs/caching.md documents the full
+ * architecture). The two stores in this directory —
  * DiskCircuitStore (compiled circuits, keyed by the CircuitCache
  * content hash) and MolecularProblemStore (integrals/HF artifacts,
  * keyed by the chemistry inputs) — both resolve their root directory
@@ -20,56 +20,21 @@
  * treats a missing, truncated, version-skewed, or corrupted entry as
  * a miss and recomputes. Deleting the store directory is always
  * safe.
+ *
+ * Both stores count their traffic in the metrics registry
+ * (obs/metrics.hh) under `store.circuit.*` and `store.problem.*`.
+ * "Bad entries" are files that failed validation — wrong
+ * magic/version/checksum, truncation, key mismatch after a
+ * filename-hash collision — all of which demote to a rebuild, never
+ * an error.
  */
 
 #ifndef QCC_STORE_STORE_HH
 #define QCC_STORE_STORE_HH
 
-#include <cstddef>
 #include <string>
 
 namespace qcc {
-
-/**
- * Monotonic counters over the process lifetime, one block per store
- * (snapshot via storeStats()). "Bad entries" are files that failed
- * validation — wrong magic/version/checksum, truncation, key
- * mismatch after a filename-hash collision — all of which demote to
- * a rebuild, never an error.
- */
-struct StoreStats
-{
-    // DiskCircuitStore (the CircuitCache write-through tier).
-    size_t circuitDiskHits = 0;
-    size_t circuitDiskMisses = 0;
-    size_t circuitDiskWrites = 0;
-    size_t circuitBadEntries = 0;
-
-    // MolecularProblemStore.
-    size_t problemMemHits = 0;   ///< served from the in-process memo
-    size_t problemDiskHits = 0;  ///< deserialized from disk
-    size_t problemBuilds = 0;    ///< full integrals/HF builds (misses)
-    size_t problemDiskWrites = 0;
-    size_t problemBadEntries = 0;
-};
-
-/** Snapshot of the process-wide store counters. */
-StoreStats storeStats();
-
-/** Zero every counter (benches isolate per-phase deltas). */
-void resetStoreStats();
-
-/** @{ Counter increments (internal to the store implementations). */
-void countCircuitDiskHit();
-void countCircuitDiskMiss();
-void countCircuitDiskWrite();
-void countCircuitBadEntry();
-void countProblemMemHit();
-void countProblemDiskHit();
-void countProblemBuild();
-void countProblemDiskWrite();
-void countProblemBadEntry();
-/** @} */
 
 /**
  * Active store root: the runtime override when one was set, else

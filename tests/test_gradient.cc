@@ -21,6 +21,7 @@
 #include "common/rng.hh"
 #include "compiler/cache.hh"
 #include "ferm/hamiltonian.hh"
+#include "obs/metrics.hh"
 #include "sim/lanczos.hh"
 #include "vqe/driver.hh"
 #include "vqe/expectation_engine.hh"
@@ -466,13 +467,14 @@ TEST(Gradient, UnrolledShiftsRebindTheSharedCacheEntry)
     backend.applyAnsatz(fix.ansatz, params);
 
     ParameterShiftEngine engine(fix.prob.hamiltonian, fix.ansatz);
-    const CacheStats before = globalCircuitCache().stats();
+    const MetricCounter &hits = metricCounter("compile.cache.hits");
+    const MetricCounter &misses = metricCounter("compile.cache.misses");
+    const uint64_t hits0 = hits.value(), misses0 = misses.value();
     engine.gradientNoisy(params, noise);
-    const CacheStats after = globalCircuitCache().stats();
     // Every shifted compile is an angle rebind of the entry the
     // energy path created — no new synthesis.
-    EXPECT_EQ(after.misses, before.misses);
-    EXPECT_GT(after.hits, before.hits);
+    EXPECT_EQ(misses.value(), misses0);
+    EXPECT_GT(hits.value(), hits0);
 }
 
 TEST(Gradient, ShiftCountMatchesAnsatzStructure)

@@ -5,7 +5,7 @@
  * the thread pool (balanced per-thread B/E stacks in the emitted
  * Chrome trace); the disabled-mode cost contract (zero events, zero
  * heap allocations); byte-identical adoption round trips (the sweepd
- * worker-reply path); torn-snapshot freedom for the StoreStats
+ * worker-reply path); torn-snapshot freedom for the store counters'
  * cross-counter invariants under concurrent writers; the VQE loop's
  * one vqe.optimize span and its attribution args; and sweep
  * byte-identity with tracing on vs off.
@@ -232,6 +232,22 @@ TEST(Metrics, JsonSnapshotRoundTripsThroughMerge)
     EXPECT_FALSE(mergeMetricsDom(JsonValue::parse("[1, 2]")));
 }
 
+TEST(Metrics, MergeSkipsGaugesOutsideTheInt64Range)
+{
+    MetricGauge &g = metricGauge("test.merge.huge_gauge");
+    g.set(7);
+    for (const char *v : {"1e300", "-1e300", "9223372036854775808"}) {
+        const std::string doc =
+            std::string(R"({"gauges": {"test.merge.huge_gauge": )") +
+            v + "}}";
+        ASSERT_TRUE(mergeMetricsDom(JsonValue::parse(doc))) << v;
+        EXPECT_EQ(g.value(), 7) << v;
+    }
+    ASSERT_TRUE(mergeMetricsDom(JsonValue::parse(
+        R"({"gauges": {"test.merge.huge_gauge": 9e18}})")));
+    EXPECT_EQ(g.value(), int64_t(9e18)); // in range: merged by max
+}
+
 // ---- tracing ------------------------------------------------------
 
 TEST(Trace, SpansNestAcrossPoolThreads)
@@ -337,6 +353,26 @@ TEST(Trace, AdoptedEventsReserializeByteIdentically)
     EXPECT_EQ(original, replayed);
 }
 
+TEST(Trace, AdoptionSkipsEventsWhoseNumbersDoNotFit)
+{
+    setTraceEnabled(true);
+    clearTrace();
+    // One valid event, then one per field out of its integer range.
+    const JsonValue doc = JsonValue::parse(R"([
+      {"name": "ok", "ph": "B", "ts": 1.5, "pid": 2, "tid": 3},
+      {"name": "pid", "ph": "B", "ts": 1.5, "pid": 1e300, "tid": 3},
+      {"name": "tid", "ph": "B", "ts": 1.5, "pid": 2, "tid": -1e300},
+      {"name": "ts", "ph": "B", "ts": 1e300, "pid": 2, "tid": 3}
+    ])");
+    EXPECT_EQ(adoptTraceEventsDom(doc), 1u);
+    EXPECT_EQ(traceEventCount(), 1u);
+    const std::string replayed = traceEventsArrayJson();
+    setTraceEnabled(false);
+    clearTrace();
+    EXPECT_NE(replayed.find("\"ok\""), std::string::npos);
+    EXPECT_EQ(replayed.find("-9223372036854775808"), std::string::npos);
+}
+
 TEST(Trace, WrapperDocumentParsesAndNamesTraceEvents)
 {
     setTraceEnabled(true);
@@ -354,41 +390,58 @@ TEST(Trace, WrapperDocumentParsesAndNamesTraceEvents)
     EXPECT_EQ(events->items.size(), 2u);
 }
 
-// ---- StoreStats snapshot consistency ------------------------------
+// ---- store counter snapshot consistency --------------------------
 
-TEST(StoreStatsConsistency, SnapshotsNeverTearCrossCounterInvariants)
+TEST(StoreCounterConsistency, SnapshotsNeverTearCrossCounterInvariants)
 {
-    resetStoreStats();
+    MetricCounter &circuitMisses =
+        metricCounter("store.circuit.disk_misses");
+    MetricCounter &circuitBad = metricCounter("store.circuit.bad_entries");
+    MetricCounter &circuitWrites =
+        metricCounter("store.circuit.disk_writes");
+    MetricCounter &problemBuilds = metricCounter("store.problem.builds");
+    MetricCounter &problemWrites =
+        metricCounter("store.problem.disk_writes");
+    auto resetAll = [&] {
+        for (MetricCounter *c : {&circuitMisses, &circuitBad,
+                                 &circuitWrites, &problemBuilds,
+                                 &problemWrites})
+            c->reset();
+    };
+    resetAll();
 
-    // Writers maintain the real stores' causal pairs: a disk write
-    // only ever follows the miss (or build) that caused it. The
-    // reader asserts the invariant "writes <= causes" on every
-    // snapshot — a relaxed-only implementation shows transient
+    // Writers bump the counters as the real stores do: a disk write
+    // only ever follows the miss (or build) that caused it, and is
+    // published with addRelease(). The reader loads each write
+    // counter before its causes and asserts "writes <= causes" on
+    // every snapshot — a relaxed-only implementation shows transient
     // violations here (write visible before its miss).
     std::atomic<bool> stop{false};
     std::vector<std::thread> writers;
     for (int t = 0; t < 4; ++t) {
-        writers.emplace_back([&stop] {
+        writers.emplace_back([&] {
             while (!stop.load(std::memory_order_relaxed)) {
-                countCircuitDiskMiss();
-                countCircuitDiskWrite();
-                countProblemBuild();
-                countProblemDiskWrite();
+                circuitMisses.add();
+                circuitWrites.addRelease();
+                problemBuilds.add();
+                problemWrites.addRelease();
             }
         });
     }
 
     for (int i = 0; i < 20000; ++i) {
-        const StoreStats ss = storeStats();
-        ASSERT_LE(ss.circuitDiskWrites,
-                  ss.circuitDiskMisses + ss.circuitBadEntries);
-        ASSERT_LE(ss.problemDiskWrites, ss.problemBuilds);
+        const uint64_t cWrites = circuitWrites.value();
+        const uint64_t cCauses = circuitMisses.value() + circuitBad.value();
+        const uint64_t pWrites = problemWrites.value();
+        const uint64_t pCauses = problemBuilds.value();
+        ASSERT_LE(cWrites, cCauses);
+        ASSERT_LE(pWrites, pCauses);
     }
 
     stop.store(true, std::memory_order_relaxed);
     for (std::thread &w : writers)
         w.join();
-    resetStoreStats();
+    resetAll();
 }
 
 // ---- the VQE loop's one span --------------------------------------

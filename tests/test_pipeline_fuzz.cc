@@ -50,6 +50,27 @@ randomProgram(Rng &rng)
     return a;
 }
 
+/**
+ * Random weight-1 Z rotations on qubits 0 and 1 with no HF prep:
+ * each compiles to a bare RZ, so the circuit holds runs of adjacent
+ * diagonals on one qubit and the fused executor merges a diagonal
+ * into a pending diagonal on the same bit.
+ */
+Ansatz
+diagonalRunProgram(Rng &rng)
+{
+    Ansatz a;
+    a.nQubits = 2 + unsigned(rng.index(5)); // 2..6
+    const size_t nRot = 4 + rng.index(5);
+    a.nParams = unsigned(nRot);
+    a.hfMask = 0;
+    for (size_t j = 0; j < nRot; ++j)
+        a.rotations.push_back({unsigned(j), rng.uniform(0.2, 1.5),
+                               PauliString(a.nQubits, 0,
+                                           uint64_t{1} << rng.index(2))});
+    return a;
+}
+
 std::vector<double>
 randomParams(const Ansatz &a, Rng &rng)
 {
@@ -133,9 +154,10 @@ TEST(PipelineFuzz, CompiledCircuitsExecuteIdenticallyFusedAndSimd)
     CompilerPipeline mtr(tree, opts);
 
     const bool simdWas = kern::simdActive();
-    for (uint64_t t = 0; t < 6; ++t) {
+    // Six random programs, then two runs of back-to-back diagonals.
+    for (uint64_t t = 0; t < 8; ++t) {
         Rng rng(deriveStream(0x51D0 + t, 2));
-        Ansatz a = randomProgram(rng);
+        Ansatz a = t < 6 ? randomProgram(rng) : diagonalRunProgram(rng);
         auto params = randomParams(a, rng);
         CompileResult res = mtr.compile(a, params);
         const unsigned n = res.circuit.numQubits();

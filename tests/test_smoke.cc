@@ -141,27 +141,44 @@ TEST(Smoke, WarmStoreRebuildsNothingAndReproducesTheDocument)
     setStoreDir(store.path());
     setStoreEnabled(true);
 
+    // Each run's change in the store counters.
     auto run = [&](const TempDir &json) {
         EnvGuard jsonEnv("QCC_JSON", json.path());
         clearProcessCaches();
-        resetStoreStats();
+        std::map<std::string, uint64_t> change;
+        for (const char *name :
+             {"store.circuit.disk_hits", "store.circuit.disk_writes",
+              "store.circuit.bad_entries", "store.problem.builds",
+              "store.problem.disk_hits", "store.problem.disk_writes",
+              "store.problem.bad_entries"})
+            change[name] = metricCounter(name).value();
         EXPECT_FALSE(SweepEngine(spec).run().write().empty());
-        return storeStats();
+        for (auto &[name, n] : change)
+            n = metricCounter(name).value() - n;
+        return change;
     };
-    const StoreStats first = run(cold);
-    const StoreStats second = run(warm);
+    auto first = run(cold);
+    auto second = run(warm);
 
     EXPECT_EQ(slurp(aggregatePath(warm, spec)),
               slurp(aggregatePath(cold, spec)))
         << "results identical";
-    EXPECT_GE(first.problemBuilds, 1u) << "cold run builds chemistry";
-    EXPECT_GE(first.circuitDiskWrites + first.problemDiskWrites, 1u)
+    EXPECT_GE(first["store.problem.builds"], 1u)
+        << "cold run builds chemistry";
+    EXPECT_GE(first["store.circuit.disk_writes"] +
+                  first["store.problem.disk_writes"],
+              1u)
         << "cold run writes the store";
-    EXPECT_EQ(second.problemBuilds, 0u) << "warm run rebuilds nothing";
-    EXPECT_GE(second.circuitDiskHits + second.problemDiskHits, 1u)
+    EXPECT_EQ(second["store.problem.builds"], 0u)
+        << "warm run rebuilds nothing";
+    EXPECT_GE(second["store.circuit.disk_hits"] +
+                  second["store.problem.disk_hits"],
+              1u)
         << "warm run is served from disk";
-    EXPECT_EQ(second.circuitBadEntries, 0u) << "no bad circuit entry";
-    EXPECT_EQ(second.problemBadEntries, 0u) << "no bad problem entry";
+    EXPECT_EQ(second["store.circuit.bad_entries"], 0u)
+        << "no bad circuit entry";
+    EXPECT_EQ(second["store.problem.bad_entries"], 0u)
+        << "no bad problem entry";
 }
 
 // ---------------------------------------------------------------

@@ -70,14 +70,6 @@ TEST(Statevector, SwapGate)
     EXPECT_NEAR(std::abs(sv.amplitudes()[0b10]), 1.0, 1e-14);
 }
 
-TEST(Statevector, PauliApplyMatchesDefinition)
-{
-    // Y|0> = i|1>, Y|1> = -i|0>.
-    Statevector sv(1, 0);
-    sv.applyPauli(PauliString::fromString("Y"));
-    EXPECT_NEAR(std::abs(sv.amplitudes()[1] - cplx(0, 1)), 0.0, 1e-14);
-}
-
 TEST(Statevector, PauliRotationMatchesGateDecomposition)
 {
     // exp(i t P) == basis+CNOT-chain circuit, on random states.
@@ -175,23 +167,4 @@ TEST(Statevector, SumExpectationMatchesTermSum)
         - 1.25 * sv.expectation(PauliString::fromString("ZZI"))
         + 0.75;
     EXPECT_NEAR(direct, bySum, 1e-12);
-}
-
-TEST(Statevector, CircuitUnitaryIsUnitary)
-{
-    Circuit c(2);
-    c.h(0);
-    c.cnot(0, 1);
-    c.rz(1, 0.3);
-    auto u = circuitUnitary(c);
-    // U U+ = I.
-    for (size_t i = 0; i < 4; ++i) {
-        for (size_t j = 0; j < 4; ++j) {
-            cplx s = 0;
-            for (size_t k = 0; k < 4; ++k)
-                s += u[i][k] * std::conj(u[j][k]);
-            EXPECT_NEAR(std::abs(s - (i == j ? 1.0 : 0.0)), 0.0,
-                        1e-12);
-        }
-    }
 }

@@ -25,6 +25,7 @@
 #include "common/logging.hh"
 #include "compiler/pipeline.hh"
 #include "ferm/hamiltonian.hh"
+#include "obs/metrics.hh"
 #include "store/circuit_store.hh"
 #include "store/problem_store.hh"
 #include "store/store.hh"
@@ -68,6 +69,13 @@ class StoreDirGuard
   private:
     std::string dir;
 };
+
+/** Current value of a registry counter. */
+uint64_t
+counter(const char *name)
+{
+    return metricCounter(name).value();
+}
 
 CachedCompile
 sampleEntry()
@@ -227,13 +235,12 @@ TEST(CircuitStore, BadEntryIsDeletedAndRecovered)
     ASSERT_FALSE(path.empty());
     ASSERT_TRUE(std::filesystem::exists(path));
 
-    const StoreStats before = storeStats();
+    const uint64_t before = counter("store.circuit.bad_entries");
     writeBytes(path, readBytes(path).substr(0, 10));
     CachedCompile out;
     EXPECT_FALSE(store.load(key, out));
     EXPECT_FALSE(std::filesystem::exists(path)); // dropped
-    EXPECT_EQ(storeStats().circuitBadEntries,
-              before.circuitBadEntries + 1);
+    EXPECT_EQ(counter("store.circuit.bad_entries"), before + 1);
 
     // The slot is reusable after the bad entry is dropped.
     ASSERT_TRUE(store.save(key, entry));
@@ -268,19 +275,20 @@ TEST(CircuitStore, CacheWriteThroughAndPromotion)
     XTree tree = makeXTree(7);
     CompilerPipeline pipeline(tree);
 
-    const CacheStats s0 = globalCircuitCache().stats();
+    const uint64_t stores0 = counter("compile.cache.disk_stores");
     CompileResult fresh = pipeline.compile(ansatz, params);
-    const CacheStats s1 = globalCircuitCache().stats();
-    EXPECT_EQ(s1.diskStores, s0.diskStores + 1); // write-through
+    const uint64_t stores1 = counter("compile.cache.disk_stores");
+    const uint64_t diskHits1 = counter("compile.cache.disk_hits");
+    EXPECT_EQ(stores1, stores0 + 1); // write-through
 
     // A new process is simulated by dropping the memory table; the
     // recompile must be served by the persistent tier and match the
     // fresh compile gate for gate.
     globalCircuitCache().clear();
     CompileResult warm = pipeline.compile(ansatz, params);
-    const CacheStats s2 = globalCircuitCache().stats();
-    EXPECT_EQ(s2.diskHits, s1.diskHits + 1);
-    EXPECT_EQ(s2.diskStores, s1.diskStores); // promotion, no rewrite
+    EXPECT_EQ(counter("compile.cache.disk_hits"), diskHits1 + 1);
+    // Promotion, no rewrite.
+    EXPECT_EQ(counter("compile.cache.disk_stores"), stores1);
 
     ASSERT_EQ(fresh.circuit.size(), warm.circuit.size());
     for (size_t i = 0; i < fresh.circuit.size(); ++i) {
@@ -306,19 +314,20 @@ TEST(ProblemStore, RoundTripMatchesFreshBuild)
     const auto &entry = benchmarkMolecule("H2");
     const double bond = 0.8125; // off-catalog bond: unique key
 
-    const StoreStats s0 = storeStats();
+    const uint64_t builds0 = counter("store.problem.builds");
+    const uint64_t writes0 = counter("store.problem.disk_writes");
     MolecularProblem built =
         globalProblemStore().get(entry, bond);
-    const StoreStats s1 = storeStats();
-    EXPECT_EQ(s1.problemBuilds, s0.problemBuilds + 1);
-    EXPECT_EQ(s1.problemDiskWrites, s0.problemDiskWrites + 1);
+    const uint64_t builds1 = counter("store.problem.builds");
+    const uint64_t diskHits1 = counter("store.problem.disk_hits");
+    EXPECT_EQ(builds1, builds0 + 1);
+    EXPECT_EQ(counter("store.problem.disk_writes"), writes0 + 1);
 
     globalProblemStore().clearMemory();
     MolecularProblem loaded =
         globalProblemStore().get(entry, bond);
-    const StoreStats s2 = storeStats();
-    EXPECT_EQ(s2.problemDiskHits, s1.problemDiskHits + 1);
-    EXPECT_EQ(s2.problemBuilds, s1.problemBuilds); // no rebuild
+    EXPECT_EQ(counter("store.problem.disk_hits"), diskHits1 + 1);
+    EXPECT_EQ(counter("store.problem.builds"), builds1); // no rebuild
 
     // Bit-exact round trip against the direct build.
     MolecularProblem direct = buildMolecularProblem(entry, bond);
@@ -367,13 +376,12 @@ TEST(ProblemStore, CorruptEntryRebuilds)
     writeBytes(path, std::string(128, '\x7f'));
 
     globalProblemStore().clearMemory();
-    const StoreStats before = storeStats();
+    const uint64_t bad0 = counter("store.problem.bad_entries");
+    const uint64_t builds0 = counter("store.problem.builds");
     MolecularProblem rebuilt =
         globalProblemStore().get(entry, bond);
-    const StoreStats after = storeStats();
-    EXPECT_EQ(after.problemBadEntries,
-              before.problemBadEntries + 1);
-    EXPECT_EQ(after.problemBuilds, before.problemBuilds + 1);
+    EXPECT_EQ(counter("store.problem.bad_entries"), bad0 + 1);
+    EXPECT_EQ(counter("store.problem.builds"), builds0 + 1);
     EXPECT_GT(rebuilt.hamiltonian.numTerms(), 0u);
 }
 
@@ -385,7 +393,8 @@ TEST(ProblemStore, SingleFlightUnderConcurrency)
     const auto &entry = benchmarkMolecule("H2");
     const double bond = 0.9375;
 
-    const StoreStats before = storeStats();
+    const uint64_t builds0 = counter("store.problem.builds");
+    const uint64_t memHits0 = counter("store.problem.mem_hits");
     std::vector<std::thread> workers;
     std::atomic<int> ok{0};
     for (int t = 0; t < 8; ++t)
@@ -396,12 +405,11 @@ TEST(ProblemStore, SingleFlightUnderConcurrency)
         });
     for (auto &w : workers)
         w.join();
-    const StoreStats after = storeStats();
 
     EXPECT_EQ(ok.load(), 8);
     // Exactly one thread built; the other seven shared the flight.
-    EXPECT_EQ(after.problemBuilds, before.problemBuilds + 1);
-    EXPECT_EQ(after.problemMemHits, before.problemMemHits + 7);
+    EXPECT_EQ(counter("store.problem.builds"), builds0 + 1);
+    EXPECT_EQ(counter("store.problem.mem_hits"), memHits0 + 7);
     globalProblemStore().clearMemory();
 }
 
@@ -484,8 +492,9 @@ TEST(Store, SweepResultsByteIdenticalAcrossTiers)
     StoreDirGuard guard;
     const std::string cold = runOnce(); // populates the store
     const std::string warm = runOnce(); // served from the store
-    const StoreStats stats = storeStats();
-    EXPECT_GT(stats.circuitDiskHits + stats.problemDiskHits, 0u);
+    EXPECT_GT(counter("store.circuit.disk_hits") +
+                  counter("store.problem.disk_hits"),
+              0u);
 
     EXPECT_EQ(off, cold);
     EXPECT_EQ(off, warm);
