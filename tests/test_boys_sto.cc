@@ -7,10 +7,12 @@
  */
 
 #include <cmath>
+#include <cstring>
 #include <gtest/gtest.h>
 
 #include "chem/boys.hh"
 #include "chem/sto_ng.hh"
+#include "chem_reference.hh"
 
 using namespace qcc;
 
@@ -64,6 +66,25 @@ TEST(Boys, DerivativeIdentityAcrossSeriesAsymptoticSwitch)
     for (int m = 0; m <= 4; ++m) {
         double numDeriv = (hi[m] - lo[m]) / (2 * eps);
         EXPECT_NEAR(numDeriv, -mid[m + 1], 1e-9) << "m = " << m;
+    }
+}
+
+TEST(Boys, MatchesTheReferenceBitForBit)
+{
+    // Every branch: the T = 0 limit, the series with downward
+    // recursion (whose start depends on mmax), and the asymptote.
+    for (int mmax = 0; mmax <= 8; ++mmax) {
+        for (double t : {0.0, 1e-14, 0.3, 2.0, 17.5, 34.999, 35.0,
+                         60.0, 900.0}) {
+            const std::vector<double> got = boys(mmax, t);
+            const std::vector<double> want =
+                qcc_test::boys(mmax, t);
+            ASSERT_EQ(got.size(), want.size());
+            EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                  got.size() * sizeof(double)),
+                      0)
+                << "mmax = " << mmax << " T = " << t;
+        }
     }
 }
 

@@ -2,16 +2,55 @@
  * @file
  * Unit tests for the McMurchie-Davidson integral engine: Hermite
  * coefficients, known closed-form Gaussian integrals, matrix
- * symmetries, and ERI permutational symmetry.
+ * symmetries, ERI permutational symmetry, and bit identity with the
+ * seed's per-call loop in chem_reference.hh.
  */
 
 #include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <gtest/gtest.h>
 
 #include "chem/integrals.hh"
 #include "chem/molecules.hh"
+#include "chem_reference.hh"
 
 using namespace qcc;
+
+namespace {
+
+std::vector<double>
+flat(const Matrix &m)
+{
+    std::vector<double> out;
+    for (size_t r = 0; r < m.rows(); ++r)
+        for (size_t c = 0; c < m.cols(); ++c)
+            out.push_back(m(r, c));
+    return out;
+}
+
+/** memcmp equality, naming the first differing element in %a. */
+::testing::AssertionResult
+sameBits(const char *what, const std::vector<double> &got,
+         const std::vector<double> &want)
+{
+    if (got.size() != want.size())
+        return ::testing::AssertionFailure()
+               << what << ": " << got.size() << " values vs "
+               << want.size();
+    for (size_t i = 0; i < got.size(); ++i) {
+        if (std::memcmp(&got[i], &want[i], sizeof(double)) != 0) {
+            char buf[160];
+            std::snprintf(buf, sizeof(buf),
+                          "%s[%zu]: %a, reference %a", what, i,
+                          got[i], want[i]);
+            return ::testing::AssertionFailure() << buf;
+        }
+    }
+    return ::testing::AssertionSuccess();
+}
+
+} // namespace
 
 TEST(HermiteE, SSOverlapIsGaussianProduct)
 {
@@ -29,6 +68,53 @@ TEST(HermiteE, SameCenterPOverlap)
     double a = 0.7, b = 0.4;
     auto e = hermiteE(1, 1, a, b, 0.0);
     EXPECT_NEAR(e[0], 1.0 / (2 * (a + b)), 1e-14);
+}
+
+TEST(HermiteE, MatchesTheReferenceBitForBit)
+{
+    for (int i = 0; i <= 3; ++i)
+        for (int j = 0; j <= 3; ++j)
+            for (double ab : {0.0, 0.9, -2.35})
+                EXPECT_TRUE(sameBits(
+                    "E", hermiteE(i, j, 0.8, 1.3, ab),
+                    qcc_test::hermiteE(i, j, 0.8, 1.3, ab)))
+                    << "i=" << i << " j=" << j << " ab=" << ab;
+}
+
+TEST(Integrals, MatchTheReferenceBitForBit)
+{
+    // S, T, V and the ERI tensor must equal the seed's per-call loop
+    // bit for bit: the problem store's entries and every pinned
+    // energy derive from them. The comparison runs in one process,
+    // so a libm that rounds differently moves both sides together.
+    struct Case
+    {
+        std::string molecule;
+        double bond;
+        int nGauss;
+    };
+    std::vector<Case> cases;
+    for (const BenchmarkMolecule &m : benchmarkMolecules())
+        for (double bond : {m.sweepLo, m.equilibriumBond, m.sweepHi})
+            cases.push_back({m.name, bond, 3});
+    for (const char *name : {"H2", "LiH", "NaH"})
+        for (int ng = 1; ng <= 6; ++ng)
+            cases.push_back(
+                {name, benchmarkMolecule(name).equilibriumBond, ng});
+
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.molecule + " bond " + std::to_string(c.bond) +
+                     " basis_ng " + std::to_string(c.nGauss));
+        Molecule mol = benchmarkMolecule(c.molecule).build(c.bond);
+        BasisSet basis = BasisSet::stoNg(mol, c.nGauss);
+        IntegralTables got = computeIntegrals(basis, mol);
+        IntegralTables want = qcc_test::computeIntegrals(basis, mol);
+        ASSERT_EQ(got.nbf, want.nbf);
+        EXPECT_TRUE(sameBits("S", flat(got.s), flat(want.s)));
+        EXPECT_TRUE(sameBits("T", flat(got.t), flat(want.t)));
+        EXPECT_TRUE(sameBits("V", flat(got.v), flat(want.v)));
+        EXPECT_TRUE(sameBits("ERI", got.eri, want.eri));
+    }
 }
 
 TEST(Integrals, H2OverlapKineticKnown)
