@@ -28,17 +28,16 @@ boysSeries(int m, double t)
 
 } // namespace
 
-std::vector<double>
-boys(int mmax, double t)
+void
+boys(int mmax, double t, double *f)
 {
     if (t < 0)
         panic("boys: negative argument");
-    std::vector<double> f(mmax + 1);
 
     if (t < 1e-13) {
         for (int m = 0; m <= mmax; ++m)
             f[m] = 1.0 / (2.0 * m + 1.0);
-        return f;
+        return;
     }
 
     if (t < 35.0) {
@@ -48,7 +47,7 @@ boys(int mmax, double t)
         const double et = std::exp(-t);
         for (int m = mmax - 1; m >= 0; --m)
             f[m] = (2.0 * t * f[m + 1] + et) / (2.0 * m + 1.0);
-        return f;
+        return;
     }
 
     // Large T: F_0 = sqrt(pi/T)/2 to machine precision, upward
@@ -57,6 +56,13 @@ boys(int mmax, double t)
     const double et = std::exp(-t);
     for (int m = 1; m <= mmax; ++m)
         f[m] = ((2.0 * m - 1.0) * f[m - 1] - et) / (2.0 * t);
+}
+
+std::vector<double>
+boys(int mmax, double t)
+{
+    std::vector<double> f(mmax + 1);
+    boys(mmax, t, f.data());
     return f;
 }
 

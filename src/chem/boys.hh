@@ -21,6 +21,10 @@ namespace qcc {
  */
 std::vector<double> boys(int mmax, double t);
 
+/** The same values written to f[0..mmax], for callers that keep them
+ *  on the stack (the integral loops). */
+void boys(int mmax, double t, double *f);
+
 } // namespace qcc
 
 #endif // QCC_CHEM_BOYS_HH

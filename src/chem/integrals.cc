@@ -10,6 +10,80 @@ namespace qcc {
 
 namespace {
 
+/**
+ * Highest angular momentum of a shell (BasisSet::stoNg stops at p).
+ * It sizes every stack table below: four such functions give a
+ * Hermite Coulomb tensor of auxiliary order at most kMaxN.
+ */
+constexpr int kMaxL = 1;
+constexpr int kMaxN = 4 * kMaxL;
+/** Entries of R_{tuv} for t, u, v <= kMaxN (a generous bound). */
+constexpr int kMaxRSize = (kMaxN + 1) * (kMaxN + 1) * (kMaxN + 1);
+/** E_t^{ij} rows reach t = i + j <= 2 kMaxL in the integral loops. */
+constexpr int kMaxE = 2 * kMaxL + 1;
+
+/**
+ * Hermite expansion coefficients E_t^{ii,jj} for every ii <= i,
+ * jj <= j: row (ii, jj), t = 0..ii+jj, starts at
+ * e + (ii * (j + 1) + jj) * stride. Rows of ii = 0 step in jj from
+ * P - B, the rest in ii from P - A.
+ */
+void
+hermiteTable(int i, int j, double a, double b, double ab, double *e,
+             int stride)
+{
+    const double p = a + b;
+    const double q = a * b / p;
+    const double pa = -b * ab / p; // P - A
+    const double pb = a * ab / p;  // P - B
+    auto row = [&](int ii, int jj) {
+        return e + (size_t(ii) * (j + 1) + jj) * stride;
+    };
+    row(0, 0)[0] = std::exp(-q * ab * ab);
+
+    for (int ii = 0; ii <= i; ++ii) {
+        for (int jj = 0; jj <= j; ++jj) {
+            if (ii == 0 && jj == 0)
+                continue;
+            const double *prev =
+                ii > 0 ? row(ii - 1, jj) : row(ii, jj - 1);
+            const double shift = ii > 0 ? pa : pb;
+            const int len = ii + jj; // entries of prev
+            auto get = [&](int t) {
+                return (t < 0 || t >= len) ? 0.0 : prev[t];
+            };
+            double *cur = row(ii, jj);
+            for (int t = 0; t <= ii + jj; ++t)
+                cur[t] = get(t - 1) / (2.0 * p) + shift * get(t) +
+                         (t + 1) * get(t + 1);
+        }
+    }
+}
+
+/**
+ * One axis of a primitive pair: E_t^{ii,jj} up to (i, j + 2), which
+ * holds the overlap row, the kinetic rows j + 2 and j - 2, and the
+ * Coulomb row (i, j).
+ */
+struct HermiteTable
+{
+    static constexpr int kStride = 2 * kMaxL + 3;
+    double e[(kMaxL + 1) * (kMaxL + 3) * kStride];
+    int cols;
+
+    HermiteTable(int i, int j, double a, double b, double ab)
+        : cols(j + 3)
+    {
+        hermiteTable(i, j + 2, a, b, ab, e, kStride);
+    }
+
+    const double *
+    row(int ii, int jj) const
+    {
+        return e + (ii * cols + jj) * kStride;
+    }
+};
+
 /** Everything needed about one basis function for integral loops. */
 struct BfData
 {
@@ -25,6 +99,9 @@ flattenBasis(const BasisSet &basis)
     std::vector<BfData> out;
     for (const auto &bf : basis.functions()) {
         const Shell &sh = basis.shells()[bf.shell];
+        if (bf.lx + bf.ly + bf.lz > kMaxL)
+            panic("computeIntegrals: angular momentum above the "
+                  "fixed-size Hermite tables");
         BfData d;
         d.center = sh.center;
         d.l[0] = bf.lx;
@@ -42,56 +119,57 @@ flattenBasis(const BasisSet &basis)
 
 /** 1D overlap S_ij = E_0^{ij} sqrt(pi/p). */
 double
-overlap1d(int i, int j, double a, double b, double ab)
+overlap1d(const HermiteTable &e, int i, int j, double p)
 {
-    return hermiteE(i, j, a, b, ab)[0] * std::sqrt(M_PI / (a + b));
+    return e.row(i, j)[0] * std::sqrt(M_PI / p);
 }
 
 /** 1D kinetic-energy block acting on the right function. */
 double
-kinetic1d(int i, int j, double a, double b, double ab)
+kinetic1d(const HermiteTable &e, int i, int j, double b, double p)
 {
-    double term = -2.0 * b * b * overlap1d(i, j + 2, a, b, ab) +
-                  b * (2.0 * j + 1.0) * overlap1d(i, j, a, b, ab);
+    double term = -2.0 * b * b * overlap1d(e, i, j + 2, p) +
+                  b * (2.0 * j + 1.0) * overlap1d(e, i, j, p);
     if (j >= 2)
-        term -= 0.5 * j * (j - 1.0) * overlap1d(i, j - 2, a, b, ab);
+        term -= 0.5 * j * (j - 1.0) * overlap1d(e, i, j - 2, p);
     return term;
 }
 
 /**
  * Hermite Coulomb tensor R_{tuv} = R^0_{tuv}(p, PC). Built by the
- * standard downward recursion over the auxiliary index n.
+ * standard downward recursion over the auxiliary index n, two layers
+ * at a time on the stack (layer n reads only layer n + 1).
  */
 struct HermiteR
 {
-    int tmax, umax, vmax;
-    std::vector<double> data;
+    int umax, vmax;
+    double data[kMaxRSize];
 
     HermiteR(int tm, int um, int vm, double p,
              const std::array<double, 3> &pc)
-        : tmax(tm), umax(um), vmax(vm),
-          data(size_t(tm + 1) * (um + 1) * (vm + 1))
+        : umax(um), vmax(vm)
     {
         const int nmax = tm + um + vm;
         const double r2 =
             pc[0] * pc[0] + pc[1] * pc[1] + pc[2] * pc[2];
-        std::vector<double> f = boys(nmax, p * r2);
+        double f[kMaxN + 1];
+        boys(nmax, p * r2, f);
 
-        // work[n][t][u][v], filled for t+u+v <= nmax - n.
-        auto sz = size_t(tm + 1) * (um + 1) * (vm + 1);
-        std::vector<std::vector<double>> work(nmax + 1,
-                                              std::vector<double>(sz));
-        auto at = [&](std::vector<double> &w, int t, int u,
-                      int v) -> double & {
+        // Layer n lives in data for even n, so layer 0 ends there;
+        // it is filled for t+u+v <= nmax - n.
+        double odd[kMaxRSize];
+        auto layer = [&](int n) { return n % 2 ? odd : data; };
+        auto at = [&](const double *w, int t, int u, int v) {
             return w[(size_t(t) * (umax + 1) + u) * (vmax + 1) + v];
         };
 
         for (int n = nmax; n >= 0; --n) {
-            at(work[n], 0, 0, 0) =
-                std::pow(-2.0 * p, n) * f[n];
+            double *cur = layer(n);
+            cur[0] = std::pow(-2.0 * p, n) * f[n];
             if (n == nmax)
                 continue;
-            for (int t = 0; t <= tmax; ++t) {
+            const double *prev = layer(n + 1);
+            for (int t = 0; t <= tm; ++t) {
                 for (int u = 0; u <= umax; ++u) {
                     for (int v = 0; v <= vmax; ++v) {
                         if (t + u + v == 0 || t + u + v > nmax - n)
@@ -99,29 +177,23 @@ struct HermiteR
                         double val = 0.0;
                         if (t > 0) {
                             if (t > 1)
-                                val += (t - 1) *
-                                    at(work[n + 1], t - 2, u, v);
-                            val += pc[0] *
-                                at(work[n + 1], t - 1, u, v);
+                                val += (t - 1) * at(prev, t - 2, u, v);
+                            val += pc[0] * at(prev, t - 1, u, v);
                         } else if (u > 0) {
                             if (u > 1)
-                                val += (u - 1) *
-                                    at(work[n + 1], t, u - 2, v);
-                            val += pc[1] *
-                                at(work[n + 1], t, u - 1, v);
+                                val += (u - 1) * at(prev, t, u - 2, v);
+                            val += pc[1] * at(prev, t, u - 1, v);
                         } else {
                             if (v > 1)
-                                val += (v - 1) *
-                                    at(work[n + 1], t, u, v - 2);
-                            val += pc[2] *
-                                at(work[n + 1], t, u, v - 1);
+                                val += (v - 1) * at(prev, t, u, v - 2);
+                            val += pc[2] * at(prev, t, u, v - 1);
                         }
-                        at(work[n], t, u, v) = val;
+                        cur[(size_t(t) * (umax + 1) + u) * (vmax + 1) +
+                            v] = val;
                     }
                 }
             }
         }
-        data = work[0];
     }
 
     double
@@ -131,49 +203,34 @@ struct HermiteR
     }
 };
 
+/** One primitive pair of a basis-function pair, as the ERI reads it. */
+struct PrimPair
+{
+    double p;                  ///< a + b
+    std::array<double, 3> ctr; ///< Gaussian product center P
+    double ca, cb;             ///< the two primitive coefficients
+    double cc;                 ///< ca * cb
+    double e[3][kMaxE];        ///< E_t^{l_i l_j} per axis
+};
+
+/** Basis functions x <= y and their primitive pairs, ip-major. */
+struct BfPair
+{
+    size_t x, y;
+    int len[3]; ///< E row length per axis, l_i + l_j + 1
+    std::vector<PrimPair> prims;
+};
+
 } // namespace
 
 std::vector<double>
 hermiteE(int i, int j, double a, double b, double ab)
 {
-    const double p = a + b;
-    const double q = a * b / p;
-    const double pa = -b * ab / p; // P - A
-    const double pb = a * ab / p;  // P - B
-
-    // e[ii][jj] is the vector over t = 0..ii+jj.
-    std::vector<std::vector<std::vector<double>>> e(
-        i + 1, std::vector<std::vector<double>>(j + 1));
-    e[0][0] = {std::exp(-q * ab * ab)};
-
-    auto get = [](const std::vector<double> &v, int t) {
-        return (t < 0 || t >= int(v.size())) ? 0.0 : v[t];
-    };
-
-    for (int ii = 0; ii <= i; ++ii) {
-        for (int jj = 0; jj <= j; ++jj) {
-            if (ii == 0 && jj == 0)
-                continue;
-            std::vector<double> cur(ii + jj + 1, 0.0);
-            if (ii > 0) {
-                const auto &prev = e[ii - 1][jj];
-                for (int t = 0; t <= ii + jj; ++t) {
-                    cur[t] = get(prev, t - 1) / (2.0 * p) +
-                             pa * get(prev, t) +
-                             (t + 1) * get(prev, t + 1);
-                }
-            } else {
-                const auto &prev = e[ii][jj - 1];
-                for (int t = 0; t <= ii + jj; ++t) {
-                    cur[t] = get(prev, t - 1) / (2.0 * p) +
-                             pb * get(prev, t) +
-                             (t + 1) * get(prev, t + 1);
-                }
-            }
-            e[ii][jj] = std::move(cur);
-        }
-    }
-    return e[i][j];
+    const int stride = i + j + 1;
+    std::vector<double> e(size_t(i + 1) * (j + 1) * stride);
+    hermiteTable(i, j, a, b, ab, e.data(), stride);
+    const double *last = e.data() + (size_t(i) * (j + 1) + j) * stride;
+    return std::vector<double>(last, last + i + j + 1);
 }
 
 IntegralTables
@@ -189,13 +246,21 @@ computeIntegrals(const BasisSet &basis, const Molecule &mol)
     out.v = Matrix(n, n);
     out.eri.assign(n * n * n * n, 0.0);
 
-    // --- One-electron integrals -------------------------------------
+    // --- Pair data and one-electron integrals ------------------------
+    std::vector<BfPair> pairs;
+    pairs.reserve(n * (n + 1) / 2);
     for (size_t mu = 0; mu < n; ++mu) {
         for (size_t nu = mu; nu < n; ++nu) {
             const BfData &A = bf[mu], &B = bf[nu];
             std::array<double, 3> abv{A.center[0] - B.center[0],
                                       A.center[1] - B.center[1],
                                       A.center[2] - B.center[2]};
+            BfPair &pair = pairs.emplace_back();
+            pair.x = mu;
+            pair.y = nu;
+            for (int d = 0; d < 3; ++d)
+                pair.len[d] = A.l[d] + B.l[d] + 1;
+            pair.prims.reserve(A.alpha.size() * B.alpha.size());
             double sSum = 0.0, tSum = 0.0, vSum = 0.0;
 
             for (size_t ip = 0; ip < A.alpha.size(); ++ip) {
@@ -203,46 +268,51 @@ computeIntegrals(const BasisSet &basis, const Molecule &mol)
                     const double a = A.alpha[ip], b = B.alpha[jp];
                     const double cc = A.coeff[ip] * B.coeff[jp];
                     const double p = a + b;
+                    const HermiteTable e[3] = {
+                        {A.l[0], B.l[0], a, b, abv[0]},
+                        {A.l[1], B.l[1], a, b, abv[1]},
+                        {A.l[2], B.l[2], a, b, abv[2]}};
 
                     double s1[3], k1[3];
                     for (int d = 0; d < 3; ++d) {
-                        s1[d] = overlap1d(A.l[d], B.l[d], a, b,
-                                          abv[d]);
-                        k1[d] = kinetic1d(A.l[d], B.l[d], a, b,
-                                          abv[d]);
+                        s1[d] = overlap1d(e[d], A.l[d], B.l[d], p);
+                        k1[d] = kinetic1d(e[d], A.l[d], B.l[d], b, p);
                     }
                     sSum += cc * s1[0] * s1[1] * s1[2];
                     tSum += cc * (k1[0] * s1[1] * s1[2] +
                                   s1[0] * k1[1] * s1[2] +
                                   s1[0] * s1[1] * k1[2]);
 
-                    // Nuclear attraction.
-                    std::array<double, 3> pCtr;
-                    for (int d = 0; d < 3; ++d)
-                        pCtr[d] = (a * A.center[d] + b * B.center[d])
-                            / p;
-                    std::vector<double> ex =
-                        hermiteE(A.l[0], B.l[0], a, b, abv[0]);
-                    std::vector<double> ey =
-                        hermiteE(A.l[1], B.l[1], a, b, abv[1]);
-                    std::vector<double> ez =
-                        hermiteE(A.l[2], B.l[2], a, b, abv[2]);
+                    PrimPair &pp = pair.prims.emplace_back();
+                    pp.p = p;
+                    pp.ca = A.coeff[ip];
+                    pp.cb = B.coeff[jp];
+                    pp.cc = cc;
+                    for (int d = 0; d < 3; ++d) {
+                        pp.ctr[d] =
+                            (a * A.center[d] + b * B.center[d]) / p;
+                        const double *row = e[d].row(A.l[d], B.l[d]);
+                        for (int t = 0; t < pair.len[d]; ++t)
+                            pp.e[d][t] = row[t];
+                    }
+                    const double *ex = pp.e[0], *ey = pp.e[1],
+                                 *ez = pp.e[2];
 
+                    // Nuclear attraction.
                     for (const auto &atom : mol.atoms) {
                         std::array<double, 3> pc{
-                            pCtr[0] - atom.pos[0],
-                            pCtr[1] - atom.pos[1],
-                            pCtr[2] - atom.pos[2]};
-                        HermiteR r(int(ex.size()) - 1,
-                                   int(ey.size()) - 1,
-                                   int(ez.size()) - 1, p, pc);
+                            pp.ctr[0] - atom.pos[0],
+                            pp.ctr[1] - atom.pos[1],
+                            pp.ctr[2] - atom.pos[2]};
+                        HermiteR r(pair.len[0] - 1, pair.len[1] - 1,
+                                   pair.len[2] - 1, p, pc);
                         double acc = 0.0;
-                        for (size_t tt = 0; tt < ex.size(); ++tt)
-                            for (size_t uu = 0; uu < ey.size(); ++uu)
-                                for (size_t vv = 0; vv < ez.size();
+                        for (int tt = 0; tt < pair.len[0]; ++tt)
+                            for (int uu = 0; uu < pair.len[1]; ++uu)
+                                for (int vv = 0; vv < pair.len[2];
                                      ++vv)
                                     acc += ex[tt] * ey[uu] * ez[vv] *
-                                        r(int(tt), int(uu), int(vv));
+                                        r(tt, uu, vv);
                         vSum -= atom.z * cc * 2.0 * M_PI / p * acc;
                     }
                 }
@@ -269,89 +339,53 @@ computeIntegrals(const BasisSet &basis, const Molecule &mol)
         out.eri[idx(l, k, j, i)] = val;
     };
 
-    for (size_t i = 0; i < n; ++i) {
-    for (size_t j = i; j < n; ++j) {
-    for (size_t k = 0; k < n; ++k) {
-    for (size_t l = k; l < n; ++l) {
-        if (i * n + j > k * n + l)
-            continue;
-        const BfData &A = bf[i], &B = bf[j], &C = bf[k], &D = bf[l];
-        std::array<double, 3> abv{A.center[0] - B.center[0],
-                                  A.center[1] - B.center[1],
-                                  A.center[2] - B.center[2]};
-        std::array<double, 3> cdv{C.center[0] - D.center[0],
-                                  C.center[1] - D.center[1],
-                                  C.center[2] - D.center[2]};
+    // Pairs are in (x, y) order, so bra <= ket walks each quartet
+    // (ij|kl) with i <= j, k <= l and ij <= kl exactly once.
+    for (size_t bra = 0; bra < pairs.size(); ++bra) {
+    for (size_t ket = bra; ket < pairs.size(); ++ket) {
+        const BfPair &AB = pairs[bra], &CD = pairs[ket];
         double total = 0.0;
 
-        for (size_t ip = 0; ip < A.alpha.size(); ++ip) {
-        for (size_t jp = 0; jp < B.alpha.size(); ++jp) {
-            const double a = A.alpha[ip], b = B.alpha[jp];
-            const double p = a + b;
-            std::array<double, 3> pCtr;
-            for (int d = 0; d < 3; ++d)
-                pCtr[d] = (a * A.center[d] + b * B.center[d]) / p;
-            std::vector<double> e1x =
-                hermiteE(A.l[0], B.l[0], a, b, abv[0]);
-            std::vector<double> e1y =
-                hermiteE(A.l[1], B.l[1], a, b, abv[1]);
-            std::vector<double> e1z =
-                hermiteE(A.l[2], B.l[2], a, b, abv[2]);
-            const double cAB = A.coeff[ip] * B.coeff[jp];
+        for (const PrimPair &P : AB.prims) {
+            const double p = P.p;
+            const double *e1x = P.e[0], *e1y = P.e[1], *e1z = P.e[2];
 
-            for (size_t kp = 0; kp < C.alpha.size(); ++kp) {
-            for (size_t lp = 0; lp < D.alpha.size(); ++lp) {
-                const double c = C.alpha[kp], d = D.alpha[lp];
-                const double q = c + d;
-                std::array<double, 3> qCtr;
-                for (int dd = 0; dd < 3; ++dd)
-                    qCtr[dd] =
-                        (c * C.center[dd] + d * D.center[dd]) / q;
-                std::vector<double> e2x =
-                    hermiteE(C.l[0], D.l[0], c, d, cdv[0]);
-                std::vector<double> e2y =
-                    hermiteE(C.l[1], D.l[1], c, d, cdv[1]);
-                std::vector<double> e2z =
-                    hermiteE(C.l[2], D.l[2], c, d, cdv[2]);
+            for (const PrimPair &Q : CD.prims) {
+                const double q = Q.p;
+                const double *e2x = Q.e[0], *e2y = Q.e[1],
+                             *e2z = Q.e[2];
 
                 const double alpha = p * q / (p + q);
-                std::array<double, 3> pq{pCtr[0] - qCtr[0],
-                                         pCtr[1] - qCtr[1],
-                                         pCtr[2] - qCtr[2]};
-                HermiteR r(int(e1x.size() + e2x.size()) - 2,
-                           int(e1y.size() + e2y.size()) - 2,
-                           int(e1z.size() + e2z.size()) - 2, alpha,
-                           pq);
+                std::array<double, 3> pq{P.ctr[0] - Q.ctr[0],
+                                         P.ctr[1] - Q.ctr[1],
+                                         P.ctr[2] - Q.ctr[2]};
+                HermiteR r(AB.len[0] + CD.len[0] - 2,
+                           AB.len[1] + CD.len[1] - 2,
+                           AB.len[2] + CD.len[2] - 2, alpha, pq);
 
                 double acc = 0.0;
-                for (size_t t1 = 0; t1 < e1x.size(); ++t1)
-                for (size_t u1 = 0; u1 < e1y.size(); ++u1)
-                for (size_t v1 = 0; v1 < e1z.size(); ++v1) {
+                for (int t1 = 0; t1 < AB.len[0]; ++t1)
+                for (int u1 = 0; u1 < AB.len[1]; ++u1)
+                for (int v1 = 0; v1 < AB.len[2]; ++v1) {
                     const double eabc =
                         e1x[t1] * e1y[u1] * e1z[v1];
                     if (eabc == 0.0)
                         continue;
-                    for (size_t t2 = 0; t2 < e2x.size(); ++t2)
-                    for (size_t u2 = 0; u2 < e2y.size(); ++u2)
-                    for (size_t v2 = 0; v2 < e2z.size(); ++v2) {
+                    for (int t2 = 0; t2 < CD.len[0]; ++t2)
+                    for (int u2 = 0; u2 < CD.len[1]; ++u2)
+                    for (int v2 = 0; v2 < CD.len[2]; ++v2) {
                         double sign =
                             ((t2 + u2 + v2) % 2) ? -1.0 : 1.0;
                         acc += eabc * sign * e2x[t2] * e2y[u2] *
-                            e2z[v2] *
-                            r(int(t1 + t2), int(u1 + u2),
-                              int(v1 + v2));
+                            e2z[v2] * r(t1 + t2, u1 + u2, v1 + v2);
                     }
                 }
-                total += cAB * C.coeff[kp] * D.coeff[lp] *
+                total += P.cc * Q.ca * Q.cb *
                     2.0 * std::pow(M_PI, 2.5) /
                     (p * q * std::sqrt(p + q)) * acc;
             }
-            }
         }
-        }
-        setEri(i, j, k, l, total);
-    }
-    }
+        setEri(AB.x, AB.y, CD.x, CD.y, total);
     }
     }
     return out;

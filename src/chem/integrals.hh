@@ -5,6 +5,14 @@
  * plus Hermite Coulomb tensors with the Boys function). Produces the
  * AO-basis overlap, kinetic, nuclear-attraction matrices and the full
  * (ij|kl) electron-repulsion tensor with 8-fold symmetry.
+ *
+ * Each basis-function pair's primitive data (exponent sum, product
+ * center, coefficients, Hermite E rows) is built once and read by
+ * every quartet; the Hermite and Boys work runs in fixed-size stack
+ * arrays sized for shells up to l = 1. Every expression keeps the
+ * evaluation order of the seed's per-call loop, which lives on in
+ * tests/chem_reference.hh: Integrals.MatchTheReferenceBitForBit
+ * requires S, T, V and the ERI tensor to equal it bit for bit.
  */
 
 #ifndef QCC_CHEM_INTEGRALS_HH

@@ -1,10 +1,14 @@
 /**
  * @file
- * STO-nG expansion fitter. Instead of copying tabulated STO-3G
- * contraction data, the library re-derives it: the unit-zeta Slater
- * radial function r^{n-1} exp(-r) is least-squares fit by n_gauss
- * Gaussian primitives r^l exp(-alpha r^2) (overlap-maximizing fit,
- * Nelder-Mead over log-exponents, linear solve for coefficients).
+ * STO-nG contractions of the Slater shells 1s, 2s, 2p, 3s and 3p at
+ * unit zeta, for 1 to 6 Gaussians. Each is a least-squares fit of the
+ * Slater radial function r^{n-1} exp(-r) by n_gauss primitives
+ * r^l exp(-alpha r^2) (overlap-maximizing, Nelder-Mead over
+ * log-exponents, linear solve for coefficients). The library does not
+ * fit at run time: sto_ng.cc commits the fitter's output as exact
+ * hex floats. The fitter itself lives in tests/chem_reference.hh,
+ * and StoNg.TableMatchesTheFitter refits every row and requires bit
+ * equality, so the table stays derived data, not copied constants.
  * Scaling to an element's zeta multiplies exponents by zeta^2; the
  * coefficients, expressed over radially normalized primitives, are
  * invariant under that scaling.
@@ -16,6 +20,9 @@
 #include <vector>
 
 namespace qcc {
+
+/** Largest contraction length the table holds (basis_ng's bound). */
+constexpr int kStoNgMaxGaussians = 6;
 
 /** Result of fitting one Slater shell with Gaussians at zeta = 1. */
 struct StoFit
@@ -29,9 +36,11 @@ struct StoFit
 };
 
 /**
- * Fit the (n, l) Slater shell at zeta = 1 with n_gauss primitives.
- * Results are cached: repeated calls are free. Supported: 1s, 2s, 2p,
- * 3s, 3p with 1 <= n_gauss <= 6.
+ * The (n, l) Slater shell at zeta = 1 with n_gauss primitives, from
+ * the committed table (immutable: repeated calls return the same
+ * object). Supported: 1s, 2s, 2p, 3s, 3p with
+ * 1 <= n_gauss <= kStoNgMaxGaussians; anything else throws
+ * std::out_of_range.
  */
 const StoFit &stoNgFit(int n, int l, int n_gauss = 3);
 

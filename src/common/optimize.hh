@@ -1,7 +1,8 @@
 /**
  * @file
  * Derivative-free and quasi-Newton optimizers used by the VQE outer
- * loop and by the STO-nG basis fitter. The paper optimizes VQE
+ * loop (and by the STO-nG fitter in tests/chem_reference.hh, the
+ * oracle of the committed basis table). The paper optimizes VQE
  * parameters with SLSQP; our problems are unconstrained, so L-BFGS with
  * numerical gradients is the equivalent quasi-Newton choice. Nelder-Mead
  * and SPSA cover noise-free derivative-free and noisy regimes.

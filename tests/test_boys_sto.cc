@@ -1,14 +1,16 @@
 /**
  * @file
- * Unit tests for the Boys function and the STO-nG fitter. The fitter
- * is validated against the canonical STO-3G 1s expansion (Hehre,
+ * Unit tests for the Boys function and the STO-nG table. The fits are
+ * validated against the canonical STO-3G 1s expansion (Hehre,
  * Stewart, Pople 1969): exponents (2.227660, 0.405771, 0.109818) and
  * coefficients (0.154329, 0.535328, 0.444635) at zeta = 1.
+ * test_sto_ng_table holds every row to the fitter bit for bit.
  */
 
 #include <cmath>
 #include <cstring>
 #include <gtest/gtest.h>
+#include <stdexcept>
 
 #include "chem/boys.hh"
 #include "chem/sto_ng.hh"
@@ -140,4 +142,18 @@ TEST(StoNg, CachedFitsAreStable)
     const StoFit &a = stoNgFit(2, 1, 3);
     const StoFit &b = stoNgFit(2, 1, 3);
     EXPECT_EQ(&a, &b);
+}
+
+TEST(StoNg, UnsupportedShellsThrow)
+{
+    // Outside the table: a shell past 3p, or a contraction length
+    // outside [1, kStoNgMaxGaussians]. These throw rather than end
+    // the process, so a sweep can file the job and carry on.
+    EXPECT_THROW(stoNgFit(4, 0, 3), std::out_of_range);
+    EXPECT_THROW(stoNgFit(3, 2, 3), std::out_of_range);
+    EXPECT_THROW(stoNgFit(1, 1, 3), std::out_of_range);
+    EXPECT_THROW(stoNgFit(1, 0, 0), std::out_of_range);
+    EXPECT_THROW(stoNgFit(1, 0, kStoNgMaxGaussians + 1),
+                 std::out_of_range);
+    EXPECT_NO_THROW(stoNgFit(3, 1, kStoNgMaxGaussians));
 }
