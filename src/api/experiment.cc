@@ -6,6 +6,7 @@
 
 #include "ansatz/compression.hh"
 #include "api/json_fields.hh"
+#include "chem/sto_ng.hh"
 #include "common/logging.hh"
 #include "obs/trace.hh"
 #include "sim/density_matrix.hh"
@@ -114,8 +115,14 @@ Experiment::Experiment(ExperimentSpec s) : resolved(std::move(s))
     groupingRegistry().get(resolved.grouping);
     if (resolved.compression <= 0.0)
         throw SpecError("compression", "ratio must be positive");
-    if (resolved.basisNg < 1)
-        throw SpecError("basis_ng", "contraction count must be >= 1");
+    // The STO-nG table holds 1 to kStoNgMaxGaussians primitives; a
+    // count outside it is a spec error, not a mid-sweep failure.
+    if (resolved.basisNg < 1 || resolved.basisNg > kStoNgMaxGaussians)
+        throw SpecError("basis_ng",
+                        "contraction count must be in [1, " +
+                            std::to_string(kStoNgMaxGaussians) +
+                            "], got " +
+                            std::to_string(resolved.basisNg));
     if (!resolved.pipeline.empty()) {
         const PipelineOptions po =
             pipelinePresetRegistry().get(resolved.pipeline)();

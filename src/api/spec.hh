@@ -69,7 +69,7 @@ struct ExperimentSpec
     /** Bond length in Angstrom; <= 0 uses the catalog equilibrium. */
     double bond = 0.0;
 
-    /** STO-nG contraction count (3 = the paper's STO-3G). */
+    /** STO-nG contraction count, 1-6 (3 = the paper's STO-3G). */
     int basisNg = 3;
 
     /** Kept-parameter ratio; >= 1 keeps the full UCCSD ansatz. */

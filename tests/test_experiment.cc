@@ -13,6 +13,7 @@
 
 #include "ansatz/uccsd.hh"
 #include "api/experiment.hh"
+#include "chem/sto_ng.hh"
 #include "common/logging.hh"
 #include "ferm/hamiltonian.hh"
 #include "vqe/driver.hh"
@@ -468,6 +469,30 @@ TEST(Experiment, UnknownMoleculeListsCatalog)
         EXPECT_NE(msg.find("H2"), std::string::npos);
         EXPECT_NE(msg.find("CH4"), std::string::npos);
     }
+}
+
+TEST(Experiment, BasisNgOutsideTheStoNgTableIsASpecError)
+{
+    // The STO-nG table holds 1 to 6 primitives per contraction. A
+    // count outside it must fail at construction, naming the field,
+    // so a sweep files the job as bad input instead of the process
+    // exiting from the basis builder.
+    for (int ng : {0, 7, -1, 1000}) {
+        ExperimentSpec s{.molecule = "H2", .basisNg = ng};
+        try {
+            Experiment bad(s);
+            FAIL() << "basis_ng " << ng << " accepted";
+        } catch (const SpecError &e) {
+            EXPECT_EQ(e.field(), "basis_ng");
+            EXPECT_NE(std::string(e.what()).find(std::to_string(ng)),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    for (int ng : {1, kStoNgMaxGaussians})
+        EXPECT_NO_THROW(
+            Experiment(ExperimentSpec{.molecule = "H2", .basisNg = ng}))
+            << "basis_ng " << ng;
 }
 
 TEST(Experiment, DensityMatrixModesRejectWideMolecules)

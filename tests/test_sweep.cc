@@ -387,6 +387,33 @@ TEST(SweepEngine, BadInputGetsOneAttemptWhateverTheRetryBudget)
     EXPECT_EQ(store.jobs()[0].attempts, 1);
 }
 
+TEST(SweepEngine, BasisNgOutsideTheTableFailsOneJobNotTheSweep)
+{
+    // The STO-nG table stops at 6 primitives. basis_ng 7 is a spec
+    // error at Experiment construction: the job is filed as bad
+    // input after one attempt and the sweep returns, rather than the
+    // basis builder ending the process after job 0.
+    SweepSpec spec = SweepSpec::fromJson(R"({
+      "name": "basis_ng_bound",
+      "base": {
+        "molecule": "H2", "bond": 0.74, "mode": "sampled",
+        "optimizer": "spsa", "spsa_iter": 10, "shots": 1024,
+        "reference": false
+      },
+      "axes": {"basis_ng": [3, 7]},
+      "emit_timings": false
+    })");
+    spec.retries = 2;
+    ResultStore store = SweepEngine(spec).run();
+    ASSERT_EQ(store.jobs().size(), 2u);
+    EXPECT_EQ(store.jobs()[0].status, JobStatus::Done);
+    const SweepJobRecord &bad = store.jobs()[1];
+    EXPECT_EQ(bad.status, JobStatus::Failed);
+    EXPECT_EQ(bad.attempts, 1);
+    EXPECT_NE(bad.error.find("basis_ng"), std::string::npos)
+        << bad.error;
+}
+
 TEST(SweepEngine, SoftTimeoutDemotesOverBudgetJobs)
 {
     SweepSpec spec = smallSweep();
