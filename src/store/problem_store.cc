@@ -5,6 +5,7 @@
 
 #include "common/binio.hh"
 #include "obs/metrics.hh"
+#include "obs/trace.hh"
 #include "store/store.hh"
 
 namespace qcc {
@@ -243,6 +244,11 @@ MolecularProblem
 MolecularProblemStore::get(const BenchmarkMolecule &entry,
                            double bond_angstrom, int n_gauss)
 {
+    // One span per call, whichever tier serves it; the builders
+    // below carry none of their own.
+    TraceSpan span("chem.problem");
+    span.arg("molecule", entry.name);
+    span.arg("basis_ng", n_gauss);
     const std::string key = keyBytes(entry, bond_angstrom, n_gauss);
 
     std::promise<MolecularProblem> prom;
@@ -267,6 +273,7 @@ MolecularProblemStore::get(const BenchmarkMolecule &entry,
         static MetricCounter &memHits =
             metricCounter("store.problem.mem_hits");
         memHits.add();
+        span.arg("source", "memo");
         return fut.get();
     }
 
@@ -276,6 +283,7 @@ MolecularProblemStore::get(const BenchmarkMolecule &entry,
         const std::string path =
             disk ? entryPath(storeDir(), key) : std::string();
         if (disk && loadFromDisk(path, key, mp)) {
+            span.arg("source", "disk");
             prom.set_value(mp);
             return mp;
         }
@@ -283,6 +291,7 @@ MolecularProblemStore::get(const BenchmarkMolecule &entry,
         static MetricCounter &builds =
             metricCounter("store.problem.builds");
         builds.add();
+        span.arg("source", "build");
         mp = buildMolecularProblem(entry, bond_angstrom, n_gauss);
         if (disk)
             saveToDisk(path, key, mp);

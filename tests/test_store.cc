@@ -22,10 +22,12 @@
 #include "arch/xtree.hh"
 #include "chem/molecules.hh"
 #include "common/binio.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "compiler/pipeline.hh"
 #include "ferm/hamiltonian.hh"
 #include "obs/metrics.hh"
+#include "obs/trace.hh"
 #include "store/circuit_store.hh"
 #include "store/problem_store.hh"
 #include "store/store.hh"
@@ -359,6 +361,43 @@ TEST(ProblemStore, RoundTripMatchesFreshBuild)
               direct.activeSpace.activeMos);
     EXPECT_EQ(loaded.activeSpace.removedMos,
               direct.activeSpace.removedMos);
+}
+
+TEST(ProblemStore, EveryGetTracesOneChemProblemSpanNamingItsSource)
+{
+    setLogLevel(LogLevel::Quiet);
+    StoreDirGuard guard;
+    const auto &entry = benchmarkMolecule("H2");
+    const double bond = 0.8437; // off-catalog bond: unique key
+
+    setTraceEnabled(true);
+    clearTrace();
+    globalProblemStore().get(entry, bond, 2); // build
+    globalProblemStore().get(entry, bond, 2); // memo
+    globalProblemStore().clearMemory();
+    globalProblemStore().get(entry, bond, 2); // disk
+    const std::string json = traceEventsArrayJson();
+    setTraceEnabled(false);
+    clearTrace();
+
+    // Args ride on the end events; a span inside a builder would
+    // show up here as a second name.
+    std::vector<std::string> sources;
+    const JsonValue events = JsonValue::parse(json);
+    for (const JsonValue &e : events.items) {
+        const JsonValue *name = e.find("name");
+        ASSERT_TRUE(name);
+        EXPECT_EQ(name->text, "chem.problem");
+        if (e.find("ph")->text != "E")
+            continue;
+        const JsonValue *args = e.find("args");
+        ASSERT_TRUE(args);
+        EXPECT_EQ(args->find("molecule")->text, "H2");
+        EXPECT_EQ(args->find("basis_ng")->number, 2.0);
+        sources.push_back(args->find("source")->text);
+    }
+    EXPECT_EQ(sources,
+              (std::vector<std::string>{"build", "memo", "disk"}));
 }
 
 TEST(ProblemStore, CorruptEntryRebuilds)
