@@ -1,5 +1,6 @@
 #include "chem/integrals.hh"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 
@@ -10,6 +11,17 @@ namespace qcc {
 
 namespace {
 
+/** Largest (t+1)(u+1)(v+1) over t + u + v <= n: R_{tuv}'s size. */
+constexpr int
+hermiteRSize(int n)
+{
+    int best = 0;
+    for (int t = 0; t <= n; ++t)
+        for (int u = 0; t + u <= n; ++u)
+            best = std::max(best, (t + 1) * (u + 1) * (n - t - u + 1));
+    return best;
+}
+
 /**
  * Highest angular momentum of a shell (BasisSet::stoNg stops at p).
  * It sizes every stack table below: four such functions give a
@@ -17,8 +29,7 @@ namespace {
  */
 constexpr int kMaxL = 1;
 constexpr int kMaxN = 4 * kMaxL;
-/** Entries of R_{tuv} for t, u, v <= kMaxN (a generous bound). */
-constexpr int kMaxRSize = (kMaxN + 1) * (kMaxN + 1) * (kMaxN + 1);
+constexpr int kMaxRSize = hermiteRSize(kMaxN);
 /** E_t^{ij} rows reach t = i + j <= 2 kMaxL in the integral loops. */
 constexpr int kMaxE = 2 * kMaxL + 1;
 
@@ -68,7 +79,7 @@ hermiteTable(int i, int j, double a, double b, double ab, double *e,
 struct HermiteTable
 {
     static constexpr int kStride = 2 * kMaxL + 3;
-    double e[(kMaxL + 1) * (kMaxL + 3) * kStride];
+    double e[(kMaxL + 1) * (kMaxL + 3) * kStride] = {};
     int cols;
 
     HermiteTable(int i, int j, double a, double b, double ab)
@@ -143,7 +154,7 @@ kinetic1d(const HermiteTable &e, int i, int j, double b, double p)
 struct HermiteR
 {
     int umax, vmax;
-    double data[kMaxRSize];
+    double data[kMaxRSize] = {};
 
     HermiteR(int tm, int um, int vm, double p,
              const std::array<double, 3> &pc)
@@ -152,12 +163,12 @@ struct HermiteR
         const int nmax = tm + um + vm;
         const double r2 =
             pc[0] * pc[0] + pc[1] * pc[1] + pc[2] * pc[2];
-        double f[kMaxN + 1];
+        double f[kMaxN + 1] = {};
         boys(nmax, p * r2, f);
 
         // Layer n lives in data for even n, so layer 0 ends there;
         // it is filled for t+u+v <= nmax - n.
-        double odd[kMaxRSize];
+        double odd[kMaxRSize] = {};
         auto layer = [&](int n) { return n % 2 ? odd : data; };
         auto at = [&](const double *w, int t, int u, int v) {
             return w[(size_t(t) * (umax + 1) + u) * (vmax + 1) + v];
