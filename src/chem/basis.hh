@@ -1,6 +1,6 @@
 /**
  * @file
- * Contracted Gaussian basis sets built from the STO-nG fitter and the
+ * Contracted Gaussian basis sets built from the STO-nG table and the
  * element zeta table. A shell is a contraction of primitives sharing a
  * center and angular momentum; basis functions are its Cartesian
  * components (1 for s, 3 for p).
@@ -39,8 +39,8 @@ class BasisSet
 {
   public:
     /**
-     * Build the STO-nG basis for a molecule (default n_gauss = 3,
-     * i.e. STO-3G as used in the paper's evaluation).
+     * Build the STO-nG basis for a molecule, 1 <= n_gauss <= 6
+     * (default 3, i.e. STO-3G as used in the paper's evaluation).
      */
     static BasisSet stoNg(const Molecule &mol, int n_gauss = 3);
 

@@ -48,8 +48,8 @@ struct MolecularProblem
 
 /**
  * Full pipeline for a catalog molecule at a bond length: geometry ->
- * STO-nG basis -> integrals -> RHF -> MO transform -> active space ->
- * Jordan-Wigner.
+ * STO-nG basis (n_gauss 1-6) -> integrals -> RHF -> MO transform ->
+ * active space -> Jordan-Wigner.
  */
 MolecularProblem buildMolecularProblem(const BenchmarkMolecule &entry,
                                        double bond_angstrom,
