@@ -220,7 +220,6 @@ struct PrimPair
     double p;                  ///< a + b
     std::array<double, 3> ctr; ///< Gaussian product center P
     double ca, cb;             ///< the two primitive coefficients
-    double cc;                 ///< ca * cb
     double e[3][kMaxE];        ///< E_t^{l_i l_j} per axis
 };
 
@@ -298,7 +297,6 @@ computeIntegrals(const BasisSet &basis, const Molecule &mol)
                     pp.p = p;
                     pp.ca = A.coeff[ip];
                     pp.cb = B.coeff[jp];
-                    pp.cc = cc;
                     for (int d = 0; d < 3; ++d) {
                         pp.ctr[d] =
                             (a * A.center[d] + b * B.center[d]) / p;
@@ -391,7 +389,7 @@ computeIntegrals(const BasisSet &basis, const Molecule &mol)
                             e2z[v2] * r(t1 + t2, u1 + u2, v1 + v2);
                     }
                 }
-                total += P.cc * Q.ca * Q.cb *
+                total += P.ca * P.cb * Q.ca * Q.cb *
                     2.0 * std::pow(M_PI, 2.5) /
                     (p * q * std::sqrt(p + q)) * acc;
             }
