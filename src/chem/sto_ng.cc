@@ -222,18 +222,12 @@ stoNgFit(int n, int l, int n_gauss)
     };
 
     const int row = shellRow(n, l);
-    if (row < 0 || n_gauss < 1 || n_gauss > kStoNgMaxGaussians) {
-        std::string msg = "stoNgFit: no fit for n = ";
-        msg += std::to_string(n);
-        msg += ", l = ";
-        msg += std::to_string(l);
-        msg += ", n_gauss = ";
-        msg += std::to_string(n_gauss);
-        msg += " (shells 1s-3p, n_gauss 1-";
-        msg += std::to_string(kStoNgMaxGaussians);
-        msg += ")";
-        throw std::out_of_range(msg);
-    }
+    if (row < 0 || n_gauss < 1 || n_gauss > kStoNgMaxGaussians)
+        throw std::out_of_range(
+            "stoNgFit: no fit for n = " + std::to_string(n) +
+            ", l = " + std::to_string(l) + ", n_gauss = " +
+            std::to_string(n_gauss) + " (shells 1s-3p, n_gauss 1-" +
+            std::to_string(kStoNgMaxGaussians) + ")");
     return table[row][n_gauss - 1];
 }
 
