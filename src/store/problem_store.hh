@@ -40,10 +40,12 @@ class MolecularProblemStore
 {
   public:
     /**
-     * The problem for (entry, bond, n_gauss), from the memo, the
+     * The problem for (entry, bond, n_gauss 1-6), from the memo, the
      * disk tier, or a fresh build (in that order); fresh builds are
      * written through to disk when the store is enabled. Safe to call
      * concurrently; callers racing on one key share a single build.
+     * Each call traces one `chem.problem` span whose `source` arg
+     * names the tier that served it (memo, disk or build).
      */
     MolecularProblem get(const BenchmarkMolecule &entry,
                          double bond_angstrom, int n_gauss = 3);
