@@ -15,6 +15,9 @@
  *    cache-blocked execution + AVX2, the production path).
  *    The variant rows are what lands in BENCH_sim.json (QCC_JSON=1);
  *    `fused_vs_kernel` at n >= 14 is the headline speedup. The
+ *    rotation and expectation rows come per pivot class (x1, bit0
+ *    and the unsuffixed pivot-2 string), and the lambda rows time
+ *    H|psi> on LiH and HF per term against per X mask. The
  *    dm_circuit rows time the noisy Fig. 10 circuits (LiH, NaH) on
  *    the density matrix, per-gate against the fused executor. Pass
  *    --benchmark_filter=nope to skip the google-benchmark section and
@@ -63,6 +66,34 @@ denseString(unsigned n)
     for (unsigned q = 0; q < n; ++q)
         p.setOp(q, q % 2 ? PauliOp::X : PauliOp::Z);
     return p;
+}
+
+/**
+ * The pair kernels' pivot classes, by the lowest X bit: "" is
+ * denseString (pivot 2, the rows' historical shape), "x1" is X on
+ * qubit 0 alone (one register per pair) and "bit0" adds X on qubit
+ * 0 to denseString (partner registers k and k ^ (x >> 1)).
+ */
+PauliString
+pivotClassString(unsigned n, const std::string &cls)
+{
+    PauliString p = denseString(n);
+    if (cls == "x1") {
+        for (unsigned q = 1; q < n; ++q)
+            p.setOp(q, PauliOp::Z);
+        p.setOp(0, PauliOp::X);
+    } else if (cls == "bit0") {
+        p.setOp(0, PauliOp::X);
+    }
+    return p;
+}
+
+/** "rotation" + "_x1" + "_n14" style row names. */
+std::string
+rowName(const char *what, const std::string &cls, unsigned n)
+{
+    return std::string(what) + (cls.empty() ? "" : "_" + cls) + "_n" +
+           std::to_string(n);
 }
 
 void
@@ -282,9 +313,10 @@ variantCircuitRow(qccbench::JsonReport &rep, unsigned n)
 }
 
 void
-variantRotationRow(qccbench::JsonReport &rep, unsigned n)
+variantRotationRow(qccbench::JsonReport &rep, unsigned n,
+                   const std::string &cls)
 {
-    PauliString p = denseString(n);
+    PauliString p = pivotClassString(n, cls);
     Statevector sv(n);
     const double scalarMs = timeMs([&] {
         applyPauliRotationGeneric(sv.amplitudes().data(), sv.dim(),
@@ -296,10 +328,11 @@ variantRotationRow(qccbench::JsonReport &rep, unsigned n)
     kern::setSimdEnabled(true);
     const double simdMs =
         timeMs([&] { sv.applyPauliRotation(0.1, p); });
-    std::printf("  rotation n=%-2u: scalar %.3f  kernel %.3f  "
-                "simd %.3f ms  [simd_vs_kernel %.2fx]\n",
-                n, scalarMs, kernelMs, simdMs, kernelMs / simdMs);
-    rep.row("rotation_n" + std::to_string(n),
+    std::printf("  %s: scalar %.3f  kernel %.3f  simd %.3f ms  "
+                "[simd_vs_kernel %.2fx]\n",
+                rowName("rotation", cls, n).c_str(), scalarMs,
+                kernelMs, simdMs, kernelMs / simdMs);
+    rep.row(rowName("rotation", cls, n),
             {{"qubits", double(n)},
              {"scalar_ms", scalarMs},
              {"kernel_ms", kernelMs},
@@ -308,9 +341,10 @@ variantRotationRow(qccbench::JsonReport &rep, unsigned n)
 }
 
 void
-variantExpectationRow(qccbench::JsonReport &rep, unsigned n)
+variantExpectationRow(qccbench::JsonReport &rep, unsigned n,
+                      const std::string &cls)
 {
-    PauliString p = denseString(n);
+    PauliString p = pivotClassString(n, cls);
     Statevector sv(n);
     const double scalarMs = timeMs([&] {
         double e = expectationGeneric(sv.amplitudes().data(),
@@ -327,15 +361,55 @@ variantExpectationRow(qccbench::JsonReport &rep, unsigned n)
         double e = sv.expectation(p);
         benchmark::DoNotOptimize(e);
     });
-    std::printf("  expectation n=%-2u: scalar %.3f  kernel %.3f  "
-                "simd %.3f ms  [simd_vs_kernel %.2fx]\n",
-                n, scalarMs, kernelMs, simdMs, kernelMs / simdMs);
-    rep.row("expectation_n" + std::to_string(n),
+    std::printf("  %s: scalar %.3f  kernel %.3f  simd %.3f ms  "
+                "[simd_vs_kernel %.2fx]\n",
+                rowName("expectation", cls, n).c_str(), scalarMs,
+                kernelMs, simdMs, kernelMs / simdMs);
+    rep.row(rowName("expectation", cls, n),
             {{"qubits", double(n)},
              {"scalar_ms", scalarMs},
              {"kernel_ms", kernelMs},
              {"simd_ms", simdMs},
              {"simd_vs_kernel", kernelMs / simdMs}});
+}
+
+/**
+ * lambda = H|psi> as the adjoint gradient computes it (real
+ * coefficients): one sweep per term through the test reference
+ * against one sweep per X mask through kern::XMaskGroups.
+ */
+void
+variantLambdaRow(qccbench::JsonReport &rep, const char *molecule)
+{
+    const MolecularProblem prob =
+        buildMolecularProblem(benchmarkMolecule(molecule), 1.6);
+    const PauliSum &h = prob.hamiltonian;
+    Statevector psi(prob.nQubits,
+                    hartreeFockMask(prob.nSpatial, prob.nElectrons));
+    kern::XMaskGroups groups;
+    for (const PauliTerm &t : h.terms())
+        groups.add(t.string.xMask(), t.string.zMask(), t.coeff.real());
+    std::vector<cplx> out(psi.dim());
+    const double perTermMs = timeMs([&] {
+        std::fill(out.begin(), out.end(), cplx(0.0));
+        for (const PauliTerm &t : h.terms())
+            accumulatePauli(psi, t.coeff.real(), t.string, out);
+    });
+    const double byMaskMs = timeMs([&] {
+        std::fill(out.begin(), out.end(), cplx(0.0));
+        groups.apply(psi.amplitudes().data(), psi.dim(), out.data());
+    });
+    std::printf("  lambda %s (n=%u, %zu terms, %zu masks): per-term "
+                "%.4f  by-mask %.4f ms  [%.2fx]\n",
+                molecule, prob.nQubits, h.numTerms(), groups.masks(),
+                perTermMs, byMaskMs, perTermMs / byMaskMs);
+    rep.row(std::string("lambda_") + molecule,
+            {{"qubits", double(prob.nQubits)},
+             {"terms", double(h.numTerms())},
+             {"masks", double(groups.masks())},
+             {"per_term_ms", perTermMs},
+             {"by_mask_ms", byMaskMs},
+             {"by_mask_vs_per_term", perTermMs / byMaskMs}});
 }
 
 void
@@ -447,11 +521,15 @@ variantReport()
     }
     for (unsigned n : sizes)
         variantCircuitRow(rep, n);
-    for (unsigned n : sizes)
-        variantRotationRow(rep, n);
-    for (unsigned n : sizes)
-        variantExpectationRow(rep, n);
+    for (const std::string cls : {"", "x1", "bit0"})
+        for (unsigned n : sizes)
+            variantRotationRow(rep, n, cls);
+    for (const std::string cls : {"", "x1", "bit0"})
+        for (unsigned n : sizes)
+            variantExpectationRow(rep, n, cls);
     variantGroupRow(rep, sizes.back());
+    for (const char *molecule : {"LiH", "HF"})
+        variantLambdaRow(rep, molecule);
     for (const char *molecule : {"LiH", "NaH"})
         variantDensityMatrixRow(rep, molecule);
 

@@ -85,12 +85,7 @@ exactEvolvedState(const PauliSum &h, unsigned n_qubits,
     // e^{-i c0 t} exp(-i (H - c0) t). The traceless part has a much
     // smaller L1 norm, so the series needs fewer slices; the scalar
     // phase is restored at the end to keep the state exact.
-    struct MaskTerm
-    {
-        uint64_t x, z;
-        cplx w;
-    };
-    std::vector<MaskTerm> terms;
+    kern::XMaskGroups traceless;
     cplx c0 = 0.0;
     double l1 = 0.0;
     for (const auto &t : h.terms()) {
@@ -98,7 +93,7 @@ exactEvolvedState(const PauliSum &h, unsigned n_qubits,
             c0 += t.coeff;
             continue;
         }
-        terms.push_back({t.string.xMask(), t.string.zMask(), t.coeff});
+        traceless.add(t.string.xMask(), t.string.zMask(), t.coeff);
         l1 += std::abs(t.coeff);
     }
 
@@ -119,9 +114,7 @@ exactEvolvedState(const PauliSum &h, unsigned n_qubits,
         term = cur;
         for (int k = 1; k <= 200; ++k) {
             std::fill(tmp.begin(), tmp.end(), cplx(0.0, 0.0));
-            for (const MaskTerm &mt : terms)
-                kern::accumulatePauli(term.data(), dim, mt.x, mt.z,
-                                      mt.w, tmp.data());
+            traceless.apply(term.data(), dim, tmp.data());
             const cplx f = midt / double(k);
             double termNorm2 = 0.0;
             for (size_t b = 0; b < dim; ++b) {

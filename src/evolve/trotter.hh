@@ -18,9 +18,9 @@
  * ansatz circuits, reused verbatim on dynamics.
  *
  * The exact reference exp(-iHt)|basis> for fidelity checks is a
- * scaled Taylor expm-multiply over the existing accumulatePauli
- * matvec (no dense matrix is ever formed), capped at
- * kMaxExactEvolveQubits.
+ * scaled Taylor expm-multiply over the kern::XMaskGroups matvec, one
+ * sweep per distinct X mask (no dense matrix is ever formed), capped
+ * at kMaxExactEvolveQubits.
  */
 
 #ifndef QCC_EVOLVE_TROTTER_HH
@@ -69,8 +69,8 @@ TrotterBuild buildTrotterAnsatz(const PauliSum &h, uint64_t hf_mask,
 /**
  * Exact exp(-iHt)|basis> by scaled-and-squared Taylor expm-multiply:
  * t is sliced so each slice has ||H dt|| <= 1 in the L1 coefficient
- * norm, and each slice sums the Taylor series with one
- * accumulatePauli matvec per order until the term norm vanishes at
+ * norm, and each slice sums the Taylor series with one H*v
+ * (kern::XMaskGroups) per order until the term norm vanishes at
  * double precision. Deterministic, simulation-grade accurate
  * (~1e-14), O(2^n) memory. Throws std::invalid_argument above
  * kMaxExactEvolveQubits.

@@ -112,17 +112,30 @@ applyPauliRotation(cplx *amp, size_t dim, uint64_t x, uint64_t z,
 }
 
 void
-accumulatePauli(const cplx *amp, size_t dim, uint64_t x, uint64_t z,
-                cplx w, cplx *out)
+XMaskGroups::add(uint64_t x, uint64_t z, cplx coeff)
 {
-    // phase(b^x) = eps * sigma * (-1)^{|z & b|}; fold everything
-    // constant into the weight.
-    const cplx weps =
-        w * iPow(std::popcount(x & z)) * paritySign(z, x);
-    parallelFor(0, dim, [=](size_t lo, size_t hi) {
-        for (size_t b = lo; b < hi; ++b)
-            out[b] += (weps * paritySign(z, b)) * amp[b ^ x];
-    });
+    // (P v)[b] = i^{|x&z|} (-1)^{|z & (b^x)|} v[b^x]
+    //          = i^{|x&z|} (-1)^{|z&x|} (-1)^{|z&b|} v[b^x].
+    const cplx w =
+        coeff * iPow(std::popcount(x & z)) * paritySign(z, x);
+    auto g = std::find_if(groups.begin(), groups.end(),
+                          [x](const Group &e) { return e.x == x; });
+    if (g == groups.end())
+        g = groups.insert(groups.end(), Group{x, {}, {}, {}});
+    g->z.push_back(z);
+    g->wr.push_back(w.real());
+    g->wi.push_back(w.imag());
+}
+
+void
+XMaskGroups::apply(const cplx *v, size_t dim, cplx *out) const
+{
+    for (const Group &g : groups) {
+        parallelFor(0, dim, [&](size_t lo, size_t hi) {
+            ranges::maskMatvec(out, v, lo, hi, g.x, g.z.data(),
+                               g.wr.data(), g.wi.data(), g.z.size());
+        });
+    }
 }
 
 double
@@ -158,21 +171,10 @@ cplx
 pauliInner(const cplx *bra, const cplx *ket, size_t dim, uint64_t x,
            uint64_t z)
 {
-    // s * conj(u) v accumulated into (re, im), written out so the
-    // loops stay plain multiply-adds.
-    auto addConjMul = [](double s, cplx u, cplx v, double &re,
-                         double &im) {
-        re += s * (u.real() * v.real() + u.imag() * v.imag());
-        im += s * (u.real() * v.imag() - u.imag() * v.real());
-    };
     if (x == 0) {
         return parallelReduce(
             0, dim, cplx(0.0), [=](size_t lo, size_t hi) {
-                double re = 0.0, im = 0.0;
-                for (size_t b = lo; b < hi; ++b)
-                    addConjMul(paritySign(z, b), bra[b], ket[b], re,
-                               im);
-                return cplx(re, im);
+                return ranges::pauliInnerDiag(bra, ket, lo, hi, z);
             });
     }
     // With P|c> = eps (-1)^{|z&c|} |c^x> and the partner-sign
@@ -183,15 +185,8 @@ pauliInner(const cplx *bra, const cplx *ket, size_t dim, uint64_t x,
     const uint64_t pivot = x & (~x + 1);
     const cplx t = parallelReduce(
         0, dim / 2, cplx(0.0), [=](size_t lo, size_t hi) {
-            double pr = 0.0, pi = 0.0, qr = 0.0, qi = 0.0;
-            for (size_t k = lo; k < hi; ++k) {
-                const size_t b = expandBit(k, pivot);
-                const size_t b2 = b ^ x;
-                const double sb = paritySign(z, b);
-                addConjMul(sb, bra[b], ket[b2], pr, pi);
-                addConjMul(sb, bra[b2], ket[b], qr, qi);
-            }
-            return cplx(sigma * pr + qr, sigma * pi + qi);
+            return ranges::pauliInnerPairs(bra, ket, lo, hi, x, z,
+                                           pivot, sigma);
         });
     return iPow(std::popcount(x & z)) * t;
 }

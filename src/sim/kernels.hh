@@ -28,6 +28,7 @@
 #include <complex>
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 namespace qcc {
 namespace kern {
@@ -69,9 +70,36 @@ void applySwap(cplx *amp, size_t dim, unsigned a, unsigned b);
 void applyPauliRotation(cplx *amp, size_t dim, uint64_t x, uint64_t z,
                         double theta);
 
-/** out[b] += w * (P amp)[b] for all b. */
-void accumulatePauli(const cplx *amp, size_t dim, uint64_t x, uint64_t z,
-                     cplx w, cplx *out);
+/**
+ * A Pauli sum held by X mask for H*v products. Terms that share an
+ * X mask move the same amplitudes (b <- b ^ x), so apply() makes one
+ * sweep per distinct mask, with the per-amplitude phase sum
+ * f_x(b) = sum_t w_t (-1)^{|z_t & b|}: add() folds each coefficient
+ * with i^{|x&z|} (-1)^{|z&x|} into one real and one imaginary
+ * weight. Masks keep the order of their first add(), terms within a
+ * mask theirs. No table grows with the state.
+ */
+class XMaskGroups
+{
+  public:
+    /** Add coeff * P for the canonical Pauli (x, z). */
+    void add(uint64_t x, uint64_t z, cplx coeff);
+
+    /** out[b] += (H v)[b] over a dim-sized state; out != v. */
+    void apply(const cplx *v, size_t dim, cplx *out) const;
+
+    /** Distinct X masks: the sweeps apply() makes. */
+    size_t masks() const { return groups.size(); }
+
+  private:
+    struct Group
+    {
+        uint64_t x;
+        std::vector<uint64_t> z;
+        std::vector<double> wr, wi;
+    };
+    std::vector<Group> groups;
+};
 
 /** Re <amp| P |amp> (amp need not be normalized). */
 double expectation(const cplx *amp, size_t dim, uint64_t x, uint64_t z);

@@ -4,6 +4,7 @@
 
 #include "common/logging.hh"
 #include "common/rng.hh"
+#include "sim/kernels.hh"
 #include "sim/statevector.hh"
 
 namespace qcc {
@@ -68,6 +69,10 @@ lanczosGroundEnergy(const PauliSum &h, const LanczosOptions &opts)
         v.amplitudes()[b] = cplx(rng.gaussian(), rng.gaussian());
     v.normalize();
 
+    kern::XMaskGroups hv;
+    for (const auto &t : h.terms())
+        hv.add(t.string.xMask(), t.string.zMask(), t.coeff);
+
     std::vector<cplx> vPrev(dim, cplx(0, 0));
     std::vector<double> alpha, beta;
     double prevRitz = 1e300;
@@ -76,8 +81,7 @@ lanczosGroundEnergy(const PauliSum &h, const LanczosOptions &opts)
     for (int k = 0; k < opts.maxIter; ++k) {
         // w = H v
         std::vector<cplx> w(dim, cplx(0, 0));
-        for (const auto &t : h.terms())
-            v.accumulatePauli(t.coeff, t.string, w);
+        hv.apply(v.amplitudes().data(), dim, w.data());
 
         // alpha_k = <v, w>
         cplx a(0, 0);

@@ -3,7 +3,8 @@
  * Matrix-free Lanczos ground-state solver. The paper's "Ground State"
  * reference curves are the exact minimum eigenvalues of the qubit
  * Hamiltonians; this solver computes them without materializing the
- * 2^n x 2^n matrix, using the Pauli-sum apply kernel.
+ * 2^n x 2^n matrix: H v takes one sweep per distinct X mask
+ * (kern::XMaskGroups).
  */
 
 #ifndef QCC_SIM_LANCZOS_HH

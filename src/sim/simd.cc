@@ -100,6 +100,28 @@ cxPerm(bool control_low)
     return control_low ? lowControl : highControl;
 }
 
+/** s * conj(u) v accumulated into (re, im) as plain multiply-adds. */
+inline void
+addConjMul(double s, cplx u, cplx v, double &re, double &im)
+{
+    re += s * (u.real() * v.real() + u.imag() * v.imag());
+    im += s * (u.real() * v.imag() - u.imag() * v.real());
+}
+
+/** f(b) = sum_t (wr[t] + i wi[t]) (-1)^{|z[t] & b|} of maskMatvec. */
+inline void
+maskPhase(uint64_t b, const uint64_t *z, const double *wr,
+          const double *wi, size_t n_terms, double &fr, double &fi)
+{
+    fr = 0.0;
+    fi = 0.0;
+    for (size_t t = 0; t < n_terms; ++t) {
+        const double s = paritySign(z[t], b);
+        fr += s * wr[t];
+        fi += s * wi[t];
+    }
+}
+
 inline double
 groupExpectOne(const cplx *amp, size_t b, uint64_t g, const double *w,
                const uint64_t *zmask, size_t n_terms)
@@ -219,6 +241,46 @@ expectPairsScalar(const cplx *amp, size_t k_lo, size_t k_hi,
         s += expectPairOne(amp, b, b ^ x, z, sigma_pos);
     }
     return s;
+}
+
+cplx
+pauliInnerPairsScalar(const cplx *bra, const cplx *ket, size_t k_lo,
+                      size_t k_hi, uint64_t x, uint64_t z,
+                      uint64_t pivot, double sigma)
+{
+    double pr = 0.0, pi = 0.0, qr = 0.0, qi = 0.0;
+    for (size_t k = k_lo; k < k_hi; ++k) {
+        const size_t b = expandBit(k, pivot);
+        const size_t b2 = b ^ x;
+        const double sb = paritySign(z, b);
+        addConjMul(sb, bra[b], ket[b2], pr, pi);
+        addConjMul(sb, bra[b2], ket[b], qr, qi);
+    }
+    return cplx(sigma * pr + qr, sigma * pi + qi);
+}
+
+cplx
+pauliInnerDiagScalar(const cplx *bra, const cplx *ket, size_t b_lo,
+                     size_t b_hi, uint64_t z)
+{
+    double re = 0.0, im = 0.0;
+    for (size_t b = b_lo; b < b_hi; ++b)
+        addConjMul(paritySign(z, b), bra[b], ket[b], re, im);
+    return cplx(re, im);
+}
+
+void
+maskMatvecScalar(cplx *out, const cplx *v, size_t b_lo, size_t b_hi,
+                 uint64_t x, const uint64_t *z, const double *wr,
+                 const double *wi, size_t n_terms)
+{
+    for (size_t b = b_lo; b < b_hi; ++b) {
+        double fr, fi;
+        maskPhase(b, z, wr, wi, n_terms, fr, fi);
+        const cplx a = v[b ^ x];
+        out[b] += cplx(fr * a.real() - fi * a.imag(),
+                       fr * a.imag() + fi * a.real());
+    }
 }
 
 double
@@ -385,6 +447,85 @@ hsum(__m256d v)
     return _mm_cvtsd_f64(_mm_add_sd(lo, _mm_unpackhi_pd(lo, lo)));
 }
 
+/** Two complexes at lo and hi as one register (lo in lanes 0-1). */
+QCC_AVX2 inline __m256d
+loadPair(const double *lo, const double *hi)
+{
+    return _mm256_insertf128_pd(
+        _mm256_castpd128_pd256(_mm_loadu_pd(lo)), _mm_loadu_pd(hi), 1);
+}
+
+QCC_AVX2 inline void
+storePair(double *lo, double *hi, __m256d v)
+{
+    _mm_storeu_pd(lo, _mm256_castpd256_pd128(v));
+    _mm_storeu_pd(hi, _mm256_extractf128_pd(v, 1));
+}
+
+/** (u0, u1) -> (u1, u0): swap the two complexes of a register. */
+QCC_AVX2 inline __m256d
+swapHalves(__m256d v)
+{
+    return _mm256_permute2f128_pd(v, v, 0x01);
+}
+
+/**
+ * The rotation on one pair register p = (amp[b], amp[b^x]):
+ * kr = (vr, vr, ur, ur) and ki = (vi, vi, ui, ui) scaled by s_b.
+ * Lane for lane the arithmetic of the pivot >= 2 body, so a pair
+ * rounds the same in whichever body or register it lands.
+ */
+QCC_AVX2 inline __m256d
+rotPairReg(__m256d p, double sb, __m256d cv, __m256d kr, __m256d ki)
+{
+    const __m256d s = _mm256_set1_pd(sb);
+    return _mm256_fmadd_pd(
+        p, cv,
+        cmulBcast(swapHalves(p), _mm256_mul_pd(s, kr),
+                  _mm256_mul_pd(s, ki)));
+}
+
+/**
+ * Unscaled expectation terms of two pairs, a = (amp[b], amp[b'])
+ * and a2 = (amp[b^x], amp[b'^x]): lanes 0 and 2 hold the pairs'
+ * terms (see expectPairOne); lanes 1 and 3 are to be masked off.
+ */
+QCC_AVX2 inline __m256d
+expectPairTerms(__m256d a, __m256d a2, bool sigma_pos)
+{
+    if (sigma_pos) {
+        const __m256d m = _mm256_mul_pd(a, a2);
+        return _mm256_add_pd(m, _mm256_shuffle_pd(m, m, 0x5));
+    }
+    const __m256d m = _mm256_mul_pd(_mm256_shuffle_pd(a, a, 0x5), a2);
+    return _mm256_sub_pd(_mm256_shuffle_pd(m, m, 0x5), m);
+}
+
+/**
+ * s * conj(u) * v lane-wise into two accumulators: re gathers
+ * (ur vr, ui vi) and im (ur vi, ui vr) per complex lane, so each
+ * complex's real part is re's lane sum and its imaginary part im's
+ * lane difference.
+ */
+QCC_AVX2 inline void
+conjMulAcc(__m256d s, __m256d u, __m256d v, __m256d &re, __m256d &im)
+{
+    re = _mm256_fmadd_pd(s, _mm256_mul_pd(u, v), re);
+    im = _mm256_fmadd_pd(
+        s, _mm256_mul_pd(u, _mm256_shuffle_pd(v, v, 0x5)), im);
+}
+
+/** The two complexes an (re, im) accumulator pair of conjMulAcc holds. */
+QCC_AVX2 inline void
+conjMulSums(__m256d re, __m256d im, cplx &lo, cplx &hi)
+{
+    alignas(32) double r[4], i[4];
+    _mm256_store_pd(r, re);
+    _mm256_store_pd(i, im);
+    lo = cplx(r[0] + r[1], i[0] - i[1]);
+    hi = cplx(r[2] + r[3], i[2] - i[3]);
+}
+
 QCC_AVX2 void
 apply1qAvx2(cplx *ampc, size_t k_lo, size_t k_hi, uint64_t bit,
             const cplx u[4])
@@ -425,6 +566,27 @@ apply1qAvx2(cplx *ampc, size_t k_lo, size_t k_hi, uint64_t bit,
     const __m256d u3i = _mm256_set1_pd(u[3].imag());
     size_t k = k_lo;
     while (k < k_hi) {
+        if ((k & (bit - 1)) == 0 && k + bit <= k_hi) {
+            // Whole runs as a fixed loop nest: the aligned run at k
+            // is the amplitude blocks [2k, 2k + bit) and
+            // [2k + bit, 2k + 2 bit).
+            for (; k + bit <= k_hi; k += bit) {
+                double *p0 = amp + 4 * k;
+                double *p1 = p0 + 2 * bit;
+                for (size_t i = 0; i < 2 * bit; i += 4) {
+                    const __m256d a0 = _mm256_loadu_pd(p0 + i);
+                    const __m256d a1 = _mm256_loadu_pd(p1 + i);
+                    _mm256_storeu_pd(
+                        p0 + i, _mm256_add_pd(cmulBcast(a0, u0r, u0i),
+                                              cmulBcast(a1, u1r, u1i)));
+                    _mm256_storeu_pd(
+                        p1 + i, _mm256_add_pd(cmulBcast(a0, u2r, u2i),
+                                              cmulBcast(a1, u3r, u3i)));
+                }
+            }
+            continue;
+        }
+        // A partial run at either end of the range.
         const size_t runEnd =
             std::min<size_t>(k_hi, (k | (bit - 1)) + 1);
         const size_t b = expandBit(k, bit);
@@ -482,7 +644,25 @@ diag1qAvx2(cplx *ampc, size_t b_lo, size_t b_hi, uint64_t bit,
     const __m256d d1i = _mm256_set1_pd(d1.imag());
     size_t b = b_lo;
     while (b < b_hi) {
-        // The factor is constant over each run of `bit` indices.
+        if ((b & (2 * bit - 1)) == 0 && b + 2 * bit <= b_hi) {
+            // Whole blocks of 2 bit as a fixed loop nest: d0 on the
+            // lower run, d1 on the upper.
+            for (; b + 2 * bit <= b_hi; b += 2 * bit) {
+                double *p0 = amp + 2 * b;
+                double *p1 = p0 + 2 * bit;
+                for (size_t i = 0; i < 2 * bit; i += 4) {
+                    _mm256_storeu_pd(
+                        p0 + i,
+                        cmulBcast(_mm256_loadu_pd(p0 + i), d0r, d0i));
+                    _mm256_storeu_pd(
+                        p1 + i,
+                        cmulBcast(_mm256_loadu_pd(p1 + i), d1r, d1i));
+                }
+            }
+            continue;
+        }
+        // A partial run at either end of the range: the factor is
+        // constant over each run of `bit` indices.
         const size_t runEnd =
             std::min<size_t>(b_hi, (b | (bit - 1)) + 1);
         const bool one = (b & bit) != 0;
@@ -539,15 +719,73 @@ diagMulAvx2(cplx *ampc, size_t b_lo, size_t b_hi,
         ampc[b] *= scale * patternc[b & pat_mask];
 }
 
+/** The pair (b, b^x) gathered into one register and rotated. */
+QCC_AVX2 inline void
+rotLonePair(double *amp, size_t b, uint64_t x, uint64_t z, __m256d cv,
+            __m256d kr, __m256d ki)
+{
+    double *p = amp + 2 * b;
+    double *p2 = amp + 2 * (b ^ x);
+    storePair(p, p2,
+              rotPairReg(loadPair(p, p2), paritySign(z, b), cv, kr, ki));
+}
+
+/**
+ * pauliRotPairsAvx2 with x holding bit 0: the pair of k is
+ * (2k, 2(k ^ h) + 1), h = x >> 1. Registers k and k ^ h, both in
+ * range, are blended into the pair registers of k and k ^ h; a pair
+ * whose partner register lies outside the range is gathered alone.
+ */
+QCC_AVX2 void
+pauliRotPairsBit0Avx2(cplx *ampc, size_t k_lo, size_t k_hi, uint64_t x,
+                      uint64_t z, double c, double ur, double ui,
+                      double vr, double vi)
+{
+    double *amp = reinterpret_cast<double *>(ampc);
+    const __m256d cv = _mm256_set1_pd(c);
+    const __m256d kr = _mm256_setr_pd(vr, vr, ur, ur);
+    const __m256d ki = _mm256_setr_pd(vi, vi, ui, ui);
+    const uint64_t h = x >> 1;
+    if (h == 0) {
+        for (size_t k = k_lo; k < k_hi; ++k) {
+            double *p = amp + 4 * k;
+            _mm256_storeu_pd(p, rotPairReg(_mm256_loadu_pd(p),
+                                           paritySign(z, 2 * k), cv,
+                                           kr, ki));
+        }
+        return;
+    }
+    const uint64_t t = h & (~h + 1); // k ^ h flips it: one of each
+    for (size_t k = k_lo; k < k_hi; ++k) {
+        const size_t kp = k ^ h;
+        double *pk = amp + 4 * k;
+        double *pp = amp + 4 * kp;
+        if (kp < k_lo || kp >= k_hi) {
+            rotLonePair(amp, 2 * k, x, z, cv, kr, ki);
+            continue;
+        }
+        if (k & t)
+            continue; // done with its partner
+        const __m256d rk = _mm256_loadu_pd(pk);
+        const __m256d rp = _mm256_loadu_pd(pp);
+        const __m256d nk = rotPairReg(_mm256_blend_pd(rk, rp, 0xC),
+                                      paritySign(z, 2 * k), cv, kr, ki);
+        const __m256d np =
+            rotPairReg(_mm256_blend_pd(rp, rk, 0xC),
+                       paritySign(z, 2 * kp), cv, kr, ki);
+        _mm256_storeu_pd(pk, _mm256_blend_pd(nk, np, 0xC));
+        _mm256_storeu_pd(pp, _mm256_blend_pd(np, nk, 0xC));
+    }
+}
+
 QCC_AVX2 void
 pauliRotPairsAvx2(cplx *ampc, size_t k_lo, size_t k_hi, uint64_t x,
                   uint64_t z, uint64_t pivot, double c, double ur,
                   double ui, double vr, double vi)
 {
-    if (pivot < 2) {
-        // x touches bit 0: pairs are interleaved, not worth shuffling.
-        pauliRotPairsScalar(ampc, k_lo, k_hi, x, z, pivot, c, ur, ui,
-                            vr, vi);
+    if (pivot == 1) {
+        pauliRotPairsBit0Avx2(ampc, k_lo, k_hi, x, z, c, ur, ui, vr,
+                              vi);
         return;
     }
     double *amp = reinterpret_cast<double *>(ampc);
@@ -558,6 +796,8 @@ pauliRotPairsAvx2(cplx *ampc, size_t k_lo, size_t k_hi, uint64_t x,
     const __m256d uiv = _mm256_set1_pd(ui);
     const __m256d vrv = _mm256_set1_pd(vr);
     const __m256d viv = _mm256_set1_pd(vi);
+    const __m256d kr = _mm256_setr_pd(vr, vr, ur, ur);
+    const __m256d ki = _mm256_setr_pd(vi, vi, ui, ui);
     size_t k = k_lo;
     while (k < k_hi) {
         const size_t runStart = k & ~size_t(pivot - 1);
@@ -567,8 +807,7 @@ pauliRotPairsAvx2(cplx *ampc, size_t k_lo, size_t k_hi, uint64_t x,
         const size_t len = runEnd - runStart;
         size_t j = k - runStart;
         if ((j & 1) && j < len) {
-            rotPairOne(ampc, b0 + j, (b0 + j) ^ x, z, c, ur, ui, vr,
-                       vi);
+            rotLonePair(amp, b0 + j, x, z, cv, kr, ki);
             ++j;
         }
         for (; j + 2 <= len; j += 2) {
@@ -590,9 +829,8 @@ pauliRotPairsAvx2(cplx *ampc, size_t k_lo, size_t k_hi, uint64_t x,
                 amp + 2 * b2,
                 _mm256_fmadd_pd(a2, cv, cmulBcast(a, wr, wi)));
         }
-        for (; j < len; ++j)
-            rotPairOne(ampc, b0 + j, (b0 + j) ^ x, z, c, ur, ui, vr,
-                       vi);
+        if (j < len)
+            rotLonePair(amp, b0 + j, x, z, cv, kr, ki);
         k = runEnd;
     }
 }
@@ -628,14 +866,71 @@ pauliRotDiagAvx2(cplx *ampc, size_t b_lo, size_t b_hi, uint64_t z,
         ampc[b] *= (std::popcount(z & b) & 1) ? f_odd : f_even;
 }
 
+/** expectPairsAvx2 with x holding bit 0 (see pauliRotPairsBit0Avx2). */
+QCC_AVX2 double
+expectPairsBit0Avx2(const cplx *ampc, size_t k_lo, size_t k_hi,
+                    uint64_t x, uint64_t z, bool sigma_pos)
+{
+    const double *amp = reinterpret_cast<const double *>(ampc);
+    const __m256d evenMask = _mm256_castsi256_pd(
+        _mm256_setr_epi64x(-1, 0, -1, 0));
+    __m256d acc = _mm256_setzero_pd();
+    double tail = 0.0;
+    const uint64_t h = x >> 1;
+    // Two pairs per register pass: a = (amp[b], amp[b']) and a2 =
+    // their partners, for pairs k and k + 1 when x = 1, else for
+    // pairs k and k ^ h.
+    if (h == 0) {
+        size_t k = k_lo;
+        for (; k + 2 <= k_hi; k += 2) {
+            const __m256d r0 = _mm256_loadu_pd(amp + 4 * k);
+            const __m256d r1 = _mm256_loadu_pd(amp + 4 * k + 4);
+            const __m256d sv = _mm256_setr_pd(
+                paritySign(z, 2 * k), 0.0, paritySign(z, 2 * k + 2),
+                0.0);
+            acc = _mm256_fmadd_pd(
+                _mm256_and_pd(
+                    expectPairTerms(_mm256_permute2f128_pd(r0, r1, 0x20),
+                                    _mm256_permute2f128_pd(r0, r1, 0x31),
+                                    sigma_pos),
+                    evenMask),
+                sv, acc);
+        }
+        if (k < k_hi)
+            tail += expectPairOne(ampc, 2 * k, 2 * k + 1, z, sigma_pos);
+        return hsum(acc) + tail;
+    }
+    const uint64_t t = h & (~h + 1);
+    for (size_t k = k_lo; k < k_hi; ++k) {
+        const size_t kp = k ^ h;
+        if (kp < k_lo || kp >= k_hi) {
+            tail += expectPairOne(ampc, 2 * k, 2 * kp + 1, z, sigma_pos);
+            continue;
+        }
+        if (k & t)
+            continue;
+        const __m256d rk = _mm256_loadu_pd(amp + 4 * k);
+        const __m256d rp = _mm256_loadu_pd(amp + 4 * kp);
+        const __m256d sv = _mm256_setr_pd(
+            paritySign(z, 2 * k), 0.0, paritySign(z, 2 * kp), 0.0);
+        acc = _mm256_fmadd_pd(
+            _mm256_and_pd(
+                expectPairTerms(_mm256_permute2f128_pd(rk, rp, 0x20),
+                                _mm256_permute2f128_pd(rp, rk, 0x31),
+                                sigma_pos),
+                evenMask),
+            sv, acc);
+    }
+    return hsum(acc) + tail;
+}
+
 QCC_AVX2 double
 expectPairsAvx2(const cplx *ampc, size_t k_lo, size_t k_hi,
                 uint64_t x, uint64_t z, uint64_t pivot,
                 bool sigma_pos)
 {
-    if (pivot < 2)
-        return expectPairsScalar(ampc, k_lo, k_hi, x, z, pivot,
-                                 sigma_pos);
+    if (pivot == 1)
+        return expectPairsBit0Avx2(ampc, k_lo, k_hi, x, z, sigma_pos);
     const double *amp = reinterpret_cast<const double *>(ampc);
     const double e0 = (z & 1) ? -1.0 : 1.0;
     const __m256d evec = _mm256_setr_pd(1.0, 1.0, e0, e0);
@@ -664,16 +959,8 @@ expectPairsAvx2(const cplx *ampc, size_t k_lo, size_t k_hi,
                 _mm256_mul_pd(_mm256_set1_pd(s0), evec);
             const __m256d a = _mm256_loadu_pd(amp + 2 * b);
             const __m256d a2 = _mm256_loadu_pd(amp + 2 * b2);
-            __m256d t;
-            if (sigma_pos) {
-                const __m256d m = _mm256_mul_pd(a, a2);
-                t = _mm256_add_pd(m, _mm256_shuffle_pd(m, m, 0x5));
-            } else {
-                const __m256d as = _mm256_shuffle_pd(a, a, 0x5);
-                const __m256d m = _mm256_mul_pd(as, a2);
-                t = _mm256_sub_pd(_mm256_shuffle_pd(m, m, 0x5), m);
-            }
-            t = _mm256_and_pd(t, evenMask);
+            const __m256d t = _mm256_and_pd(
+                expectPairTerms(a, a2, sigma_pos), evenMask);
             acc = _mm256_fmadd_pd(t, sv, acc);
         }
         for (; j < len; ++j)
@@ -682,6 +969,206 @@ expectPairsAvx2(const cplx *ampc, size_t k_lo, size_t k_hi,
         k = runEnd;
     }
     return hsum(acc) + tail;
+}
+
+QCC_AVX2 cplx
+pauliInnerPairsAvx2(const cplx *brac, const cplx *ketc, size_t k_lo,
+                    size_t k_hi, uint64_t x, uint64_t z, uint64_t pivot,
+                    double sigma)
+{
+    const double *bra = reinterpret_cast<const double *>(brac);
+    const double *ket = reinterpret_cast<const double *>(ketc);
+    // p sums conj(bra[b]) ket[b^x], q sums conj(bra[b^x]) ket[b];
+    // (pr, pi, qr, qi) take the pairs done one at a time.
+    double pr = 0.0, pi = 0.0, qr = 0.0, qi = 0.0;
+    auto lonePair = [&](size_t b) {
+        const size_t b2 = b ^ x;
+        const double sb = paritySign(z, b);
+        addConjMul(sb, brac[b], ketc[b2], pr, pi);
+        addConjMul(sb, brac[b2], ketc[b], qr, qi);
+    };
+    cplx p(0.0), q(0.0);
+    if (pivot == 1) {
+        // Pair registers u = (bra[b], bra[b^x]) and v = (ket[b],
+        // ket[b^x]): conj(u) * swapHalves(v) is the p term in the
+        // low complex and the q term in the high one.
+        __m256d re = _mm256_setzero_pd(), im = _mm256_setzero_pd();
+        const uint64_t h = x >> 1;
+        if (h == 0) {
+            for (size_t k = k_lo; k < k_hi; ++k)
+                conjMulAcc(_mm256_set1_pd(paritySign(z, 2 * k)),
+                           _mm256_loadu_pd(bra + 4 * k),
+                           swapHalves(_mm256_loadu_pd(ket + 4 * k)), re,
+                           im);
+        } else {
+            const uint64_t t = h & (~h + 1);
+            for (size_t k = k_lo; k < k_hi; ++k) {
+                const size_t kp = k ^ h;
+                if (kp < k_lo || kp >= k_hi) {
+                    lonePair(2 * k);
+                    continue;
+                }
+                if (k & t)
+                    continue;
+                const __m256d bk = _mm256_loadu_pd(bra + 4 * k);
+                const __m256d bp = _mm256_loadu_pd(bra + 4 * kp);
+                const __m256d vk = _mm256_loadu_pd(ket + 4 * k);
+                const __m256d vp = _mm256_loadu_pd(ket + 4 * kp);
+                conjMulAcc(_mm256_set1_pd(paritySign(z, 2 * k)),
+                           _mm256_blend_pd(bk, bp, 0xC),
+                           swapHalves(_mm256_blend_pd(vk, vp, 0xC)), re,
+                           im);
+                conjMulAcc(_mm256_set1_pd(paritySign(z, 2 * kp)),
+                           _mm256_blend_pd(bp, bk, 0xC),
+                           swapHalves(_mm256_blend_pd(vp, vk, 0xC)), re,
+                           im);
+            }
+        }
+        conjMulSums(re, im, p, q);
+    } else {
+        const double e0 = (z & 1) ? -1.0 : 1.0;
+        const __m256d evec = _mm256_setr_pd(1.0, 1.0, e0, e0);
+        __m256d pre = _mm256_setzero_pd(), pim = _mm256_setzero_pd();
+        __m256d qre = _mm256_setzero_pd(), qim = _mm256_setzero_pd();
+        size_t k = k_lo;
+        while (k < k_hi) {
+            const size_t runStart = k & ~size_t(pivot - 1);
+            const size_t runEnd =
+                std::min<size_t>(k_hi, runStart + pivot);
+            const size_t b0 = expandBit(runStart, pivot);
+            const size_t len = runEnd - runStart;
+            size_t j = k - runStart;
+            if ((j & 1) && j < len)
+                lonePair(b0 + j++);
+            for (; j + 2 <= len; j += 2) {
+                const size_t b = b0 + j;
+                const size_t b2 = b ^ x;
+                const __m256d sv = _mm256_mul_pd(
+                    _mm256_set1_pd(paritySign(z, b)), evec);
+                conjMulAcc(sv, _mm256_loadu_pd(bra + 2 * b),
+                           _mm256_loadu_pd(ket + 2 * b2), pre, pim);
+                conjMulAcc(sv, _mm256_loadu_pd(bra + 2 * b2),
+                           _mm256_loadu_pd(ket + 2 * b), qre, qim);
+            }
+            if (j < len)
+                lonePair(b0 + j);
+            k = runEnd;
+        }
+        cplx p1, q1;
+        conjMulSums(pre, pim, p, p1);
+        conjMulSums(qre, qim, q, q1);
+        p += p1;
+        q += q1;
+    }
+    p += cplx(pr, pi);
+    q += cplx(qr, qi);
+    return cplx(sigma * p.real() + q.real(), sigma * p.imag() + q.imag());
+}
+
+QCC_AVX2 cplx
+pauliInnerDiagAvx2(const cplx *brac, const cplx *ketc, size_t b_lo,
+                   size_t b_hi, uint64_t z)
+{
+    const double *bra = reinterpret_cast<const double *>(brac);
+    const double *ket = reinterpret_cast<const double *>(ketc);
+    const double e0 = (z & 1) ? -1.0 : 1.0;
+    const __m256d evec = _mm256_setr_pd(1.0, 1.0, e0, e0);
+    __m256d re = _mm256_setzero_pd(), im = _mm256_setzero_pd();
+    double tr = 0.0, ti = 0.0;
+    size_t b = b_lo;
+    if ((b & 1) && b < b_hi) {
+        addConjMul(paritySign(z, b), brac[b], ketc[b], tr, ti);
+        ++b;
+    }
+    for (; b + 2 <= b_hi; b += 2)
+        conjMulAcc(_mm256_mul_pd(_mm256_set1_pd(paritySign(z, b)), evec),
+                   _mm256_loadu_pd(bra + 2 * b),
+                   _mm256_loadu_pd(ket + 2 * b), re, im);
+    if (b < b_hi)
+        addConjMul(paritySign(z, b), brac[b], ketc[b], tr, ti);
+    cplx lo, hi;
+    conjMulSums(re, im, lo, hi);
+    return lo + hi + cplx(tr, ti);
+}
+
+/**
+ * maskMatvec on one amplitude in 128-bit lanes: lane for lane the
+ * arithmetic of the four-amplitude body, so results do not depend on
+ * where a range starts or ends.
+ */
+QCC_AVX2 inline void
+maskMatvecOneAvx2(double *out, const double *v, size_t b, uint64_t x,
+                  const uint64_t *z, const double *wr, const double *wi,
+                  size_t n_terms)
+{
+    double fr, fi;
+    maskPhase(b, z, wr, wi, n_terms, fr, fi);
+    const __m128d a = _mm_loadu_pd(v + 2 * (b ^ x));
+    const __m128d prod = _mm_fmaddsub_pd(
+        a, _mm_set1_pd(fr),
+        _mm_mul_pd(_mm_shuffle_pd(a, a, 0x1), _mm_set1_pd(fi)));
+    _mm_storeu_pd(out + 2 * b,
+                  _mm_add_pd(_mm_loadu_pd(out + 2 * b), prod));
+}
+
+QCC_AVX2 void
+maskMatvecAvx2(cplx *outc, const cplx *vc, size_t b_lo, size_t b_hi,
+               uint64_t x, const uint64_t *z, const double *wr,
+               const double *wi, size_t n_terms)
+{
+    double *out = reinterpret_cast<double *>(outc);
+    const double *v = reinterpret_cast<const double *>(vc);
+    // Sign patterns of z's low two bits over four amplitudes b..b+3
+    // (b a multiple of 4), each duplicated over a complex's two
+    // lanes: [0] for (b, b+1), [1] for (b+2, b+3).
+    static const double patTable[4][2][4] = {
+        {{1.0, 1.0, 1.0, 1.0}, {1.0, 1.0, 1.0, 1.0}},
+        {{1.0, 1.0, -1.0, -1.0}, {1.0, 1.0, -1.0, -1.0}},
+        {{1.0, 1.0, 1.0, 1.0}, {-1.0, -1.0, -1.0, -1.0}},
+        {{1.0, 1.0, -1.0, -1.0}, {-1.0, -1.0, 1.0, 1.0}},
+    };
+    __m256d pats[4][2];
+    for (int c = 0; c < 4; ++c)
+        for (int h = 0; h < 2; ++h)
+            pats[c][h] = _mm256_loadu_pd(patTable[c][h]);
+    const uint64_t xl = x & 3;
+    size_t b = b_lo;
+    for (; b < b_hi && (b & 3); ++b)
+        maskMatvecOneAvx2(out, v, b, x, z, wr, wi, n_terms);
+    for (; b + 4 <= b_hi; b += 4) {
+        __m256d fr0 = _mm256_setzero_pd(), fi0 = _mm256_setzero_pd();
+        __m256d fr1 = _mm256_setzero_pd(), fi1 = _mm256_setzero_pd();
+        for (size_t t = 0; t < n_terms; ++t) {
+            const uint64_t zm = z[t];
+            const double s = paritySign(zm & ~uint64_t{3}, b);
+            const __m256d sr = _mm256_set1_pd(s * wr[t]);
+            const __m256d si = _mm256_set1_pd(s * wi[t]);
+            const __m256d *p = pats[zm & 3];
+            fr0 = _mm256_fmadd_pd(p[0], sr, fr0);
+            fi0 = _mm256_fmadd_pd(p[0], si, fi0);
+            fr1 = _mm256_fmadd_pd(p[1], sr, fr1);
+            fi1 = _mm256_fmadd_pd(p[1], si, fi1);
+        }
+        // v[(b + i) ^ x] is entry i ^ (x & 3) of the aligned block
+        // at (b ^ x) & ~3.
+        const double *src = v + 2 * ((b ^ x) & ~uint64_t{3});
+        __m256d w0 = _mm256_loadu_pd(src);
+        __m256d w1 = _mm256_loadu_pd(src + 4);
+        if (xl & 1) {
+            w0 = swapHalves(w0);
+            w1 = swapHalves(w1);
+        }
+        if (xl & 2)
+            std::swap(w0, w1);
+        double *o = out + 2 * b;
+        _mm256_storeu_pd(o, _mm256_add_pd(_mm256_loadu_pd(o),
+                                          cmulBcast(w0, fr0, fi0)));
+        _mm256_storeu_pd(o + 4,
+                         _mm256_add_pd(_mm256_loadu_pd(o + 4),
+                                       cmulBcast(w1, fr1, fi1)));
+    }
+    for (; b < b_hi; ++b)
+        maskMatvecOneAvx2(out, v, b, x, z, wr, wi, n_terms);
 }
 
 QCC_AVX2 double
@@ -1075,6 +1562,45 @@ expectPairs(const cplx *amp, size_t k_lo, size_t k_hi, uint64_t x,
                                sigma_pos);
 #endif
     return expectPairsScalar(amp, k_lo, k_hi, x, z, pivot, sigma_pos);
+}
+
+cplx
+pauliInnerPairs(const cplx *bra, const cplx *ket, size_t k_lo,
+                size_t k_hi, uint64_t x, uint64_t z, uint64_t pivot,
+                double sigma)
+{
+#ifdef QCC_SIMD_X86
+    if (simdActive())
+        return pauliInnerPairsAvx2(bra, ket, k_lo, k_hi, x, z, pivot,
+                                   sigma);
+#endif
+    return pauliInnerPairsScalar(bra, ket, k_lo, k_hi, x, z, pivot,
+                                 sigma);
+}
+
+cplx
+pauliInnerDiag(const cplx *bra, const cplx *ket, size_t b_lo,
+               size_t b_hi, uint64_t z)
+{
+#ifdef QCC_SIMD_X86
+    if (simdActive())
+        return pauliInnerDiagAvx2(bra, ket, b_lo, b_hi, z);
+#endif
+    return pauliInnerDiagScalar(bra, ket, b_lo, b_hi, z);
+}
+
+void
+maskMatvec(cplx *out, const cplx *v, size_t b_lo, size_t b_hi,
+           uint64_t x, const uint64_t *z, const double *wr,
+           const double *wi, size_t n_terms)
+{
+#ifdef QCC_SIMD_X86
+    if (simdActive()) {
+        maskMatvecAvx2(out, v, b_lo, b_hi, x, z, wr, wi, n_terms);
+        return;
+    }
+#endif
+    maskMatvecScalar(out, v, b_lo, b_hi, x, z, wr, wi, n_terms);
 }
 
 double

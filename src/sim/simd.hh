@@ -95,6 +95,14 @@ void diagMulScalar(cplx *amp, size_t b_lo, size_t b_hi,
  * pivot = lowest set bit of x and the folded constants of
  * kern::applyPauliRotation: amp[b] += (c-1)*amp[b] + s_b*(vr+i*vi)*
  * amp[b^x], etc., where s_b = (-1)^{|z&b|}.
+ *
+ * This and the other pair kernels (expectPairs, pauliInnerPairs)
+ * have AVX2 bodies for every pivot class. With pivot 1 (x holds bit
+ * 0) the pair of k is (2k, 2(k ^ (x >> 1)) + 1): register k and
+ * register k ^ (x >> 1) together hold two whole pairs (for x = 1 one
+ * register holds one pair). Every body touches only the pairs of its
+ * own k range, and the rotation gives each pair the same arithmetic
+ * wherever the range starts or ends.
  */
 void pauliRotPairs(cplx *amp, size_t k_lo, size_t k_hi, uint64_t x,
                    uint64_t z, uint64_t pivot, double c, double ur,
@@ -118,6 +126,40 @@ double expectPairs(const cplx *amp, size_t k_lo, size_t k_hi,
 double expectPairsScalar(const cplx *amp, size_t k_lo, size_t k_hi,
                          uint64_t x, uint64_t z, uint64_t pivot,
                          bool sigma_pos);
+
+/**
+ * Pair-compacted partial sum of <bra|P|ket> / i^{|x&z|} over k in
+ * [k_lo, k_hi) (x != 0, pivot = lowest set bit of x): the sum of
+ * s_b (sigma conj(bra[b]) ket[b^x] + conj(bra[b^x]) ket[b]) with
+ * b = expandBit(k, pivot) and sigma = (-1)^{|z&x|}.
+ */
+cplx pauliInnerPairs(const cplx *bra, const cplx *ket, size_t k_lo,
+                     size_t k_hi, uint64_t x, uint64_t z,
+                     uint64_t pivot, double sigma);
+cplx pauliInnerPairsScalar(const cplx *bra, const cplx *ket,
+                           size_t k_lo, size_t k_hi, uint64_t x,
+                           uint64_t z, uint64_t pivot, double sigma);
+
+/** sum_b (-1)^{|z&b|} conj(bra[b]) ket[b] over [b_lo, b_hi). */
+cplx pauliInnerDiag(const cplx *bra, const cplx *ket, size_t b_lo,
+                    size_t b_hi, uint64_t z);
+cplx pauliInnerDiagScalar(const cplx *bra, const cplx *ket,
+                          size_t b_lo, size_t b_hi, uint64_t z);
+
+/**
+ * One X mask's share of a Pauli-sum matvec over [b_lo, b_hi):
+ * out[b] += f(b) * v[b ^ x] with f(b) = sum_t (wr[t] + i wi[t]) *
+ * (-1)^{|z[t] & b|}, each term's coefficient already folded with
+ * its i^{|x&z|} (-1)^{|z&x|} (see kern::XMaskGroups). Writes only
+ * out[b_lo, b_hi); out and v must not overlap.
+ */
+void maskMatvec(cplx *out, const cplx *v, size_t b_lo, size_t b_hi,
+                uint64_t x, const uint64_t *z, const double *wr,
+                const double *wi, size_t n_terms);
+void maskMatvecScalar(cplx *out, const cplx *v, size_t b_lo,
+                      size_t b_hi, uint64_t x, const uint64_t *z,
+                      const double *wr, const double *wi,
+                      size_t n_terms);
 
 /** sum_b (-1)^{|z&b|} |amp[b]|^2 over [b_lo, b_hi). */
 double expectDiag(const cplx *amp, size_t b_lo, size_t b_hi,

@@ -113,16 +113,6 @@ Statevector::applyPauliRotation(double theta, const PauliString &p)
                              p.zMask(), theta);
 }
 
-void
-Statevector::accumulatePauli(cplx w, const PauliString &p,
-                             std::vector<cplx> &out) const
-{
-    if (out.size() != amp.size())
-        panic("accumulatePauli: dimension mismatch");
-    kern::accumulatePauli(amp.data(), amp.size(), p.xMask(), p.zMask(),
-                          w, out.data());
-}
-
 double
 Statevector::expectation(const PauliString &p) const
 {

@@ -76,10 +76,6 @@ class Statevector
      */
     void applyPauliRotation(double theta, const PauliString &p);
 
-    /** out += w * (P applied to this state); out must match dims. */
-    void accumulatePauli(cplx w, const PauliString &p,
-                         std::vector<cplx> &out) const;
-
     /** <psi| P |psi> (real part; P is Hermitian). */
     double expectation(const PauliString &p) const;
 

@@ -58,6 +58,10 @@ ParameterShiftEngine::ParameterShiftEngine(const PauliSum &h,
         if (!r.string.isIdentity())
             shiftable.push_back(j);
     }
+    // The adjoint's H, real coefficients as ExpectationEngine reads
+    // them.
+    for (const PauliTerm &t : ham.terms())
+        hRe.add(t.string.xMask(), t.string.zMask(), t.coeff.real());
 }
 
 std::vector<double>
@@ -114,12 +118,11 @@ ParameterShiftEngine::gradientAdjoint(
     for (size_t j : shiftable)
         psi.applyPauliRotation(base[j], rots[j].string);
 
-    // lambda = H|psi> (not a state: unnormalized), real coefficients
-    // as ExpectationEngine reads them.
+    // lambda = H|psi> (not a state: unnormalized), one sweep per X
+    // mask.
     std::vector<cplx> lambda = statePool().acquire(dim);
     std::fill(lambda.begin(), lambda.end(), cplx(0.0));
-    for (const PauliTerm &t : ham.terms())
-        psi.accumulatePauli(t.coeff.real(), t.string, lambda);
+    hRe.apply(psi.amplitudes().data(), dim, lambda.data());
 
     // Backward walk. With psi_j the state just after rotation j and
     // lambda_j = U_{j+1}^dag ... U_{R-1}^dag H|psi>,

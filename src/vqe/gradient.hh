@@ -10,8 +10,8 @@
  *    then a backward walk that reads dE/dphi_j = -2 Im <lambda|P_j|
  *    psi_j> and un-applies each rotation from both states — 3R - 2
  *    rotation sweeps, R read-only inner products and one sweep per
- *    Hamiltonian term, on two state vectors, with no energy
- *    evaluation at all;
+ *    distinct X mask of the Hamiltonian, on two state vectors, with
+ *    no energy evaluation at all;
  *  - parameter shift: the energy is a sinusoid in phi, so
  *    dE/dphi = [E(phi + s) - E(phi - s)] / sin(2s), 2R shifted
  *    energies for R non-identity rotations. This serves the readouts
@@ -47,6 +47,7 @@
 #include "ansatz/uccsd.hh"
 #include "pauli/pauli_sum.hh"
 #include "sim/backend.hh"
+#include "sim/kernels.hh"
 #include "sim/noise_model.hh"
 #include "sim/statevector.hh"
 
@@ -166,6 +167,7 @@ class ParameterShiftEngine
 
     GradientOptions opts;
     PauliSum ham;
+    kern::XMaskGroups hRe; ///< Re-coefficient H by X mask (adjoint)
     const Ansatz *source;  ///< non-owning; outlives the engine
     Ansatz unrolled;       ///< one parameter per rotation
     std::vector<size_t> shiftable; ///< non-identity rotation indices

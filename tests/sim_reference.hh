@@ -1,9 +1,9 @@
 /**
  * @file
  * Reference implementations the simulator's production paths are
- * tested and timed against: the seed's full-scan kernels, per-gate
- * circuit replays on both simulators, and a copy-path oracle for the
- * grouped energy. Production always runs the bit-mask kernels and
+ * tested and timed against: the seed's full-scan kernels, the
+ * per-term H*v, per-gate circuit replays on both simulators, and a
+ * copy-path oracle for the grouped energy. Production always runs the bit-mask kernels and
  * the fused executors; these stay here, beside the tests that read
  * them (test_kernels, test_pipeline_fuzz) and bench_sim_micro.
  */
@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "circuit/circuit.hh"
+#include "common/parallel.hh"
 #include "pauli/grouping.hh"
 #include "pauli/pauli_sum.hh"
 #include "sim/density_matrix.hh"
@@ -88,6 +89,33 @@ expectationGeneric(const cplx *amp, size_t dim, uint64_t x, uint64_t z)
     return s.real();
 }
 /** @} */
+
+/**
+ * out[b] += w * (P amp)[b] for all b: one sweep per Pauli term, the
+ * H*v that kern::XMaskGroups replaces (one sweep per X mask).
+ */
+inline void
+accumulatePauli(const cplx *amp, size_t dim, uint64_t x, uint64_t z,
+                cplx w, cplx *out)
+{
+    // phase(b^x) = eps * sigma * (-1)^{|z & b|}; fold everything
+    // constant into the weight.
+    const cplx weps = w * pauliPhase(x, z, x);
+    qcc::parallelFor(0, dim, [=](size_t lo, size_t hi) {
+        for (size_t b = lo; b < hi; ++b)
+            out[b] += (std::popcount(z & b) & 1 ? -weps : weps) *
+                      amp[b ^ x];
+    });
+}
+
+/** out += w * P|sv>; out must match the state's dimension. */
+inline void
+accumulatePauli(const qcc::Statevector &sv, cplx w,
+                const qcc::PauliString &p, std::vector<cplx> &out)
+{
+    accumulatePauli(sv.amplitudes().data(), sv.dim(), p.xMask(),
+                    p.zMask(), w, out.data());
+}
 
 /** Gate-by-gate replay through Statevector::applyGate. */
 inline void

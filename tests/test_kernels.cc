@@ -9,7 +9,9 @@
  */
 
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <gtest/gtest.h>
 
 #include "circuit/circuit.hh"
@@ -434,7 +436,9 @@ TEST(Simd, PauliRotationMatchesScalarAndGeneric)
     Rng rng(37);
     // Odd widths and n=1 stress the vector head/tail handling; the
     // random strings cover diagonal (x=0), pivot=1, and pivot>=2.
-    for (unsigned n : {1u, 2u, 3u, 7u, 13u}) {
+    // n = 16 is parallelFor's largest inline range; n = 17 splits
+    // the pairs into chunks on a multi-core pool.
+    for (unsigned n : {1u, 2u, 3u, 7u, 13u, 16u, 17u}) {
         for (int rep = 0; rep < 16; ++rep) {
             PauliString p = randomString(n, rng);
             const double theta = rng.uniform(-3.0, 3.0);
@@ -462,7 +466,7 @@ TEST(Simd, PauliRotationMatchesScalarAndGeneric)
 TEST(Simd, ExpectationMatchesScalarAndGeneric)
 {
     Rng rng(41);
-    for (unsigned n : {1u, 3u, 5u, 13u}) {
+    for (unsigned n : {1u, 3u, 5u, 13u, 16u, 17u}) {
         auto amp = randomAmplitudes(n, 90 + n);
         for (int rep = 0; rep < 16; ++rep) {
             PauliString p = randomString(n, rng);
@@ -525,6 +529,364 @@ TEST(Simd, DiagonalGroupExpectationMatchesScalar)
                 << "simd n=" << n << " terms=" << terms;
             EXPECT_NEAR(sca, ref, 1e-12)
                 << "scalar n=" << n << " terms=" << terms;
+        }
+    }
+}
+
+namespace {
+
+/** Canonical Pauli (x, z) over n qubits, masked to the width. */
+struct Masks
+{
+    uint64_t x, z;
+};
+
+/**
+ * X masks of every pivot class the pair kernels tell apart: x = 1,
+ * x holding bit 0 and higher bits (low and high ones, so the partner
+ * register k ^ (x >> 1) lands inside and outside a sub-range),
+ * pivot >= 2, and x = 0.
+ */
+std::vector<Masks>
+pivotClassMasks(unsigned n, Rng &rng)
+{
+    const uint64_t all = (uint64_t{1} << n) - 1;
+    std::vector<Masks> out;
+    auto z = [&] { return rng.index(uint64_t{1} << n) & all; };
+    out.push_back({1, z()});
+    if (n > 1) {
+        out.push_back({1 | (uint64_t{1} << 1), z()});
+        out.push_back({1 | (uint64_t{1} << (n - 1)), z()});
+        out.push_back({(rng.index(uint64_t{1} << n) & all) | 1, z()});
+        out.push_back({uint64_t{1} << 1, z()});
+        out.push_back({(uint64_t{1} << (n - 1)) | (uint64_t{1} << 2 & all),
+                       z()});
+        out.push_back({(rng.index(uint64_t{1} << n) & all & ~uint64_t{1})
+                           | (uint64_t{1} << (n - 1)),
+                       z()});
+    }
+    out.push_back({0, z()});
+    return out;
+}
+
+/** Sub-ranges of [0, len): ends that split partner registers. */
+std::vector<std::pair<size_t, size_t>>
+subRanges(size_t len, Rng &rng)
+{
+    std::vector<std::pair<size_t, size_t>> out;
+    const std::pair<size_t, size_t> fixed[] = {
+        {0, len}, {1, len}, {0, len - 1}, {1, len / 2 + 1},
+        {len / 2 - 1, len}, {len / 4, 3 * len / 4 + 1}};
+    for (const auto &[a, b] : fixed)
+        if (a < b && b <= len)
+            out.push_back({a, b});
+    for (int i = 0; i < 4; ++i) {
+        size_t a = rng.index(len), b = rng.index(len + 1);
+        if (a > b)
+            std::swap(a, b);
+        if (a < b)
+            out.push_back({a, b});
+    }
+    return out;
+}
+
+/** A random partition of [0, len) into consecutive sub-ranges. */
+std::vector<size_t>
+randomCuts(size_t len, Rng &rng)
+{
+    std::vector<size_t> cuts = {0};
+    while (cuts.back() < len)
+        cuts.push_back(std::min(len, cuts.back() + 1 +
+                                         rng.index(len / 5 + 3)));
+    return cuts;
+}
+
+bool
+sameBits(const std::vector<cplx> &a, const std::vector<cplx> &b)
+{
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(cplx)) == 0;
+}
+
+/** Basis indices a compacted pair range [lo, hi) owns. */
+std::vector<bool>
+ownedIndices(size_t dim, size_t lo, size_t hi, uint64_t x)
+{
+    std::vector<bool> own(dim, false);
+    if (x == 0) {
+        for (size_t b = lo; b < hi; ++b)
+            own[b] = true;
+        return own;
+    }
+    const uint64_t pivot = x & (~x + 1);
+    for (size_t k = lo; k < hi; ++k) {
+        const size_t b = kern::expandBit(k, pivot);
+        own[b] = own[b ^ x] = true;
+    }
+    return own;
+}
+
+} // namespace
+
+TEST(Simd, PairPrimitivesStayInsideTheirRange)
+{
+    // Drive the range primitives on sub-ranges, as the parallel
+    // sweeps' chunks do, for every pivot class: a sub-range writes
+    // exactly its own pairs, a rotation rounds each pair the same at
+    // any chunking, and a partial sum covers exactly its own pairs.
+    Rng rng(53);
+    for (unsigned n : {1u, 2u, 7u, 16u}) {
+        const size_t dim = size_t{1} << n;
+        const auto bra = randomAmplitudes(n, 600 + n);
+        const auto ket = randomAmplitudes(n, 700 + n);
+        for (const Masks &m : pivotClassMasks(n, rng)) {
+            const uint64_t pivot = m.x & (~m.x + 1);
+            const size_t len = m.x ? dim / 2 : dim;
+            const double theta = rng.uniform(-3.0, 3.0);
+            const double c = std::cos(theta), sn = std::sin(theta);
+            // The folded constants of kern::applyPauliRotation:
+            // u = i sin(theta) i^{|x&z|}, sigma = (-1)^{|z&x|}.
+            const cplx uu = cplx(0, sn) * pauliPhase(m.x, m.z, 0);
+            const double sigma =
+                std::popcount(m.z & m.x) & 1 ? -1.0 : 1.0;
+            auto rotate = [&](std::vector<cplx> &a, size_t lo,
+                              size_t hi, bool scalar) {
+                if (m.x == 0) {
+                    const cplx fe(c, sn), fo(c, -sn);
+                    scalar ? kern::ranges::pauliRotDiagScalar(
+                                 a.data(), lo, hi, m.z, fe, fo)
+                           : kern::ranges::pauliRotDiag(a.data(), lo,
+                                                        hi, m.z, fe, fo);
+                    return;
+                }
+                const double ur = uu.real(), ui = uu.imag();
+                (scalar ? kern::ranges::pauliRotPairsScalar
+                        : kern::ranges::pauliRotPairs)(
+                    a.data(), lo, hi, m.x, m.z, pivot, c, ur, ui,
+                    sigma * ur, sigma * ui);
+            };
+            auto expect = [&](size_t lo, size_t hi, bool scalar) {
+                if (m.x == 0)
+                    return (scalar ? kern::ranges::expectDiagScalar
+                                   : kern::ranges::expectDiag)(
+                        ket.data(), lo, hi, m.z);
+                return (scalar ? kern::ranges::expectPairsScalar
+                               : kern::ranges::expectPairs)(
+                    ket.data(), lo, hi, m.x, m.z, pivot, sigma > 0);
+            };
+            auto inner = [&](size_t lo, size_t hi, bool scalar) {
+                if (m.x == 0)
+                    return (scalar ? kern::ranges::pauliInnerDiagScalar
+                                   : kern::ranges::pauliInnerDiag)(
+                        bra.data(), ket.data(), lo, hi, m.z);
+                return (scalar ? kern::ranges::pauliInnerPairsScalar
+                               : kern::ranges::pauliInnerPairs)(
+                    bra.data(), ket.data(), lo, hi, m.x, m.z, pivot,
+                    sigma);
+            };
+            for (bool simd : {true, false}) {
+                SimdGuard g(simd);
+                const std::string what =
+                    std::string(simd ? "simd" : "scalar") + " n=" +
+                    std::to_string(n) + " x=" + std::to_string(m.x) +
+                    " z=" + std::to_string(m.z);
+                auto whole = ket;
+                rotate(whole, 0, len, false);
+                auto scalarWhole = ket;
+                rotate(scalarWhole, 0, len, true);
+                expectClose(whole, scalarWhole, "rotation " + what);
+                // Any partition rounds every pair as the whole sweep.
+                const std::vector<size_t> cuts = randomCuts(len, rng);
+                auto parts = ket;
+                for (size_t i = 0; i + 1 < cuts.size(); ++i)
+                    rotate(parts, cuts[i], cuts[i + 1], false);
+                EXPECT_TRUE(sameBits(parts, whole))
+                    << "partitioned rotation " << what;
+                for (const auto &[lo, hi] : subRanges(len, rng)) {
+                    auto one = ket;
+                    rotate(one, lo, hi, false);
+                    const auto own = ownedIndices(dim, lo, hi, m.x);
+                    for (size_t b = 0; b < dim; ++b) {
+                        const cplx want = own[b] ? whole[b] : ket[b];
+                        ASSERT_EQ(one[b], want)
+                            << "rotation [" << lo << ", " << hi
+                            << ") index " << b << " " << what;
+                    }
+                    EXPECT_NEAR(expect(lo, hi, false),
+                                expect(lo, hi, true), 1e-13)
+                        << "expectation [" << lo << ", " << hi << ") "
+                        << what;
+                    EXPECT_NEAR(std::abs(inner(lo, hi, false) -
+                                         inner(lo, hi, true)),
+                                0.0, 1e-13)
+                        << "inner [" << lo << ", " << hi << ") "
+                        << what;
+                }
+            }
+        }
+    }
+}
+
+namespace {
+
+/** A random H with complex coefficients, identity and x = 0 terms. */
+std::vector<PauliTerm>
+randomHamiltonian(unsigned n, size_t n_terms, Rng &rng)
+{
+    const uint64_t all = (uint64_t{1} << n) - 1;
+    std::vector<PauliTerm> terms;
+    terms.push_back({cplx(rng.gaussian(), rng.gaussian()),
+                     PauliString(n)});
+    // Few X masks, so each carries several terms.
+    std::vector<uint64_t> xs = {0, 1};
+    for (int i = 0; i < 4; ++i)
+        xs.push_back(rng.index(uint64_t{1} << n) & all);
+    while (terms.size() < n_terms) {
+        const uint64_t x = xs[rng.index(xs.size())];
+        const uint64_t z = rng.index(uint64_t{1} << n) & all;
+        terms.push_back({cplx(rng.gaussian(), rng.gaussian()),
+                         PauliString(n, x, z)});
+    }
+    return terms;
+}
+
+} // namespace
+
+TEST(Kernels, XMaskGroupsMatchThePerTermReference)
+{
+    Rng rng(59);
+    for (unsigned n : {1u, 2u, 7u, 13u, 16u}) {
+        const size_t dim = size_t{1} << n;
+        const auto v = randomAmplitudes(n, 800 + n);
+        const auto terms = randomHamiltonian(n, 40, rng);
+        kern::XMaskGroups h;
+        std::vector<cplx> ref(dim, 0.0);
+        for (const PauliTerm &t : terms) {
+            h.add(t.string.xMask(), t.string.zMask(), t.coeff);
+            accumulatePauli(v.data(), dim, t.string.xMask(),
+                            t.string.zMask(), t.coeff, ref.data());
+        }
+        EXPECT_LE(h.masks(), 6u);
+        for (bool simd : {true, false}) {
+            SimdGuard g(simd);
+            std::vector<cplx> out(dim, 0.0);
+            h.apply(v.data(), dim, out.data());
+            expectClose(out, ref,
+                        std::string(simd ? "simd" : "scalar") +
+                            " H v n=" + std::to_string(n));
+        }
+    }
+}
+
+TEST(Simd, MaskMatvecStaysInsideItsRange)
+{
+    // The one-mask primitive on sub-ranges: it writes exactly
+    // out[lo, hi), and every entry rounds as in the whole sweep.
+    Rng rng(61);
+    for (unsigned n : {1u, 2u, 7u, 16u}) {
+        const size_t dim = size_t{1} << n;
+        const auto v = randomAmplitudes(n, 900 + n);
+        const auto start = randomAmplitudes(n, 950 + n);
+        for (const Masks &m : pivotClassMasks(n, rng)) {
+            std::vector<uint64_t> z;
+            std::vector<double> wr, wi;
+            for (int t = 0; t < 9; ++t) {
+                z.push_back(rng.index(dim));
+                wr.push_back(rng.gaussian());
+                wi.push_back(rng.gaussian());
+            }
+            auto run = [&](std::vector<cplx> &out, size_t lo, size_t hi,
+                           bool scalar) {
+                (scalar ? kern::ranges::maskMatvecScalar
+                        : kern::ranges::maskMatvec)(
+                    out.data(), v.data(), lo, hi, m.x, z.data(),
+                    wr.data(), wi.data(), z.size());
+            };
+            for (bool simd : {true, false}) {
+                SimdGuard g(simd);
+                const std::string what =
+                    std::string(simd ? "simd" : "scalar") + " n=" +
+                    std::to_string(n) + " x=" + std::to_string(m.x);
+                auto whole = start, scalarWhole = start;
+                run(whole, 0, dim, false);
+                run(scalarWhole, 0, dim, true);
+                expectClose(whole, scalarWhole, "mask matvec " + what);
+                const std::vector<size_t> cuts = randomCuts(dim, rng);
+                auto parts = start;
+                for (size_t i = 0; i + 1 < cuts.size(); ++i)
+                    run(parts, cuts[i], cuts[i + 1], false);
+                EXPECT_TRUE(sameBits(parts, whole))
+                    << "partitioned mask matvec " << what;
+                for (const auto &[lo, hi] : subRanges(dim, rng)) {
+                    auto one = start;
+                    run(one, lo, hi, false);
+                    for (size_t b = 0; b < dim; ++b)
+                        ASSERT_EQ(one[b], b >= lo && b < hi ? whole[b]
+                                                            : start[b])
+                            << "[" << lo << ", " << hi << ") index "
+                            << b << " " << what;
+                }
+            }
+        }
+    }
+}
+
+TEST(Simd, OneQubitSweepsMatchScalarOnEveryBitOfADensityMatrix)
+{
+    // n = 6 vectorized: 4096 entries, bits 0-11. The low bits walk
+    // fixed loop nests; sub-ranges start and end inside runs.
+    Rng rng(67);
+    const unsigned bits = 12;
+    const size_t dim = size_t{1} << bits;
+    const auto start = randomAmplitudes(bits, 1234);
+    cplx u[4];
+    for (auto &e : u)
+        e = cplx(rng.gaussian(), rng.gaussian());
+    const cplx d0(rng.gaussian(), rng.gaussian());
+    const cplx d1(rng.gaussian(), rng.gaussian());
+    for (unsigned q = 0; q < bits; ++q) {
+        const uint64_t bit = uint64_t{1} << q;
+        const std::string what = "bit " + std::to_string(q);
+        std::vector<cplx> vec = start, sca = start;
+        {
+            SimdGuard g(true);
+            kern::apply1q(vec.data(), dim, q, u);
+        }
+        {
+            SimdGuard g(false);
+            kern::apply1q(sca.data(), dim, q, u);
+        }
+        expectClose(vec, sca, "apply1q " + what);
+        vec = start;
+        sca = start;
+        {
+            SimdGuard g(true);
+            kern::applyDiag1q(vec.data(), dim, q, d0, d1);
+        }
+        {
+            SimdGuard g(false);
+            kern::applyDiag1q(sca.data(), dim, q, d0, d1);
+        }
+        expectClose(vec, sca, "diag1q " + what);
+        for (const auto &[lo, hi] : subRanges(dim / 2, rng)) {
+            vec = start;
+            sca = start;
+            {
+                SimdGuard g(true);
+                kern::ranges::apply1q(vec.data(), lo, hi, bit, u);
+            }
+            kern::ranges::apply1qScalar(sca.data(), lo, hi, bit, u);
+            expectClose(vec, sca, "apply1q range " + what);
+        }
+        for (const auto &[lo, hi] : subRanges(dim, rng)) {
+            vec = start;
+            sca = start;
+            {
+                SimdGuard g(true);
+                kern::ranges::diag1q(vec.data(), lo, hi, bit, d0, d1);
+            }
+            kern::ranges::diag1qScalar(sca.data(), lo, hi, bit, d0, d1);
+            expectClose(vec, sca, "diag1q range " + what);
         }
     }
 }
