@@ -835,6 +835,25 @@ pauliRotPairsAvx2(cplx *ampc, size_t k_lo, size_t k_hi, uint64_t x,
     }
 }
 
+/**
+ * pauliRotDiagAvx2 on one amplitude in 128-bit lanes, with the
+ * vector body's arithmetic: a range rounds alike however it is cut.
+ */
+QCC_AVX2 inline void
+rotDiagOne(double *amp, size_t b, uint64_t z, __m256d hr, __m256d hi,
+           __m256d dr, __m256d di)
+{
+    const __m128d s = _mm_set1_pd(paritySign(z, b));
+    const __m128d fr = _mm_fmadd_pd(s, _mm256_castpd256_pd128(dr),
+                                    _mm256_castpd256_pd128(hr));
+    const __m128d fi = _mm_fmadd_pd(s, _mm256_castpd256_pd128(di),
+                                    _mm256_castpd256_pd128(hi));
+    const __m128d v = _mm_loadu_pd(amp + 2 * b);
+    _mm_storeu_pd(amp + 2 * b,
+                  _mm_fmaddsub_pd(v, fr,
+                                  _mm_mul_pd(_mm_shuffle_pd(v, v, 0x1), fi)));
+}
+
 QCC_AVX2 void
 pauliRotDiagAvx2(cplx *ampc, size_t b_lo, size_t b_hi, uint64_t z,
                  cplx f_even, cplx f_odd)
@@ -850,10 +869,8 @@ pauliRotDiagAvx2(cplx *ampc, size_t b_lo, size_t b_hi, uint64_t z,
     const __m256d dr = _mm256_set1_pd(d.real());
     const __m256d di = _mm256_set1_pd(d.imag());
     size_t b = b_lo;
-    if ((b & 1) && b < b_hi) {
-        ampc[b] *= (std::popcount(z & b) & 1) ? f_odd : f_even;
-        ++b;
-    }
+    if ((b & 1) && b < b_hi)
+        rotDiagOne(amp, b++, z, hr, hi, dr, di);
     for (; b + 2 <= b_hi; b += 2) {
         const double s0 = paritySign(z, b);
         const __m256d sv = _mm256_mul_pd(_mm256_set1_pd(s0), evec);
@@ -862,8 +879,8 @@ pauliRotDiagAvx2(cplx *ampc, size_t b_lo, size_t b_hi, uint64_t z,
         const __m256d v = _mm256_loadu_pd(amp + 2 * b);
         _mm256_storeu_pd(amp + 2 * b, cmulBcast(v, fr, fi));
     }
-    for (; b < b_hi; ++b)
-        ampc[b] *= (std::popcount(z & b) & 1) ? f_odd : f_even;
+    if (b < b_hi)
+        rotDiagOne(amp, b, z, hr, hi, dr, di);
 }
 
 /** expectPairsAvx2 with x holding bit 0 (see pauliRotPairsBit0Avx2). */
@@ -1118,54 +1135,57 @@ maskMatvecAvx2(cplx *outc, const cplx *vc, size_t b_lo, size_t b_hi,
 {
     double *out = reinterpret_cast<double *>(outc);
     const double *v = reinterpret_cast<const double *>(vc);
-    // Sign patterns of z's low two bits over four amplitudes b..b+3
-    // (b a multiple of 4), each duplicated over a complex's two
-    // lanes: [0] for (b, b+1), [1] for (b+2, b+3).
-    static const double patTable[4][2][4] = {
-        {{1.0, 1.0, 1.0, 1.0}, {1.0, 1.0, 1.0, 1.0}},
-        {{1.0, 1.0, -1.0, -1.0}, {1.0, 1.0, -1.0, -1.0}},
-        {{1.0, 1.0, 1.0, 1.0}, {-1.0, -1.0, -1.0, -1.0}},
-        {{1.0, 1.0, -1.0, -1.0}, {-1.0, -1.0, 1.0, 1.0}},
+    // Sign patterns of z's low three bits over eight amplitudes
+    // b..b+7 (b a multiple of 8), each duplicated over a complex's
+    // two lanes: pat[c][h] covers (b + 2h, b + 2h + 1). Eight
+    // amplitudes give eight independent FMA chains per term.
+    struct Patterns
+    {
+        double v[8][4][4];
     };
-    __m256d pats[4][2];
-    for (int c = 0; c < 4; ++c)
-        for (int h = 0; h < 2; ++h)
-            pats[c][h] = _mm256_loadu_pd(patTable[c][h]);
-    const uint64_t xl = x & 3;
+    static const Patterns pat = [] {
+        Patterns p{};
+        for (unsigned c = 0; c < 8; ++c) {
+            for (unsigned i = 0; i < 8; ++i) {
+                const double s = (std::popcount(c & i) & 1) ? -1.0 : 1.0;
+                p.v[c][i / 2][2 * (i & 1)] = s;
+                p.v[c][i / 2][2 * (i & 1) + 1] = s;
+            }
+        }
+        return p;
+    }();
+    const uint64_t xl = x & 7;
     size_t b = b_lo;
-    for (; b < b_hi && (b & 3); ++b)
+    for (; b < b_hi && (b & 7); ++b)
         maskMatvecOneAvx2(out, v, b, x, z, wr, wi, n_terms);
-    for (; b + 4 <= b_hi; b += 4) {
-        __m256d fr0 = _mm256_setzero_pd(), fi0 = _mm256_setzero_pd();
-        __m256d fr1 = _mm256_setzero_pd(), fi1 = _mm256_setzero_pd();
+    for (; b + 8 <= b_hi; b += 8) {
+        __m256d fr[4], fi[4];
+        for (int h = 0; h < 4; ++h)
+            fr[h] = fi[h] = _mm256_setzero_pd();
         for (size_t t = 0; t < n_terms; ++t) {
             const uint64_t zm = z[t];
-            const double s = paritySign(zm & ~uint64_t{3}, b);
+            const double s = paritySign(zm & ~uint64_t{7}, b);
             const __m256d sr = _mm256_set1_pd(s * wr[t]);
             const __m256d si = _mm256_set1_pd(s * wi[t]);
-            const __m256d *p = pats[zm & 3];
-            fr0 = _mm256_fmadd_pd(p[0], sr, fr0);
-            fi0 = _mm256_fmadd_pd(p[0], si, fi0);
-            fr1 = _mm256_fmadd_pd(p[1], sr, fr1);
-            fi1 = _mm256_fmadd_pd(p[1], si, fi1);
+            for (int h = 0; h < 4; ++h) {
+                const __m256d ph = _mm256_loadu_pd(pat.v[zm & 7][h]);
+                fr[h] = _mm256_fmadd_pd(ph, sr, fr[h]);
+                fi[h] = _mm256_fmadd_pd(ph, si, fi[h]);
+            }
         }
-        // v[(b + i) ^ x] is entry i ^ (x & 3) of the aligned block
-        // at (b ^ x) & ~3.
-        const double *src = v + 2 * ((b ^ x) & ~uint64_t{3});
-        __m256d w0 = _mm256_loadu_pd(src);
-        __m256d w1 = _mm256_loadu_pd(src + 4);
-        if (xl & 1) {
-            w0 = swapHalves(w0);
-            w1 = swapHalves(w1);
-        }
-        if (xl & 2)
-            std::swap(w0, w1);
+        // v[(b + i) ^ x] is entry i ^ (x & 7) of the aligned block at
+        // (b ^ x) & ~7: register h reads register h ^ (xl >> 1) of
+        // that block, its halves swapped when x holds bit 0.
+        const double *src = v + 2 * ((b ^ x) & ~uint64_t{7});
         double *o = out + 2 * b;
-        _mm256_storeu_pd(o, _mm256_add_pd(_mm256_loadu_pd(o),
-                                          cmulBcast(w0, fr0, fi0)));
-        _mm256_storeu_pd(o + 4,
-                         _mm256_add_pd(_mm256_loadu_pd(o + 4),
-                                       cmulBcast(w1, fr1, fi1)));
+        for (int h = 0; h < 4; ++h) {
+            __m256d w = _mm256_loadu_pd(src + 4 * (h ^ (xl >> 1)));
+            if (xl & 1)
+                w = swapHalves(w);
+            _mm256_storeu_pd(o + 4 * h,
+                             _mm256_add_pd(_mm256_loadu_pd(o + 4 * h),
+                                           cmulBcast(w, fr[h], fi[h])));
+        }
     }
     for (; b < b_hi; ++b)
         maskMatvecOneAvx2(out, v, b, x, z, wr, wi, n_terms);
