@@ -72,7 +72,7 @@ denseString(unsigned n)
  * The pair kernels' pivot classes, by the lowest X bit: "" is
  * denseString (pivot 2, the rows' historical shape), "x1" is X on
  * qubit 0 alone (one register per pair) and "bit0" adds X on qubit
- * 0 to denseString (partner registers k and k ^ (x >> 1)).
+ * 0 to denseString (each pair gathered from two registers).
  */
 PauliString
 pivotClassString(unsigned n, const std::string &cls)

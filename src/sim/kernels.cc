@@ -174,7 +174,8 @@ pauliInner(const cplx *bra, const cplx *ket, size_t dim, uint64_t x,
     if (x == 0) {
         return parallelReduce(
             0, dim, cplx(0.0), [=](size_t lo, size_t hi) {
-                return ranges::pauliInnerDiag(bra, ket, lo, hi, z);
+                return ranges::pauliInnerDiagScalar(bra, ket, lo, hi,
+                                                    z);
             });
     }
     // With P|c> = eps (-1)^{|z&c|} |c^x> and the partner-sign

@@ -730,74 +730,28 @@ rotLonePair(double *amp, size_t b, uint64_t x, uint64_t z, __m256d cv,
               rotPairReg(loadPair(p, p2), paritySign(z, b), cv, kr, ki));
 }
 
-/**
- * pauliRotPairsAvx2 with x holding bit 0: the pair of k is
- * (2k, 2(k ^ h) + 1), h = x >> 1. Registers k and k ^ h, both in
- * range, are blended into the pair registers of k and k ^ h; a pair
- * whose partner register lies outside the range is gathered alone.
- */
-QCC_AVX2 void
-pauliRotPairsBit0Avx2(cplx *ampc, size_t k_lo, size_t k_hi, uint64_t x,
-                      uint64_t z, double c, double ur, double ui,
-                      double vr, double vi)
-{
-    double *amp = reinterpret_cast<double *>(ampc);
-    const __m256d cv = _mm256_set1_pd(c);
-    const __m256d kr = _mm256_setr_pd(vr, vr, ur, ur);
-    const __m256d ki = _mm256_setr_pd(vi, vi, ui, ui);
-    const uint64_t h = x >> 1;
-    if (h == 0) {
-        for (size_t k = k_lo; k < k_hi; ++k) {
-            double *p = amp + 4 * k;
-            _mm256_storeu_pd(p, rotPairReg(_mm256_loadu_pd(p),
-                                           paritySign(z, 2 * k), cv,
-                                           kr, ki));
-        }
-        return;
-    }
-    const uint64_t t = h & (~h + 1); // k ^ h flips it: one of each
-    for (size_t k = k_lo; k < k_hi; ++k) {
-        const size_t kp = k ^ h;
-        double *pk = amp + 4 * k;
-        double *pp = amp + 4 * kp;
-        if (kp < k_lo || kp >= k_hi) {
-            rotLonePair(amp, 2 * k, x, z, cv, kr, ki);
-            continue;
-        }
-        if (k & t)
-            continue; // done with its partner
-        const __m256d rk = _mm256_loadu_pd(pk);
-        const __m256d rp = _mm256_loadu_pd(pp);
-        const __m256d nk = rotPairReg(_mm256_blend_pd(rk, rp, 0xC),
-                                      paritySign(z, 2 * k), cv, kr, ki);
-        const __m256d np =
-            rotPairReg(_mm256_blend_pd(rp, rk, 0xC),
-                       paritySign(z, 2 * kp), cv, kr, ki);
-        _mm256_storeu_pd(pk, _mm256_blend_pd(nk, np, 0xC));
-        _mm256_storeu_pd(pp, _mm256_blend_pd(np, nk, 0xC));
-    }
-}
-
 QCC_AVX2 void
 pauliRotPairsAvx2(cplx *ampc, size_t k_lo, size_t k_hi, uint64_t x,
                   uint64_t z, uint64_t pivot, double c, double ur,
                   double ui, double vr, double vi)
 {
+    double *amp = reinterpret_cast<double *>(ampc);
+    const __m256d cv = _mm256_set1_pd(c);
+    const __m256d kr = _mm256_setr_pd(vr, vr, ur, ur);
+    const __m256d ki = _mm256_setr_pd(vi, vi, ui, ui);
     if (pivot == 1) {
-        pauliRotPairsBit0Avx2(ampc, k_lo, k_hi, x, z, c, ur, ui, vr,
-                              vi);
+        // x holds bit 0, so the partner of 2k sits in another register
+        // (or, for x = 1, in the same one): gather each pair alone.
+        for (size_t k = k_lo; k < k_hi; ++k)
+            rotLonePair(amp, 2 * k, x, z, cv, kr, ki);
         return;
     }
-    double *amp = reinterpret_cast<double *>(ampc);
     const double e0 = (z & 1) ? -1.0 : 1.0;
     const __m256d evec = _mm256_setr_pd(1.0, 1.0, e0, e0);
-    const __m256d cv = _mm256_set1_pd(c);
     const __m256d urv = _mm256_set1_pd(ur);
     const __m256d uiv = _mm256_set1_pd(ui);
     const __m256d vrv = _mm256_set1_pd(vr);
     const __m256d viv = _mm256_set1_pd(vi);
-    const __m256d kr = _mm256_setr_pd(vr, vr, ur, ur);
-    const __m256d ki = _mm256_setr_pd(vi, vi, ui, ui);
     size_t k = k_lo;
     while (k < k_hi) {
         const size_t runStart = k & ~size_t(pivot - 1);
@@ -883,79 +837,38 @@ pauliRotDiagAvx2(cplx *ampc, size_t b_lo, size_t b_hi, uint64_t z,
         rotDiagOne(amp, b, z, hr, hi, dr, di);
 }
 
-/** expectPairsAvx2 with x holding bit 0 (see pauliRotPairsBit0Avx2). */
-QCC_AVX2 double
-expectPairsBit0Avx2(const cplx *ampc, size_t k_lo, size_t k_hi,
-                    uint64_t x, uint64_t z, bool sigma_pos)
-{
-    const double *amp = reinterpret_cast<const double *>(ampc);
-    const __m256d evenMask = _mm256_castsi256_pd(
-        _mm256_setr_epi64x(-1, 0, -1, 0));
-    __m256d acc = _mm256_setzero_pd();
-    double tail = 0.0;
-    const uint64_t h = x >> 1;
-    // Two pairs per register pass: a = (amp[b], amp[b']) and a2 =
-    // their partners, for pairs k and k + 1 when x = 1, else for
-    // pairs k and k ^ h.
-    if (h == 0) {
-        size_t k = k_lo;
-        for (; k + 2 <= k_hi; k += 2) {
-            const __m256d r0 = _mm256_loadu_pd(amp + 4 * k);
-            const __m256d r1 = _mm256_loadu_pd(amp + 4 * k + 4);
-            const __m256d sv = _mm256_setr_pd(
-                paritySign(z, 2 * k), 0.0, paritySign(z, 2 * k + 2),
-                0.0);
-            acc = _mm256_fmadd_pd(
-                _mm256_and_pd(
-                    expectPairTerms(_mm256_permute2f128_pd(r0, r1, 0x20),
-                                    _mm256_permute2f128_pd(r0, r1, 0x31),
-                                    sigma_pos),
-                    evenMask),
-                sv, acc);
-        }
-        if (k < k_hi)
-            tail += expectPairOne(ampc, 2 * k, 2 * k + 1, z, sigma_pos);
-        return hsum(acc) + tail;
-    }
-    const uint64_t t = h & (~h + 1);
-    for (size_t k = k_lo; k < k_hi; ++k) {
-        const size_t kp = k ^ h;
-        if (kp < k_lo || kp >= k_hi) {
-            tail += expectPairOne(ampc, 2 * k, 2 * kp + 1, z, sigma_pos);
-            continue;
-        }
-        if (k & t)
-            continue;
-        const __m256d rk = _mm256_loadu_pd(amp + 4 * k);
-        const __m256d rp = _mm256_loadu_pd(amp + 4 * kp);
-        const __m256d sv = _mm256_setr_pd(
-            paritySign(z, 2 * k), 0.0, paritySign(z, 2 * kp), 0.0);
-        acc = _mm256_fmadd_pd(
-            _mm256_and_pd(
-                expectPairTerms(_mm256_permute2f128_pd(rk, rp, 0x20),
-                                _mm256_permute2f128_pd(rp, rk, 0x31),
-                                sigma_pos),
-                evenMask),
-            sv, acc);
-    }
-    return hsum(acc) + tail;
-}
-
 QCC_AVX2 double
 expectPairsAvx2(const cplx *ampc, size_t k_lo, size_t k_hi,
                 uint64_t x, uint64_t z, uint64_t pivot,
                 bool sigma_pos)
 {
-    if (pivot == 1)
-        return expectPairsBit0Avx2(ampc, k_lo, k_hi, x, z, sigma_pos);
     const double *amp = reinterpret_cast<const double *>(ampc);
-    const double e0 = (z & 1) ? -1.0 : 1.0;
-    const __m256d evec = _mm256_setr_pd(1.0, 1.0, e0, e0);
     const __m256d evenMask = _mm256_castsi256_pd(
         _mm256_setr_epi64x(-1, 0, -1, 0));
     __m256d acc = _mm256_setzero_pd();
     double tail = 0.0;
     size_t k = k_lo;
+    if (pivot == 1) {
+        // x holds bit 0: gather pairs k and k + 1 as a = (amp[b],
+        // amp[b']) and a2 = (amp[b^x], amp[b'^x]), b = 2k, b' = b + 2.
+        for (; k + 2 <= k_hi; k += 2) {
+            const size_t b = 2 * k, bq = b + 2;
+            const __m256d a = loadPair(amp + 2 * b, amp + 2 * bq);
+            const __m256d a2 =
+                loadPair(amp + 2 * (b ^ x), amp + 2 * (bq ^ x));
+            const __m256d sv = _mm256_setr_pd(paritySign(z, b), 0.0,
+                                              paritySign(z, bq), 0.0);
+            acc = _mm256_fmadd_pd(
+                _mm256_and_pd(expectPairTerms(a, a2, sigma_pos),
+                              evenMask),
+                sv, acc);
+        }
+        if (k < k_hi)
+            tail += expectPairOne(ampc, 2 * k, (2 * k) ^ x, z, sigma_pos);
+        return hsum(acc) + tail;
+    }
+    const double e0 = (z & 1) ? -1.0 : 1.0;
+    const __m256d evec = _mm256_setr_pd(1.0, 1.0, e0, e0);
     while (k < k_hi) {
         const size_t runStart = k & ~size_t(pivot - 1);
         const size_t runEnd =
@@ -995,7 +908,23 @@ pauliInnerPairsAvx2(const cplx *brac, const cplx *ketc, size_t k_lo,
 {
     const double *bra = reinterpret_cast<const double *>(brac);
     const double *ket = reinterpret_cast<const double *>(ketc);
-    // p sums conj(bra[b]) ket[b^x], q sums conj(bra[b^x]) ket[b];
+    // p sums conj(bra[b]) ket[b^x], q sums conj(bra[b^x]) ket[b].
+    cplx p(0.0), q(0.0);
+    if (pivot == 1) {
+        // x holds bit 0: gathered u = (bra[b], bra[b^x]) and swapped
+        // v = (ket[b^x], ket[b]), b = 2k; conj(u) * v is the p term in
+        // the low complex and the q term in the high one.
+        __m256d re = _mm256_setzero_pd(), im = _mm256_setzero_pd();
+        for (size_t k = k_lo; k < k_hi; ++k) {
+            const size_t b = 2 * k, b2 = b ^ x;
+            conjMulAcc(_mm256_set1_pd(paritySign(z, b)),
+                       loadPair(bra + 2 * b, bra + 2 * b2),
+                       loadPair(ket + 2 * b2, ket + 2 * b), re, im);
+        }
+        conjMulSums(re, im, p, q);
+        return cplx(sigma * p.real() + q.real(),
+                    sigma * p.imag() + q.imag());
+    }
     // (pr, pi, qr, qi) take the pairs done one at a time.
     double pr = 0.0, pi = 0.0, qr = 0.0, qi = 0.0;
     auto lonePair = [&](size_t b) {
@@ -1004,108 +933,41 @@ pauliInnerPairsAvx2(const cplx *brac, const cplx *ketc, size_t k_lo,
         addConjMul(sb, brac[b], ketc[b2], pr, pi);
         addConjMul(sb, brac[b2], ketc[b], qr, qi);
     };
-    cplx p(0.0), q(0.0);
-    if (pivot == 1) {
-        // Pair registers u = (bra[b], bra[b^x]) and v = (ket[b],
-        // ket[b^x]): conj(u) * swapHalves(v) is the p term in the
-        // low complex and the q term in the high one.
-        __m256d re = _mm256_setzero_pd(), im = _mm256_setzero_pd();
-        const uint64_t h = x >> 1;
-        if (h == 0) {
-            for (size_t k = k_lo; k < k_hi; ++k)
-                conjMulAcc(_mm256_set1_pd(paritySign(z, 2 * k)),
-                           _mm256_loadu_pd(bra + 4 * k),
-                           swapHalves(_mm256_loadu_pd(ket + 4 * k)), re,
-                           im);
-        } else {
-            const uint64_t t = h & (~h + 1);
-            for (size_t k = k_lo; k < k_hi; ++k) {
-                const size_t kp = k ^ h;
-                if (kp < k_lo || kp >= k_hi) {
-                    lonePair(2 * k);
-                    continue;
-                }
-                if (k & t)
-                    continue;
-                const __m256d bk = _mm256_loadu_pd(bra + 4 * k);
-                const __m256d bp = _mm256_loadu_pd(bra + 4 * kp);
-                const __m256d vk = _mm256_loadu_pd(ket + 4 * k);
-                const __m256d vp = _mm256_loadu_pd(ket + 4 * kp);
-                conjMulAcc(_mm256_set1_pd(paritySign(z, 2 * k)),
-                           _mm256_blend_pd(bk, bp, 0xC),
-                           swapHalves(_mm256_blend_pd(vk, vp, 0xC)), re,
-                           im);
-                conjMulAcc(_mm256_set1_pd(paritySign(z, 2 * kp)),
-                           _mm256_blend_pd(bp, bk, 0xC),
-                           swapHalves(_mm256_blend_pd(vp, vk, 0xC)), re,
-                           im);
-            }
+    const double e0 = (z & 1) ? -1.0 : 1.0;
+    const __m256d evec = _mm256_setr_pd(1.0, 1.0, e0, e0);
+    __m256d pre = _mm256_setzero_pd(), pim = _mm256_setzero_pd();
+    __m256d qre = _mm256_setzero_pd(), qim = _mm256_setzero_pd();
+    size_t k = k_lo;
+    while (k < k_hi) {
+        const size_t runStart = k & ~size_t(pivot - 1);
+        const size_t runEnd = std::min<size_t>(k_hi, runStart + pivot);
+        const size_t b0 = expandBit(runStart, pivot);
+        const size_t len = runEnd - runStart;
+        size_t j = k - runStart;
+        if ((j & 1) && j < len)
+            lonePair(b0 + j++);
+        for (; j + 2 <= len; j += 2) {
+            const size_t b = b0 + j;
+            const size_t b2 = b ^ x;
+            const __m256d sv =
+                _mm256_mul_pd(_mm256_set1_pd(paritySign(z, b)), evec);
+            conjMulAcc(sv, _mm256_loadu_pd(bra + 2 * b),
+                       _mm256_loadu_pd(ket + 2 * b2), pre, pim);
+            conjMulAcc(sv, _mm256_loadu_pd(bra + 2 * b2),
+                       _mm256_loadu_pd(ket + 2 * b), qre, qim);
         }
-        conjMulSums(re, im, p, q);
-    } else {
-        const double e0 = (z & 1) ? -1.0 : 1.0;
-        const __m256d evec = _mm256_setr_pd(1.0, 1.0, e0, e0);
-        __m256d pre = _mm256_setzero_pd(), pim = _mm256_setzero_pd();
-        __m256d qre = _mm256_setzero_pd(), qim = _mm256_setzero_pd();
-        size_t k = k_lo;
-        while (k < k_hi) {
-            const size_t runStart = k & ~size_t(pivot - 1);
-            const size_t runEnd =
-                std::min<size_t>(k_hi, runStart + pivot);
-            const size_t b0 = expandBit(runStart, pivot);
-            const size_t len = runEnd - runStart;
-            size_t j = k - runStart;
-            if ((j & 1) && j < len)
-                lonePair(b0 + j++);
-            for (; j + 2 <= len; j += 2) {
-                const size_t b = b0 + j;
-                const size_t b2 = b ^ x;
-                const __m256d sv = _mm256_mul_pd(
-                    _mm256_set1_pd(paritySign(z, b)), evec);
-                conjMulAcc(sv, _mm256_loadu_pd(bra + 2 * b),
-                           _mm256_loadu_pd(ket + 2 * b2), pre, pim);
-                conjMulAcc(sv, _mm256_loadu_pd(bra + 2 * b2),
-                           _mm256_loadu_pd(ket + 2 * b), qre, qim);
-            }
-            if (j < len)
-                lonePair(b0 + j);
-            k = runEnd;
-        }
-        cplx p1, q1;
-        conjMulSums(pre, pim, p, p1);
-        conjMulSums(qre, qim, q, q1);
-        p += p1;
-        q += q1;
+        if (j < len)
+            lonePair(b0 + j);
+        k = runEnd;
     }
+    cplx p1, q1;
+    conjMulSums(pre, pim, p, p1);
+    conjMulSums(qre, qim, q, q1);
+    p += p1;
+    q += q1;
     p += cplx(pr, pi);
     q += cplx(qr, qi);
     return cplx(sigma * p.real() + q.real(), sigma * p.imag() + q.imag());
-}
-
-QCC_AVX2 cplx
-pauliInnerDiagAvx2(const cplx *brac, const cplx *ketc, size_t b_lo,
-                   size_t b_hi, uint64_t z)
-{
-    const double *bra = reinterpret_cast<const double *>(brac);
-    const double *ket = reinterpret_cast<const double *>(ketc);
-    const double e0 = (z & 1) ? -1.0 : 1.0;
-    const __m256d evec = _mm256_setr_pd(1.0, 1.0, e0, e0);
-    __m256d re = _mm256_setzero_pd(), im = _mm256_setzero_pd();
-    double tr = 0.0, ti = 0.0;
-    size_t b = b_lo;
-    if ((b & 1) && b < b_hi) {
-        addConjMul(paritySign(z, b), brac[b], ketc[b], tr, ti);
-        ++b;
-    }
-    for (; b + 2 <= b_hi; b += 2)
-        conjMulAcc(_mm256_mul_pd(_mm256_set1_pd(paritySign(z, b)), evec),
-                   _mm256_loadu_pd(bra + 2 * b),
-                   _mm256_loadu_pd(ket + 2 * b), re, im);
-    if (b < b_hi)
-        addConjMul(paritySign(z, b), brac[b], ketc[b], tr, ti);
-    cplx lo, hi;
-    conjMulSums(re, im, lo, hi);
-    return lo + hi + cplx(tr, ti);
 }
 
 /**
@@ -1596,17 +1458,6 @@ pauliInnerPairs(const cplx *bra, const cplx *ket, size_t k_lo,
 #endif
     return pauliInnerPairsScalar(bra, ket, k_lo, k_hi, x, z, pivot,
                                  sigma);
-}
-
-cplx
-pauliInnerDiag(const cplx *bra, const cplx *ket, size_t b_lo,
-               size_t b_hi, uint64_t z)
-{
-#ifdef QCC_SIMD_X86
-    if (simdActive())
-        return pauliInnerDiagAvx2(bra, ket, b_lo, b_hi, z);
-#endif
-    return pauliInnerDiagScalar(bra, ket, b_lo, b_hi, z);
 }
 
 void

@@ -98,10 +98,10 @@ void diagMulScalar(cplx *amp, size_t b_lo, size_t b_hi,
  *
  * This and the other pair kernels (expectPairs, pauliInnerPairs)
  * have AVX2 bodies for every pivot class. With pivot 1 (x holds bit
- * 0) the pair of k is (2k, 2(k ^ (x >> 1)) + 1): register k and
- * register k ^ (x >> 1) together hold two whole pairs (for x = 1 one
- * register holds one pair). Every body touches only the pairs of its
- * own k range, and the rotation gives each pair the same arithmetic
+ * 0) the pair of k is (2k, 2k ^ x), whose amplitudes sit in
+ * different registers unless x = 1; those bodies gather each pair
+ * into one register. Every body touches only the pairs of its own k
+ * range, and the rotation gives each pair the same arithmetic
  * wherever the range starts or ends.
  */
 void pauliRotPairs(cplx *amp, size_t k_lo, size_t k_hi, uint64_t x,
@@ -140,9 +140,11 @@ cplx pauliInnerPairsScalar(const cplx *bra, const cplx *ket,
                            size_t k_lo, size_t k_hi, uint64_t x,
                            uint64_t z, uint64_t pivot, double sigma);
 
-/** sum_b (-1)^{|z&b|} conj(bra[b]) ket[b] over [b_lo, b_hi). */
-cplx pauliInnerDiag(const cplx *bra, const cplx *ket, size_t b_lo,
-                    size_t b_hi, uint64_t z);
+/**
+ * sum_b (-1)^{|z&b|} conj(bra[b]) ket[b] over [b_lo, b_hi), the x = 0
+ * case of kern::pauliInner. Scalar only, with no dispatcher: the
+ * adjoint gradient's generators all carry an X or Y.
+ */
 cplx pauliInnerDiagScalar(const cplx *bra, const cplx *ket,
                           size_t b_lo, size_t b_hi, uint64_t z);
 

@@ -543,9 +543,9 @@ struct Masks
 
 /**
  * X masks of every pivot class the pair kernels tell apart: x = 1,
- * x holding bit 0 and higher bits (low and high ones, so the partner
- * register k ^ (x >> 1) lands inside and outside a sub-range),
- * pivot >= 2, and x = 0.
+ * x holding bit 0 and higher bits (low and high ones, so a pair's
+ * two amplitudes lie near each other or far apart), pivot >= 2, and
+ * x = 0.
  */
 std::vector<Masks>
 pivotClassMasks(unsigned n, Rng &rng)
@@ -569,7 +569,7 @@ pivotClassMasks(unsigned n, Rng &rng)
     return out;
 }
 
-/** Sub-ranges of [0, len): ends that split partner registers. */
+/** Sub-ranges of [0, len) with odd and even ends. */
 std::vector<std::pair<size_t, size_t>>
 subRanges(size_t len, Rng &rng)
 {
@@ -675,9 +675,8 @@ TEST(Simd, PairPrimitivesStayInsideTheirRange)
                     ket.data(), lo, hi, m.x, m.z, pivot, sigma > 0);
             };
             auto inner = [&](size_t lo, size_t hi, bool scalar) {
-                if (m.x == 0)
-                    return (scalar ? kern::ranges::pauliInnerDiagScalar
-                                   : kern::ranges::pauliInnerDiag)(
+                if (m.x == 0) // one body, scalar
+                    return kern::ranges::pauliInnerDiagScalar(
                         bra.data(), ket.data(), lo, hi, m.z);
                 return (scalar ? kern::ranges::pauliInnerPairsScalar
                                : kern::ranges::pauliInnerPairs)(
