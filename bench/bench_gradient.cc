@@ -20,13 +20,13 @@
 
 #include "ansatz/compression.hh"
 #include "ansatz/uccsd.hh"
-#include "api/registries.hh"
 #include "chem/molecules.hh"
 #include "common/logging.hh"
 #include "common/parallel.hh"
 #include "common/rng.hh"
 #include "ferm/hamiltonian.hh"
 #include "sim/noise_model.hh"
+#include "vqe/estimation.hh"
 #include "vqe/expectation_engine.hh"
 #include "vqe/gradient.hh"
 
@@ -114,13 +114,9 @@ main()
                         {"speedup", speedup}});
     };
 
-    // Backends come from the registry (no direct construction): the
-    // same factories an ExperimentSpec's backend keys resolve to.
-    const BackendFactoryFn &makeSv =
-        backendRegistry().get("statevector");
-    const BackendFactoryFn &makeDm =
-        backendRegistry().get("density_matrix");
-    auto svMake = [&] { return makeSv({ansatz.nQubits, {}}); };
+    // Backends come from the estimation layer's state models, the
+    // one place the evaluation modes build them.
+    auto svMake = [&] { return statevectorModel(ansatz.nQubits).make(); };
     auto svEnergy = [&](SimBackend &b, size_t) {
         return ee.energy(b);
     };
@@ -154,7 +150,9 @@ main()
                                    {"max_abs_dg", maxDelta}});
     }
 
-    auto dmMake = [&] { return makeDm({ansatz.nQubits, noise}); };
+    auto dmMake = [&] {
+        return densityMatrixModel(ansatz.nQubits, noise).make();
+    };
     auto dmEnergy = [&](SimBackend &b, size_t) {
         return b.expectation(prob.hamiltonian);
     };
@@ -234,7 +232,7 @@ main()
             return bigEe.energy(psi);
         };
         auto bigMake = [&] {
-            return makeSv({bigAnsatz.nQubits, {}});
+            return statevectorModel(bigAnsatz.nQubits).make();
         };
         auto bigEnergy = [&](SimBackend &b, size_t) {
             return bigEe.energy(b);

@@ -16,8 +16,10 @@
  *    The variant rows are what lands in BENCH_sim.json (QCC_JSON=1);
  *    `fused_vs_kernel` at n >= 14 is the headline speedup. The
  *    rotation and expectation rows come per pivot class (x1, bit0
- *    and the unsuffixed pivot-2 string), and the lambda rows time
- *    H|psi> on LiH and HF per term against per X mask. The
+ *    and the unsuffixed pivot-2 string; the single-string
+ *    expectation is scalar only, so its rows have no simd column),
+ *    and the lambda and energy rows time H|psi> and <psi|H|psi> on
+ *    LiH and HF per term against per X mask. The
  *    dm_circuit rows time the noisy Fig. 10 circuits (LiH, NaH) on
  *    the density matrix, per-gate against the fused executor. Pass
  *    --benchmark_filter=nope to skip the google-benchmark section and
@@ -172,14 +174,14 @@ benchLiHEnergyTermwise(benchmark::State &state)
         buildMolecularProblem(benchmarkMolecule("LiH"), 1.6);
     Statevector sv(prob.nQubits, 0b001001);
     for (auto _ : state) {
-        double e = sv.expectation(prob.hamiltonian);
+        double e = perTermEnergy(prob.hamiltonian, sv);
         benchmark::DoNotOptimize(e);
     }
     state.counters["terms"] = double(prob.hamiltonian.numTerms());
 }
 
 void
-benchLiHEnergyGrouped(benchmark::State &state)
+benchLiHEnergyByMask(benchmark::State &state)
 {
     setLogLevel(LogLevel::Quiet);
     static MolecularProblem prob =
@@ -191,7 +193,6 @@ benchLiHEnergyGrouped(benchmark::State &state)
         benchmark::DoNotOptimize(e);
     }
     state.counters["terms"] = double(prob.hamiltonian.numTerms());
-    state.counters["groups"] = double(engine.numGroups());
 }
 
 // ---------------------------------------------------------------------
@@ -351,26 +352,18 @@ variantExpectationRow(qccbench::JsonReport &rep, unsigned n,
                                       sv.dim(), p.xMask(), p.zMask());
         benchmark::DoNotOptimize(e);
     });
-    kern::setSimdEnabled(false);
+    // The kernel is scalar only: no simd column.
     const double kernelMs = timeMs([&] {
         double e = sv.expectation(p);
         benchmark::DoNotOptimize(e);
     });
-    kern::setSimdEnabled(true);
-    const double simdMs = timeMs([&] {
-        double e = sv.expectation(p);
-        benchmark::DoNotOptimize(e);
-    });
-    std::printf("  %s: scalar %.3f  kernel %.3f  simd %.3f ms  "
-                "[simd_vs_kernel %.2fx]\n",
+    std::printf("  %s: scalar %.3f  kernel %.3f ms\n",
                 rowName("expectation", cls, n).c_str(), scalarMs,
-                kernelMs, simdMs, kernelMs / simdMs);
+                kernelMs);
     rep.row(rowName("expectation", cls, n),
             {{"qubits", double(n)},
              {"scalar_ms", scalarMs},
-             {"kernel_ms", kernelMs},
-             {"simd_ms", simdMs},
-             {"simd_vs_kernel", kernelMs / simdMs}});
+             {"kernel_ms", kernelMs}});
 }
 
 /**
@@ -412,43 +405,38 @@ variantLambdaRow(qccbench::JsonReport &rep, const char *molecule)
              {"by_mask_vs_per_term", perTermMs / byMaskMs}});
 }
 
+/**
+ * <psi|H|psi> on a molecule's HF state: one full-scan sweep per term
+ * through the test reference against ExpectationEngine::energy, one
+ * sweep per X mask.
+ */
 void
-variantGroupRow(qccbench::JsonReport &rep, unsigned n)
+variantEnergyRow(qccbench::JsonReport &rep, const char *molecule)
 {
-    // A 24-term diagonal family with varied masks, like a rotated
-    // qubit-wise-commuting group after basis change.
-    std::vector<double> w;
-    std::vector<uint64_t> z;
-    uint64_t m = 0x9e3779b97f4a7c15ull;
-    for (int t = 0; t < 24; ++t) {
-        w.push_back(0.01 * (t + 1));
-        z.push_back(m & ((1ull << n) - 1));
-        m = m * 6364136223846793005ull + 1442695040888963407ull;
-    }
-    Statevector sv(n);
-    kern::setSimdEnabled(false);
-    const double kernelMs = timeMs([&] {
-        double e = kern::diagonalGroupExpectation(
-            sv.amplitudes().data(), sv.dim(), w.data(), z.data(),
-            z.size());
+    const MolecularProblem prob =
+        buildMolecularProblem(benchmarkMolecule(molecule), 1.6);
+    const PauliSum &h = prob.hamiltonian;
+    const Statevector psi(prob.nQubits,
+                          hartreeFockMask(prob.nSpatial, prob.nElectrons));
+    const ExpectationEngine engine(h);
+    const double perTermMs = timeMs([&] {
+        double e = perTermEnergy(h, psi);
         benchmark::DoNotOptimize(e);
     });
-    kern::setSimdEnabled(true);
-    const double simdMs = timeMs([&] {
-        double e = kern::diagonalGroupExpectation(
-            sv.amplitudes().data(), sv.dim(), w.data(), z.data(),
-            z.size());
+    const double byMaskMs = timeMs([&] {
+        double e = engine.energy(psi);
         benchmark::DoNotOptimize(e);
     });
-    std::printf("  group(24) n=%-2u: kernel %.3f  simd %.3f ms  "
-                "[simd_vs_kernel %.2fx]\n",
-                n, kernelMs, simdMs, kernelMs / simdMs);
-    rep.row("group_n" + std::to_string(n),
-            {{"qubits", double(n)},
-             {"terms", 24.0},
-             {"kernel_ms", kernelMs},
-             {"simd_ms", simdMs},
-             {"simd_vs_kernel", kernelMs / simdMs}});
+    std::printf("  energy %s (n=%u, %zu terms): per-term %.4f  "
+                "by-mask %.4f ms  [%.2fx]\n",
+                molecule, prob.nQubits, h.numTerms(), perTermMs,
+                byMaskMs, perTermMs / byMaskMs);
+    rep.row(std::string("energy_") + molecule,
+            {{"qubits", double(prob.nQubits)},
+             {"terms", double(h.numTerms())},
+             {"per_term_ms", perTermMs},
+             {"by_mask_ms", byMaskMs},
+             {"by_mask_vs_per_term", perTermMs / byMaskMs}});
 }
 
 /**
@@ -527,9 +515,10 @@ variantReport()
     for (const std::string cls : {"", "x1", "bit0"})
         for (unsigned n : sizes)
             variantExpectationRow(rep, n, cls);
-    variantGroupRow(rep, sizes.back());
-    for (const char *molecule : {"LiH", "HF"})
+    for (const char *molecule : {"LiH", "HF"}) {
         variantLambdaRow(rep, molecule);
+        variantEnergyRow(rep, molecule);
+    }
     for (const char *molecule : {"LiH", "NaH"})
         variantDensityMatrixRow(rep, molecule);
 
@@ -545,7 +534,7 @@ BENCHMARK(benchGateDecomposition)->DenseRange(8, 16, 4);
 BENCHMARK(benchKernelExpectation)->DenseRange(12, 20, 4);
 BENCHMARK(benchGenericExpectation)->DenseRange(12, 20, 4);
 BENCHMARK(benchLiHEnergyTermwise);
-BENCHMARK(benchLiHEnergyGrouped);
+BENCHMARK(benchLiHEnergyByMask);
 
 int
 main(int argc, char **argv)

@@ -8,8 +8,8 @@
  *
  * The clean optimizations run through the Experiment facade (which
  * hands back the Hamiltonian, ansatz, and converged parameters for
- * composition); the noisy re-evaluations run on backends created
- * from the BackendRegistry — no hand-wired simulator construction.
+ * composition); the noisy re-evaluations run on backends built by
+ * the density-matrix StateModel, as the noisy modes build theirs.
  */
 
 #include <cstdio>
@@ -18,6 +18,7 @@
 
 #include "api/experiment.hh"
 #include "common/logging.hh"
+#include "vqe/estimation.hh"
 #include "vqe/vqe.hh"
 
 int
@@ -42,11 +43,8 @@ main()
     const double exact = results.front().fci;
     std::printf("exact ground state: %.6f Ha\n\n", exact);
 
-    // One reusable registry-built backend per error rate (p = 0
-    // reuses the clean statevector energy, so no density matrix is
-    // allocated for it).
-    const BackendFactoryFn &makeDm =
-        backendRegistry().get("density_matrix");
+    // One reusable backend per error rate (p = 0 reuses the clean
+    // statevector energy, so no density matrix is allocated for it).
     std::vector<std::unique_ptr<SimBackend>> noisy(
         errorRates.size());
     for (size_t pi = 0; pi < errorRates.size(); ++pi) {
@@ -54,7 +52,8 @@ main()
             continue;
         NoiseModel nm;
         nm.cnotDepolarizing = errorRates[pi];
-        noisy[pi] = makeDm({results.front().nQubits, nm});
+        noisy[pi] =
+            densityMatrixModel(results.front().nQubits, nm).make();
     }
 
     std::printf("%-7s", "ratio");

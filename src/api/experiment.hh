@@ -4,8 +4,8 @@
  * co-optimized flow. One ExperimentSpec (api/spec.hh) names every
  * choice by registry key, including the workload kind itself:
  * Experiment::run() dispatches through the ExperimentKindRegistry
- * to "vqe" (molecule -> active space -> Jordan-Wigner -> grouped
- * Pauli Hamiltonian -> (compressed) UCCSD -> VQE through an
+ * to "vqe" (molecule -> active space -> Jordan-Wigner -> Pauli
+ * Hamiltonian -> (compressed) UCCSD -> VQE through an
  * estimation strategy -> optional X-tree/grid compilation),
  * "evolve" (Trotterized exp(-iHt) on the same stack, with an exact
  * Taylor fidelity reference at small n), or "estimate" (the

@@ -1,26 +1,6 @@
 #include "api/registries.hh"
 
-#include "vqe/estimation.hh"
-
 namespace qcc {
-
-BackendRegistry &
-backendRegistry()
-{
-    // Factories delegate to the estimation layer's StateModel
-    // builders, so each backend has exactly one construction site.
-    static BackendRegistry reg = [] {
-        BackendRegistry r("backend");
-        r.add("statevector", [](const BackendConfig &c) {
-            return statevectorModel(c.nQubits).make();
-        });
-        r.add("density_matrix", [](const BackendConfig &c) {
-            return densityMatrixModel(c.nQubits, c.noise).make();
-        });
-        return r;
-    }();
-    return reg;
-}
 
 OptimizerRegistry &
 optimizerRegistry()

@@ -1,9 +1,9 @@
 /**
  * @file
  * The facade's component registries. Each pluggable choice an
- * ExperimentSpec names by string — simulation backend, classical
- * optimizer, measurement-grouping strategy, compiler-pipeline preset
- * — is a string-keyed Registry (common/registry.hh) seeded with the
+ * ExperimentSpec names by string — classical optimizer,
+ * measurement-grouping strategy, compiler-pipeline preset — is a
+ * string-keyed Registry (common/registry.hh) seeded with the
  * built-in components in its accessor's bootstrap, so static-library
  * dead-stripping can never drop one. Unknown keys throw
  * RegistryError listing the registered names. Downstream code can
@@ -12,12 +12,12 @@
  * the whole stack.
  *
  * Built-ins:
- *  - backends:  "statevector", "density_matrix"
  *  - optimizers: "lbfgs", "gd", "spsa", "nelder-mead"
  *  - groupings: "greedy", "sorted-insertion", "graph-coloring"
  *  - pipeline presets: "chain", "mtr", "mtr-peephole",
  *    "mtr-verify", "sabre"
- * (Evaluation modes have their own registry in vqe/estimation.hh.)
+ * (Evaluation modes have their own registry in vqe/estimation.hh;
+ * a mode's StateModel is the one place a backend is built.)
  */
 
 #ifndef QCC_API_REGISTRIES_HH
@@ -29,32 +29,17 @@
 #include "common/registry.hh"
 #include "compiler/pipeline.hh"
 #include "pauli/grouping.hh"
-#include "sim/backend.hh"
-#include "sim/noise_model.hh"
 #include "vqe/optimizers.hh"
 
 namespace qcc {
 
-/** Everything a backend factory needs. */
-struct BackendConfig
-{
-    unsigned nQubits = 0;
-    NoiseModel noise; ///< ignored by noiseless backends
-};
-
-using BackendFactoryFn =
-    std::function<std::unique_ptr<SimBackend>(const BackendConfig &)>;
 using OptimizerFactoryFn =
     std::function<std::unique_ptr<VqeOptimizer>()>;
 using PipelinePresetFn = std::function<PipelineOptions()>;
 
-using BackendRegistry = Registry<BackendFactoryFn>;
 using OptimizerRegistry = Registry<OptimizerFactoryFn>;
 using GroupingRegistry = Registry<GroupingFn>;
 using PipelinePresetRegistry = Registry<PipelinePresetFn>;
-
-/** Simulation backends by name. */
-BackendRegistry &backendRegistry();
 
 /** Classical optimizers by name. */
 OptimizerRegistry &optimizerRegistry();

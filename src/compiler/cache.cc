@@ -111,10 +111,8 @@ CircuitCache::insert(const CacheKey &key, CachedCompile entry)
         std::lock_guard<std::mutex> lock(mtx);
         tier = disk;
     }
-    static MetricCounter &diskStores =
-        metricCounter("compile.cache.disk_stores");
-    if (tier && tier->save(key, *sp))
-        diskStores.add(); // write-through ran outside the lock
+    if (tier)
+        tier->save(key, *sp); // write-through, outside the lock
 }
 
 void

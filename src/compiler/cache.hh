@@ -100,9 +100,10 @@ struct CachedCompile
  * all policy — directory, enablement, serialization, corruption
  * handling — lives behind the interface in src/store.
  *
- * Hits (memory and disk), misses, disk hits and write-throughs count
- * in the metrics registry as `compile.cache.{hits,misses,disk_hits,
- * disk_stores}`, summed over every instance in the process.
+ * Hits (memory and disk), misses and disk hits count in the metrics
+ * registry as `compile.cache.{hits,misses,disk_hits}`, summed over
+ * every instance in the process; the tier counts its own writes
+ * (`store.circuit.disk_writes`).
  */
 class CircuitCache
 {

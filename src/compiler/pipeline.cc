@@ -131,7 +131,7 @@ PassManager::run(CompileState &state, PipelineReport &report) const
 
         // Verify-after-mutate invariant: once a circuit is routed,
         // no later mutating pass may break the coupling constraint.
-        if (verifyAfterMutate && pass->mutates() && state.routed) {
+        if (pass->mutates() && state.routed) {
             const CouplingGraph *g = deviceGraph(state);
             if (g) {
                 auto issue = findCouplingViolation(state.circuit, *g);

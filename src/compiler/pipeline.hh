@@ -113,10 +113,9 @@ class Pass
 
 /**
  * Ordered pass executor. Owns its passes; `run` times each one,
- * records the gate-count/CNOT/depth deltas, and (when
- * `verifyAfterMutate` is set) throws CompileError naming the pass
- * and gate index if a mutating pass breaks the coupling constraint
- * of an already-routed circuit.
+ * records the gate-count/CNOT/depth deltas, and throws CompileError
+ * naming the pass and gate index if a mutating pass breaks the
+ * coupling constraint of an already-routed circuit.
  */
 class PassManager
 {
@@ -125,8 +124,6 @@ class PassManager
 
     size_t numPasses() const { return sequence.size(); }
     std::vector<std::string> passNames() const;
-
-    bool verifyAfterMutate = true;
 
     /** Execute the sequence, appending stats to `report`. */
     void run(CompileState &state, PipelineReport &report) const;

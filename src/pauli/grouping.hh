@@ -101,8 +101,8 @@ basisChangeOps(const PauliString &basis);
 /**
  * The 2x2 unitary conjugating op to Z exactly (no residual sign):
  * H for X, the fused H * Sdg for Y. `op` must be X or Y. This is the
- * matrix form of one basisChangeOps entry, shared by the grouped
- * expectation sweep and the shot-sampling path.
+ * matrix form of one basisChangeOps entry, used by the shot-sampling
+ * path on both simulators.
  */
 void basisChangeMatrix(PauliOp op, std::complex<double> u[4]);
 

@@ -77,8 +77,8 @@ class SimBackend
 
     /**
      * Fast-path hook: the underlying Statevector when this backend is
-     * a pure state, nullptr otherwise. Lets grouped expectation
-     * engines read amplitudes without a virtual call per term.
+     * a pure state, nullptr otherwise. Lets ExpectationEngine apply
+     * its prebuilt H to the amplitudes directly.
      */
     virtual const Statevector *statevector() const { return nullptr; }
 };

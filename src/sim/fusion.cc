@@ -468,83 +468,4 @@ applyFusedProgram(cplx *amp, const FusedProgram &p)
     }
 }
 
-// ---------------------------------------------------------------
-// Block-at-a-time rotated family expectation
-// ---------------------------------------------------------------
-
-double
-rotatedGroupExpectation(
-    const cplx *amp, size_t dim,
-    const std::vector<std::pair<unsigned, std::array<cplx, 4>>>
-        &rotations,
-    const double *w, const uint64_t *zmask, size_t n_terms)
-{
-    const unsigned dimBits = unsigned(std::countr_zero(dim));
-    const unsigned blockBits = std::min<unsigned>(kBlockBits, dimBits);
-    const size_t blockLen = size_t{1} << blockBits;
-    const size_t nBlocks = dim >> blockBits;
-    const size_t grain =
-        std::max<size_t>(1, kParallelGrain >> blockBits);
-
-    bool allLow = true;
-    for (const auto &r : rotations)
-        allLow = allLow && r.first < blockBits;
-
-    if (allLow) {
-        // Zero-copy sweep: rotate one cached block at a time into a
-        // small thread-local buffer and accumulate while it is hot.
-        return parallelReduce(
-            0, nBlocks, 0.0,
-            [&](size_t lo, size_t hi) {
-                static thread_local std::vector<cplx> buf;
-                buf.resize(blockLen);
-                double s = 0.0;
-                for (size_t blk = lo; blk < hi; ++blk) {
-                    const cplx *src = amp + (blk << blockBits);
-                    std::copy(src, src + blockLen, buf.begin());
-                    for (const auto &[q, u] : rotations)
-                        kern::ranges::apply1q(buf.data(), 0,
-                                              blockLen / 2,
-                                              uint64_t{1} << q,
-                                              u.data());
-                    s += kern::ranges::groupExpect(
-                        buf.data(), 0, blockLen,
-                        uint64_t(blk) << blockBits, w, zmask,
-                        n_terms);
-                }
-                return s;
-            },
-            grain);
-    }
-
-    // Some rotation crosses blocks: one full scratch copy, high
-    // rotations applied globally, then the blocked low+sweep pass.
-    static thread_local std::vector<cplx> scratch;
-    scratch.resize(dim);
-    parallelFor(0, dim, [&](size_t lo, size_t hi) {
-        std::copy(amp + lo, amp + hi, scratch.begin() + long(lo));
-    });
-    for (const auto &[q, u] : rotations)
-        if (q >= blockBits)
-            kern::apply1q(scratch.data(), dim, q, u.data());
-    return parallelReduce(
-        0, nBlocks, 0.0,
-        [&](size_t lo, size_t hi) {
-            double s = 0.0;
-            for (size_t blk = lo; blk < hi; ++blk) {
-                cplx *base = scratch.data() + (blk << blockBits);
-                for (const auto &[q, u] : rotations)
-                    if (q < blockBits)
-                        kern::ranges::apply1q(base, 0, blockLen / 2,
-                                              uint64_t{1} << q,
-                                              u.data());
-                s += kern::ranges::groupExpect(
-                    base, 0, blockLen, uint64_t(blk) << blockBits, w,
-                    zmask, n_terms);
-            }
-            return s;
-        },
-        grain);
-}
-
 } // namespace qcc

@@ -38,7 +38,6 @@
 #ifndef QCC_SIM_FUSION_HH
 #define QCC_SIM_FUSION_HH
 
-#include <array>
 #include <complex>
 #include <cstddef>
 #include <cstdint>
@@ -150,20 +149,6 @@ FusedProgram fuseCircuit(const Circuit &c);
  * array in cache-sized blocks per segment of block-local ops.
  */
 void applyFusedProgram(cplx *amp, const FusedProgram &p);
-
-/**
- * Grouped expectation of a rotated qubit-wise-commuting family:
- * equivalent to copying `amp`, applying the 2x2 basis rotations
- * (bit, matrix) and summing diagonalGroupExpectation over the result,
- * but executed block-at-a-time against a small scratch buffer so the
- * state is read once and never copied in full (when every rotation
- * bit is block-local). Used by ExpectationEngine's family sweep.
- */
-double rotatedGroupExpectation(
-    const cplx *amp, size_t dim,
-    const std::vector<std::pair<unsigned, std::array<cplx, 4>>>
-        &rotations,
-    const double *w, const uint64_t *zmask, size_t n_terms);
 
 } // namespace qcc
 

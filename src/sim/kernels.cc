@@ -139,12 +139,32 @@ XMaskGroups::apply(const cplx *v, size_t dim, cplx *out) const
 }
 
 double
+XMaskGroups::expectation(const cplx *v, size_t dim) const
+{
+    static BufferPool<cplx> pool;
+    std::vector<cplx> hv = pool.acquire(dim);
+    std::fill(hv.begin(), hv.end(), cplx(0.0));
+    apply(v, dim, hv.data());
+    const cplx *h = hv.data();
+    const double e =
+        parallelReduce(0, dim, 0.0, [=](size_t lo, size_t hi) {
+            double s = 0.0;
+            for (size_t b = lo; b < hi; ++b)
+                s += v[b].real() * h[b].real() +
+                     v[b].imag() * h[b].imag();
+            return s;
+        });
+    pool.release(std::move(hv));
+    return e;
+}
+
+double
 expectation(const cplx *amp, size_t dim, uint64_t x, uint64_t z)
 {
     if (x == 0) {
         return parallelReduce(
             0, dim, 0.0, [=](size_t lo, size_t hi) {
-                return ranges::expectDiag(amp, lo, hi, z);
+                return ranges::expectDiagScalar(amp, lo, hi, z);
             });
     }
     // Pair-compacted sweep. The (b, b^x) contributions combine to
@@ -158,8 +178,8 @@ expectation(const cplx *amp, size_t dim, uint64_t x, uint64_t z)
     const uint64_t pivot = x & (~x + 1);
     const double t = parallelReduce(
         0, dim / 2, 0.0, [=](size_t lo, size_t hi) {
-            return ranges::expectPairs(amp, lo, hi, x, z, pivot,
-                                       sigmaPos);
+            return ranges::expectPairsScalar(amp, lo, hi, x, z,
+                                             pivot, sigmaPos);
         });
     if (sigmaPos)
         return 2.0 * iPow(e).real() * t;
@@ -190,16 +210,6 @@ pauliInner(const cplx *bra, const cplx *ket, size_t dim, uint64_t x,
                                            pivot, sigma);
         });
     return iPow(std::popcount(x & z)) * t;
-}
-
-double
-diagonalGroupExpectation(const cplx *amp, size_t dim, const double *w,
-                         const uint64_t *zmask, size_t n_terms)
-{
-    return parallelReduce(0, dim, 0.0, [=](size_t lo, size_t hi) {
-        return ranges::groupExpect(amp, lo, hi, 0, w, zmask,
-                                   n_terms);
-    });
 }
 
 void

@@ -12,10 +12,13 @@
  * 2^n indices with a skip branch; diagonal and permutation gates get
  * dedicated single-pass kernels; the Pauli-rotation kernel folds the
  * i^{|x&z|} prefactor and the (-1)^{|z&x|} partner-sign relation into
- * constants so each amplitude pair costs one popcount. All sweeps are
- * block-parallel via parallelFor/parallelReduce, and each chunk runs
- * through the runtime-dispatched scalar/AVX2 range primitives of
- * sim/simd.hh (QCC_SIMD selects the path; see that header).
+ * constants so each amplitude pair costs one popcount. A Pauli sum
+ * is held by X mask (XMaskGroups): H*v and <v|H|v> make one sweep per
+ * mask, not one per term. All sweeps are block-parallel via
+ * parallelFor/parallelReduce, and each chunk runs through the range
+ * primitives of sim/simd.hh, runtime-dispatched between scalar and
+ * AVX2 bodies (QCC_SIMD selects the path; see that header) except
+ * for the single-string expectation, which is scalar only.
  *
  * The original full-scan implementations live on as test oracles in
  * tests/sim_reference.hh; the kernel tests check equivalence against
@@ -88,6 +91,13 @@ class XMaskGroups
     /** out[b] += (H v)[b] over a dim-sized state; out != v. */
     void apply(const cplx *v, size_t dim, cplx *out) const;
 
+    /**
+     * Re <v| H v>: one apply() into pooled 2^n scratch, then one
+     * fixed-chunk reduction, so the result is bit-identical at any
+     * lane cap. Safe to call concurrently.
+     */
+    double expectation(const cplx *v, size_t dim) const;
+
     /** Distinct X masks: the sweeps apply() makes. */
     size_t masks() const { return groups.size(); }
 
@@ -101,7 +111,11 @@ class XMaskGroups
     std::vector<Group> groups;
 };
 
-/** Re <amp| P |amp> (amp need not be normalized). */
+/**
+ * Re <amp| P |amp> (amp need not be normalized) for one string, on
+ * the scalar pair bodies: a Pauli sum's <H> is
+ * XMaskGroups::expectation.
+ */
 double expectation(const cplx *amp, size_t dim, uint64_t x, uint64_t z);
 
 /**
@@ -111,16 +125,6 @@ double expectation(const cplx *amp, size_t dim, uint64_t x, uint64_t z);
  */
 cplx pauliInner(const cplx *bra, const cplx *ket, size_t dim,
                 uint64_t x, uint64_t z);
-
-/**
- * One grouped sweep for a qubit-wise-commuting family already rotated
- * to its diagonal basis: returns sum_t w[t] * sum_b |amp[b]|^2 *
- * (-1)^{|zmask[t] & b|}. The per-amplitude probability is computed
- * once and shared by every term of the family.
- */
-double diagonalGroupExpectation(const cplx *amp, size_t dim,
-                                const double *w, const uint64_t *zmask,
-                                size_t n_terms);
 
 /**
  * Uniform single-qubit depolarizing channel on a vectorized density

@@ -12,10 +12,8 @@
  *    lanes add — exactly the complex product split into real parts).
  *  - Parity-sign kernels process even-aligned index pairs: the sign
  *    of b+1 is the sign of b times (-1)^{z&1}, so one popcount per
- *    pair of amplitudes (or per 4, in the grouped sweep) suffices.
- *  - diagonalGroupExpectation uses _mm256_hadd_pd, which interleaves
- *    lanes as (b, b+2, b+1, b+3); the per-term low-bit sign patterns
- *    are stored in that order so the FMA accumulation lines up.
+ *    pair of amplitudes suffices (maskMatvec's eight-amplitude body
+ *    reads z's low three bits from a sign-pattern table instead).
  */
 
 #include "sim/simd.hh"
@@ -74,19 +72,6 @@ rotPairOne(cplx *amp, size_t b, size_t b2, uint64_t z, double c,
                    c * bi + wr * ai + wi * ar);
 }
 
-/** One expectation pair contribution (partial sum, unscaled). */
-inline double
-expectPairOne(const cplx *amp, size_t b, size_t b2, uint64_t z,
-              bool sigma_pos)
-{
-    const double sb = paritySign(z, b);
-    if (sigma_pos)
-        return sb * (amp[b].real() * amp[b2].real() +
-                     amp[b].imag() * amp[b2].imag());
-    return sb * (amp[b].real() * amp[b2].imag() -
-                 amp[b].imag() * amp[b2].real());
-}
-
 /**
  * The CNOT on a two-bit pair state s (bit 0 the lower qubit): it
  * flips the target bit when the control bit is set. The map is its
@@ -120,17 +105,6 @@ maskPhase(uint64_t b, const uint64_t *z, const double *wr,
         fr += s * wr[t];
         fi += s * wi[t];
     }
-}
-
-inline double
-groupExpectOne(const cplx *amp, size_t b, uint64_t g, const double *w,
-               const uint64_t *zmask, size_t n_terms)
-{
-    const double p = std::norm(amp[b]);
-    double s = 0.0;
-    for (size_t t = 0; t < n_terms; ++t)
-        s += w[t] * paritySign(zmask[t], g) * p;
-    return s;
 }
 
 } // namespace
@@ -238,7 +212,10 @@ expectPairsScalar(const cplx *amp, size_t k_lo, size_t k_hi,
     double s = 0.0;
     for (size_t k = k_lo; k < k_hi; ++k) {
         const size_t b = expandBit(k, pivot);
-        s += expectPairOne(amp, b, b ^ x, z, sigma_pos);
+        const cplx a = amp[b], a2 = amp[b ^ x];
+        const double sb = paritySign(z, b);
+        s += sigma_pos ? sb * (a.real() * a2.real() + a.imag() * a2.imag())
+                       : sb * (a.real() * a2.imag() - a.imag() * a2.real());
     }
     return s;
 }
@@ -290,17 +267,6 @@ expectDiagScalar(const cplx *amp, size_t b_lo, size_t b_hi,
     double s = 0.0;
     for (size_t b = b_lo; b < b_hi; ++b)
         s += paritySign(z, b) * std::norm(amp[b]);
-    return s;
-}
-
-double
-groupExpectScalar(const cplx *amp, size_t b_lo, size_t b_hi,
-                  uint64_t b_offset, const double *w,
-                  const uint64_t *zmask, size_t n_terms)
-{
-    double s = 0.0;
-    for (size_t b = b_lo; b < b_hi; ++b)
-        s += groupExpectOne(amp, b, b_offset | b, w, zmask, n_terms);
     return s;
 }
 
@@ -438,15 +404,6 @@ cmulVar(__m256d a, __m256d b)
     return cmulBcast(a, br, bi);
 }
 
-QCC_AVX2 inline double
-hsum(__m256d v)
-{
-    __m128d lo = _mm256_castpd256_pd128(v);
-    const __m128d hi = _mm256_extractf128_pd(v, 1);
-    lo = _mm_add_pd(lo, hi);
-    return _mm_cvtsd_f64(_mm_add_sd(lo, _mm_unpackhi_pd(lo, lo)));
-}
-
 /** Two complexes at lo and hi as one register (lo in lanes 0-1). */
 QCC_AVX2 inline __m256d
 loadPair(const double *lo, const double *hi)
@@ -483,22 +440,6 @@ rotPairReg(__m256d p, double sb, __m256d cv, __m256d kr, __m256d ki)
         p, cv,
         cmulBcast(swapHalves(p), _mm256_mul_pd(s, kr),
                   _mm256_mul_pd(s, ki)));
-}
-
-/**
- * Unscaled expectation terms of two pairs, a = (amp[b], amp[b'])
- * and a2 = (amp[b^x], amp[b'^x]): lanes 0 and 2 hold the pairs'
- * terms (see expectPairOne); lanes 1 and 3 are to be masked off.
- */
-QCC_AVX2 inline __m256d
-expectPairTerms(__m256d a, __m256d a2, bool sigma_pos)
-{
-    if (sigma_pos) {
-        const __m256d m = _mm256_mul_pd(a, a2);
-        return _mm256_add_pd(m, _mm256_shuffle_pd(m, m, 0x5));
-    }
-    const __m256d m = _mm256_mul_pd(_mm256_shuffle_pd(a, a, 0x5), a2);
-    return _mm256_sub_pd(_mm256_shuffle_pd(m, m, 0x5), m);
 }
 
 /**
@@ -837,70 +778,6 @@ pauliRotDiagAvx2(cplx *ampc, size_t b_lo, size_t b_hi, uint64_t z,
         rotDiagOne(amp, b, z, hr, hi, dr, di);
 }
 
-QCC_AVX2 double
-expectPairsAvx2(const cplx *ampc, size_t k_lo, size_t k_hi,
-                uint64_t x, uint64_t z, uint64_t pivot,
-                bool sigma_pos)
-{
-    const double *amp = reinterpret_cast<const double *>(ampc);
-    const __m256d evenMask = _mm256_castsi256_pd(
-        _mm256_setr_epi64x(-1, 0, -1, 0));
-    __m256d acc = _mm256_setzero_pd();
-    double tail = 0.0;
-    size_t k = k_lo;
-    if (pivot == 1) {
-        // x holds bit 0: gather pairs k and k + 1 as a = (amp[b],
-        // amp[b']) and a2 = (amp[b^x], amp[b'^x]), b = 2k, b' = b + 2.
-        for (; k + 2 <= k_hi; k += 2) {
-            const size_t b = 2 * k, bq = b + 2;
-            const __m256d a = loadPair(amp + 2 * b, amp + 2 * bq);
-            const __m256d a2 =
-                loadPair(amp + 2 * (b ^ x), amp + 2 * (bq ^ x));
-            const __m256d sv = _mm256_setr_pd(paritySign(z, b), 0.0,
-                                              paritySign(z, bq), 0.0);
-            acc = _mm256_fmadd_pd(
-                _mm256_and_pd(expectPairTerms(a, a2, sigma_pos),
-                              evenMask),
-                sv, acc);
-        }
-        if (k < k_hi)
-            tail += expectPairOne(ampc, 2 * k, (2 * k) ^ x, z, sigma_pos);
-        return hsum(acc) + tail;
-    }
-    const double e0 = (z & 1) ? -1.0 : 1.0;
-    const __m256d evec = _mm256_setr_pd(1.0, 1.0, e0, e0);
-    while (k < k_hi) {
-        const size_t runStart = k & ~size_t(pivot - 1);
-        const size_t runEnd =
-            std::min<size_t>(k_hi, runStart + pivot);
-        const size_t b0 = expandBit(runStart, pivot);
-        const size_t len = runEnd - runStart;
-        size_t j = k - runStart;
-        if ((j & 1) && j < len) {
-            tail += expectPairOne(ampc, b0 + j, (b0 + j) ^ x, z,
-                                  sigma_pos);
-            ++j;
-        }
-        for (; j + 2 <= len; j += 2) {
-            const size_t b = b0 + j;
-            const size_t b2 = b ^ x;
-            const double s0 = paritySign(z, b);
-            const __m256d sv =
-                _mm256_mul_pd(_mm256_set1_pd(s0), evec);
-            const __m256d a = _mm256_loadu_pd(amp + 2 * b);
-            const __m256d a2 = _mm256_loadu_pd(amp + 2 * b2);
-            const __m256d t = _mm256_and_pd(
-                expectPairTerms(a, a2, sigma_pos), evenMask);
-            acc = _mm256_fmadd_pd(t, sv, acc);
-        }
-        for (; j < len; ++j)
-            tail += expectPairOne(ampc, b0 + j, (b0 + j) ^ x, z,
-                                  sigma_pos);
-        k = runEnd;
-    }
-    return hsum(acc) + tail;
-}
-
 QCC_AVX2 cplx
 pauliInnerPairsAvx2(const cplx *brac, const cplx *ketc, size_t k_lo,
                     size_t k_hi, uint64_t x, uint64_t z, uint64_t pivot,
@@ -1051,80 +928,6 @@ maskMatvecAvx2(cplx *outc, const cplx *vc, size_t b_lo, size_t b_hi,
     }
     for (; b < b_hi; ++b)
         maskMatvecOneAvx2(out, v, b, x, z, wr, wi, n_terms);
-}
-
-QCC_AVX2 double
-expectDiagAvx2(const cplx *ampc, size_t b_lo, size_t b_hi, uint64_t z)
-{
-    const double *amp = reinterpret_cast<const double *>(ampc);
-    const double e0 = (z & 1) ? -1.0 : 1.0;
-    const __m256d evec = _mm256_setr_pd(1.0, 1.0, e0, e0);
-    const __m256d evenMask = _mm256_castsi256_pd(
-        _mm256_setr_epi64x(-1, 0, -1, 0));
-    __m256d acc = _mm256_setzero_pd();
-    double tail = 0.0;
-    size_t b = b_lo;
-    if ((b & 1) && b < b_hi) {
-        tail += paritySign(z, b) * std::norm(ampc[b]);
-        ++b;
-    }
-    for (; b + 2 <= b_hi; b += 2) {
-        const double s0 = paritySign(z, b);
-        const __m256d sv = _mm256_mul_pd(_mm256_set1_pd(s0), evec);
-        const __m256d a = _mm256_loadu_pd(amp + 2 * b);
-        const __m256d m = _mm256_mul_pd(a, a);
-        __m256d t = _mm256_add_pd(m, _mm256_shuffle_pd(m, m, 0x5));
-        t = _mm256_and_pd(t, evenMask);
-        acc = _mm256_fmadd_pd(t, sv, acc);
-    }
-    for (; b < b_hi; ++b)
-        tail += paritySign(z, b) * std::norm(ampc[b]);
-    return hsum(acc) + tail;
-}
-
-QCC_AVX2 double
-groupExpectAvx2(const cplx *ampc, size_t b_lo, size_t b_hi,
-                uint64_t b_offset, const double *w,
-                const uint64_t *zmask, size_t n_terms)
-{
-    const double *amp = reinterpret_cast<const double *>(ampc);
-    // Per-term sign patterns over the low two index bits, in the
-    // (b, b+2, b+1, b+3) lane order produced by hadd below.
-    static const double patTable[4][4] = {
-        {1.0, 1.0, 1.0, 1.0},
-        {1.0, 1.0, -1.0, -1.0},
-        {1.0, -1.0, 1.0, -1.0},
-        {1.0, -1.0, -1.0, 1.0},
-    };
-    const __m256d pats[4] = {
-        _mm256_loadu_pd(patTable[0]),
-        _mm256_loadu_pd(patTable[1]),
-        _mm256_loadu_pd(patTable[2]),
-        _mm256_loadu_pd(patTable[3]),
-    };
-    __m256d acc = _mm256_setzero_pd();
-    double tail = 0.0;
-    size_t b = b_lo;
-    for (; b < b_hi && ((b_offset | b) & 3); ++b)
-        tail += groupExpectOne(ampc, b, b_offset | b, w, zmask,
-                               n_terms);
-    for (; b + 4 <= b_hi; b += 4) {
-        const uint64_t g = b_offset | b;
-        const __m256d v0 = _mm256_loadu_pd(amp + 2 * b);
-        const __m256d v1 = _mm256_loadu_pd(amp + 2 * b + 4);
-        const __m256d p = _mm256_hadd_pd(_mm256_mul_pd(v0, v0),
-                                         _mm256_mul_pd(v1, v1));
-        for (size_t t = 0; t < n_terms; ++t) {
-            const uint64_t zm = zmask[t];
-            const double ws = w[t] * paritySign(zm & ~3ull, g);
-            acc = _mm256_fmadd_pd(_mm256_mul_pd(p, pats[zm & 3]),
-                                  _mm256_set1_pd(ws), acc);
-        }
-    }
-    for (; b < b_hi; ++b)
-        tail += groupExpectOne(ampc, b, b_offset | b, w, zmask,
-                               n_terms);
-    return hsum(acc) + tail;
 }
 
 QCC_AVX2 void
@@ -1434,18 +1237,6 @@ pauliRotDiag(cplx *amp, size_t b_lo, size_t b_hi, uint64_t z,
     pauliRotDiagScalar(amp, b_lo, b_hi, z, f_even, f_odd);
 }
 
-double
-expectPairs(const cplx *amp, size_t k_lo, size_t k_hi, uint64_t x,
-            uint64_t z, uint64_t pivot, bool sigma_pos)
-{
-#ifdef QCC_SIMD_X86
-    if (simdActive())
-        return expectPairsAvx2(amp, k_lo, k_hi, x, z, pivot,
-                               sigma_pos);
-#endif
-    return expectPairsScalar(amp, k_lo, k_hi, x, z, pivot, sigma_pos);
-}
-
 cplx
 pauliInnerPairs(const cplx *bra, const cplx *ket, size_t k_lo,
                 size_t k_hi, uint64_t x, uint64_t z, uint64_t pivot,
@@ -1472,30 +1263,6 @@ maskMatvec(cplx *out, const cplx *v, size_t b_lo, size_t b_hi,
     }
 #endif
     maskMatvecScalar(out, v, b_lo, b_hi, x, z, wr, wi, n_terms);
-}
-
-double
-expectDiag(const cplx *amp, size_t b_lo, size_t b_hi, uint64_t z)
-{
-#ifdef QCC_SIMD_X86
-    if (simdActive())
-        return expectDiagAvx2(amp, b_lo, b_hi, z);
-#endif
-    return expectDiagScalar(amp, b_lo, b_hi, z);
-}
-
-double
-groupExpect(const cplx *amp, size_t b_lo, size_t b_hi,
-            uint64_t b_offset, const double *w, const uint64_t *zmask,
-            size_t n_terms)
-{
-#ifdef QCC_SIMD_X86
-    if (simdActive())
-        return groupExpectAvx2(amp, b_lo, b_hi, b_offset, w, zmask,
-                               n_terms);
-#endif
-    return groupExpectScalar(amp, b_lo, b_hi, b_offset, w, zmask,
-                             n_terms);
 }
 
 void

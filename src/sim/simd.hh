@@ -19,10 +19,15 @@
  *
  * The range primitives are also the building blocks of the fused,
  * cache-blocked executor (sim/fusion.hh) that runs every statevector
- * circuit: they take explicit index ranges and a global-offset
- * parameter where bit-parity signs depend on the absolute basis
- * index, so the same code runs over a whole 2^n array or over one
- * L2-sized block of it.
+ * circuit: they take explicit index ranges, and the executor folds
+ * whatever depends on a block's base index into their arguments
+ * (diagMul's scale), so the same code runs over a whole 2^n array or
+ * over one L2-sized block of it.
+ *
+ * A single string's expectation has scalar bodies only: the energy
+ * of a Pauli sum is one maskMatvec sweep per X mask
+ * (kern::XMaskGroups::expectation), so no hot path reads one term at
+ * a time.
  *
  * Index conventions match sim/kernels.hh: `b` ranges are raw basis
  * indices, `k` ranges are compacted pair indices expanded around a
@@ -96,13 +101,12 @@ void diagMulScalar(cplx *amp, size_t b_lo, size_t b_hi,
  * kern::applyPauliRotation: amp[b] += (c-1)*amp[b] + s_b*(vr+i*vi)*
  * amp[b^x], etc., where s_b = (-1)^{|z&b|}.
  *
- * This and the other pair kernels (expectPairs, pauliInnerPairs)
- * have AVX2 bodies for every pivot class. With pivot 1 (x holds bit
- * 0) the pair of k is (2k, 2k ^ x), whose amplitudes sit in
- * different registers unless x = 1; those bodies gather each pair
- * into one register. Every body touches only the pairs of its own k
- * range, and the rotation gives each pair the same arithmetic
- * wherever the range starts or ends.
+ * This and pauliInnerPairs have AVX2 bodies for every pivot class.
+ * With pivot 1 (x holds bit 0) the pair of k is (2k, 2k ^ x), whose
+ * amplitudes sit in different registers unless x = 1; those bodies
+ * gather each pair into one register. Every body touches only the
+ * pairs of its own k range, and the rotation gives each pair the
+ * same arithmetic wherever the range starts or ends.
  */
 void pauliRotPairs(cplx *amp, size_t k_lo, size_t k_hi, uint64_t x,
                    uint64_t z, uint64_t pivot, double c, double ur,
@@ -119,13 +123,16 @@ void pauliRotDiag(cplx *amp, size_t b_lo, size_t b_hi, uint64_t z,
 void pauliRotDiagScalar(cplx *amp, size_t b_lo, size_t b_hi,
                         uint64_t z, cplx f_even, cplx f_odd);
 
-/** Pair-compacted expectation partial sum (see kern::expectation). */
-double expectPairs(const cplx *amp, size_t k_lo, size_t k_hi,
-                   uint64_t x, uint64_t z, uint64_t pivot,
-                   bool sigma_pos);
+/**
+ * Partial sums of one string's <P> (see kern::expectation): the
+ * pair-compacted sum for x != 0 and sum_b (-1)^{|z&b|} |amp[b]|^2
+ * over [b_lo, b_hi) for x = 0. Scalar only, with no dispatcher.
+ */
 double expectPairsScalar(const cplx *amp, size_t k_lo, size_t k_hi,
                          uint64_t x, uint64_t z, uint64_t pivot,
                          bool sigma_pos);
+double expectDiagScalar(const cplx *amp, size_t b_lo, size_t b_hi,
+                        uint64_t z);
 
 /**
  * Pair-compacted partial sum of <bra|P|ket> / i^{|x&z|} over k in
@@ -162,26 +169,6 @@ void maskMatvecScalar(cplx *out, const cplx *v, size_t b_lo,
                       size_t b_hi, uint64_t x, const uint64_t *z,
                       const double *wr, const double *wi,
                       size_t n_terms);
-
-/** sum_b (-1)^{|z&b|} |amp[b]|^2 over [b_lo, b_hi). */
-double expectDiag(const cplx *amp, size_t b_lo, size_t b_hi,
-                  uint64_t z);
-double expectDiagScalar(const cplx *amp, size_t b_lo, size_t b_hi,
-                        uint64_t z);
-
-/**
- * Grouped diagonal-family partial sum over local indices
- * [b_lo, b_hi): sum_t w[t] * sum_b (-1)^{|zmask[t] & (b_offset|b)|}
- * * |amp[b]|^2. b_offset is the block base when amp points at one
- * block of a larger state (its set bits must be disjoint from the
- * local index range), 0 for whole-array sweeps.
- */
-double groupExpect(const cplx *amp, size_t b_lo, size_t b_hi,
-                   uint64_t b_offset, const double *w,
-                   const uint64_t *zmask, size_t n_terms);
-double groupExpectScalar(const cplx *amp, size_t b_lo, size_t b_hi,
-                         uint64_t b_offset, const double *w,
-                         const uint64_t *zmask, size_t n_terms);
 
 /**
  * Single-qubit depolarizing sweep over one vectorized density

@@ -153,14 +153,10 @@ Statevector::expectation(const PauliSum &h) const
 {
     if (h.numQubits() != nQubits)
         panic("expectation: width mismatch");
-    // One read-only kernel pass per term; unlike the historical
-    // H|psi>-accumulation this allocates no 2^n scratch vector.
-    double e = 0.0;
+    kern::XMaskGroups groups;
     for (const auto &t : h.terms())
-        e += t.coeff.real() *
-             kern::expectation(amp.data(), amp.size(),
-                               t.string.xMask(), t.string.zMask());
-    return e;
+        groups.add(t.string.xMask(), t.string.zMask(), t.coeff.real());
+    return groups.expectation(amp.data(), amp.size());
 }
 
 cplx

@@ -91,10 +91,10 @@ class Statevector
         const;
 
     /**
-     * <psi| H |psi> for a Pauli sum: one read-only kernel pass per
-     * term, with no per-call O(2^n) allocation. For grouped
-     * (one-pass-per-commuting-family) evaluation in the VQE hot loop
-     * see vqe/expectation_engine.hh.
+     * <psi| H |psi> for a Pauli sum (real coefficients): the terms
+     * are grouped by X mask on every call, then one sweep per mask
+     * (kern::XMaskGroups::expectation). The VQE hot loop groups once
+     * (vqe/expectation_engine.hh).
      */
     double expectation(const PauliSum &h) const;
 

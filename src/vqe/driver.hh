@@ -5,7 +5,8 @@
  * gradient engine, and a classical VqeOptimizer strategy. The
  * strategy seam composes the evaluation modes:
  *
- *  - ideal:         statevector state, grouped analytic expectation;
+ *  - ideal:         statevector state, analytic expectation by X
+ *                   mask;
  *  - noisy:         density-matrix state with depolarizing channels
  *                   (gate circuits through the cached compiler
  *                   pipeline), analytic expectation;

@@ -34,9 +34,8 @@ densityMatrixModel(unsigned n, NoiseModel noise)
 
 AnalyticEstimation::AnalyticEstimation(const PauliSum &h,
                                        StateModel state_model,
-                                       std::string mode_name,
-                                       const GroupingFn &grouping)
-    : engine(h, grouping), model(std::move(state_model)),
+                                       std::string mode_name)
+    : engine(h), model(std::move(state_model)),
       modeName(std::move(mode_name))
 {
 }
@@ -163,15 +162,15 @@ estimationRegistry()
         r.add("ideal", [](const EstimationConfig &c) {
             return std::make_unique<AnalyticEstimation>(
                 *c.hamiltonian,
-                statevectorModel(c.hamiltonian->numQubits()), "ideal",
-                c.grouping);
+                statevectorModel(c.hamiltonian->numQubits()),
+                "ideal");
         });
         r.add("noisy", [](const EstimationConfig &c) {
             return std::make_unique<AnalyticEstimation>(
                 *c.hamiltonian,
                 densityMatrixModel(c.hamiltonian->numQubits(),
                                    c.noise),
-                "noisy", c.grouping);
+                "noisy");
         });
         r.add("sampled", [](const EstimationConfig &c) {
             return std::make_unique<SampledEstimation>(

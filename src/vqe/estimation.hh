@@ -7,7 +7,7 @@
  *  - a *state model*: how |psi(theta)> is realized — the ideal
  *    statevector, or the density matrix with depolarizing channels
  *    (gate circuits through the cached compiler pipeline);
- *  - a *readout*: how <H> is extracted from that state — the grouped
+ *  - a *readout*: how <H> is extracted from that state — the exact
  *    analytic expectation, or the shot-based SamplingEngine.
  *
  * The four products are the driver's evaluation modes, and the
@@ -141,13 +141,16 @@ class EstimationStrategy
     gradientEvaluations(const ParameterShiftEngine &engine) const = 0;
 };
 
-/** Analytic (grouped exact expectation) readout over a state model. */
+/**
+ * Analytic (exact expectation) readout over a state model: H by X
+ * mask on a pure state, the backend's own expectation on a density
+ * matrix (vqe/expectation_engine.hh).
+ */
 class AnalyticEstimation : public EstimationStrategy
 {
   public:
     AnalyticEstimation(const PauliSum &h, StateModel model,
-                       std::string mode_name,
-                       const GroupingFn &grouping = {});
+                       std::string mode_name);
 
     const std::string &name() const override { return modeName; }
     bool stochastic() const override { return false; }
@@ -204,7 +207,9 @@ struct EstimationConfig
     const PauliSum *hamiltonian = nullptr;
     NoiseModel noise;
     SamplingOptions sampling;
-    GroupingFn grouping; ///< analytic-engine grouping (null = greedy)
+    /** No built-in mode reads it: sampled modes take
+     *  sampling.grouping, and analytic readout groups by X mask. */
+    GroupingFn grouping;
 };
 
 using EstimationFactory = std::function<std::unique_ptr<

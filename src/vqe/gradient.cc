@@ -230,19 +230,12 @@ ParameterShiftEngine::gradientNoisy(
     for (size_t g = 0; g < c.gates().size(); ++g)
         if (c.gates()[g].kind == GateKind::RZ)
             rzIndex.push_back(g);
+    // pauliRotationChain emits exactly one RZ per non-identity
+    // string, and the chain flow runs no other mutating pass.
     if (rzIndex.size() != shiftable.size())
-        // Chain synthesis emits exactly one RZ per non-identity
-        // rotation; anything else means the invariant moved — use
-        // the slow generic replay rather than mis-assign shifts.
-        return gradient(
-            params,
-            [&] {
-                return std::make_unique<DensityMatrixBackend>(n,
-                                                              noise);
-            },
-            [&](SimBackend &b, size_t) {
-                return b.expectation(ham);
-            });
+        panic("gradientNoisy: the chain circuit's RZ count differs "
+              "from the shiftable rotations (one RZ per non-identity "
+              "string)");
 
     // Every gate range below runs through the density matrix's one
     // gate-range entry point, DensityMatrix::applyGates.

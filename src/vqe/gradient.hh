@@ -110,8 +110,8 @@ class ParameterShiftEngine
 
     /**
      * dE/dtheta at `params` through prefix-shared statevector
-     * replays; `estimate` reads each shifted state (analytic grouped
-     * sweep, shot sampler, ...).
+     * replays; `estimate` reads each shifted state (exact energy,
+     * shot sampler, ...).
      */
     std::vector<double>
     gradientStatevector(const std::vector<double> &params,

@@ -22,9 +22,8 @@ ansatzEnergy(SimBackend &backend, const PauliSum &h,
 {
     if (h.numQubits() != ansatz.nQubits)
         fatal("ansatzEnergy: Hamiltonian/ansatz width mismatch");
-    // One-shot evaluation: compiling a grouped engine would cost
-    // more than it saves; VqeDriver amortizes one over the whole
-    // optimization.
+    // One-shot evaluation: the backend groups H by X mask per call;
+    // VqeDriver's engine groups it once for the whole optimization.
     backend.applyAnsatz(ansatz, params);
     return backend.expectation(h);
 }

@@ -42,9 +42,9 @@ Statevector prepareAnsatzState(const Ansatz &ansatz,
                                const std::vector<double> &params);
 
 /**
- * E(theta) in an arbitrary backend: applyAnsatz then the grouped
- * engine's energy (statevector backends) or the backend's own
- * expectation (mixed-state backends).
+ * E(theta) in an arbitrary backend: applyAnsatz then the backend's
+ * own expectation (by X mask on a statevector, the density matrix's
+ * own on a mixed state).
  */
 double ansatzEnergy(SimBackend &backend, const PauliSum &h,
                     const Ansatz &ansatz,

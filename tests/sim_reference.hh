@@ -2,10 +2,11 @@
  * @file
  * Reference implementations the simulator's production paths are
  * tested and timed against: the seed's full-scan kernels, the
- * per-term H*v, per-gate circuit replays on both simulators, and a
- * copy-path oracle for the grouped energy. Production always runs the bit-mask kernels and
- * the fused executors; these stay here, beside the tests that read
- * them (test_kernels, test_pipeline_fuzz) and bench_sim_micro.
+ * per-term H*v and <H>, and per-gate circuit replays on both
+ * simulators. Production always runs the bit-mask kernels, H by X
+ * mask and the fused executors; these stay here, beside the tests
+ * that read them (test_kernels, test_pipeline_fuzz) and
+ * bench_sim_micro.
  */
 
 #ifndef QCC_TESTS_SIM_REFERENCE_HH
@@ -20,7 +21,6 @@
 
 #include "circuit/circuit.hh"
 #include "common/parallel.hh"
-#include "pauli/grouping.hh"
 #include "pauli/pauli_sum.hh"
 #include "sim/density_matrix.hh"
 #include "sim/kernels.hh"
@@ -150,34 +150,18 @@ applyPerGate(qcc::DensityMatrix &rho, const qcc::Circuit &c,
 }
 
 /**
- * <psi|H|psi> by qubit-wise-commuting family, each family evaluated
- * on a full copy of the state rotated into its eigenbasis: the path
- * ExpectationEngine's block-at-a-time family sweep replaces.
+ * <psi|H|psi> with real coefficients, one full-scan
+ * expectationGeneric per term: the per-term reference of the energy
+ * by X mask (kern::XMaskGroups::expectation).
  */
 inline double
-copyPathEnergy(const qcc::PauliSum &h, const qcc::Statevector &psi)
+perTermEnergy(const qcc::PauliSum &h, const qcc::Statevector &psi)
 {
-    const size_t dim = psi.dim();
     double e = 0.0;
-    for (const qcc::MeasurementGroup &group : qcc::groupQubitWise(h)) {
-        std::vector<cplx> copy = psi.amplitudes();
-        for (const auto &[q, op] : qcc::basisChangeOps(group.basis)) {
-            cplx u[4];
-            qcc::basisChangeMatrix(op, u);
-            qcc::kern::apply1q(copy.data(), dim, q, u);
-        }
-        std::vector<double> w;
-        std::vector<uint64_t> z;
-        for (size_t idx : group.termIndices) {
-            const qcc::PauliTerm &t = h.terms()[idx];
-            w.push_back(t.coeff.real());
-            // After the rotations each member is Z on its support.
-            z.push_back(t.string.supportMask());
-        }
-        e += qcc::kern::diagonalGroupExpectation(copy.data(), dim,
-                                                 w.data(), z.data(),
-                                                 z.size());
-    }
+    for (const qcc::PauliTerm &t : h.terms())
+        e += t.coeff.real() *
+             expectationGeneric(psi.amplitudes().data(), psi.dim(),
+                                t.string.xMask(), t.string.zMask());
     return e;
 }
 

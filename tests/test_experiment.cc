@@ -561,13 +561,6 @@ TEST(Experiment, DeviceParserHandlesTheArchitectureFamilies)
 
 TEST(Experiment, RegistriesExposeTheBuiltInComponents)
 {
-    const auto backends = backendRegistry().names();
-    EXPECT_NE(std::find(backends.begin(), backends.end(),
-                        "statevector"),
-              backends.end());
-    EXPECT_NE(std::find(backends.begin(), backends.end(),
-                        "density_matrix"),
-              backends.end());
     EXPECT_EQ(optimizerRegistry().size(), 4u);
     EXPECT_TRUE(groupingRegistry().contains("greedy"));
     EXPECT_TRUE(groupingRegistry().contains("sorted-insertion"));
@@ -575,8 +568,8 @@ TEST(Experiment, RegistriesExposeTheBuiltInComponents)
     EXPECT_TRUE(pipelinePresetRegistry().contains("chain"));
     EXPECT_TRUE(estimationRegistry().contains("noisy_sampled"));
 
-    // Registry-built backends report their own names.
-    auto sv = backendRegistry().get("statevector")({3, {}});
+    // State-model-built backends report their own names.
+    auto sv = statevectorModel(3).make();
     EXPECT_STREQ(sv->name(), "statevector");
     EXPECT_EQ(sv->numQubits(), 3u);
 }

@@ -3,21 +3,24 @@
  * Equivalence tests for the specialized simulator kernels: randomized
  * circuits and Pauli rotations checked against the generic dense
  * reference path, the <bra|P|ket> kernel against a dense Pauli
- * product, the fused executors against per-gate replay (references
- * in sim_reference.hh), plus grouped-vs-termwise Hamiltonian
- * expectation agreement and the expectation width-check regression.
+ * product, the fused executors against per-gate replay, H by X mask
+ * against the per-term H*v and <H> (references in sim_reference.hh),
+ * and the expectation width-check regression. QCC_THREADS is pinned
+ * to 4 before the pool first sizes itself, so the chunked sweeps run
+ * on any runner.
  */
 
-#include <array>
 #include <bit>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <gtest/gtest.h>
 
+#include "chem/molecules.hh"
 #include "circuit/circuit.hh"
 #include "common/parallel.hh"
 #include "common/rng.hh"
-#include "pauli/grouping.hh"
+#include "ferm/hamiltonian.hh"
 #include "sim/density_matrix.hh"
 #include "sim/fusion.hh"
 #include "sim/kernels.hh"
@@ -30,6 +33,13 @@ using namespace qcc;
 using namespace qcc_test;
 
 namespace {
+
+// Static initialization runs before any test can size the pool.
+const bool kLanesPinned = [] {
+    setenv("QCC_THREADS", "4", 1);
+    unsetenv("QCC_JOB_WIDTH");
+    return true;
+}();
 
 std::vector<cplx>
 randomAmplitudes(unsigned n, uint64_t seed)
@@ -363,24 +373,9 @@ TEST(Kernels, GroupedExpectationMatchesTermwise)
 
         Statevector psi = randomState(n, 40 + n);
         ExpectationEngine engine(h);
-        EXPECT_GT(engine.numGroups(), 0u);
-        EXPECT_LE(engine.numGroups(), h.numTerms());
         EXPECT_NEAR(engine.energy(psi), psi.expectation(h), 1e-10)
             << "n=" << n;
     }
-}
-
-TEST(Kernels, GroupedExpectationDiagonalFamilyFastPath)
-{
-    // An all-diagonal Hamiltonian needs no scratch rotation at all.
-    PauliSum h(4);
-    h.add(0.5, PauliString::fromString("ZZII"));
-    h.add(-0.25, PauliString::fromString("IZZI"));
-    h.add(1.5, PauliString(4));
-    Statevector psi = randomState(4, 3);
-    ExpectationEngine engine(h);
-    EXPECT_EQ(engine.numGroups(), 1u);
-    EXPECT_NEAR(engine.energy(psi), psi.expectation(h), 1e-12);
 }
 
 TEST(Kernels, ExpectationWidthMismatchPanics)
@@ -472,63 +467,9 @@ TEST(Simd, ExpectationMatchesScalarAndGeneric)
             PauliString p = randomString(n, rng);
             const double ref = expectationGeneric(
                 amp.data(), amp.size(), p.xMask(), p.zMask());
-            double vec, sca;
-            {
-                SimdGuard g(true);
-                vec = kern::expectation(amp.data(), amp.size(),
-                                        p.xMask(), p.zMask());
-            }
-            {
-                SimdGuard g(false);
-                sca = kern::expectation(amp.data(), amp.size(),
-                                        p.xMask(), p.zMask());
-            }
-            EXPECT_NEAR(vec, ref, 1e-12) << "simd " << p.str();
+            const double sca = kern::expectation(
+                amp.data(), amp.size(), p.xMask(), p.zMask());
             EXPECT_NEAR(sca, ref, 1e-12) << "scalar " << p.str();
-        }
-    }
-}
-
-TEST(Simd, DiagonalGroupExpectationMatchesScalar)
-{
-    Rng rng(43);
-    for (unsigned n : {1u, 3u, 6u, 13u}) {
-        auto amp = randomAmplitudes(n, 300 + n);
-        const uint64_t mask = (1ull << n) - 1;
-        // Term counts around the AVX2 4-probability quad boundary.
-        for (size_t terms : {1u, 3u, 24u}) {
-            std::vector<double> w;
-            std::vector<uint64_t> z;
-            for (size_t t = 0; t < terms; ++t) {
-                w.push_back(rng.gaussian());
-                z.push_back(rng.index(1ull << n) & mask);
-            }
-            // Scalar oracle straight from the definition.
-            double ref = 0.0;
-            for (size_t b = 0; b < amp.size(); ++b) {
-                const double n2 = std::norm(amp[b]);
-                for (size_t t = 0; t < terms; ++t)
-                    ref += (std::popcount(z[t] & b) & 1 ? -w[t]
-                                                        : w[t]) *
-                           n2;
-            }
-            double vec, sca;
-            {
-                SimdGuard g(true);
-                vec = kern::diagonalGroupExpectation(
-                    amp.data(), amp.size(), w.data(), z.data(),
-                    terms);
-            }
-            {
-                SimdGuard g(false);
-                sca = kern::diagonalGroupExpectation(
-                    amp.data(), amp.size(), w.data(), z.data(),
-                    terms);
-            }
-            EXPECT_NEAR(vec, ref, 1e-12)
-                << "simd n=" << n << " terms=" << terms;
-            EXPECT_NEAR(sca, ref, 1e-12)
-                << "scalar n=" << n << " terms=" << terms;
         }
     }
 }
@@ -633,7 +574,9 @@ TEST(Simd, PairPrimitivesStayInsideTheirRange)
     // Drive the range primitives on sub-ranges, as the parallel
     // sweeps' chunks do, for every pivot class: a sub-range writes
     // exactly its own pairs, a rotation rounds each pair the same at
-    // any chunking, and a partial sum covers exactly its own pairs.
+    // any chunking, and a partial sum covers exactly its own pairs
+    // (an expectation's, with the ranges around it, adds up to the
+    // whole sweep).
     Rng rng(53);
     for (unsigned n : {1u, 2u, 7u, 16u}) {
         const size_t dim = size_t{1} << n;
@@ -665,13 +608,11 @@ TEST(Simd, PairPrimitivesStayInsideTheirRange)
                     a.data(), lo, hi, m.x, m.z, pivot, c, ur, ui,
                     sigma * ur, sigma * ui);
             };
-            auto expect = [&](size_t lo, size_t hi, bool scalar) {
+            auto expect = [&](size_t lo, size_t hi) { // scalar only
                 if (m.x == 0)
-                    return (scalar ? kern::ranges::expectDiagScalar
-                                   : kern::ranges::expectDiag)(
-                        ket.data(), lo, hi, m.z);
-                return (scalar ? kern::ranges::expectPairsScalar
-                               : kern::ranges::expectPairs)(
+                    return kern::ranges::expectDiagScalar(ket.data(), lo,
+                                                          hi, m.z);
+                return kern::ranges::expectPairsScalar(
                     ket.data(), lo, hi, m.x, m.z, pivot, sigma > 0);
             };
             auto inner = [&](size_t lo, size_t hi, bool scalar) {
@@ -711,8 +652,9 @@ TEST(Simd, PairPrimitivesStayInsideTheirRange)
                             << "rotation [" << lo << ", " << hi
                             << ") index " << b << " " << what;
                     }
-                    EXPECT_NEAR(expect(lo, hi, false),
-                                expect(lo, hi, true), 1e-13)
+                    EXPECT_NEAR(expect(0, lo) + expect(lo, hi) +
+                                    expect(hi, len),
+                                expect(0, len), 1e-13)
                         << "expectation [" << lo << ", " << hi << ") "
                         << what;
                     EXPECT_NEAR(std::abs(inner(lo, hi, false) -
@@ -775,6 +717,47 @@ TEST(Kernels, XMaskGroupsMatchThePerTermReference)
                             " H v n=" + std::to_string(n));
         }
     }
+}
+
+TEST(Kernels, EnergyByMaskMatchesPerTermReference)
+{
+    // Every catalog Hamiltonian of up to 12 qubits at equilibrium, on
+    // random states: the engine and Statevector::expectation against
+    // one full-scan sweep per term.
+    for (const BenchmarkMolecule &entry : benchmarkMolecules()) {
+        if (entry.expectQubits > 12)
+            continue;
+        const MolecularProblem prob =
+            buildMolecularProblem(entry, entry.equilibriumBond);
+        const PauliSum &h = prob.hamiltonian;
+        const ExpectationEngine engine(h);
+        for (uint64_t seed : {1u, 2u}) {
+            const Statevector psi =
+                randomState(prob.nQubits, 1000 + 8 * prob.nQubits + seed);
+            const double ref = perTermEnergy(h, psi);
+            EXPECT_NEAR(engine.energy(psi), ref, 1e-10) << entry.name;
+            EXPECT_NEAR(psi.expectation(h), ref, 1e-10) << entry.name;
+        }
+    }
+
+    // At n = 16 on four lanes the mask sweeps and the reduction split
+    // into chunks; one lane runs the same chunks inline.
+    const unsigned n = 16;
+    Rng rng(71);
+    PauliSum h(n);
+    for (int t = 0; t < 40; ++t)
+        h.add(rng.gaussian(), randomString(n, rng));
+    h.simplify();
+    const Statevector psi = randomState(n, 1100);
+    const ExpectationEngine engine(h);
+    const double wide = engine.energy(psi);
+    EXPECT_NEAR(wide, perTermEnergy(h, psi), 1e-10);
+    double capped;
+    {
+        ParallelWidthCap cap(1);
+        capped = engine.energy(psi);
+    }
+    EXPECT_EQ(wide, capped);
 }
 
 TEST(Simd, MaskMatvecStaysInsideItsRange)
@@ -1006,84 +989,6 @@ TEST(Fusion, DensityMatrixFusedMatchesPerGate)
             }
         }
     }
-}
-
-TEST(Fusion, RotatedGroupExpectationMatchesCopyPath)
-{
-    Rng rng(59);
-    // n=14 with low rotations exercises the zero-copy blocked sweep;
-    // adding a rotation above the block width forces the scratch-copy
-    // path. n=5 runs the single-block case.
-    for (unsigned n : {5u, 14u}) {
-        auto amp = randomAmplitudes(n, 600 + n);
-        const uint64_t mask = (1ull << n) - 1;
-        for (bool highRotation : {false, true}) {
-            if (highRotation && n < 14)
-                continue;
-            std::vector<std::pair<unsigned, std::array<cplx, 4>>>
-                rots;
-            std::vector<unsigned> qs = {0, 2, unsigned(n - 1)};
-            if (!highRotation && n >= 14)
-                qs = {0, 2, 7};
-            for (unsigned q : qs) {
-                std::array<cplx, 4> u;
-                basisChangeMatrix(rng.coin() ? PauliOp::X
-                                             : PauliOp::Y,
-                                  u.data());
-                rots.emplace_back(q, u);
-            }
-            std::vector<double> w;
-            std::vector<uint64_t> z;
-            for (int t = 0; t < 12; ++t) {
-                w.push_back(rng.gaussian());
-                z.push_back(rng.index(1ull << n) & mask);
-            }
-            // Oracle: rotate a full copy, then the plain group sweep.
-            auto copy = amp;
-            for (const auto &[q, u] : rots)
-                kern::apply1q(copy.data(), copy.size(), q, u.data());
-            const double ref = kern::diagonalGroupExpectation(
-                copy.data(), copy.size(), w.data(), z.data(),
-                z.size());
-            const double got = rotatedGroupExpectation(
-                amp.data(), amp.size(), rots, w.data(), z.data(),
-                z.size());
-            EXPECT_NEAR(got, ref, 1e-11)
-                << "n=" << n << " high=" << highRotation;
-        }
-    }
-}
-
-TEST(Fusion, EngineEnergyMatchesCopyPath)
-{
-    // The ExpectationEngine's fused rotated-family sweep against the
-    // scratch-copy path on the same random Hamiltonian and state.
-    Rng rng(61);
-    PauliSum h(6);
-    for (int t = 0; t < 40; ++t)
-        h.add(rng.gaussian(), randomString(6, rng));
-    h.simplify();
-    Statevector psi = randomState(6, 99);
-    ExpectationEngine engine(h);
-    const double fused = engine.energy(psi);
-    EXPECT_NEAR(fused, copyPathEnergy(h, psi), 1e-11);
-    EXPECT_NEAR(fused, psi.expectation(h), 1e-10);
-
-    // Random strings seldom share a family large enough to sweep, so
-    // add one that is: X on even and Y on odd qubits over random
-    // supports, all qubit-wise commuting.
-    PauliSum family(6);
-    for (int t = 0; t < 40; ++t) {
-        const uint64_t support = 1 + rng.index(63);
-        family.add(rng.gaussian(),
-                   PauliString(6, support, support & 0b101010));
-    }
-    family.simplify();
-    ExpectationEngine familyEngine(family);
-    ASSERT_EQ(familyEngine.numSweptFamilies(), 1u);
-    const double swept = familyEngine.energy(psi);
-    EXPECT_NEAR(swept, copyPathEnergy(family, psi), 1e-11);
-    EXPECT_NEAR(swept, psi.expectation(family), 1e-10);
 }
 
 // ---------------------------------------------------------------------

@@ -277,11 +277,11 @@ TEST(CircuitStore, CacheWriteThroughAndPromotion)
     XTree tree = makeXTree(7);
     CompilerPipeline pipeline(tree);
 
-    const uint64_t stores0 = counter("compile.cache.disk_stores");
+    const uint64_t writes0 = counter("store.circuit.disk_writes");
     CompileResult fresh = pipeline.compile(ansatz, params);
-    const uint64_t stores1 = counter("compile.cache.disk_stores");
+    const uint64_t writes1 = counter("store.circuit.disk_writes");
     const uint64_t diskHits1 = counter("compile.cache.disk_hits");
-    EXPECT_EQ(stores1, stores0 + 1); // write-through
+    EXPECT_EQ(writes1, writes0 + 1); // write-through
 
     // A new process is simulated by dropping the memory table; the
     // recompile must be served by the persistent tier and match the
@@ -290,7 +290,7 @@ TEST(CircuitStore, CacheWriteThroughAndPromotion)
     CompileResult warm = pipeline.compile(ansatz, params);
     EXPECT_EQ(counter("compile.cache.disk_hits"), diskHits1 + 1);
     // Promotion, no rewrite.
-    EXPECT_EQ(counter("compile.cache.disk_stores"), stores1);
+    EXPECT_EQ(counter("store.circuit.disk_writes"), writes1);
 
     ASSERT_EQ(fresh.circuit.size(), warm.circuit.size());
     for (size_t i = 0; i < fresh.circuit.size(); ++i) {
