@@ -367,12 +367,13 @@ variantExpectationRow(qccbench::JsonReport &rep, unsigned n,
 }
 
 /**
- * lambda = H|psi> as the adjoint gradient computes it (real
- * coefficients): one sweep per term through the test reference
- * against one sweep per X mask through kern::XMaskGroups.
+ * lambda = H|psi> as the adjoint gradient computes it and <psi|H|psi>
+ * as ExpectationEngine does (real coefficients, on the HF state): one
+ * sweep per term through the test references against one sweep per
+ * X mask through kern::XMaskGroups.
  */
 void
-variantLambdaRow(qccbench::JsonReport &rep, const char *molecule)
+variantHamiltonianRows(qccbench::JsonReport &rep, const char *molecule)
 {
     const MolecularProblem prob =
         buildMolecularProblem(benchmarkMolecule(molecule), 1.6);
@@ -382,61 +383,41 @@ variantLambdaRow(qccbench::JsonReport &rep, const char *molecule)
     kern::XMaskGroups groups;
     for (const PauliTerm &t : h.terms())
         groups.add(t.string.xMask(), t.string.zMask(), t.coeff.real());
-    std::vector<cplx> out(psi.dim());
-    const double perTermMs = timeMs([&] {
-        std::fill(out.begin(), out.end(), cplx(0.0));
-        for (const PauliTerm &t : h.terms())
-            accumulatePauli(psi, t.coeff.real(), t.string, out);
-    });
-    const double byMaskMs = timeMs([&] {
-        std::fill(out.begin(), out.end(), cplx(0.0));
-        groups.apply(psi.amplitudes().data(), psi.dim(), out.data());
-    });
-    std::printf("  lambda %s (n=%u, %zu terms, %zu masks): per-term "
-                "%.4f  by-mask %.4f ms  [%.2fx]\n",
-                molecule, prob.nQubits, h.numTerms(), groups.masks(),
-                perTermMs, byMaskMs, perTermMs / byMaskMs);
-    rep.row(std::string("lambda_") + molecule,
-            {{"qubits", double(prob.nQubits)},
-             {"terms", double(h.numTerms())},
-             {"masks", double(groups.masks())},
-             {"per_term_ms", perTermMs},
-             {"by_mask_ms", byMaskMs},
-             {"by_mask_vs_per_term", perTermMs / byMaskMs}});
-}
+    auto row = [&](const char *what, double perTermMs, double byMaskMs) {
+        std::printf("  %s %s (n=%u, %zu terms, %zu masks): per-term "
+                    "%.4f  by-mask %.4f ms  [%.2fx]\n",
+                    what, molecule, prob.nQubits, h.numTerms(),
+                    groups.masks(), perTermMs, byMaskMs,
+                    perTermMs / byMaskMs);
+        rep.row(std::string(what) + "_" + molecule,
+                {{"qubits", double(prob.nQubits)},
+                 {"terms", double(h.numTerms())},
+                 {"masks", double(groups.masks())},
+                 {"per_term_ms", perTermMs},
+                 {"by_mask_ms", byMaskMs},
+                 {"by_mask_vs_per_term", perTermMs / byMaskMs}});
+    };
 
-/**
- * <psi|H|psi> on a molecule's HF state: one full-scan sweep per term
- * through the test reference against ExpectationEngine::energy, one
- * sweep per X mask.
- */
-void
-variantEnergyRow(qccbench::JsonReport &rep, const char *molecule)
-{
-    const MolecularProblem prob =
-        buildMolecularProblem(benchmarkMolecule(molecule), 1.6);
-    const PauliSum &h = prob.hamiltonian;
-    const Statevector psi(prob.nQubits,
-                          hartreeFockMask(prob.nSpatial, prob.nElectrons));
+    std::vector<cplx> out(psi.dim());
+    row("lambda", timeMs([&] {
+            std::fill(out.begin(), out.end(), cplx(0.0));
+            for (const PauliTerm &t : h.terms())
+                accumulatePauli(psi, t.coeff.real(), t.string, out);
+        }),
+        timeMs([&] {
+            std::fill(out.begin(), out.end(), cplx(0.0));
+            groups.apply(psi.amplitudes().data(), psi.dim(), out.data());
+        }));
+
     const ExpectationEngine engine(h);
-    const double perTermMs = timeMs([&] {
-        double e = perTermEnergy(h, psi);
-        benchmark::DoNotOptimize(e);
-    });
-    const double byMaskMs = timeMs([&] {
-        double e = engine.energy(psi);
-        benchmark::DoNotOptimize(e);
-    });
-    std::printf("  energy %s (n=%u, %zu terms): per-term %.4f  "
-                "by-mask %.4f ms  [%.2fx]\n",
-                molecule, prob.nQubits, h.numTerms(), perTermMs,
-                byMaskMs, perTermMs / byMaskMs);
-    rep.row(std::string("energy_") + molecule,
-            {{"qubits", double(prob.nQubits)},
-             {"terms", double(h.numTerms())},
-             {"per_term_ms", perTermMs},
-             {"by_mask_ms", byMaskMs},
-             {"by_mask_vs_per_term", perTermMs / byMaskMs}});
+    row("energy", timeMs([&] {
+            double e = perTermEnergy(h, psi);
+            benchmark::DoNotOptimize(e);
+        }),
+        timeMs([&] {
+            double e = engine.energy(psi);
+            benchmark::DoNotOptimize(e);
+        }));
 }
 
 /**
@@ -515,10 +496,8 @@ variantReport()
     for (const std::string cls : {"", "x1", "bit0"})
         for (unsigned n : sizes)
             variantExpectationRow(rep, n, cls);
-    for (const char *molecule : {"LiH", "HF"}) {
-        variantLambdaRow(rep, molecule);
-        variantEnergyRow(rep, molecule);
-    }
+    for (const char *molecule : {"LiH", "HF"})
+        variantHamiltonianRows(rep, molecule);
     for (const char *molecule : {"LiH", "NaH"})
         variantDensityMatrixRow(rep, molecule);
 
