@@ -220,7 +220,6 @@ hamiltonianCompileStudy()
         const Ansatz prog = trotterProgram(p.hamiltonian);
 
         PipelineOptions serialOpts;
-        serialOpts.parallelSynthesis = false;
         serialOpts.useCache = false;
         CompilerPipeline serialPipe(tree, serialOpts);
         CompilerPipeline parallelPipe(tree, PipelineOptions{});
@@ -232,11 +231,17 @@ hamiltonianCompileStudy()
         };
         for (const Variant &v :
              {Variant{"", false}, Variant{"_terms", true}}) {
-            double serialMs =
-                v.perTerm
-                    ? timeTermCompiles(serialPipe, p.hamiltonian,
-                                       iters)
-                    : timeProgramCompiles(serialPipe, prog, iters);
+            // The serial row runs every pool sweep inline on one
+            // lane.
+            double serialMs;
+            {
+                ParallelWidthCap cap(1);
+                serialMs =
+                    v.perTerm
+                        ? timeTermCompiles(serialPipe, p.hamiltonian,
+                                           iters)
+                        : timeProgramCompiles(serialPipe, prog, iters);
+            }
             // Cache counters are global and cumulative; bracket the
             // cached run so the row reports only its own activity.
             const MetricCounter &hits =

@@ -1,16 +1,18 @@
 /**
  * @file
- * Gradient-engine study: serial (per-evaluation full replay) vs
- * batched (prefix-shared / pair-differenced, thread-pool fan-out)
- * parameter-shift gradients on LiH, in all three evaluation modes,
- * the ideal-mode adjoint against batched parameter shift, plus
- * analytic vs sampled gradient quality at a sweep of shot
+ * Gradient-engine study: serial (per-evaluation full replay on one
+ * lane) vs batched (prefix-shared / pair-differenced, thread-pool
+ * fan-out) parameter-shift gradients on LiH, in all three evaluation
+ * modes, the ideal-mode adjoint against batched parameter shift,
+ * plus analytic vs sampled gradient quality at a sweep of shot
  * budgets. Headline numbers land in BENCH_gradient.json under
- * QCC_JSON. The batched-vs-serial ratio on the gate-level noisy mode
- * is algorithmic (pair-difference suffix sweeps), so it holds even
- * on one core; the statevector modes additionally scale with
- * QCC_THREADS, drawing their per-task scratch states from the
- * common/parallel buffer pool. QCC_FULL=1 adds a 14-qubit NH3 row.
+ * QCC_JSON. The serial rows run the generic per-task replay under a
+ * one-lane ParallelWidthCap. The batched-vs-serial ratio on the
+ * gate-level noisy mode is algorithmic (pair-difference suffix
+ * sweeps), so it holds even on one core; the statevector modes
+ * additionally scale with QCC_THREADS, drawing their per-task
+ * scratch states from the common/parallel buffer pool. QCC_FULL=1
+ * adds a 14-qubit NH3 row.
  */
 
 #include <chrono>
@@ -46,6 +48,15 @@ millisSince(clock_type::time_point t0)
         .count();
 }
 
+/** `fn()` with every pool sweep it starts run inline, in order. */
+template <typename Fn>
+void
+serially(Fn fn)
+{
+    ParallelWidthCap cap(1);
+    fn();
+}
+
 double
 maxAbsDiff(const std::vector<double> &a, const std::vector<double> &b)
 {
@@ -78,10 +89,6 @@ main()
     SamplingOptions sampling;
 
     ParameterShiftEngine batched(prob.hamiltonian, ansatz);
-    GradientOptions serialOpts;
-    serialOpts.batched = false;
-    ParameterShiftEngine serial(prob.hamiltonian, ansatz,
-                                serialOpts);
 
     std::printf("molecule LiH: %u qubits, %u params, %zu shifted "
                 "evaluations per gradient, %u threads\n\n",
@@ -90,11 +97,11 @@ main()
     std::printf("%-10s %12s %12s %9s\n", "mode", "serial ms",
                 "batched ms", "speedup");
 
-    // Serial baseline: the generic engine path with batching off —
-    // every shifted energy is an independent full replay, exactly
-    // what a driver evaluating one energy at a time would do.
-    // Batched: prefix-shared (statevector) or pair-differenced
-    // (density-matrix) sweeps fanned over the pool.
+    // Serial baseline: the generic engine path on one lane — every
+    // shifted energy is an independent full replay, one after
+    // another, exactly what a driver evaluating one energy at a time
+    // would do. Batched: prefix-shared (statevector) or
+    // pair-differenced (density-matrix) sweeps fanned over the pool.
     auto timeMs = [&](auto fn) {
         fn(); // warm caches and the thread pool
         const auto t0 = clock_type::now();
@@ -125,7 +132,9 @@ main()
     };
     timeRow(
         "ideal",
-        [&] { serial.gradient(params, svMake, svEnergy); },
+        [&] {
+            serially([&] { batched.gradient(params, svMake, svEnergy); });
+        },
         [&] { batched.gradientStatevector(params, svEstimate); });
 
     // The route ideal-mode drivers take: reverse mode against the
@@ -158,7 +167,9 @@ main()
     };
     timeRow(
         "noisy",
-        [&] { serial.gradient(params, dmMake, dmEnergy); },
+        [&] {
+            serially([&] { batched.gradient(params, dmMake, dmEnergy); });
+        },
         [&] { batched.gradientNoisy(params, noise); });
 
     SamplingEngine samplerEngine(prob.hamiltonian, sampling);
@@ -173,7 +184,10 @@ main()
     };
     timeRow(
         "sampled",
-        [&] { serial.gradient(params, svMake, sampledEnergy); },
+        [&] {
+            serially(
+                [&] { batched.gradient(params, svMake, sampledEnergy); });
+        },
         [&] {
             batched.gradientStatevector(params, sampledEstimate);
         });
@@ -226,8 +240,6 @@ main()
             bigParams[i] = 0.05 * double(i + 1);
         ExpectationEngine bigEe(big.hamiltonian);
         ParameterShiftEngine bigBatched(big.hamiltonian, bigAnsatz);
-        ParameterShiftEngine bigSerial(big.hamiltonian, bigAnsatz,
-                                       serialOpts);
         auto bigEstimate = [&](const Statevector &psi, size_t) {
             return bigEe.energy(psi);
         };
@@ -242,7 +254,8 @@ main()
                     bigAnsatz.nQubits, bigAnsatz.nParams,
                     bigBatched.numShiftedEvaluations());
         auto t0 = clock_type::now();
-        bigSerial.gradient(bigParams, bigMake, bigEnergy);
+        serially(
+            [&] { bigBatched.gradient(bigParams, bigMake, bigEnergy); });
         const double serialMs = millisSince(t0);
         t0 = clock_type::now();
         bigBatched.gradientStatevector(bigParams, bigEstimate);

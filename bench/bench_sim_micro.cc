@@ -5,7 +5,8 @@
  *  - google-benchmark timings of the individual primitives (the
  *    specialized stride-based Pauli-rotation kernel vs the generic
  *    full-scan path and vs the equivalent basis+CNOT-chain gate
- *    circuit, plus Hamiltonian expectation evaluation);
+ *    circuit, plus Hamiltonian expectation evaluation per term and
+ *    by X mask);
  *
  *  - a variant report comparing the four execution tiers on a
  *    VQE-representative layered circuit and on the hot kernels:
@@ -15,15 +16,13 @@
  *    cache-blocked execution + AVX2, the production path).
  *    The variant rows are what lands in BENCH_sim.json (QCC_JSON=1);
  *    `fused_vs_kernel` at n >= 14 is the headline speedup. The
- *    rotation and expectation rows come per pivot class (x1, bit0
- *    and the unsuffixed pivot-2 string; the single-string
- *    expectation is scalar only, so its rows have no simd column),
- *    and the lambda and energy rows time H|psi> and <psi|H|psi> on
- *    LiH and HF per term against per X mask. The
- *    dm_circuit rows time the noisy Fig. 10 circuits (LiH, NaH) on
- *    the density matrix, per-gate against the fused executor. Pass
- *    --benchmark_filter=nope to skip the google-benchmark section and
- *    emit only the variant report.
+ *    rotation rows come per pivot class (x1, bit0 and the
+ *    unsuffixed pivot-2 string), and the lambda and energy rows time
+ *    H|psi> and <psi|H|psi> on LiH and HF per term against per X
+ *    mask. The dm_circuit rows time the noisy Fig. 10 circuits (LiH,
+ *    NaH) on the density matrix, per-gate against the fused
+ *    executor. Pass --benchmark_filter=nope to skip the
+ *    google-benchmark section and emit only the variant report.
  *
  * The generic kernels and the per-gate replays are the test
  * references of tests/sim_reference.hh.
@@ -135,33 +134,6 @@ benchGateDecomposition(benchmark::State &state)
     for (auto _ : state) {
         sv.applyCircuit(c);
         benchmark::DoNotOptimize(sv.amplitudes().data());
-    }
-    state.SetComplexityN(int64_t(1) << n);
-}
-
-void
-benchKernelExpectation(benchmark::State &state)
-{
-    const unsigned n = unsigned(state.range(0));
-    PauliString p = denseString(n);
-    Statevector sv(n);
-    for (auto _ : state) {
-        double e = sv.expectation(p);
-        benchmark::DoNotOptimize(e);
-    }
-    state.SetComplexityN(int64_t(1) << n);
-}
-
-void
-benchGenericExpectation(benchmark::State &state)
-{
-    const unsigned n = unsigned(state.range(0));
-    PauliString p = denseString(n);
-    Statevector sv(n);
-    for (auto _ : state) {
-        double e = expectationGeneric(sv.amplitudes().data(),
-                                      sv.dim(), p.xMask(), p.zMask());
-        benchmark::DoNotOptimize(e);
     }
     state.SetComplexityN(int64_t(1) << n);
 }
@@ -341,31 +313,6 @@ variantRotationRow(qccbench::JsonReport &rep, unsigned n,
              {"simd_vs_kernel", kernelMs / simdMs}});
 }
 
-void
-variantExpectationRow(qccbench::JsonReport &rep, unsigned n,
-                      const std::string &cls)
-{
-    PauliString p = pivotClassString(n, cls);
-    Statevector sv(n);
-    const double scalarMs = timeMs([&] {
-        double e = expectationGeneric(sv.amplitudes().data(),
-                                      sv.dim(), p.xMask(), p.zMask());
-        benchmark::DoNotOptimize(e);
-    });
-    // The kernel is scalar only: no simd column.
-    const double kernelMs = timeMs([&] {
-        double e = sv.expectation(p);
-        benchmark::DoNotOptimize(e);
-    });
-    std::printf("  %s: scalar %.3f  kernel %.3f ms\n",
-                rowName("expectation", cls, n).c_str(), scalarMs,
-                kernelMs);
-    rep.row(rowName("expectation", cls, n),
-            {{"qubits", double(n)},
-             {"scalar_ms", scalarMs},
-             {"kernel_ms", kernelMs}});
-}
-
 /**
  * lambda = H|psi> as the adjoint gradient computes it and <psi|H|psi>
  * as ExpectationEngine does (real coefficients, on the HF state): one
@@ -493,9 +440,6 @@ variantReport()
     for (const std::string cls : {"", "x1", "bit0"})
         for (unsigned n : sizes)
             variantRotationRow(rep, n, cls);
-    for (const std::string cls : {"", "x1", "bit0"})
-        for (unsigned n : sizes)
-            variantExpectationRow(rep, n, cls);
     for (const char *molecule : {"LiH", "HF"})
         variantHamiltonianRows(rep, molecule);
     for (const char *molecule : {"LiH", "NaH"})
@@ -510,8 +454,6 @@ variantReport()
 BENCHMARK(benchKernelRotation)->DenseRange(8, 20, 4);
 BENCHMARK(benchGenericRotation)->DenseRange(8, 20, 4);
 BENCHMARK(benchGateDecomposition)->DenseRange(8, 16, 4);
-BENCHMARK(benchKernelExpectation)->DenseRange(12, 20, 4);
-BENCHMARK(benchGenericExpectation)->DenseRange(12, 20, 4);
 BENCHMARK(benchLiHEnergyTermwise);
 BENCHMARK(benchLiHEnergyByMask);
 

@@ -21,15 +21,21 @@
  * repeated-compilation shape batch studies produce (same molecule,
  * new parameterization), so the cold-vs-shared gap isolates what
  * the process-wide caches buy a sweep and the warm-disk row shows
- * what survives a process restart. Speedups land in
- * BENCH_sweep.json; the aggregate store is written as
- * SWEEP_bench_sweep.json when QCC_JSON is set.
+ * what survives a process restart. Every row runs three times
+ * (five under QCC_FULL), each run from fresh in-memory caches and,
+ * for the cold disk row, an emptied store directory; a row reports
+ * its median wall time with the min and max, and every speedup is a
+ * ratio of medians, so one invocation reads through run-to-run
+ * noise. Speedups land in BENCH_sweep.json; the aggregate store is
+ * written as SWEEP_bench_sweep.json when QCC_JSON is set.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <map>
+#include <vector>
 
 #include "bench_util.hh"
 #include "compiler/cache.hh"
@@ -130,18 +136,46 @@ runStudy(const SweepSpec &spec, unsigned concurrency, bool cold_cache,
     return out;
 }
 
-void
-printRow(const char *label, const RunOutcome &o)
+/** A row's repeated runs: the median-wall run and the wall spread. */
+struct RowRuns
 {
-    std::printf("%-24s %10.1f %6zu %7zu %7zu %7zu %7zu %7zu\n",
-                label, o.wallMs, o.done, o.cacheHits, o.cacheMisses,
-                o.diskHits, o.diskWrites, o.problemBuilds);
+    RunOutcome median;
+    double minMs = 0.0;
+    double maxMs = 0.0;
+};
+
+/** Run one row `reps` times; `run()` performs and returns one run. */
+template <typename Run>
+RowRuns
+repeatRow(int reps, Run run)
+{
+    std::vector<RunOutcome> runs;
+    for (int r = 0; r < reps; ++r)
+        runs.push_back(run());
+    std::sort(runs.begin(), runs.end(),
+              [](const RunOutcome &a, const RunOutcome &b) {
+                  return a.wallMs < b.wallMs;
+              });
+    return {runs[runs.size() / 2], runs.front().wallMs,
+            runs.back().wallMs};
+}
+
+void
+printRow(const char *label, const RowRuns &r)
+{
+    const RunOutcome &o = r.median;
+    std::printf("%-24s %9.1f %8.1f-%-8.1f %5zu %6zu %6zu %6zu %6zu "
+                "%6zu\n",
+                label, o.wallMs, r.minMs, r.maxMs, o.done, o.cacheHits,
+                o.cacheMisses, o.diskHits, o.diskWrites,
+                o.problemBuilds);
 }
 
 double
-speedup(const RunOutcome &base, const RunOutcome &o)
+speedup(const RowRuns &base, const RowRuns &o)
 {
-    return o.wallMs > 0 ? base.wallMs / o.wallMs : 0.0;
+    return o.median.wallMs > 0 ? base.median.wallMs / o.median.wallMs
+                               : 0.0;
 }
 
 /**
@@ -183,6 +217,7 @@ main()
 
     const int nSeeds = fullMode() ? 16 : 8;
     const unsigned width = fullMode() ? parallelThreads() : 4;
+    const int reps = fullMode() ? 5 : 3;
     SweepSpec spec = studySpec(nSeeds);
 
     // The persistent-store rows use a scratch directory next to the
@@ -197,18 +232,23 @@ main()
     setStoreEnabled(true);
 
     std::printf("study: BeH2 full UCCSD, MtR on XTree17Q, %d "
-                "seed-varied jobs\n\n",
-                nSeeds);
-    std::printf("%-24s %10s %6s %7s %7s %7s %7s %7s\n",
-                "configuration", "wall(ms)", "done", "hits",
+                "seed-varied jobs; each row runs %d times and shows "
+                "the median wall time with the min-max spread\n\n",
+                nSeeds, reps);
+    std::printf("%-24s %9s %17s %5s %6s %6s %6s %6s %6s\n",
+                "configuration", "wall(ms)", "min-max", "done", "hits",
                 "misses", "dhits", "dwrite", "builds");
     rule();
 
     JsonReport report("sweep");
-    auto addRow = [&](const char *key, const RunOutcome &o,
-                      const RunOutcome *base, double conc) {
+    auto addRow = [&](const char *key, const RowRuns &r,
+                      const RowRuns *base, double conc) {
+        const RunOutcome &o = r.median;
         std::vector<std::pair<std::string, double>> cols = {
             {"wall_ms", o.wallMs},
+            {"wall_ms_min", r.minMs},
+            {"wall_ms_max", r.maxMs},
+            {"runs", double(reps)},
             {"jobs", double(nSeeds)},
             {"cache_hits", double(o.cacheHits)},
             {"cache_misses", double(o.cacheMisses)},
@@ -217,33 +257,36 @@ main()
             {"problem_builds", double(o.problemBuilds)}};
         // Concurrent rows differ from serial_shared only in
         // concurrency; the serial rows measure caching against
-        // serial_cold.
+        // serial_cold. Speedups are ratios of medians.
         if (conc > 0)
             cols.push_back({"concurrency", conc});
         if (base)
             cols.push_back({conc > 0 ? "speedup_vs_serial_shared"
                                      : "speedup_vs_serial_cold",
-                            speedup(*base, o)});
+                            speedup(*base, r)});
         report.row(key, cols);
     };
 
-    RunOutcome cold = runStudy(spec, 1, true);
+    const RowRuns cold =
+        repeatRow(reps, [&] { return runStudy(spec, 1, true); });
     printRow("serial, cold caches", cold);
     addRow("serial_cold", cold, nullptr, 0);
 
-    RunOutcome shared = runStudy(spec, 1, false);
+    const RowRuns shared =
+        repeatRow(reps, [&] { return runStudy(spec, 1, false); });
     printRow("serial, shared caches", shared);
     addRow("serial_shared", shared, &cold, 0);
 
     // Queue-wait probe: delta of the thread pool's
-    // parallel.queue_wait_us histogram across the concurrent run —
+    // parallel.queue_wait_us histogram across the concurrent runs —
     // how long tasks sat submitted-but-unclaimed. Milliseconds here
     // would mean the pool, not the work, is the bottleneck.
     MetricHistogram &qwait =
         metricHistogram("parallel.queue_wait_us");
     const MetricHistogram::Snapshot qwBefore = qwait.snapshot();
     ResultStore store("bench_sweep", true);
-    RunOutcome conc = runStudy(spec, width, false, &store);
+    const RowRuns conc = repeatRow(
+        reps, [&] { return runStudy(spec, width, false, &store); });
     const MetricHistogram::Snapshot qwAfter = qwait.snapshot();
     printRow(("concurrent x" + std::to_string(width) + ", capped")
                  .c_str(),
@@ -254,12 +297,13 @@ main()
     qw.sumUs = qwAfter.sumUs - qwBefore.sumUs;
     for (size_t i = 0; i < MetricHistogram::kBuckets; ++i)
         qw.buckets[i] = qwAfter.buckets[i] - qwBefore.buckets[i];
-    std::printf("  pool queue wait: %llu tasks, mean %.1f us, "
-                "p95 <= %.0f us\n",
-                (unsigned long long)qw.count, qw.mean(),
+    std::printf("  pool queue wait over %d runs: %llu tasks, mean "
+                "%.1f us, p95 <= %.0f us\n",
+                reps, (unsigned long long)qw.count, qw.mean(),
                 qw.quantile(0.95));
     report.row("queue_wait",
-               {{"tasks", double(qw.count)},
+               {{"runs", double(reps)},
+                {"tasks", double(qw.count)},
                 {"mean_us", qw.mean()},
                 {"p95_us", qw.quantile(0.95)}});
 
@@ -267,21 +311,28 @@ main()
     // with QCC_TRACE on, every span recording into the in-memory
     // buffers. Acceptance: within 3% of the untraced row — spans
     // are two clock reads and an appended struct, not a lock.
-    setTraceEnabled(true);
-    clearTrace();
-    RunOutcome traced = runStudy(spec, width, false);
-    setTraceEnabled(false);
-    const size_t tracedEvents = traceEventCount();
-    clearTrace();
+    size_t tracedEvents = 0;
+    const RowRuns traced = repeatRow(reps, [&] {
+        setTraceEnabled(true);
+        clearTrace();
+        const RunOutcome o = runStudy(spec, width, false);
+        setTraceEnabled(false);
+        tracedEvents = traceEventCount();
+        clearTrace();
+        return o;
+    });
     const double overheadPct =
-        conc.wallMs > 0
-            ? (traced.wallMs / conc.wallMs - 1.0) * 100.0
+        conc.median.wallMs > 0
+            ? (traced.median.wallMs / conc.median.wallMs - 1.0) * 100.0
             : 0.0;
     printRow(("concurrent x" + std::to_string(width) + ", traced")
                  .c_str(),
              traced);
     report.row("concurrent_traced",
-               {{"wall_ms", traced.wallMs},
+               {{"wall_ms", traced.median.wallMs},
+                {"wall_ms_min", traced.minMs},
+                {"wall_ms_max", traced.maxMs},
+                {"runs", double(reps)},
                 {"jobs", double(nSeeds)},
                 {"concurrency", double(width)},
                 {"trace_events", double(tracedEvents)},
@@ -292,8 +343,10 @@ main()
     // machine, oversubscribing it width-fold. The capped row above
     // splits parallelThreads() across the workers instead (results
     // are bit-identical either way; see common/parallel).
-    RunOutcome uncapped = runStudy(spec, width, false, nullptr,
-                                   /*cap_width=*/false);
+    const RowRuns uncapped = repeatRow(reps, [&] {
+        return runStudy(spec, width, false, nullptr,
+                        /*cap_width=*/false);
+    });
     printRow(("concurrent x" + std::to_string(width) + ", uncapped")
                  .c_str(),
              uncapped);
@@ -308,20 +361,26 @@ main()
     SweepSpec estSpec = spec;
     estSpec.name = "bench_sweep_estimate";
     estSpec.base.kind = "estimate";
-    RunOutcome est = runStudy(estSpec, 1, false);
+    const RowRuns est =
+        repeatRow(reps, [&] { return runStudy(estSpec, 1, false); });
     printRow("serial, estimate kind", est);
     addRow("estimate_kind", est, &cold, 0);
 
     // Persistent-store rows: first against an empty directory (pays
-    // serialization on every fresh compile/build), then against the
-    // directory that run just filled, with the in-memory caches
-    // dropped — the "new process, warm disk" case.
+    // serialization on every fresh compile/build; emptied before
+    // every run), then against the directory the last cold run
+    // filled, with the in-memory caches dropped — the "new process,
+    // warm disk" case.
     setStoreDir(storeRoot);
-    RunOutcome diskCold = runStudy(spec, 1, false);
+    const RowRuns diskCold = repeatRow(reps, [&] {
+        std::filesystem::remove_all(storeRoot, ec);
+        return runStudy(spec, 1, false);
+    });
     printRow("serial, disk store cold", diskCold);
     addRow("disk_cold", diskCold, &cold, 0);
 
-    RunOutcome warmDisk = runStudy(spec, 1, false);
+    const RowRuns warmDisk =
+        repeatRow(reps, [&] { return runStudy(spec, 1, false); });
     printRow("serial, disk store warm", warmDisk);
     addRow("warm_disk", warmDisk, &cold, 0);
 
@@ -335,7 +394,9 @@ main()
          "qcc_sweepd")
             .string();
     if (std::filesystem::exists(workerBin)) {
-        RunOutcome pool = runProcessPool(spec, width, workerBin);
+        const RowRuns pool = repeatRow(reps, [&] {
+            return runProcessPool(spec, width, workerBin);
+        });
         printRow(("process pool x" + std::to_string(width) +
                   ", warm disk")
                      .c_str(),
@@ -348,6 +409,7 @@ main()
     setStoreDir("");
 
     rule();
+    std::printf("medians of %d runs each:\n", reps);
     std::printf("concurrent vs serial shared:       %.2fx\n",
                 speedup(shared, conc));
     std::printf("width cap vs uncapped:             %.2fx\n",

@@ -8,8 +8,8 @@
  * With QCC_JSON set, each run's structured record (spec, energies,
  * full per-iteration trace) lands in RESULT_shot_budget_<shots>.json.
  *
- * Reproducible end to end from QCC_SEED; QCC_SHOTS overrides the
- * default budget of the final column.
+ * Reproducible end to end from QCC_SEED. The final column is 16
+ * times the sampler's default budget (SamplingOptions::shots).
  */
 
 #include <cmath>
@@ -45,7 +45,7 @@ main()
                 "energy", "err (mHa)", "total shots", "sigma");
     for (uint64_t shots :
          {uint64_t{1024}, uint64_t{8192}, uint64_t{65536},
-          SamplingOptions::defaultShots() * 16}) {
+          SamplingOptions{}.shots * 16}) {
         sampled.shots = shots;
         ExperimentResult res = Experiment(sampled).run();
         const auto &last = res.trace.points.back();

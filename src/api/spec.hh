@@ -100,8 +100,8 @@ struct ExperimentSpec
     /** Single-qubit depolarizing probability (noisy modes). */
     double singleQubitError = 0.0;
 
-    /** Shots per energy estimate; 0 uses the QCC_SHOTS-backed
-     *  default. */
+    /** Shots per energy estimate; 0 uses the sampler's default of
+     *  8192 (SamplingOptions::shots). */
     uint64_t shots = 0;
 
     /** Master seed; 0 uses the QCC_SEED-backed global seed. */

@@ -189,16 +189,8 @@ class BufferPool
         freeList.push_back(std::move(buf));
     }
 
-    /** Free buffers currently pooled (observability/tests). */
-    size_t
-    pooled() const
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        return freeList.size();
-    }
-
   private:
-    mutable std::mutex mutex;
+    std::mutex mutex;
     std::vector<std::vector<T>> freeList;
     size_t maxFree;
     size_t maxElements;

@@ -58,28 +58,6 @@ synthesizeChainCircuit(const Ansatz &ansatz,
     if (params.size() != ansatz.nParams)
         fatal("synthesizeChainCircuit: parameter count mismatch");
 
-    Circuit c(ansatz.nQubits);
-    if (include_hf_prep) {
-        for (unsigned q = 0; q < ansatz.nQubits; ++q)
-            if ((ansatz.hfMask >> q) & 1)
-                c.x(q);
-    }
-    for (const auto &r : ansatz.rotations) {
-        double theta = params[r.param] * r.coeff;
-        c.append(pauliRotationChain(r.string, theta, ansatz.nQubits));
-    }
-    return c;
-}
-
-Circuit
-synthesizeChainCircuitParallel(const Ansatz &ansatz,
-                               const std::vector<double> &params,
-                               bool include_hf_prep)
-{
-    if (params.size() != ansatz.nParams)
-        fatal("synthesizeChainCircuitParallel: parameter count "
-              "mismatch");
-
     const size_t n = ansatz.rotations.size();
     std::vector<Circuit> parts(n);
     parallelFor(

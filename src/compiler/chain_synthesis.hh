@@ -30,23 +30,15 @@ Circuit pauliRotationChain(const PauliString &p, double theta,
 
 /**
  * Chain-synthesize a whole ansatz program, optionally prefixed by the
- * Hartree-Fock X-gate preparation layer.
+ * Hartree-Fock X-gate preparation layer. The per-term subcircuits
+ * are synthesized on the common/parallel thread pool and stitched in
+ * program order (each term's plan is independent of every other's,
+ * so only the final concatenation is ordered): the circuit is the
+ * same at any lane cap.
  */
 Circuit synthesizeChainCircuit(const Ansatz &ansatz,
                                const std::vector<double> &params,
                                bool include_hf_prep = true);
-
-/**
- * Bit-identical to synthesizeChainCircuit, but the per-term
- * subcircuits are synthesized concurrently on the common/parallel
- * thread pool and stitched in program order (each term's plan is
- * independent of every other's, so only the final concatenation is
- * ordered). Worth it from a few hundred strings up; QCC_THREADS=1
- * makes it exactly the serial path.
- */
-Circuit synthesizeChainCircuitParallel(const Ansatz &ansatz,
-                                       const std::vector<double> &params,
-                                       bool include_hf_prep = true);
 
 /** CNOT count of the chain plan without materializing the circuit. */
 size_t chainCnotCount(const Ansatz &ansatz);

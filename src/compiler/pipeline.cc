@@ -150,12 +150,8 @@ ChainSynthesisPass::run(CompileState &state) const
 {
     if (!state.ansatz)
         throw CompileError(name(), -1, "no source program bound");
-    state.logical = par ? synthesizeChainCircuitParallel(
-                              *state.ansatz, state.params,
-                              state.includeHfPrep)
-                        : synthesizeChainCircuit(*state.ansatz,
-                                                 state.params,
-                                                 state.includeHfPrep);
+    state.logical = synthesizeChainCircuit(*state.ansatz, state.params,
+                                           state.includeHfPrep);
     if (!state.routed)
         state.circuit = state.logical;
 }
@@ -287,22 +283,24 @@ CompilerPipeline::buildManagers()
     using Flow = PipelineOptions::Flow;
     switch (opts.flow) {
       case Flow::ChainOnly:
-          synth.add(std::make_unique<ChainSynthesisPass>(
-              opts.parallelSynthesis));
+          synth.add(std::make_unique<ChainSynthesisPass>());
           break;
       case Flow::MergeToRoot:
           synth.add(std::make_unique<HierarchicalLayoutPass>());
           synth.add(std::make_unique<MergeToRootPass>());
           break;
       case Flow::Sabre:
-          synth.add(std::make_unique<ChainSynthesisPass>(
-              opts.parallelSynthesis));
+          synth.add(std::make_unique<ChainSynthesisPass>());
           synth.add(std::make_unique<SabreRoutePass>(opts.sabre));
           break;
     }
     if (opts.peephole)
         post.add(std::make_unique<PeepholePass>());
-    post.add(std::make_unique<VerifyPass>(opts.verifyTrials));
+    // A chain-only compile never routes, so without equivalence
+    // trials its verify pass would check nothing on every compile
+    // (every noisy energy evaluation is one).
+    if (opts.flow != Flow::ChainOnly || opts.verifyTrials > 0)
+        post.add(std::make_unique<VerifyPass>(opts.verifyTrials));
 
     // Program-independent key words, computed once: every compile's
     // key starts from a copy of this prefix.
@@ -490,10 +488,7 @@ CompilerPipeline::compileTerms(const PauliSum &h, double theta) const
             out[i] = compile(term, {theta});
         }
     };
-    if (opts.parallelSynthesis)
-        parallelFor(0, terms.size(), compileRange, /*grain=*/1);
-    else
-        compileRange(0, terms.size());
+    parallelFor(0, terms.size(), compileRange, /*grain=*/1);
     return out;
 }
 

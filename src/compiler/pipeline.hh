@@ -7,7 +7,9 @@
  * `Pass` and executes configurable ordered sequences through a
  * `PassManager` that records per-pass wall time and gate/CNOT/depth
  * deltas into a `PipelineReport` and enforces coupling invariants
- * after every mutating pass.
+ * after every mutating pass. The trailing verify pass runs on routed
+ * flows and wherever equivalence trials are asked for; a chain-only
+ * compile without trials has nothing for it to check.
  *
  * `CompilerPipeline` is the front door: a flow selection (chain-only,
  * Merge-to-Root, or SABRE) plus a content-hash keyed `CircuitCache`
@@ -122,7 +124,6 @@ class PassManager
   public:
     PassManager &add(std::unique_ptr<Pass> pass);
 
-    size_t numPasses() const { return sequence.size(); }
     std::vector<std::string> passNames() const;
 
     /** Execute the sequence, appending stats to `report`. */
@@ -138,14 +139,8 @@ class PassManager
 class ChainSynthesisPass : public Pass
 {
   public:
-    explicit ChainSynthesisPass(bool parallel = true)
-        : par(parallel)
-    {}
     const char *name() const override { return "chain-synthesis"; }
     void run(CompileState &state) const override;
-
-  private:
-    bool par;
 };
 
 /** Algorithm 2 hierarchical initial layout. */
@@ -219,11 +214,12 @@ struct PipelineOptions
     Flow flow = Flow::MergeToRoot;
 
     bool includeHfPrep = true;
-    bool parallelSynthesis = true; ///< fan chain terms over the pool
-    bool peephole = false;         ///< append the cancellation pass
+    bool peephole = false; ///< append the cancellation pass
     /**
      * Equivalence-check trials in the trailing verify pass; 0 keeps
      * only the coupling check (equivalence costs a 2^n simulation).
+     * The verify pass runs when the flow routes or trials > 0: an
+     * unrouted circuit with no trials has nothing to check.
      */
     int verifyTrials = 0;
     /**

@@ -33,7 +33,7 @@ DensityMatrixBackend::applyAnsatz(const Ansatz &ansatz,
     // noisy VQE loop is an angle rebind rather than a resynthesis.
     Circuit c = cachedChainCircuit(ansatz, params, true);
     prepare(0);
-    applyCircuit(c);
+    rho.applyCircuit(c, noiseModel);
 }
 
 } // namespace qcc

@@ -2,14 +2,16 @@
  * @file
  * Pluggable simulation backend for the VQE driver. SimBackend unifies
  * the ideal statevector simulator and the noisy density-matrix
- * simulator behind one interface (prepare / applyCircuit /
- * applyPauliRotation / expectation), so the energy-evaluation hot
- * path — and everything layered on it (VQE, benches, studies) — runs
- * unmodified against either. applyAnsatz is the policy hook: the
- * statevector backend replays the Pauli-rotation program with the
- * direct kernels, while the density-matrix backend chain-synthesizes
- * a gate circuit and inserts its noise channels, reproducing the
- * paper's Section VI-D noisy execution model.
+ * simulator behind one interface (prepare / applyPauliRotation /
+ * applyAnsatz / Pauli-sum expectation / measurement probabilities),
+ * so the energy-evaluation hot path — and everything layered on it
+ * (VQE, benches, studies) — runs unmodified against either.
+ * applyAnsatz is the policy hook: the statevector backend replays the
+ * Pauli-rotation program with the direct kernels, while the
+ * density-matrix backend chain-synthesizes a gate circuit and runs it
+ * with its noise channels, reproducing the paper's Section VI-D noisy
+ * execution model. Other gate circuits run on the simulator itself
+ * (state().applyCircuit).
  */
 
 #ifndef QCC_SIM_BACKEND_HH
@@ -34,23 +36,14 @@ class SimBackend
   public:
     virtual ~SimBackend() = default;
 
-    /** Short identifier ("statevector", "density_matrix"). */
-    virtual const char *name() const = 0;
-
     virtual unsigned numQubits() const = 0;
 
     /** Reset to the computational basis state |basis>. */
     virtual void prepare(uint64_t basis = 0) = 0;
 
-    /** Execute a gate circuit (noisy backends insert their channels). */
-    virtual void applyCircuit(const Circuit &c) = 0;
-
     /** Apply exp(i theta P) exactly. */
     virtual void applyPauliRotation(double theta,
                                     const PauliString &p) = 0;
-
-    /** Expectation of one Pauli string in the current state. */
-    virtual double expectation(const PauliString &p) const = 0;
 
     /** Expectation of a Pauli-sum Hamiltonian in the current state. */
     virtual double expectation(const PauliSum &h) const = 0;
@@ -89,26 +82,13 @@ class StatevectorBackend : public SimBackend
   public:
     explicit StatevectorBackend(unsigned n) : sv(n) {}
 
-    const char *name() const override { return "statevector"; }
     unsigned numQubits() const override { return sv.numQubits(); }
     void prepare(uint64_t basis = 0) override { sv.reset(basis); }
-
-    void
-    applyCircuit(const Circuit &c) override
-    {
-        sv.applyCircuit(c);
-    }
 
     void
     applyPauliRotation(double theta, const PauliString &p) override
     {
         sv.applyPauliRotation(theta, p);
-    }
-
-    double
-    expectation(const PauliString &p) const override
-    {
-        return sv.expectation(p);
     }
 
     double
@@ -135,10 +115,10 @@ class StatevectorBackend : public SimBackend
 };
 
 /**
- * Noisy backend over the density-matrix simulator. Circuits are
- * executed with the configured depolarizing noise model; applyAnsatz
- * chain-synthesizes the rotation program to gates first, so ansatz
- * CNOTs pay their noise cost exactly as in the paper's case studies.
+ * Noisy backend over the density-matrix simulator. applyAnsatz
+ * chain-synthesizes the rotation program to gates and executes them
+ * with the configured depolarizing noise model, so ansatz CNOTs pay
+ * their noise cost exactly as in the paper's case studies.
  */
 class DensityMatrixBackend : public SimBackend
 {
@@ -148,26 +128,13 @@ class DensityMatrixBackend : public SimBackend
     {
     }
 
-    const char *name() const override { return "density_matrix"; }
     unsigned numQubits() const override { return rho.numQubits(); }
     void prepare(uint64_t basis = 0) override { rho.reset(basis); }
-
-    void
-    applyCircuit(const Circuit &c) override
-    {
-        rho.applyCircuit(c, noiseModel);
-    }
 
     void
     applyPauliRotation(double theta, const PauliString &p) override
     {
         rho.applyPauliRotation(theta, p);
-    }
-
-    double
-    expectation(const PauliString &p) const override
-    {
-        return rho.expectation(p);
     }
 
     double

@@ -99,24 +99,6 @@ DensityMatrix::applyPauliRotation(double theta, const PauliString &p)
 }
 
 void
-DensityMatrix::applyGateNoisy(const Gate &g, const NoiseModel &noise)
-{
-    applyGate(g);
-    if (noise.isNoiseless())
-        return;
-    if (g.kind == GateKind::CNOT) {
-        depolarize2(g.q0, g.q1, noise.cnotDepolarizing);
-    } else if (g.kind == GateKind::SWAP) {
-        // A routed SWAP is three CNOTs on hardware: apply the
-        // two-qubit channel three times.
-        for (int i = 0; i < 3; ++i)
-            depolarize2(g.q0, g.q1, noise.cnotDepolarizing);
-    } else if (noise.singleQubitDepolarizing > 0.0) {
-        depolarize1(g.q0, noise.singleQubitDepolarizing);
-    }
-}
-
-void
 DensityMatrix::applyCircuit(const Circuit &c, const NoiseModel &noise)
 {
     validateCircuitOrThrow(c, nQubits);
@@ -180,7 +162,8 @@ DensityMatrix::applyGates(std::span<const Gate> gates,
             break;
           default: {
               if (p1 > 0.0) {
-                  applyGateNoisy(g, noise);
+                  applyGate(g);
+                  depolarize1(g.q0, p1);
                   sweeps += 3;
                   break;
               }
@@ -205,16 +188,6 @@ DensityMatrix::applyGates(std::span<const Gate> gates,
     for (unsigned q = 0; q < nQubits; ++q)
         flush(q);
     return sweeps;
-}
-
-void
-DensityMatrix::depolarize2(unsigned a, unsigned b, double p)
-{
-    // Uniform two-qubit depolarizing channel:
-    //   D(rho) = (1-p) rho + p/15 sum_{(P,Q) != II} (P@Q) rho (P@Q)
-    //          = (1 - 16p/15) rho + (16p/15) (I4/4 @ Tr_ab rho),
-    // swept as disjoint 4x4 sub-blocks by the dispatched kernel.
-    kern::depolarize2(vec.data(), vec.size(), a, b, nQubits, p);
 }
 
 void

@@ -4,7 +4,12 @@
  * the paper's noisy VQE case studies on LiH and NaH (Section VI-D).
  * The density matrix is stored in vectorized form: a 2^(2n) vector
  * whose low n index bits are the ket and high n bits the bra, so gates
- * act as U on the ket qubits and conj(U) on the bra qubits.
+ * act as U on the ket qubits and conj(U) on the bra qubits. Noise
+ * enters through applyGates: each CNOT carries the uniform two-qubit
+ * depolarizing channel in one fused sweep, and under single-qubit
+ * noise depolarize1 follows each 1q gate. The standalone two-qubit
+ * channel and the per-gate noisy replay are test references
+ * (tests/sim_reference.hh).
  */
 
 #ifndef QCC_SIM_DENSITY_MATRIX_HH
@@ -47,8 +52,8 @@ class DensityMatrix
      * Every channel and gate of this class is a linear map on this
      * vector, so callers may hold differences of density matrices in
      * a DensityMatrix and push them through gates/channels — the
-     * batched gradient engine's pair-difference sweep does exactly
-     * that. Writers must preserve the vector's length.
+     * gradient engine's pair-difference sweep does exactly that.
+     * Writers must preserve the vector's length.
      */
     std::vector<std::complex<double>> &vectorized() { return vec; }
     const std::vector<std::complex<double>> &vectorized() const
@@ -58,16 +63,6 @@ class DensityMatrix
 
     /** Apply a unitary gate (rho -> U rho U+). */
     void applyGate(const Gate &g);
-
-    /**
-     * One gate plus its noise channel, sweep by sweep: the gate on
-     * the ket bits, then on the bra bits, then depolarize2 after a
-     * CNOT (three times for a routed SWAP) or depolarize1 after a 1q
-     * gate when configured. applyGates takes this path for 1q gates
-     * under single-qubit noise; replayed gate by gate it is the
-     * reference the executor is tested against.
-     */
-    void applyGateNoisy(const Gate &g, const NoiseModel &noise);
 
     /**
      * Exact (noise-free) rho -> U rho U+ for U = exp(i theta P),
@@ -91,21 +86,19 @@ class DensityMatrix
      *    applied (U on the ket bit, conj(U) on the bra bit, one
      *    diagonal multiply each when U is diagonal) when a two-qubit
      *    gate touches the qubit or the range ends;
-     *  - each CNOT and its depolarize2 are one cxDepolarize2 sweep;
+     *  - each CNOT and its uniform two-qubit depolarizing channel
+     *    are one kern::cxDepolarize2 sweep;
      *  - a SWAP is three such sweeps, which is exact because the
      *    uniform two-qubit channel commutes with every unitary on
      *    its pair;
      *  - with single-qubit noise on, each 1q gate is applied at once
-     *    and followed by depolarize1, so nothing merges across a
-     *    channel.
+     *    (applyGate) and followed by depolarize1, so nothing merges
+     *    across a channel.
      *
      * Returns the number of sweeps over the vectorized state.
      */
     size_t applyGates(std::span<const Gate> gates,
                       const NoiseModel &noise);
-
-    /** Two-qubit depolarizing channel with probability p on (a, b). */
-    void depolarize2(unsigned a, unsigned b, double p);
 
     /** Single-qubit depolarizing channel with probability p on q. */
     void depolarize1(unsigned q, double p);

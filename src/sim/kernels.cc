@@ -158,35 +158,6 @@ XMaskGroups::expectation(const cplx *v, size_t dim) const
     return e;
 }
 
-double
-expectation(const cplx *amp, size_t dim, uint64_t x, uint64_t z)
-{
-    if (x == 0) {
-        return parallelReduce(
-            0, dim, 0.0, [=](size_t lo, size_t hi) {
-                return ranges::expectDiagScalar(amp, lo, hi, z);
-            });
-    }
-    // Pair-compacted sweep. The (b, b^x) contributions combine to
-    //   s_b (conj(a) a2 + sigma conj(a2) a)
-    // which is twice the real part of conj(a) a2 when sigma = +1 and
-    // twice i times its imaginary part when sigma = -1 (sigma and
-    // i^{|x&z|} always conspire to make <P> real), so each pair is a
-    // single real dot product.
-    const int e = std::popcount(x & z) & 3;
-    const bool sigmaPos = (std::popcount(z & x) & 1) == 0;
-    const uint64_t pivot = x & (~x + 1);
-    const double t = parallelReduce(
-        0, dim / 2, 0.0, [=](size_t lo, size_t hi) {
-            return ranges::expectPairsScalar(amp, lo, hi, x, z,
-                                             pivot, sigmaPos);
-        });
-    if (sigmaPos)
-        return 2.0 * iPow(e).real() * t;
-    // contribution = eps * (-2i) * t with eps = i^e.
-    return -2.0 * iPow(e + 1).real() * t;
-}
-
 cplx
 pauliInner(const cplx *bra, const cplx *ket, size_t dim, uint64_t x,
            uint64_t z)
@@ -226,23 +197,6 @@ depolarize1(cplx *rho, size_t dim, unsigned q, unsigned n_qubits,
     // per-element result is independent of the chunking.
     parallelFor(0, dim / 4, [=](size_t lo, size_t hi) {
         ranges::depolarize1(rho, lo, hi, kbit, bbit, keep, mix);
-    });
-}
-
-void
-depolarize2(cplx *rho, size_t dim, unsigned a, unsigned b,
-            unsigned n_qubits, double p)
-{
-    if (p <= 0.0)
-        return;
-    const double keep = 1.0 - 16.0 * p / 15.0;
-    const double mix = (16.0 * p / 15.0) / 4.0;
-    const uint64_t ka = 1ull << std::min(a, b);
-    const uint64_t kb = 1ull << std::max(a, b);
-    const uint64_t ba = ka << n_qubits;
-    const uint64_t bb = kb << n_qubits;
-    parallelFor(0, dim / 16, [=](size_t lo, size_t hi) {
-        ranges::depolarize2(rho, lo, hi, ka, kb, ba, bb, keep, mix);
     });
 }
 

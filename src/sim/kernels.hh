@@ -14,13 +14,16 @@
  * i^{|x&z|} prefactor and the (-1)^{|z&x|} partner-sign relation into
  * constants so each amplitude pair costs one popcount. A Pauli sum
  * is held by X mask (XMaskGroups): H*v and <v|H|v> make one sweep per
- * mask, not one per term. All sweeps are block-parallel via
- * parallelFor/parallelReduce, and each chunk runs through the range
- * primitives of sim/simd.hh, runtime-dispatched between scalar and
- * AVX2 bodies (QCC_SIMD selects the path; see that header) except
- * for the single-string expectation, which is scalar only.
+ * mask, not one per term, and <v|H|v> is the only expectation of a
+ * pure state (a single string's is a one-term sum). All sweeps are
+ * block-parallel via parallelFor/parallelReduce, and each chunk runs
+ * through the range primitives of sim/simd.hh, runtime-dispatched
+ * between scalar and AVX2 bodies (QCC_SIMD selects the path; see
+ * that header). On a density matrix the one two-qubit channel is
+ * fused with its CNOT (cxDepolarize2).
  *
- * The original full-scan implementations live on as test oracles in
+ * The original full-scan implementations, the single-string <P> and
+ * the standalone two-qubit channel live on as test oracles in
  * tests/sim_reference.hh; the kernel tests check equivalence against
  * them and bench_sim_micro measures the speedup.
  */
@@ -112,16 +115,9 @@ class XMaskGroups
 };
 
 /**
- * Re <amp| P |amp> (amp need not be normalized) for one string, on
- * the scalar pair bodies: a Pauli sum's <H> is
- * XMaskGroups::expectation.
- */
-double expectation(const cplx *amp, size_t dim, uint64_t x, uint64_t z);
-
-/**
  * <bra| P |ket> for two distinct states: read-only, pair-compacted
- * like expectation() (one popcount per amplitude pair, no scratch
- * copy of P|ket>), and reduced in fixed chunk order.
+ * (one popcount per amplitude pair, no scratch copy of P|ket>), and
+ * reduced in fixed chunk order.
  */
 cplx pauliInner(const cplx *bra, const cplx *ket, size_t dim,
                 uint64_t x, uint64_t z);
@@ -136,19 +132,12 @@ void depolarize1(cplx *rho, size_t dim, unsigned q, unsigned n_qubits,
                  double p);
 
 /**
- * Uniform two-qubit depolarizing channel on a vectorized density
- * matrix: D(rho) = (1 - 16p/15) rho + (16p/15)(I4/4 (x) Tr_ab rho).
- * No-op for p <= 0.
- */
-void depolarize2(cplx *rho, size_t dim, unsigned a, unsigned b,
-                 unsigned n_qubits, double p);
-
-/**
  * A noisy CNOT on a vectorized density matrix in one sweep: the
  * CNOT on the ket bits (control, target), the same on the bra bits,
- * then depolarize2 on the pair, rounding as those three sweeps do.
- * For p <= 0 the channel arithmetic is skipped and the sweep only
- * moves entries.
+ * then the uniform two-qubit depolarizing channel on the pair,
+ *   D(rho) = (1 - 16p/15) rho + (16p/15)(I4/4 (x) Tr_ab rho),
+ * rounding as those three sweeps do. For p <= 0 the channel
+ * arithmetic is skipped and the sweep only moves entries.
  */
 void cxDepolarize2(cplx *rho, size_t dim, unsigned control,
                    unsigned target, unsigned n_qubits, double p);

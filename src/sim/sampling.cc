@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstdlib>
 
 #include "common/logging.hh"
 #include "obs/trace.hh"
@@ -11,12 +10,15 @@
 
 namespace qcc {
 
-uint64_t
-SamplingOptions::defaultShots()
-{
-    static const uint64_t shots = envUint("QCC_SHOTS", 8192, 1);
-    return shots;
-}
+namespace {
+
+/**
+ * Floor per family: even a tiny-coefficient family keeps enough
+ * shots for a meaningful mean (and a nonzero variance estimate).
+ */
+constexpr uint64_t kMinShotsPerGroup = 16;
+
+} // namespace
 
 SamplingEngine::SamplingEngine(const PauliSum &h, SamplingOptions o)
     : ham(h), opts(o), nQubits(h.numQubits())
@@ -55,8 +57,9 @@ SamplingEngine::SamplingEngine(const PauliSum &h, SamplingOptions o)
     }
 
     // Shot allocation: proportional to family |coefficient| weight
-    // with a per-family floor, or uniform. Computed once — the
-    // allocation is a property of the Hamiltonian, not the state.
+    // with a per-family floor, uniform when every weight is zero.
+    // Computed once — the allocation is a property of the
+    // Hamiltonian, not the state.
     allocation.assign(groups.size(), 0);
     if (groups.empty())
         return;
@@ -64,13 +67,13 @@ SamplingEngine::SamplingEngine(const PauliSum &h, SamplingOptions o)
     for (const auto &g : groups)
         totalWeight += g.absWeight;
     const uint64_t floor_shots =
-        std::min(opts.minShotsPerGroup,
+        std::min(kMinShotsPerGroup,
                  std::max<uint64_t>(1, opts.shots / groups.size()));
     size_t heaviest = 0;
     uint64_t assigned = 0;
     for (size_t i = 0; i < groups.size(); ++i) {
         uint64_t s;
-        if (!opts.proportionalAllocation || totalWeight <= 0.0) {
+        if (totalWeight <= 0.0) {
             s = opts.shots / groups.size();
         } else {
             s = uint64_t(std::llround(

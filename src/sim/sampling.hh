@@ -4,10 +4,11 @@
  * ideal expectation path bypasses. Construction partitions the Pauli
  * sum into qubit-wise-commuting measurement families (pauli/grouping)
  * and fixes a per-family shot allocation proportional to the family's
- * total |coefficient| weight (the shot-frugal heuristic: families
- * that move the energy most get measured most; cf. the grouped
- * measurement-cost analyses of arXiv:2503.02778). Identity terms are
- * an exact constant and consume no shots.
+ * total |coefficient| weight, with a floor of 16 shots per family
+ * (the shot-frugal heuristic: families that move the energy most get
+ * measured most; cf. the grouped measurement-cost analyses of
+ * arXiv:2503.02778). Identity terms are an exact constant and consume
+ * no shots.
  *
  * measure() then samples each family's outcome distribution through
  * SimBackend::measurementProbabilities with a caller-supplied seeded
@@ -34,27 +35,14 @@
 
 namespace qcc {
 
-/** Shot budget and allocation policy for one energy estimate. */
+/** Shot budget and family partition for one energy estimate. */
 struct SamplingOptions
 {
     /**
      * Total shots per energy estimate, split across the measurement
-     * families. Defaults to QCC_SHOTS when the environment sets it,
-     * otherwise 8192.
+     * families. A spec's `shots` field sets it.
      */
-    uint64_t shots = defaultShots();
-
-    /**
-     * Floor per family: even a tiny-coefficient family keeps enough
-     * shots for a meaningful mean (and a nonzero variance estimate).
-     */
-    uint64_t minShotsPerGroup = 16;
-
-    /**
-     * Weighted allocation (shots_g proportional to sum_t |w_t| over
-     * the family) when true; uniform across families when false.
-     */
-    bool proportionalAllocation = true;
+    uint64_t shots = 8192;
 
     /**
      * Measurement-family partition strategy (null = greedy
@@ -62,9 +50,6 @@ struct SamplingOptions
      * names ("greedy", "sorted-insertion") onto this hook.
      */
     GroupingFn grouping;
-
-    /** QCC_SHOTS when set (parsed as unsigned), otherwise 8192. */
-    static uint64_t defaultShots();
 };
 
 /** One sampled energy estimate. */

@@ -204,22 +204,6 @@ pauliRotDiagScalar(cplx *amp, size_t b_lo, size_t b_hi, uint64_t z,
         amp[b] *= (std::popcount(z & b) & 1) ? f_odd : f_even;
 }
 
-double
-expectPairsScalar(const cplx *amp, size_t k_lo, size_t k_hi,
-                  uint64_t x, uint64_t z, uint64_t pivot,
-                  bool sigma_pos)
-{
-    double s = 0.0;
-    for (size_t k = k_lo; k < k_hi; ++k) {
-        const size_t b = expandBit(k, pivot);
-        const cplx a = amp[b], a2 = amp[b ^ x];
-        const double sb = paritySign(z, b);
-        s += sigma_pos ? sb * (a.real() * a2.real() + a.imag() * a2.imag())
-                       : sb * (a.real() * a2.imag() - a.imag() * a2.real());
-    }
-    return s;
-}
-
 cplx
 pauliInnerPairsScalar(const cplx *bra, const cplx *ket, size_t k_lo,
                       size_t k_hi, uint64_t x, uint64_t z,
@@ -260,16 +244,6 @@ maskMatvecScalar(cplx *out, const cplx *v, size_t b_lo, size_t b_hi,
     }
 }
 
-double
-expectDiagScalar(const cplx *amp, size_t b_lo, size_t b_hi,
-                 uint64_t z)
-{
-    double s = 0.0;
-    for (size_t b = b_lo; b < b_hi; ++b)
-        s += paritySign(z, b) * std::norm(amp[b]);
-    return s;
-}
-
 void
 depolarize1Scalar(cplx *amp, size_t k_lo, size_t k_hi, uint64_t kbit,
                   uint64_t bbit, double keep, double mix)
@@ -282,30 +256,6 @@ depolarize1Scalar(cplx *amp, size_t k_lo, size_t k_hi, uint64_t kbit,
             keep * amp[base | kbit | bbit] + mix * tr;
         amp[base | kbit] *= keep;
         amp[base | bbit] *= keep;
-    }
-}
-
-void
-depolarize2Scalar(cplx *amp, size_t k_lo, size_t k_hi, uint64_t ka,
-                  uint64_t kb, uint64_t ba, uint64_t bb, double keep,
-                  double mix)
-{
-    const uint64_t sub[4] = {0, ka, kb, ka | kb};
-    const uint64_t bsub[4] = {0, ba, bb, ba | bb};
-    for (size_t k = k_lo; k < k_hi; ++k) {
-        const size_t base = expandBit(
-            expandBit(expandBit(expandBit(k, ka), kb), ba), bb);
-        cplx tr = 0.0;
-        for (int s = 0; s < 4; ++s)
-            tr += amp[base | sub[s] | bsub[s]];
-        for (int s1 = 0; s1 < 4; ++s1) {
-            for (int s2 = 0; s2 < 4; ++s2) {
-                const size_t idx = base | sub[s1] | bsub[s2];
-                amp[idx] *= keep;
-                if (s1 == s2)
-                    amp[idx] += mix * tr;
-            }
-        }
     }
 }
 
@@ -326,9 +276,10 @@ cxDepolarize2Scalar(cplx *amp, size_t k_lo, size_t k_hi, uint64_t ka,
             for (int s2 = 0; s2 < 4; ++s2)
                 v[s1][s2] = amp[base | sub[perm[s1]] | bsub[perm[s2]]];
         if (noisy) {
-            // The same operations in the same order as
-            // depolarize2Scalar on the permuted block, so the fused
-            // sweep rounds exactly like the three-sweep sequence.
+            // The channel on the permuted block, the same operations
+            // in the same order as the standalone two-qubit sweep
+            // after two CNOT moves, so the fused sweep rounds like
+            // that three-sweep sequence.
             cplx tr = 0.0;
             for (int s = 0; s < 4; ++s)
                 tr += v[s][s];
@@ -985,56 +936,6 @@ depolarize1Avx2(cplx *ampc, size_t k_lo, size_t k_hi, uint64_t kbit,
     }
 }
 
-QCC_AVX2 void
-depolarize2Avx2(cplx *ampc, size_t k_lo, size_t k_hi, uint64_t ka,
-                uint64_t kb, uint64_t ba, uint64_t bb, double keep,
-                double mix)
-{
-    if (ka < 2) {
-        depolarize2Scalar(ampc, k_lo, k_hi, ka, kb, ba, bb, keep,
-                          mix);
-        return;
-    }
-    double *amp = reinterpret_cast<double *>(ampc);
-    const __m256d keepv = _mm256_set1_pd(keep);
-    const __m256d mixv = _mm256_set1_pd(mix);
-    const uint64_t sub[4] = {0, ka, kb, ka | kb};
-    const uint64_t bsub[4] = {0, ba, bb, ba | bb};
-    size_t k = k_lo;
-    while (k < k_hi) {
-        const size_t runEnd =
-            std::min<size_t>(k_hi, (k | (ka - 1)) + 1);
-        const size_t base = expandBit(
-            expandBit(expandBit(expandBit(k, ka), kb), ba), bb);
-        // 16 contiguous streams, one per 4x4 block entry.
-        double *p[4][4];
-        for (int s1 = 0; s1 < 4; ++s1)
-            for (int s2 = 0; s2 < 4; ++s2)
-                p[s1][s2] = amp + 2 * (base | sub[s1] | bsub[s2]);
-        const size_t len = runEnd - k;
-        size_t i = 0;
-        for (; i + 2 <= len; i += 2) {
-            __m256d tr = _mm256_loadu_pd(p[0][0] + 2 * i);
-            for (int s = 1; s < 4; ++s)
-                tr = _mm256_add_pd(tr,
-                                   _mm256_loadu_pd(p[s][s] + 2 * i));
-            for (int s1 = 0; s1 < 4; ++s1) {
-                for (int s2 = 0; s2 < 4; ++s2) {
-                    __m256d v = _mm256_mul_pd(
-                        keepv, _mm256_loadu_pd(p[s1][s2] + 2 * i));
-                    if (s1 == s2)
-                        v = _mm256_fmadd_pd(mixv, tr, v);
-                    _mm256_storeu_pd(p[s1][s2] + 2 * i, v);
-                }
-            }
-        }
-        if (i < len)
-            depolarize2Scalar(ampc, k + i, runEnd, ka, kb, ba, bb,
-                              keep, mix);
-        k = runEnd;
-    }
-}
-
 /**
  * cxDepolarize2Avx2 for a pair on qubit 0 (ka == 1). The two ket
  * states that differ in bit 0 are adjacent, so one register holds a
@@ -1076,7 +977,7 @@ cxDepolarize2Qubit0Avx2(cplx *ampc, size_t k_lo, size_t k_hi,
         }
         if (noisy) {
             // Diagonal entry s is lane s & 1 of v[s >> 1][s]; sum
-            // them in depolarize2Scalar's order.
+            // them in the scalar body's order.
             __m128d tr = _mm_setzero_pd();
             for (int s = 0; s < 4; ++s)
                 tr = _mm_add_pd(
@@ -1137,7 +1038,9 @@ cxDepolarize2Avx2(cplx *ampc, size_t k_lo, size_t k_hi, uint64_t ka,
                     v[s1][s2] = _mm256_loadu_pd(
                         p[perm[s1]][perm[s2]] + 2 * i);
             if (noisy) {
-                // depolarize2Avx2's operations on the permuted block.
+                // The channel on the permuted block: the trace in
+                // the scalar body's order, then keep, with mix * tr
+                // fused onto the diagonal.
                 __m256d tr = v[0][0];
                 for (int s = 1; s < 4; ++s)
                     tr = _mm256_add_pd(tr, v[s][s]);
@@ -1276,20 +1179,6 @@ depolarize1(cplx *amp, size_t k_lo, size_t k_hi, uint64_t kbit,
     }
 #endif
     depolarize1Scalar(amp, k_lo, k_hi, kbit, bbit, keep, mix);
-}
-
-void
-depolarize2(cplx *amp, size_t k_lo, size_t k_hi, uint64_t ka,
-            uint64_t kb, uint64_t ba, uint64_t bb, double keep,
-            double mix)
-{
-#ifdef QCC_SIMD_X86
-    if (simdActive()) {
-        depolarize2Avx2(amp, k_lo, k_hi, ka, kb, ba, bb, keep, mix);
-        return;
-    }
-#endif
-    depolarize2Scalar(amp, k_lo, k_hi, ka, kb, ba, bb, keep, mix);
 }
 
 void

@@ -24,11 +24,6 @@
  * (diagMul's scale), so the same code runs over a whole 2^n array or
  * over one L2-sized block of it.
  *
- * A single string's expectation has scalar bodies only: the energy
- * of a Pauli sum is one maskMatvec sweep per X mask
- * (kern::XMaskGroups::expectation), so no hot path reads one term at
- * a time.
- *
  * Index conventions match sim/kernels.hh: `b` ranges are raw basis
  * indices, `k` ranges are compacted pair indices expanded around a
  * pivot bit with expandBit.
@@ -124,17 +119,6 @@ void pauliRotDiagScalar(cplx *amp, size_t b_lo, size_t b_hi,
                         uint64_t z, cplx f_even, cplx f_odd);
 
 /**
- * Partial sums of one string's <P> (see kern::expectation): the
- * pair-compacted sum for x != 0 and sum_b (-1)^{|z&b|} |amp[b]|^2
- * over [b_lo, b_hi) for x = 0. Scalar only, with no dispatcher.
- */
-double expectPairsScalar(const cplx *amp, size_t k_lo, size_t k_hi,
-                         uint64_t x, uint64_t z, uint64_t pivot,
-                         bool sigma_pos);
-double expectDiagScalar(const cplx *amp, size_t b_lo, size_t b_hi,
-                        uint64_t z);
-
-/**
  * Pair-compacted partial sum of <bra|P|ket> / i^{|x&z|} over k in
  * [k_lo, k_hi) (x != 0, pivot = lowest set bit of x): the sum of
  * s_b (sigma conj(bra[b]) ket[b^x] + conj(bra[b^x]) ket[b]) with
@@ -186,27 +170,16 @@ void depolarize1Scalar(cplx *amp, size_t k_lo, size_t k_hi,
                        double mix);
 
 /**
- * Two-qubit depolarizing sweep: k compacts away the two ket bits
- * (ka < kb) and two bra bits (ba < bb, both above kb); each k names
- * a 4x4 sub-block scaled by `keep` with `mix * (partial trace over
- * the four diagonal entries)` added on the diagonal.
- */
-void depolarize2(cplx *amp, size_t k_lo, size_t k_hi, uint64_t ka,
-                 uint64_t kb, uint64_t ba, uint64_t bb, double keep,
-                 double mix);
-void depolarize2Scalar(cplx *amp, size_t k_lo, size_t k_hi,
-                       uint64_t ka, uint64_t kb, uint64_t ba,
-                       uint64_t bb, double keep, double mix);
-
-/**
  * A CNOT conjugated onto a vectorized density matrix, fused with
  * the two-qubit depolarizing channel on its pair: one sweep for what
- * applyCx on the ket bits, applyCx on the bra bits and depolarize2
- * do in three. k compacts away the same four bits as depolarize2;
- * `control_low` puts the control on the lower qubit (ka/ba), else on
- * the higher (kb/bb). Each 4x4 sub-block is read through the CNOT's
- * permutation and written back scaled by `keep`, with `mix * trace`
- * added on the diagonal; keep == 1 with mix == 0 only permutes.
+ * applyCx on the ket bits, applyCx on the bra bits and the channel
+ * would do in three. k compacts away the two ket bits (ka < kb) and
+ * the two bra bits (ba < bb, both above kb); `control_low` puts the
+ * control on the lower qubit (ka/ba), else on the higher (kb/bb).
+ * Each k names a 4x4 sub-block, read through the CNOT's permutation
+ * and written back scaled by `keep`, with `mix * (partial trace over
+ * the four diagonal entries)` added on the diagonal; keep == 1 with
+ * mix == 0 only permutes.
  */
 void cxDepolarize2(cplx *amp, size_t k_lo, size_t k_hi, uint64_t ka,
                    uint64_t kb, uint64_t ba, uint64_t bb,

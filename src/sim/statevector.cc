@@ -113,15 +113,6 @@ Statevector::applyPauliRotation(double theta, const PauliString &p)
                              p.zMask(), theta);
 }
 
-double
-Statevector::expectation(const PauliString &p) const
-{
-    if (p.numQubits() != nQubits)
-        panic("expectation: width mismatch");
-    return kern::expectation(amp.data(), amp.size(), p.xMask(),
-                             p.zMask());
-}
-
 std::vector<double>
 Statevector::basisProbabilities(
     const std::vector<std::pair<unsigned, PauliOp>> &rotations) const

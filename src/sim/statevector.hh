@@ -2,9 +2,9 @@
  * @file
  * Statevector simulator. Provides gate-by-gate execution of compiled
  * circuits (used to verify the compiler) and direct O(2^n) kernels for
- * Pauli-string rotations exp(i theta P) and Pauli expectation values
- * (used by the VQE driver, mirroring the paper's use of the Aer
- * statevector simulator). All sweeps dispatch to the specialized
+ * Pauli-string rotations exp(i theta P) and Pauli-sum expectation
+ * values (used by the VQE driver, mirroring the paper's use of the
+ * Aer statevector simulator). All sweeps dispatch to the specialized
  * block-parallel bit-mask kernels in sim/kernels.hh; see
  * sim/backend.hh for the backend interface the VQE layer consumes.
  */
@@ -39,9 +39,9 @@ class Statevector
     /**
      * |basis> on n qubits adopting `buffer` as amplitude storage
      * (resized to 2^n; no allocation when the buffer already has
-     * the capacity). Pairs with common/parallel's BufferPool so
-     * batched per-task states recycle heap blocks: move the storage
-     * back out through amplitudes() when done.
+     * the capacity). Pairs with common/parallel's BufferPool so the
+     * gradient engine's per-task states recycle heap blocks: move
+     * the storage back out through amplitudes() when done.
      */
     Statevector(unsigned n, uint64_t basis,
                 std::vector<cplx> &&buffer);
@@ -75,9 +75,6 @@ class Statevector
      * circuit of Section II-A, bypassing synthesis.
      */
     void applyPauliRotation(double theta, const PauliString &p);
-
-    /** <psi| P |psi> (real part; P is Hermitian). */
-    double expectation(const PauliString &p) const;
 
     /**
      * Computational-basis outcome probabilities after applying the

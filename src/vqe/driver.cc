@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/logging.hh"
+#include "common/optimize.hh"
 #include "obs/trace.hh"
 #include "vqe/optimizers.hh"
 
@@ -14,6 +15,21 @@ namespace qcc {
 namespace {
 
 using clock_type = std::chrono::steady_clock;
+
+/**
+ * Gradient descent's initial step. It stops at the L-BFGS defaults
+ * (LbfgsOptions: gradient infinity norm, relative energy change), so
+ * both gradient optimizers share one convergence criterion.
+ */
+constexpr double kDescentRate = 0.4;
+
+/**
+ * Stochastic modes re-read the energy at the best parameters with
+ * this multiple of the per-evaluation shot budget before reporting,
+ * so the returned energy is not limited by one iteration's noise
+ * floor.
+ */
+constexpr unsigned kFinalReadoutFactor = 8;
 
 double
 millisSince(clock_type::time_point t0)
@@ -64,7 +80,7 @@ VqeDriver::VqeDriver(const PauliSum &h, const Ansatz &a,
                      std::unique_ptr<EstimationStrategy> strat)
     : ham(h), ansatz(a), opts(std::move(o)),
       strategy(std::move(strat)),
-      shiftEngine(h, ansatz, opts.gradient)
+      shiftEngine(h, ansatz)
 {
     if (ham.numQubits() != ansatz.nQubits)
         fatal("VqeDriver: Hamiltonian/ansatz width mismatch");
@@ -77,12 +93,6 @@ VqeDriver::VqeDriver(const PauliSum &h, const Ansatz &a,
     traceData.mode = strategy->name();
     traceData.optimizer = optimizer->name();
     traceData.seed = opts.seed;
-}
-
-std::unique_ptr<SimBackend>
-VqeDriver::makeBackend() const
-{
-    return strategy->makeBackend();
 }
 
 void
@@ -128,8 +138,8 @@ VqeDriver::energy(const std::vector<double> &params)
 std::vector<double>
 VqeDriver::gradient(const std::vector<double> &params)
 {
-    // Per-call, per-task streams: independent of both scheduling and
-    // batching, so the batched fan-out is bit-identical to serial.
+    // Per-call, per-task streams: independent of scheduling, so the
+    // fan-out is bit-identical at any lane cap.
     const uint64_t callStream =
         deriveStream(deriveStream(opts.seed, kVqeStreamGradient),
                      gradCount);
@@ -148,6 +158,7 @@ VqeDriver::runGradientDescent()
     const bool stochastic = strategy->stochastic();
 
     VqeResult res;
+    const LbfgsOptions tol;
     prepareState(x);
     double var = 0.0;
     double e = measureCurrent(
@@ -164,7 +175,7 @@ VqeDriver::runGradientDescent()
         std::vector<double> g = gradient(x);
         const double gnorm = infNorm(g);
         recordPoint(iter, e, var, gnorm);
-        if (gnorm < opts.gtol) {
+        if (gnorm < tol.gtol) {
             res.converged = true;
             break;
         }
@@ -173,11 +184,11 @@ VqeDriver::runGradientDescent()
         std::vector<double> xNew = x;
         if (!stochastic) {
             // Deterministic objective: Armijo backtracking from the
-            // configured rate.
+            // initial step.
             double gg = 0.0;
             for (double v : g)
                 gg += v * v;
-            double step = opts.learningRate;
+            double step = kDescentRate;
             bool accepted = false;
             for (int ls = 0; ls < 30; ++ls) {
                 for (size_t j = 0; j < x.size(); ++j)
@@ -199,7 +210,7 @@ VqeDriver::runGradientDescent()
             // Stochastic estimates: decaying open-loop step (the
             // SPSA gain schedule), no line search to fool.
             const double step =
-                opts.learningRate / std::pow(iter + 1.0, 0.602);
+                kDescentRate / std::pow(iter + 1.0, 0.602);
             for (size_t j = 0; j < x.size(); ++j)
                 xNew[j] = x[j] - step * g[j];
             prepareState(xNew);
@@ -220,7 +231,7 @@ VqeDriver::runGradientDescent()
             bestX = x;
         }
         if (!stochastic &&
-            change < opts.ftol * (1.0 + std::fabs(e))) {
+            change < tol.ftol * (1.0 + std::fabs(e))) {
             ++iter;
             res.converged = true;
             break;
@@ -249,7 +260,7 @@ VqeDriver::run()
         span.arg("measure_ms", measureMs - measure0);
     }
 
-    if (strategy->stochastic() && opts.finalReadoutFactor > 1) {
+    if (strategy->stochastic()) {
         // Shot-frugal reporting: one generous readout at the best
         // parameters instead of tightening every iteration. The
         // strategy scales its own sampling policy, so injected
@@ -257,7 +268,7 @@ VqeDriver::run()
         prepareState(res.params);
         EnergyEstimate fin = strategy->finalReadout(
             *evalBackend, deriveStream(opts.seed, kVqeStreamReadout),
-            opts.finalReadoutFactor);
+            kFinalReadoutFactor);
         shotsTotal += fin.shots;
         res.energy = fin.energy;
         recordPoint(res.iterations, fin.energy, fin.variance, 0.0);

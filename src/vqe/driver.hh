@@ -27,6 +27,13 @@
  * without scraping stdout. All stochastic behavior derives from one
  * seed (default: the QCC_SEED-backed global seed).
  *
+ * VqeDriverOptions holds what a run varies: the optimizer, the noise
+ * and sampling models, the iteration budgets and the seed. The rest
+ * is fixed: gradient descent starts from a 0.4 step and stops at the
+ * L-BFGS default tolerances (LbfgsOptions), parameter shift uses
+ * s = pi/4 (vqe/gradient.hh), and stochastic modes report a final
+ * readout at 8x the per-evaluation shot budget.
+ *
  * Construction is strategy-injection only (the legacy EvalMode-enum
  * shim is gone): spec-level code goes through qcc::Experiment
  * (api/experiment.hh) or the sweep layer (sweep/sweep_engine.hh),
@@ -76,13 +83,9 @@ struct VqeDriverOptions
 
     NoiseModel noise;         ///< noisy-mode channels
     SamplingOptions sampling; ///< sampled-mode shot policy
-    GradientOptions gradient; ///< shift rule + batching
 
     int maxIter = 200;        ///< outer-loop iteration budget
     int spsaIter = 250;       ///< SPSA iteration budget
-    double learningRate = 0.4; ///< gradient-descent initial step
-    double gtol = 1e-5;       ///< gradient infinity-norm tolerance
-    double ftol = 1e-9;       ///< relative energy-change tolerance
 
     /**
      * Master seed for every stochastic component of the run (shot
@@ -91,14 +94,6 @@ struct VqeDriverOptions
      * the whole run.
      */
     uint64_t seed = globalSeed();
-
-    /**
-     * Stochastic modes re-read the energy at the best parameters
-     * with this multiple of the per-evaluation shot budget before
-     * reporting, so the returned energy is not limited by one
-     * iteration's noise floor.
-     */
-    unsigned finalReadoutFactor = 8;
 };
 
 /** One trace record. */
@@ -146,9 +141,6 @@ class VqeDriver
     VqeDriver(const VqeDriver &) = delete;
     VqeDriver &operator=(const VqeDriver &) = delete;
 
-    /** Fresh backend for the configured strategy's state model. */
-    std::unique_ptr<SimBackend> makeBackend() const;
-
     /**
      * One energy estimate at `params` (recorded in the trace).
      * Stochastic strategies consume a per-call rng stream derived
@@ -175,7 +167,6 @@ class VqeDriver
     const VqeTrace &trace() const { return traceData; }
     uint64_t shotsSpent() const { return shotsTotal; }
     const VqeDriverOptions &options() const { return opts; }
-    const EstimationStrategy &estimation() const { return *strategy; }
 
     /** Ansatz parameter count (optimizer start-vector dimension). */
     unsigned numParams() const { return ansatz.nParams; }

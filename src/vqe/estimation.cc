@@ -11,7 +11,6 @@ StateModel
 statevectorModel(unsigned n)
 {
     StateModel m;
-    m.id = "statevector";
     m.pureState = true;
     m.make = [n] { return std::make_unique<StatevectorBackend>(n); };
     return m;
@@ -21,7 +20,6 @@ StateModel
 densityMatrixModel(unsigned n, NoiseModel noise)
 {
     StateModel m;
-    m.id = "density_matrix";
     m.pureState = false;
     m.noise = noise;
     m.make = [n, noise] {
@@ -125,9 +123,9 @@ SampledEstimation::gradient(const ParameterShiftEngine &shift,
                             uint64_t *shots_out) const
 {
     // Every shifted evaluation spends the fixed allocation;
-    // accounted here once so the batched tasks touch no shared
+    // accounted here once so the parallel tasks touch no shared
     // state. Per-task streams derive from (call_stream, task), so
-    // batched and serial execution replay bit-for-bit.
+    // the gradient replays bit-for-bit at any lane cap.
     if (shots_out)
         *shots_out = gradientEvaluations(shift) * perEstimate;
     if (model.pureState)

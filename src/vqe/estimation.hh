@@ -54,15 +54,14 @@ struct EnergyEstimate
 };
 
 /**
- * The state-model half of a strategy: an identifier, whether the
- * state is pure (enabling the statevector gradient routes: the
- * adjoint under analytic readout, prefix-shared parameter shift
- * under shot readout), the noise channels (density-matrix models),
- * and a factory for fresh backends.
+ * The state-model half of a strategy: whether the state is pure
+ * (enabling the statevector gradient routes: the adjoint under
+ * analytic readout, prefix-shared parameter shift under shot
+ * readout), the noise channels (density-matrix models), and a
+ * factory for fresh backends.
  */
 struct StateModel
 {
-    std::string id;        ///< "statevector" | "density_matrix"
     bool pureState = true; ///< backend exposes a Statevector
     NoiseModel noise;      ///< channels (density-matrix model)
     BackendFactory make;   ///< fresh backend for this model
@@ -92,9 +91,6 @@ class EstimationStrategy
     /** True when estimates carry shot noise (stochastic readout). */
     virtual bool stochastic() const = 0;
 
-    /** Shots one estimate spends (0 for analytic readout). */
-    virtual uint64_t shotsPerEstimate() const { return 0; }
-
     /** Fresh backend realizing this strategy's state model. */
     virtual std::unique_ptr<SimBackend> makeBackend() const = 0;
 
@@ -109,9 +105,10 @@ class EstimationStrategy
     /**
      * Generous end-of-run readout at the best parameters: like
      * measure() but with `factor` times this strategy's per-estimate
-     * budget, using the strategy's own sampling policy (grouping,
-     * allocation). The default re-measures once — stochastic
-     * strategies with a scalable budget override.
+     * budget (the driver asks for 8x), using the strategy's own
+     * sampling policy (grouping, weight-proportional allocation).
+     * The default re-measures once — stochastic strategies with a
+     * scalable budget override.
      */
     virtual EnergyEstimate
     finalReadout(SimBackend &backend, uint64_t stream,
@@ -179,7 +176,6 @@ class SampledEstimation : public EstimationStrategy
 
     const std::string &name() const override { return modeName; }
     bool stochastic() const override { return true; }
-    uint64_t shotsPerEstimate() const override { return perEstimate; }
     std::unique_ptr<SimBackend> makeBackend() const override;
     EnergyEstimate measure(SimBackend &backend,
                            uint64_t stream) const override;
@@ -192,13 +188,11 @@ class SampledEstimation : public EstimationStrategy
     size_t
     gradientEvaluations(const ParameterShiftEngine &engine) const override;
 
-    const SamplingEngine &samplingEngine() const { return sampler; }
-
   private:
     SamplingEngine sampler;
     StateModel model;
     std::string modeName;
-    uint64_t perEstimate = 0;
+    uint64_t perEstimate = 0; ///< shots one estimate spends
 };
 
 /** Everything a mode factory needs to assemble a strategy. */

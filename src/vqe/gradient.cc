@@ -1,7 +1,6 @@
 #include "vqe/gradient.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/logging.hh"
 #include "common/parallel.hh"
@@ -15,10 +14,17 @@ namespace qcc {
 namespace {
 
 /**
- * Shared scratch-statevector pool for the batched per-task replays
- * and the adjoint's two states: with grain-1 fan-out every task is
- * its own chunk, so without the pool each shifted evaluation paid
- * one O(2^n) allocation.
+ * The parameter shift s = pi/4 on the rotation angle phi (the
+ * exp(i phi P) convention): sin(2s) is exactly 1 in double, so each
+ * derivative is the bare difference E+ - E-.
+ */
+constexpr double kShift = 0.78539816339744830961;
+
+/**
+ * Shared scratch-statevector pool for the per-task replays and the
+ * adjoint's two states: with grain-1 fan-out every task is its own
+ * chunk, so without the pool each shifted evaluation paid one O(2^n)
+ * allocation.
  */
 BufferPool<cplx> &
 statePool()
@@ -37,9 +43,6 @@ ParameterShiftEngine::ParameterShiftEngine(const PauliSum &h,
     if (ham.numQubits() != ansatz.nQubits)
         fatal("ParameterShiftEngine: Hamiltonian/ansatz width "
               "mismatch");
-    if (std::fabs(std::sin(2.0 * opts.shift)) < 1e-12)
-        fatal("ParameterShiftEngine: sin(2*shift) vanishes — the "
-              "two-point rule is singular at this shift");
 
     // The unrolled twin: same qubit count, same HF mask, same string
     // sequence, but one parameter per rotation with the coefficient
@@ -81,23 +84,17 @@ ParameterShiftEngine::baseAngles(
 }
 
 std::vector<double>
-ParameterShiftEngine::assemble(const std::vector<double> &perRotation,
-                               double scale) const
+ParameterShiftEngine::assemble(
+    const std::vector<double> &perRotation) const
 {
-    // Chain rule in fixed rotation order: batched and serial runs
-    // assemble identical sums.
+    // Chain rule in fixed rotation order: every lane cap assembles
+    // identical sums.
     std::vector<double> grad(source->nParams, 0.0);
     for (size_t i = 0; i < shiftable.size(); ++i) {
         const PauliRotation &r = source->rotations[shiftable[i]];
-        grad[r.param] += r.coeff * perRotation[i] * scale;
+        grad[r.param] += r.coeff * perRotation[i];
     }
     return grad;
-}
-
-double
-ParameterShiftEngine::shiftScale() const
-{
-    return 1.0 / std::sin(2.0 * opts.shift);
 }
 
 std::vector<double>
@@ -145,7 +142,7 @@ ParameterShiftEngine::gradientAdjoint(
     }
     statePool().release(std::move(psi.amplitudes()));
     statePool().release(std::move(lambda));
-    return assemble(dphi, 1.0);
+    return assemble(dphi);
 }
 
 std::vector<double>
@@ -195,7 +192,7 @@ ParameterShiftEngine::gradientStatevector(
                 for (size_t j = 0; j < rot; ++j)
                     sv.applyPauliRotation(base[j], rots[j].string);
             }
-            sv.applyPauliRotation(base[rot] + sign * opts.shift,
+            sv.applyPauliRotation(base[rot] + sign * kShift,
                                   rots[rot].string);
             for (size_t j = rot + 1; j < rots.size(); ++j)
                 sv.applyPauliRotation(base[j], rots[j].string);
@@ -203,15 +200,12 @@ ParameterShiftEngine::gradientStatevector(
         }
         statePool().release(std::move(sv.amplitudes()));
     };
-    if (opts.batched)
-        parallelFor(0, tasks, evalRange, /*grain=*/1);
-    else
-        evalRange(0, tasks);
+    parallelFor(0, tasks, evalRange, /*grain=*/1);
 
     std::vector<double> diffs(shiftable.size());
     for (size_t i = 0; i < shiftable.size(); ++i)
         diffs[i] = shifted[2 * i] - shifted[2 * i + 1];
-    return assemble(diffs, shiftScale());
+    return assemble(diffs);
 }
 
 std::vector<double>
@@ -252,8 +246,8 @@ ParameterShiftEngine::gradientNoisy(
         {
             DensityMatrix minus = prefix;
             Gate up = rz, down = rz;
-            up.angle -= 2.0 * opts.shift;   // phi + s
-            down.angle += 2.0 * opts.shift; // phi - s
+            up.angle -= 2.0 * kShift;   // phi + s
+            down.angle += 2.0 * kShift; // phi - s
             delta.applyGate(up);
             minus.applyGate(down);
             auto &dv = delta.vectorized();
@@ -284,14 +278,13 @@ ParameterShiftEngine::gradientNoisy(
             prefixes.push_back(rho);
             from = gi;
         }
-        auto evalRange = [&](size_t lo, size_t hi) {
-            for (size_t i = lo; i < hi; ++i)
-                diffs[i] = pairDiff(prefixes[i], i);
-        };
-        if (opts.batched)
-            parallelFor(0, shiftable.size(), evalRange, /*grain=*/1);
-        else
-            evalRange(0, shiftable.size());
+        parallelFor(
+            0, shiftable.size(),
+            [&](size_t lo, size_t hi) {
+                for (size_t i = lo; i < hi; ++i)
+                    diffs[i] = pairDiff(prefixes[i], i);
+            },
+            /*grain=*/1);
     } else {
         // Streaming fallback: one forward state, each pair handled
         // as it is reached. O(1) extra memory, inherently serial.
@@ -306,7 +299,7 @@ ParameterShiftEngine::gradientNoisy(
             from = rzIndex[i];
         }
     }
-    return assemble(diffs, shiftScale());
+    return assemble(diffs);
 }
 
 std::vector<double>
@@ -324,46 +317,18 @@ ParameterShiftEngine::gradient(const std::vector<double> &params,
             const size_t rot = shiftable[t / 2];
             const double sign = (t % 2 == 0) ? 1.0 : -1.0;
             std::vector<double> angles = base;
-            angles[rot] += sign * opts.shift;
+            angles[rot] += sign * kShift;
             std::unique_ptr<SimBackend> backend = make();
             backend->applyAnsatz(unrolled, angles);
             shifted[t] = energy(*backend, t);
         }
     };
-    if (opts.batched)
-        parallelFor(0, tasks, evalRange, /*grain=*/1);
-    else
-        evalRange(0, tasks);
+    parallelFor(0, tasks, evalRange, /*grain=*/1);
 
     std::vector<double> diffs(shiftable.size());
     for (size_t i = 0; i < shiftable.size(); ++i)
         diffs[i] = shifted[2 * i] - shifted[2 * i + 1];
-    return assemble(diffs, shiftScale());
-}
-
-std::vector<double>
-finiteDifferenceGradient(const Ansatz &ansatz,
-                         const std::vector<double> &params,
-                         const BackendFactory &make,
-                         const StateEnergyFn &energy, double step)
-{
-    if (params.size() != ansatz.nParams)
-        fatal("finiteDifferenceGradient: parameter count mismatch");
-    std::vector<double> grad(params.size());
-    std::vector<double> x = params;
-    for (size_t k = 0; k < params.size(); ++k) {
-        const double orig = x[k];
-        double e[2];
-        for (int s = 0; s < 2; ++s) {
-            x[k] = orig + (s == 0 ? step : -step);
-            std::unique_ptr<SimBackend> backend = make();
-            backend->applyAnsatz(ansatz, x);
-            e[s] = energy(*backend, 2 * k + size_t(s));
-        }
-        x[k] = orig;
-        grad[k] = (e[0] - e[1]) / (2.0 * step);
-    }
-    return grad;
+    return assemble(diffs);
 }
 
 } // namespace qcc

@@ -14,9 +14,11 @@
  *    no energy evaluation at all;
  *  - parameter shift: the energy is a sinusoid in phi, so
  *    dE/dphi = [E(phi + s) - E(phi - s)] / sin(2s), 2R shifted
- *    energies for R non-identity rotations. This serves the readouts
- *    that need each shifted state (shot sampling) and the noisy
- *    density-matrix model.
+ *    energies for R non-identity rotations. The shift is s = pi/4,
+ *    where sin(2s) is exactly 1 in double (the numerically optimal
+ *    two-point rule). This serves the readouts that need each
+ *    shifted state (shot sampling) and the noisy density-matrix
+ *    model.
  *
  * Batching the 2R shifted evaluations into one engine call is what
  * makes parameter shift cheap; the engine exploits it three ways:
@@ -33,7 +35,8 @@
  *    pipeline's CircuitCache, so no shift ever re-synthesizes;
  *  - thread fan-out: independent tasks run over the common/parallel
  *    pool; results land in task-indexed slots and reduce in fixed
- *    order, so batched and serial execution agree bit-for-bit.
+ *    order, so a run capped to one lane (ParallelWidthCap) agrees
+ *    with an uncapped one bit-for-bit.
  */
 
 #ifndef QCC_VQE_GRADIENT_HH
@@ -58,9 +61,9 @@ using BackendFactory = std::function<std::unique_ptr<SimBackend>()>;
 
 /**
  * Evaluates <H> in a backend's current (already prepared) state.
- * `task` is the stable shifted-evaluation index — identical between
- * serial and batched execution — so stochastic evaluators can derive
- * a per-task rng stream that does not depend on scheduling.
+ * `task` is the stable shifted-evaluation index — identical at any
+ * lane cap — so stochastic evaluators can derive a per-task rng
+ * stream that does not depend on scheduling.
  */
 using StateEnergyFn =
     std::function<double(SimBackend &backend, size_t task)>;
@@ -72,16 +75,6 @@ using StateEstimator =
 /** Parameter-shift configuration. */
 struct GradientOptions
 {
-    /**
-     * Shift s applied to the rotation angle phi (the exp(i phi P)
-     * convention). The default pi/4 makes sin(2s) = 1, the
-     * numerically optimal two-point rule.
-     */
-    double shift = 0.78539816339744830961; // pi/4
-
-    /** Fan independent tasks over the thread pool. */
-    bool batched = true;
-
     /**
      * Prefix-snapshot memory budget. When R snapshots exceed it the
      * statevector path replays each prefix from scratch and the
@@ -145,9 +138,7 @@ class ParameterShiftEngine
         return 2 * shiftable.size();
     }
 
-    const GradientOptions &options() const { return opts; }
     const Ansatz &unrolledAnsatz() const { return unrolled; }
-    const PauliSum &hamiltonian() const { return ham; }
 
   private:
     /** Resolved per-rotation base angles for `params`. */
@@ -155,15 +146,11 @@ class ParameterShiftEngine
     baseAngles(const std::vector<double> &params) const;
 
     /**
-     * Chain-rule assembly: per-rotation values (one per shiftable
-     * rotation) times `scale` land on their parameters.
+     * Chain-rule assembly: per-rotation derivatives (one per
+     * shiftable rotation) land on their parameters.
      */
     std::vector<double>
-    assemble(const std::vector<double> &perRotation,
-             double scale) const;
-
-    /** 1 / sin(2s): turns (E+ - E-) pairs into derivatives. */
-    double shiftScale() const;
+    assemble(const std::vector<double> &perRotation) const;
 
     GradientOptions opts;
     PauliSum ham;
@@ -172,18 +159,6 @@ class ParameterShiftEngine
     Ansatz unrolled;       ///< one parameter per rotation
     std::vector<size_t> shiftable; ///< non-identity rotation indices
 };
-
-/**
- * Central finite-difference gradient evaluated through the same
- * backend/energy plumbing — the independent cross-check the gradient
- * tests compare the shift rule against.
- */
-std::vector<double>
-finiteDifferenceGradient(const Ansatz &ansatz,
-                         const std::vector<double> &params,
-                         const BackendFactory &make,
-                         const StateEnergyFn &energy,
-                         double step = 1e-5);
 
 } // namespace qcc
 

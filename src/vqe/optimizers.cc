@@ -21,11 +21,8 @@ objectiveOf(VqeDriver &driver)
 VqeResult
 LbfgsVqeOptimizer::minimize(VqeDriver &driver) const
 {
-    const VqeDriverOptions &o = driver.options();
     LbfgsOptions lo;
-    lo.maxIter = o.maxIter;
-    lo.gtol = o.gtol;
-    lo.ftol = o.ftol;
+    lo.maxIter = driver.options().maxIter;
     GradientFn grad = [&driver](const std::vector<double> &x) {
         return driver.gradient(x);
     };

@@ -2,16 +2,18 @@
  * @file
  * Reference implementations the simulator's production paths are
  * tested and timed against: the seed's full-scan kernels, the
- * per-term H*v and <H>, and per-gate circuit replays on both
- * simulators. Production always runs the bit-mask kernels, H by X
- * mask and the fused executors; these stay here, beside the tests
- * that read them (test_kernels, test_pipeline_fuzz) and
- * bench_sim_micro.
+ * per-term H*v and <H>, the standalone two-qubit depolarizing
+ * channel, and per-gate circuit replays on both simulators.
+ * Production always runs the bit-mask kernels, H by X mask, the
+ * CNOT-fused channel and the fused executors; these stay here,
+ * beside the tests that read them (test_kernels, test_density_matrix,
+ * test_pipeline_fuzz) and bench_sim_micro.
  */
 
 #ifndef QCC_TESTS_SIM_REFERENCE_HH
 #define QCC_TESTS_SIM_REFERENCE_HH
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <complex>
@@ -126,8 +128,80 @@ applyPerGate(qcc::Statevector &sv, const qcc::Circuit &c)
 }
 
 /**
- * Gate-by-gate replay through DensityMatrix::applyGateNoisy. Returns
- * the sweeps it makes over the vectorized state, counted as
+ * Uniform two-qubit depolarizing channel on (a, b) of a vectorized
+ * density matrix over `dim` = 4^n entries:
+ *   D(rho) = (1-p) rho + p/15 sum_{(P,Q) != II} (P@Q) rho (P@Q)
+ *          = (1 - 16p/15) rho + (16p/15) (I4/4 @ Tr_ab rho),
+ * swept as disjoint 4x4 sub-blocks in one scalar pass. No-op for
+ * p <= 0. After two CNOT moves it is the three-sweep reference of
+ * kern::cxDepolarize2, which rounds the same way.
+ */
+inline void
+depolarize2(cplx *rho, size_t dim, unsigned a, unsigned b,
+            unsigned n_qubits, double p)
+{
+    if (p <= 0.0)
+        return;
+    const double keep = 1.0 - 16.0 * p / 15.0;
+    const double mix = (16.0 * p / 15.0) / 4.0;
+    const uint64_t ka = 1ull << std::min(a, b);
+    const uint64_t kb = 1ull << std::max(a, b);
+    const uint64_t ba = ka << n_qubits;
+    const uint64_t bb = kb << n_qubits;
+    const uint64_t sub[4] = {0, ka, kb, ka | kb};
+    const uint64_t bsub[4] = {0, ba, bb, ba | bb};
+    using qcc::kern::expandBit;
+    for (size_t k = 0; k < dim / 16; ++k) {
+        const size_t base = expandBit(
+            expandBit(expandBit(expandBit(k, ka), kb), ba), bb);
+        cplx tr = 0.0;
+        for (int s = 0; s < 4; ++s)
+            tr += rho[base | sub[s] | bsub[s]];
+        for (int s1 = 0; s1 < 4; ++s1) {
+            for (int s2 = 0; s2 < 4; ++s2) {
+                const size_t idx = base | sub[s1] | bsub[s2];
+                rho[idx] *= keep;
+                if (s1 == s2)
+                    rho[idx] += mix * tr;
+            }
+        }
+    }
+}
+
+/** The two-qubit channel with probability p on (a, b) of rho. */
+inline void
+depolarize2(qcc::DensityMatrix &rho, unsigned a, unsigned b, double p)
+{
+    depolarize2(rho.vectorized().data(), rho.vectorized().size(), a, b,
+                rho.numQubits(), p);
+}
+
+/**
+ * One gate plus its noise channel, sweep by sweep: the gate on the
+ * ket bits, then on the bra bits, then the two-qubit channel after
+ * a CNOT (three times for a routed SWAP, which is three CNOTs on
+ * hardware) or depolarize1 after a 1q gate when configured.
+ */
+inline void
+applyGateNoisy(qcc::DensityMatrix &rho, const qcc::Gate &g,
+               const qcc::NoiseModel &noise)
+{
+    rho.applyGate(g);
+    if (noise.isNoiseless())
+        return;
+    if (g.kind == qcc::GateKind::CNOT) {
+        depolarize2(rho, g.q0, g.q1, noise.cnotDepolarizing);
+    } else if (g.kind == qcc::GateKind::SWAP) {
+        for (int i = 0; i < 3; ++i)
+            depolarize2(rho, g.q0, g.q1, noise.cnotDepolarizing);
+    } else if (noise.singleQubitDepolarizing > 0.0) {
+        rho.depolarize1(g.q0, noise.singleQubitDepolarizing);
+    }
+}
+
+/**
+ * Gate-by-gate replay through applyGateNoisy. Returns the sweeps it
+ * makes over the vectorized state, counted as
  * DensityMatrix::applyGates counts its own.
  */
 inline size_t
@@ -138,7 +212,7 @@ applyPerGate(qcc::DensityMatrix &rho, const qcc::Circuit &c,
     const double p1 = noise.singleQubitDepolarizing;
     size_t sweeps = 0;
     for (const qcc::Gate &g : c.gates()) {
-        rho.applyGateNoisy(g, noise);
+        applyGateNoisy(rho, g, noise);
         if (g.kind == qcc::GateKind::CNOT)
             sweeps += p2 > 0.0 ? 3 : 2;
         else if (g.kind == qcc::GateKind::SWAP)

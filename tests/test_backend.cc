@@ -82,14 +82,14 @@ TEST(Backend, PrepareResetsState)
     Circuit c(3);
     c.h(0);
     c.cnot(0, 2);
-    be.applyCircuit(c);
+    be.state().applyCircuit(c);
     be.prepare(0b101);
     EXPECT_NEAR(std::abs(be.state().amplitudes()[0b101]), 1.0, 1e-14);
 
     DensityMatrixBackend dm(2);
     Circuit c2(2);
     c2.h(1);
-    dm.applyCircuit(c2);
+    dm.state().applyCircuit(c2);
     dm.prepare(0b10);
     EXPECT_NEAR(std::abs(dm.state().element(0b10, 0b10) - 1.0), 0.0,
                 1e-14);
@@ -130,8 +130,9 @@ TEST(Backend, DensityMatrixPauliRotationMatchesStatevector)
         for (int probe = 0; probe < 6; ++probe) {
             PauliString obs(n, rng.index(1ull << n),
                             rng.index(1ull << n));
-            EXPECT_NEAR(sv.expectation(obs), dm.expectation(obs),
-                        1e-11)
+            PauliSum one(n);
+            one.add(1.0, obs);
+            EXPECT_NEAR(sv.expectation(one), dm.expectation(one), 1e-11)
                 << "rot " << p.str() << " obs " << obs.str();
         }
     }

@@ -3,8 +3,8 @@
  * Gradient tests: agreement with central finite differences on every
  * evaluation path (adjoint, ideal statevector, noisy pair-difference,
  * generic backend replay), adjoint against parameter shift on the
- * benchmark molecules, bit-for-bit equality of batched and serial
- * execution, of capped and uncapped lanes, and of the prefix-shared
+ * benchmark molecules, bit-for-bit equality of pooled and serial
+ * (one-lane ParallelWidthCap) execution and of the prefix-shared
  * fast paths against full replays, CircuitCache reuse on the
  * gate-level path, the evals accounting, and convergence of the
  * gradient-driven optimizers.
@@ -28,8 +28,10 @@
 #include "vqe/gradient.hh"
 #include "vqe/optimizers.hh"
 #include "vqe/vqe.hh"
+#include "vqe_test_util.hh"
 
 using namespace qcc;
+using qcc_test::finiteDifferenceGradient;
 
 namespace {
 
@@ -120,6 +122,15 @@ randomProblem(unsigned n, unsigned nRot, uint64_t seed)
     return {std::move(h), std::move(a)};
 }
 
+/** `fn()` with every pool sweep it starts run inline, in order. */
+template <typename Fn>
+auto
+serially(Fn fn)
+{
+    ParallelWidthCap cap(1);
+    return fn();
+}
+
 } // namespace
 
 TEST(Gradient, ShiftMatchesFiniteDifferences_Ideal)
@@ -195,27 +206,26 @@ TEST(Gradient, BatchedEqualsSerialBitForBit)
     NoiseModel noise = NoiseModel::paperDefault();
     auto params = testParams(fix.ansatz.nParams);
 
-    ParameterShiftEngine batched(fix.prob.hamiltonian, fix.ansatz);
-    GradientOptions serialOpts;
-    serialOpts.batched = false;
-    ParameterShiftEngine serial(fix.prob.hamiltonian, fix.ansatz,
-                                serialOpts);
+    ParameterShiftEngine engine(fix.prob.hamiltonian, fix.ansatz);
 
     auto est = [&](const Statevector &psi, size_t) {
         return ee.energy(psi);
     };
-    EXPECT_EQ(batched.gradientStatevector(params, est),
-              serial.gradientStatevector(params, est));
-    EXPECT_EQ(batched.gradientNoisy(params, noise),
-              serial.gradientNoisy(params, noise));
+    EXPECT_EQ(engine.gradientStatevector(params, est), serially([&] {
+                  return engine.gradientStatevector(params, est);
+              }));
+    EXPECT_EQ(engine.gradientNoisy(params, noise), serially([&] {
+                  return engine.gradientNoisy(params, noise);
+              }));
 
     auto make = [&] {
         return std::make_unique<StatevectorBackend>(
             fix.ansatz.nQubits);
     };
     auto energy = [&](SimBackend &b, size_t) { return ee.energy(b); };
-    EXPECT_EQ(batched.gradient(params, make, energy),
-              serial.gradient(params, make, energy));
+    EXPECT_EQ(engine.gradient(params, make, energy), serially([&] {
+                  return engine.gradient(params, make, energy);
+              }));
 }
 
 TEST(Gradient, BatchedEqualsSerialAtParallelKernelSizes)
@@ -237,33 +247,31 @@ TEST(Gradient, BatchedEqualsSerialAtParallelKernelSizes)
         auto [h, a] = randomProblem(16, 4, 3);
         addDiagonalTerms(h, 16);
         ExpectationEngine ee(h);
-        ParameterShiftEngine batched(h, a);
-        GradientOptions so;
-        so.batched = false;
-        ParameterShiftEngine serial(h, a, so);
+        ParameterShiftEngine engine(h, a);
         std::vector<double> p(a.nParams, 0.15);
         auto est = [&](const Statevector &psi, size_t) {
             return ee.energy(psi);
         };
-        const auto g = batched.gradientStatevector(p, est);
+        const auto g = engine.gradientStatevector(p, est);
         EXPECT_GT(maxAbsDiff(g, std::vector<double>(g.size(), 0.0)),
                   1e-2);
-        EXPECT_EQ(g, serial.gradientStatevector(p, est));
+        EXPECT_EQ(g, serially([&] {
+                      return engine.gradientStatevector(p, est);
+                  }));
     }
     {
         auto [h, a] = randomProblem(8, 3, 5);
         addDiagonalTerms(h, 8);
         NoiseModel noise;
         noise.cnotDepolarizing = 1e-3;
-        ParameterShiftEngine batched(h, a);
-        GradientOptions so;
-        so.batched = false;
-        ParameterShiftEngine serial(h, a, so);
+        ParameterShiftEngine engine(h, a);
         std::vector<double> p(a.nParams, 0.15);
-        const auto g = batched.gradientNoisy(p, noise);
+        const auto g = engine.gradientNoisy(p, noise);
         EXPECT_GT(maxAbsDiff(g, std::vector<double>(g.size(), 0.0)),
                   1e-2);
-        EXPECT_EQ(g, serial.gradientNoisy(p, noise));
+        EXPECT_EQ(g, serially([&] {
+                      return engine.gradientNoisy(p, noise);
+                  }));
     }
 }
 
@@ -436,14 +444,11 @@ TEST(Gradient, SampledGradientSeededAndBatchingInvariant)
 
     VqeDriver d1(fix.prob.hamiltonian, fix.ansatz, o, sampled(o));
     VqeDriver d2(fix.prob.hamiltonian, fix.ansatz, o, sampled(o));
-    VqeDriverOptions serial = o;
-    serial.gradient.batched = false;
-    VqeDriver d3(fix.prob.hamiltonian, fix.ansatz, serial,
-                 sampled(serial));
+    VqeDriver d3(fix.prob.hamiltonian, fix.ansatz, o, sampled(o));
 
     auto g1 = d1.gradient(params);
     auto g2 = d2.gradient(params);
-    auto g3 = d3.gradient(params);
+    auto g3 = serially([&] { return d3.gradient(params); });
     EXPECT_EQ(g1, g2); // same seed -> identical draws
     EXPECT_EQ(g1, g3); // scheduling never leaks into the streams
 

@@ -161,22 +161,6 @@ TEST(Kernels, PauliRotationMatchesGeneric)
     }
 }
 
-TEST(Kernels, ExpectationMatchesGeneric)
-{
-    Rng rng(13);
-    for (unsigned n : {1u, 4u, 8u}) {
-        auto amp = randomAmplitudes(n, 55 + n);
-        for (int rep = 0; rep < 20; ++rep) {
-            PauliString p = randomString(n, rng);
-            double fast = kern::expectation(amp.data(), amp.size(),
-                                            p.xMask(), p.zMask());
-            double ref = expectationGeneric(
-                amp.data(), amp.size(), p.xMask(), p.zMask());
-            EXPECT_NEAR(fast, ref, 1e-12) << p.str();
-        }
-    }
-}
-
 namespace {
 
 /**
@@ -268,8 +252,8 @@ TEST(Kernels, PauliInnerOnOneStateIsTheExpectation)
             const cplx inner = kern::pauliInner(
                 amp.data(), amp.data(), amp.size(), p.xMask(),
                 p.zMask());
-            const double e = kern::expectation(amp.data(), amp.size(),
-                                               p.xMask(), p.zMask());
+            const double e = expectationGeneric(
+                amp.data(), amp.size(), p.xMask(), p.zMask());
             EXPECT_NEAR(inner.real(), e, 1e-12) << p.str();
             EXPECT_NEAR(inner.imag(), 0.0, 1e-12) << p.str();
         }
@@ -362,31 +346,17 @@ TEST(Kernels, ParallelSweepMatchesSerial)
     EXPECT_NEAR(e, 1.0, 1e-10);
 }
 
-TEST(Kernels, GroupedExpectationMatchesTermwise)
-{
-    Rng rng(23);
-    for (unsigned n : {3u, 6u}) {
-        PauliSum h(n);
-        for (int t = 0; t < 25; ++t)
-            h.add(rng.gaussian(), randomString(n, rng));
-        h.simplify();
-
-        Statevector psi = randomState(n, 40 + n);
-        ExpectationEngine engine(h);
-        EXPECT_NEAR(engine.energy(psi), psi.expectation(h), 1e-10)
-            << "n=" << n;
-    }
-}
-
 TEST(Kernels, ExpectationWidthMismatchPanics)
 {
-    // Regression: the PauliString overload used to silently accept a
-    // width-mismatched string (reading out of range).
+    // Regression: the single-string expectation used to silently
+    // accept a width-mismatched string (reading out of range); the
+    // Pauli-sum path must refuse one too.
     // Pool workers may be alive from earlier tests; fork+exec style
     // keeps the death test safe with threads running.
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     Statevector sv(3);
-    PauliString wide = PauliString::fromString("ZZZZZ");
+    PauliSum wide(5);
+    wide.add(1.0, PauliString::fromString("ZZZZZ"));
     EXPECT_DEATH(sv.expectation(wide), "width mismatch");
 }
 
@@ -454,22 +424,6 @@ TEST(Simd, PauliRotationMatchesScalarAndGeneric)
             }
             expectClose(vec, ref, "simd rotation " + p.str());
             expectClose(sca, ref, "scalar rotation " + p.str());
-        }
-    }
-}
-
-TEST(Simd, ExpectationMatchesScalarAndGeneric)
-{
-    Rng rng(41);
-    for (unsigned n : {1u, 3u, 5u, 13u, 16u, 17u}) {
-        auto amp = randomAmplitudes(n, 90 + n);
-        for (int rep = 0; rep < 16; ++rep) {
-            PauliString p = randomString(n, rng);
-            const double ref = expectationGeneric(
-                amp.data(), amp.size(), p.xMask(), p.zMask());
-            const double sca = kern::expectation(
-                amp.data(), amp.size(), p.xMask(), p.zMask());
-            EXPECT_NEAR(sca, ref, 1e-12) << "scalar " << p.str();
         }
     }
 }
@@ -574,9 +528,8 @@ TEST(Simd, PairPrimitivesStayInsideTheirRange)
     // Drive the range primitives on sub-ranges, as the parallel
     // sweeps' chunks do, for every pivot class: a sub-range writes
     // exactly its own pairs, a rotation rounds each pair the same at
-    // any chunking, and a partial sum covers exactly its own pairs
-    // (an expectation's, with the ranges around it, adds up to the
-    // whole sweep).
+    // any chunking, and an inner product's partial sum agrees
+    // between the dispatched and scalar bodies.
     Rng rng(53);
     for (unsigned n : {1u, 2u, 7u, 16u}) {
         const size_t dim = size_t{1} << n;
@@ -607,13 +560,6 @@ TEST(Simd, PairPrimitivesStayInsideTheirRange)
                         : kern::ranges::pauliRotPairs)(
                     a.data(), lo, hi, m.x, m.z, pivot, c, ur, ui,
                     sigma * ur, sigma * ui);
-            };
-            auto expect = [&](size_t lo, size_t hi) { // scalar only
-                if (m.x == 0)
-                    return kern::ranges::expectDiagScalar(ket.data(), lo,
-                                                          hi, m.z);
-                return kern::ranges::expectPairsScalar(
-                    ket.data(), lo, hi, m.x, m.z, pivot, sigma > 0);
             };
             auto inner = [&](size_t lo, size_t hi, bool scalar) {
                 if (m.x == 0) // one body, scalar
@@ -652,11 +598,6 @@ TEST(Simd, PairPrimitivesStayInsideTheirRange)
                             << "rotation [" << lo << ", " << hi
                             << ") index " << b << " " << what;
                     }
-                    EXPECT_NEAR(expect(0, lo) + expect(lo, hi) +
-                                    expect(hi, len),
-                                expect(0, len), 1e-13)
-                        << "expectation [" << lo << ", " << hi << ") "
-                        << what;
                     EXPECT_NEAR(std::abs(inner(lo, hi, false) -
                                          inner(lo, hi, true)),
                                 0.0, 1e-13)

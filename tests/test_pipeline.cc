@@ -14,6 +14,7 @@
 #include "arch/grid.hh"
 #include "chem/molecules.hh"
 #include "common/logging.hh"
+#include "common/parallel.hh"
 #include "common/rng.hh"
 #include "compiler/chain_synthesis.hh"
 #include "compiler/merge_to_root.hh"
@@ -128,10 +129,16 @@ TEST(Pipeline, PassOrderingMatchesFlow)
                                         "sabre-route", "peephole",
                                         "verify"}));
 
+    // An unrouted chain circuit gives the verify pass nothing to
+    // check unless equivalence trials are asked for.
     PipelineOptions chain;
     chain.flow = PipelineOptions::Flow::ChainOnly;
     CompilerPipeline chainPipe(chain);
     EXPECT_EQ(chainPipe.passNames(),
+              (std::vector<std::string>{"chain-synthesis"}));
+    chain.verifyTrials = 2;
+    CompilerPipeline checkedChain(chain);
+    EXPECT_EQ(checkedChain.passNames(),
               (std::vector<std::string>{"chain-synthesis",
                                         "verify"}));
 }
@@ -263,25 +270,30 @@ TEST(Pipeline, CacheHitReproducesUncachedCompileExactly)
 
 TEST(Pipeline, ParallelAndSerialCompilesAgree_LiH)
 {
+    // The pool fan-outs against the same calls capped to one lane,
+    // which run every chunk inline and in order.
     auto params = randomParams(lih().ansatz.nParams, 37);
-    Circuit serial =
-        synthesizeChainCircuit(lih().ansatz, params, true);
     Circuit parallel =
-        synthesizeChainCircuitParallel(lih().ansatz, params, true);
+        synthesizeChainCircuit(lih().ansatz, params, true);
+    Circuit serial;
+    {
+        ParallelWidthCap cap(1);
+        serial = synthesizeChainCircuit(lih().ansatz, params, true);
+    }
     EXPECT_TRUE(circuitsIdentical(serial, parallel));
 
     // Whole-Hamiltonian per-term fan-out vs the serial loop.
     XTree tree = makeXTree(17);
-    PipelineOptions ser;
-    ser.parallelSynthesis = false;
-    ser.useCache = false;
-    CompilerPipeline serialPipe(tree, ser);
-    PipelineOptions par;
-    par.useCache = false;
-    CompilerPipeline parallelPipe(tree, par);
+    PipelineOptions o;
+    o.useCache = false;
+    CompilerPipeline pipe(tree, o);
 
-    auto a = serialPipe.compileTerms(lih().prob.hamiltonian, 0.17);
-    auto b = parallelPipe.compileTerms(lih().prob.hamiltonian, 0.17);
+    std::vector<CompileResult> a;
+    {
+        ParallelWidthCap cap(1);
+        a = pipe.compileTerms(lih().prob.hamiltonian, 0.17);
+    }
+    auto b = pipe.compileTerms(lih().prob.hamiltonian, 0.17);
     ASSERT_EQ(a.size(), b.size());
     ASSERT_EQ(a.size(), lih().prob.hamiltonian.numTerms());
     for (size_t i = 0; i < a.size(); ++i) {

@@ -187,7 +187,13 @@ TEST_P(SeededProperty, DepolarizingChannelContractsPurity)
     for (int step = 0; step < 4; ++step) {
         unsigned qa = unsigned(rng.index(n));
         unsigned qb = (qa + 1 + unsigned(rng.index(n - 1))) % n;
-        rho.depolarize2(qa, qb, 0.02 + 0.1 * rng.uniform());
+        // A noisy CNOT: the unitary keeps the purity, so any change
+        // is the two-qubit channel's.
+        NoiseModel nm;
+        nm.cnotDepolarizing = 0.02 + 0.1 * rng.uniform();
+        Circuit cx(n);
+        cx.cnot(qa, qb);
+        rho.applyCircuit(cx, nm);
         double next = rho.purity();
         EXPECT_LE(next, purity + 1e-12);
         EXPECT_NEAR(rho.trace(), 1.0, 1e-9);

@@ -28,6 +28,16 @@ randomState(unsigned n, uint64_t seed)
     return sv;
 }
 
+/** <psi|P|psi> for one string, as a one-term Pauli sum. */
+double
+stringExpectation(const Statevector &sv, const char *p)
+{
+    const PauliString s = PauliString::fromString(p);
+    PauliSum one(s.numQubits());
+    one.add(1.0, s);
+    return sv.expectation(one);
+}
+
 } // namespace
 
 TEST(Statevector, InitialBasisState)
@@ -138,20 +148,16 @@ TEST(Statevector, ExpectationOfStabilizer)
     Statevector sv(2);
     sv.applyGate({GateKind::H, 0});
     sv.applyGate({GateKind::CNOT, 0, 1});
-    EXPECT_NEAR(sv.expectation(PauliString::fromString("XX")), 1.0,
-                1e-12);
-    EXPECT_NEAR(sv.expectation(PauliString::fromString("ZZ")), 1.0,
-                1e-12);
-    EXPECT_NEAR(sv.expectation(PauliString::fromString("ZI")), 0.0,
-                1e-12);
+    EXPECT_NEAR(stringExpectation(sv, "XX"), 1.0, 1e-12);
+    EXPECT_NEAR(stringExpectation(sv, "ZZ"), 1.0, 1e-12);
+    EXPECT_NEAR(stringExpectation(sv, "ZI"), 0.0, 1e-12);
 }
 
 TEST(Statevector, ExpectationZSign)
 {
     // Our convention: qubit |1> has <Z> = -1.
     Statevector sv(1, 1);
-    EXPECT_NEAR(sv.expectation(PauliString::fromString("Z")), -1.0,
-                1e-14);
+    EXPECT_NEAR(stringExpectation(sv, "Z"), -1.0, 1e-14);
 }
 
 TEST(Statevector, SumExpectationMatchesTermSum)
@@ -163,8 +169,7 @@ TEST(Statevector, SumExpectationMatchesTermSum)
     h.add(0.75, PauliString(3));
 
     double direct = sv.expectation(h);
-    double bySum = 0.5 * sv.expectation(PauliString::fromString("XYZ"))
-        - 1.25 * sv.expectation(PauliString::fromString("ZZI"))
-        + 0.75;
+    double bySum = 0.5 * stringExpectation(sv, "XYZ") -
+                   1.25 * stringExpectation(sv, "ZZI") + 0.75;
     EXPECT_NEAR(direct, bySum, 1e-12);
 }

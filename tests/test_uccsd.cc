@@ -139,12 +139,12 @@ TEST(Uccsd, PreservesParticleNumber)
         sv.applyPauliRotation(params[r.param] * r.coeff, r.string);
 
     // N = sum_p (I - Z_p)/2.
-    double n = 0.0;
-    for (unsigned q = 0; q < a.nQubits; ++q)
-        n += 0.5 * (1.0 -
-                    sv.expectation(
-                        PauliString::single(a.nQubits, q, PauliOp::Z)));
-    EXPECT_NEAR(n, 2.0, 1e-9);
+    PauliSum number(a.nQubits);
+    for (unsigned q = 0; q < a.nQubits; ++q) {
+        number.add(0.5, PauliString(a.nQubits));
+        number.add(-0.5, PauliString::single(a.nQubits, q, PauliOp::Z));
+    }
+    EXPECT_NEAR(sv.expectation(number), 2.0, 1e-9);
 }
 
 TEST(Uccsd, SinglesStringsAreXZChainY)
