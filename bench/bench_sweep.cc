@@ -15,8 +15,9 @@
  * against the warm persistent store with the in-memory caches
  * dropped once (every compile and chemistry build is served from
  * disk — the restarted-process / second-sweep scenario), and the
- * sweepd process pool against that warm store (one forked worker
- * per job sharing compiles cross-process through the disk tier).
+ * sweepd process pool against that warm store (one long-lived
+ * forked worker per lane, its workers sharing compiles
+ * cross-process through the disk tier).
  * The jobs differ only in seed, which is exactly the
  * repeated-compilation shape batch studies produce (same molecule,
  * new parameterization), so the cold-vs-shared gap isolates what
@@ -180,11 +181,12 @@ speedup(const RowRuns &base, const RowRuns &o)
 
 /**
  * The same sweep through the sweepd process pool (one forked worker
- * per job, qcc_sweepd --worker). In-process cache counters are
- * meaningless here — each worker has its own — so the row reports
- * wall clock and completions; with QCC_STORE_DIR pointing at the
- * warm bench store, workers share compiles and chemistry through
- * the disk tier instead.
+ * per lane, serving the lane's jobs, qcc_sweepd --worker). This
+ * process's cache counters are meaningless here — each worker has
+ * its own — so the row reports wall clock and completions; with
+ * QCC_STORE_DIR pointing at the warm bench store, workers share
+ * compiles and chemistry through the disk tier, and each keeps them
+ * in memory for its later jobs.
  */
 RunOutcome
 runProcessPool(const SweepSpec &spec, unsigned concurrency,
@@ -194,7 +196,7 @@ runProcessPool(const SweepSpec &spec, unsigned concurrency,
     opts.workerPath = worker_path;
     opts.concurrency = concurrency;
     opts.resume = false;      // a bench row never adopts
-    opts.writeThrough = false;
+    opts.writeThrough = false; // nor journals
 
     sweepd::SweepdService service(opts);
     const auto t0 = clock_type::now();

@@ -1,17 +1,19 @@
 /**
  * @file
- * qcc_sweepd — the process-per-job sweep service. Accepts SweepSpec
- * JSON jobs (spec-file paths on the command line, then — in server
- * mode — one path per line on stdin), expands each with the shared
- * sweep machinery, and runs every job in a forked worker process
- * (`qcc_sweepd --worker`, the same binary): a hard per-job timeout
+ * qcc_sweepd — the forked sweep service. Accepts SweepSpec JSON jobs
+ * (spec-file paths on the command line, then — in server mode — one
+ * path per line on stdin), expands each with the shared sweep
+ * machinery, and runs every job in a forked worker process
+ * (`qcc_sweepd --worker`, the same binary; one per lane, serving
+ * the lane's jobs for the whole sweep): a hard per-job timeout
  * kills and reaps over-budget workers, a crashing job records one
  * failed entry instead of killing the service, and workers share
- * the QCC_STORE_DIR persistent cache across processes. The
- * aggregate SWEEP_<name>.json is rewritten after every job, so a
- * killed service resumes where it left off: resubmitting the same
- * spec adopts every completed job whose spec_hash still matches and
- * re-runs only the rest (see docs/sweepd.md).
+ * the QCC_STORE_DIR persistent cache across processes. Every landed
+ * record is appended to SWEEP_<name>.journal, so a killed service
+ * resumes where it left off: resubmitting the same spec adopts
+ * every completed job whose spec_hash still matches and re-runs
+ * only the rest (see docs/sweepd.md). The aggregate
+ * SWEEP_<name>.json is written once, when the sweep ends.
  *
  *   qcc_sweepd specs/ci_smoke.json                 # one-shot
  *   qcc_sweepd --serve < job_paths.txt             # long-running
@@ -42,7 +44,7 @@ usage(const char *argv0)
         "usage: %s [<spec.json> ...] [options]\n"
         "       %s --serve [options]     read spec paths from "
         "stdin, one per line\n"
-        "       %s --worker              (internal) run one job "
+        "       %s --worker              (internal) run jobs "
         "from stdin\n"
         "  --concurrency N   worker-pool width (default: spec, "
         "then QCC_THREADS)\n"
@@ -51,17 +53,19 @@ usage(const char *argv0)
         "                    (default: the spec's job_timeout_ms)\n"
         "  --retries N       extra attempts after retryable "
         "failures\n"
-        "  --no-resume       ignore an existing SWEEP_<name>.json\n"
+        "  --no-resume       ignore an existing "
+        "SWEEP_<name>.journal\n"
         "  --no-width-cap    don't split QCC_THREADS across "
         "workers\n"
         "  --store-dir DIR   persistent store root (overrides "
         "QCC_STORE_DIR)\n"
         "  --no-store        disable the persistent store\n"
         "  --quiet           suppress per-job progress lines\n"
-        "\nThe aggregate is rewritten as SWEEP_<name>.json (QCC_JSON"
-        "\nconvention, falling back to the current directory) after"
-        "\nevery job, so a killed service can be resumed by simply"
-        "\nresubmitting the same spec.\n",
+        "\nEvery finished job is appended to SWEEP_<name>.journal"
+        "\n(QCC_JSON convention), so a killed service can be resumed"
+        "\nby simply resubmitting the same spec. The aggregate"
+        "\nSWEEP_<name>.json is written when the sweep ends (falling"
+        "\nback to the current directory).\n",
         argv0, argv0, argv0);
     return 2;
 }
@@ -107,14 +111,18 @@ runSpec(sweepd::SweepdService &service, const std::string &path)
         if (!written.empty())
             std::printf("wrote %s\n", written.c_str());
 
-        // The cache and store counters of every done worker's
-        // metrics rider, summed; METRICS_<name>.json carries the
-        // same counts under their metric names.
+        // The workers this submit forked, and the cache and store
+        // counters of every reply's metrics rider, summed;
+        // METRICS_<name>.json carries the same counts under their
+        // metric names.
         const sweepd::WorkerStoreStats &w = stats.workers;
-        std::printf("workers: compile_hits=%llu "
+        std::printf("workers: spawned=%llu compile_hits=%llu "
                     "compile_misses=%llu circuit_disk_hits=%llu "
                     "problem_builds=%llu problem_disk_hits=%llu "
                     "problem_mem_hits=%llu\n",
+                    (unsigned long long)metricCounter(
+                        "sweepd.workers.spawned")
+                        .value(),
                     (unsigned long long)w.compileHits,
                     (unsigned long long)w.compileMisses,
                     (unsigned long long)w.circuitDiskHits,

@@ -1,5 +1,6 @@
 #include "common/subprocess.hh"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
@@ -77,6 +78,20 @@ readFully(int fd, char *buf, size_t n, bool have_deadline,
         got += size_t(r);
     }
     return FrameStatus::Ok;
+}
+
+ExitStatus
+exitStatusOf(int status)
+{
+    ExitStatus out;
+    if (WIFEXITED(status)) {
+        out.exited = true;
+        out.code = WEXITSTATUS(status);
+    } else if (WIFSIGNALED(status)) {
+        out.signaled = true;
+        out.sig = WTERMSIG(status);
+    }
+    return out;
 }
 
 bool
@@ -275,23 +290,49 @@ ExitStatus::describe() const
 ExitStatus
 reapProcess(long pid)
 {
-    ExitStatus out;
     if (pid <= 0)
-        return out;
+        return {};
     int status = 0;
     pid_t r;
     do {
         r = ::waitpid(pid_t(pid), &status, 0);
     } while (r < 0 && errno == EINTR);
-    if (r != pid_t(pid))
-        return out;
-    if (WIFEXITED(status)) {
-        out.exited = true;
-        out.code = WEXITSTATUS(status);
-    } else if (WIFSIGNALED(status)) {
-        out.signaled = true;
-        out.sig = WTERMSIG(status);
+    return r == pid_t(pid) ? exitStatusOf(status) : ExitStatus{};
+}
+
+ExitStatus
+stopChildProcess(ChildProcess &child, double grace_ms)
+{
+    closeFd(child.stdinFd);
+    ExitStatus out;
+    bool reaped = child.pid <= 0;
+    const auto deadline =
+        clock_type::now() +
+        std::chrono::duration_cast<clock_type::duration>(
+            std::chrono::duration<double, std::milli>(grace_ms));
+    // Poll with a growing sleep: an idle worker exits within a few
+    // milliseconds of seeing EOF on its stdin.
+    for (useconds_t sleepUs = 50; !reaped;) {
+        int status = 0;
+        const pid_t r = ::waitpid(pid_t(child.pid), &status, WNOHANG);
+        if (r == pid_t(child.pid)) {
+            out = exitStatusOf(status);
+            reaped = true;
+        } else if (r < 0 && errno != EINTR) {
+            reaped = true; // no longer our child: nothing to kill
+        } else if (clock_type::now() >= deadline) {
+            break;
+        } else {
+            ::usleep(sleepUs);
+            sleepUs = std::min<useconds_t>(2 * sleepUs, 5000);
+        }
     }
+    if (!reaped) {
+        killProcess(child.pid);
+        out = reapProcess(child.pid);
+    }
+    closeFd(child.stdoutFd);
+    child.pid = -1;
     return out;
 }
 

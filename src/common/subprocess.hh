@@ -1,11 +1,12 @@
 /**
  * @file
- * Process spawn/reap and pipe-framing helpers for the process-per-job
- * sweep runner (src/sweepd). A service thread forks one worker per
- * job, feeds it a framed request over stdin, and reads a framed
- * response from its stdout under a hard wall-clock deadline; when the
- * deadline passes the child is SIGKILLed and reaped, which is the
- * enforcement a soft in-process timeout cannot provide. Frames are
+ * Process spawn/reap and pipe-framing helpers for the forked sweep
+ * runner (src/sweepd). A service thread forks a worker, feeds it
+ * framed requests over stdin, and reads each framed response from its
+ * stdout under a hard wall-clock deadline; when the deadline passes
+ * the child is SIGKILLed and reaped, which is the enforcement a soft
+ * in-process timeout cannot provide. A healthy worker is retired by
+ * closing its stdin (stopChildProcess). Frames are
  * magic + length + payload + FNV-1a checksum (host byte order — the
  * two ends are always the same binary on the same machine), so a
  * truncated or interleaved stream is detected as Corrupt rather than
@@ -99,9 +100,16 @@ ExitStatus reapProcess(long pid);
 void killProcess(long pid);
 
 /**
+ * Retire a child: close its stdin, give it `grace_ms` to exit (0:
+ * none), SIGKILL it if it has not, reap it and close its stdout.
+ * Leaves `child` invalid and returns how it ended.
+ */
+ExitStatus stopChildProcess(ChildProcess &child, double grace_ms);
+
+/**
  * Ignore SIGPIPE process-wide (once). Any code writing to child
  * pipes must call this first, or a worker that crashes mid-read
- * kills the whole service — the exact failure the process-per-job
+ * kills the whole service — the exact failure the forked sweep
  * runner exists to contain.
  */
 void ignoreSigpipe();

@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
+#include <string_view>
+
+#include <fcntl.h>
+#include <unistd.h>
 
 #include "common/logging.hh"
 #include "obs/metrics.hh"
@@ -34,6 +38,72 @@ timeoutKindName(TimeoutKind kind)
     return "";
 }
 
+namespace {
+
+/**
+ * The record writer: one jobs[] entry. `br` is each of its line
+ * breaks, "\n   " in the aggregate (a newline and the entry's
+ * indent) and " " on a journal line, which is what keeps the line
+ * one line: the embedded documents escape every newline in their
+ * strings.
+ */
+void
+appendRecord(std::string &out, const SweepJobRecord &r, bool timings,
+             std::string_view br)
+{
+    char buf[128];
+    std::snprintf(buf, sizeof(buf),
+                  "{\"index\": %zu, \"status\": \"%s\", "
+                  "\"attempts\": %d",
+                  r.index, jobStatusName(r.status), r.attempts);
+    out += buf;
+    if (!r.specHash.empty())
+        out += ", \"spec_hash\": \"" + r.specHash + "\"";
+    if (r.status == JobStatus::TimedOut &&
+        r.timeoutKind != TimeoutKind::None)
+        out += std::string(", \"timeout_kind\": \"") +
+               timeoutKindName(r.timeoutKind) + "\"";
+    if (!r.error.empty())
+        out += ", \"error\": \"" + jsonEscape(r.error) + "\"";
+    if (timings) {
+        std::snprintf(buf, sizeof(buf), ", \"wall_ms\": %.6g",
+                      r.wallMillis);
+        out += buf;
+    }
+    std::string doc;
+    out += ",";
+    out += br;
+    if (r.finished()) {
+        ExperimentResult::JsonOptions jo;
+        jo.timings = timings;
+        jo.trace = false;
+        doc = r.result.json(jo);
+        out += "\"result\": ";
+    } else {
+        doc = r.spec.json();
+        out += "\"spec\": ";
+    }
+    while (!doc.empty() && doc.back() == '\n')
+        doc.pop_back();
+    for (size_t pos = 0;;) {
+        const size_t eol = doc.find('\n', pos);
+        out.append(doc, pos, eol - pos);
+        if (eol == std::string::npos)
+            break;
+        out += br;
+        pos = eol + 1;
+    }
+    out += "}";
+}
+
+} // namespace
+
+std::string
+sweepJournalPath(const std::string &sweep_name)
+{
+    return qccJsonPath("SWEEP_" + sweep_name + ".journal");
+}
+
 ResultStore::ResultStore(std::string sweep_name, bool emit_timings)
     : sweepName(std::move(sweep_name)), emitTimings(emit_timings),
       mutex(std::make_unique<std::mutex>())
@@ -53,54 +123,87 @@ ResultStore::reset(const std::vector<ExperimentSpec> &jobs)
     }
 }
 
+bool
+ResultStore::adoptEntry(const JsonValue &entry)
+{
+    const JsonValue *idx = entry.find("index");
+    uint64_t i = 0;
+    if (!idx || !idx->asUint64(i) || i >= records.size())
+        return false;
+    SweepJobRecord &rec = records[i];
+    const JsonValue *hash = entry.find("spec_hash");
+    const JsonValue *status = entry.find("status");
+    const JsonValue *result = entry.find("result");
+    ExperimentResult rehydrated;
+    // A changed spec re-runs; failures get a second chance on
+    // resume. Either way an earlier journal line loses its say.
+    if (!hash || !hash->isString() || hash->text != rec.specHash ||
+        !status || !status->isString() || status->text != "done" ||
+        !result || !ExperimentResult::fromJsonDom(*result, rehydrated)) {
+        SweepJobRecord pending;
+        pending.index = rec.index;
+        pending.spec = std::move(rec.spec);
+        pending.specHash = std::move(rec.specHash);
+        rec = std::move(pending);
+        return false;
+    }
+    rec.status = JobStatus::Done;
+    rec.timeoutKind = TimeoutKind::None;
+    rec.result = std::move(rehydrated);
+    rec.error.clear();
+    rec.attempts = 1;
+    if (const JsonValue *attempts = entry.find("attempts")) {
+        uint64_t a = 0;
+        if (attempts->asUint64(a))
+            rec.attempts = int(a);
+    }
+    rec.wallMillis = 0.0;
+    if (const JsonValue *wall = entry.find("wall_ms"))
+        if (wall->isNumber())
+            rec.wallMillis = wall->number;
+    return true;
+}
+
 size_t
 ResultStore::adoptCompleted(const std::string &prior_doc)
 {
     const JsonValue doc = JsonValue::parse(prior_doc);
     const JsonValue *jobs = doc.find("jobs");
-    if (!jobs || !jobs->isArray())
-        return 0;
-
-    std::lock_guard<std::mutex> lock(*mutex);
-    size_t adopted = 0;
-    for (const JsonValue &entry : jobs->items) {
-        if (!entry.isObject())
-            continue;
-        const JsonValue *idx = entry.find("index");
-        const JsonValue *hash = entry.find("spec_hash");
-        const JsonValue *status = entry.find("status");
-        const JsonValue *result = entry.find("result");
-        uint64_t i = 0;
-        if (!idx || !idx->asUint64(i) || i >= records.size())
-            continue;
-        if (!hash || !hash->isString() ||
-            hash->text != records[i].specHash)
-            continue; // spec changed since the prior run
-        if (!status || !status->isString() || status->text != "done")
-            continue; // failures get a second chance on resume
-        if (!result)
-            continue;
-        ExperimentResult rehydrated;
-        if (!ExperimentResult::fromJsonDom(*result, rehydrated))
-            continue;
-        SweepJobRecord &rec = records[i];
-        rec.status = JobStatus::Done;
-        rec.timeoutKind = TimeoutKind::None;
-        rec.result = std::move(rehydrated);
-        rec.error.clear();
-        rec.attempts = 1;
-        if (const JsonValue *attempts = entry.find("attempts")) {
-            uint64_t a = 0;
-            if (attempts->asUint64(a))
-                rec.attempts = int(a);
-        }
-        rec.wallMillis = 0.0;
-        if (const JsonValue *wall = entry.find("wall_ms"))
-            if (wall->isNumber())
-                rec.wallMillis = wall->number;
-        ++adopted;
+    if (jobs && jobs->isArray()) {
+        std::lock_guard<std::mutex> lock(*mutex);
+        for (const JsonValue &entry : jobs->items)
+            adoptEntry(entry);
     }
-    return adopted;
+    return countWithStatus(JobStatus::Done);
+}
+
+size_t
+ResultStore::adoptJournal(const std::string &journal)
+{
+    {
+        std::lock_guard<std::mutex> lock(*mutex);
+        // Only newline-terminated lines: a torn last line is
+        // dropped, and so is a whole line that does not parse.
+        for (size_t pos = 0, eol;
+             (eol = journal.find('\n', pos)) != std::string::npos;
+             pos = eol + 1) {
+            try {
+                adoptEntry(
+                    JsonValue::parse(journal.substr(pos, eol - pos)));
+            } catch (const JsonError &) {
+            }
+        }
+    }
+    return countWithStatus(JobStatus::Done);
+}
+
+std::string
+ResultStore::journalLine(const SweepJobRecord &record) const
+{
+    std::string line;
+    appendRecord(line, record, emitTimings, " ");
+    line += '\n';
+    return line;
 }
 
 void
@@ -283,43 +386,8 @@ ResultStore::json() const
     // ---- per-job records, job order -----------------------------
     out += "\"jobs\": [";
     for (size_t i = 0; i < records.size(); ++i) {
-        const SweepJobRecord &r = records[i];
-        std::snprintf(buf, sizeof(buf),
-                      "%s\n  {\"index\": %zu, \"status\": \"%s\", "
-                      "\"attempts\": %d",
-                      i ? "," : "", r.index,
-                      jobStatusName(r.status), r.attempts);
-        out += buf;
-        if (!r.specHash.empty())
-            out += ", \"spec_hash\": \"" + r.specHash + "\"";
-        if (r.status == JobStatus::TimedOut &&
-            r.timeoutKind != TimeoutKind::None)
-            out += std::string(", \"timeout_kind\": \"") +
-                   timeoutKindName(r.timeoutKind) + "\"";
-        if (!r.error.empty())
-            out += ", \"error\": \"" + jsonEscape(r.error) + "\"";
-        if (emitTimings) {
-            std::snprintf(buf, sizeof(buf), ", \"wall_ms\": %.6g",
-                          r.wallMillis);
-            out += buf;
-        }
-        if (r.finished()) {
-            out += ",\n   \"result\": ";
-            ExperimentResult::JsonOptions jo;
-            jo.timings = emitTimings;
-            jo.trace = false;
-            std::string doc = r.result.json(jo);
-            while (!doc.empty() && doc.back() == '\n')
-                doc.pop_back();
-            jsonIndentInto(out, doc, 3);
-        } else {
-            out += ",\n   \"spec\": ";
-            std::string doc = r.spec.json();
-            while (!doc.empty() && doc.back() == '\n')
-                doc.pop_back();
-            jsonIndentInto(out, doc, 3);
-        }
-        out += "}";
+        out += i ? ",\n  " : "\n  ";
+        appendRecord(out, records[i], emitTimings, "\n   ");
     }
     out += records.empty() ? "]\n" : "\n]\n";
     out += "}\n";
@@ -340,6 +408,39 @@ std::string
 ResultStore::writeTo(const std::string &path) const
 {
     return writeOutputFile(path, json(), "ResultStore::writeTo");
+}
+
+SweepJournal::SweepJournal(const std::string &path,
+                           const std::string &lines)
+    : filePath(path)
+{
+    // Atomic, like every output document: a kill here leaves the
+    // previous journal or the new one.
+    if (!writeOutputFile(path, lines, "SweepJournal").empty())
+        fd = ::open(path.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
+    if (fd < 0)
+        warn("SweepJournal: cannot append to " + path);
+}
+
+SweepJournal::~SweepJournal()
+{
+    if (fd >= 0)
+        ::close(fd);
+}
+
+void
+SweepJournal::append(const std::string &line)
+{
+    if (fd < 0)
+        return;
+    if (::write(fd, line.data(), line.size()) != ssize_t(line.size())) {
+        // Stop at the first failed append, so no later line lands
+        // behind a torn one and every whole line stays adoptable.
+        warn("SweepJournal: cannot append to " + filePath +
+             "; journaling stops");
+        ::close(fd);
+        fd = -1;
+    }
 }
 
 } // namespace qcc

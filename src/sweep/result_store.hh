@@ -2,8 +2,9 @@
  * @file
  * Aggregated result store for one sweep: per-job records land in
  * index-addressed slots as workers finish (thread-safe,
- * completion-order independent) and serialize as one SWEEP_<name>
- * .json document in job order — per-job status/energy/metrics plus
+ * completion-order independent), each as one line of a
+ * SWEEP_<name>.journal when the sweep journals, and serialize as one
+ * SWEEP_<name>.json document in job order — per-job status/energy/metrics plus
  * the sweep-level summaries a study reads off directly: best energy
  * per molecule, dissociation-curve tables (bond-sorted energy/HF/
  * FCI rows per molecule), and measurement-settings counts per
@@ -46,7 +47,7 @@ const char *jobStatusName(JobStatus status);
 /**
  * How a TimedOut record timed out. Soft is the in-process engine's
  * semantics — the job ran to completion past its budget, so a result
- * exists; Hard is the sweepd process-per-job semantics — the worker
+ * exists; Hard is the sweepd forked-worker semantics — the worker
  * was killed at the deadline, so no result exists. None for every
  * other status.
  */
@@ -123,6 +124,22 @@ class ResultStore
      */
     size_t adoptCompleted(const std::string &prior_doc);
 
+    /**
+     * Resume support from a SWEEP_<name>.journal: every whole
+     * (newline-terminated) line is one jobs[] entry, adopted by the
+     * same rule as adoptCompleted. The last line for an index
+     * decides, so a later line that is not adoptable un-adopts an
+     * earlier one. A torn last line, or a whole line that does not
+     * parse, is ignored. Returns the number of jobs adopted.
+     */
+    size_t adoptJournal(const std::string &journal);
+
+    /**
+     * `record` as one journal line, newline included: the aggregate's
+     * jobs[] entry from the same record writer, on one line.
+     */
+    std::string journalLine(const SweepJobRecord &record) const;
+
     /** Record one finished/failed/skipped job (thread-safe). */
     void record(SweepJobRecord record);
 
@@ -157,12 +174,54 @@ class ResultStore
     std::string writeTo(const std::string &path) const;
 
   private:
+    /** adoptCompleted's per-record rule (caller holds the lock). */
+    bool adoptEntry(const JsonValue &entry);
+
     std::string sweepName;
     bool emitTimings;
     // Behind a pointer so the store itself stays movable (the
     // engine returns it by value once the workers have joined).
     mutable std::unique_ptr<std::mutex> mutex;
     std::vector<SweepJobRecord> records;
+};
+
+/**
+ * SWEEP_<name>.journal under the QCC_JSON convention ("" when
+ * QCC_JSON disables output): the resume source of a journaling
+ * sweep, beside its SWEEP_<name>.json.
+ */
+std::string sweepJournalPath(const std::string &sweep_name);
+
+/**
+ * An append-only sweep journal: one ResultStore::journalLine per
+ * landed record, each appended with one write(2) on an O_APPEND
+ * descriptor, so a kill at any moment leaves whole lines and at most
+ * one torn last line. The writer never rewrites what it appended:
+ * the per-record cost does not grow with the sweep.
+ */
+class SweepJournal
+{
+  public:
+    /**
+     * Start `path` over holding `lines` (whole journal lines,
+     * written atomically), then open it for appends. A path that
+     * cannot be written warns and journals nothing.
+     */
+    SweepJournal(const std::string &path, const std::string &lines);
+    ~SweepJournal();
+
+    SweepJournal(const SweepJournal &) = delete;
+    SweepJournal &operator=(const SweepJournal &) = delete;
+
+    /**
+     * Append one line. The first failed append warns and stops the
+     * journal, so no later line lands behind a torn one.
+     */
+    void append(const std::string &line);
+
+  private:
+    std::string filePath;
+    int fd = -1;
 };
 
 } // namespace qcc

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <fstream>
 #include <iterator>
+#include <optional>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -123,7 +124,9 @@ SweepEngine::run()
         std::ostringstream buf;
         buf << in.rdbuf();
         try {
-            adoptedJobs = store.adoptCompleted(buf.str());
+            adoptedJobs = opts.resumeFrom.ends_with(".journal")
+                              ? store.adoptJournal(buf.str())
+                              : store.adoptCompleted(buf.str());
         } catch (const JsonError &e) {
             // Aggregates are written atomically, so this one was
             // damaged outside the engine (a hand edit, a cut-short
@@ -147,15 +150,30 @@ SweepEngine::run()
 
     InProcessExecutor inProcess;
     JobExecutor &exec = executor ? *executor : inProcess;
+
+    // A journaling executor starts the journal over with the adopted
+    // records, so it holds exactly the completed jobs at every
+    // moment, whichever document the resume read.
+    std::optional<SweepJournal> journal;
+    if (const std::string path = sweepJournalPath(sweepSpec.name);
+        exec.writeThrough() && !path.empty()) {
+        std::string adopted;
+        for (const SweepJobRecord &r : store.jobs())
+            if (r.status == JobStatus::Done)
+                adopted += store.journalLine(r);
+        journal.emplace(path, adopted);
+    }
+
     BoundedExecutor(width).run(jobs.size(), [&](size_t i) {
-        runJob(i, store, exec, lanes);
+        runJob(i, store, exec, lanes, journal ? &*journal : nullptr);
     });
     return store;
 }
 
 void
 SweepEngine::runJob(size_t index, ResultStore &store,
-                    JobExecutor &exec, unsigned lanes)
+                    JobExecutor &exec, unsigned lanes,
+                    SweepJournal *journal)
 {
     // A non-Pending slot was adopted from a resume document — the
     // whole point is to never re-run it.
@@ -200,15 +218,16 @@ SweepEngine::runJob(size_t index, ResultStore &store,
     span.arg("status", jobStatusName(rec.status));
     span.arg("attempts", rec.attempts);
 
-    // Record, write-through and progress under one lock: callbacks
+    // Record, journal line and progress under one lock: callbacks
     // see a monotonically growing completed count and never
-    // interleave, and a written-through aggregate always holds a
-    // consistent set of completed jobs (the resume source).
+    // interleave, and the journal holds one whole line per completed
+    // job when each callback runs (the resume source).
+    const std::string line = journal ? store.journalLine(rec) : "";
     std::lock_guard<std::mutex> lock(progressMutex);
     store.record(std::move(rec));
     ++completedJobs;
-    if (exec.writeThrough())
-        store.write();
+    if (journal)
+        journal->append(line);
     if (opts.progress) {
         SweepProgress p;
         p.completed = completedJobs;

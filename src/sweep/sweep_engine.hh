@@ -4,17 +4,19 @@
  * to an ordered job list and owns everything about running it:
  * resume adoption, width/timeout/retry resolution, the per-job lane
  * cap, the attempt loop with its failure-classification table, and
- * record landing (record, write-through, progress) under one lock.
+ * record landing (record, journal line, progress) under one lock.
  * Records land in the ResultStore's index-addressed slots, so
- * completion order never leaks into the aggregate.
+ * completion order never leaks into the aggregate, which the caller
+ * writes once the sweep ends.
  *
  * Where an attempt runs is the JobExecutor seam. The default runs it
  * in-process on the engine's lanes, sharing the process-wide
  * CircuitCache, MolecularProblemStore and gradient BufferPool (the
  * throughput lever bench_sweep measures); its timeout is soft, since
  * C++ threads cannot be killed safely. sweepd's forked executor runs
- * each attempt in a worker process, with a hard deadline and crash
- * isolation (docs/architecture.md compares the two).
+ * each attempt in a long-lived worker process, with a hard deadline
+ * and crash isolation, and journals every landed record so a killed
+ * sweep resumes (docs/architecture.md compares the two).
  *
  * Failure policy: spec, registry and JSON errors fail a job after one
  * attempt, other failures retry up to the configured budget, and
@@ -95,14 +97,16 @@ struct SweepEngineOptions
     bool capJobWidth = true;
 
     /**
-     * Path of a previously written SWEEP_*.json to resume from:
-     * completed jobs whose recorded spec_hash still matches are
-     * adopted (never re-run), everything else runs normally. ""
-     * disables; a missing/unreadable file throws SweepError, and a
-     * document that does not parse is ignored with a warning. The
-     * aggregate is written atomically (temp file + rename), so a
-     * killed run leaves a whole document; an unparseable one was
-     * edited or copied by hand.
+     * Path of a previously written SWEEP_*.json aggregate, or of a
+     * SWEEP_*.journal (by its suffix), to resume from: completed
+     * jobs whose recorded spec_hash still matches are adopted (never
+     * re-run), everything else runs normally. "" disables; a
+     * missing/unreadable file throws SweepError. An aggregate that
+     * does not parse is ignored with a warning: aggregates are
+     * written atomically (temp file + rename), so a killed run
+     * leaves a whole document, and an unparseable one was edited or
+     * copied by hand. A journal adopts its whole lines and ignores a
+     * torn last one (ResultStore::adoptJournal).
      */
     std::string resumeFrom;
 
@@ -145,7 +149,11 @@ class JobExecutor
     /** Name of the per-job trace span. */
     virtual const char *jobSpan() const = 0;
 
-    /** Rewrite SWEEP_<name>.json after every landed record. */
+    /**
+     * Journal every landed record: one line appended to
+     * SWEEP_<name>.journal (sweepJournalPath), the resume source a
+     * killed run leaves behind.
+     */
     virtual bool writeThrough() const { return false; }
 };
 
@@ -186,7 +194,7 @@ class SweepEngine
 
   private:
     void runJob(size_t index, ResultStore &store, JobExecutor &exec,
-                unsigned lanes);
+                unsigned lanes, SweepJournal *journal);
 
     SweepSpec sweepSpec;
     SweepEngineOptions opts;

@@ -16,6 +16,22 @@ appendTrimmed(std::string &out, std::string doc)
     out += doc;
 }
 
+/** Close a reply object after its riders ("" = omit the member). */
+void
+appendRiders(std::string &out, const std::string &trace_events,
+             const std::string &metrics)
+{
+    if (!trace_events.empty()) {
+        out += ",\n\"trace\": ";
+        out += trace_events;
+    }
+    if (!metrics.empty()) {
+        out += ",\n\"metrics\": ";
+        appendTrimmed(out, metrics);
+    }
+    out += "}\n";
+}
+
 } // namespace
 
 std::string
@@ -52,6 +68,7 @@ decodeJobRequest(const std::string &payload)
     return request;
 }
 
+
 std::string
 encodeDoneReply(const ExperimentResult &result,
                 const std::string &trace_events,
@@ -62,24 +79,19 @@ encodeDoneReply(const ExperimentResult &result,
     jo.timings = true; // the store drops them when configured to
     jo.trace = false;
     appendTrimmed(out, result.json(jo));
-    if (!trace_events.empty()) {
-        out += ",\n\"trace\": ";
-        out += trace_events;
-    }
-    if (!metrics.empty()) {
-        out += ",\n\"metrics\": ";
-        appendTrimmed(out, metrics);
-    }
-    out += "}\n";
+    appendRiders(out, trace_events, metrics);
     return out;
 }
 
 std::string
-encodeFailedReply(const std::string &error, bool fast_fail)
+encodeFailedReply(const std::string &error, bool fast_fail,
+                  const std::string &trace_events,
+                  const std::string &metrics)
 {
     std::string out = "{\"status\": \"failed\", \"fast_fail\": ";
     out += fast_fail ? "true" : "false";
-    out += ", \"error\": \"" + jsonEscape(error) + "\"}\n";
+    out += ", \"error\": \"" + jsonEscape(error) + "\"";
+    appendRiders(out, trace_events, metrics);
     return out;
 }
 
@@ -105,12 +117,6 @@ decodeReply(const std::string &payload, WorkerReply &out)
         if (!result ||
             !ExperimentResult::fromJsonDom(*result, reply.result))
             return false;
-        if (const JsonValue *trace = doc.find("trace"))
-            if (trace->isArray())
-                reply.trace = *trace;
-        if (const JsonValue *metrics = doc.find("metrics"))
-            if (metrics->isObject())
-                reply.metrics = *metrics;
     } else if (status->text == "failed") {
         const JsonValue *error = doc.find("error");
         if (!error || !error->isString())
@@ -124,6 +130,12 @@ decodeReply(const std::string &payload, WorkerReply &out)
     } else {
         return false;
     }
+    if (const JsonValue *trace = doc.find("trace"))
+        if (trace->isArray())
+            reply.trace = *trace;
+    if (const JsonValue *metrics = doc.find("metrics"))
+        if (metrics->isObject())
+            reply.metrics = *metrics;
     out = std::move(reply);
     return true;
 }

@@ -2,8 +2,9 @@
  * @file
  * sweepd wire protocol — the JSON messages framed over the
  * parent/worker pipes (common/subprocess supplies the framing:
- * magic + length + payload + FNV-1a checksum). One exchange per
- * worker process:
+ * magic + length + payload + FNV-1a checksum). A worker serves one
+ * exchange per job, as many as the service sends before it closes
+ * the worker's stdin:
  *
  *   parent -> worker (stdin):  {"spec": { ...ExperimentSpec... }}
  *   worker -> parent (stdout): {"status": "done",
@@ -11,7 +12,8 @@
  *                               "trace": [...], "metrics": {...}}
  *                         or:  {"status": "failed",
  *                               "fast_fail": true|false,
- *                               "error": "..."}
+ *                               "error": "...",
+ *                               "trace": [...], "metrics": {...}}
  *
  * The result document is ExperimentResult::json() with the trace
  * dropped and timings kept; the parent rehydrates it with
@@ -19,10 +21,12 @@
  * a worker re-serializes byte-for-byte identically to one computed
  * in-process (the concurrency-1-vs-N identity the ResultStore
  * promises). `fast_fail` marks spec, registry and JSON errors
- * (jobFaultOf's BadInput) — failures a retry cannot fix. The
- * `metrics` rider is the worker's registry snapshot; its cache and
- * store counters are how cross-process disk-tier sharing is
- * observed (a warm-store worker reports zero compile misses).
+ * (jobFaultOf's BadInput) — failures a retry cannot fix. Both reply
+ * kinds carry the same telemetry riders, and each rider describes
+ * exactly the job it answers (the worker resets its registry and
+ * trace buffers after every reply). The `metrics` rider's cache and
+ * store counters are how cross-process disk-tier sharing is observed
+ * (a warm-store worker reports zero compile misses).
  */
 
 #ifndef QCC_SWEEPD_PROTOCOL_HH
@@ -51,13 +55,13 @@ struct WorkerReply
     std::string error;     ///< failed: diagnostic
     ExperimentResult result; ///< valid when done
     /**
-     * Optional telemetry riders: `trace` is the worker's Chrome
-     * trace-event array (obs/trace traceEventsArrayJson, present
-     * only when the worker ran with QCC_TRACE on), `metrics` its
-     * metrics-registry snapshot (obs/metrics metricsJson). The
-     * service adopts the first into its own trace buffers and
-     * merges the second into its registry, which is what turns a
-     * process-per-job sweep into one coherent timeline.
+     * Optional telemetry riders of either reply kind: `trace` is the
+     * job's Chrome trace-event array (obs/trace
+     * traceEventsArrayJson, present only when the worker ran with
+     * QCC_TRACE on), `metrics` its metrics-registry snapshot
+     * (obs/metrics metricsJson). The service adopts the first into
+     * its own trace buffers and merges the second into its registry,
+     * which is what turns a forked sweep into one coherent timeline.
      */
     JsonValue trace;
     JsonValue metrics;
@@ -81,9 +85,11 @@ std::string encodeDoneReply(const ExperimentResult &result,
                             const std::string &trace_events = "",
                             const std::string &metrics = "");
 
-/** Serialize a failed reply. */
+/** Serialize a failed reply; the riders as for encodeDoneReply. */
 std::string encodeFailedReply(const std::string &error,
-                              bool fast_fail);
+                              bool fast_fail,
+                              const std::string &trace_events = "",
+                              const std::string &metrics = "");
 
 /**
  * Parse a worker reply; false when the payload is not a

@@ -1,12 +1,14 @@
 /**
  * @file
- * SweepdService — the front end of the process-per-job sweep runner
- * behind the qcc_sweepd binary. It maps SweepdOptions onto the one
- * SweepEngine and hands it the forked job executor (service.cc): each
- * attempt runs in a worker process (worker.hh) over a framed pipe
- * protocol (protocol.hh), so the per-job timeout is a real deadline
- * (SIGKILL + reap, timeout_kind "hard") and a crashing job costs one
- * Failed record, never the service.
+ * SweepdService — the front end of the forked sweep runner behind
+ * the qcc_sweepd binary. It maps SweepdOptions onto the one
+ * SweepEngine and hands it the forked job executor (service.cc):
+ * each attempt runs in a worker process (worker.hh) over a framed
+ * pipe protocol (protocol.hh), so the per-job timeout is a real
+ * deadline (SIGKILL + reap, timeout_kind "hard") and a crashing job
+ * costs one Failed record, never the service. A worker serves many
+ * jobs of one submit: each lane forks one, a crash or a hard timeout
+ * replaces it, and every worker is reaped before submit() returns.
  *
  * Workers receive the effective tracing and store configuration
  * (QCC_TRACE, QCC_STORE_DIR, QCC_STORE — setStoreDir/setStoreEnabled
@@ -14,10 +16,12 @@
  * cross-process cache, and QCC_JOB_WIDTH = parallelThreads() /
  * concurrency so N concurrent workers split the machine.
  *
- * Resume: the aggregate is written through after every job, and
- * submit() names an existing SWEEP_<name>.json as the engine's resume
- * source, so a killed sweep resubmitted re-runs only the missing jobs
- * and ends byte-identical to an uninterrupted run (docs/sweepd.md).
+ * Resume: every landed record is appended as one line to
+ * SWEEP_<name>.journal, and submit() names an existing journal as
+ * the engine's resume source, so a killed sweep resubmitted re-runs
+ * only the missing jobs and ends byte-identical to an uninterrupted
+ * run (docs/sweepd.md). The SWEEP_<name>.json aggregate is written
+ * once, when the sweep ends.
  */
 
 #ifndef QCC_SWEEPD_SERVICE_HH
@@ -59,15 +63,17 @@ struct SweepdOptions
     bool capJobWidth = true;
 
     /**
-     * Adopt completed jobs from an existing SWEEP_<name>.json
-     * (looked up under the QCC_JSON convention) before running.
+     * Adopt completed jobs from an existing SWEEP_<name>.journal
+     * (looked up under the QCC_JSON convention) before running;
+     * false starts the journal empty.
      */
     bool resume = true;
 
     /**
-     * Rewrite SWEEP_<name>.json after every job record, so a killed
-     * service leaves a resumable aggregate behind. (Final state is
-     * always written once more on completion.)
+     * Journal each landed record: append it as one line to
+     * SWEEP_<name>.journal, so a killed service leaves a resumable
+     * journal behind. The aggregate is written once, at the end,
+     * either way.
      */
     bool writeThrough = true;
 
@@ -75,11 +81,14 @@ struct SweepdOptions
 };
 
 /**
- * Cache and store counters summed over the done workers of one
- * submit. A worker starts with cold in-process caches, so these
- * measure the persistent tier's cross-process value: workers running
- * against a store another process already warmed report zero
- * compileMisses and zero problemBuilds — everything came off disk.
+ * Cache and store counters summed over every reply of one submit.
+ * A worker starts with cold in-process caches and keeps them warm
+ * for the rest of the submit: its first lookup of a problem or a
+ * circuit reaches the persistent tier, and later lookups of the same
+ * one are memory hits. So workers running against a store another
+ * process already warmed report zero compileMisses and zero
+ * problemBuilds, and problemDiskHits + problemMemHits equals the
+ * jobs they ran.
  */
 struct WorkerStoreStats
 {
@@ -99,14 +108,15 @@ struct SweepdRunStats
     size_t ran = 0;     ///< executed in a worker this run
     std::string writtenPath; ///< final aggregate path ("" if disabled)
     /**
-     * The named counters of every done reply's metrics rider, summed:
-     * the same snapshots the service merges into its registry, so
-     * they equal the registry's change over the submit.
+     * The named counters of every reply's metrics rider (done and
+     * failed), summed: the same snapshots the service merges into
+     * its registry, so they equal the registry's change over the
+     * submit.
      */
     WorkerStoreStats workers;
 };
 
-/** Process-per-job sweep runner (see file comment). */
+/** Forked sweep runner (see file comment). */
 class SweepdService
 {
   public:

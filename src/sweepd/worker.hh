@@ -1,13 +1,17 @@
 /**
  * @file
  * sweepd worker entry point — the `--worker` mode of the qcc_sweepd
- * binary (and of test binaries that self-exec). A worker is one
- * job's whole process: it reads a single framed JobRequest from
- * stdin, runs it through the ordinary qcc::Experiment facade, writes
- * a single framed reply to (the original) stdout, and exits. Crash
- * isolation and the hard timeout both fall out of the process
- * boundary: a SIGSEGV/abort or a kill-at-deadline takes down only
- * this process, and the parent reads the outcome off waitpid.
+ * binary (and of test binaries that self-exec). A worker serves one
+ * submit's jobs: it reads framed JobRequests from stdin until the
+ * service closes it, runs each through the ordinary qcc::Experiment
+ * facade, and writes one framed reply per request to (the original)
+ * stdout. Its in-process caches stay warm from job to job, as the
+ * in-process executor's shared caches do. After each reply it zeroes
+ * its metrics registry and drops its trace buffers, so every reply's
+ * riders describe that job alone. Crash isolation and the hard
+ * timeout both fall out of the process boundary: a SIGSEGV/abort or
+ * a kill-at-deadline takes down only this process, the parent reads
+ * the outcome off waitpid, and the next job gets a fresh worker.
  *
  * The worker re-points fd 1 at fd 2 immediately after saving the
  * real stdout, so any stray print inside the experiment stack lands
@@ -28,10 +32,11 @@ namespace sweepd {
 extern const char *const kWorkerFlag;
 
 /**
- * Run one job from stdin to stdout (framed; see protocol.hh).
- * Returns the process exit code: 0 when a reply was delivered
- * (including a failed-job reply), nonzero when the protocol itself
- * broke down (unreadable request, dead pipe).
+ * Serve jobs from stdin to stdout (framed; see protocol.hh) until
+ * stdin closes. Returns the process exit code: 0 when stdin closed
+ * between requests (every request got a reply, failed-job replies
+ * included), nonzero when the protocol itself broke down (a corrupt
+ * or truncated request, a dead pipe).
  */
 int workerMain();
 

@@ -8,8 +8,9 @@
  *    engine against one store directory; the warm run rebuilds no
  *    chemistry and reproduces the document byte for byte;
  *  - kill and resume: the same spec through sweepd, SIGKILLed
- *    mid-sweep (service and workers), then resubmitted; the resume
- *    adopts completed jobs and matches an uninterrupted run;
+ *    mid-sweep (service and workers) once its journal holds a done
+ *    record, then resubmitted; the resume adopts completed jobs and
+ *    matches an uninterrupted run;
  *  - Table I costing: `table1_full` forced to kind "estimate" (as
  *    `qcc_sweep --estimate` does), cold then warm; 27
  *    simulation-free records, and a warm run under one second in
@@ -90,20 +91,24 @@ aggregatePath(const TempDir &dir, const SweepSpec &spec)
     return dir.path() + "/SWEEP_" + spec.name + ".json";
 }
 
-/** True once `path` parses and holds a "done" job record. */
+/** True once the journal at `path` holds a whole "done" line. */
 bool
 holdsDoneRecord(const std::string &path)
 {
     if (!std::filesystem::exists(path))
         return false;
-    try {
-        const JsonValue doc = JsonValue::parse(slurp(path));
-        if (const JsonValue *jobs = doc.find("jobs"))
-            for (const JsonValue &job : jobs->items)
-                if (const JsonValue *status = job.find("status"))
-                    if (status->text == "done")
-                        return true;
-    } catch (const JsonError &) {
+    const std::string journal = slurp(path);
+    for (size_t pos = 0, eol;
+         (eol = journal.find('\n', pos)) != std::string::npos;
+         pos = eol + 1) {
+        try {
+            const JsonValue line =
+                JsonValue::parse(journal.substr(pos, eol - pos));
+            if (const JsonValue *status = line.find("status"))
+                if (status->text == "done")
+                    return true;
+        } catch (const JsonError &) {
+        }
     }
     return false;
 }
@@ -195,6 +200,8 @@ TEST(Smoke, KillAndResumeReproducesTheUninterruptedRun)
 
     EnvGuard jsonEnv("QCC_JSON", killed.path());
     const std::string aggregate = aggregatePath(killed, spec);
+    const std::string journal =
+        killed.path() + "/SWEEP_" + spec.name + ".journal";
     const pid_t service = ::fork();
     ASSERT_GE(service, 0);
     if (service == 0) {
@@ -214,13 +221,13 @@ TEST(Smoke, KillAndResumeReproducesTheUninterruptedRun)
 
     const auto deadline = Clock::now() + std::chrono::seconds(120);
     bool landed = false;
-    while (!(landed = holdsDoneRecord(aggregate)) &&
+    while (!(landed = holdsDoneRecord(journal)) &&
            Clock::now() < deadline)
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
     ::kill(-service, SIGKILL);
     int status = 0;
     ::waitpid(service, &status, 0);
-    ASSERT_TRUE(landed) << "the aggregate holds a done record";
+    ASSERT_TRUE(landed) << "the journal holds a done record";
     EXPECT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL)
         << "the kill landed mid-sweep";
 

@@ -1,10 +1,14 @@
 /**
  * @file
- * sweepd (process-per-job sweep runner) tests: pipe framing round
- * trips, one-job worker exchanges, crash isolation (an abort()ing
- * worker records one failed job and the service survives), the hard
- * timeout (a sleeping worker is killed and reaped within
- * tolerance), resume (re-submitting after a partial run re-runs
+ * sweepd (forked sweep runner) tests: pipe framing round trips,
+ * worker exchanges (one worker answers many requests, one job per
+ * telemetry rider), crash isolation (an abort()ing worker records
+ * one failed job and the service survives), the hard timeout (a
+ * sleeping worker is killed and reaped within tolerance), worker
+ * lifetime (every worker is reaped before submit() returns, one
+ * forked per lane plus one per crash or kill), the journal (one
+ * whole line per completed job, no aggregate until the end, torn and
+ * killed appends), resume (re-submitting after a partial run re-runs
  * only the missing jobs and reproduces the uninterrupted document
  * byte for byte), and cross-process persistent-store sharing (a
  * second worker process serves chemistry and compilation from the
@@ -12,15 +16,23 @@
  *
  * The test binary doubles as the worker executable: when invoked
  * with --worker it behaves exactly like `qcc_sweepd --worker`
- * (fault-injection hooks included), so every test is hermetic.
+ * (fault-injection hooks included), so every test is hermetic. Both
+ * roles register one extra experiment kind, "rejects_late", which
+ * looks up its problem and then throws a SpecError: a BadInput job
+ * that moves counters.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cerrno>
+#include <csignal>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <random>
+#include <set>
 #include <string>
 
 #include <fcntl.h>
@@ -30,6 +42,7 @@
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/subprocess.hh"
+#include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "store/store.hh"
 #include "sweepd/protocol.hh"
@@ -70,6 +83,50 @@ serviceOptions()
     sweepd::SweepdOptions opts;
     opts.workerPath = selfPath();
     return opts;
+}
+
+/** The sampled-SPSA H2 job the worker tests send. */
+ExperimentSpec
+h2Job(uint64_t seed)
+{
+    ExperimentSpec spec;
+    spec.molecule = "H2";
+    spec.bond = 0.74;
+    spec.mode = "sampled";
+    spec.optimizer = "spsa";
+    spec.spsaIter = 8;
+    spec.shots = 1024;
+    spec.seed = seed;
+    spec.reference = false;
+    return spec;
+}
+
+/**
+ * Experiment kind "rejects_late": looks up the job's problem (moving
+ * the store counters), then fails as bad input.
+ */
+ExperimentResult
+rejectLate(const ExperimentSpec &spec)
+{
+    ExperimentSpec estimate = spec;
+    estimate.kind = "estimate";
+    Experiment(estimate).run();
+    throw SpecError("kind", "rejected after the problem lookup");
+}
+
+/** True when this process has no child left, running or unreaped. */
+bool
+noChildLeft()
+{
+    int status = 0;
+    return ::waitpid(-1, &status, WNOHANG) == -1 && errno == ECHILD;
+}
+
+/** The whole (newline-terminated) lines of a journal. */
+size_t
+wholeLines(const std::string &journal)
+{
+    return size_t(std::count(journal.begin(), journal.end(), '\n'));
 }
 
 /** Run one spec through a worker process directly (no service). */
@@ -234,6 +291,58 @@ TEST(SweepdWorker, RunsOneJobAndReturnsItsResult)
     EXPECT_GT(reply.result.shots, 0u);
 }
 
+TEST(SweepdWorker, AnswersManyRequestsWithOneJobPerRider)
+{
+    // One worker process, two jobs on the same problem, a cold store
+    // of its own and tracing on: the second job finds the problem in
+    // the worker's memo, and neither rider carries the other job.
+    TempDir storeRoot("two_requests");
+    ChildProcess child = spawnChildProcess(
+        {selfPath(), std::string(sweepd::kWorkerFlag)},
+        {{"QCC_STORE_DIR", storeRoot.path()},
+         {"QCC_STORE", "1"},
+         {"QCC_TRACE", "1"}});
+    ASSERT_GT(child.pid, 0);
+    std::vector<sweepd::WorkerReply> replies;
+    for (uint64_t seed : {7, 8}) {
+        ASSERT_TRUE(writeFrame(
+            child.stdinFd,
+            sweepd::encodeJobRequest(sweepd::JobRequest{h2Job(seed)})));
+        std::string payload;
+        const FrameStatus fs =
+            readFrame(child.stdoutFd, payload, 120000.0);
+        ASSERT_EQ(fs, FrameStatus::Ok) << frameStatusName(fs);
+        sweepd::WorkerReply reply;
+        ASSERT_TRUE(sweepd::decodeReply(payload, reply));
+        ASSERT_TRUE(reply.done) << reply.error;
+        replies.push_back(std::move(reply));
+    }
+    // Closing stdin ends the worker cleanly.
+    const ExitStatus es = stopChildProcess(child, 60000.0);
+    EXPECT_TRUE(es.ok()) << es.describe();
+
+    EXPECT_EQ(counterIn(replies[0].metrics, "store.problem.builds"), 1u);
+    EXPECT_EQ(counterIn(replies[1].metrics, "store.problem.builds"), 0u);
+    EXPECT_EQ(counterIn(replies[1].metrics, "store.problem.mem_hits"), 1u);
+    EXPECT_EQ(counterIn(replies[1].metrics, "store.problem.disk_hits"),
+              0u);
+    std::set<std::string> pids;
+    for (const sweepd::WorkerReply &reply : replies) {
+        int runs = 0;
+        for (const JsonValue &e : reply.trace.items) {
+            const JsonValue *name = e.find("name");
+            const JsonValue *ph = e.find("ph");
+            if (name && ph && name->text == "experiment.run" &&
+                ph->text == "B")
+                ++runs;
+            if (const JsonValue *pid = e.find("pid"))
+                pids.insert(pid->text);
+        }
+        EXPECT_EQ(runs, 1) << "one job per trace rider";
+    }
+    EXPECT_EQ(pids.size(), 1u) << "one worker answered both";
+}
+
 TEST(SweepdWorker, ReportsASpecErrorAsFastFail)
 {
     ExperimentSpec spec;
@@ -282,6 +391,38 @@ TEST(SweepdService, ABadInputFailsAfterOneAttempt)
     ASSERT_EQ(store.countWithStatus(JobStatus::Failed), 1u);
     EXPECT_EQ(store.jobs()[0].attempts, 1);
     EXPECT_NE(store.jobs()[0].error.find("rainbow"), std::string::npos);
+}
+
+TEST(SweepdService, AFailedReplyCarriesItsRiders)
+{
+    // A bad-input job that looked up its problem before failing: its
+    // counters reach the service registry and the worker totals.
+    TempDir json("failed_riders");
+    EnvGuard jsonEnv("QCC_JSON", json.path());
+    SweepSpec spec = smallSweep();
+    spec.axes.clear();
+    spec.base.kind = "rejects_late";
+    sweepd::SweepdOptions opts = serviceOptions();
+    opts.retries = 2;
+
+    const char *const lookups[] = {"store.problem.builds",
+                                   "store.problem.disk_hits",
+                                   "store.problem.mem_hits"};
+    const JsonValue before = JsonValue::parse(metricsJson());
+    sweepd::SweepdRunStats stats;
+    ResultStore store = sweepd::SweepdService(opts).submit(spec, &stats);
+    const JsonValue after = JsonValue::parse(metricsJson());
+
+    ASSERT_EQ(store.countWithStatus(JobStatus::Failed), 1u);
+    EXPECT_EQ(store.jobs()[0].attempts, 1) << "bad input, one attempt";
+    uint64_t registry = 0;
+    for (const char *name : lookups)
+        registry += counterIn(after, name) - counterIn(before, name);
+    EXPECT_EQ(registry, 1u);
+    EXPECT_EQ(stats.workers.problemBuilds +
+                  stats.workers.problemDiskHits +
+                  stats.workers.problemMemHits,
+              1u);
 }
 
 TEST(SweepdService, BothExecutorsSplitThePoolOverTheJobsThatRun)
@@ -395,6 +536,179 @@ TEST(SweepdService, HardTimeoutKillsAndReapsTheWorker)
 }
 
 // ---------------------------------------------------------------
+// worker lifetime
+
+TEST(SweepdService, EveryWorkerIsReapedAndEachLaneForksOne)
+{
+    // At concurrency 1 a fault-free submit forks one worker, and a
+    // crash or a hard-deadline kill forks one replacement for the
+    // jobs after it. Whatever happens, submit() returns with no child
+    // of this process left, running or unreaped.
+    TempDir json("reaped");
+    EnvGuard jsonEnv("QCC_JSON", json.path());
+    MetricCounter &spawned = metricCounter("sweepd.workers.spawned");
+    sweepd::SweepdOptions opts = serviceOptions();
+    opts.concurrency = 1;
+    opts.resume = false;
+
+    uint64_t before = spawned.value();
+    EXPECT_EQ(sweepd::SweepdService(opts)
+                  .submit(smallSweep())
+                  .countWithStatus(JobStatus::Done),
+              4u);
+    EXPECT_TRUE(noChildLeft()) << "clean run";
+    EXPECT_EQ(spawned.value() - before, 1u) << "clean run";
+
+    {
+        // Seed 13 aborts; a fresh worker serves seed 14.
+        EnvGuard crash("QCC_SWEEPD_TEST_CRASH_SEED", "13");
+        before = spawned.value();
+        ResultStore store = sweepd::SweepdService(opts).submit(smallSweep());
+        EXPECT_EQ(store.countWithStatus(JobStatus::Failed), 1u);
+        EXPECT_TRUE(noChildLeft()) << "crash";
+        EXPECT_EQ(spawned.value() - before, 2u) << "crash";
+    }
+
+    {
+        // Seed 12 sleeps past the deadline; a fresh worker serves 11.
+        EnvGuard sleeper("QCC_SWEEPD_TEST_SLEEP_SEED", "12");
+        SweepSpec spec = smallSweep();
+        std::swap(spec.axes[0].values[0], spec.axes[0].values[1]);
+        spec.axes[0].values.resize(2);
+        sweepd::SweepdOptions timed = opts;
+        timed.jobTimeoutMs = 5000.0;
+        before = spawned.value();
+        ResultStore store = sweepd::SweepdService(timed).submit(spec);
+        EXPECT_EQ(store.countWithStatus(JobStatus::TimedOut), 1u);
+        EXPECT_EQ(store.countWithStatus(JobStatus::Done), 1u);
+        EXPECT_TRUE(noChildLeft()) << "hard timeout";
+        EXPECT_EQ(spawned.value() - before, 2u) << "hard timeout";
+    }
+
+    {
+        SweepSpec bad = smallSweep();
+        bad.axes[0].field = "no_such_field";
+        EXPECT_ANY_THROW(sweepd::SweepdService(opts).submit(bad));
+        EXPECT_TRUE(noChildLeft()) << "throwing expansion";
+    }
+
+    // The lanes share the idle workers: never more than one a lane.
+    opts.concurrency = 2;
+    before = spawned.value();
+    sweepd::SweepdService(opts).submit(smallSweep());
+    EXPECT_TRUE(noChildLeft()) << "two lanes";
+    EXPECT_GE(spawned.value() - before, 1u);
+    EXPECT_LE(spawned.value() - before, 2u);
+}
+
+// ---------------------------------------------------------------
+// journal
+
+TEST(SweepdService, MidSweepTheJournalHoldsTheCompletedJobsAndNoAggregate)
+{
+    TempDir json("journal_progress");
+    EnvGuard jsonEnv("QCC_JSON", json.path());
+    const std::string journal = json.path() + "/SWEEP_sweepd_unit.journal";
+    const std::string aggregate = json.path() + "/SWEEP_sweepd_unit.json";
+
+    std::vector<std::pair<size_t, size_t>> seen; // completed, lines
+    bool aggregateSeen = false;
+    sweepd::SweepdOptions opts = serviceOptions();
+    opts.progress = [&](const SweepProgress &p) {
+        seen.emplace_back(p.completed, wholeLines(slurp(journal)));
+        aggregateSeen |= std::filesystem::exists(aggregate);
+    };
+    sweepd::SweepdService(opts).submit(smallSweep());
+
+    ASSERT_EQ(seen.size(), 4u);
+    for (const auto &[completed, lines] : seen)
+        EXPECT_EQ(lines, completed);
+    EXPECT_FALSE(aggregateSeen) << "no aggregate before the end";
+    EXPECT_TRUE(std::filesystem::exists(aggregate));
+    EXPECT_EQ(wholeLines(slurp(journal)), 4u);
+}
+
+TEST(SweepdService, ATornLastJournalLineIsIgnoredAndTheWholeLinesAdopted)
+{
+    TempDir dir("journal_torn_tail");
+    EnvGuard jsonEnv("QCC_JSON", dir.path());
+    const std::string journal = dir.path() + "/SWEEP_sweepd_unit.journal";
+    const std::string aggregate = dir.path() + "/SWEEP_sweepd_unit.json";
+    sweepd::SweepdService(serviceOptions()).submit(smallSweep());
+    const std::string clean = slurp(aggregate);
+
+    // Keep three whole lines and half of the fourth.
+    const std::string full = slurp(journal);
+    size_t third = 0;
+    for (int i = 0; i < 3; ++i)
+        third = full.find('\n', third) + 1;
+    std::ofstream(journal, std::ios::binary | std::ios::trunc)
+        << full.substr(0, third + (full.size() - third) / 2);
+
+    sweepd::SweepdRunStats stats;
+    sweepd::SweepdService(serviceOptions()).submit(smallSweep(), &stats);
+    EXPECT_EQ(stats.resumed, 3u);
+    EXPECT_EQ(stats.ran, 1u);
+    EXPECT_EQ(slurp(aggregate), clean);
+    EXPECT_EQ(wholeLines(slurp(journal)), 4u);
+}
+
+TEST(SweepdJournal, ResumeAdoptsEveryWholeLineWhenKilledMidAppend)
+{
+    // A child starts a journal, appends 240 records' lines, and
+    // starts over, until it is SIGKILLed after a random 2-22 ms:
+    // wherever the kill lands, the journal is whole lines and at
+    // most one torn last line, and a resume adopts every record that
+    // has a whole line.
+    std::vector<ExperimentSpec> jobs(240);
+    for (size_t i = 0; i < jobs.size(); ++i) {
+        jobs[i].molecule = i % 2 ? "LiH" : "H2";
+        jobs[i].mode = "sampled";
+        jobs[i].optimizer = "spsa";
+        jobs[i].seed = 7 + i;
+    }
+    ResultStore store("killed", false);
+    store.reset(jobs);
+    std::vector<std::string> lines;
+    for (size_t i = 0; i < jobs.size(); ++i) {
+        SweepJobRecord rec;
+        rec.index = i;
+        rec.spec = jobs[i];
+        rec.specHash = sweepJobHash(jobs[i]);
+        rec.status = JobStatus::Done;
+        rec.attempts = 1;
+        rec.result.spec = jobs[i];
+        rec.result.vqe.energy = -1.1 - 1e-3 * double(i);
+        lines.push_back(store.journalLine(rec));
+    }
+    TempDir dir("journal_killed");
+    const std::string path = dir.path() + "/SWEEP_killed.journal";
+    SweepJournal(path, "");
+
+    std::mt19937 rng(2021);
+    std::uniform_int_distribution<int> delayUs(2000, 22000);
+    for (int trial = 0; trial < 20; ++trial) {
+        const pid_t pid = ::fork();
+        ASSERT_GE(pid, 0);
+        if (pid == 0)
+            for (;;) {
+                SweepJournal journal(path, "");
+                for (const std::string &line : lines)
+                    journal.append(line);
+            }
+        ::usleep(useconds_t(delayUs(rng)));
+        ::kill(pid, SIGKILL);
+        int status = 0;
+        ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+        const std::string text = slurp(path);
+        ResultStore resumed("killed", false);
+        resumed.reset(jobs);
+        EXPECT_EQ(resumed.adoptJournal(text), wholeLines(text))
+            << "trial " << trial << ": " << text.size() << " bytes";
+    }
+}
+
+// ---------------------------------------------------------------
 // resume
 
 TEST(SweepdService, ResumeReRunsOnlyMissingJobsAndReproducesBytes)
@@ -414,7 +728,7 @@ TEST(SweepdService, ResumeReRunsOnlyMissingJobsAndReproducesBytes)
     }
 
     // Interrupted run: one job crashes, three complete; the
-    // write-through aggregate is left behind as the resume source.
+    // journal is left behind as the resume source.
     TempDir dir("resume");
     EnvGuard jsonEnv("QCC_JSON", dir.path());
     {
@@ -467,11 +781,12 @@ TEST(SweepdService, ResumeIgnoresRecordsWhoseSpecChanged)
 
 TEST(SweepdService, AnUnparseableResumeDocumentRunsTheSweepInFull)
 {
-    // A service killed mid-write can leave a truncated aggregate.
+    // A service killed mid-append can leave a torn last journal
+    // line; here it is the only line.
     TempDir dir("resume_torn");
     EnvGuard jsonEnv("QCC_JSON", dir.path());
-    std::ofstream(dir.path() + "/SWEEP_sweepd_unit.json")
-        << "{\"jobs\": [{\"index\": 0, \"sta";
+    std::ofstream(dir.path() + "/SWEEP_sweepd_unit.journal")
+        << "{\"index\": 0, \"sta";
 
     sweepd::SweepdRunStats stats;
     ResultStore store =
@@ -499,12 +814,16 @@ TEST(SweepdService, WorkersUseTheProgrammaticStoreDir)
     opts.resume = false; // the second submit must run every job
     sweepd::SweepdService(opts).submit(smallSweep());
 
-    // Warm store: every worker reads the problem back from disk.
+    // Warm store: each worker reads the problem back from disk once
+    // and serves its later jobs from its memo.
     sweepd::SweepdRunStats stats;
     sweepd::SweepdService(opts).submit(smallSweep(), &stats);
     EXPECT_EQ(stats.ran, 4u);
     EXPECT_EQ(stats.workers.problemBuilds, 0u);
-    EXPECT_EQ(stats.workers.problemDiskHits, 4u);
+    EXPECT_GE(stats.workers.problemDiskHits, 1u);
+    EXPECT_EQ(stats.workers.problemDiskHits +
+                  stats.workers.problemMemHits,
+              4u);
 }
 
 TEST(SweepdService, WorkersHonorTheProgrammaticStoreKillSwitch)
@@ -519,9 +838,10 @@ TEST(SweepdService, WorkersHonorTheProgrammaticStoreKillSwitch)
 
     sweepd::SweepdRunStats stats;
     sweepd::SweepdService(serviceOptions()).submit(smallSweep(), &stats);
-    EXPECT_EQ(stats.workers.problemBuilds, 4u);
     EXPECT_EQ(stats.workers.problemDiskHits, 0u);
     EXPECT_TRUE(std::filesystem::is_empty(storeRoot.path()));
+    EXPECT_EQ(stats.workers.problemBuilds + stats.workers.problemMemHits,
+              4u);
 }
 
 TEST(SweepdWorker, SecondWorkerServesEverythingFromTheSharedStore)
@@ -573,6 +893,9 @@ TEST(SweepdWorker, SecondWorkerServesEverythingFromTheSharedStore)
 int
 main(int argc, char **argv)
 {
+    // Both roles know the test kind: the service expands it, the
+    // worker runs it.
+    experimentKindRegistry().add("rejects_late", rejectLate);
     // Worker mode: this binary is its own worker executable, so the
     // process tests are hermetic (no dependency on build layout).
     if (argc > 1 &&
