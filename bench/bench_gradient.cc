@@ -8,8 +8,9 @@
  * budgets. Headline numbers land in BENCH_gradient.json under
  * QCC_JSON. The serial rows run the generic per-task replay under a
  * one-lane ParallelWidthCap. The batched-vs-serial ratio on the
- * gate-level noisy mode is algorithmic (pair-difference suffix
- * sweeps), so it holds even on one core; the statevector modes
+ * gate-level noisy mode is algorithmic (one reverse-mode pass in the
+ * Pauli-transfer frame against 2R shifted energies), so it holds
+ * even on one core; the statevector modes
  * additionally scale with QCC_THREADS, drawing their per-task
  * scratch states from the common/parallel buffer pool. QCC_FULL=1
  * adds a 14-qubit NH3 row.
@@ -159,18 +160,21 @@ main()
                                    {"max_abs_dg", maxDelta}});
     }
 
-    auto dmMake = [&] {
-        return densityMatrixModel(ansatz.nQubits, noise).make();
-    };
-    auto dmEnergy = [&](SimBackend &b, size_t) {
+    // Both noisy routes run on one model's shared plan, so neither
+    // row pays the plan build.
+    const StateModel noisyModel = pauliFrameModel(ansatz.nQubits, noise);
+    const FramePlan &plan = *noisyModel.plans->get(ansatz);
+    auto noisyEnergy = [&](SimBackend &b, size_t) {
         return b.expectation(prob.hamiltonian);
     };
     timeRow(
         "noisy",
         [&] {
-            serially([&] { batched.gradient(params, dmMake, dmEnergy); });
+            serially([&] {
+                batched.gradient(params, noisyModel.make, noisyEnergy);
+            });
         },
-        [&] { batched.gradientNoisy(params, noise); });
+        [&] { batched.gradientNoisy(params, plan); });
 
     SamplingEngine samplerEngine(prob.hamiltonian, sampling);
     const uint64_t gradSeed = deriveSeed(0x6772); // "gr"

@@ -10,7 +10,9 @@
  * Setting QCC_JSON=1 (or QCC_JSON=<directory>) additionally writes
  * each bench's headline numbers as BENCH_<name>.json, so result
  * trajectories can be captured across revisions without scraping
- * stdout.
+ * stdout. Each document carries the envelope its rows were measured
+ * in: the build key (a digest of src/), the online core count, the
+ * thread-pool size and the active SIMD path.
  */
 
 #ifndef QCC_BENCH_BENCH_UTIL_HH
@@ -22,7 +24,11 @@
 #include <utility>
 #include <vector>
 
+#include <unistd.h>
+
 #include "common/logging.hh"
+#include "common/parallel.hh"
+#include "sim/simd.hh"
 
 namespace qccbench {
 
@@ -98,6 +104,14 @@ class JsonReport
         doc += name;
         doc += "\",\n  \"mode\": \"";
         doc += fullMode() ? "full" : "quick";
+        doc += "\",\n  \"build\": \"";
+        doc += qcc::buildKey();
+        doc += "\",\n  \"nproc\": ";
+        doc += std::to_string(sysconf(_SC_NPROCESSORS_ONLN));
+        doc += ",\n  \"threads\": ";
+        doc += std::to_string(qcc::parallelThreads());
+        doc += ",\n  \"simd\": \"";
+        doc += qcc::kern::simdName();
         doc += "\",\n  \"rows\": [";
         for (size_t r = 0; r < rows.size(); ++r) {
             doc += r ? ",\n    {\"label\": \"" : "\n    {\"label\": \"";

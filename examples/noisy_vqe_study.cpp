@@ -53,7 +53,7 @@ main()
         NoiseModel nm;
         nm.cnotDepolarizing = errorRates[pi];
         noisy[pi] =
-            densityMatrixModel(results.front().nQubits, nm).make();
+            pauliFrameModel(results.front().nQubits, nm).make();
     }
 
     std::printf("%-7s", "ratio");

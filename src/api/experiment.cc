@@ -9,8 +9,8 @@
 #include "chem/sto_ng.hh"
 #include "common/logging.hh"
 #include "obs/trace.hh"
-#include "sim/density_matrix.hh"
 #include "sim/lanczos.hh"
+#include "sim/pauli_frame.hh"
 #include "sim/sampling.hh"
 #include "store/problem_store.hh"
 #include "vqe/estimation.hh"
@@ -179,12 +179,13 @@ Experiment::Experiment(ExperimentSpec s) : resolved(std::move(s))
         // Refuse here, before a job sizes a 4^n vector it cannot
         // hold (NH3 would zero-fill 4 GiB before the simulator's own
         // check). The catalog width is the built problem's width.
-        if (densityMatrixMode(resolved.mode) &&
-            entry.expectQubits > DensityMatrix::kMaxQubits)
+        if (pauliFrameMode(resolved.mode) &&
+            entry.expectQubits > PauliFrame::kMaxQubits)
             throw SpecError(
                 "mode", "mode \"" + resolved.mode +
-                            "\" simulates a density matrix of at most " +
-                            std::to_string(DensityMatrix::kMaxQubits) +
+                            "\" holds 8 * 4^n bytes of Pauli "
+                            "coefficients, at most " +
+                            std::to_string(PauliFrame::kMaxQubits) +
                             " qubits; " + resolved.molecule + " needs " +
                             std::to_string(entry.expectQubits));
     }

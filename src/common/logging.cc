@@ -6,6 +6,12 @@
 
 #include "common/binio.hh"
 
+#ifdef QCC_BUILD_KEY_HEADER
+#include QCC_BUILD_KEY_HEADER
+#else
+#define QCC_BUILD_KEY ""
+#endif
+
 namespace qcc {
 
 namespace {
@@ -144,6 +150,12 @@ writeOutputFile(const std::string &path, const std::string &doc,
         return path;
     warn(writer + ": cannot write " + path);
     return {};
+}
+
+const char *
+buildKey()
+{
+    return QCC_BUILD_KEY;
 }
 
 } // namespace qcc

@@ -74,6 +74,14 @@ std::string writeOutputFile(const std::string &path,
                             const std::string &doc,
                             const std::string &writer);
 
+/**
+ * This binary's build key: a digest of the src/ sources that the
+ * top-level CMake build generates, or "" in a build that does not
+ * (perfbench/). Sweep journal lines carry it so that resume never
+ * adopts a record another build produced.
+ */
+const char *buildKey();
+
 } // namespace qcc
 
 #endif // QCC_COMMON_LOGGING_HH

@@ -1,7 +1,6 @@
 #include "sim/backend.hh"
 
 #include "common/logging.hh"
-#include "compiler/pipeline.hh"
 
 namespace qcc {
 
@@ -19,21 +18,23 @@ SimBackend::applyAnsatz(const Ansatz &ansatz,
 }
 
 void
-DensityMatrixBackend::applyAnsatz(const Ansatz &ansatz,
-                                  const std::vector<double> &params)
+PauliFrameBackend::applyAnsatz(const Ansatz &ansatz,
+                               const std::vector<double> &params)
 {
     if (params.size() != ansatz.nParams)
-        fatal("DensityMatrixBackend::applyAnsatz: parameter count "
+        fatal("PauliFrameBackend::applyAnsatz: parameter count "
               "mismatch");
     if (ansatz.nQubits != numQubits())
-        fatal("DensityMatrixBackend::applyAnsatz: width mismatch");
-    // Execute the gate-level circuit (HF preparation included) so the
-    // noise model charges every synthesized CNOT. The cached pipeline
-    // path memoizes the structure, so the per-iteration work inside a
-    // noisy VQE loop is an angle rebind rather than a resynthesis.
-    Circuit c = cachedChainCircuit(ansatz, params, true);
-    prepare(0);
-    rho.applyCircuit(c, noiseModel);
+        fatal("PauliFrameBackend::applyAnsatz: width mismatch");
+    // The plan is the gate-level circuit (HF preparation included)
+    // walked once, so the noise model charges every synthesized CNOT
+    // while an evaluation reads its angles straight from params.
+    std::vector<double> theta(ansatz.rotations.size());
+    for (size_t j = 0; j < theta.size(); ++j) {
+        const PauliRotation &r = ansatz.rotations[j];
+        theta[j] = params[r.param] * r.coeff;
+    }
+    slot->get(ansatz)->prepare(frame, theta);
 }
 
 } // namespace qcc

@@ -1,31 +1,31 @@
 /**
  * @file
  * Pluggable simulation backend for the VQE driver. SimBackend unifies
- * the ideal statevector simulator and the noisy density-matrix
+ * the ideal statevector simulator and the noisy Pauli-transfer-frame
  * simulator behind one interface (prepare / applyPauliRotation /
  * applyAnsatz / Pauli-sum expectation / measurement probabilities),
  * so the energy-evaluation hot path — and everything layered on it
  * (VQE, benches, studies) — runs unmodified against either.
  * applyAnsatz is the policy hook: the statevector backend replays the
- * Pauli-rotation program with the direct kernels, while the
- * density-matrix backend chain-synthesizes a gate circuit and runs it
- * with its noise channels, reproducing the paper's Section VI-D noisy
- * execution model. Other gate circuits run on the simulator itself
- * (state().applyCircuit).
+ * Pauli-rotation program with the direct kernels, while the noisy
+ * backend runs the chain-synthesized gate circuit with its noise
+ * channels through a FramePlan (sim/pauli_frame.hh), reproducing the
+ * paper's Section VI-D noisy execution model.
  */
 
 #ifndef QCC_SIM_BACKEND_HH
 #define QCC_SIM_BACKEND_HH
 
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
 #include "ansatz/uccsd.hh"
 #include "circuit/circuit.hh"
 #include "pauli/pauli_sum.hh"
-#include "sim/density_matrix.hh"
 #include "sim/noise_model.hh"
+#include "sim/pauli_frame.hh"
 #include "sim/statevector.hh"
 
 namespace qcc {
@@ -115,32 +115,40 @@ class StatevectorBackend : public SimBackend
 };
 
 /**
- * Noisy backend over the density-matrix simulator. applyAnsatz
- * chain-synthesizes the rotation program to gates and executes them
- * with the configured depolarizing noise model, so ansatz CNOTs pay
- * their noise cost exactly as in the paper's case studies.
+ * Noisy backend over the Pauli-transfer frame. applyAnsatz runs the
+ * chain-synthesized circuit with the configured depolarizing noise
+ * through the slot's FramePlan, so ansatz CNOTs pay their noise cost
+ * exactly as in the paper's case studies, and each evaluation is one
+ * sweep per rotation and per damping segment, with no compile.
  */
-class DensityMatrixBackend : public SimBackend
+class PauliFrameBackend : public SimBackend
 {
   public:
-    explicit DensityMatrixBackend(unsigned n, NoiseModel noise = {})
-        : rho(n), noiseModel(noise)
+    /**
+     * `plans` is the state model's shared plan slot; a backend made
+     * without one keeps its own.
+     */
+    explicit PauliFrameBackend(unsigned n, NoiseModel noise = {},
+                               std::shared_ptr<FramePlanSlot> plans = {})
+        : frame(n),
+          slot(plans ? std::move(plans)
+                     : std::make_shared<FramePlanSlot>(noise))
     {
     }
 
-    unsigned numQubits() const override { return rho.numQubits(); }
-    void prepare(uint64_t basis = 0) override { rho.reset(basis); }
+    unsigned numQubits() const override { return frame.numQubits(); }
+    void prepare(uint64_t basis = 0) override { frame.reset(basis); }
 
     void
     applyPauliRotation(double theta, const PauliString &p) override
     {
-        rho.applyPauliRotation(theta, p);
+        frame.applyPauliRotation(theta, p);
     }
 
     double
     expectation(const PauliSum &h) const override
     {
-        return rho.expectation(h);
+        return frame.expectation(h);
     }
 
     std::vector<double>
@@ -148,19 +156,19 @@ class DensityMatrixBackend : public SimBackend
         const std::vector<std::pair<unsigned, PauliOp>> &rotations)
         const override
     {
-        return rho.basisProbabilities(rotations);
+        return frame.basisProbabilities(rotations);
     }
 
     void applyAnsatz(const Ansatz &ansatz,
                      const std::vector<double> &params) override;
 
-    const NoiseModel &noise() const { return noiseModel; }
-    DensityMatrix &state() { return rho; }
-    const DensityMatrix &state() const { return rho; }
+    const NoiseModel &noise() const { return slot->noise(); }
+    PauliFrame &state() { return frame; }
+    const PauliFrame &state() const { return frame; }
 
   private:
-    DensityMatrix rho;
-    NoiseModel noiseModel;
+    PauliFrame frame;
+    std::shared_ptr<FramePlanSlot> slot;
 };
 
 } // namespace qcc

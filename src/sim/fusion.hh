@@ -25,13 +25,12 @@
  * and throw SimError with a VerifyIssue-style diagnostic (gate index
  * + message) instead of asserting deep inside a kernel.
  *
- * The density matrix does not go through the builder: its own
- * executor (DensityMatrix::applyGates) merges 1q runs per qubit and
- * fuses each CNOT with its depolarizing channel into one sweep, so
- * noisy circuits fuse too.
+ * Noisy circuits do not go through the builder: the noisy state
+ * model walks each compiled chain circuit once into a FramePlan
+ * (sim/pauli_frame.hh) and runs in the Pauli-transfer frame.
  *
- * Fused execution is the only production path on both simulators.
- * The per-gate replays it is checked and timed against live with
+ * Fused execution is the only production path of the statevector.
+ * The per-gate replay it is checked and timed against lives with
  * the tests (tests/sim_reference.hh).
  */
 

@@ -183,39 +183,5 @@ pauliInner(const cplx *bra, const cplx *ket, size_t dim, uint64_t x,
     return iPow(std::popcount(x & z)) * t;
 }
 
-void
-depolarize1(cplx *rho, size_t dim, unsigned q, unsigned n_qubits,
-            double p)
-{
-    if (p <= 0.0)
-        return;
-    const double keep = 1.0 - 4.0 * p / 3.0;
-    const double mix = (4.0 * p / 3.0) / 2.0;
-    const uint64_t kbit = 1ull << q;
-    const uint64_t bbit = kbit << n_qubits;
-    // Each compacted k names one disjoint 2x2 sub-block, so the
-    // per-element result is independent of the chunking.
-    parallelFor(0, dim / 4, [=](size_t lo, size_t hi) {
-        ranges::depolarize1(rho, lo, hi, kbit, bbit, keep, mix);
-    });
-}
-
-void
-cxDepolarize2(cplx *rho, size_t dim, unsigned control, unsigned target,
-              unsigned n_qubits, double p)
-{
-    const double keep = p > 0.0 ? 1.0 - 16.0 * p / 15.0 : 1.0;
-    const double mix = p > 0.0 ? (16.0 * p / 15.0) / 4.0 : 0.0;
-    const uint64_t ka = 1ull << std::min(control, target);
-    const uint64_t kb = 1ull << std::max(control, target);
-    const uint64_t ba = ka << n_qubits;
-    const uint64_t bb = kb << n_qubits;
-    const bool controlLow = control < target;
-    parallelFor(0, dim / 16, [=](size_t lo, size_t hi) {
-        ranges::cxDepolarize2(rho, lo, hi, ka, kb, ba, bb, controlLow,
-                              keep, mix);
-    });
-}
-
 } // namespace kern
 } // namespace qcc

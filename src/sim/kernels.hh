@@ -1,10 +1,11 @@
 /**
  * @file
- * Specialized amplitude-array kernels shared by the statevector and
- * density-matrix simulators. Every kernel operates on a raw
- * std::complex<double> array addressed by basis-index bit masks, so
- * the density matrix can reuse them on its vectorized form (ket masks
- * as-is, bra masks shifted by n).
+ * Specialized amplitude-array kernels of the statevector simulator.
+ * Every kernel operates on a raw std::complex<double> array addressed
+ * by basis-index bit masks, so the density-matrix reference in
+ * tests/sim_reference.hh reuses them on its vectorized form (ket
+ * masks as-is, bra masks shifted by n). Noisy states do not use them:
+ * they run in the Pauli-transfer frame (sim/pauli_frame.hh).
  *
  * The fast paths follow the standard bit-mask simulation recipe
  * (cf. arXiv:2509.04955): pair loops enumerate 2^(n-1) compacted
@@ -19,11 +20,10 @@
  * block-parallel via parallelFor/parallelReduce, and each chunk runs
  * through the range primitives of sim/simd.hh, runtime-dispatched
  * between scalar and AVX2 bodies (QCC_SIMD selects the path; see
- * that header). On a density matrix the one two-qubit channel is
- * fused with its CNOT (cxDepolarize2).
+ * that header).
  *
  * The original full-scan implementations, the single-string <P> and
- * the standalone two-qubit channel live on as test oracles in
+ * the depolarizing channels live on as test oracles in
  * tests/sim_reference.hh; the kernel tests check equivalence against
  * them and bench_sim_micro measures the speedup.
  */
@@ -121,26 +121,6 @@ class XMaskGroups
  */
 cplx pauliInner(const cplx *bra, const cplx *ket, size_t dim,
                 uint64_t x, uint64_t z);
-
-/**
- * Uniform single-qubit depolarizing channel on a vectorized density
- * matrix (rho over `dim` = 4^n entries, bra index bits above the n
- * ket bits): D(rho) = (1 - 4p/3) rho + (4p/3)(I/2 (x) Tr_q rho).
- * No-op for p <= 0.
- */
-void depolarize1(cplx *rho, size_t dim, unsigned q, unsigned n_qubits,
-                 double p);
-
-/**
- * A noisy CNOT on a vectorized density matrix in one sweep: the
- * CNOT on the ket bits (control, target), the same on the bra bits,
- * then the uniform two-qubit depolarizing channel on the pair,
- *   D(rho) = (1 - 16p/15) rho + (16p/15)(I4/4 (x) Tr_ab rho),
- * rounding as those three sweeps do. For p <= 0 the channel
- * arithmetic is skipped and the sweep only moves entries.
- */
-void cxDepolarize2(cplx *rho, size_t dim, unsigned control,
-                   unsigned target, unsigned n_qubits, double p);
 
 } // namespace kern
 } // namespace qcc

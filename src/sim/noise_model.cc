@@ -1,4 +1,4 @@
 #include "sim/noise_model.hh"
 
-// NoiseModel is a plain parameter struct; implementation lives in the
-// density-matrix simulator. This translation unit anchors the header.
+// NoiseModel is a plain parameter struct; the channels live in the
+// Pauli-transfer frame. This translation unit anchors the header.

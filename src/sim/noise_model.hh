@@ -1,9 +1,10 @@
 /**
  * @file
- * Noise model for the density-matrix simulator. The paper's noisy
- * case studies (Section VI-D) use a depolarizing error model with a
- * realistic CNOT error rate; we reproduce that and additionally allow
- * single-qubit depolarizing noise.
+ * Noise model of the noisy state (the Pauli-transfer frame,
+ * sim/pauli_frame.hh). The paper's noisy case studies (Section VI-D)
+ * use a depolarizing error model with a realistic CNOT error rate; we
+ * reproduce that and additionally allow single-qubit depolarizing
+ * noise.
  */
 
 #ifndef QCC_SIM_NOISE_MODEL_HH

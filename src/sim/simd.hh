@@ -154,41 +154,6 @@ void maskMatvecScalar(cplx *out, const cplx *v, size_t b_lo,
                       const double *wr, const double *wi,
                       size_t n_terms);
 
-/**
- * Single-qubit depolarizing sweep over one vectorized density
- * matrix. k in [k_lo, k_hi) compacts away the ket bit `kbit` and the
- * bra bit `bbit` (kbit < bbit required): each k names one 2x2
- * sub-block {base, base|kbit, base|bbit, base|kbit|bbit}, which is
- * scaled by `keep` with `mix * (partial trace)` added back on the
- * two diagonal entries. keep/mix are real, so the AVX2 body is plain
- * mul/fmadd on packed complex doubles.
- */
-void depolarize1(cplx *amp, size_t k_lo, size_t k_hi, uint64_t kbit,
-                 uint64_t bbit, double keep, double mix);
-void depolarize1Scalar(cplx *amp, size_t k_lo, size_t k_hi,
-                       uint64_t kbit, uint64_t bbit, double keep,
-                       double mix);
-
-/**
- * A CNOT conjugated onto a vectorized density matrix, fused with
- * the two-qubit depolarizing channel on its pair: one sweep for what
- * applyCx on the ket bits, applyCx on the bra bits and the channel
- * would do in three. k compacts away the two ket bits (ka < kb) and
- * the two bra bits (ba < bb, both above kb); `control_low` puts the
- * control on the lower qubit (ka/ba), else on the higher (kb/bb).
- * Each k names a 4x4 sub-block, read through the CNOT's permutation
- * and written back scaled by `keep`, with `mix * (partial trace over
- * the four diagonal entries)` added on the diagonal; keep == 1 with
- * mix == 0 only permutes.
- */
-void cxDepolarize2(cplx *amp, size_t k_lo, size_t k_hi, uint64_t ka,
-                   uint64_t kb, uint64_t ba, uint64_t bb,
-                   bool control_low, double keep, double mix);
-void cxDepolarize2Scalar(cplx *amp, size_t k_lo, size_t k_hi,
-                         uint64_t ka, uint64_t kb, uint64_t ba,
-                         uint64_t bb, bool control_low, double keep,
-                         double mix);
-
 /** @{ Permutation range kernels (scalar; these are pure moves). */
 void applyX(cplx *amp, size_t k_lo, size_t k_hi, uint64_t bit);
 void applyCx(cplx *amp, size_t k_lo, size_t k_hi, uint64_t cbit,

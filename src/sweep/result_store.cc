@@ -45,15 +45,22 @@ namespace {
  * breaks, "\n   " in the aggregate (a newline and the entry's
  * indent) and " " on a journal line, which is what keeps the line
  * one line: the embedded documents escape every newline in their
- * strings.
+ * strings. A non-null `build` leads the entry as its "build" key
+ * (journal lines only).
  */
 void
 appendRecord(std::string &out, const SweepJobRecord &r, bool timings,
-             std::string_view br)
+             std::string_view br, const char *build = nullptr)
 {
+    out += '{';
+    if (build) {
+        out += "\"build\": \"";
+        out += build;
+        out += "\", ";
+    }
     char buf[128];
     std::snprintf(buf, sizeof(buf),
-                  "{\"index\": %zu, \"status\": \"%s\", "
+                  "\"index\": %zu, \"status\": \"%s\", "
                   "\"attempts\": %d",
                   r.index, jobStatusName(r.status), r.attempts);
     out += buf;
@@ -124,7 +131,7 @@ ResultStore::reset(const std::vector<ExperimentSpec> &jobs)
 }
 
 bool
-ResultStore::adoptEntry(const JsonValue &entry)
+ResultStore::adoptEntry(const JsonValue &entry, bool this_build)
 {
     const JsonValue *idx = entry.find("index");
     uint64_t i = 0;
@@ -135,9 +142,11 @@ ResultStore::adoptEntry(const JsonValue &entry)
     const JsonValue *status = entry.find("status");
     const JsonValue *result = entry.find("result");
     ExperimentResult rehydrated;
-    // A changed spec re-runs; failures get a second chance on
-    // resume. Either way an earlier journal line loses its say.
-    if (!hash || !hash->isString() || hash->text != rec.specHash ||
+    // A changed spec or another build re-runs; failures get a
+    // second chance on resume. Either way an earlier journal line
+    // loses its say.
+    if (!this_build || !hash || !hash->isString() ||
+        hash->text != rec.specHash ||
         !status || !status->isString() || status->text != "done" ||
         !result || !ExperimentResult::fromJsonDom(*result, rehydrated)) {
         SweepJobRecord pending;
@@ -172,7 +181,7 @@ ResultStore::adoptCompleted(const std::string &prior_doc)
     if (jobs && jobs->isArray()) {
         std::lock_guard<std::mutex> lock(*mutex);
         for (const JsonValue &entry : jobs->items)
-            adoptEntry(entry);
+            adoptEntry(entry, true);
     }
     return countWithStatus(JobStatus::Done);
 }
@@ -188,8 +197,11 @@ ResultStore::adoptJournal(const std::string &journal)
              (eol = journal.find('\n', pos)) != std::string::npos;
              pos = eol + 1) {
             try {
-                adoptEntry(
-                    JsonValue::parse(journal.substr(pos, eol - pos)));
+                const JsonValue entry =
+                    JsonValue::parse(journal.substr(pos, eol - pos));
+                const JsonValue *build = entry.find("build");
+                adoptEntry(entry, build && build->isString() &&
+                                      build->text == buildKey());
             } catch (const JsonError &) {
             }
         }
@@ -201,7 +213,7 @@ std::string
 ResultStore::journalLine(const SweepJobRecord &record) const
 {
     std::string line;
-    appendRecord(line, record, emitTimings, " ");
+    appendRecord(line, record, emitTimings, " ", buildKey());
     line += '\n';
     return line;
 }

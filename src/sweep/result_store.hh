@@ -127,16 +127,20 @@ class ResultStore
     /**
      * Resume support from a SWEEP_<name>.journal: every whole
      * (newline-terminated) line is one jobs[] entry, adopted by the
-     * same rule as adoptCompleted. The last line for an index
-     * decides, so a later line that is not adoptable un-adopts an
-     * earlier one. A torn last line, or a whole line that does not
-     * parse, is ignored. Returns the number of jobs adopted.
+     * same rule as adoptCompleted when its "build" key equals this
+     * binary's buildKey() (common/logging.hh); a line of another
+     * build, or without the key, is not adoptable. The last line for
+     * an index decides, so a later line that is not adoptable
+     * un-adopts an earlier one. A torn last line, or a whole line
+     * that does not parse, is ignored. Returns the number of jobs
+     * adopted.
      */
     size_t adoptJournal(const std::string &journal);
 
     /**
      * `record` as one journal line, newline included: the aggregate's
-     * jobs[] entry from the same record writer, on one line.
+     * jobs[] entry from the same record writer, on one line, led by
+     * this binary's "build" key.
      */
     std::string journalLine(const SweepJobRecord &record) const;
 
@@ -174,8 +178,11 @@ class ResultStore
     std::string writeTo(const std::string &path) const;
 
   private:
-    /** adoptCompleted's per-record rule (caller holds the lock). */
-    bool adoptEntry(const JsonValue &entry);
+    /**
+     * The per-record adoption rule (caller holds the lock); an entry
+     * not of `this_build` is treated as not adoptable.
+     */
+    bool adoptEntry(const JsonValue &entry, bool this_build);
 
     std::string sweepName;
     bool emitTimings;

@@ -7,17 +7,19 @@
  *
  *  - ideal:         statevector state, analytic expectation by X
  *                   mask;
- *  - noisy:         density-matrix state with depolarizing channels
- *                   (gate circuits through the cached compiler
- *                   pipeline), analytic expectation;
+ *  - noisy:         mixed state with depolarizing channels in the
+ *                   Pauli-transfer frame (the chain-synthesized
+ *                   circuit walked once into a FramePlan), analytic
+ *                   expectation;
  *  - sampled:       statevector state, shot-based SamplingEngine
  *                   readout (the NISQ measurement-cost model);
- *  - noisy_sampled: density-matrix state + shot readout — the
+ *  - noisy_sampled: the noisy state + shot readout — the
  *                   end-to-end hardware model, composed from the
  *                   same two parts rather than a new code path;
  *
- * and the optimizers (L-BFGS with exact gradients — adjoint on the
- * ideal path, parameter shift elsewhere — plain gradient descent,
+ * and the optimizers (L-BFGS with exact gradients — an adjoint under
+ * analytic readout, parameter shift under shot readout — plain
+ * gradient descent,
  * SPSA, Nelder-Mead) are
  * registry-backed strategy objects (vqe/optimizers.hh). Every run
  * records a machine-readable trace — per-point energy, estimator
@@ -157,8 +159,8 @@ class VqeDriver
     /**
      * Minimize from a zero start with the configured optimizer. The
      * optimization runs under one "vqe.optimize" trace span whose
-     * args split it: evals, apply_ms (state preparation, compile
-     * cache rebind included) and measure_ms (readout). There is no
+     * args split it: evals, apply_ms (state preparation) and
+     * measure_ms (readout). There is no
      * span per evaluation, so a traced sweep stays far below the
      * per-thread event cap.
      */

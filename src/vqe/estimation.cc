@@ -17,13 +17,13 @@ statevectorModel(unsigned n)
 }
 
 StateModel
-densityMatrixModel(unsigned n, NoiseModel noise)
+pauliFrameModel(unsigned n, NoiseModel noise)
 {
     StateModel m;
     m.pureState = false;
-    m.noise = noise;
-    m.make = [n, noise] {
-        return std::make_unique<DensityMatrixBackend>(n, noise);
+    m.plans = std::make_shared<FramePlanSlot>(noise);
+    m.make = [n, noise, plans = m.plans] {
+        return std::make_unique<PauliFrameBackend>(n, noise, plans);
     };
     return m;
 }
@@ -57,19 +57,19 @@ AnalyticEstimation::gradient(const ParameterShiftEngine &shift,
 {
     if (shots_out)
         *shots_out = 0;
-    // Pure state: reverse mode, no shifted state is ever read out.
+    // Reverse mode on either state: no shifted state is ever read
+    // out. The noisy route runs on the model's shared plan.
     if (model.pureState)
         return shift.gradientAdjoint(params);
-    // Mixed state: the pair-differenced noisy sweep (one suffix
-    // application per rotation through the cached compiled circuit).
-    return shift.gradientNoisy(params, model.noise);
+    return shift.gradientNoisy(params,
+                               *model.plans->get(shift.unrolledAnsatz()));
 }
 
 size_t
 AnalyticEstimation::gradientEvaluations(
-    const ParameterShiftEngine &shift) const
+    const ParameterShiftEngine &) const
 {
-    return model.pureState ? 0 : shift.numShiftedEvaluations();
+    return 0;
 }
 
 // ------------------------------------------------------- sampled
@@ -135,7 +135,7 @@ SampledEstimation::gradient(const ParameterShiftEngine &shift,
                 return sampler.measure(psi, rng).energy;
             });
     // Mixed state + shot readout: generic per-task backends (each
-    // task prepares its shifted state with a full noisy replay).
+    // task prepares its shifted state on the model's shared plan).
     return shift.gradient(
         params, model.make, [&](SimBackend &backend, size_t task) {
             Rng rng(deriveStream(call_stream, task));
@@ -166,8 +166,7 @@ estimationRegistry()
         r.add("noisy", [](const EstimationConfig &c) {
             return std::make_unique<AnalyticEstimation>(
                 *c.hamiltonian,
-                densityMatrixModel(c.hamiltonian->numQubits(),
-                                   c.noise),
+                pauliFrameModel(c.hamiltonian->numQubits(), c.noise),
                 "noisy");
         });
         r.add("sampled", [](const EstimationConfig &c) {
@@ -176,13 +175,12 @@ estimationRegistry()
                 statevectorModel(c.hamiltonian->numQubits()),
                 "sampled");
         });
-        // The ROADMAP composition: density-matrix state + shot
-        // readout reproduces a real-hardware run end to end.
+        // Noisy state + shot readout reproduces a real-hardware run
+        // end to end.
         r.add("noisy_sampled", [](const EstimationConfig &c) {
             return std::make_unique<SampledEstimation>(
                 *c.hamiltonian, c.sampling,
-                densityMatrixModel(c.hamiltonian->numQubits(),
-                                   c.noise),
+                pauliFrameModel(c.hamiltonian->numQubits(), c.noise),
                 "noisy_sampled");
         });
         return r;
@@ -198,7 +196,7 @@ makeEstimationStrategy(const std::string &mode,
 }
 
 bool
-densityMatrixMode(const std::string &mode)
+pauliFrameMode(const std::string &mode)
 {
     return mode == "noisy" || mode == "noisy_sampled";
 }

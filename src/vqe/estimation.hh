@@ -5,21 +5,22 @@
  * EvalMode enum used to weld together):
  *
  *  - a *state model*: how |psi(theta)> is realized — the ideal
- *    statevector, or the density matrix with depolarizing channels
- *    (gate circuits through the cached compiler pipeline);
+ *    statevector, or the Pauli-transfer frame with depolarizing
+ *    channels (the chain-synthesized gate circuit, walked once into
+ *    a FramePlan the model shares);
  *  - a *readout*: how <H> is extracted from that state — the exact
  *    analytic expectation, or the shot-based SamplingEngine.
  *
  * The four products are the driver's evaluation modes, and the
  * composition is literal: NoisySampled (the end-to-end hardware
- * model, density-matrix state + shot readout) is one registry line
- * pairing the density-matrix model with the sampled readout — no new
+ * model, noisy mixed state + shot readout) is one registry line
+ * pairing the Pauli-frame model with the sampled readout — no new
  * code path. Strategies own their engines (ExpectationEngine or
  * SamplingEngine), construct fresh backends, and pick the optimal
- * gradient route for their state model and readout (the adjoint for
- * the analytic pure state, parameter shift wherever a readout needs
- * each shifted state or the state is mixed); the driver only derives
- * rng streams and keeps the trace.
+ * gradient route for their state model and readout (an adjoint for
+ * analytic readout, on the pure state or in the Pauli frame, and
+ * parameter shift wherever a readout needs each shifted state); the
+ * driver only derives rng streams and keeps the trace.
  *
  * Modes are looked up by name in estimationRegistry() ("ideal",
  * "noisy", "sampled", "noisy_sampled"); unknown names throw a
@@ -57,21 +58,27 @@ struct EnergyEstimate
  * The state-model half of a strategy: whether the state is pure
  * (enabling the statevector gradient routes: the adjoint under
  * analytic readout, prefix-shared parameter shift under shot
- * readout), the noise channels (density-matrix models), and a
- * factory for fresh backends.
+ * readout), the noisy model's plan slot, and a factory for fresh
+ * backends.
  */
 struct StateModel
 {
     bool pureState = true; ///< backend exposes a Statevector
-    NoiseModel noise;      ///< channels (density-matrix model)
-    BackendFactory make;   ///< fresh backend for this model
+    /**
+     * The mixed-state model's one FramePlan, shared by every backend
+     * `make` returns and by the noisy gradient; null when pure. It
+     * lives as long as the model, so plans do not pile up across
+     * jobs.
+     */
+    std::shared_ptr<FramePlanSlot> plans;
+    BackendFactory make; ///< fresh backend for this model
 };
 
 /** Ideal pure-state model on n qubits. */
 StateModel statevectorModel(unsigned n);
 
-/** Depolarizing-noise mixed-state model on n qubits. */
-StateModel densityMatrixModel(unsigned n, NoiseModel noise);
+/** Depolarizing-noise mixed-state model on n qubits (Pauli frame). */
+StateModel pauliFrameModel(unsigned n, NoiseModel noise);
 
 /**
  * How the driver turns a prepared state into an energy estimate and
@@ -120,8 +127,9 @@ class EstimationStrategy
 
     /**
      * Full gradient through `engine`, routed over this strategy's
-     * optimal path (adjoint, prefix-shared statevector replays,
-     * pair-differenced noisy sweeps, or generic per-task backends).
+     * optimal path (the pure-state or Pauli-frame adjoint,
+     * prefix-shared statevector replays, or generic per-task
+     * backends).
      * `call_stream` seeds per-task readout streams; `shots_out`,
      * when non-null, receives the shots the gradient spent.
      */
@@ -132,7 +140,7 @@ class EstimationStrategy
 
     /**
      * Energy evaluations one gradient() call runs through `engine`:
-     * 2R on the parameter-shift routes, 0 on the adjoint route.
+     * 2R on the parameter-shift routes, 0 on the adjoint routes.
      */
     virtual size_t
     gradientEvaluations(const ParameterShiftEngine &engine) const = 0;
@@ -140,8 +148,8 @@ class EstimationStrategy
 
 /**
  * Analytic (exact expectation) readout over a state model: H by X
- * mask on a pure state, the backend's own expectation on a density
- * matrix (vqe/expectation_engine.hh).
+ * mask on a pure state, the backend's own expectation in the Pauli
+ * frame (vqe/expectation_engine.hh).
  */
 class AnalyticEstimation : public EstimationStrategy
 {
@@ -211,8 +219,8 @@ using EstimationFactory = std::function<std::unique_ptr<
 
 /**
  * Mode registry seeded with the four built-in compositions:
- * "ideal", "noisy", "sampled", and "noisy_sampled" (density-matrix
- * state + shot readout — the ROADMAP composition).
+ * "ideal", "noisy", "sampled", and "noisy_sampled" (noisy Pauli-frame
+ * state + shot readout).
  */
 Registry<EstimationFactory> &estimationRegistry();
 
@@ -222,11 +230,12 @@ makeEstimationStrategy(const std::string &mode,
                        const EstimationConfig &config);
 
 /**
- * True for the built-in modes whose state is a density matrix
- * ("noisy", "noisy_sampled"): they hold 4^n entries, so callers
- * check the register width before building one.
+ * True for the built-in modes whose state is the Pauli frame
+ * ("noisy", "noisy_sampled"): it holds 4^n coefficients (8 * 4^n
+ * bytes), so callers check the register width against
+ * PauliFrame::kMaxQubits before building one.
  */
-bool densityMatrixMode(const std::string &mode);
+bool pauliFrameMode(const std::string &mode);
 
 } // namespace qcc
 

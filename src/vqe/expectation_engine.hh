@@ -34,8 +34,8 @@ class ExpectationEngine
 
     /**
      * Energy in a backend's current state: the statevector path when
-     * available, the backend's own expectation otherwise (a density
-     * matrix has no pure state to apply H to).
+     * available, the backend's own expectation otherwise (a mixed
+     * state has no pure state to apply H to).
      */
     double energy(const SimBackend &backend) const;
 

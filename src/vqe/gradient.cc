@@ -5,8 +5,6 @@
 #include "common/logging.hh"
 #include "common/parallel.hh"
 #include "obs/trace.hh"
-#include "compiler/pipeline.hh"
-#include "sim/density_matrix.hh"
 #include "sim/kernels.hh"
 
 namespace qcc {
@@ -46,9 +44,9 @@ ParameterShiftEngine::ParameterShiftEngine(const PauliSum &h,
 
     // The unrolled twin: same qubit count, same HF mask, same string
     // sequence, but one parameter per rotation with the coefficient
-    // folded into the binding. Same strings -> same CircuitCache key
-    // as the source ansatz, so the gate-level path rebinds rather
-    // than recompiles every shifted evaluation.
+    // folded into the binding. Same structure -> the same FramePlan
+    // as the source ansatz, so every shifted evaluation of the noisy
+    // model runs on the plan its driver already built.
     unrolled.nQubits = ansatz.nQubits;
     unrolled.nParams = unsigned(ansatz.rotations.size());
     unrolled.hfMask = ansatz.hfMask;
@@ -209,97 +207,16 @@ ParameterShiftEngine::gradientStatevector(
 }
 
 std::vector<double>
-ParameterShiftEngine::gradientNoisy(
-    const std::vector<double> &params, const NoiseModel &noise) const
+ParameterShiftEngine::gradientNoisy(const std::vector<double> &params,
+                                    const FramePlan &plan) const
 {
     TraceSpan span("gradient.noisy");
-    span.arg("evaluations", 2 * shiftable.size());
-    const std::vector<double> base = baseAngles(params);
-    const unsigned n = source->nQubits;
-
-    // Same cache entry as DensityMatrixBackend::applyAnsatz: every
-    // shifted "compile" below is an angle tweak on this structure.
-    const Circuit c = cachedChainCircuit(unrolled, base, true);
-    std::vector<size_t> rzIndex;
-    for (size_t g = 0; g < c.gates().size(); ++g)
-        if (c.gates()[g].kind == GateKind::RZ)
-            rzIndex.push_back(g);
-    // pauliRotationChain emits exactly one RZ per non-identity
-    // string, and the chain flow runs no other mutating pass.
-    if (rzIndex.size() != shiftable.size())
-        panic("gradientNoisy: the chain circuit's RZ count differs "
-              "from the shiftable rotations (one RZ per non-identity "
-              "string)");
-
-    // Every gate range below runs through the density matrix's one
-    // gate-range entry point, DensityMatrix::applyGates.
-    const std::span<const Gate> gates = c.gates();
-    // E+ - E- for rotation j in one sweep: gates and depolarizing
-    // channels are linear superoperators L, so
-    //   E+ - E- = Tr(H L(RZ(a-2s) rho_j - RZ(a+2s) rho_j))
-    // with rho_j the state just before the RZ. One suffix
-    // application per rotation instead of two circuit executions.
-    auto pairDiff = [&](const DensityMatrix &prefix, size_t i) {
-        const size_t gi = rzIndex[i];
-        const Gate &rz = gates[gi];
-        DensityMatrix delta = prefix;
-        {
-            DensityMatrix minus = prefix;
-            Gate up = rz, down = rz;
-            up.angle -= 2.0 * kShift;   // phi + s
-            down.angle += 2.0 * kShift; // phi - s
-            delta.applyGate(up);
-            minus.applyGate(down);
-            auto &dv = delta.vectorized();
-            const auto &mv = minus.vectorized();
-            for (size_t k = 0; k < dv.size(); ++k)
-                dv[k] -= mv[k];
-        }
-        // The RZ's own 1q channel commutes into the difference
-        // (linearity), then the rest of the circuit runs noisy.
-        if (noise.singleQubitDepolarizing > 0.0)
-            delta.depolarize1(rz.q0, noise.singleQubitDepolarizing);
-        delta.applyGates(gates.subspan(gi + 1), noise);
-        return delta.expectation(ham);
-    };
-
-    std::vector<double> diffs(shiftable.size(), 0.0);
-    const size_t vecBytes =
-        (size_t{1} << (2 * n)) * sizeof(std::complex<double>);
-    if (shiftable.size() * vecBytes <= opts.maxPrefixBytes) {
-        // Snapshot every pre-RZ state in one forward sweep, then
-        // fan the independent suffix sweeps over the pool.
-        std::vector<DensityMatrix> prefixes;
-        prefixes.reserve(shiftable.size());
-        DensityMatrix rho(n);
-        size_t from = 0;
-        for (size_t gi : rzIndex) {
-            rho.applyGates(gates.subspan(from, gi - from), noise);
-            prefixes.push_back(rho);
-            from = gi;
-        }
-        parallelFor(
-            0, shiftable.size(),
-            [&](size_t lo, size_t hi) {
-                for (size_t i = lo; i < hi; ++i)
-                    diffs[i] = pairDiff(prefixes[i], i);
-            },
-            /*grain=*/1);
-    } else {
-        // Streaming fallback: one forward state, each pair handled
-        // as it is reached. O(1) extra memory, inherently serial.
-        // The forward ranges match the snapshot path's, so both give
-        // the same bits.
-        DensityMatrix rho(n);
-        size_t from = 0;
-        for (size_t i = 0; i < rzIndex.size(); ++i) {
-            rho.applyGates(gates.subspan(from, rzIndex[i] - from),
-                           noise);
-            diffs[i] = pairDiff(rho, i);
-            from = rzIndex[i];
-        }
-    }
-    return assemble(diffs);
+    span.arg("rotations", shiftable.size());
+    if (!plan.matches(*source, plan.noise()))
+        panic("gradientNoisy: the plan is not this ansatz's");
+    // The plan's rotations are the shiftable ones, in program order.
+    return assemble(
+        plan.gradient(baseAngles(params), ham, opts.maxPrefixBytes));
 }
 
 std::vector<double>

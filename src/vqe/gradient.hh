@@ -5,34 +5,31 @@
  * strings, doubles 8) accumulate by the chain rule over per-rotation
  * derivatives dE/dphi. Two families of routes compute them:
  *
- *  - adjoint (reverse mode, Jones & Gacon arXiv:2009.02823): the
- *    ideal pure-state route. One forward replay, lambda = H|psi>,
- *    then a backward walk that reads dE/dphi_j = -2 Im <lambda|P_j|
- *    psi_j> and un-applies each rotation from both states — 3R - 2
- *    rotation sweeps, R read-only inner products and one sweep per
- *    distinct X mask of the Hamiltonian, on two state vectors, with
- *    no energy evaluation at all;
+ *  - adjoint (reverse mode, Jones & Gacon arXiv:2009.02823), on
+ *    either exact state model. On the ideal pure state: one forward
+ *    replay, lambda = H|psi>, then a backward walk that reads
+ *    dE/dphi_j = -2 Im <lambda|P_j|psi_j> and un-applies each
+ *    rotation from both states — 3R - 2 rotation sweeps, R read-only
+ *    inner products and one sweep per distinct X mask of the
+ *    Hamiltonian, with no energy evaluation at all. On the noisy
+ *    Pauli-transfer frame (sim/pauli_frame.hh): the plan's dampings
+ *    are diagonal and its rotations orthogonal, so one forward pass
+ *    keeping each rotation's state and one backward walk of the
+ *    adjoint give all R derivatives in O(R) sweeps;
  *  - parameter shift: the energy is a sinusoid in phi, so
  *    dE/dphi = [E(phi + s) - E(phi - s)] / sin(2s), 2R shifted
  *    energies for R non-identity rotations. The shift is s = pi/4,
  *    where sin(2s) is exactly 1 in double (the numerically optimal
  *    two-point rule). This serves the readouts that need each
- *    shifted state (shot sampling) and the noisy density-matrix
- *    model.
+ *    shifted state (shot sampling).
  *
  * Batching the 2R shifted evaluations into one engine call is what
- * makes parameter shift cheap; the engine exploits it three ways:
+ * makes parameter shift cheap; the engine exploits it two ways:
  *
  *  - prefix sharing: the shifted replay for rotation j agrees with
  *    the base replay up to rotation j, so a forward sweep snapshots
  *    each prefix state once and every task replays only its suffix
  *    (halves the rotation work even on one core);
- *  - pair-difference sweeps (gate-level noisy path): gates and
- *    depolarizing channels are linear superoperators, so
- *    E+ - E- = Tr(H L(RZ+ rho_j - RZ- rho_j)) needs ONE suffix
- *    application per rotation instead of two full circuit
- *    executions — and the shifted circuits come from the compiler
- *    pipeline's CircuitCache, so no shift ever re-synthesizes;
  *  - thread fan-out: independent tasks run over the common/parallel
  *    pool; results land in task-indexed slots and reduce in fixed
  *    order, so a run capped to one lane (ParallelWidthCap) agrees
@@ -76,10 +73,10 @@ using StateEstimator =
 struct GradientOptions
 {
     /**
-     * Prefix-snapshot memory budget. When R snapshots exceed it the
+     * Snapshot memory budget. When R snapshots exceed it the
      * statevector path replays each prefix from scratch and the
-     * noisy path streams one forward state (serial but still
-     * pair-differenced).
+     * noisy adjoint keeps every few states and replays the rest from
+     * them (same bits either way).
      */
     size_t maxPrefixBytes = size_t{1} << 30;
 };
@@ -112,15 +109,15 @@ class ParameterShiftEngine
 
     /**
      * dE/dtheta at `params` on the gate-level depolarizing-noise
-     * model: the ansatz is chain-synthesized through the cached
-     * compiler pipeline (one structure, 2R angle rebinds) and every
-     * rotation's shifted pair is evaluated with one pair-difference
-     * suffix sweep. Exactly matches shifting through
-     * DensityMatrixBackend up to floating-point associativity.
+     * model, by reverse mode in the Pauli-transfer frame on `plan`
+     * (which must be this ansatz's, e.g. from the noisy StateModel's
+     * slot). Matches the pair difference of shifted energies up to
+     * floating-point associativity, runs no energy evaluation, and
+     * is bit-identical at any lane cap.
      */
     std::vector<double>
     gradientNoisy(const std::vector<double> &params,
-                  const NoiseModel &noise) const;
+                  const FramePlan &plan) const;
 
     /**
      * Generic fallback for arbitrary backends: each of the 2R tasks

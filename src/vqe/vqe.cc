@@ -41,11 +41,10 @@ ansatzEnergyNoisy(const PauliSum &h, const Ansatz &ansatz,
                   const std::vector<double> &params,
                   const NoiseModel &noise)
 {
-    // DensityMatrixBackend::applyAnsatz synthesizes through the
-    // compiler pipeline's cached chain path, so repeated evaluations
-    // of the same ansatz (every SPSA step, every bond point of a
-    // sweep) reuse the memoized structure and only rebind angles.
-    DensityMatrixBackend backend(ansatz.nQubits, noise);
+    // PauliFrameBackend::applyAnsatz walks the chain-synthesized
+    // circuit into a FramePlan once and then runs the evaluation on
+    // it.
+    PauliFrameBackend backend(ansatz.nQubits, noise);
     return ansatzEnergy(backend, h, ansatz, params);
 }
 

@@ -3,7 +3,7 @@
  * VQE primitives (Section II-B): the ansatz-state preparation and
  * single-point energy evaluations every layer above builds on —
  * E(theta) = sum_i w_i <psi(theta)| P_i |psi(theta)> through the
- * pluggable SimBackend interface, with the density-matrix backend
+ * pluggable SimBackend interface, with the Pauli-frame backend
  * reproducing the noisy case studies of Section VI-D. The
  * optimization loop itself lives in VqeDriver (vqe/driver.hh),
  * driven through an EstimationStrategy and a VqeOptimizer; the
@@ -43,8 +43,8 @@ Statevector prepareAnsatzState(const Ansatz &ansatz,
 
 /**
  * E(theta) in an arbitrary backend: applyAnsatz then the backend's
- * own expectation (by X mask on a statevector, the density matrix's
- * own on a mixed state).
+ * own expectation (by X mask on a statevector, the Pauli frame's own
+ * on a mixed state).
  */
 double ansatzEnergy(SimBackend &backend, const PauliSum &h,
                     const Ansatz &ansatz,
@@ -56,8 +56,8 @@ double ansatzEnergy(const PauliSum &h, const Ansatz &ansatz,
 
 /**
  * Noisy energy: the ansatz is chain-synthesized to a gate circuit and
- * executed on the density-matrix backend with depolarizing noise
- * after every CNOT.
+ * executed in the Pauli-transfer frame (PauliFrameBackend) with
+ * depolarizing noise after every CNOT.
  */
 double ansatzEnergyNoisy(const PauliSum &h, const Ansatz &ansatz,
                          const std::vector<double> &params,

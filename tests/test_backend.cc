@@ -1,10 +1,10 @@
 /**
  * @file
  * Tests for the pluggable SimBackend interface: statevector and
- * density-matrix backends agree in the noiseless limit, the noisy
+ * Pauli-frame backends agree in the noiseless limit, the noisy
  * backend reproduces the chain-synthesized noisy energies, and the
  * VQE driver runs unmodified against either state model (strategy
- * injection over statevectorModel / densityMatrixModel).
+ * injection over statevectorModel / pauliFrameModel).
  */
 
 #include <cmath>
@@ -86,14 +86,14 @@ TEST(Backend, PrepareResetsState)
     be.prepare(0b101);
     EXPECT_NEAR(std::abs(be.state().amplitudes()[0b101]), 1.0, 1e-14);
 
-    DensityMatrixBackend dm(2);
-    Circuit c2(2);
-    c2.h(1);
-    dm.state().applyCircuit(c2);
+    PauliFrameBackend dm(2);
+    dm.applyPauliRotation(0.4, PauliString::fromString("XY"));
     dm.prepare(0b10);
-    EXPECT_NEAR(std::abs(dm.state().element(0b10, 0b10) - 1.0), 0.0,
-                1e-14);
-    EXPECT_NEAR(dm.state().trace(), 1.0, 1e-12);
+    EXPECT_EQ(dm.state().expectation(PauliString::fromString("IZ")), 1.0);
+    EXPECT_EQ(dm.state().expectation(PauliString::fromString("ZI")),
+              -1.0);
+    EXPECT_EQ(dm.state().trace(), 1.0);
+    EXPECT_EQ(dm.state().purity(), 1.0);
 }
 
 TEST(Backend, NoiselessBackendsAgree)
@@ -103,13 +103,13 @@ TEST(Backend, NoiselessBackendsAgree)
     auto params = randomParams(a.nParams, 9);
 
     StatevectorBackend ideal(a.nQubits);
-    DensityMatrixBackend pure(a.nQubits); // default-noiseless
+    PauliFrameBackend pure(a.nQubits); // default-noiseless
     double e1 = ansatzEnergy(ideal, prob.hamiltonian, a, params);
     double e2 = ansatzEnergy(pure, prob.hamiltonian, a, params);
     EXPECT_NEAR(e1, e2, 1e-9);
 }
 
-TEST(Backend, DensityMatrixPauliRotationMatchesStatevector)
+TEST(Backend, PauliFrameRotationMatchesStatevector)
 {
     // Exact rho -> U rho U+ agrees with the pure-state rotation on
     // every Pauli expectation.
@@ -120,7 +120,7 @@ TEST(Backend, DensityMatrixPauliRotationMatchesStatevector)
         const double theta = rng.uniform(-2.0, 2.0);
 
         StatevectorBackend sv(n);
-        DensityMatrixBackend dm(n);
+        PauliFrameBackend dm(n);
         uint64_t basis = rng.index(1ull << n);
         sv.prepare(basis);
         dm.prepare(basis);
@@ -147,7 +147,7 @@ TEST(Backend, NoisyBackendChargesCnotNoise)
     double clean = ansatzEnergy(prob.hamiltonian, a, params);
     NoiseModel nm;
     nm.cnotDepolarizing = 1e-3;
-    DensityMatrixBackend noisy(a.nQubits, nm);
+    PauliFrameBackend noisy(a.nQubits, nm);
     double e = ansatzEnergy(noisy, prob.hamiltonian, a, params);
     EXPECT_GT(e, clean);
     // And matches the long-standing noisy energy entry point.
@@ -161,7 +161,7 @@ TEST(Backend, EngineFallsBackToBackendExpectation)
     Ansatz a = buildUccsd(prob.nSpatial, prob.nElectrons);
     auto params = randomParams(a.nParams, 17);
 
-    DensityMatrixBackend dm(a.nQubits);
+    PauliFrameBackend dm(a.nQubits);
     dm.applyAnsatz(a, params);
     ExpectationEngine engine(prob.hamiltonian);
     EXPECT_NEAR(engine.energy(dm), dm.expectation(prob.hamiltonian),
@@ -172,8 +172,8 @@ TEST(Backend, VqeRunsAgainstEitherBackend)
 {
     // The integration check of the interface: the same driver, ansatz
     // and Hamiltonian reach the H2 ground state on the ideal
-    // statevector backend and on the (noiseless) density-matrix
-    // backend, and a noisy density-matrix run lands above both.
+    // statevector backend and on the (noiseless) Pauli-frame
+    // backend, and a noisy Pauli-frame run lands above both.
     const auto &prob = h2Problem();
     Ansatz a = buildUccsd(prob.nSpatial, prob.nElectrons);
     double exact = lanczosGroundEnergy(prob.hamiltonian);
@@ -184,7 +184,7 @@ TEST(Backend, VqeRunsAgainstEitherBackend)
     EXPECT_TRUE(rIdeal.converged);
 
     VqeResult rPure = minimizeOn(
-        densityMatrixModel(a.nQubits, {}), prob.hamiltonian, a);
+        pauliFrameModel(a.nQubits, {}), prob.hamiltonian, a);
     EXPECT_NEAR(rPure.energy, exact, 1e-6);
 
     NoiseModel nm;
@@ -192,7 +192,7 @@ TEST(Backend, VqeRunsAgainstEitherBackend)
     VqeDriverOptions o;
     o.optimizer = std::make_shared<SpsaVqeOptimizer>();
     o.spsaIter = 120;
-    VqeResult rNoisy = minimizeOn(densityMatrixModel(a.nQubits, nm),
+    VqeResult rNoisy = minimizeOn(pauliFrameModel(a.nQubits, nm),
                                   prob.hamiltonian, a, o);
     EXPECT_GT(rNoisy.energy, exact - 1e-9);
     EXPECT_NEAR(rNoisy.energy, exact, 0.05);

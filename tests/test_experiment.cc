@@ -495,10 +495,10 @@ TEST(Experiment, BasisNgOutsideTheStoNgTableIsASpecError)
             << "basis_ng " << ng;
 }
 
-TEST(Experiment, DensityMatrixModesRejectWideMolecules)
+TEST(Experiment, PauliFrameModesRejectWideMolecules)
 {
-    // NH3 and BH3 take 14 qubits and CH4 16: a density matrix of
-    // 4^14 entries is 4 GiB. The spec must fail at construction with
+    // NH3 and BH3 take 14 qubits and CH4 16: the Pauli frame's 4^14
+    // coefficients take 2 GiB. The spec must fail at construction with
     // a field-level error (a sweep files it as bad input, no retry)
     // before anything sizes the state.
     for (const char *molecule : {"BH3", "NH3", "CH4"}) {
@@ -522,7 +522,7 @@ TEST(Experiment, DensityMatrixModesRejectWideMolecules)
         EXPECT_NO_THROW(Experiment(ExperimentSpec{
             .kind = "estimate", .molecule = molecule, .mode = "noisy"}));
     }
-    // The widest catalog molecules a density matrix holds still pass.
+    // The widest catalog molecules the Pauli frame holds still pass.
     EXPECT_NO_THROW(Experiment(
         ExperimentSpec{.molecule = "BeH2", .mode = "noisy"}));
 }
@@ -633,7 +633,7 @@ TEST(Experiment, SampledFacadeMatchesLegacySampledDriver)
 
 TEST(Experiment, NoisySampledIsAOneLineComposition)
 {
-    // Smoke check of the composed mode: density-matrix state + shot
+    // Smoke check of the composed mode: noisy Pauli-frame state + shot
     // readout, selected purely by spec string.
     ExperimentResult res =
         Experiment(ExperimentSpec{.molecule = "H2",
@@ -650,12 +650,12 @@ TEST(Experiment, NoisySampledIsAOneLineComposition)
     EXPECT_EQ(res.trace.mode, "noisy_sampled");
     EXPECT_GT(res.shots, uint64_t{0});
     EXPECT_LT(res.energy(), 0.0);
-    // The strategy's backend really is the density-matrix model.
+    // The strategy's backend really is the Pauli-frame model.
     EstimationConfig cfg;
     cfg.hamiltonian = &res.hamiltonian;
     auto strat = makeEstimationStrategy("noisy_sampled", cfg);
     auto backend = strat->makeBackend();
-    EXPECT_NE(dynamic_cast<DensityMatrixBackend *>(backend.get()),
+    EXPECT_NE(dynamic_cast<PauliFrameBackend *>(backend.get()),
               nullptr);
     EXPECT_TRUE(strat->stochastic());
 }

@@ -1,13 +1,14 @@
 /**
  * @file
  * Gradient tests: agreement with central finite differences on every
- * evaluation path (adjoint, ideal statevector, noisy pair-difference,
- * generic backend replay), adjoint against parameter shift on the
- * benchmark molecules, bit-for-bit equality of pooled and serial
- * (one-lane ParallelWidthCap) execution and of the prefix-shared
- * fast paths against full replays, CircuitCache reuse on the
- * gate-level path, the evals accounting, and convergence of the
- * gradient-driven optimizers.
+ * evaluation path (adjoint, ideal statevector, the noisy adjoint in
+ * the Pauli-transfer frame, generic backend replay), adjoints against
+ * parameter shift on the benchmark molecules and the noisy one
+ * against the density-matrix reference's shifted energies,
+ * bit-for-bit equality of pooled and serial (one-lane
+ * ParallelWidthCap) execution and of the prefix-shared fast paths
+ * against full replays, one frame plan per noisy model, the evals
+ * accounting, and convergence of the gradient-driven optimizers.
  */
 
 #include <cmath>
@@ -19,10 +20,12 @@
 #include "common/logging.hh"
 #include "common/parallel.hh"
 #include "common/rng.hh"
-#include "compiler/cache.hh"
+#include "compiler/pipeline.hh"
 #include "ferm/hamiltonian.hh"
 #include "obs/metrics.hh"
 #include "sim/lanczos.hh"
+#include "sim/pauli_frame.hh"
+#include "sim_reference.hh"
 #include "vqe/driver.hh"
 #include "vqe/expectation_engine.hh"
 #include "vqe/gradient.hh"
@@ -163,10 +166,11 @@ TEST(Gradient, ShiftMatchesFiniteDifferences_Noisy)
     ParameterShiftEngine engine(fix.prob.hamiltonian, fix.ansatz);
     auto params = testParams(fix.ansatz.nParams);
 
-    auto g = engine.gradientNoisy(params, noise);
+    auto g = engine.gradientNoisy(params,
+                                  *FramePlan::build(fix.ansatz, noise));
 
     auto make = [&] {
-        return std::make_unique<DensityMatrixBackend>(
+        return std::make_unique<PauliFrameBackend>(
             fix.ansatz.nQubits, noise);
     };
     auto energy = [&](SimBackend &b, size_t) {
@@ -177,20 +181,66 @@ TEST(Gradient, ShiftMatchesFiniteDifferences_Noisy)
     EXPECT_LT(maxAbsDiff(g, fd), 1e-7);
 }
 
-TEST(Gradient, PairDifferenceMatchesGenericReplay_Noisy)
+TEST(Gradient, NoisyAdjointMatchesReferencePairDifference)
 {
-    // The linear-superoperator difference sweep against literally
-    // executing both shifted circuits through the backend.
+    // The frame's reverse mode against the density-matrix reference
+    // executing both shifted chain circuits of every rotation gate by
+    // gate: dE/dphi = E(phi + s) - E(phi - s) at s = pi/4.
+    const Fixture fix = moleculeFixture("LiH", 0.3);
+    const PauliSum &h = fix.prob.hamiltonian;
+    const Ansatz &a = fix.ansatz;
+    auto params = testParams(a.nParams);
+    ParameterShiftEngine engine(h, a);
+    const Ansatz &unrolled = engine.unrolledAnsatz();
+    std::vector<double> base(a.rotations.size());
+    for (size_t j = 0; j < base.size(); ++j)
+        base[j] = params[a.rotations[j].param] * a.rotations[j].coeff;
+    NoiseModel both;
+    both.cnotDepolarizing = 2e-2;
+    both.singleQubitDepolarizing = 5e-3;
+    for (const NoiseModel &noise : {NoiseModel::paperDefault(), both}) {
+        auto energy = [&](const std::vector<double> &angles) {
+            qcc_test::DensityMatrix rho(a.nQubits);
+            rho.applyCircuit(cachedChainCircuit(unrolled, angles, true),
+                             noise);
+            return rho.expectation(h);
+        };
+        std::vector<double> perRotation;
+        for (size_t j = 0; j < a.rotations.size(); ++j) {
+            if (a.rotations[j].string.isIdentity())
+                continue;
+            std::vector<double> up = base, down = base;
+            up[j] += 0.78539816339744830961;
+            down[j] -= 0.78539816339744830961;
+            perRotation.push_back(energy(up) - energy(down));
+        }
+        std::vector<double> ref(a.nParams, 0.0);
+        for (size_t j = 0, i = 0; j < a.rotations.size(); ++j)
+            if (!a.rotations[j].string.isIdentity())
+                ref[a.rotations[j].param] +=
+                    a.rotations[j].coeff * perRotation[i++];
+        const auto g =
+            engine.gradientNoisy(params, *FramePlan::build(a, noise));
+        EXPECT_LT(maxAbsDiff(g, ref), 1e-10)
+            << "p2 " << noise.cnotDepolarizing;
+    }
+}
+
+TEST(Gradient, NoisyAdjointMatchesGenericReplay)
+{
+    // Reverse mode against literally preparing both shifted states
+    // of every rotation in the same frame.
     const Fixture &fix = h2();
     NoiseModel noise = NoiseModel::paperDefault();
     ParameterShiftEngine engine(fix.prob.hamiltonian, fix.ansatz);
     auto params = testParams(fix.ansatz.nParams);
 
-    auto fast = engine.gradientNoisy(params, noise);
+    auto fast = engine.gradientNoisy(
+        params, *FramePlan::build(fix.ansatz, noise));
     auto slow = engine.gradient(
         params,
         [&] {
-            return std::make_unique<DensityMatrixBackend>(
+            return std::make_unique<PauliFrameBackend>(
                 fix.ansatz.nQubits, noise);
         },
         [&](SimBackend &b, size_t) {
@@ -214,9 +264,11 @@ TEST(Gradient, BatchedEqualsSerialBitForBit)
     EXPECT_EQ(engine.gradientStatevector(params, est), serially([&] {
                   return engine.gradientStatevector(params, est);
               }));
-    EXPECT_EQ(engine.gradientNoisy(params, noise), serially([&] {
-                  return engine.gradientNoisy(params, noise);
+    const auto plan = FramePlan::build(fix.ansatz, noise);
+    EXPECT_EQ(engine.gradientNoisy(params, *plan), serially([&] {
+                  return engine.gradientNoisy(params, *plan);
               }));
+
 
     auto make = [&] {
         return std::make_unique<StatevectorBackend>(
@@ -266,11 +318,12 @@ TEST(Gradient, BatchedEqualsSerialAtParallelKernelSizes)
         noise.cnotDepolarizing = 1e-3;
         ParameterShiftEngine engine(h, a);
         std::vector<double> p(a.nParams, 0.15);
-        const auto g = engine.gradientNoisy(p, noise);
+        const auto plan = FramePlan::build(a, noise);
+        const auto g = engine.gradientNoisy(p, *plan);
         EXPECT_GT(maxAbsDiff(g, std::vector<double>(g.size(), 0.0)),
                   1e-2);
         EXPECT_EQ(g, serially([&] {
-                      return engine.gradientNoisy(p, noise);
+                      return engine.gradientNoisy(p, *plan);
                   }));
     }
 }
@@ -384,6 +437,22 @@ TEST(Gradient, EvalsCountOnlyEvaluationsThatRan)
         EXPECT_EQ(res.evals, int(driver.trace().points.size()));
     }
 
+    // Noisy L-BFGS: the frame's adjoint runs no energy evaluation
+    // either.
+    {
+        VqeDriverOptions o;
+        o.maxIter = 6;
+        VqeDriver driver(h, fix.ansatz, o,
+                         makeEstimationStrategy(
+                             "noisy", EstimationConfig{
+                                          &h, NoiseModel::paperDefault(),
+                                          {}, {}}));
+        const VqeResult res = driver.run();
+        EXPECT_EQ(driver.evaluationsPerGradient(), 0u);
+        EXPECT_GT(driver.gradientCount(), 0u);
+        EXPECT_EQ(res.evals, int(driver.trace().points.size()));
+    }
+
     // Sampled gradient descent: every gradient still reads out its
     // 2R shifted states, on top of one energy per iteration and the
     // starting point.
@@ -425,8 +494,9 @@ TEST(Gradient, PrefixSharingEqualsFullReplayBitForBit)
     };
     EXPECT_EQ(shared.gradientStatevector(params, est),
               replay.gradientStatevector(params, est));
-    EXPECT_EQ(shared.gradientNoisy(params, noise),
-              replay.gradientNoisy(params, noise));
+    const auto plan = FramePlan::build(fix.ansatz, noise);
+    EXPECT_EQ(shared.gradientNoisy(params, *plan),
+              replay.gradientNoisy(params, *plan));
 }
 
 TEST(Gradient, SampledGradientSeededAndBatchingInvariant)
@@ -461,25 +531,31 @@ TEST(Gradient, SampledGradientSeededAndBatchingInvariant)
     EXPECT_LT(maxAbsDiff(g1, ref), 0.5);
 }
 
-TEST(Gradient, UnrolledShiftsRebindTheSharedCacheEntry)
+TEST(Gradient, NoisyModelBuildsOnePlanForEnergyAndGradient)
 {
+    // The driver's backend, the adjoint and the unrolled twin all
+    // run on the model's one plan.
     const Fixture &fix = h2();
-    NoiseModel noise = NoiseModel::paperDefault();
-    auto params = testParams(fix.ansatz.nParams);
-
-    // Prime the structure the way the noisy energy path does.
-    DensityMatrixBackend backend(fix.ansatz.nQubits, noise);
-    backend.applyAnsatz(fix.ansatz, params);
-
-    ParameterShiftEngine engine(fix.prob.hamiltonian, fix.ansatz);
+    const PauliSum &h = fix.prob.hamiltonian;
+    const MetricCounter &plans = metricCounter("sim.frame.plans");
     const MetricCounter &hits = metricCounter("compile.cache.hits");
     const MetricCounter &misses = metricCounter("compile.cache.misses");
-    const uint64_t hits0 = hits.value(), misses0 = misses.value();
-    engine.gradientNoisy(params, noise);
-    // Every shifted compile is an angle rebind of the entry the
-    // energy path created — no new synthesis.
-    EXPECT_EQ(misses.value(), misses0);
-    EXPECT_GT(hits.value(), hits0);
+    auto strat = makeEstimationStrategy(
+        "noisy", EstimationConfig{&h, NoiseModel::paperDefault(), {}, {}});
+    ParameterShiftEngine engine(h, fix.ansatz);
+    auto params = testParams(fix.ansatz.nParams);
+    const uint64_t plans0 = plans.value();
+    auto backend = strat->makeBackend();
+    backend->applyAnsatz(fix.ansatz, params);
+    EXPECT_EQ(plans.value(), plans0 + 1);
+    const uint64_t compiles0 = hits.value() + misses.value();
+    for (int rep = 0; rep < 3; ++rep) {
+        strat->gradient(engine, params, 0, nullptr);
+        backend->applyAnsatz(fix.ansatz, params);
+    }
+    EXPECT_EQ(plans.value(), plans0 + 1);
+    // Evaluations read their angles from params: no compile at all.
+    EXPECT_EQ(hits.value() + misses.value(), compiles0);
 }
 
 TEST(Gradient, ShiftCountMatchesAnsatzStructure)

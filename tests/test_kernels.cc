@@ -3,7 +3,7 @@
  * Equivalence tests for the specialized simulator kernels: randomized
  * circuits and Pauli rotations checked against the generic dense
  * reference path, the <bra|P|ket> kernel against a dense Pauli
- * product, the fused executors against per-gate replay, H by X mask
+ * product, the fused statevector executor against per-gate replay, H by X mask
  * against the per-term H*v and <H> (references in sim_reference.hh),
  * and the expectation width-check regression. QCC_THREADS is pinned
  * to 4 before the pool first sizes itself, so the chunked sweeps run
@@ -21,7 +21,6 @@
 #include "common/parallel.hh"
 #include "common/rng.hh"
 #include "ferm/hamiltonian.hh"
-#include "sim/density_matrix.hh"
 #include "sim/fusion.hh"
 #include "sim/kernels.hh"
 #include "sim/simd.hh"
@@ -893,45 +892,6 @@ TEST(Fusion, OneQubitRunsMerge)
     expectClose(b.amplitudes(), a.amplitudes(), "1q merge");
 }
 
-TEST(Fusion, DensityMatrixFusedMatchesPerGate)
-{
-    // The fused executor against the per-gate reference under the
-    // three noise models the simulator runs: noiseless, CNOT noise
-    // only (1q runs merge), and CNOT plus 1q noise (nothing merges
-    // across a channel). n = 7 puts qubit-0 pairs on the scalar
-    // fallback and the bra bits high.
-    NoiseModel cnotOnly;
-    cnotOnly.cnotDepolarizing = 1e-3;
-    NoiseModel both = cnotOnly;
-    both.singleQubitDepolarizing = 1e-3;
-    const std::pair<const char *, NoiseModel> models[] = {
-        {"noiseless", NoiseModel{}}, {"cnot", cnotOnly},
-        {"cnot+1q", both}};
-    Rng rng(53);
-    for (const auto &[label, noise] : models) {
-        for (unsigned n : {1u, 2u, 4u, 7u}) {
-            for (bool simd : {false, true}) {
-                SimdGuard guard(simd);
-                const std::string what =
-                    std::string("dm fused ") + label +
-                    " n=" + std::to_string(n) +
-                    (simd ? " simd" : " scalar");
-                Circuit c = randomCircuit(n, 40, rng);
-                DensityMatrix a(n), b(n);
-                // Evolve both away from the basis state first so the
-                // check sees a dense matrix.
-                Circuit warm = randomCircuit(n, 10, rng);
-                applyPerGate(a, warm, noise);
-                b.vectorized() = a.vectorized();
-                applyPerGate(a, c, noise);
-                b.applyCircuit(c, noise);
-                expectClose(b.vectorized(), a.vectorized(), what);
-                EXPECT_NEAR(b.trace(), 1.0, 1e-10) << what;
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
 // Operand validation at the applyCircuit boundary.
 // ---------------------------------------------------------------------
@@ -981,17 +941,13 @@ TEST(Validation, IdenticalTwoQubitOperandsThrow)
     EXPECT_THROW(sv.applyCircuit(c), SimError);
 }
 
-TEST(Validation, DensityMatrixValidatesToo)
+TEST(Validation, SwapOperandsAreValidatedToo)
 {
-    DensityMatrix rho(3);
-    Circuit wide(5);
-    wide.h(0);
-    EXPECT_THROW(rho.applyCircuit(wide), SimError);
-
+    Statevector sv(3);
     Circuit c(3);
     c.swap(0, 2);
     c.gates()[0].q0 = 7;
-    EXPECT_THROW(rho.applyCircuit(c), SimError);
+    EXPECT_THROW(sv.applyCircuit(c), SimError);
 
     std::optional<SimIssue> issue = validateCircuit(c, 3);
     ASSERT_TRUE(issue.has_value());

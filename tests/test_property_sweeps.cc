@@ -17,7 +17,7 @@
 #include "compiler/peephole.hh"
 #include "compiler/sabre.hh"
 #include "compiler/verify.hh"
-#include "sim/density_matrix.hh"
+#include "sim/backend.hh"
 #include "sim/statevector.hh"
 
 using namespace qcc;
@@ -173,30 +173,33 @@ TEST_P(SeededProperty, PeepholePreservesRandomCircuits)
                     0.0, 1e-10);
 }
 
-TEST_P(SeededProperty, DepolarizingChannelContractsPurity)
+TEST_P(SeededProperty, DepolarizingChannelsContractPurity)
 {
+    // In the Pauli-transfer frame rotations are orthogonal and every
+    // damping factor lies in [0, 1], so raising the error rates can
+    // only lower Tr(rho^2); no channel touches the trace.
     Rng rng(GetParam() + 3000);
     const unsigned n = 3;
-    DensityMatrix rho(n, rng.index(1u << n));
-    Circuit c(n);
-    c.h(0);
-    c.cnot(0, 1);
-    c.cnot(1, 2);
-    rho.applyCircuit(c, {});
-    double purity = rho.purity();
-    for (int step = 0; step < 4; ++step) {
-        unsigned qa = unsigned(rng.index(n));
-        unsigned qb = (qa + 1 + unsigned(rng.index(n - 1))) % n;
-        // A noisy CNOT: the unitary keeps the purity, so any change
-        // is the two-qubit channel's.
+    Ansatz a;
+    a.nQubits = n;
+    a.hfMask = rng.index(1u << n);
+    std::vector<double> params;
+    for (unsigned j = 0; j < 5; ++j) {
+        a.rotations.push_back(
+            {a.nParams++, 1.0,
+             PauliString(n, rng.index(1u << n), rng.index(1u << n))});
+        params.push_back(rng.uniform(-1.5, 1.5));
+    }
+    double purity = 1.0;
+    for (double p : {0.0, 0.02, 0.05, 0.12}) {
         NoiseModel nm;
-        nm.cnotDepolarizing = 0.02 + 0.1 * rng.uniform();
-        Circuit cx(n);
-        cx.cnot(qa, qb);
-        rho.applyCircuit(cx, nm);
-        double next = rho.purity();
-        EXPECT_LE(next, purity + 1e-12);
-        EXPECT_NEAR(rho.trace(), 1.0, 1e-9);
+        nm.cnotDepolarizing = p;
+        nm.singleQubitDepolarizing = p / 4;
+        PauliFrameBackend b(n, nm);
+        b.applyAnsatz(a, params);
+        const double next = b.state().purity();
+        EXPECT_LE(next, purity + 1e-12) << "p " << p;
+        EXPECT_EQ(b.state().trace(), 1.0);
         purity = next;
     }
 }

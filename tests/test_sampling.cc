@@ -3,7 +3,7 @@
  * Shot-sampling backend tests: statistical convergence of sampled
  * <H> to the analytic expectation, seeded reproducibility, shot
  * allocation policy, exactness on deterministic distributions, the
- * measurement-basis rotation helpers, and the density-matrix
+ * measurement-basis rotation helpers, and the noisy Pauli-frame
  * sampling path.
  */
 
@@ -245,13 +245,13 @@ TEST(Sampling, BasisChangeCircuitMatchesMatrixRotations)
         EXPECT_NEAR(viaMatrix[i], viaCircuit[i], 1e-12) << i;
 }
 
-TEST(Sampling, DensityMatrixBackendMatchesAnalytic)
+TEST(Sampling, PauliFrameBackendMatchesAnalytic)
 {
-    // Noisy backend: the sampled estimate must track the density
-    // matrix's own expectation, not the noiseless one.
+    // Noisy backend: the sampled estimate must track the Pauli
+    // frame's own expectation, not the noiseless one.
     NoiseModel noise;
     noise.cnotDepolarizing = 1e-2;
-    DensityMatrixBackend b(h2().ansatz.nQubits, noise);
+    PauliFrameBackend b(h2().ansatz.nQubits, noise);
     b.applyAnsatz(h2().ansatz, h2().converged.params);
     const double analytic = b.expectation(h2().prob.hamiltonian);
 

@@ -779,6 +779,54 @@ TEST(SweepdService, ResumeIgnoresRecordsWhoseSpecChanged)
     EXPECT_EQ(stats.ran, 4u);
 }
 
+TEST(SweepdService, ResumeAdoptsNoLineOfAnotherBuild)
+{
+    // Every journal line carries this binary's build key. Lines with
+    // another key, or with none, adopt zero records, and the sweep
+    // re-runs in full to the same bytes.
+    TempDir dir("resume_build");
+    EnvGuard jsonEnv("QCC_JSON", dir.path());
+    const std::string journal = dir.path() + "/SWEEP_sweepd_unit.journal";
+    const std::string aggregate = dir.path() + "/SWEEP_sweepd_unit.json";
+    sweepd::SweepdService(serviceOptions()).submit(smallSweep());
+    const std::string clean = slurp(aggregate);
+    const std::string lines = slurp(journal);
+    const std::string key =
+        std::string("{\"build\": \"") + buildKey() + "\", ";
+    ASSERT_EQ(lines.find(key), 0u);
+
+    std::string other, none;
+    for (size_t pos = 0, eol;
+         (eol = lines.find('\n', pos)) != std::string::npos;
+         pos = eol + 1) {
+        const std::string line = lines.substr(pos, eol - pos);
+        ASSERT_EQ(line.find(key), 0u);
+        other += "{\"build\": \"another-build\", " +
+                 line.substr(key.size()) + "\n";
+        none += "{" + line.substr(key.size()) + "\n";
+    }
+    for (const std::string &stale : {other, none}) {
+        ResultStore store("sweepd_unit", false);
+        store.reset(smallSweep().expand());
+        EXPECT_EQ(store.adoptJournal(stale), 0u);
+
+        std::ofstream(journal, std::ios::binary | std::ios::trunc)
+            << stale;
+        sweepd::SweepdRunStats stats;
+        sweepd::SweepdService(serviceOptions()).submit(smallSweep(),
+                                                        &stats);
+        EXPECT_EQ(stats.resumed, 0u);
+        EXPECT_EQ(stats.ran, 4u);
+        EXPECT_EQ(slurp(aggregate), clean);
+    }
+    // The untouched journal still resumes in full.
+    std::ofstream(journal, std::ios::binary | std::ios::trunc) << lines;
+    sweepd::SweepdRunStats stats;
+    sweepd::SweepdService(serviceOptions()).submit(smallSweep(), &stats);
+    EXPECT_EQ(stats.resumed, 4u);
+    EXPECT_EQ(stats.ran, 0u);
+}
+
 TEST(SweepdService, AnUnparseableResumeDocumentRunsTheSweepInFull)
 {
     // A service killed mid-append can leave a torn last journal
