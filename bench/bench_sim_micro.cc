@@ -8,25 +8,24 @@
  *    circuit, plus Hamiltonian expectation evaluation per term and
  *    by X mask);
  *
- *  - a variant report comparing the four execution tiers on a
+ *  - a variant report comparing the three execution tiers on a
  *    VQE-representative layered circuit and on the hot kernels:
  *    scalar (naive full-scan replay), kernel (per-gate stride
- *    kernels, vector path off — the pre-SIMD production path), simd
- *    (per-gate stride kernels + AVX2), fused (gate fusion +
- *    cache-blocked execution + AVX2, the production path).
+ *    kernels, vector path off) and simd (per-gate stride kernels +
+ *    AVX2, the production path: Statevector::applyCircuit).
  *    The variant rows are what lands in BENCH_sim.json (QCC_JSON=1);
- *    `fused_vs_kernel` at n >= 14 is the headline speedup. The
- *    rotation rows come per pivot class (x1, bit0 and the
- *    unsuffixed pivot-2 string), and the lambda and energy rows time
- *    H|psi> and <psi|H|psi> on LiH and HF per term against per X
- *    mask. The noisy_circuit rows time the noisy Fig. 10 circuits
- *    (LiH, NaH) in the Pauli-transfer frame against the per-gate
- *    density-matrix reference, with each side's sweeps and the
- *    frame's plan build. Pass --benchmark_filter=nope to skip the
- *    google-benchmark section and emit only the variant report.
+ *    `simd_vs_kernel` is the derived speedup. The rotation rows come
+ *    per pivot class (x1, bit0 and the unsuffixed pivot-2 string),
+ *    and the lambda and energy rows time H|psi> and <psi|H|psi> on
+ *    LiH and HF per term against per X mask. The noisy_circuit rows
+ *    time the noisy Fig. 10 circuits (LiH, NaH) in the
+ *    Pauli-transfer frame against the per-gate density-matrix
+ *    reference, with each side's sweeps and the frame's plan build.
+ *    Pass --benchmark_filter=nope to skip the google-benchmark
+ *    section and emit only the variant report.
  *
- * The generic kernels, the per-gate replays and the density matrix
- * are the test references of tests/sim_reference.hh.
+ * The generic kernels and the density matrix with its per-gate
+ * replay are the test references of tests/sim_reference.hh.
  */
 
 #include <benchmark/benchmark.h>
@@ -48,7 +47,6 @@
 #include "compiler/chain_synthesis.hh"
 #include "compiler/pipeline.hh"
 #include "ferm/hamiltonian.hh"
-#include "sim/fusion.hh"
 #include "sim/kernels.hh"
 #include "sim/pauli_frame.hh"
 #include "sim/simd.hh"
@@ -170,14 +168,14 @@ benchLiHEnergyByMask(benchmark::State &state)
 }
 
 // ---------------------------------------------------------------------
-// Variant report: scalar / kernel / simd / fused on shared workloads.
+// Variant report: scalar / kernel / simd on shared workloads.
 // ---------------------------------------------------------------------
 
 /**
  * VQE-shaped layered circuit: per layer an Euler rotation block
  * RZ-RY-RZ on every qubit, a CNOT entangling chain, and a diagonal
- * tail (S, RZ) — the gate mix chain synthesis emits. Exercises 1q
- * merging, diagonal coalescing, and blocked CNOT execution at once.
+ * tail (S, RZ) — the gate mix chain synthesis emits: dense 1q,
+ * diagonal and CNOT kernels at once.
  */
 Circuit
 layeredCircuit(unsigned n, unsigned layers)
@@ -256,35 +254,26 @@ void
 variantCircuitRow(qccbench::JsonReport &rep, unsigned n)
 {
     const Circuit c = layeredCircuit(n, 3);
-    const size_t fusedOps = fuseCircuit(c).ops.size();
     Statevector sv(n);
 
     kern::setSimdEnabled(false);
     const double scalarMs =
         timeMs([&] { applyCircuitNaive(sv, c); });
-    const double kernelMs = timeMs([&] { applyPerGate(sv, c); });
-    const double fusedScalarMs =
-        timeMs([&] { sv.applyCircuit(c); });
+    const double kernelMs = timeMs([&] { sv.applyCircuit(c); });
     kern::setSimdEnabled(true);
-    const double simdMs = timeMs([&] { applyPerGate(sv, c); });
-    const double fusedMs = timeMs([&] { sv.applyCircuit(c); });
+    const double simdMs = timeMs([&] { sv.applyCircuit(c); });
 
-    std::printf("  circuit n=%-2u (%zu gates -> %zu fused ops): "
-                "scalar %.3f  kernel %.3f  simd %.3f  fused %.3f ms"
-                "  [fused_vs_kernel %.2fx]\n",
-                n, c.size(), fusedOps, scalarMs, kernelMs, simdMs,
-                fusedMs, kernelMs / fusedMs);
+    std::printf("  circuit n=%-2u (%zu gates): scalar %.3f  kernel "
+                "%.3f  simd %.3f ms  [simd_vs_kernel %.2fx]\n",
+                n, c.size(), scalarMs, kernelMs, simdMs,
+                kernelMs / simdMs);
     rep.row("circuit_n" + std::to_string(n),
             {{"qubits", double(n)},
              {"gates", double(c.size())},
-             {"fused_ops", double(fusedOps)},
              {"scalar_ms", scalarMs},
              {"kernel_ms", kernelMs},
              {"simd_ms", simdMs},
-             {"fused_scalar_ms", fusedScalarMs},
-             {"fused_ms", fusedMs},
-             {"simd_vs_kernel", kernelMs / simdMs},
-             {"fused_vs_kernel", kernelMs / fusedMs}});
+             {"simd_vs_kernel", kernelMs / simdMs}});
 }
 
 void
@@ -432,8 +421,7 @@ void
 variantReport()
 {
     const bool simdWasActive = kern::simdActive();
-    qccbench::banner("sim kernel variants (scalar / kernel / simd / "
-                     "fused)");
+    qccbench::banner("sim kernel variants (scalar / kernel / simd)");
     std::printf("  simd: compiled=%d supported=%d (%s)\n",
                 int(kern::simdCompiled()), int(kern::simdSupported()),
                 kern::simdName());

@@ -684,17 +684,19 @@ FramePlan::gradient(const std::vector<double> &theta, const PauliSum &h,
     if (K == 0)
         return grad;
 
-    // Keep r after every stride-th rotation (after rotation k when
-    // (k + 1) % stride == 0), within the budget; every other state
-    // replays from the nearest kept one (or from |0>), through the
-    // same sweeps, so any stride gives the same bits.
+    // The backward walk reads r after rotations 0 .. K-2 (the last
+    // rotation's is the forward state itself). Keep r after every
+    // stride-th of those (after rotation k when (k + 1) % stride ==
+    // 0), within the budget; every other state replays from the
+    // nearest kept one (or from |0>), through the same sweeps, so
+    // any stride gives the same bits.
     const size_t stateBytes = rowList.size() * dim * sizeof(double);
     size_t stride = 1;
-    if (K * stateBytes > max_snapshot_bytes) {
+    if ((K - 1) * stateBytes > max_snapshot_bytes) {
         const size_t fit = max_snapshot_bytes / stateBytes;
-        stride = fit == 0 ? K + 1 : (K + fit - 1) / fit;
+        stride = fit == 0 ? K : (K - 1 + fit - 1) / fit;
     }
-    std::vector<std::vector<double>> snaps(K / stride);
+    std::vector<std::vector<double>> snaps((K - 1) / stride);
     auto save = [&](const std::vector<double> &r, size_t k) {
         std::vector<double> &s = snaps[(k + 1) / stride - 1];
         s.resize(rotations[k].activeRows * dim);
@@ -711,7 +713,7 @@ FramePlan::gradient(const std::vector<double> &theta, const PauliSum &h,
     std::vector<double> &r = fwd.r;
     for (size_t k = 0; k < K; ++k) {
         step(r, k);
-        if ((k + 1) % stride == 0)
+        if (k + 1 < K && (k + 1) % stride == 0)
             save(r, k);
     }
 

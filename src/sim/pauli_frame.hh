@@ -149,10 +149,10 @@ class FramePlan
     /**
      * dE/dtheta_j of E = Tr(H rho(theta)) for every non-identity
      * rotation j, in program order, by reverse mode: one forward
-     * pass keeping r after each rotation, then one backward walk of
-     * the adjoint D_k U_k^T (dampings are diagonal, rotations
-     * orthogonal). States beyond `max_snapshot_bytes` are replayed
-     * from the nearest kept one, which gives the same bits.
+     * pass keeping r after each rotation but the last, then one
+     * backward walk of the adjoint D_k U_k^T (dampings are diagonal,
+     * rotations orthogonal). States beyond `max_snapshot_bytes` are
+     * replayed from the nearest kept one, which gives the same bits.
      */
     std::vector<double> gradient(const std::vector<double> &theta,
                                  const PauliSum &h,

@@ -165,14 +165,6 @@ diag1qScalar(cplx *amp, size_t b_lo, size_t b_hi, uint64_t bit,
 }
 
 void
-diagMulScalar(cplx *amp, size_t b_lo, size_t b_hi,
-              const cplx *pattern, uint64_t pat_mask, cplx scale)
-{
-    for (size_t b = b_lo; b < b_hi; ++b)
-        amp[b] *= scale * pattern[b & pat_mask];
-}
-
-void
 pauliRotPairsScalar(cplx *amp, size_t k_lo, size_t k_hi, uint64_t x,
                     uint64_t z, uint64_t pivot, double c, double ur,
                     double ui, double vr, double vi)
@@ -278,15 +270,6 @@ cmulBcast(__m256d a, __m256d br, __m256d bi)
 {
     const __m256d as = _mm256_shuffle_pd(a, a, 0x5);
     return _mm256_fmaddsub_pd(a, br, _mm256_mul_pd(as, bi));
-}
-
-/** Full complex product of two packed-complex registers. */
-QCC_AVX2 inline __m256d
-cmulVar(__m256d a, __m256d b)
-{
-    const __m256d br = _mm256_movedup_pd(b);
-    const __m256d bi = _mm256_permute_pd(b, 0xF);
-    return cmulBcast(a, br, bi);
 }
 
 /** Two complexes at lo and hi as one register (lo in lanes 0-1). */
@@ -504,45 +487,6 @@ diag1qAvx2(cplx *ampc, size_t b_lo, size_t b_hi, uint64_t bit,
             ampc[i] *= f;
         b = runEnd;
     }
-}
-
-QCC_AVX2 void
-diagMulAvx2(cplx *ampc, size_t b_lo, size_t b_hi,
-            const cplx *patternc, uint64_t pat_mask, cplx scale)
-{
-    double *amp = reinterpret_cast<double *>(ampc);
-    const double *pat = reinterpret_cast<const double *>(patternc);
-    if (pat_mask == 0) {
-        const cplx f = scale * patternc[0];
-        const __m256d fr = _mm256_set1_pd(f.real());
-        const __m256d fi = _mm256_set1_pd(f.imag());
-        size_t b = b_lo;
-        for (; b + 2 <= b_hi; b += 2) {
-            const __m256d v = _mm256_loadu_pd(amp + 2 * b);
-            _mm256_storeu_pd(amp + 2 * b, cmulBcast(v, fr, fi));
-        }
-        if (b < b_hi)
-            ampc[b] *= f;
-        return;
-    }
-    // pat_mask is odd (power-of-two length), so even-aligned index
-    // pairs never straddle the pattern wrap.
-    const __m256d sr = _mm256_set1_pd(scale.real());
-    const __m256d si = _mm256_set1_pd(scale.imag());
-    size_t b = b_lo;
-    if ((b & 1) && b < b_hi) {
-        ampc[b] *= scale * patternc[b & pat_mask];
-        ++b;
-    }
-    for (; b + 2 <= b_hi; b += 2) {
-        const __m256d a = _mm256_loadu_pd(amp + 2 * b);
-        const __m256d p =
-            _mm256_loadu_pd(pat + 2 * (b & pat_mask));
-        _mm256_storeu_pd(amp + 2 * b,
-                         cmulVar(a, cmulBcast(p, sr, si)));
-    }
-    if (b < b_hi)
-        ampc[b] *= scale * patternc[b & pat_mask];
 }
 
 /** The pair (b, b^x) gathered into one register and rotated. */
@@ -847,19 +791,6 @@ diag1q(cplx *amp, size_t b_lo, size_t b_hi, uint64_t bit, cplx d0,
     }
 #endif
     diag1qScalar(amp, b_lo, b_hi, bit, d0, d1);
-}
-
-void
-diagMul(cplx *amp, size_t b_lo, size_t b_hi, const cplx *pattern,
-        uint64_t pat_mask, cplx scale)
-{
-#ifdef QCC_SIMD_X86
-    if (simdActive()) {
-        diagMulAvx2(amp, b_lo, b_hi, pattern, pat_mask, scale);
-        return;
-    }
-#endif
-    diagMulScalar(amp, b_lo, b_hi, pattern, pat_mask, scale);
 }
 
 void

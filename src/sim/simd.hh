@@ -17,12 +17,9 @@
  *     is how the equivalence tests and bench_sim_micro exercise both
  *     paths inside one process.
  *
- * The range primitives are also the building blocks of the fused,
- * cache-blocked executor (sim/fusion.hh) that runs every statevector
- * circuit: they take explicit index ranges, and the executor folds
- * whatever depends on a block's base index into their arguments
- * (diagMul's scale), so the same code runs over a whole 2^n array or
- * over one L2-sized block of it.
+ * Every primitive takes an explicit index range, which is how the
+ * kernels split one sweep into parallel chunks; a primitive touches
+ * nothing outside its range.
  *
  * Index conventions match sim/kernels.hh: `b` ranges are raw basis
  * indices, `k` ranges are compacted pair indices expanded around a
@@ -78,17 +75,6 @@ void diag1q(cplx *amp, size_t b_lo, size_t b_hi, uint64_t bit,
             cplx d0, cplx d1);
 void diag1qScalar(cplx *amp, size_t b_lo, size_t b_hi, uint64_t bit,
                   cplx d0, cplx d1);
-
-/**
- * amp[b] *= scale * pattern[b & pat_mask] over [b_lo, b_hi).
- * pat_mask + 1 is a power of two (the pattern length); the fused
- * executor uses this to apply a whole run of diagonal gates as one
- * block sweep with the block-constant part folded into `scale`.
- */
-void diagMul(cplx *amp, size_t b_lo, size_t b_hi,
-             const cplx *pattern, uint64_t pat_mask, cplx scale);
-void diagMulScalar(cplx *amp, size_t b_lo, size_t b_hi,
-                   const cplx *pattern, uint64_t pat_mask, cplx scale);
 
 /**
  * Pauli-rotation pair update over compacted k in [k_lo, k_hi) with

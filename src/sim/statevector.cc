@@ -5,10 +5,69 @@
 #include "common/logging.hh"
 #include "common/parallel.hh"
 #include "pauli/grouping.hh"
-#include "sim/fusion.hh"
 #include "sim/kernels.hh"
 
 namespace qcc {
+
+namespace {
+
+std::string
+describeIssue(const SimIssue &issue)
+{
+    if (issue.gateIndex < 0)
+        return issue.what;
+    return "gate " + std::to_string(issue.gateIndex) + ": " +
+           issue.what;
+}
+
+} // namespace
+
+SimError::SimError(SimIssue issue)
+    : std::runtime_error(describeIssue(issue)), issue_(std::move(issue))
+{
+}
+
+std::optional<SimIssue>
+validateCircuit(const Circuit &c, unsigned width)
+{
+    if (c.numQubits() != width)
+        return SimIssue{"circuit width " +
+                            std::to_string(c.numQubits()) +
+                            " does not match register width " +
+                            std::to_string(width),
+                        -1};
+    const auto &gates = c.gates();
+    for (size_t g = 0; g < gates.size(); ++g) {
+        const Gate &gate = gates[g];
+        if (gate.q0 >= width)
+            return SimIssue{gateName(gate.kind) + " operand q" +
+                                std::to_string(gate.q0) +
+                                " out of range for width " +
+                                std::to_string(width),
+                            long(g)};
+        if (!isTwoQubit(gate.kind))
+            continue;
+        if (gate.q1 >= width)
+            return SimIssue{gateName(gate.kind) + " operand q" +
+                                std::to_string(gate.q1) +
+                                " out of range for width " +
+                                std::to_string(width),
+                            long(g)};
+        if (gate.q0 == gate.q1)
+            return SimIssue{gateName(gate.kind) +
+                                " operands are identical (q" +
+                                std::to_string(gate.q0) + ")",
+                            long(g)};
+    }
+    return std::nullopt;
+}
+
+void
+validateCircuitOrThrow(const Circuit &c, unsigned width)
+{
+    if (auto issue = validateCircuit(c, width))
+        throw SimError(std::move(*issue));
+}
 
 Statevector::Statevector(unsigned n) : Statevector(n, 0)
 {
@@ -43,12 +102,6 @@ Statevector::reset(uint64_t basis)
         panic("Statevector::reset: basis state out of range");
     std::fill(amp.begin(), amp.end(), cplx(0, 0));
     amp[basis] = 1.0;
-}
-
-void
-Statevector::apply1q(unsigned q, const cplx u[4])
-{
-    kern::apply1q(amp.data(), amp.size(), q, u);
 }
 
 void
@@ -94,14 +147,8 @@ void
 Statevector::applyCircuit(const Circuit &c)
 {
     validateCircuitOrThrow(c, nQubits);
-    // Fusion pays off once there is something to merge; trivial
-    // circuits replay gate-by-gate.
-    if (c.size() < 4) {
-        for (const auto &g : c.gates())
-            applyGate(g);
-        return;
-    }
-    applyFusedProgram(amp.data(), fuseCircuit(c));
+    for (const Gate &g : c.gates())
+        applyGate(g);
 }
 
 void

@@ -1,18 +1,27 @@
 /**
  * @file
  * Statevector simulator. Provides gate-by-gate execution of compiled
- * circuits (used to verify the compiler) and direct O(2^n) kernels for
- * Pauli-string rotations exp(i theta P) and Pauli-sum expectation
- * values (used by the VQE driver, mirroring the paper's use of the
- * Aer statevector simulator). All sweeps dispatch to the specialized
- * block-parallel bit-mask kernels in sim/kernels.hh; see
- * sim/backend.hh for the backend interface the VQE layer consumes.
+ * circuits (the compiler's verify pass replays them) and direct
+ * O(2^n) kernels for Pauli-string rotations exp(i theta P) and
+ * Pauli-sum expectation values (used by the VQE driver, mirroring the
+ * paper's use of the Aer statevector simulator). All sweeps dispatch
+ * to the specialized block-parallel bit-mask kernels in
+ * sim/kernels.hh; see sim/backend.hh for the backend interface the
+ * VQE layer consumes.
+ *
+ * Circuit validation lives here too: applyCircuit checks every gate
+ * operand against the register width once, before any gate runs,
+ * and throws SimError with a VerifyIssue-style diagnostic (gate
+ * index + message) instead of asserting deep inside a kernel.
  */
 
 #ifndef QCC_SIM_STATEVECTOR_HH
 #define QCC_SIM_STATEVECTOR_HH
 
 #include <complex>
+#include <optional>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -22,6 +31,34 @@
 namespace qcc {
 
 using cplx = std::complex<double>;
+
+/** Diagnostic for a rejected circuit (mirrors compiler VerifyIssue). */
+struct SimIssue {
+    std::string what;
+    long gateIndex = -1;
+};
+
+/** Thrown by applyCircuit-style entry points on invalid circuits. */
+class SimError : public std::runtime_error {
+  public:
+    explicit SimError(SimIssue issue);
+    const SimIssue &issue() const { return issue_; }
+
+  private:
+    SimIssue issue_;
+};
+
+/**
+ * Validate every gate of `c` against a register of `width` qubits:
+ * operands in range, two-qubit operands distinct, and the circuit's
+ * own width equal to the register's. Returns the first problem found,
+ * or nullopt when the circuit is safe to execute.
+ */
+std::optional<SimIssue> validateCircuit(const Circuit &c,
+                                        unsigned width);
+
+/** validateCircuit + throw SimError on failure. */
+void validateCircuitOrThrow(const Circuit &c, unsigned width);
 
 /**
  * Dense 2^n-amplitude quantum state. Basis index bit q corresponds to
@@ -54,18 +91,14 @@ class Statevector
     const std::vector<cplx> &amplitudes() const { return amp; }
     std::vector<cplx> &amplitudes() { return amp; }
 
-    /** Apply an arbitrary single-qubit unitary (row-major 2x2). */
-    void apply1q(unsigned q, const cplx u[4]);
-
     /** Apply one gate of the circuit IR. */
     void applyGate(const Gate &g);
 
     /**
      * Apply every gate of a circuit. Operands are validated against
      * the register width up front (throws SimError with a gate-level
-     * diagnostic, see sim/fusion.hh); the circuit is then rewritten
-     * into fused ops and executed cache-block by cache-block instead
-     * of one full state pass per gate.
+     * diagnostic, leaving the state untouched); the gates then run
+     * one by one through applyGate.
      */
     void applyCircuit(const Circuit &c);
 

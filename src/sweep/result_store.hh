@@ -109,18 +109,19 @@ class ResultStore
     void reset(const std::vector<ExperimentSpec> &jobs);
 
     /**
-     * Resume support: adopt completed jobs from a previously written
-     * json() document. A prior "jobs" entry is adopted when its
-     * index is in range, its recorded spec_hash matches the current
-     * record's (same expanded spec), and its status is "done" — the
-     * record becomes Done with the rehydrated result
-     * (ExperimentResult::fromJsonDom), original attempts, and
-     * original wall_ms, so re-serialization reproduces the adopted
-     * record byte for byte. Failed/timed-out/skipped entries are NOT
-     * adopted (a resume is the second chance). Returns the number of
-     * jobs adopted; throws JsonError when `prior_doc` is not JSON,
-     * and silently adopts nothing from a document without a usable
-     * jobs array.
+     * Adopt completed jobs from a previously written json() document.
+     * A prior "jobs" entry is adopted when its index is in range, its
+     * recorded spec_hash matches the current record's (same expanded
+     * spec), and its status is "done" — the record becomes Done with
+     * the rehydrated result (ExperimentResult::fromJsonDom), original
+     * attempts, and original wall_ms, so re-serialization reproduces
+     * the adopted record byte for byte. Failed/timed-out/skipped
+     * entries are NOT adopted. An aggregate carries no build key, so
+     * this checks none: it adopts records another build produced,
+     * which is why SweepEngine resumes only from a journal. Returns
+     * the number of jobs adopted; throws JsonError when `prior_doc`
+     * is not JSON, and silently adopts nothing from a document
+     * without a usable jobs array.
      */
     size_t adoptCompleted(const std::string &prior_doc);
 

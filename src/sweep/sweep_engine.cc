@@ -117,23 +117,18 @@ SweepEngine::run()
 
     adoptedJobs = 0;
     if (!opts.resumeFrom.empty()) {
+        // Only journal lines carry the build key that keeps another
+        // build's results out.
+        if (!opts.resumeFrom.ends_with(".journal"))
+            throw SweepError("(resume)", "not a sweep journal: " +
+                                             opts.resumeFrom);
         std::ifstream in(opts.resumeFrom, std::ios::binary);
         if (!in)
             throw SweepError("(resume)",
                              "cannot read " + opts.resumeFrom);
         std::ostringstream buf;
         buf << in.rdbuf();
-        try {
-            adoptedJobs = opts.resumeFrom.ends_with(".journal")
-                              ? store.adoptJournal(buf.str())
-                              : store.adoptCompleted(buf.str());
-        } catch (const JsonError &e) {
-            // Aggregates are written atomically, so this one was
-            // damaged outside the engine (a hand edit, a cut-short
-            // copy): resume nothing and run the sweep in full.
-            warn("sweep: ignoring unparseable resume document " +
-                 opts.resumeFrom + ": " + e.what());
-        }
+        adoptedJobs = store.adoptJournal(buf.str());
         if (adoptedJobs)
             inform("sweep: resumed " + std::to_string(adoptedJobs) +
                    " of " + std::to_string(jobs.size()) +
@@ -153,7 +148,7 @@ SweepEngine::run()
 
     // A journaling executor starts the journal over with the adopted
     // records, so it holds exactly the completed jobs at every
-    // moment, whichever document the resume read.
+    // moment.
     std::optional<SweepJournal> journal;
     if (const std::string path = sweepJournalPath(sweepSpec.name);
         exec.writeThrough() && !path.empty()) {

@@ -97,16 +97,13 @@ struct SweepEngineOptions
     bool capJobWidth = true;
 
     /**
-     * Path of a previously written SWEEP_*.json aggregate, or of a
-     * SWEEP_*.journal (by its suffix), to resume from: completed
-     * jobs whose recorded spec_hash still matches are adopted (never
-     * re-run), everything else runs normally. "" disables; a
-     * missing/unreadable file throws SweepError. An aggregate that
-     * does not parse is ignored with a warning: aggregates are
-     * written atomically (temp file + rename), so a killed run
-     * leaves a whole document, and an unparseable one was edited or
-     * copied by hand. A journal adopts its whole lines and ignores a
-     * torn last one (ResultStore::adoptJournal).
+     * Path of a SWEEP_*.journal to resume from: completed jobs of
+     * this build whose recorded spec_hash still matches are adopted
+     * (never re-run), everything else runs normally. The journal
+     * adopts its whole lines and ignores a torn last one
+     * (ResultStore::adoptJournal). "" disables; a path that does not
+     * end in ".journal" (an aggregate carries no build key) or a
+     * missing/unreadable file throws SweepError before any job runs.
      */
     std::string resumeFrom;
 

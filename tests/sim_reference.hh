@@ -2,14 +2,13 @@
  * @file
  * Reference implementations the simulator's production paths are
  * tested and timed against: the seed's full-scan kernels, the
- * per-term H*v and <H>, the statevector's per-gate circuit replay,
- * and the density-matrix simulator with its depolarizing channels,
- * replayed gate by gate. Production always runs the bit-mask
- * kernels, H by X mask, the fused statevector executor and, for
- * noisy states, the Pauli-transfer frame (sim/pauli_frame.hh);
- * these stay here, beside the tests that read them (test_kernels,
- * test_density_matrix, test_gradient, test_pipeline_fuzz) and
- * bench_sim_micro.
+ * per-term H*v and <H>, and the density-matrix simulator with its
+ * depolarizing channels, replayed gate by gate. Production always
+ * runs the bit-mask kernels, H by X mask, the statevector's per-gate
+ * replay (Statevector::applyCircuit) and, for noisy states, the
+ * Pauli-transfer frame (sim/pauli_frame.hh); these stay here, beside
+ * the tests that read them (test_kernels, test_density_matrix,
+ * test_gradient) and bench_sim_micro.
  */
 
 #ifndef QCC_TESTS_SIM_REFERENCE_HH
@@ -29,7 +28,6 @@
 #include "common/parallel.hh"
 #include "pauli/grouping.hh"
 #include "pauli/pauli_sum.hh"
-#include "sim/fusion.hh"
 #include "sim/kernels.hh"
 #include "sim/noise_model.hh"
 #include "sim/statevector.hh"
@@ -122,14 +120,6 @@ accumulatePauli(const qcc::Statevector &sv, cplx w,
 {
     accumulatePauli(sv.amplitudes().data(), sv.dim(), p.xMask(),
                     p.zMask(), w, out.data());
-}
-
-/** Gate-by-gate replay through Statevector::applyGate. */
-inline void
-applyPerGate(qcc::Statevector &sv, const qcc::Circuit &c)
-{
-    for (const qcc::Gate &g : c.gates())
-        sv.applyGate(g);
 }
 
 /**

@@ -497,6 +497,28 @@ TEST(Gradient, PrefixSharingEqualsFullReplayBitForBit)
     const auto plan = FramePlan::build(fix.ansatz, noise);
     EXPECT_EQ(shared.gradientNoisy(params, *plan),
               replay.gradientNoisy(params, *plan));
+
+    // The noisy adjoint under budgets that keep some but not all of
+    // its snapshots. Whatever the s bytes of one frame state, the
+    // power-of-two ladder holds one budget in [s, 2s), which keeps
+    // one snapshot; the rungs above keep more, and the top ones all
+    // (LiH@0.3 keeps 23 states of 4 KiB).
+    const Fixture lihFix = moleculeFixture("LiH", 0.3);
+    const auto lihPlan = FramePlan::build(lihFix.ansatz, noise);
+    ASSERT_GE(lihPlan->numRotations(), 4u);
+    const auto lihParams = testParams(lihFix.ansatz.nParams);
+    const std::vector<double> unbudgeted =
+        ParameterShiftEngine(lihFix.prob.hamiltonian, lihFix.ansatz)
+            .gradientNoisy(lihParams, *lihPlan);
+    for (size_t budget = 1; budget <= size_t{1} << 26; budget *= 2) {
+        GradientOptions budgeted;
+        budgeted.maxPrefixBytes = budget;
+        EXPECT_EQ(ParameterShiftEngine(lihFix.prob.hamiltonian,
+                                       lihFix.ansatz, budgeted)
+                      .gradientNoisy(lihParams, *lihPlan),
+                  unbudgeted)
+            << "budget " << budget;
+    }
 }
 
 TEST(Gradient, SampledGradientSeededAndBatchingInvariant)

@@ -2,9 +2,9 @@
  * @file
  * Equivalence tests for the specialized simulator kernels: randomized
  * circuits and Pauli rotations checked against the generic dense
- * reference path, the <bra|P|ket> kernel against a dense Pauli
- * product, the fused statevector executor against per-gate replay, H by X mask
- * against the per-term H*v and <H> (references in sim_reference.hh),
+ * reference path with the vector path off and on, the <bra|P|ket>
+ * kernel against a dense Pauli product, H by X mask against the
+ * per-term H*v and <H> (references in sim_reference.hh),
  * and the expectation width-check regression. QCC_THREADS is pinned
  * to 4 before the pool first sizes itself, so the chunked sweeps run
  * on any runner.
@@ -21,7 +21,6 @@
 #include "common/parallel.hh"
 #include "common/rng.hh"
 #include "ferm/hamiltonian.hh"
-#include "sim/fusion.hh"
 #include "sim/kernels.hh"
 #include "sim/simd.hh"
 #include "sim/statevector.hh"
@@ -95,7 +94,7 @@ struct SimdGuard {
     ~SimdGuard() { kern::setSimdEnabled(was); }
 };
 
-/** Random circuit over all gate kinds (same mix as the dense test). */
+/** Random circuit over all gate kinds, 30% of them CNOT or SWAP. */
 Circuit
 randomCircuit(unsigned n, int n_gates, Rng &rng)
 {
@@ -261,58 +260,48 @@ TEST(Kernels, PauliInnerOnOneStateIsTheExpectation)
 
 TEST(Kernels, RandomCircuitMatchesDenseApply)
 {
-    // Every specialized gate kernel (diagonal, X, CX, SWAP) against
-    // the generic dense 2x2 path / explicit permutation reference.
+    // Statevector::applyCircuit, so every specialized gate kernel
+    // (diagonal, X, CX, SWAP, dense 1q), against the generic dense
+    // 2x2 path / explicit permutation reference, with the vector path
+    // off and on. n = 14 puts gates on bits whose pairs span several
+    // parallel chunks; n = 1 and odd widths cover the degenerate ends.
     Rng rng(17);
-    const unsigned n = 6;
-    for (int rep = 0; rep < 6; ++rep) {
-        Statevector fast = randomState(n, 900 + rep);
-        std::vector<cplx> ref = fast.amplitudes();
-
-        std::vector<Gate> gates;
-        const GateKind oneQ[] = {GateKind::X,   GateKind::Y,
-                                 GateKind::Z,   GateKind::H,
-                                 GateKind::S,   GateKind::Sdg,
-                                 GateKind::RX,  GateKind::RY,
-                                 GateKind::RZ};
-        for (int g = 0; g < 40; ++g) {
-            if (rng.uniform() < 0.3) {
-                unsigned a = unsigned(rng.index(n));
-                unsigned b = unsigned(rng.index(n - 1));
-                if (b >= a)
-                    ++b;
-                gates.push_back({rng.coin() ? GateKind::CNOT
-                                            : GateKind::SWAP,
-                                 a, b});
-            } else {
-                GateKind k = oneQ[rng.index(std::size(oneQ))];
-                gates.push_back({k, unsigned(rng.index(n)), 0,
-                                 rng.uniform(-3.0, 3.0)});
-            }
-        }
-
-        for (const auto &g : gates) {
-            fast.applyGate(g);
+    for (unsigned n : {1u, 2u, 5u, 6u, 14u}) {
+        const int reps = n >= 14 ? 2 : 6;
+        for (int rep = 0; rep < reps; ++rep) {
+            const Circuit c = randomCircuit(n, n >= 14 ? 120 : 40, rng);
+            const Statevector start = randomState(n, 900 + 16 * n + rep);
             // Reference path: dense 2x2 for 1q kinds, explicit
             // full-scan permutations for CNOT/SWAP (the seed's
             // loops).
-            if (g.kind == GateKind::CNOT) {
-                const uint64_t cb = 1ull << g.q0, tb = 1ull << g.q1;
-                for (size_t b = 0; b < ref.size(); ++b)
-                    if ((b & cb) && !(b & tb))
-                        std::swap(ref[b], ref[b | tb]);
-            } else if (g.kind == GateKind::SWAP) {
-                const uint64_t ab = 1ull << g.q0, bb = 1ull << g.q1;
-                for (size_t b = 0; b < ref.size(); ++b)
-                    if ((b & ab) && !(b & bb))
-                        std::swap(ref[b ^ ab ^ bb], ref[b]);
-            } else {
-                cplx u[4];
-                gateMatrix(g.kind, g.angle, u);
-                apply1qGeneric(ref.data(), ref.size(), g.q0, u);
+            std::vector<cplx> ref = start.amplitudes();
+            for (const Gate &g : c.gates()) {
+                if (g.kind == GateKind::CNOT) {
+                    const uint64_t cb = 1ull << g.q0, tb = 1ull << g.q1;
+                    for (size_t b = 0; b < ref.size(); ++b)
+                        if ((b & cb) && !(b & tb))
+                            std::swap(ref[b], ref[b | tb]);
+                } else if (g.kind == GateKind::SWAP) {
+                    const uint64_t ab = 1ull << g.q0, bb = 1ull << g.q1;
+                    for (size_t b = 0; b < ref.size(); ++b)
+                        if ((b & ab) && !(b & bb))
+                            std::swap(ref[b ^ ab ^ bb], ref[b]);
+                } else {
+                    cplx u[4];
+                    gateMatrix(g.kind, g.angle, u);
+                    apply1qGeneric(ref.data(), ref.size(), g.q0, u);
+                }
+            }
+            for (bool simd : {false, true}) {
+                SimdGuard guard(simd);
+                Statevector fast = start;
+                fast.applyCircuit(c);
+                expectClose(fast.amplitudes(), ref,
+                            std::string(simd ? "simd" : "scalar") +
+                                " random circuit n=" +
+                                std::to_string(n));
             }
         }
-        expectClose(fast.amplitudes(), ref, "random circuit");
     }
 }
 
@@ -753,10 +742,10 @@ TEST(Simd, MaskMatvecStaysInsideItsRange)
     }
 }
 
-TEST(Simd, OneQubitSweepsMatchScalarOnEveryBitOfADensityMatrix)
+TEST(Simd, OneQubitSweepsMatchScalarOnEveryBitOfATwelveQubitState)
 {
-    // n = 6 vectorized: 4096 entries, bits 0-11. The low bits walk
-    // fixed loop nests; sub-ranges start and end inside runs.
+    // 4096 amplitudes, bits 0-11. The low bits walk fixed loop
+    // nests; sub-ranges start and end inside runs.
     Rng rng(67);
     const unsigned bits = 12;
     const size_t dim = size_t{1} << bits;
@@ -811,85 +800,6 @@ TEST(Simd, OneQubitSweepsMatchScalarOnEveryBitOfADensityMatrix)
             expectClose(vec, sca, "diag1q range " + what);
         }
     }
-}
-
-// ---------------------------------------------------------------------
-// Gate fusion + cache-blocked execution vs plain per-gate replay.
-// ---------------------------------------------------------------------
-
-TEST(Fusion, FusedCircuitMatchesPerGate)
-{
-    Rng rng(47);
-    // n=14 exceeds the execution block width, so high-bit 1q gates,
-    // block-selecting CNOT controls, and the segment machinery all
-    // run; n=1 and odd widths cover the degenerate ends.
-    for (unsigned n : {1u, 2u, 5u, 14u}) {
-        const int reps = n >= 14 ? 2 : 5;
-        for (int rep = 0; rep < reps; ++rep) {
-            Circuit c = randomCircuit(n, n >= 14 ? 120 : 60, rng);
-            Statevector ref = randomState(n, 500 + 16 * n + rep);
-            Statevector fusedV(n), fusedS(n);
-            fusedV.amplitudes() = ref.amplitudes();
-            fusedS.amplitudes() = ref.amplitudes();
-            {
-                SimdGuard g(false);
-                applyPerGate(ref, c);
-                fusedS.applyCircuit(c);
-            }
-            {
-                SimdGuard g(true);
-                fusedV.applyCircuit(c);
-            }
-            expectClose(fusedS.amplitudes(), ref.amplitudes(),
-                        "fused scalar n=" + std::to_string(n));
-            expectClose(fusedV.amplitudes(), ref.amplitudes(),
-                        "fused simd n=" + std::to_string(n));
-        }
-    }
-}
-
-TEST(Fusion, DiagonalRunsCoalesce)
-{
-    // A long run of commuting diagonal gates (with CNOTs whose
-    // controls sit on the diagonal qubits interleaved) must fuse into
-    // far fewer ops and still match per-gate replay.
-    Circuit c(5);
-    for (int pass = 0; pass < 3; ++pass) {
-        for (unsigned q = 0; q < 5; ++q) {
-            c.z(q);
-            c.s(q);
-            c.rz(q, 0.2 + 0.1 * q);
-        }
-        c.cnot(0, 4); // diag on control 0 commutes through
-    }
-    FusedProgram p = fuseCircuit(c);
-    EXPECT_LT(p.ops.size(), c.size() / 3);
-
-    Statevector a = randomState(5, 77), b(5);
-    b.amplitudes() = a.amplitudes();
-    applyPerGate(a, c);
-    b.applyCircuit(c);
-    expectClose(b.amplitudes(), a.amplitudes(), "diag coalesce");
-}
-
-TEST(Fusion, OneQubitRunsMerge)
-{
-    // RZ-RY-RZ Euler blocks per qubit collapse to one matrix each.
-    Circuit c(4);
-    for (unsigned q = 0; q < 4; ++q) {
-        c.rz(q, 0.3);
-        c.ry(q, 0.5);
-        c.rz(q, -0.2);
-        c.h(q);
-    }
-    FusedProgram p = fuseCircuit(c);
-    EXPECT_EQ(p.ops.size(), 4u);
-
-    Statevector a = randomState(4, 88), b(4);
-    b.amplitudes() = a.amplitudes();
-    applyPerGate(a, c);
-    b.applyCircuit(c);
-    expectClose(b.amplitudes(), a.amplitudes(), "1q merge");
 }
 
 // ---------------------------------------------------------------------

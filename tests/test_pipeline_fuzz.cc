@@ -22,10 +22,8 @@
 #include "evolve/trotter.hh"
 #include "sim/simd.hh"
 #include "sim/statevector.hh"
-#include "sim_reference.hh"
 
 using namespace qcc;
-using qcc_test::applyPerGate;
 
 namespace {
 
@@ -53,8 +51,7 @@ randomProgram(Rng &rng)
 /**
  * Random weight-1 Z rotations on qubits 0 and 1 with no HF prep:
  * each compiles to a bare RZ, so the circuit holds runs of adjacent
- * diagonals on one qubit and the fused executor merges a diagonal
- * into a pending diagonal on the same bit.
+ * diagonals on one qubit.
  */
 Ansatz
 diagonalRunProgram(Rng &rng)
@@ -140,10 +137,9 @@ TEST(PipelineFuzz, RandomProgramsCompileAndStayEquivalent)
     }
 }
 
-TEST(PipelineFuzz, CompiledCircuitsExecuteIdenticallyFusedAndSimd)
+TEST(PipelineFuzz, CompiledCircuitsExecuteIdenticallyScalarAndSimd)
 {
-    // The simulator's execution tiers (per-gate scalar, per-gate
-    // SIMD, fused scalar, fused SIMD) must agree on real compiler
+    // The scalar and SIMD gate kernels must agree on real compiler
     // output — routed circuits full of CNOT/SWAP runs and basis
     // sandwiches, not just synthetic gate streams.
     setLogLevel(LogLevel::Quiet);
@@ -162,7 +158,7 @@ TEST(PipelineFuzz, CompiledCircuitsExecuteIdenticallyFusedAndSimd)
         CompileResult res = mtr.compile(a, params);
         const unsigned n = res.circuit.numQubits();
 
-        // Random dense initial state shared by all four tiers.
+        // Random dense initial state shared by both paths.
         Statevector ref(n);
         {
             double norm2 = 0.0;
@@ -173,32 +169,19 @@ TEST(PipelineFuzz, CompiledCircuitsExecuteIdenticallyFusedAndSimd)
             for (auto &v : ref.amplitudes())
                 v /= std::sqrt(norm2);
         }
-        Statevector simd(n), fusedS(n), fusedV(n);
+        Statevector simd(n);
         simd.amplitudes() = ref.amplitudes();
-        fusedS.amplitudes() = ref.amplitudes();
-        fusedV.amplitudes() = ref.amplitudes();
 
         kern::setSimdEnabled(false);
-        applyPerGate(ref, res.circuit);
-        fusedS.applyCircuit(res.circuit);
+        ref.applyCircuit(res.circuit);
         kern::setSimdEnabled(true);
-        applyPerGate(simd, res.circuit);
-        fusedV.applyCircuit(res.circuit);
+        simd.applyCircuit(res.circuit);
 
-        for (size_t i = 0; i < ref.dim(); ++i) {
+        for (size_t i = 0; i < ref.dim(); ++i)
             ASSERT_NEAR(std::abs(simd.amplitudes()[i] -
                                  ref.amplitudes()[i]),
                         0.0, 1e-12)
                 << "simd trial " << t << " index " << i;
-            ASSERT_NEAR(std::abs(fusedS.amplitudes()[i] -
-                                 ref.amplitudes()[i]),
-                        0.0, 1e-12)
-                << "fused-scalar trial " << t << " index " << i;
-            ASSERT_NEAR(std::abs(fusedV.amplitudes()[i] -
-                                 ref.amplitudes()[i]),
-                        0.0, 1e-12)
-                << "fused-simd trial " << t << " index " << i;
-        }
     }
     kern::setSimdEnabled(simdWas);
 }
@@ -208,7 +191,7 @@ TEST(PipelineFuzz, TrotterProgramsCompileAndExecuteIdentically)
     // Trotter circuits are a different gate population from random
     // UCCSD-style programs — long family-ordered rotation streams,
     // one shared dt parameter — so push them through the same three
-    // flows and the four execution tiers.
+    // flows and both gate paths.
     setLogLevel(LogLevel::Quiet);
     XTree tree = makeXTree(7);
 
@@ -253,7 +236,7 @@ TEST(PipelineFuzz, TrotterProgramsCompileAndExecuteIdentically)
         checkFlow(tb.ansatz, params, mtr, "trotter-mtr", t);
         checkFlow(tb.ansatz, params, sabre, "trotter-sabre", t);
 
-        // Four-tier execution agreement on the routed circuit.
+        // Scalar and SIMD agreement on the routed circuit.
         CompileResult res = mtr.compile(tb.ansatz, params);
         const unsigned nc = res.circuit.numQubits();
         Statevector ref(nc);
@@ -266,31 +249,17 @@ TEST(PipelineFuzz, TrotterProgramsCompileAndExecuteIdentically)
             for (auto &v : ref.amplitudes())
                 v /= std::sqrt(norm2);
         }
-        Statevector simd(nc), fusedS(nc), fusedV(nc);
+        Statevector simd(nc);
         simd.amplitudes() = ref.amplitudes();
-        fusedS.amplitudes() = ref.amplitudes();
-        fusedV.amplitudes() = ref.amplitudes();
         kern::setSimdEnabled(false);
-        applyPerGate(ref, res.circuit);
-        fusedS.applyCircuit(res.circuit);
+        ref.applyCircuit(res.circuit);
         kern::setSimdEnabled(true);
-        applyPerGate(simd, res.circuit);
-        fusedV.applyCircuit(res.circuit);
-        for (size_t i = 0; i < ref.dim(); ++i) {
+        simd.applyCircuit(res.circuit);
+        for (size_t i = 0; i < ref.dim(); ++i)
             ASSERT_NEAR(std::abs(simd.amplitudes()[i] -
                                  ref.amplitudes()[i]),
                         0.0, 1e-12)
                 << "trotter simd trial " << t << " index " << i;
-            ASSERT_NEAR(std::abs(fusedS.amplitudes()[i] -
-                                 ref.amplitudes()[i]),
-                        0.0, 1e-12)
-                << "trotter fused trial " << t << " index " << i;
-            ASSERT_NEAR(std::abs(fusedV.amplitudes()[i] -
-                                 ref.amplitudes()[i]),
-                        0.0, 1e-12)
-                << "trotter fused-simd trial " << t << " index "
-                << i;
-        }
     }
     kern::setSimdEnabled(simdWas);
 }

@@ -7,13 +7,14 @@
  * the sweep continues), the soft per-job timeout, cooperative
  * mid-sweep cancellation, cross-job sharing of the global compile
  * cache, and resume (spec_hash-keyed adoption of completed jobs
- * from a prior SWEEP document).
+ * from a sweep journal; an aggregate is refused).
  */
 
 #include <gtest/gtest.h>
 
 #include <csignal>
 #include <filesystem>
+#include <fstream>
 #include <random>
 
 #include <sys/wait.h>
@@ -54,6 +55,16 @@ smallSweep()
       },
       "emit_timings": false
     })");
+}
+
+/** Write every record of `store` to `path` as journal lines. */
+bool
+writeJournal(const ResultStore &store, const std::string &path)
+{
+    std::ofstream out(path, std::ios::binary);
+    for (const SweepJobRecord &r : store.jobs())
+        out << store.journalLine(r);
+    return bool(out);
 }
 
 } // namespace
@@ -451,15 +462,15 @@ TEST(SweepSpec, JobHashIsStableAndSpecSensitive)
 
 TEST(SweepEngine, ResumeAdoptsCompletedJobsAndReproducesBytes)
 {
-    // A full run's document is the resume source.
+    // A full run's journal is the resume source.
     ResultStore first = SweepEngine(smallSweep()).run();
     EXPECT_EQ(first.countWithStatus(JobStatus::Done), 4u);
     const std::string doc = first.json();
     const std::string path =
         (std::filesystem::temp_directory_path() /
-         ("qcc_resume_" + std::to_string(::getpid()) + ".json"))
+         ("qcc_resume_" + std::to_string(::getpid()) + ".journal"))
             .string();
-    ASSERT_FALSE(first.writeTo(path).empty());
+    ASSERT_TRUE(writeJournal(first, path));
 
     // Resuming from it re-runs nothing and reproduces the bytes.
     SweepEngineOptions opts;
@@ -486,6 +497,22 @@ TEST(SweepEngine, ResumeAdoptsCompletedJobsAndReproducesBytes)
     missing.resumeFrom = path;
     EXPECT_THROW(SweepEngine(smallSweep(), missing).run(),
                  SweepError);
+
+    // An aggregate carries no build key, so it is refused before any
+    // job runs, even though its records would match.
+    const std::string aggregate =
+        (std::filesystem::temp_directory_path() /
+         ("qcc_resume_" + std::to_string(::getpid()) + ".json"))
+            .string();
+    ASSERT_FALSE(first.writeTo(aggregate).empty());
+    size_t landed = 0;
+    SweepEngineOptions fromAggregate;
+    fromAggregate.resumeFrom = aggregate;
+    fromAggregate.progress = [&](const SweepProgress &) { ++landed; };
+    EXPECT_THROW(SweepEngine(smallSweep(), fromAggregate).run(),
+                 SweepError);
+    EXPECT_EQ(landed, 0u);
+    std::filesystem::remove(aggregate);
 }
 
 TEST(ResultStore, WriteToLeavesAWholeFileWhenKilledMidWrite)
@@ -659,9 +686,9 @@ TEST(SweepEngine, EstimateSweepRunsSimulationFree)
     // Resume adopts estimate records byte-identically too.
     const std::string path =
         (std::filesystem::temp_directory_path() /
-         ("qcc_est_resume_" + std::to_string(::getpid()) + ".json"))
+         ("qcc_est_resume_" + std::to_string(::getpid()) + ".journal"))
             .string();
-    ASSERT_FALSE(store.writeTo(path).empty());
+    ASSERT_TRUE(writeJournal(store, path));
     SweepEngineOptions opts;
     opts.resumeFrom = path;
     SweepEngine resumed(spec, opts);
