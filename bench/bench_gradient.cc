@@ -1,19 +1,21 @@
 /**
  * @file
- * Gradient-engine study: serial (per-evaluation full replay on one
- * lane) vs batched (prefix-shared / pair-differenced, thread-pool
- * fan-out) parameter-shift gradients on LiH, in all three evaluation
- * modes, the ideal-mode adjoint against batched parameter shift,
- * plus analytic vs sampled gradient quality at a sweep of shot
- * budgets. Headline numbers land in BENCH_gradient.json under
- * QCC_JSON. The serial rows run the generic per-task replay under a
- * one-lane ParallelWidthCap. The batched-vs-serial ratio on the
- * gate-level noisy mode is algorithmic (one reverse-mode pass in the
- * Pauli-transfer frame against 2R shifted energies), so it holds
- * even on one core; the statevector modes
- * additionally scale with QCC_THREADS, drawing their per-task
- * scratch states from the common/parallel buffer pool. QCC_FULL=1
- * adds a 14-qubit NH3 row.
+ * Gradient-engine study on LiH: serial (per-evaluation full replay
+ * on one lane) vs batched gradients in all three evaluation modes
+ * (prefix-shared parameter shift fanned over the thread pool on the
+ * statevector modes, the frame adjoint on the noisy one), the
+ * ideal-mode adjoint against batched parameter shift, an ideal
+ * driver's cost per L-BFGS point with and without the evaluation
+ * shared by energy and gradient, plus analytic vs sampled gradient
+ * quality at a sweep of shot budgets. Headline numbers land in
+ * BENCH_gradient.json under QCC_JSON. The serial rows run the
+ * generic per-task replay under a one-lane ParallelWidthCap. The
+ * batched-vs-serial ratio on the gate-level noisy mode is
+ * algorithmic (one reverse-mode pass in the Pauli-transfer frame
+ * against 2R shifted energies), so it holds even on one core; the
+ * statevector modes additionally scale with QCC_THREADS, drawing
+ * their per-task scratch states from the common/parallel buffer
+ * pool. QCC_FULL=1 adds a 14-qubit NH3 row.
  */
 
 #include <chrono>
@@ -29,6 +31,7 @@
 #include "common/rng.hh"
 #include "ferm/hamiltonian.hh"
 #include "sim/noise_model.hh"
+#include "vqe/driver.hh"
 #include "vqe/estimation.hh"
 #include "vqe/expectation_engine.hh"
 #include "vqe/gradient.hh"
@@ -101,8 +104,9 @@ main()
     // Serial baseline: the generic engine path on one lane — every
     // shifted energy is an independent full replay, one after
     // another, exactly what a driver evaluating one energy at a time
-    // would do. Batched: prefix-shared (statevector) or
-    // pair-differenced (density-matrix) sweeps fanned over the pool.
+    // would do. Batched: prefix-shared statevector replays fanned
+    // over the pool, or on the noisy mode the frame adjoint (one
+    // reverse-mode pass in the Pauli-transfer frame).
     auto timeMs = [&](auto fn) {
         fn(); // warm caches and the thread pool
         const auto t0 = clock_type::now();
@@ -158,6 +162,30 @@ main()
                                    {"adjoint_ms", adjointMs},
                                    {"speedup", shiftMs / adjointMs},
                                    {"max_abs_dg", maxDelta}});
+    }
+
+    // An ideal driver at one L-BFGS point: energy(x) then
+    // gradient(x), each preparing psi(x) and H|psi>, against one
+    // evaluation whose gradient continues from its state (the
+    // backward walk alone).
+    {
+        VqeDriver driver(prob.hamiltonian, ansatz, {},
+                         makeEstimationStrategy(
+                             "ideal", EstimationConfig{&prob.hamiltonian,
+                                                       {}, {}, {}}));
+        const double separateMs = timeMs([&] {
+            driver.energy(params);
+            driver.gradient(params);
+        });
+        const double sharedMs =
+            timeMs([&] { driver.evaluate(params).gradient(); });
+        std::printf("%-10s %12.3f %12.3f %8.2fx  (energy + gradient "
+                    "ms, evaluation + its gradient ms)\n",
+                    "ideal_point", separateMs, sharedMs,
+                    separateMs / sharedMs);
+        json.row("ideal_point", {{"separate_ms", separateMs},
+                                 {"shared_ms", sharedMs},
+                                 {"speedup", separateMs / sharedMs}});
     }
 
     // Both noisy routes run on one model's shared plan, so neither

@@ -248,15 +248,20 @@ runVqeExperiment(const ExperimentSpec &resolved)
     out.spec.bond = bond; // resolved for exact replay
     MolecularProblem prob =
         globalProblemStore().get(entry, bond, resolved.basisNg);
-    Ansatz full = buildUccsd(prob.nSpatial, prob.nElectrons);
-    out.fullParams = full.nParams;
     Ansatz ansatz;
-    if (resolved.compression < 1.0)
-        ansatz = compressAnsatz(full, prob.hamiltonian,
-                                resolved.compression)
-                     .ansatz;
-    else
-        ansatz = std::move(full);
+    {
+        TraceSpan span("ansatz.build");
+        Ansatz full = buildUccsd(prob.nSpatial, prob.nElectrons);
+        out.fullParams = full.nParams;
+        if (resolved.compression < 1.0)
+            ansatz = compressAnsatz(full, prob.hamiltonian,
+                                    resolved.compression)
+                         .ansatz;
+        else
+            ansatz = std::move(full);
+        span.arg("params", ansatz.nParams);
+        span.arg("rotations", ansatz.rotations.size());
+    }
 
     out.nQubits = prob.nQubits;
     out.nParams = ansatz.nParams;

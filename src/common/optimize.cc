@@ -148,31 +148,35 @@ nelderMead(const ObjectiveFn &f, std::vector<double> x0,
 }
 
 OptimizeResult
-lbfgsMinimize(const ObjectiveFn &f, std::vector<double> x0,
-              const LbfgsOptions &opts, const GradientFn &grad)
+lbfgsMinimize(const EvaluationFn &f, std::vector<double> x0,
+              const LbfgsOptions &opts)
 {
     const size_t n = x0.size();
     OptimizeResult res;
     res.x = x0;
     if (n == 0) {
-        res.fun = f(x0);
+        res.fun = f(x0).value;
         res.funEvals = 1;
         res.converged = true;
         return res;
     }
 
     int evals = 0;
-    auto gradient = [&](const std::vector<double> &x) {
-        if (grad)
-            return grad(x);
+    // The gradient of `e`, the evaluation just made at x.
+    auto gradient = [&](const Evaluation &e, const std::vector<double> &x) {
+        if (e.gradient)
+            return e.gradient();
         evals += int(2 * n);
-        return numericalGradient(f, x, opts.fdStep);
+        return numericalGradient(
+            [&f](const std::vector<double> &p) { return f(p).value; }, x,
+            opts.fdStep);
     };
 
     std::vector<double> x = x0;
-    double fx = f(x);
+    Evaluation ex = f(x);
+    double fx = ex.value;
     ++evals;
-    std::vector<double> g = gradient(x);
+    std::vector<double> g = gradient(ex, x);
 
     std::deque<std::vector<double>> sHist, yHist;
     std::deque<double> rhoHist;
@@ -240,15 +244,15 @@ lbfgsMinimize(const ObjectiveFn &f, std::vector<double> x0,
 
         // Armijo backtracking.
         double step = 1.0;
-        double fNew = fx;
+        Evaluation eNew;
         std::vector<double> xNew = x;
         bool accepted = false;
         for (int ls = 0; ls < 40; ++ls) {
             for (size_t j = 0; j < n; ++j)
                 xNew[j] = x[j] + step * d[j];
-            fNew = f(xNew);
+            eNew = f(xNew);
             ++evals;
-            if (fNew <= fx + 1e-4 * step * dg) {
+            if (eNew.value <= fx + 1e-4 * step * dg) {
                 accepted = true;
                 break;
             }
@@ -259,7 +263,8 @@ lbfgsMinimize(const ObjectiveFn &f, std::vector<double> x0,
             break;
         }
 
-        std::vector<double> gNew = gradient(xNew);
+        const double fNew = eNew.value;
+        std::vector<double> gNew = gradient(eNew, xNew);
         std::vector<double> s(n), y(n);
         for (size_t j = 0; j < n; ++j) {
             s[j] = xNew[j] - x[j];

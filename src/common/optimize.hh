@@ -6,6 +6,11 @@
  * parameters with SLSQP; our problems are unconstrained, so L-BFGS with
  * numerical gradients is the equivalent quasi-Newton choice. Nelder-Mead
  * and SPSA cover noise-free derivative-free and noisy regimes.
+ *
+ * L-BFGS reads its objective as Evaluations: the value now, the
+ * gradient of the same evaluation only once the line search accepts
+ * the point, so an objective that prepares a state per evaluation
+ * (the VQE driver) builds one state per accepted point.
  */
 
 #ifndef QCC_COMMON_OPTIMIZE_HH
@@ -20,9 +25,21 @@ namespace qcc {
 /** Scalar objective over a parameter vector. */
 using ObjectiveFn = std::function<double(const std::vector<double> &)>;
 
-/** Optional analytic gradient. */
-using GradientFn =
-    std::function<std::vector<double>(const std::vector<double> &)>;
+/**
+ * One objective evaluation: its value, and the gradient of that same
+ * evaluation on request. The gradient may continue from state the
+ * evaluation left behind, so it may be asked for once, before the
+ * objective's next evaluation; null means central differences.
+ */
+struct Evaluation
+{
+    double value = 0.0;
+    std::function<std::vector<double>()> gradient;
+};
+
+/** Objective that evaluates with a gradient on request. */
+using EvaluationFn =
+    std::function<Evaluation(const std::vector<double> &)>;
 
 /** Result of a minimization run. */
 struct OptimizeResult
@@ -58,14 +75,16 @@ struct LbfgsOptions
 };
 
 /**
- * L-BFGS minimization with Armijo backtracking line search. If grad is
- * null, central finite differences are used (2*dim evaluations per
- * gradient, mirroring SciPy SLSQP's numerical-gradient mode used by the
- * paper).
+ * L-BFGS minimization with Armijo backtracking line search. It asks
+ * for a gradient at x0 and at each accepted point, each time of the
+ * evaluation it has just made, so a rejected line-search trial costs
+ * no gradient. An evaluation without one gets central finite
+ * differences (2*dim evaluations per gradient, mirroring SciPy
+ * SLSQP's numerical-gradient mode used by the paper).
  */
-OptimizeResult lbfgsMinimize(const ObjectiveFn &f, std::vector<double> x0,
-                             const LbfgsOptions &opts = {},
-                             const GradientFn &grad = nullptr);
+OptimizeResult lbfgsMinimize(const EvaluationFn &f,
+                             std::vector<double> x0,
+                             const LbfgsOptions &opts = {});
 
 /** SPSA options (for noisy objectives). */
 struct SpsaOptions

@@ -74,6 +74,12 @@ class SimBackend
      * its prebuilt H to the amplitudes directly.
      */
     virtual const Statevector *statevector() const { return nullptr; }
+
+    /**
+     * The same state, writable: the adjoint gradient that continues
+     * from an evaluation walks it back in place.
+     */
+    virtual Statevector *statevector() { return nullptr; }
 };
 
 /** Ideal backend over the dense statevector simulator. */
@@ -106,6 +112,7 @@ class StatevectorBackend : public SimBackend
     }
 
     const Statevector *statevector() const override { return &sv; }
+    Statevector *statevector() override { return &sv; }
 
     Statevector &state() { return sv; }
     const Statevector &state() const { return sv; }

@@ -28,6 +28,35 @@ paritySign(uint64_t m, uint64_t b)
     return (std::popcount(m & b) & 1) ? -1.0 : 1.0;
 }
 
+/**
+ * exp(i theta P)'s constants as the pair kernels take them (x != 0).
+ * With u = i sin(t) i^{|x&z|} and the partner-sign relation
+ * (-1)^{|z & (b^x)|} = sigma * (-1)^{|z & b|} where
+ * sigma = (-1)^{|z & x|}, each pair costs one popcount:
+ *   amp[b]   = c a   + u sigma s_b a2
+ *   amp[b^x] = c a2  + u       s_b a
+ * The update is written in real arithmetic so both the scalar and
+ * AVX2 bodies reduce to plain FMAs.
+ */
+struct PairRotation
+{
+    double c, ur, ui, vr, vi;
+    uint64_t pivot; ///< lowest set bit of x
+
+    PairRotation(uint64_t x, uint64_t z, double theta)
+    {
+        const cplx is(0, std::sin(theta));
+        const cplx u = is * iPow(std::popcount(x & z));
+        const double sigma = paritySign(z, x);
+        c = std::cos(theta);
+        ur = u.real();
+        ui = u.imag();
+        vr = sigma * ur;
+        vi = sigma * ui;
+        pivot = x & (~x + 1);
+    }
+};
+
 } // namespace
 
 void
@@ -80,34 +109,21 @@ void
 applyPauliRotation(cplx *amp, size_t dim, uint64_t x, uint64_t z,
                    double theta)
 {
-    const double c = std::cos(theta);
-    const cplx is(0, std::sin(theta));
-
     if (x == 0) {
         // Diagonal string (|x&z| = 0): a two-valued per-amplitude
         // phase selected by the parity of |z & b|.
+        const double c = std::cos(theta);
+        const cplx is(0, std::sin(theta));
         const cplx fEven = c + is, fOdd = c - is;
         parallelFor(0, dim, [=](size_t lo, size_t hi) {
             ranges::pauliRotDiag(amp, lo, hi, z, fEven, fOdd);
         });
         return;
     }
-
-    // Pair kernel. With u = i sin(t) i^{|x&z|} and the partner-sign
-    // relation (-1)^{|z & (b^x)|} = sigma * (-1)^{|z & b|} where
-    // sigma = (-1)^{|z & x|}, each pair costs one popcount:
-    //   amp[b]   = c a   + u sigma s_b a2
-    //   amp[b^x] = c a2  + u       s_b a
-    // The update is written in real arithmetic so both the scalar and
-    // AVX2 bodies reduce to plain FMAs.
-    const cplx u = is * iPow(std::popcount(x & z));
-    const double sigma = paritySign(z, x);
-    const double ur = u.real(), ui = u.imag();
-    const double vr = sigma * ur, vi = sigma * ui;
-    const uint64_t pivot = x & (~x + 1); // lowest set bit of x
+    const PairRotation r(x, z, theta);
     parallelFor(0, dim / 2, [=](size_t lo, size_t hi) {
-        ranges::pauliRotPairs(amp, lo, hi, x, z, pivot, c, ur, ui,
-                              vr, vi);
+        ranges::pauliRotPairs(amp, lo, hi, x, z, r.pivot, r.c, r.ur,
+                              r.ui, r.vr, r.vi);
     });
 }
 
@@ -143,42 +159,50 @@ XMaskGroups::expectation(const cplx *v, size_t dim) const
 {
     static BufferPool<cplx> pool;
     std::vector<cplx> hv = pool.acquire(dim);
-    std::fill(hv.begin(), hv.end(), cplx(0.0));
-    apply(v, dim, hv.data());
-    const cplx *h = hv.data();
-    const double e =
-        parallelReduce(0, dim, 0.0, [=](size_t lo, size_t hi) {
-            double s = 0.0;
-            for (size_t b = lo; b < hi; ++b)
-                s += v[b].real() * h[b].real() +
-                     v[b].imag() * h[b].imag();
-            return s;
-        });
+    const double e = expectation(v, dim, hv.data());
     pool.release(std::move(hv));
     return e;
 }
 
+double
+XMaskGroups::expectation(const cplx *v, size_t dim, cplx *hv) const
+{
+    std::fill(hv, hv + dim, cplx(0.0));
+    apply(v, dim, hv);
+    return parallelReduce(0, dim, 0.0, [=](size_t lo, size_t hi) {
+        double s = 0.0;
+        for (size_t b = lo; b < hi; ++b)
+            s += v[b].real() * hv[b].real() + v[b].imag() * hv[b].imag();
+        return s;
+    });
+}
+
 cplx
-pauliInner(const cplx *bra, const cplx *ket, size_t dim, uint64_t x,
-           uint64_t z)
+pauliInnerAndRotate(cplx *bra, cplx *ket, size_t dim, uint64_t x,
+                    uint64_t z, double theta)
 {
     if (x == 0) {
-        return parallelReduce(
+        const cplx t = parallelReduce(
             0, dim, cplx(0.0), [=](size_t lo, size_t hi) {
                 return ranges::pauliInnerDiagScalar(bra, ket, lo, hi,
                                                     z);
             });
+        applyPauliRotation(bra, dim, x, z, theta);
+        applyPauliRotation(ket, dim, x, z, theta);
+        return t;
     }
     // With P|c> = eps (-1)^{|z&c|} |c^x> and the partner-sign
     // relation s_{b^x} = sigma s_b, the (b, b^x) pair contributes
     //   eps s_b (sigma conj(bra[b]) ket[b^x] + conj(bra[b^x]) ket[b])
     // so eps and sigma factor out of the sweep's two partial sums.
+    // Each chunk rotates its own pairs after reading them.
     const double sigma = paritySign(z, x);
-    const uint64_t pivot = x & (~x + 1);
+    const PairRotation r(x, z, theta);
     const cplx t = parallelReduce(
         0, dim / 2, cplx(0.0), [=](size_t lo, size_t hi) {
-            return ranges::pauliInnerPairs(bra, ket, lo, hi, x, z,
-                                           pivot, sigma);
+            return ranges::pauliInnerRotPairs(bra, ket, lo, hi, x, z,
+                                              r.pivot, sigma, r.c, r.ur,
+                                              r.ui, r.vr, r.vi);
         });
     return iPow(std::popcount(x & z)) * t;
 }

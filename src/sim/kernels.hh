@@ -22,10 +22,10 @@
  * between scalar and AVX2 bodies (QCC_SIMD selects the path; see
  * that header).
  *
- * The original full-scan implementations, the single-string <P> and
- * the depolarizing channels live on as test oracles in
- * tests/sim_reference.hh; the kernel tests check equivalence against
- * them and bench_sim_micro measures the speedup.
+ * The original full-scan implementations, the single-string <P>, the
+ * read-only <bra|P|ket> and the depolarizing channels live on as
+ * test oracles in tests/sim_reference.hh; the kernel tests check
+ * equivalence against them and bench_sim_micro measures the speedup.
  */
 
 #ifndef QCC_SIM_KERNELS_HH
@@ -101,6 +101,12 @@ class XMaskGroups
      */
     double expectation(const cplx *v, size_t dim) const;
 
+    /**
+     * expectation() with H v written into the caller's dim-sized
+     * `hv` (overwritten; hv != v) instead of scratch: same bits.
+     */
+    double expectation(const cplx *v, size_t dim, cplx *hv) const;
+
     /** Distinct X masks: the sweeps apply() makes. */
     size_t masks() const { return groups.size(); }
 
@@ -115,12 +121,18 @@ class XMaskGroups
 };
 
 /**
- * <bra| P |ket> for two distinct states: read-only, pair-compacted
- * (one popcount per amplitude pair, no scratch copy of P|ket>), and
- * reduced in fixed chunk order.
+ * The adjoint gradient's backward step: returns <bra| P |ket>, then
+ * applies exp(i theta P) to both states, in one pass over the
+ * (b, b^x) pairs (each pair's four amplitudes are read once for the
+ * product and the two rotations). bra and ket must not overlap. The
+ * product is pair-compacted and reduced in fixed chunk order over
+ * the ranges of a read-only <bra|P|ket> (tests/sim_reference.hh),
+ * and each state rotates as applyPauliRotation rotates it, so the
+ * results equal that product followed by two rotations bit for bit.
+ * Diagonal strings (x == 0) run the product and two phase passes.
  */
-cplx pauliInner(const cplx *bra, const cplx *ket, size_t dim,
-                uint64_t x, uint64_t z);
+cplx pauliInnerAndRotate(cplx *bra, cplx *ket, size_t dim, uint64_t x,
+                         uint64_t z, double theta);
 
 } // namespace kern
 } // namespace qcc

@@ -685,20 +685,19 @@ FramePlan::gradient(const std::vector<double> &theta, const PauliSum &h,
         return grad;
 
     // The backward walk reads r after rotations 0 .. K-2 (the last
-    // rotation's is the forward state itself). Keep r after every
-    // stride-th of those (after rotation k when (k + 1) % stride ==
-    // 0), within the budget; every other state replays from the
-    // nearest kept one (or from |0>), through the same sweeps, so
-    // any stride gives the same bits.
-    const size_t stateBytes = rowList.size() * dim * sizeof(double);
-    size_t stride = 1;
-    if ((K - 1) * stateBytes > max_snapshot_bytes) {
-        const size_t fit = max_snapshot_bytes / stateBytes;
-        stride = fit == 0 ? K : (K - 1 + fit - 1) / fit;
-    }
-    std::vector<std::vector<double>> snaps((K - 1) / stride);
-    auto save = [&](const std::vector<double> &r, size_t k) {
-        std::vector<double> &s = snaps[(k + 1) / stride - 1];
+    // rotation's is the forward state itself). Keep S of those, r
+    // after rotation at[i] = (i + 1)(K - 1) / S - 1, evenly spread
+    // and the last one (K - 2) among them; every other state replays
+    // from the nearest kept one before it (or from |0>) through the
+    // same sweeps, so any S gives the same bits.
+    const size_t S = snapshots(max_snapshot_bytes);
+    std::vector<size_t> at(S);
+    for (size_t i = 0; i < S; ++i)
+        at[i] = (i + 1) * (K - 1) / S - 1;
+    std::vector<std::vector<double>> snaps(S);
+    auto save = [&](const std::vector<double> &r, size_t i) {
+        const size_t k = at[i];
+        std::vector<double> &s = snaps[i];
         s.resize(rotations[k].activeRows * dim);
         for (size_t ri = 0; ri < rotations[k].activeRows; ++ri)
             std::memcpy(s.data() + ri * dim, r.data() + (rowList[ri] << n),
@@ -711,10 +710,10 @@ FramePlan::gradient(const std::vector<double> &theta, const PauliSum &h,
 
     PauliFrame fwd(n);
     std::vector<double> &r = fwd.r;
-    for (size_t k = 0; k < K; ++k) {
+    for (size_t k = 0, next = 0; k < K; ++k) {
         step(r, k);
-        if (k + 1 < K && (k + 1) % stride == 0)
-            save(r, k);
+        if (next < S && at[next] == k)
+            save(r, next++);
     }
 
     // adj = D_K h~, with h~ the Hamiltonian pulled back through the
@@ -735,21 +734,23 @@ FramePlan::gradient(const std::vector<double> &theta, const PauliSum &h,
     // Backward walk: with r the state just after rotation k and adj
     // the adjoint there, dE/dphi_k = <adj, G_k r>; then adj becomes
     // D_k U_k^T adj.
+    size_t kept = S; // snapshots taken at or before rotation k
     for (size_t k = K; k-- > 0;) {
         const Rotation &rot = rotations[k];
         if (k + 1 < K) {
-            const size_t kept = (k + 1) / stride;
+            while (kept > 0 && at[kept - 1] > k)
+                --kept;
             size_t from = 0;
             if (kept == 0) {
                 fwd.reset(0);
             } else {
-                const size_t at = kept * stride - 1;
+                const size_t a = at[kept - 1];
                 const std::vector<double> &s = snaps[kept - 1];
                 std::fill(r.begin(), r.end(), 0.0);
-                for (size_t ri = 0; ri < rotations[at].activeRows; ++ri)
+                for (size_t ri = 0; ri < rotations[a].activeRows; ++ri)
                     std::memcpy(r.data() + (rowList[ri] << n),
                                 s.data() + ri * dim, dim * sizeof(double));
-                from = at + 1;
+                from = a + 1;
             }
             for (size_t j = from; j <= k; ++j)
                 step(r, j);
@@ -765,6 +766,17 @@ FramePlan::gradient(const std::vector<double> &theta, const PauliSum &h,
         damp(adj, segments[k]);
     }
     return grad;
+}
+
+size_t
+FramePlan::snapshots(size_t max_snapshot_bytes) const
+{
+    const size_t K = rotations.size();
+    if (K < 2)
+        return 0;
+    const size_t stateBytes =
+        rowList.size() * (size_t{1} << nQubits) * sizeof(double);
+    return std::min(K - 1, max_snapshot_bytes / stateBytes);
 }
 
 // ------------------------------------------------------- FramePlanSlot

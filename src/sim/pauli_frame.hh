@@ -152,11 +152,19 @@ class FramePlan
      * pass keeping r after each rotation but the last, then one
      * backward walk of the adjoint D_k U_k^T (dampings are diagonal,
      * rotations orthogonal). States beyond `max_snapshot_bytes` are
-     * replayed from the nearest kept one, which gives the same bits.
+     * replayed from the nearest kept one before them, which gives
+     * the same bits.
      */
     std::vector<double> gradient(const std::vector<double> &theta,
                                  const PauliSum &h,
                                  size_t max_snapshot_bytes) const;
+
+    /**
+     * States gradient() keeps within `max_snapshot_bytes`: as many
+     * of the K - 1 it reads back as the budget fits, spread evenly
+     * over the walk.
+     */
+    size_t snapshots(size_t max_snapshot_bytes) const;
 
     unsigned numQubits() const { return nQubits; }
     const NoiseModel &noise() const { return noiseModel; }

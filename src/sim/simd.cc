@@ -184,9 +184,10 @@ pauliRotDiagScalar(cplx *amp, size_t b_lo, size_t b_hi, uint64_t z,
 }
 
 cplx
-pauliInnerPairsScalar(const cplx *bra, const cplx *ket, size_t k_lo,
-                      size_t k_hi, uint64_t x, uint64_t z,
-                      uint64_t pivot, double sigma)
+pauliInnerRotPairsScalar(cplx *bra, cplx *ket, size_t k_lo, size_t k_hi,
+                         uint64_t x, uint64_t z, uint64_t pivot,
+                         double sigma, double c, double ur, double ui,
+                         double vr, double vi)
 {
     double pr = 0.0, pi = 0.0, qr = 0.0, qi = 0.0;
     for (size_t k = k_lo; k < k_hi; ++k) {
@@ -195,6 +196,8 @@ pauliInnerPairsScalar(const cplx *bra, const cplx *ket, size_t k_lo,
         const double sb = paritySign(z, b);
         addConjMul(sb, bra[b], ket[b2], pr, pi);
         addConjMul(sb, bra[b2], ket[b], qr, qi);
+        rotPairOne(bra, b, b2, z, c, ur, ui, vr, vi);
+        rotPairOne(ket, b, b2, z, c, ur, ui, vr, vi);
     }
     return cplx(sigma * pr + qr, sigma * pi + qi);
 }
@@ -500,6 +503,25 @@ rotLonePair(double *amp, size_t b, uint64_t x, uint64_t z, __m256d cv,
               rotPairReg(loadPair(p, p2), paritySign(z, b), cv, kr, ki));
 }
 
+/**
+ * The pivot >= 2 rotation of two neighbouring pairs: a = amp[b, b+1]
+ * and a2 = amp[b^x, (b+1)^x] (x has bit 0 clear), sv = (s_b, s_b,
+ * s_{b+1}, s_{b+1}), stored back to p = amp + 2b and p2 = amp +
+ * 2(b^x).
+ */
+QCC_AVX2 inline void
+rotTwoPairs(double *p, double *p2, __m256d a, __m256d a2, __m256d sv,
+            __m256d cv, __m256d urv, __m256d uiv, __m256d vrv,
+            __m256d viv)
+{
+    const __m256d xr = _mm256_mul_pd(sv, vrv);
+    const __m256d xi = _mm256_mul_pd(sv, viv);
+    const __m256d wr = _mm256_mul_pd(sv, urv);
+    const __m256d wi = _mm256_mul_pd(sv, uiv);
+    _mm256_storeu_pd(p, _mm256_fmadd_pd(a, cv, cmulBcast(a2, xr, xi)));
+    _mm256_storeu_pd(p2, _mm256_fmadd_pd(a2, cv, cmulBcast(a, wr, wi)));
+}
+
 QCC_AVX2 void
 pauliRotPairsAvx2(cplx *ampc, size_t k_lo, size_t k_hi, uint64_t x,
                   uint64_t z, uint64_t pivot, double c, double ur,
@@ -537,21 +559,12 @@ pauliRotPairsAvx2(cplx *ampc, size_t k_lo, size_t k_hi, uint64_t x,
         for (; j + 2 <= len; j += 2) {
             const size_t b = b0 + j;
             const size_t b2 = b ^ x; // x bit0 clear: b2+1 = (b+1)^x
-            const double s0 = paritySign(z, b);
             const __m256d sv =
-                _mm256_mul_pd(_mm256_set1_pd(s0), evec);
-            const __m256d a = _mm256_loadu_pd(amp + 2 * b);
-            const __m256d a2 = _mm256_loadu_pd(amp + 2 * b2);
-            const __m256d xr = _mm256_mul_pd(sv, vrv);
-            const __m256d xi = _mm256_mul_pd(sv, viv);
-            const __m256d wr = _mm256_mul_pd(sv, urv);
-            const __m256d wi = _mm256_mul_pd(sv, uiv);
-            _mm256_storeu_pd(
-                amp + 2 * b,
-                _mm256_fmadd_pd(a, cv, cmulBcast(a2, xr, xi)));
-            _mm256_storeu_pd(
-                amp + 2 * b2,
-                _mm256_fmadd_pd(a2, cv, cmulBcast(a, wr, wi)));
+                _mm256_mul_pd(_mm256_set1_pd(paritySign(z, b)), evec);
+            rotTwoPairs(amp + 2 * b, amp + 2 * b2,
+                        _mm256_loadu_pd(amp + 2 * b),
+                        _mm256_loadu_pd(amp + 2 * b2), sv, cv, urv, uiv,
+                        vrv, viv);
         }
         if (j < len)
             rotLonePair(amp, b0 + j, x, z, cv, kr, ki);
@@ -607,25 +620,53 @@ pauliRotDiagAvx2(cplx *ampc, size_t b_lo, size_t b_hi, uint64_t z,
         rotDiagOne(amp, b, z, hr, hi, dr, di);
 }
 
-QCC_AVX2 cplx
-pauliInnerPairsAvx2(const cplx *brac, const cplx *ketc, size_t k_lo,
-                    size_t k_hi, uint64_t x, uint64_t z, uint64_t pivot,
-                    double sigma)
+/**
+ * One pair's share of pauliInnerRotPairsAvx2's sum in the scalar
+ * accumulators, then the pair rotated in both states. A function
+ * rather than a lambda, so it compiles for this target wherever it
+ * is inlined.
+ */
+QCC_AVX2 inline void
+innerRotLonePair(cplx *brac, cplx *ketc, size_t b, uint64_t x,
+                 uint64_t z, __m256d cv, __m256d kr, __m256d ki,
+                 double &pr, double &pi, double &qr, double &qi)
 {
-    const double *bra = reinterpret_cast<const double *>(brac);
-    const double *ket = reinterpret_cast<const double *>(ketc);
+    const size_t b2 = b ^ x;
+    const double sb = paritySign(z, b);
+    addConjMul(sb, brac[b], ketc[b2], pr, pi);
+    addConjMul(sb, brac[b2], ketc[b], qr, qi);
+    rotLonePair(reinterpret_cast<double *>(brac), b, x, z, cv, kr, ki);
+    rotLonePair(reinterpret_cast<double *>(ketc), b, x, z, cv, kr, ki);
+}
+
+QCC_AVX2 cplx
+pauliInnerRotPairsAvx2(cplx *brac, cplx *ketc, size_t k_lo, size_t k_hi,
+                       uint64_t x, uint64_t z, uint64_t pivot,
+                       double sigma, double c, double ur, double ui,
+                       double vr, double vi)
+{
+    double *bra = reinterpret_cast<double *>(brac);
+    double *ket = reinterpret_cast<double *>(ketc);
+    const __m256d cv = _mm256_set1_pd(c);
+    const __m256d kr = _mm256_setr_pd(vr, vr, ur, ur);
+    const __m256d ki = _mm256_setr_pd(vi, vi, ui, ui);
     // p sums conj(bra[b]) ket[b^x], q sums conj(bra[b^x]) ket[b].
     cplx p(0.0), q(0.0);
     if (pivot == 1) {
-        // x holds bit 0: gathered u = (bra[b], bra[b^x]) and swapped
-        // v = (ket[b^x], ket[b]), b = 2k; conj(u) * v is the p term in
-        // the low complex and the q term in the high one.
+        // x holds bit 0: gathered u = (bra[b], bra[b^x]) and v =
+        // (ket[b], ket[b^x]), b = 2k; conj(u) * swapped v is the p
+        // term in the low complex and the q term in the high one.
         __m256d re = _mm256_setzero_pd(), im = _mm256_setzero_pd();
         for (size_t k = k_lo; k < k_hi; ++k) {
             const size_t b = 2 * k, b2 = b ^ x;
-            conjMulAcc(_mm256_set1_pd(paritySign(z, b)),
-                       loadPair(bra + 2 * b, bra + 2 * b2),
-                       loadPair(ket + 2 * b2, ket + 2 * b), re, im);
+            const double sb = paritySign(z, b);
+            const __m256d u = loadPair(bra + 2 * b, bra + 2 * b2);
+            const __m256d v = loadPair(ket + 2 * b, ket + 2 * b2);
+            conjMulAcc(_mm256_set1_pd(sb), u, swapHalves(v), re, im);
+            storePair(bra + 2 * b, bra + 2 * b2,
+                      rotPairReg(u, sb, cv, kr, ki));
+            storePair(ket + 2 * b, ket + 2 * b2,
+                      rotPairReg(v, sb, cv, kr, ki));
         }
         conjMulSums(re, im, p, q);
         return cplx(sigma * p.real() + q.real(),
@@ -633,14 +674,12 @@ pauliInnerPairsAvx2(const cplx *brac, const cplx *ketc, size_t k_lo,
     }
     // (pr, pi, qr, qi) take the pairs done one at a time.
     double pr = 0.0, pi = 0.0, qr = 0.0, qi = 0.0;
-    auto lonePair = [&](size_t b) {
-        const size_t b2 = b ^ x;
-        const double sb = paritySign(z, b);
-        addConjMul(sb, brac[b], ketc[b2], pr, pi);
-        addConjMul(sb, brac[b2], ketc[b], qr, qi);
-    };
     const double e0 = (z & 1) ? -1.0 : 1.0;
     const __m256d evec = _mm256_setr_pd(1.0, 1.0, e0, e0);
+    const __m256d urv = _mm256_set1_pd(ur);
+    const __m256d uiv = _mm256_set1_pd(ui);
+    const __m256d vrv = _mm256_set1_pd(vr);
+    const __m256d viv = _mm256_set1_pd(vi);
     __m256d pre = _mm256_setzero_pd(), pim = _mm256_setzero_pd();
     __m256d qre = _mm256_setzero_pd(), qim = _mm256_setzero_pd();
     size_t k = k_lo;
@@ -651,19 +690,27 @@ pauliInnerPairsAvx2(const cplx *brac, const cplx *ketc, size_t k_lo,
         const size_t len = runEnd - runStart;
         size_t j = k - runStart;
         if ((j & 1) && j < len)
-            lonePair(b0 + j++);
+            innerRotLonePair(brac, ketc, b0 + j++, x, z, cv, kr, ki, pr,
+                             pi, qr, qi);
         for (; j + 2 <= len; j += 2) {
             const size_t b = b0 + j;
             const size_t b2 = b ^ x;
             const __m256d sv =
                 _mm256_mul_pd(_mm256_set1_pd(paritySign(z, b)), evec);
-            conjMulAcc(sv, _mm256_loadu_pd(bra + 2 * b),
-                       _mm256_loadu_pd(ket + 2 * b2), pre, pim);
-            conjMulAcc(sv, _mm256_loadu_pd(bra + 2 * b2),
-                       _mm256_loadu_pd(ket + 2 * b), qre, qim);
+            const __m256d u = _mm256_loadu_pd(bra + 2 * b);
+            const __m256d u2 = _mm256_loadu_pd(bra + 2 * b2);
+            const __m256d v = _mm256_loadu_pd(ket + 2 * b);
+            const __m256d v2 = _mm256_loadu_pd(ket + 2 * b2);
+            conjMulAcc(sv, u, v2, pre, pim);
+            conjMulAcc(sv, u2, v, qre, qim);
+            rotTwoPairs(bra + 2 * b, bra + 2 * b2, u, u2, sv, cv, urv,
+                        uiv, vrv, viv);
+            rotTwoPairs(ket + 2 * b, ket + 2 * b2, v, v2, sv, cv, urv,
+                        uiv, vrv, viv);
         }
         if (j < len)
-            lonePair(b0 + j);
+            innerRotLonePair(brac, ketc, b0 + j, x, z, cv, kr, ki, pr, pi,
+                             qr, qi);
         k = runEnd;
     }
     cplx p1, q1;
@@ -823,17 +870,17 @@ pauliRotDiag(cplx *amp, size_t b_lo, size_t b_hi, uint64_t z,
 }
 
 cplx
-pauliInnerPairs(const cplx *bra, const cplx *ket, size_t k_lo,
-                size_t k_hi, uint64_t x, uint64_t z, uint64_t pivot,
-                double sigma)
+pauliInnerRotPairs(cplx *bra, cplx *ket, size_t k_lo, size_t k_hi,
+                   uint64_t x, uint64_t z, uint64_t pivot, double sigma,
+                   double c, double ur, double ui, double vr, double vi)
 {
 #ifdef QCC_SIMD_X86
     if (simdActive())
-        return pauliInnerPairsAvx2(bra, ket, k_lo, k_hi, x, z, pivot,
-                                   sigma);
+        return pauliInnerRotPairsAvx2(bra, ket, k_lo, k_hi, x, z, pivot,
+                                      sigma, c, ur, ui, vr, vi);
 #endif
-    return pauliInnerPairsScalar(bra, ket, k_lo, k_hi, x, z, pivot,
-                                 sigma);
+    return pauliInnerRotPairsScalar(bra, ket, k_lo, k_hi, x, z, pivot,
+                                    sigma, c, ur, ui, vr, vi);
 }
 
 void

@@ -19,7 +19,9 @@
  *
  * Every primitive takes an explicit index range, which is how the
  * kernels split one sweep into parallel chunks; a primitive touches
- * nothing outside its range.
+ * nothing outside its range. Work on the same amplitude pairs shares
+ * one visit: the adjoint gradient's backward step reads <bra|P|ket>
+ * and rotates both states in one primitive (pauliInnerRotPairs).
  *
  * Index conventions match sim/kernels.hh: `b` ranges are raw basis
  * indices, `k` ranges are compacted pair indices expanded around a
@@ -82,11 +84,11 @@ void diag1qScalar(cplx *amp, size_t b_lo, size_t b_hi, uint64_t bit,
  * kern::applyPauliRotation: amp[b] += (c-1)*amp[b] + s_b*(vr+i*vi)*
  * amp[b^x], etc., where s_b = (-1)^{|z&b|}.
  *
- * This and pauliInnerPairs have AVX2 bodies for every pivot class.
- * With pivot 1 (x holds bit 0) the pair of k is (2k, 2k ^ x), whose
- * amplitudes sit in different registers unless x = 1; those bodies
- * gather each pair into one register. Every body touches only the
- * pairs of its own k range, and the rotation gives each pair the
+ * This and pauliInnerRotPairs have AVX2 bodies for every pivot
+ * class. With pivot 1 (x holds bit 0) the pair of k is (2k, 2k ^ x),
+ * whose amplitudes sit in different registers unless x = 1; those
+ * bodies gather each pair into one register. Every body touches only
+ * the pairs of its own k range, and the rotation gives each pair the
  * same arithmetic wherever the range starts or ends.
  */
 void pauliRotPairs(cplx *amp, size_t k_lo, size_t k_hi, uint64_t x,
@@ -105,22 +107,32 @@ void pauliRotDiagScalar(cplx *amp, size_t b_lo, size_t b_hi,
                         uint64_t z, cplx f_even, cplx f_odd);
 
 /**
- * Pair-compacted partial sum of <bra|P|ket> / i^{|x&z|} over k in
- * [k_lo, k_hi) (x != 0, pivot = lowest set bit of x): the sum of
- * s_b (sigma conj(bra[b]) ket[b^x] + conj(bra[b^x]) ket[b]) with
- * b = expandBit(k, pivot) and sigma = (-1)^{|z&x|}.
+ * The adjoint gradient's backward step over compacted k in
+ * [k_lo, k_hi) (x != 0, pivot = lowest set bit of x), one visit per
+ * pair: returns the partial sum of <bra|P|ket> / i^{|x&z|}, the sum
+ * of s_b (sigma conj(bra[b]) ket[b^x] + conj(bra[b^x]) ket[b]) with
+ * b = expandBit(k, pivot) and sigma = (-1)^{|z&x|}, taken before the
+ * pair moves; then rotates the pair of both states as pauliRotPairs
+ * does with (c, ur, ui, vr, vi). bra and ket must not overlap. The
+ * sum keeps the read-only pair sum's runs, lone pairs, accumulators
+ * and final combination (its reference is pauliInnerPairs in
+ * tests/sim_reference.hh), so it rounds as that sum does.
  */
-cplx pauliInnerPairs(const cplx *bra, const cplx *ket, size_t k_lo,
-                     size_t k_hi, uint64_t x, uint64_t z,
-                     uint64_t pivot, double sigma);
-cplx pauliInnerPairsScalar(const cplx *bra, const cplx *ket,
-                           size_t k_lo, size_t k_hi, uint64_t x,
-                           uint64_t z, uint64_t pivot, double sigma);
+cplx pauliInnerRotPairs(cplx *bra, cplx *ket, size_t k_lo, size_t k_hi,
+                        uint64_t x, uint64_t z, uint64_t pivot,
+                        double sigma, double c, double ur, double ui,
+                        double vr, double vi);
+cplx pauliInnerRotPairsScalar(cplx *bra, cplx *ket, size_t k_lo,
+                              size_t k_hi, uint64_t x, uint64_t z,
+                              uint64_t pivot, double sigma, double c,
+                              double ur, double ui, double vr,
+                              double vi);
 
 /**
- * sum_b (-1)^{|z&b|} conj(bra[b]) ket[b] over [b_lo, b_hi), the x = 0
- * case of kern::pauliInner. Scalar only, with no dispatcher: the
- * adjoint gradient's generators all carry an X or Y.
+ * sum_b (-1)^{|z&b|} conj(bra[b]) ket[b] over [b_lo, b_hi), the
+ * product of kern::pauliInnerAndRotate for x = 0. Scalar only, with
+ * no dispatcher: the adjoint gradient's generators all carry an X or
+ * Y.
  */
 cplx pauliInnerDiagScalar(const cplx *bra, const cplx *ket,
                           size_t b_lo, size_t b_hi, uint64_t z);

@@ -100,20 +100,48 @@ VqeDriver::prepareState(const std::vector<double> &params)
 {
     const auto t0 = clock_type::now();
     evalBackend->applyAnsatz(ansatz, params);
+    ++preparations;
     applyMs += millisSince(t0);
 }
 
-double
-VqeDriver::measureCurrent(SimBackend &backend, uint64_t stream,
-                          double *variance_out)
+Evaluation
+VqeDriver::evaluateAt(const std::vector<double> &params, uint64_t stream,
+                      double *variance_out)
 {
+    prepareState(params);
+    evaluatedAt = params;
     const auto t0 = clock_type::now();
-    EnergyEstimate est = strategy->measure(backend, stream);
+    EnergyEstimate est = strategy->measure(*evalBackend, stream, hpsi);
     measureMs += millisSince(t0);
     shotsTotal += est.shots;
     if (variance_out)
         *variance_out = est.variance;
-    return est.energy;
+    return {est.energy,
+            [this, state = preparations] { return gradientFrom(state); }};
+}
+
+std::vector<double>
+VqeDriver::gradientFrom(uint64_t state)
+{
+    if (state != preparations)
+        panic("VqeDriver: gradient of a stale evaluation (the state "
+              "it needs was prepared again or used up)");
+    ++preparations; // the walk may use up the prepared state
+    uint64_t shots = 0;
+    std::vector<double> g =
+        strategy->gradientFrom(*evalBackend, hpsi, shiftEngine,
+                               evaluatedAt, nextGradientStream(), &shots);
+    shotsTotal += shots;
+    return g;
+}
+
+uint64_t
+VqeDriver::nextGradientStream()
+{
+    // Per-call, per-task streams: independent of scheduling, so the
+    // fan-out is bit-identical at any lane cap.
+    return deriveStream(deriveStream(opts.seed, kVqeStreamGradient),
+                        gradCount++);
 }
 
 void
@@ -122,31 +150,30 @@ VqeDriver::recordPoint(int iter, double e, double var, double gnorm)
     traceData.points.push_back({iter, e, var, shotsTotal, gnorm});
 }
 
-double
-VqeDriver::energy(const std::vector<double> &params)
+Evaluation
+VqeDriver::evaluate(const std::vector<double> &params)
 {
-    prepareState(params);
     const uint64_t stream = deriveStream(
         deriveStream(opts.seed, kVqeStreamEnergy), evalCount);
     ++evalCount;
     double var = 0.0;
-    const double e = measureCurrent(*evalBackend, stream, &var);
-    recordPoint(int(evalCount), e, var, 0.0);
+    Evaluation e = evaluateAt(params, stream, &var);
+    recordPoint(int(evalCount), e.value, var, 0.0);
     return e;
+}
+
+double
+VqeDriver::energy(const std::vector<double> &params)
+{
+    return evaluate(params).value;
 }
 
 std::vector<double>
 VqeDriver::gradient(const std::vector<double> &params)
 {
-    // Per-call, per-task streams: independent of scheduling, so the
-    // fan-out is bit-identical at any lane cap.
-    const uint64_t callStream =
-        deriveStream(deriveStream(opts.seed, kVqeStreamGradient),
-                     gradCount);
-    ++gradCount;
     uint64_t shots = 0;
-    std::vector<double> g =
-        strategy->gradient(shiftEngine, params, callStream, &shots);
+    std::vector<double> g = strategy->gradient(
+        shiftEngine, params, nextGradientStream(), &shots);
     shotsTotal += shots;
     return g;
 }
@@ -159,20 +186,22 @@ VqeDriver::runGradientDescent()
 
     VqeResult res;
     const LbfgsOptions tol;
-    prepareState(x);
     double var = 0.0;
-    double e = measureCurrent(
-        *evalBackend,
+    // The latest evaluation, at x: each iteration's gradient
+    // continues from it.
+    Evaluation at = evaluateAt(
+        x,
         deriveStream(deriveStream(opts.seed, kVqeStreamEnergy),
                      evalCount++),
         &var);
+    double e = at.value;
     int evals = 1;
     double bestE = e;
     std::vector<double> bestX = x;
 
     int iter = 0;
     for (; iter < opts.maxIter; ++iter) {
-        std::vector<double> g = gradient(x);
+        std::vector<double> g = at.gradient();
         const double gnorm = infNorm(g);
         recordPoint(iter, e, var, gnorm);
         if (gnorm < tol.gtol) {
@@ -193,10 +222,11 @@ VqeDriver::runGradientDescent()
             for (int ls = 0; ls < 30; ++ls) {
                 for (size_t j = 0; j < x.size(); ++j)
                     xNew[j] = x[j] - step * g[j];
-                prepareState(xNew);
-                eNew = measureCurrent(*evalBackend, 0, &var);
+                Evaluation trial = evaluateAt(xNew, 0, &var);
+                eNew = trial.value;
                 ++evals;
                 if (eNew <= e - 1e-4 * step * gg) {
+                    at = std::move(trial);
                     accepted = true;
                     break;
                 }
@@ -213,13 +243,12 @@ VqeDriver::runGradientDescent()
                 kDescentRate / std::pow(iter + 1.0, 0.602);
             for (size_t j = 0; j < x.size(); ++j)
                 xNew[j] = x[j] - step * g[j];
-            prepareState(xNew);
-            eNew = measureCurrent(
-                *evalBackend,
-                deriveStream(deriveStream(opts.seed,
-                                          kVqeStreamEnergy),
-                             evalCount++),
-                &var);
+            at = evaluateAt(xNew,
+                            deriveStream(deriveStream(opts.seed,
+                                                      kVqeStreamEnergy),
+                                         evalCount++),
+                            &var);
+            eNew = at.value;
             ++evals;
         }
 

@@ -19,9 +19,12 @@
  *
  * and the optimizers (L-BFGS with exact gradients — an adjoint under
  * analytic readout, parameter shift under shot readout — plain
- * gradient descent,
- * SPSA, Nelder-Mead) are
- * registry-backed strategy objects (vqe/optimizers.hh). Every run
+ * gradient descent, SPSA, Nelder-Mead) are registry-backed strategy
+ * objects (vqe/optimizers.hh). The gradient optimizers read the
+ * driver through evaluate(): one prepared state per point serves the
+ * energy and, asked for only at accepted points, the gradient (on
+ * the ideal strategy the adjoint's backward walk continues from the
+ * state and its H|psi>). Every run
  * records a machine-readable trace — per-point energy, estimator
  * variance, cumulative shots, gradient norm — that writeTrace()
  * serializes as TRACE_<name>.json under the QCC_JSON convention, so
@@ -51,6 +54,7 @@
 #include <vector>
 
 #include "ansatz/uccsd.hh"
+#include "common/optimize.hh"
 #include "common/rng.hh"
 #include "pauli/pauli_sum.hh"
 #include "sim/backend.hh"
@@ -144,15 +148,25 @@ class VqeDriver
     VqeDriver &operator=(const VqeDriver &) = delete;
 
     /**
-     * One energy estimate at `params` (recorded in the trace).
-     * Stochastic strategies consume a per-call rng stream derived
-     * from the seed and the evaluation counter.
+     * One energy estimate at `params` (recorded in the trace), and
+     * the gradient of that same evaluation on request. Stochastic
+     * strategies consume a per-call rng stream derived from the seed
+     * and the evaluation counter. The gradient counts as a gradient()
+     * call and runs the strategy's route from the evaluation: the
+     * ideal strategy walks the adjoint back from the prepared state
+     * and its H|psi>, the others run gradient(params). It may be
+     * asked for once, before the driver's next evaluation; asking
+     * later panics.
      */
+    Evaluation evaluate(const std::vector<double> &params);
+
+    /** evaluate(params).value. */
     double energy(const std::vector<double> &params);
 
     /**
      * Exact gradient at `params` over the strategy's route
-     * (evaluationsPerGradient() energy evaluations).
+     * (evaluationsPerGradient() energy evaluations), preparing its
+     * own states. The state of the last evaluation is left as it is.
      */
     std::vector<double> gradient(const std::vector<double> &params);
 
@@ -197,8 +211,24 @@ class VqeDriver
 
     /** applyAnsatz on the evaluation backend, timed into applyMs. */
     void prepareState(const std::vector<double> &params);
-    double measureCurrent(SimBackend &backend, uint64_t stream,
-                          double *variance_out);
+
+    /**
+     * Prepare `params` on the evaluation backend and measure with
+     * `stream` (timed into measureMs), recording nothing in the
+     * trace; the gradient continues from this evaluation.
+     */
+    Evaluation evaluateAt(const std::vector<double> &params,
+                          uint64_t stream, double *variance_out);
+
+    /**
+     * The gradient of the evaluation whose preparation count was
+     * `state`; panics when another preparation came since.
+     */
+    std::vector<double> gradientFrom(uint64_t state);
+
+    /** The next gradient's rng stream (gradCount-th). */
+    uint64_t nextGradientStream();
+
     VqeResult runGradientDescent();
     void recordPoint(int iter, double e, double var, double gnorm);
 
@@ -209,6 +239,14 @@ class VqeDriver
     std::shared_ptr<const VqeOptimizer> optimizer;
     ParameterShiftEngine shiftEngine;
     std::unique_ptr<SimBackend> evalBackend; ///< reused, serial path
+    /**
+     * H|psi> of the last evaluation when the strategy keeps it (the
+     * ideal one: the adjoint's lambda), else empty.
+     */
+    std::vector<cplx> hpsi;
+    std::vector<double> evaluatedAt; ///< the last evaluation's params
+    /** evalBackend preparations, plus gradients that used one up. */
+    uint64_t preparations = 0;
     VqeTrace traceData;
     uint64_t shotsTotal = 0;
     uint64_t evalCount = 0;

@@ -45,8 +45,13 @@ AnalyticEstimation::makeBackend() const
 }
 
 EnergyEstimate
-AnalyticEstimation::measure(SimBackend &backend, uint64_t) const
+AnalyticEstimation::measure(SimBackend &backend, uint64_t,
+                            std::vector<cplx> &hpsi) const
 {
+    // A pure state keeps H|psi>: it is the adjoint's lambda at this
+    // point (gradientFrom).
+    if (const Statevector *psi = backend.statevector())
+        return {engine.energy(*psi, hpsi), 0.0, 0};
     return {engine.energy(backend), 0.0, 0};
 }
 
@@ -63,6 +68,23 @@ AnalyticEstimation::gradient(const ParameterShiftEngine &shift,
         return shift.gradientAdjoint(params);
     return shift.gradientNoisy(params,
                                *model.plans->get(shift.unrolledAnsatz()));
+}
+
+std::vector<double>
+AnalyticEstimation::gradientFrom(SimBackend &backend,
+                                 std::vector<cplx> &hpsi,
+                                 const ParameterShiftEngine &shift,
+                                 const std::vector<double> &params,
+                                 uint64_t call_stream,
+                                 uint64_t *shots_out) const
+{
+    // The Pauli frame's adjoint runs its own forward pass.
+    Statevector *psi = backend.statevector();
+    if (!psi)
+        return gradient(shift, params, call_stream, shots_out);
+    if (shots_out)
+        *shots_out = 0;
+    return shift.gradientAdjoint(params, *psi, hpsi);
 }
 
 size_t
@@ -93,8 +115,8 @@ SampledEstimation::makeBackend() const
 }
 
 EnergyEstimate
-SampledEstimation::measure(SimBackend &backend,
-                           uint64_t stream) const
+SampledEstimation::measure(SimBackend &backend, uint64_t stream,
+                           std::vector<cplx> &) const
 {
     Rng rng(stream);
     SampledEnergy s = sampler.measure(backend, rng);

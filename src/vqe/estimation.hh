@@ -20,7 +20,11 @@
  * gradient route for their state model and readout (an adjoint for
  * analytic readout, on the pure state or in the Pauli frame, and
  * parameter shift wherever a readout needs each shifted state); the
- * driver only derives rng streams and keeps the trace.
+ * driver only derives rng streams, keeps the trace and owns the
+ * H|psi> buffer an evaluation leaves. Analytic readout on a pure
+ * state fills that buffer in measure(), and gradientFrom() walks the
+ * adjoint back from the evaluation's state and it; every other
+ * strategy's gradientFrom() runs its gradient() as before.
  *
  * Modes are looked up by name in estimationRegistry() ("ideal",
  * "noisy", "sampled", "noisy_sampled"); unknown names throw a
@@ -104,10 +108,13 @@ class EstimationStrategy
     /**
      * Estimate <H> in the backend's current (already prepared)
      * state. `stream` seeds stochastic readout; analytic strategies
-     * ignore it.
+     * ignore it. `hpsi` is the caller's buffer for H|psi>: a
+     * strategy whose gradientFrom() continues from the evaluation
+     * (analytic readout on a pure state) leaves H|psi> there; the
+     * others leave it alone.
      */
-    virtual EnergyEstimate measure(SimBackend &backend,
-                                   uint64_t stream) const = 0;
+    virtual EnergyEstimate measure(SimBackend &backend, uint64_t stream,
+                                   std::vector<cplx> &hpsi) const = 0;
 
     /**
      * Generous end-of-run readout at the best parameters: like
@@ -122,7 +129,8 @@ class EstimationStrategy
                  unsigned factor) const
     {
         (void)factor;
-        return measure(backend, stream);
+        std::vector<cplx> hpsi;
+        return measure(backend, stream, hpsi);
     }
 
     /**
@@ -137,6 +145,23 @@ class EstimationStrategy
     gradient(const ParameterShiftEngine &engine,
              const std::vector<double> &params, uint64_t call_stream,
              uint64_t *shots_out) const = 0;
+
+    /**
+     * The gradient at `params`, continued from the evaluation there:
+     * `backend` still holds the state measure() read and `hpsi` what
+     * it left. May use both up. The default ignores them and runs
+     * gradient(), as the sampled and noisy strategies do.
+     */
+    virtual std::vector<double>
+    gradientFrom(SimBackend &backend, std::vector<cplx> &hpsi,
+                 const ParameterShiftEngine &engine,
+                 const std::vector<double> &params, uint64_t call_stream,
+                 uint64_t *shots_out) const
+    {
+        (void)backend;
+        (void)hpsi;
+        return gradient(engine, params, call_stream, shots_out);
+    }
 
     /**
      * Energy evaluations one gradient() call runs through `engine`:
@@ -160,12 +185,17 @@ class AnalyticEstimation : public EstimationStrategy
     const std::string &name() const override { return modeName; }
     bool stochastic() const override { return false; }
     std::unique_ptr<SimBackend> makeBackend() const override;
-    EnergyEstimate measure(SimBackend &backend,
-                           uint64_t stream) const override;
+    EnergyEstimate measure(SimBackend &backend, uint64_t stream,
+                           std::vector<cplx> &hpsi) const override;
     std::vector<double>
     gradient(const ParameterShiftEngine &engine,
              const std::vector<double> &params, uint64_t call_stream,
              uint64_t *shots_out) const override;
+    std::vector<double>
+    gradientFrom(SimBackend &backend, std::vector<cplx> &hpsi,
+                 const ParameterShiftEngine &engine,
+                 const std::vector<double> &params, uint64_t call_stream,
+                 uint64_t *shots_out) const override;
     size_t
     gradientEvaluations(const ParameterShiftEngine &engine) const override;
 
@@ -185,8 +215,8 @@ class SampledEstimation : public EstimationStrategy
     const std::string &name() const override { return modeName; }
     bool stochastic() const override { return true; }
     std::unique_ptr<SimBackend> makeBackend() const override;
-    EnergyEstimate measure(SimBackend &backend,
-                           uint64_t stream) const override;
+    EnergyEstimate measure(SimBackend &backend, uint64_t stream,
+                           std::vector<cplx> &hpsi) const override;
     EnergyEstimate finalReadout(SimBackend &backend, uint64_t stream,
                                 unsigned factor) const override;
     std::vector<double>

@@ -22,6 +22,17 @@ ExpectationEngine::energy(const Statevector &psi) const
 }
 
 double
+ExpectationEngine::energy(const Statevector &psi,
+                          std::vector<cplx> &hpsi) const
+{
+    if (psi.numQubits() != ham.numQubits())
+        panic("ExpectationEngine::energy: width mismatch");
+    hpsi.resize(psi.dim());
+    return hRe.expectation(psi.amplitudes().data(), psi.dim(),
+                           hpsi.data());
+}
+
+double
 ExpectationEngine::energy(const SimBackend &backend) const
 {
     if (const Statevector *sv = backend.statevector())

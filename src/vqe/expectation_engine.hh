@@ -4,7 +4,10 @@
  * groups the Pauli sum by X mask (kern::XMaskGroups, real
  * coefficients, as the adjoint gradient's lambda = H|psi> reads
  * them), and a pure state's energy is Re <psi|H psi>: one sweep per
- * X mask into pooled 2^n scratch, then one fixed-chunk reduction.
+ * X mask into 2^n scratch, then one fixed-chunk reduction. The
+ * scratch is pooled, or the caller's buffer when the caller keeps
+ * H|psi>: the ideal strategy hands it to the adjoint gradient of the
+ * same evaluation as its lambda (vqe/estimation.hh).
  *
  * Qubit-wise-commuting measurement families are what shot sampling
  * needs (sim/sampling.hh); an exact statevector reads every term off
@@ -15,6 +18,8 @@
 
 #ifndef QCC_VQE_EXPECTATION_ENGINE_HH
 #define QCC_VQE_EXPECTATION_ENGINE_HH
+
+#include <vector>
 
 #include "pauli/pauli_sum.hh"
 #include "sim/backend.hh"
@@ -31,6 +36,12 @@ class ExpectationEngine
 
     /** <psi| H |psi> by X mask. */
     double energy(const Statevector &psi) const;
+
+    /**
+     * energy(psi), leaving H|psi> in `hpsi` (resized to 2^n): the
+     * same sweeps and reduction, so the same bits.
+     */
+    double energy(const Statevector &psi, std::vector<cplx> &hpsi) const;
 
     /**
      * Energy in a backend's current state: the statevector path when

@@ -104,42 +104,64 @@ ParameterShiftEngine::gradientAdjoint(
     const std::vector<double> base = baseAngles(params);
     const unsigned n = source->nQubits;
     const size_t dim = size_t{1} << n;
-    const auto &rots = source->rotations;
 
-    // Forward replay. Identity rotations are global phases: dropping
-    // them rephases psi and lambda alike, which <lambda|P|psi> never
-    // sees.
+    // Forward replay: the state an evaluation prepares
+    // (SimBackend::applyAnsatz), identity rotations included, so this
+    // route and one continued from an evaluation agree bit for bit.
     Statevector psi(n, source->hfMask, statePool().acquire(dim));
-    for (size_t j : shiftable)
-        psi.applyPauliRotation(base[j], rots[j].string);
+    for (size_t j = 0; j < base.size(); ++j)
+        psi.applyPauliRotation(base[j], source->rotations[j].string);
 
     // lambda = H|psi> (not a state: unnormalized), one sweep per X
-    // mask.
+    // mask, as ExpectationEngine::energy leaves it.
     std::vector<cplx> lambda = statePool().acquire(dim);
     std::fill(lambda.begin(), lambda.end(), cplx(0.0));
     hRe.apply(psi.amplitudes().data(), dim, lambda.data());
 
-    // Backward walk. With psi_j the state just after rotation j and
+    std::vector<double> g =
+        backwardWalk(base, psi.amplitudes().data(), lambda.data());
+    statePool().release(std::move(psi.amplitudes()));
+    statePool().release(std::move(lambda));
+    return g;
+}
+
+std::vector<double>
+ParameterShiftEngine::gradientAdjoint(const std::vector<double> &params,
+                                      Statevector &psi,
+                                      std::vector<cplx> &lambda) const
+{
+    TraceSpan span("gradient.adjoint");
+    span.arg("rotations", shiftable.size());
+    const size_t dim = size_t{1} << source->nQubits;
+    if (psi.numQubits() != source->nQubits || lambda.size() != dim)
+        panic("gradientAdjoint: psi or lambda does not match the "
+              "ansatz width");
+    return backwardWalk(baseAngles(params), psi.amplitudes().data(),
+                        lambda.data());
+}
+
+std::vector<double>
+ParameterShiftEngine::backwardWalk(const std::vector<double> &base,
+                                   cplx *psi, cplx *lambda) const
+{
+    // With psi_j the state just after rotation j and
     // lambda_j = U_{j+1}^dag ... U_{R-1}^dag H|psi>,
     //   dE/dphi_j = 2 Re <lambda_j| iP_j |psi_j>
     //             = -2 Im <lambda_j| P_j |psi_j>,
-    // and un-applying U_j = exp(i phi_j P_j) from both steps to j - 1.
+    // and un-applying U_j = exp(i phi_j P_j) from both steps to j - 1,
+    // in the same pass over the pairs. Identity rotations are global
+    // phases that psi and lambda carry alike, which <lambda|P|psi>
+    // never sees, so the walk skips them.
+    const size_t dim = size_t{1} << source->nQubits;
+    const auto &rots = source->rotations;
     std::vector<double> dphi(shiftable.size());
     for (size_t i = shiftable.size(); i-- > 0;) {
         const size_t j = shiftable[i];
-        const uint64_t x = rots[j].string.xMask();
-        const uint64_t z = rots[j].string.zMask();
-        dphi[i] = -2.0 * kern::pauliInner(lambda.data(),
-                                          psi.amplitudes().data(), dim,
-                                          x, z)
+        dphi[i] = -2.0 * kern::pauliInnerAndRotate(
+                             lambda, psi, dim, rots[j].string.xMask(),
+                             rots[j].string.zMask(), -base[j])
                              .imag();
-        if (i == 0)
-            break;
-        psi.applyPauliRotation(-base[j], rots[j].string);
-        kern::applyPauliRotation(lambda.data(), dim, x, z, -base[j]);
     }
-    statePool().release(std::move(psi.amplitudes()));
-    statePool().release(std::move(lambda));
     return assemble(dphi);
 }
 
@@ -214,6 +236,7 @@ ParameterShiftEngine::gradientNoisy(const std::vector<double> &params,
     span.arg("rotations", shiftable.size());
     if (!plan.matches(*source, plan.noise()))
         panic("gradientNoisy: the plan is not this ansatz's");
+    span.arg("snapshots", plan.snapshots(opts.maxPrefixBytes));
     // The plan's rotations are the shiftable ones, in program order.
     return assemble(
         plan.gradient(baseAngles(params), ham, opts.maxPrefixBytes));

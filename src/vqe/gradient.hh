@@ -6,12 +6,16 @@
  * derivatives dE/dphi. Two families of routes compute them:
  *
  *  - adjoint (reverse mode, Jones & Gacon arXiv:2009.02823), on
- *    either exact state model. On the ideal pure state: one forward
- *    replay, lambda = H|psi>, then a backward walk that reads
- *    dE/dphi_j = -2 Im <lambda|P_j|psi_j> and un-applies each
- *    rotation from both states — 3R - 2 rotation sweeps, R read-only
- *    inner products and one sweep per distinct X mask of the
- *    Hamiltonian, with no energy evaluation at all. On the noisy
+ *    either exact state model. On the ideal pure state: psi(theta)
+ *    and lambda = H|psi> (one sweep per distinct X mask of the
+ *    Hamiltonian), then a backward walk of R fused sweeps, each
+ *    reading dE/dphi_j = -2 Im <lambda|P_j|psi_j> and un-applying
+ *    rotation j from both states in one pass over the amplitude
+ *    pairs (kern::pauliInnerAndRotate), with no energy evaluation at
+ *    all. An evaluation already holds psi and lambda (the ideal
+ *    strategy's measure() keeps H|psi>), so the driver's gradient of
+ *    an evaluation runs the walk alone; gradientAdjoint(params)
+ *    makes both itself first, to the same bits. On the noisy
  *    Pauli-transfer frame (sim/pauli_frame.hh): the plan's dampings
  *    are diagonal and its rotations orthogonal, so one forward pass
  *    keeping each rotation's state and one backward walk of the
@@ -99,6 +103,18 @@ class ParameterShiftEngine
     gradientAdjoint(const std::vector<double> &params) const;
 
     /**
+     * The same gradient continued from an evaluation at `params`:
+     * only the backward walk, from psi = |psi(params)> as
+     * SimBackend::applyAnsatz prepares it and lambda = H|psi> as
+     * ExpectationEngine::energy(psi, lambda) leaves it. Uses both up
+     * (they hold neither state afterwards); equal to
+     * gradientAdjoint(params) bit for bit.
+     */
+    std::vector<double> gradientAdjoint(const std::vector<double> &params,
+                                        Statevector &psi,
+                                        std::vector<cplx> &lambda) const;
+
+    /**
      * dE/dtheta at `params` through prefix-shared statevector
      * replays; `estimate` reads each shifted state (exact energy,
      * shot sampler, ...).
@@ -141,6 +157,14 @@ class ParameterShiftEngine
     /** Resolved per-rotation base angles for `params`. */
     std::vector<double>
     baseAngles(const std::vector<double> &params) const;
+
+    /**
+     * The adjoint's backward walk over 2^n-amplitude psi and lambda
+     * at the rotation angles `base`: one fused sweep per shiftable
+     * rotation (kern::pauliInnerAndRotate), then assemble().
+     */
+    std::vector<double> backwardWalk(const std::vector<double> &base,
+                                     cplx *psi, cplx *lambda) const;
 
     /**
      * Chain-rule assembly: per-rotation derivatives (one per

@@ -23,13 +23,11 @@ LbfgsVqeOptimizer::minimize(VqeDriver &driver) const
 {
     LbfgsOptions lo;
     lo.maxIter = driver.options().maxIter;
-    GradientFn grad = [&driver](const std::vector<double> &x) {
-        return driver.gradient(x);
-    };
-    OptimizeResult opt =
-        lbfgsMinimize(objectiveOf(driver),
-                      std::vector<double>(driver.numParams(), 0.0),
-                      lo, grad);
+    OptimizeResult opt = lbfgsMinimize(
+        [&driver](const std::vector<double> &x) {
+            return driver.evaluate(x);
+        },
+        std::vector<double>(driver.numParams(), 0.0), lo);
     VqeResult res;
     res.energy = opt.fun;
     res.params = opt.x;

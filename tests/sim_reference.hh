@@ -2,10 +2,13 @@
  * @file
  * Reference implementations the simulator's production paths are
  * tested and timed against: the seed's full-scan kernels, the
+ * read-only pair-compacted <bra|P|ket> (scalar and AVX2) that the
+ * adjoint's fused backward step must reproduce bit for bit, the
  * per-term H*v and <H>, and the density-matrix simulator with its
  * depolarizing channels, replayed gate by gate. Production always
- * runs the bit-mask kernels, H by X mask, the statevector's per-gate
- * replay (Statevector::applyCircuit) and, for noisy states, the
+ * runs the bit-mask kernels, the fused kern::pauliInnerAndRotate, H
+ * by X mask, the statevector's per-gate replay
+ * (Statevector::applyCircuit) and, for noisy states, the
  * Pauli-transfer frame (sim/pauli_frame.hh); these stay here, beside
  * the tests that read them (test_kernels, test_density_matrix,
  * test_gradient) and bench_sim_micro.
@@ -30,7 +33,12 @@
 #include "pauli/pauli_sum.hh"
 #include "sim/kernels.hh"
 #include "sim/noise_model.hh"
+#include "sim/simd.hh"
 #include "sim/statevector.hh"
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
 
 namespace qcc_test {
 
@@ -92,6 +100,186 @@ expectationGeneric(const cplx *amp, size_t dim, uint64_t x, uint64_t z)
     for (size_t b = 0; b < dim; ++b)
         s += std::conj(amp[b]) * pauliPhase(x, z, b ^ x) * amp[b ^ x];
     return s.real();
+}
+/** @} */
+
+/**
+ * @{ The read-only <bra|P|ket> that the adjoint's backward step fuses
+ * with its two rotations (kern::pauliInnerAndRotate): the pair sum
+ * over compacted k in [k_lo, k_hi) of s_b (sigma conj(bra[b])
+ * ket[b^x] + conj(bra[b^x]) ket[b]), b = expandBit(k, pivot), with a
+ * scalar and an AVX2 body, and its fixed-chunk reduction. The AVX2
+ * body takes two pairs at a time inside each run of pivot pairs,
+ * single pairs at the ends of a range and every pair alone when
+ * pivot = 1; the fused kernel must accumulate exactly so.
+ */
+inline void
+addConjMulRef(double s, cplx u, cplx v, double &re, double &im)
+{
+    re += s * (u.real() * v.real() + u.imag() * v.imag());
+    im += s * (u.real() * v.imag() - u.imag() * v.real());
+}
+
+inline double
+paritySignRef(uint64_t m, uint64_t b)
+{
+    return (std::popcount(m & b) & 1) ? -1.0 : 1.0;
+}
+
+inline cplx
+pauliInnerPairsScalar(const cplx *bra, const cplx *ket, size_t k_lo,
+                      size_t k_hi, uint64_t x, uint64_t z,
+                      uint64_t pivot, double sigma)
+{
+    double pr = 0.0, pi = 0.0, qr = 0.0, qi = 0.0;
+    for (size_t k = k_lo; k < k_hi; ++k) {
+        const size_t b = qcc::kern::expandBit(k, pivot);
+        const size_t b2 = b ^ x;
+        const double sb = paritySignRef(z, b);
+        addConjMulRef(sb, bra[b], ket[b2], pr, pi);
+        addConjMulRef(sb, bra[b2], ket[b], qr, qi);
+    }
+    return cplx(sigma * pr + qr, sigma * pi + qi);
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+#define QCC_REF_AVX2 __attribute__((target("avx2,fma")))
+
+/** Two complexes at lo and hi as one register (lo in lanes 0-1). */
+QCC_REF_AVX2 inline __m256d
+loadPairRef(const double *lo, const double *hi)
+{
+    return _mm256_insertf128_pd(
+        _mm256_castpd128_pd256(_mm_loadu_pd(lo)), _mm_loadu_pd(hi), 1);
+}
+
+/** s * conj(u) * v lane-wise: re gathers (ur vr, ui vi), im
+ *  (ur vi, ui vr) per complex lane. */
+QCC_REF_AVX2 inline void
+conjMulAccRef(__m256d s, __m256d u, __m256d v, __m256d &re, __m256d &im)
+{
+    re = _mm256_fmadd_pd(s, _mm256_mul_pd(u, v), re);
+    im = _mm256_fmadd_pd(
+        s, _mm256_mul_pd(u, _mm256_shuffle_pd(v, v, 0x5)), im);
+}
+
+/** The two complexes an (re, im) accumulator pair holds. */
+QCC_REF_AVX2 inline void
+conjMulSumsRef(__m256d re, __m256d im, cplx &lo, cplx &hi)
+{
+    alignas(32) double r[4], i[4];
+    _mm256_store_pd(r, re);
+    _mm256_store_pd(i, im);
+    lo = cplx(r[0] + r[1], i[0] - i[1]);
+    hi = cplx(r[2] + r[3], i[2] - i[3]);
+}
+
+/** One pair into the scalar accumulators of the AVX2 body. */
+QCC_REF_AVX2 inline void
+innerLonePairRef(const cplx *bra, const cplx *ket, size_t b, uint64_t x,
+                 uint64_t z, double &pr, double &pi, double &qr,
+                 double &qi)
+{
+    const size_t b2 = b ^ x;
+    const double sb = paritySignRef(z, b);
+    addConjMulRef(sb, bra[b], ket[b2], pr, pi);
+    addConjMulRef(sb, bra[b2], ket[b], qr, qi);
+}
+
+QCC_REF_AVX2 inline cplx
+pauliInnerPairsAvx2(const cplx *brac, const cplx *ketc, size_t k_lo,
+                    size_t k_hi, uint64_t x, uint64_t z, uint64_t pivot,
+                    double sigma)
+{
+    const double *bra = reinterpret_cast<const double *>(brac);
+    const double *ket = reinterpret_cast<const double *>(ketc);
+    // p sums conj(bra[b]) ket[b^x], q sums conj(bra[b^x]) ket[b].
+    cplx p(0.0), q(0.0);
+    if (pivot == 1) {
+        __m256d re = _mm256_setzero_pd(), im = _mm256_setzero_pd();
+        for (size_t k = k_lo; k < k_hi; ++k) {
+            const size_t b = 2 * k, b2 = b ^ x;
+            conjMulAccRef(_mm256_set1_pd(paritySignRef(z, b)),
+                          loadPairRef(bra + 2 * b, bra + 2 * b2),
+                          loadPairRef(ket + 2 * b2, ket + 2 * b), re, im);
+        }
+        conjMulSumsRef(re, im, p, q);
+        return cplx(sigma * p.real() + q.real(),
+                    sigma * p.imag() + q.imag());
+    }
+    double pr = 0.0, pi = 0.0, qr = 0.0, qi = 0.0;
+    const double e0 = (z & 1) ? -1.0 : 1.0;
+    const __m256d evec = _mm256_setr_pd(1.0, 1.0, e0, e0);
+    __m256d pre = _mm256_setzero_pd(), pim = _mm256_setzero_pd();
+    __m256d qre = _mm256_setzero_pd(), qim = _mm256_setzero_pd();
+    size_t k = k_lo;
+    while (k < k_hi) {
+        const size_t runStart = k & ~size_t(pivot - 1);
+        const size_t runEnd = std::min<size_t>(k_hi, runStart + pivot);
+        const size_t b0 = qcc::kern::expandBit(runStart, pivot);
+        const size_t len = runEnd - runStart;
+        size_t j = k - runStart;
+        if ((j & 1) && j < len)
+            innerLonePairRef(brac, ketc, b0 + j++, x, z, pr, pi, qr, qi);
+        for (; j + 2 <= len; j += 2) {
+            const size_t b = b0 + j;
+            const size_t b2 = b ^ x;
+            const __m256d sv = _mm256_mul_pd(
+                _mm256_set1_pd(paritySignRef(z, b)), evec);
+            conjMulAccRef(sv, _mm256_loadu_pd(bra + 2 * b),
+                          _mm256_loadu_pd(ket + 2 * b2), pre, pim);
+            conjMulAccRef(sv, _mm256_loadu_pd(bra + 2 * b2),
+                          _mm256_loadu_pd(ket + 2 * b), qre, qim);
+        }
+        if (j < len)
+            innerLonePairRef(brac, ketc, b0 + j, x, z, pr, pi, qr, qi);
+        k = runEnd;
+    }
+    cplx p1, q1;
+    conjMulSumsRef(pre, pim, p, p1);
+    conjMulSumsRef(qre, qim, q, q1);
+    p += p1;
+    q += q1;
+    p += cplx(pr, pi);
+    q += cplx(qr, qi);
+    return cplx(sigma * p.real() + q.real(), sigma * p.imag() + q.imag());
+}
+#endif
+
+/** The body the running dispatch selects (qcc::kern::simdActive). */
+inline cplx
+pauliInnerPairs(const cplx *bra, const cplx *ket, size_t k_lo,
+                size_t k_hi, uint64_t x, uint64_t z, uint64_t pivot,
+                double sigma)
+{
+#if defined(__x86_64__) || defined(__i386__)
+    if (qcc::kern::simdActive())
+        return pauliInnerPairsAvx2(bra, ket, k_lo, k_hi, x, z, pivot,
+                                   sigma);
+#endif
+    return pauliInnerPairsScalar(bra, ket, k_lo, k_hi, x, z, pivot,
+                                 sigma);
+}
+
+/** <bra| P |ket>, reduced over the chunks of the fused kernel. */
+inline cplx
+pauliInner(const cplx *bra, const cplx *ket, size_t dim, uint64_t x,
+           uint64_t z)
+{
+    if (x == 0) {
+        return qcc::parallelReduce(
+            0, dim, cplx(0.0), [=](size_t lo, size_t hi) {
+                return qcc::kern::ranges::pauliInnerDiagScalar(
+                    bra, ket, lo, hi, z);
+            });
+    }
+    const double sigma = paritySignRef(z, x);
+    const uint64_t pivot = x & (~x + 1);
+    const cplx t = qcc::parallelReduce(
+        0, dim / 2, cplx(0.0), [=](size_t lo, size_t hi) {
+            return pauliInnerPairs(bra, ket, lo, hi, x, z, pivot, sigma);
+        });
+    return pauliPhase(x, z, 0) * t;
 }
 /** @} */
 

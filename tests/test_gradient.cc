@@ -17,12 +17,14 @@
 #include "ansatz/compression.hh"
 #include "ansatz/uccsd.hh"
 #include "chem/molecules.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/parallel.hh"
 #include "common/rng.hh"
 #include "compiler/pipeline.hh"
 #include "ferm/hamiltonian.hh"
 #include "obs/metrics.hh"
+#include "obs/trace.hh"
 #include "sim/lanczos.hh"
 #include "sim/pauli_frame.hh"
 #include "sim_reference.hh"
@@ -123,6 +125,23 @@ randomProblem(unsigned n, unsigned nRot, uint64_t seed)
               PauliString(n, rng.index(uint64_t{1} << n),
                           rng.index(uint64_t{1} << n)));
     return {std::move(h), std::move(a)};
+}
+
+/** The numeric arg `key` of the last `span` event in a trace. */
+double
+spanArg(const std::string &events_json, const std::string &span,
+        const std::string &key)
+{
+    double value = -1.0;
+    const JsonValue doc = JsonValue::parse(events_json);
+    for (const JsonValue &e : doc.items) {
+        const JsonValue *name = e.find("name");
+        const JsonValue *args = e.find("args");
+        if (name && name->text == span && args)
+            if (const JsonValue *v = args->find(key))
+                value = v->number;
+    }
+    return value;
 }
 
 /** `fn()` with every pool sweep it starts run inline, in order. */
@@ -409,12 +428,71 @@ TEST(Gradient, AdjointBitIdenticalUnderWidthCap)
         }
         EXPECT_EQ(wide, capped) << n;
 
+        // The route an ideal driver takes: the walk continued from an
+        // evaluation, uncapped and on one lane.
+        auto continued = [&] {
+            VqeDriver driver(
+                h, a, {},
+                makeEstimationStrategy("ideal",
+                                       EstimationConfig{&h, {}, {}, {}}));
+            return driver.evaluate(p).gradient();
+        };
+        EXPECT_EQ(continued(), wide) << n;
+        EXPECT_EQ(serially(continued), wide) << n;
+
         ExpectationEngine ee(h);
         const auto shift = engine.gradientStatevector(
             p, [&](const Statevector &psi, size_t) {
                 return ee.energy(psi);
             });
         EXPECT_LT(maxAbsDiff(wide, shift), 1e-10) << n;
+    }
+}
+
+TEST(Gradient, ContinuedGradientEqualsAdjointBitForBit)
+{
+    // One evaluation serves the energy and the gradient: its energy
+    // is ExpectationEngine's on the same state, and the backward walk
+    // from its state and H|psi> is the full adjoint, bit for bit.
+    for (const char *name : {"H2", "LiH", "NaH", "HF"}) {
+        const Fixture fix = moleculeFixture(name);
+        const PauliSum &h = fix.prob.hamiltonian;
+        const auto params = testParams(fix.ansatz.nParams);
+        VqeDriver driver(
+            h, fix.ansatz, {},
+            makeEstimationStrategy("ideal",
+                                   EstimationConfig{&h, {}, {}, {}}));
+        const Evaluation ev = driver.evaluate(params);
+
+        StatevectorBackend prepared(fix.ansatz.nQubits);
+        prepared.applyAnsatz(fix.ansatz, params);
+        EXPECT_EQ(ev.value, ExpectationEngine(h).energy(prepared))
+            << name;
+        EXPECT_EQ(ev.gradient(),
+                  ParameterShiftEngine(h, fix.ansatz)
+                      .gradientAdjoint(params))
+            << name;
+        EXPECT_EQ(driver.gradientCount(), 1u) << name;
+    }
+}
+
+TEST(Gradient, StaleEvaluationGradientDies)
+{
+    // An evaluation's gradient may be asked for once, before the
+    // next evaluation, on every strategy.
+    const Fixture &fix = h2();
+    const PauliSum &h = fix.prob.hamiltonian;
+    const auto params = testParams(fix.ansatz.nParams);
+    for (const char *mode : {"ideal", "sampled"}) {
+        VqeDriver driver(
+            h, fix.ansatz, {},
+            makeEstimationStrategy(mode,
+                                   EstimationConfig{&h, {}, {}, {}}));
+        const Evaluation first = driver.evaluate(params);
+        const Evaluation second = driver.evaluate(params);
+        EXPECT_DEATH(first.gradient(), "stale evaluation") << mode;
+        second.gradient();
+        EXPECT_DEATH(second.gradient(), "stale evaluation") << mode;
     }
 }
 
@@ -510,15 +588,32 @@ TEST(Gradient, PrefixSharingEqualsFullReplayBitForBit)
     const std::vector<double> unbudgeted =
         ParameterShiftEngine(lihFix.prob.hamiltonian, lihFix.ansatz)
             .gradientNoisy(lihParams, *lihPlan);
+    // Each budget keeps as many states as it fits, up to all 23 (8,
+    // 16, 32 and 64 KiB keep 2, 4, 8 and 16), and the gradient.noisy
+    // span reports the count.
+    const size_t states = lihPlan->numRotations() - 1;
+    const size_t stateBytes = 4096;
+    ASSERT_EQ(lihPlan->snapshots(stateBytes), 1u);
+    ASSERT_EQ(lihPlan->snapshots(stateBytes - 1), 0u);
+    setTraceEnabled(true);
     for (size_t budget = 1; budget <= size_t{1} << 26; budget *= 2) {
         GradientOptions budgeted;
         budgeted.maxPrefixBytes = budget;
+        clearTrace();
         EXPECT_EQ(ParameterShiftEngine(lihFix.prob.hamiltonian,
                                        lihFix.ansatz, budgeted)
                       .gradientNoisy(lihParams, *lihPlan),
                   unbudgeted)
             << "budget " << budget;
+        const size_t want = std::min(states, budget / stateBytes);
+        EXPECT_EQ(lihPlan->snapshots(budget), want) << "budget " << budget;
+        EXPECT_EQ(spanArg(traceEventsArrayJson(), "gradient.noisy",
+                          "snapshots"),
+                  double(want))
+            << "budget " << budget;
     }
+    setTraceEnabled(false);
+    clearTrace();
 }
 
 TEST(Gradient, SampledGradientSeededAndBatchingInvariant)

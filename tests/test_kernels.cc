@@ -2,9 +2,11 @@
  * @file
  * Equivalence tests for the specialized simulator kernels: randomized
  * circuits and Pauli rotations checked against the generic dense
- * reference path with the vector path off and on, the <bra|P|ket>
- * kernel against a dense Pauli product, H by X mask against the
- * per-term H*v and <H> (references in sim_reference.hh),
+ * reference path with the vector path off and on, the fused
+ * <bra|P|ket>-and-rotate step against a dense Pauli product and, bit
+ * for bit, against the read-only product and two rotations, H by X
+ * mask against the per-term H*v and <H> (references in
+ * sim_reference.hh),
  * and the expectation width-check regression. QCC_THREADS is pinned
  * to 4 before the pool first sizes itself, so the chunked sweeps run
  * on any runner.
@@ -226,8 +228,10 @@ TEST(Kernels, PauliInnerMatchesDenseReference)
             pivotOne += (x & 1) != 0;
             pivotHigh += x != 0 && (x & 1) == 0;
             diagonal += x == 0;
-            const cplx fast = kern::pauliInner(bra.data(), ket.data(),
-                                               bra.size(), x, z);
+            // The fused step's product is read before its rotations.
+            auto braRot = bra, ketRot = ket;
+            const cplx fast = kern::pauliInnerAndRotate(
+                braRot.data(), ketRot.data(), bra.size(), x, z, 0.3);
             const cplx ref = densePauliInner(bra, ket, p);
             EXPECT_NEAR(std::abs(fast - ref), 0.0, 1e-12)
                 << "n=" << n << " " << p.str();
@@ -247,9 +251,10 @@ TEST(Kernels, PauliInnerOnOneStateIsTheExpectation)
         auto amp = randomAmplitudes(n, 500 + n);
         for (int rep = 0; rep < 20; ++rep) {
             const PauliString p = randomString(n, rng);
-            const cplx inner = kern::pauliInner(
-                amp.data(), amp.data(), amp.size(), p.xMask(),
-                p.zMask());
+            auto bra = amp, ket = amp; // the kernel's states are distinct
+            const cplx inner = kern::pauliInnerAndRotate(
+                bra.data(), ket.data(), amp.size(), p.xMask(), p.zMask(),
+                -0.7);
             const double e = expectationGeneric(
                 amp.data(), amp.size(), p.xMask(), p.zMask());
             EXPECT_NEAR(inner.real(), e, 1e-12) << p.str();
@@ -553,10 +558,19 @@ TEST(Simd, PairPrimitivesStayInsideTheirRange)
                 if (m.x == 0) // one body, scalar
                     return kern::ranges::pauliInnerDiagScalar(
                         bra.data(), ket.data(), lo, hi, m.z);
-                return (scalar ? kern::ranges::pauliInnerPairsScalar
-                               : kern::ranges::pauliInnerPairs)(
+                return (scalar ? pauliInnerPairsScalar : pauliInnerPairs)(
                     bra.data(), ket.data(), lo, hi, m.x, m.z, pivot,
                     sigma);
+            };
+            // The fused backward step on copies of both states.
+            auto innerRotate = [&](std::vector<cplx> &b,
+                                   std::vector<cplx> &k, size_t lo,
+                                   size_t hi, bool scalar) {
+                const double ur = uu.real(), ui = uu.imag();
+                return (scalar ? kern::ranges::pauliInnerRotPairsScalar
+                               : kern::ranges::pauliInnerRotPairs)(
+                    b.data(), k.data(), lo, hi, m.x, m.z, pivot, sigma,
+                    c, ur, ui, sigma * ur, sigma * ui);
             };
             for (bool simd : {true, false}) {
                 SimdGuard g(simd);
@@ -566,8 +580,12 @@ TEST(Simd, PairPrimitivesStayInsideTheirRange)
                     " z=" + std::to_string(m.z);
                 auto whole = ket;
                 rotate(whole, 0, len, false);
+                auto wholeBra = bra;
+                rotate(wholeBra, 0, len, false);
                 auto scalarWhole = ket;
                 rotate(scalarWhole, 0, len, true);
+                auto scalarWholeBra = bra;
+                rotate(scalarWholeBra, 0, len, true);
                 expectClose(whole, scalarWhole, "rotation " + what);
                 // Any partition rounds every pair as the whole sweep.
                 const std::vector<size_t> cuts = randomCuts(len, rng);
@@ -591,7 +609,69 @@ TEST(Simd, PairPrimitivesStayInsideTheirRange)
                                 0.0, 1e-13)
                         << "inner [" << lo << ", " << hi << ") "
                         << what;
+                    if (m.x == 0) // diagonal steps run unfused
+                        continue;
+                    // The fused step sums as the read-only pair sum
+                    // of the same body, and rotates exactly its own
+                    // pairs of both states as the whole sweep does.
+                    for (bool scalar : {false, true}) {
+                        auto fb = bra, fk = ket;
+                        EXPECT_EQ(innerRotate(fb, fk, lo, hi, scalar),
+                                  inner(lo, hi, scalar))
+                            << "fused inner [" << lo << ", " << hi
+                            << ") scalar=" << scalar << " " << what;
+                        const auto &rb = scalar ? scalarWholeBra : wholeBra;
+                        const auto &rk = scalar ? scalarWhole : whole;
+                        for (size_t b = 0; b < dim; ++b) {
+                            ASSERT_EQ(fb[b], own[b] ? rb[b] : bra[b])
+                                << "fused bra [" << lo << ", " << hi
+                                << ") index " << b << " scalar=" << scalar
+                                << " " << what;
+                            ASSERT_EQ(fk[b], own[b] ? rk[b] : ket[b])
+                                << "fused ket [" << lo << ", " << hi
+                                << ") index " << b << " scalar=" << scalar
+                                << " " << what;
+                        }
+                    }
                 }
+            }
+        }
+    }
+}
+
+TEST(Kernels, PauliInnerAndRotateMatchesUnfusedReference)
+{
+    // The fused backward step against the read-only <bra|P|ket> of
+    // sim_reference.hh followed by two applyPauliRotation calls: the
+    // same bits for the product and for both states, with the vector
+    // path off and on, for every pivot class. At n = 17 the pair
+    // reduction splits into four chunks (QCC_THREADS is pinned to 4).
+    Rng rng(61);
+    for (unsigned n : {1u, 2u, 5u, 6u, 12u, 17u}) {
+        const auto bra = randomAmplitudes(n, 800 + n);
+        const auto ket = randomAmplitudes(n, 900 + n);
+        for (const Masks &m : pivotClassMasks(n, rng)) {
+            const double theta = rng.uniform(-3.0, 3.0);
+            for (bool simd : {false, true}) {
+                SimdGuard g(simd);
+                const std::string what =
+                    std::string(simd ? "simd" : "scalar") + " n=" +
+                    std::to_string(n) + " x=" + std::to_string(m.x) +
+                    " z=" + std::to_string(m.z);
+                auto refBra = bra, refKet = ket;
+                const cplx want = pauliInner(refBra.data(), refKet.data(),
+                                             refBra.size(), m.x, m.z);
+                kern::applyPauliRotation(refBra.data(), refBra.size(),
+                                         m.x, m.z, theta);
+                kern::applyPauliRotation(refKet.data(), refKet.size(),
+                                         m.x, m.z, theta);
+                auto fusedBra = bra, fusedKet = ket;
+                const cplx got = kern::pauliInnerAndRotate(
+                    fusedBra.data(), fusedKet.data(), fusedBra.size(), m.x,
+                    m.z, theta);
+                EXPECT_EQ(got, want) << what;
+                EXPECT_TRUE(sameBits(fusedBra, refBra)) << "bra " << what;
+                EXPECT_TRUE(sameBits(fusedKet, refKet)) << "ket " << what;
             }
         }
     }
